@@ -28,7 +28,6 @@ from .spaces import (
     piola_map,
     scalar_grad,
     scalar_hess,
-    segment_quadrature,
     triangle_quadrature,
 )
 
@@ -47,6 +46,7 @@ __all__ = [
     "assemble_traction_rhs",
     "apply_boundary_conditions",
     "pressure_nullspace",
+    "constant_pressure_mode",
     "displacement_hdg_matrix",
     "pressure_hdg_matrix",
 ]
@@ -100,7 +100,12 @@ class DofLayout:
 
 @dataclass
 class FormKernels:
-    """Parameter-independent form matrices on a fixed mesh and space set."""
+    """Parameter-independent form matrices on a fixed mesh and space set.
+
+    ``M_p`` is element-block-diagonal; ``p_mass_inv[t]`` is the inverse of
+    its ``(n_p, n_p)`` block on element ``t``, the Riesz map of the broken
+    pressure space used by the conservation diagnostics.
+    """
 
     spaces: object
     eta: float
@@ -112,20 +117,11 @@ class FormKernels:
     M_w: sps.csr_matrix          # w x w plain mass
     M_p: sps.csr_matrix          # p x p mass
     volume: float
-    _p_mass_inv: dict = field(default_factory=dict, repr=False)
+    p_mass_inv: np.ndarray = field(repr=False)   # (n_elements, n_p, n_p)
 
     def b_block(self):
         """b-form matrix (p+phat rows, w cols) with the row-3 signs."""
         return sps.bmat([[-self.Dw], [self.Ew]], format="csr")
-
-    def p_mass_inverse(self, element):
-        """Inverse of the local pressure mass block, cached per element."""
-        if element not in self._p_mass_inv:
-            dofs = self.spaces.p_dofs(element)
-            self._p_mass_inv[element] = np.linalg.inv(
-                self.M_p[np.ix_(dofs, dofs)].toarray()
-            )
-        return self._p_mass_inv[element]
 
 
 class _Coo:
@@ -170,6 +166,7 @@ def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
     kEw = _Coo()
     kMw = _Coo()
     kMp = _Coo()
+    p_mass = np.empty((mesh.n_elements, spaces.n_p, spaces.n_p))
 
     for t in range(mesh.n_elements):
         amap = build_affine_map(mesh, t)
@@ -193,7 +190,8 @@ def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
         wdofs = spaces.w_dofs(t)
         kDw.add(pdofs, wdofs, np.einsum("pq,uq,q->pu", pvals, wdivs, wq))
         kMw.add(wdofs, wdofs, np.einsum("iqc,jqc,q->ij", wvals, wvals, wq))
-        kMp.add(pdofs, pdofs, np.einsum("iq,jq,q->ij", pvals, pvals, wq))
+        p_mass[t] = np.einsum("iq,jq,q->ij", pvals, pvals, wq)
+        kMp.add(pdofs, pdofs, p_mass[t])
 
         for j in range(3):
             f = mesh.element_facets[t, j]
@@ -240,6 +238,7 @@ def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
         M_w=kMw.build((spaces.size_w, spaces.size_w)),
         M_p=kMp.build((spaces.size_p, spaces.size_p)),
         volume=float(mesh.element_area.sum()),
+        p_mass_inv=np.linalg.inv(p_mass),
     )
 
 
@@ -484,29 +483,24 @@ def assemble_volume_rhs(mesh, spaces, f=None, g=None, degree=None):
 
 
 def assemble_traction_rhs(mesh, spaces, bcs, t=0.0):
-    """Natural surface load on the displacement rows from traction tags."""
+    """Natural surface load on the displacement rows from traction tags.
+
+    The facet geometry comes from ``spaces.boundary`` (built on ``mesh``);
+    each traction callable ``g(x, t, n)`` is evaluated at the edge-rule
+    points of its tag and contracted with the stored traces.
+    """
     layout = DofLayout(spaces)
     F = np.zeros(layout.total)
-    rule = spaces.edge_rule
-    for fct in mesh.boundary_facets:
-        tag = mesh.boundary_tags[int(fct)]
+    F_u = F[layout.sl("u")]
+    for tag, bd in spaces.boundary.items():
         kind, fn = bcs.displacement[tag]
         if kind != "traction":
             continue
-        elem = mesh.facet_elements[fct, 0]
-        j = mesh.facet_local[fct, 0]
-        amap = build_affine_map(mesh, elem)
-        hF = mesh.facet_length[fct]
-        ds = rule.weights * (hF / 2.0)
-        normal = mesh.facet_normal[fct]
-        mid = mesh.facet_midpoint[fct]
-        va, vb = mesh.facet_vertices[fct]
-        half = 0.5 * (mesh.vertices[vb] - mesh.vertices[va])
-        phys = mid + np.outer(rule.points, half)
-        gv = np.array([fn(x, t, normal) for x in phys])
-        tr = piola_map(amap, spaces.facet_trace(spaces.bdm_edge_vals, elem, j))
-        tr = tr * spaces.u_signs[elem][:, None, None]
-        F[layout.sl("u")][spaces.u_dofmap[elem]] += np.einsum("qc,uqc,q->u", gv, tr, ds)
+        k, nq = bd.ds.shape
+        normals = np.repeat(bd.normal, nq, axis=0)
+        gv = np.array([fn(x, t, n) for x, n in zip(bd.edge_points.reshape(-1, 2), normals)])
+        loads = np.einsum("fqc,fuqc,fq->fu", gv.reshape(k, nq, 2), bd.u_trace, bd.ds)
+        F_u += np.bincount(bd.u_dofs.ravel(), loads.ravel(), minlength=spaces.size_u)
     return F
 
 
@@ -600,50 +594,54 @@ class ConstrainedSystem:
 
 
 def constraint_data(layout, spaces, bcs, t):
-    """Constrained DOF indices and values for essential boundary data."""
-    mesh = spaces.mesh
-    bcs.validate(mesh)
+    """Constrained DOF indices and values for essential boundary data.
+
+    Each Dirichlet callable is evaluated at the ``spaces.bc_rule`` points
+    of its tag (``spaces.boundary``) and reduced per facet: raw Legendre
+    moments of the normal component give the u values, Legendre
+    coefficients of the tangential component and of the pressure give
+    the uhat and phat values.
+    """
+    bcs.validate(spaces.mesh)
+    weights = spaces.bc_rule.weights
+    leg = spaces.bc_leg
     idx, val = [], []
-    rule = segment_quadrature(2 * spaces.ell + 6)
-    from numpy.polynomial.legendre import legvander
 
-    leg = legvander(rule.points, max(spaces.n_uhat, max(spaces.n_phat, 1)) - 1).T
-    for fct in mesh.boundary_facets:
-        tag = mesh.boundary_tags[int(fct)]
-        va, vb = mesh.facet_vertices[fct]
-        mid = mesh.facet_midpoint[fct]
-        half = 0.5 * (mesh.vertices[vb] - mesh.vertices[va])
-        phys = mid + np.outer(rule.points, half)
-        hF = mesh.facet_length[fct]
-        normal = mesh.facet_normal[fct]
-        tangent = mesh.facet_tangent[fct]
+    def moments(samples, n_modes):
+        # sum_q g(x_q) P_m(s_q) w_q for each facet (row) and mode m
+        return ((samples[:, None, :] * leg[:n_modes]) * weights).sum(axis=-1)
 
+    def add(field, facets, values):
+        n_modes = values.shape[1]
+        idx.append(layout.offsets[field] + facets[:, None] * n_modes + np.arange(n_modes))
+        val.append(values)
+
+    for tag, bd in spaces.boundary.items():
+        k, nq = bd.points.shape[:2]
+        points = bd.points.reshape(-1, 2)
         kind, fn = bcs.displacement[tag]
         if kind == "dirichlet":
-            gv = np.array([fn(x, t) for x in phys])
-            gn = gv @ normal
-            gt = gv @ tangent
-            for m in range(spaces.n_u_edge):
-                moment = (gn * leg[m] * rule.weights).sum() * hF / 2.0
-                idx.append(layout.offsets["u"] + fct * spaces.n_u_edge + m)
-                val.append(moment)
-            for m in range(spaces.n_uhat):
-                c = (2 * m + 1) / 2.0 * (gt * leg[m] * rule.weights).sum()
-                idx.append(layout.offsets["uhat"] + fct * spaces.n_uhat + m)
-                val.append(c)
+            gv = np.array([fn(x, t) for x in points]).reshape(k, nq, 2)
+            gn = np.einsum("fqc,fc->fq", gv, bd.normal)
+            gt = np.einsum("fqc,fc->fq", gv, bd.tangent)
+            add("u", bd.facets, moments(gn, spaces.n_u_edge) * bd.length[:, None] / 2.0)
+            add("uhat", bd.facets, _legendre_scale(spaces.n_uhat) * moments(gt, spaces.n_uhat))
         for i, pres in enumerate(bcs.pressure):
             pkind, pfn = pres[tag]
             if pkind == "dirichlet":
-                gv = np.array([float(pfn(x, t)) for x in phys])
-                for m in range(spaces.n_phat):
-                    c = (2 * m + 1) / 2.0 * (gv * leg[m] * rule.weights).sum()
-                    idx.append(layout.offsets[f"phat{i}"] + fct * spaces.n_phat + m)
-                    val.append(c)
+                gv = np.array([float(pfn(x, t)) for x in points]).reshape(k, nq)
+                add(f"phat{i}", bd.facets,
+                    _legendre_scale(spaces.n_phat) * moments(gv, spaces.n_phat))
     if not idx:
         return np.array([], dtype=int), np.array([])
-    idx = np.asarray(idx, dtype=int)
+    idx = np.concatenate([a.ravel() for a in idx])
     order = np.argsort(idx)
-    return idx[order], np.asarray(val)[order]
+    return idx[order], np.concatenate([a.ravel() for a in val])[order]
+
+
+def _legendre_scale(n_modes):
+    """(2m + 1) / 2: Legendre coefficients from moments on [-1, 1]."""
+    return (2 * np.arange(n_modes) + 1) / 2.0
 
 
 def apply_boundary_conditions(system, bcs, t=0.0):
@@ -687,7 +685,6 @@ def pressure_nullspace(system, bcs):
     """
     spaces = system.kernels.spaces
     scaled = system.scaled
-    mesh = spaces.mesh
     layout = system.layout
     if any(kind != "dirichlet" for kind, _ in bcs.displacement.values()):
         return []
@@ -698,12 +695,22 @@ def pressure_nullspace(system, bcs):
         if np.any(scaled.zeta[i] != 0.0):
             continue
         k = np.zeros(layout.total)
-        for tidx in range(mesh.n_elements):
-            k[layout.offsets[f"p{i}"] + spaces.p_dofs(tidx)[0]] = 1.0
-        for fct in range(mesh.n_facets):
-            k[layout.offsets[f"phat{i}"] + fct * spaces.n_phat] = 1.0
+        k[layout.sl(f"p{i}")], k[layout.sl(f"phat{i}")] = constant_pressure_mode(spaces)
         vectors.append(k)
     return vectors
+
+
+def constant_pressure_mode(spaces):
+    """Coefficients of the constant 1 in the pressure and facet-pressure spaces.
+
+    Local basis function 0 is the constant in both (monomials and
+    Legendre polynomials start with 1).  Returns ``(p, phat)`` vectors.
+    """
+    p = np.zeros(spaces.size_p)
+    p[:: spaces.n_p] = 1.0
+    phat = np.zeros(spaces.size_phat)
+    phat[:: spaces.n_phat] = 1.0
+    return p, phat
 
 
 def mean_correct(x, system, networks=None):
@@ -716,14 +723,11 @@ def mean_correct(x, system, networks=None):
     layout = system.layout
     kernels = system.kernels
     networks = range(system.scaled.n) if networks is None else networks
-    ones = np.zeros(spaces.size_p)
-    for t in range(spaces.mesh.n_elements):
-        ones[spaces.p_dofs(t)[0]] = 1.0
+    ones, _ = constant_pressure_mode(spaces)
     x = x.copy()
     for i in networks:
         p = x[layout.sl(f"p{i}")]
         mean = float(ones @ (kernels.M_p @ p)) / kernels.volume
         x[layout.sl(f"p{i}")] -= mean * ones
-        for fct in range(spaces.mesh.n_facets):
-            x[layout.offsets[f"phat{i}"] + fct * spaces.n_phat] -= mean
+        x[layout.sl(f"phat{i}")][:: spaces.n_phat] -= mean
     return x

@@ -134,53 +134,51 @@ def conservation_residual(x_full, system, full_rhs=None):
 
     For every element and network, the volume-pressure test rows are
     local, so the discrete balance must hold element by element.  The
-    residual function is measured in L2 on each element and normalized by
-    the global magnitude of the balance terms.  Returns
-    ``(max_relative, rows)`` with one ``(element, network, residual)``
-    row per pair.
+    residual function is measured in L2 on each element, that is in the
+    dual norm ``r_t . M_t^{-1} r_t`` with the element's pressure mass block
+    (``kernels.p_mass_inv``), and normalized by the global magnitude of
+    the balance terms.  Returns ``(max_relative, rows)`` with one
+    ``(element, network, residual)`` row per pair, network-major.
     """
     layout = system.layout
-    spaces = system.kernels.spaces
     kernels = system.kernels
+    spaces = kernels.spaces
     n = layout.n_networks
+    ne = spaces.mesh.n_elements
     F = system.F if full_rhs is None else full_rhs
     r = F - system.full_matrix() @ x_full
 
+    def dual_norm2(vecs):
+        # squared L2 norms of the Riesz representatives, per vector and element
+        local = np.reshape(vecs, (-1, ne, spaces.n_p))
+        return np.einsum("kti,tij,ktj->kt", local, kernels.p_mass_inv, local)
+
+    # the p_i and w_i fields are contiguous in the layout
+    p_block = slice(layout.offsets["p0"], layout.offsets["p0"] + n * spaces.size_p)
+    w_block = slice(layout.offsets["w0"], layout.offsets["w0"] + n * spaces.size_w)
+    P = x_full[p_block].reshape(n, spaces.size_p)
+    W = x_full[w_block].reshape(n, spaces.size_w)
+
     # global scale from the constituent terms of the balance rows
-    u = x_full[layout.sl("u")]
-    scale2 = 0.0
+    terms = np.concatenate(
+        [
+            (kernels.D @ x_full[layout.sl("u")])[None, :],
+            (kernels.Dw @ W.T).T,
+            np.reshape(F[p_block], (n, spaces.size_p)),
+            system.scaled.zeta @ (kernels.M_p @ P.T).T,
+        ]
+    )
+    scale = float(max(np.sqrt(dual_norm2(terms).sum()), 1e-300))
 
-    def dual_norm2(vec):
-        # L2 norm of the Riesz representative in the broken pressure space
-        total = 0.0
-        for t in range(spaces.mesh.n_elements):
-            local = vec[spaces.p_dofs(t)]
-            total += float(local @ (kernels.p_mass_inverse(t) @ local))
-        return total
-
-    div_u = kernels.D @ u
-    scale2 += dual_norm2(div_u)
-    for i in range(n):
-        wi = x_full[layout.sl(f"w{i}")]
-        scale2 += dual_norm2(kernels.Dw @ wi)
-        scale2 += dual_norm2(np.asarray(F[layout.sl(f"p{i}")]))
-        zp = np.zeros(spaces.size_p)
-        for j in range(n):
-            if system.scaled.zeta[i, j] != 0.0:
-                zp += system.scaled.zeta[i, j] * (kernels.M_p @ x_full[layout.sl(f"p{j}")])
-        scale2 += dual_norm2(zp)
-    scale = float(max(np.sqrt(scale2), 1e-300))
-
-    rows = []
-    max_rel = 0.0
-    for i in range(n):
-        ri = r[layout.sl(f"p{i}")]
-        for t in range(spaces.mesh.n_elements):
-            local = ri[spaces.p_dofs(t)]
-            val = float(np.sqrt(max(local @ (kernels.p_mass_inverse(t) @ local), 0.0))) / scale
-            rows.append((t, i, val))
-            max_rel = max(max_rel, val)
-    return max_rel, rows
+    residual = np.sqrt(np.maximum(dual_norm2(r[p_block]), 0.0)) / scale
+    rows = list(
+        zip(
+            np.tile(np.arange(ne), n).tolist(),
+            np.repeat(np.arange(n), ne).tolist(),
+            residual.ravel().tolist(),
+        )
+    )
+    return float(residual.max()), rows
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,12 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import mean_correct, pressure_hdg_matrix, pressure_nullspace
+from .assembly import (
+    constant_pressure_mode,
+    mean_correct,
+    pressure_hdg_matrix,
+    pressure_nullspace,
+)
 
 __all__ = [
     "PreconditionerError",
@@ -187,9 +192,6 @@ class BlockDiagPreconditioner:
         out[: self.cut] = self.f1.solve(r[: self.cut])
         out[self.cut :] = self.f2.solve(r[self.cut :])
         return out
-
-    def matrix(self):
-        return sps.block_diag([self.x1, self.x2], format="csr")
 
 
 # ----------------------------------------------------------------------
@@ -407,11 +409,8 @@ def mean_zero_functionals(system):
     """Full-layout constraint vectors whose joint null space is the
     per-network mean-zero pressure subspace, where the uniform spectral
     bounds live."""
-    spaces = system.kernels.spaces
     layout = system.layout
-    ones = np.zeros(spaces.size_p)
-    for t in range(spaces.mesh.n_elements):
-        ones[spaces.p_dofs(t)[0]] = 1.0
+    ones, _ = constant_pressure_mode(system.kernels.spaces)
     out = []
     for i in range(layout.n_networks):
         m = np.zeros(layout.total)

@@ -33,6 +33,7 @@ __all__ = [
     "eval_basis",
     "piola_map",
     "SpaceSet",
+    "BoundaryFacets",
     "dof_counts",
 ]
 
@@ -443,12 +444,35 @@ def scalar_hess(amap, ref_hess):
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class BoundaryFacets:
+    """Quadrature geometry of the boundary facets that carry one tag.
+
+    Boundary data is evaluated pointwise at ``points`` (the essential-data
+    rule ``SpaceSet.bc_rule``) or ``edge_points`` (``SpaceSet.edge_rule``),
+    both facet-major with the facet's parameter running along its global
+    direction.  ``u_trace`` holds the signed, Piola-mapped BDM basis of
+    the adjacent element at the edge points; its dofs are ``u_dofs``.
+    """
+
+    facets: np.ndarray        # (k,) global facet indices, ascending
+    normal: np.ndarray        # (k, 2) outward unit normals
+    tangent: np.ndarray       # (k, 2)
+    length: np.ndarray        # (k,)
+    points: np.ndarray        # (k, nq, 2)
+    edge_points: np.ndarray   # (k, nqe, 2)
+    u_dofs: np.ndarray        # (k, n_loc)
+    u_trace: np.ndarray       # (k, n_loc, nqe, 2)
+    ds: np.ndarray            # (k, nqe) edge-rule weights times facet length / 2
+
+
 class SpaceSet:
     """DOF layout and reference caches for all spaces on a mesh.
 
     Global displacement DOFs are facet-major (``facet * (ell+1) + mode``)
     followed by element interiors.  Flux and pressure DOFs are broken,
     element-major per network; facet pressures are facet-major.
+    ``boundary`` maps each boundary tag to its :class:`BoundaryFacets`.
 
     Immutable after construction.
     """
@@ -553,6 +577,58 @@ class SpaceSet:
         # Legendre values at the edge rule, for facet-space bases
         max_modes = max(self.n_uhat, self.n_phat)
         self.leg_edge = legvander(edge.points, max_modes - 1).T
+        # rule and Legendre values for the facet moments of essential data
+        self.bc_rule = segment_quadrature(2 * self.ell + 6)
+        self.bc_leg = legvander(self.bc_rule.points, max_modes - 1).T
+        self._build_boundary()
+
+    def _build_boundary(self):
+        """Per-tag geometry of the boundary facets, see :class:`BoundaryFacets`.
+
+        Tags are read from the mesh here, once.
+        """
+        mesh = self.mesh
+        bf = mesh.boundary_facets
+        elem = mesh.facet_elements[bf, 0]
+        local = mesh.facet_local[bf, 0]
+        ends = mesh.vertices[mesh.facet_vertices[bf]]
+        half = 0.5 * (ends[:, 1] - ends[:, 0])
+        mid = mesh.facet_midpoint[bf]
+
+        def points(rule):
+            return mid[:, None, :] + rule.points[None, :, None] * half[:, None, :]
+
+        # contravariant Piola map of each adjacent element's BDM traces,
+        # ordered along the global facet direction (Gauss points are symmetric)
+        ref = np.stack(self.bdm_edge_vals)[local]
+        forward = (mesh.facet_direction[elem, local] == 1)[:, None, None, None]
+        ref = np.where(forward, ref, ref[:, :, ::-1])
+        v = mesh.vertices[mesh.elements[elem]]
+        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        trace = np.einsum("fab,fuqb->fuqa", jac, ref) / det[:, None, None, None]
+        trace = trace * self.u_signs[elem][:, :, None, None]
+
+        arrays = {
+            "facets": bf,
+            "normal": mesh.facet_normal[bf],
+            "tangent": mesh.facet_tangent[bf],
+            "length": mesh.facet_length[bf],
+            "points": points(self.bc_rule),
+            "edge_points": points(self.edge_rule),
+            "u_dofs": self.u_dofmap[elem],
+            "u_trace": trace,
+            "ds": self.edge_rule.weights[None, :] * (mesh.facet_length[bf] / 2.0)[:, None],
+        }
+        groups = {}
+        for k, f in enumerate(bf):
+            groups.setdefault(mesh.boundary_tags.get(int(f)), []).append(k)
+        self.boundary = {}
+        for tag, sel in groups.items():
+            parts = {name: a[sel] for name, a in arrays.items()}
+            for a in parts.values():
+                a.setflags(write=False)
+            self.boundary[tag] = BoundaryFacets(**parts)
 
     def facet_trace(self, cache, element, local_edge):
         """Trace values from ``cache`` reordered to the global facet direction.

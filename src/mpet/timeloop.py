@@ -163,7 +163,22 @@ class TimeStepper:
         self.constrained = apply_boundary_conditions(self.system, self.bcs_scaled, t=0.0)
         self.config = PreconditionerConfig(sc.variant)
         self._reuse = None
-        self._probe_cache = [sc.mesh.locate_point(p) for p in sc.probes]
+        self._probes = [self._probe_basis(p) for p in sc.probes]
+
+    def _probe_basis(self, point):
+        """Dofs and basis values at one probe point, for :meth:`probe_values`.
+
+        Returns the element's pressure dofs and basis values ``(n_p,)``
+        and its displacement dofs with the signed, Piola-mapped BDM values
+        ``(n_loc, 2)``.
+        """
+        mesh = self.scenario.mesh
+        elem, ref = mesh.locate_point(point)
+        ref = np.atleast_2d(ref)
+        pvals = self.spaces.p.eval(ref)[:, 0]
+        bvals = piola_map(build_affine_map(mesh, elem), self.spaces.bdm.eval(ref))[:, 0, :]
+        bvals = bvals * self.spaces.u_signs[elem][:, None]
+        return self.spaces.p_dofs(elem), pvals, self.spaces.u_dofmap[elem], bvals
 
     def _wrap_bcs(self, bcs, phys):
         """Express physical boundary data in the scaled variables."""
@@ -269,15 +284,10 @@ class TimeStepper:
         sc = self.scenario
         values = {f"p{i+1}": [] for i in range(sc.n_networks)}
         values["u_mag"] = []
-        for elem, ref in self._probe_cache:
-            pvals = self.spaces.p.eval(np.atleast_2d(ref))[:, 0]
+        for pdofs, pvals, udofs, bvals in self._probes:
             for i in range(sc.n_networks):
-                local = state.p[i][self.spaces.p_dofs(elem)]
-                values[f"p{i+1}"].append(float(local @ pvals) / sc.pressure_unit)
-            amap = build_affine_map(sc.mesh, elem)
-            bvals = piola_map(amap, self.spaces.bdm.eval(np.atleast_2d(ref)))[:, 0, :]
-            local_u = state.u[self.spaces.u_dofmap[elem]] * self.spaces.u_signs[elem]
-            uvec = local_u @ bvals
+                values[f"p{i+1}"].append(float(state.p[i][pdofs] @ pvals) / sc.pressure_unit)
+            uvec = state.u[udofs] @ bvals
             values["u_mag"].append(float(np.hypot(*uvec)))
         return values
 

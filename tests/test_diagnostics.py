@@ -188,6 +188,45 @@ def test_conservation_after_minres_solve_and_negative_control():
     assert bad_rel > 1e-8
 
 
+def test_conservation_residual_matches_per_element_reference():
+    """Batched dual norms against a plain loop over networks and elements."""
+    mesh, spaces, scaled, system, bcs, con = make_problem(2, 2, 2, alpha_p=0.5, xi=0.3)
+    assert scaled.zeta[0, 1] != 0.0
+    x = np.zeros(system.layout.total)
+    x[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
+    x[con.constrained] = con.values
+    # perturbed, so every element's residual sits far above round-off
+    x += 1e-3 * np.random.default_rng(11).normal(size=x.shape)
+    max_rel, rows = conservation_residual(x, system)
+
+    layout, kernels = system.layout, system.kernels
+    dofs = [spaces.p_dofs(t) for t in range(mesh.n_elements)]
+    m_inv = [np.linalg.inv(kernels.M_p[np.ix_(d, d)].toarray()) for d in dofs]
+
+    def dual_norm2(vec):
+        return [float(vec[d] @ minv @ vec[d]) for d, minv in zip(dofs, m_inv)]
+
+    scale2 = sum(dual_norm2(kernels.D @ x[layout.sl("u")]))
+    for i in range(2):
+        scale2 += sum(dual_norm2(kernels.Dw @ x[layout.sl(f"w{i}")]))
+        scale2 += sum(dual_norm2(system.F[layout.sl(f"p{i}")]))
+        zp = sum(scaled.zeta[i, j] * (kernels.M_p @ x[layout.sl(f"p{j}")]) for j in range(2))
+        scale2 += sum(dual_norm2(zp))
+    r = system.F - system.full_matrix() @ x
+    expected = [
+        (t, i, np.sqrt(v) / np.sqrt(scale2))
+        for i in range(2)
+        for t, v in enumerate(dual_norm2(r[layout.sl(f"p{i}")]))
+    ]
+
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    got = np.array([row[2] for row in rows])
+    want = np.array([row[2] for row in expected])
+    assert want.min() > 1e-6
+    assert np.abs(got - want).max() <= 1e-12 * want.min()
+    assert abs(max_rel - want.max()) <= 1e-12 * want.max()
+
+
 def test_conservation_csv(tmp_path):
     rows = [(0, 0, 1.5e-12), (1, 0, 2.5e-13)]
     path = tmp_path / "cons.csv"

@@ -262,3 +262,99 @@ def test_brain_analog_short_run_bounded_iterations():
     iters = [row[1] for row in series.log]
     assert len(iters) == 10
     assert max(iters) <= 2 * max(iters[0], 1)
+
+
+def test_precomputed_boundary_data_and_probes_match_per_facet_references():
+    """Boundary data and probes from geometry built once, against direct loops."""
+    from numpy.polynomial.legendre import legvander
+
+    from oracles import facet_points, p_eval, u_eval
+    from mpet.assembly import apply_boundary_conditions, assemble_traction_rhs
+    from mpet.mesh import build_affine_map
+    from mpet.spaces import segment_quadrature
+
+    sc = tiny_scenario()
+    sc.mesh = generate_annulus(1.0, 2.0, 2, 8)
+    sc.ell = 2
+    sc.probes = [(1.5, 0.0), (-0.2, 1.3), (0.9, -1.6)]
+    sc.bcs = BoundaryConditionSet(
+        {
+            "skull": ("dirichlet", lambda x, t: (1.0 + t) * np.array([x[0] * x[1], x[0] - x[1] ** 2])),
+            "ventricle": ("traction", lambda x, t, n: (1.0 + t) * np.array([x[0] ** 2, x[0] * x[1]])
+                          + (2.0 - t) * np.asarray(n)),
+        },
+        [
+            {"skull": ("dirichlet", lambda x, t: (1.0 + t) * x[0] * x[1]),
+             "ventricle": ("dirichlet", lambda x, t: t - x[1] ** 3)},
+            {"skull": ("dirichlet", lambda x, t: 2.0 + t * x[0]), "ventricle": ("flux", None)},
+        ],
+    )
+    stepper = TimeStepper(sc)
+    mesh, spaces, layout, bcs = sc.mesh, stepper.spaces, stepper.layout, sc.bcs
+    rule = segment_quadrature(16)
+    leg = legvander(rule.points, spaces.n_uhat - 1).T
+    con = apply_boundary_conditions(stepper.system, bcs, t=0.0)
+
+    for t in (0.3, 0.8):
+        con.update_values(spaces, bcs, t)
+        fresh = apply_boundary_conditions(stepper.system, bcs, t)
+        assert np.array_equal(con.constrained, fresh.constrained)
+        assert np.array_equal(con.values, fresh.values)
+
+        expected = {}
+        for f in mesh.boundary_facets:
+            tag = mesh.boundary_tags[int(f)]
+            pts = facet_points(mesh, f, rule.points)
+            hF = mesh.facet_length[f]
+            kind, fn = bcs.displacement[tag]
+            if kind == "dirichlet":
+                gv = np.array([fn(x, t) for x in pts])
+                for m in range(spaces.n_u_edge):
+                    expected[layout.offsets["u"] + f * spaces.n_u_edge + m] = (
+                        np.sum(rule.weights * leg[m] * (gv @ mesh.facet_normal[f])) * hF / 2.0
+                    )
+                    expected[layout.offsets["uhat"] + f * spaces.n_uhat + m] = (
+                        (2 * m + 1) / 2.0
+                        * np.sum(rule.weights * leg[m] * (gv @ mesh.facet_tangent[f]))
+                    )
+            for i, per_tag in enumerate(bcs.pressure):
+                pkind, pfn = per_tag[tag]
+                if pkind == "dirichlet":
+                    gv = np.array([pfn(x, t) for x in pts])
+                    for m in range(spaces.n_phat):
+                        expected[layout.offsets[f"phat{i}"] + f * spaces.n_phat + m] = (
+                            (2 * m + 1) / 2.0 * np.sum(rule.weights * leg[m] * gv)
+                        )
+        assert sorted(expected) == list(con.constrained)
+        want = np.array([expected[k] for k in con.constrained])
+        assert np.abs(con.values - want).max() <= 1e-12 * np.abs(want).max()
+
+        F = assemble_traction_rhs(mesh, spaces, bcs, t=t)
+        loads = np.zeros(spaces.size_u)
+        for f in mesh.boundary_facets:
+            if mesh.boundary_tags[int(f)] != "ventricle":
+                continue
+            elem = mesh.facet_elements[f, 0]
+            pts = facet_points(mesh, f, rule.points)
+            uv, _, _ = u_eval(mesh, spaces, elem, build_affine_map(mesh, elem).to_reference(pts))
+            _, fn = bcs.displacement["ventricle"]
+            for q, x in enumerate(pts):
+                w = rule.weights[q] * mesh.facet_length[f] / 2.0
+                loads += w * (uv[:, q] @ fn(x, t, mesh.facet_normal[f]))
+        assert np.abs(F[layout.sl("u")] - loads).max() <= 1e-12 * np.abs(loads).max()
+        assert not np.any(np.delete(F, np.arange(spaces.size_u)))
+
+    rng = np.random.default_rng(5)
+    state = stepper.initial_state()
+    state.u = rng.normal(size=spaces.size_u)
+    state.p = [rng.normal(size=spaces.size_p) for _ in range(2)]
+    values = stepper.probe_values(state)
+    for j, point in enumerate(sc.probes):
+        elem, ref = mesh.locate_point(point)
+        pvals = p_eval(mesh, spaces, elem, np.atleast_2d(point))[:, 0]
+        for i in range(2):
+            want = state.p[i] @ pvals
+            assert abs(values[f"p{i + 1}"][j] - want) <= 1e-14 * np.abs(state.p[i]).max()
+        uv, _, _ = u_eval(mesh, spaces, elem, np.atleast_2d(ref))
+        want = np.hypot(*(state.u @ uv[:, 0]))
+        assert abs(values["u_mag"][j] - want) <= 1e-14 * np.abs(state.u).max() * np.abs(uv).max()

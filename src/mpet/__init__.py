@@ -43,6 +43,14 @@ from .diagnostics import (
     preconditioned_spectrum,
 )
 from .timeloop import Scenario, State, TimeStepper, brain_analog_scenario, windowed_mean
-from .manufactured import ManufacturedSolution, default_manufactured
 
 __version__ = "0.1.0"
+
+def __getattr__(name):
+    # the manufactured solutions need sympy, which the solver and the time
+    # loop do not: load them on first use
+    if name in ("ManufacturedSolution", "default_manufactured"):
+        from . import manufactured
+
+        return getattr(manufactured, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,9 +10,14 @@ A carries the stabilized elasticity form on (u, uhat) plus the weighted
 flux masses, B the divergence coupling and the hybrid-mixed b-form, and
 C the network transfer masses.
 
-Assembly is split into parameter-independent kernels (one element loop)
-and cheap parameter-weighted composition, so parameter sweeps reuse the
-expensive part.
+Assembly is split into parameter-independent kernels and cheap
+parameter-weighted composition, so parameter sweeps reuse the expensive
+part.  Every element and facet integral (the kernels, the HDG norm
+matrices, the volume load) is computed for all elements at once: bases
+mapped by ``SpaceSet.on_elements`` carry a leading element axis, the
+facet terms take one pass per local edge, ``_gram`` contracts each
+quadrature sum as one batched matmul, and ``_scatter`` sums the element
+blocks into a sparse matrix.
 """
 
 from dataclasses import dataclass, field
@@ -20,16 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .mesh import build_affine_map
-from .spaces import (
-    piola_div,
-    piola_grad,
-    piola_hess,
-    piola_map,
-    scalar_grad,
-    scalar_hess,
-    triangle_quadrature,
-)
+from .spaces import triangle_quadrature
 
 __all__ = [
     "DofLayout",
@@ -124,122 +120,131 @@ class FormKernels:
         return sps.bmat([[-self.Dw], [self.Ew]], format="csr")
 
 
-class _Coo:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, rows, cols, block):
-        r = np.repeat(rows, len(cols))
-        c = np.tile(cols, len(rows))
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(np.asarray(block, dtype=float).ravel())
-
-    def build(self, shape):
-        if not self.rows:
-            return sps.csr_matrix(shape)
-        return sps.csr_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=shape,
-        )
-
-
 def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
-    """One pass over the mesh building every parameter-free form matrix."""
+    """Every parameter-free form matrix, from batched element and facet integrals."""
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
-    ell = spaces.ell
-    nu_loc = spaces.bdm.n_dofs
-    nuhat = spaces.n_uhat
-    vol = spaces.vol_rule
-    edge = spaces.edge_rule
-    leg = spaces.leg_edge
+    s = spaces
+    elements = np.arange(mesh.n_elements)
+    udofs, wdofs, pdofs = s.u_dofmap, s.w_dofs(elements), s.p_dofs(elements)
+    wq = s.vol_rule.weights * mesh.element_maps.det[:, None]
+    eps = _sym(s.on_elements("u_grad", s.bdm_grads))
+    udivs = s.on_elements("u_div", s.bdm_divs)
+    wvals = s.on_elements("w", s.rt_vals)
+    wdivs = s.on_elements("w_div", s.rt_divs)
+    pvals = s.on_elements("p", s.p_vals)
+    p_mass = _gram(pvals, pvals, wq)
 
-    size_uu = spaces.size_u + spaces.size_uhat
-    ka = _Coo()
-    kdiv = _Coo()
-    kD = _Coo()
-    kDw = _Coo()
-    kEw = _Coo()
-    kMw = _Coo()
-    kMp = _Coo()
-    p_mass = np.empty((mesh.n_elements, spaces.n_p, spaces.n_p))
+    a_terms = [(udofs, udofs, _gram(eps, eps, wq))]
+    ew_terms = []
+    for j in range(3):
+        f, h, ds, n_out = _facet_frame(s, j)
+        rows, jump = _u_jump(s, j)
+        # consistency term (eps(v) n, jump), zero on the uhat rows
+        tr_eps = _sym(s.on_edge("u_grad", s.bdm_edge_grads, j))
+        eps_n = np.einsum("eiqab,eb->eiqa", tr_eps, n_out)
+        eps_n = np.concatenate([eps_n, np.zeros_like(jump[:, eps_n.shape[1] :])], axis=1)
+        cross = _gram(eps_n, jump, ds)
+        penalty = (eta * s.ell**2 / h)[:, None, None] * _gram(jump, jump, ds)
+        a_terms.append((rows, rows, cross + np.swapaxes(cross, 1, 2) + penalty))
+        # b-form facet part: (psi_w . n, phi_phat) over dT
+        wn = np.einsum("eiqa,ea->eiq", s.on_edge("w", s.rt_edge_vals, j), n_out)
+        phat = s.on_elements("p", s.leg_edge[: s.n_phat])
+        ew_terms.append((s.phat_dofs(f), wdofs, _gram(phat, wn, ds)))
 
-    for t in range(mesh.n_elements):
-        amap = build_affine_map(mesh, t)
-        wq = vol.weights * amap.det
-        signs = spaces.u_signs[t]
-        udofs = spaces.u_dofmap[t]
-
-        uvals = piola_map(amap, spaces.bdm_vals) * signs[:, None, None]
-        ugrads = piola_grad(amap, spaces.bdm_grads) * signs[:, None, None, None]
-        udivs = piola_div(amap, spaces.bdm_divs) * signs[:, None]
-        eps = 0.5 * (ugrads + np.swapaxes(ugrads, 2, 3))
-
-        wvals = piola_map(amap, spaces.rt_vals)
-        wdivs = piola_div(amap, spaces.rt_divs)
-        pvals = spaces.p_vals
-
-        ka.add(udofs, udofs, np.einsum("iqab,jqab,q->ij", eps, eps, wq))
-        kdiv.add(udofs, udofs, np.einsum("iq,jq,q->ij", udivs, udivs, wq))
-        pdofs = spaces.p_dofs(t)
-        kD.add(pdofs, udofs, np.einsum("pq,uq,q->pu", pvals, udivs, wq))
-        wdofs = spaces.w_dofs(t)
-        kDw.add(pdofs, wdofs, np.einsum("pq,uq,q->pu", pvals, wdivs, wq))
-        kMw.add(wdofs, wdofs, np.einsum("iqc,jqc,q->ij", wvals, wvals, wq))
-        p_mass[t] = np.einsum("iq,jq,q->ij", pvals, pvals, wq)
-        kMp.add(pdofs, pdofs, p_mass[t])
-
-        for j in range(3):
-            f = mesh.element_facets[t, j]
-            hF = mesh.facet_length[f]
-            ds = edge.weights * (hF / 2.0)
-            n_out = mesh.facet_sign[t, j] * mesh.facet_normal[f]
-            tang = mesh.facet_tangent[f]
-
-            tr_vals = piola_map(amap, spaces.facet_trace(spaces.bdm_edge_vals, t, j))
-            tr_vals = tr_vals * signs[:, None, None]
-            tr_grads = piola_grad(amap, spaces.facet_trace(spaces.bdm_edge_grads, t, j))
-            tr_grads = tr_grads * signs[:, None, None, None]
-            tr_eps = 0.5 * (tr_grads + np.swapaxes(tr_grads, 2, 3))
-            eps_n = np.einsum("iqab,b->iqa", tr_eps, n_out)
-
-            # jump basis (vhat - v)_t over local u dofs then this facet's uhat
-            u_tang = tr_vals - np.einsum("iq,a->iqa", tr_vals @ n_out, n_out)
-            nq = len(edge.points)
-            jump = np.zeros((nu_loc + nuhat, nq, 2))
-            jump[:nu_loc] = -u_tang
-            jump[nu_loc:] = np.einsum("mq,a->mqa", leg[:nuhat], tang)
-            en_full = np.zeros_like(jump)
-            en_full[:nu_loc] = eps_n
-
-            rows = np.concatenate([udofs, spaces.size_u + spaces.uhat_dofs(f)])
-            cross = np.einsum("iqa,jqa,q->ij", en_full, jump, ds)
-            penalty = eta * ell**2 / hF * np.einsum("iqa,jqa,q->ij", jump, jump, ds)
-            ka.add(rows, rows, cross + cross.T + penalty)
-
-            # b-form facet part: (psi_w . n, phi_phat) over dT
-            tr_w = piola_map(amap, spaces.facet_trace(spaces.rt_edge_vals, t, j))
-            wn = tr_w @ n_out
-            block = np.einsum("mq,wq,q->mw", leg[: spaces.n_phat], wn, ds)
-            kEw.add(spaces.phat_dofs(f), wdofs, block)
-
+    size_uu = s.size_u + s.size_uhat
     return FormKernels(
         spaces=spaces,
         eta=eta,
-        a_hdg=ka.build((size_uu, size_uu)),
-        divdiv=kdiv.build((spaces.size_u, spaces.size_u)),
-        D=kD.build((spaces.size_p, spaces.size_u)),
-        Dw=kDw.build((spaces.size_p, spaces.size_w)),
-        Ew=kEw.build((spaces.size_phat, spaces.size_w)),
-        M_w=kMw.build((spaces.size_w, spaces.size_w)),
-        M_p=kMp.build((spaces.size_p, spaces.size_p)),
+        a_hdg=_scatter((size_uu, size_uu), *a_terms),
+        divdiv=_scatter((s.size_u, s.size_u), (udofs, udofs, _gram(udivs, udivs, wq))),
+        D=_scatter((s.size_p, s.size_u), (pdofs, udofs, _gram(pvals, udivs, wq))),
+        Dw=_scatter((s.size_p, s.size_w), (pdofs, wdofs, _gram(pvals, wdivs, wq))),
+        Ew=_scatter((s.size_phat, s.size_w), *ew_terms),
+        M_w=_scatter((s.size_w, s.size_w), (wdofs, wdofs, _gram(wvals, wvals, wq))),
+        M_p=_scatter((s.size_p, s.size_p), (pdofs, pdofs, p_mass)),
         volume=float(mesh.element_area.sum()),
         p_mass_inv=np.linalg.inv(p_mass),
     )
+
+
+# ----------------------------------------------------------------------
+# batched element / facet engine
+# ----------------------------------------------------------------------
+
+
+def _facet_frame(spaces, j):
+    """Facets, lengths, edge-rule weights and outward normals of local edge ``j``."""
+    mesh = spaces.mesh
+    f = mesh.element_facets[:, j]
+    h = mesh.facet_length[f]
+    ds = spaces.edge_rule.weights * (h / 2.0)[:, None]
+    return f, h, ds, mesh.facet_sign[:, j, None] * mesh.facet_normal[f]
+
+
+def _u_jump(spaces, j):
+    """Basis of (vhat - v)_t on local edge ``j`` of every element.
+
+    Rows are the element's u dofs, then the uhat dofs of its facet;
+    returns ``(rows (e, i), basis (e, i, q, 2))``.
+    """
+    s = spaces
+    f, _, _, n_out = _facet_frame(s, j)
+    tr = s.on_edge("u", s.bdm_edge_vals, j)
+    u_t = tr - np.einsum("eiq,ea->eiqa", np.einsum("eiqa,ea->eiq", tr, n_out), n_out)
+    uhat = np.einsum("mq,ea->emqa", s.leg_edge[: s.n_uhat], s.mesh.facet_tangent[f])
+    rows = np.concatenate([s.u_dofmap, s.size_u + s.uhat_dofs(f)], axis=1)
+    return rows, np.concatenate([-u_t, uhat], axis=1)
+
+
+def _p_jump(spaces, j):
+    """Basis of phat - p on local edge ``j`` of every element, as :func:`_u_jump`."""
+    s = spaces
+    f = s.mesh.element_facets[:, j]
+    tr = s.on_edge("p", s.p_edge_vals, j)
+    rows = np.concatenate([s.p_dofs(np.arange(len(f))), s.size_p + s.phat_dofs(f)], axis=1)
+    return rows, np.concatenate([-tr, s.on_elements("p", s.leg_edge[: s.n_phat])], axis=1)
+
+
+def _sym(grads):
+    return 0.5 * (grads + np.swapaxes(grads, -1, -2))
+
+
+def _gram(a, b, w):
+    """Element blocks ``sum_q w[e, q] a[e, i, q, ...] . b[e, j, q, ...]``.
+
+    One batched matmul over the flattened (quadrature point x tensor)
+    axis.  Each side carries sqrt(w), so a basis's Gram with itself is the
+    single product B B^T and comes out exactly symmetric.
+    """
+    ne, ni, nq = a.shape[:3]
+    root = np.sqrt(w).reshape((ne, 1, nq) + (1,) * (a.ndim - 3))
+    aw = (a * root).reshape(ne, ni, -1)
+    bw = aw if b is a else (b * root).reshape(ne, b.shape[1], -1)
+    return aw @ np.swapaxes(bw, 1, 2)
+
+
+def _scatter(shape, *terms):
+    """Sparse sum of element blocks ``(rows (e, i), cols (e, j), blocks (e, i, j))``."""
+    rows = [np.broadcast_to(r[:, :, None], b.shape).ravel() for r, _, b in terms]
+    cols = [np.broadcast_to(c[:, None, :], b.shape).ravel() for _, c, b in terms]
+    vals = np.concatenate([b.ravel() for _, _, b in terms])
+    return sps.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+
+
+def _hdg_norm(spaces, dofs, grads, hess, jump, size):
+    """Volume Gram of ``grads`` (+ h_T^2 that of ``hess``), plus h_F^-1 Grams of ``jump``."""
+    mesh = spaces.mesh
+    wq = spaces.vol_rule.weights * mesh.element_maps.det[:, None]
+    block = _gram(grads, grads, wq)
+    if hess is not None:
+        block = block + (mesh.element_h**2)[:, None, None] * _gram(hess, hess, wq)
+    terms = [(dofs, dofs, block)]
+    for j in range(3):
+        _, h, ds, _ = _facet_frame(spaces, j)
+        rows, basis = jump(spaces, j)
+        terms.append((rows, rows, _gram(basis, basis, ds) / h[:, None, None]))
+    return _scatter((size, size), *terms)
 
 
 def assemble_a_hdg(mesh, spaces, eta=DEFAULT_ETA):
@@ -371,76 +376,19 @@ def displacement_hdg_matrix(mesh, spaces, include_h2=True):
     seminorm is diagnostics-only and can be switched off (the block
     preconditioner uses the stabilized bilinear form instead).
     """
-    nu_loc = spaces.bdm.n_dofs
-    nuhat = spaces.n_uhat
-    size = spaces.size_u + spaces.size_uhat
-    vol = spaces.vol_rule
-    edge = spaces.edge_rule
-    leg = spaces.leg_edge
-    out = _Coo()
-    hess_cache = spaces.bdm.eval_hess(vol.points) if include_h2 else None
-    for t in range(mesh.n_elements):
-        amap = build_affine_map(mesh, t)
-        wq = vol.weights * amap.det
-        signs = spaces.u_signs[t]
-        udofs = spaces.u_dofmap[t]
-        ugrads = piola_grad(amap, spaces.bdm_grads) * signs[:, None, None, None]
-        eps = 0.5 * (ugrads + np.swapaxes(ugrads, 2, 3))
-        block = np.einsum("iqab,jqab,q->ij", eps, eps, wq)
-        if include_h2:
-            hT = mesh.element_h[t]
-            hess = piola_hess(amap, hess_cache) * signs[:, None, None, None, None]
-            block = block + hT**2 * np.einsum("iqabc,jqabc,q->ij", hess, hess, wq)
-        out.add(udofs, udofs, block)
-        for j in range(3):
-            f = mesh.element_facets[t, j]
-            hF = mesh.facet_length[f]
-            ds = edge.weights * (hF / 2.0)
-            n_out = mesh.facet_sign[t, j] * mesh.facet_normal[f]
-            tang = mesh.facet_tangent[f]
-            tr = piola_map(amap, spaces.facet_trace(spaces.bdm_edge_vals, t, j))
-            tr = tr * signs[:, None, None]
-            u_t = tr - np.einsum("iq,a->iqa", tr @ n_out, n_out)
-            nq = len(edge.points)
-            jump = np.zeros((nu_loc + nuhat, nq, 2))
-            jump[:nu_loc] = -u_t
-            jump[nu_loc:] = np.einsum("mq,a->mqa", leg[:nuhat], tang)
-            rows = np.concatenate([udofs, spaces.size_u + spaces.uhat_dofs(f)])
-            out.add(rows, rows, np.einsum("iqa,jqa,q->ij", jump, jump, ds) / hF)
-    return out.build((size, size))
+    s = spaces
+    eps = _sym(s.on_elements("u_grad", s.bdm_grads))
+    hess = s.on_elements("u_hess", s.bdm.eval_hess(s.vol_rule.points)) if include_h2 else None
+    return _hdg_norm(s, s.u_dofmap, eps, hess, _u_jump, s.size_u + s.size_uhat)
 
 
 def pressure_hdg_matrix(mesh, spaces, include_h2=False):
     """Matrix of the pressure HDG norm on (p, phat) for a single network."""
-    size = spaces.size_p + spaces.size_phat
-    vol = spaces.vol_rule
-    edge = spaces.edge_rule
-    leg = spaces.leg_edge
-    out = _Coo()
-    hess_cache = spaces.p.eval_hess(vol.points) if include_h2 else None
-    for t in range(mesh.n_elements):
-        amap = build_affine_map(mesh, t)
-        wq = vol.weights * amap.det
-        pdofs = spaces.p_dofs(t)
-        grads = scalar_grad(amap, spaces.p_grads)
-        block = np.einsum("iqa,jqa,q->ij", grads, grads, wq)
-        if include_h2:
-            hT = mesh.element_h[t]
-            hess = scalar_hess(amap, hess_cache)
-            block = block + hT**2 * np.einsum("iqab,jqab,q->ij", hess, hess, wq)
-        out.add(pdofs, pdofs, block)
-        for j in range(3):
-            f = mesh.element_facets[t, j]
-            hF = mesh.facet_length[f]
-            ds = edge.weights * (hF / 2.0)
-            tr = spaces.facet_trace(spaces.p_edge_vals, t, j)
-            nq = len(edge.points)
-            jump = np.zeros((spaces.n_p + spaces.n_phat, nq))
-            jump[: spaces.n_p] = -tr
-            jump[spaces.n_p :] = leg[: spaces.n_phat]
-            rows = np.concatenate([pdofs, spaces.size_p + spaces.phat_dofs(f)])
-            out.add(rows, rows, np.einsum("iq,jq,q->ij", jump, jump, ds) / hF)
-    return out.build((size, size))
+    s = spaces
+    grads = s.on_elements("p_grad", s.p_grads)
+    hess = s.on_elements("p_hess", s.p.eval_hess(s.vol_rule.points)) if include_h2 else None
+    pdofs = s.p_dofs(np.arange(mesh.n_elements))
+    return _hdg_norm(s, pdofs, grads, hess, _p_jump, s.size_p + s.size_phat)
 
 
 # ----------------------------------------------------------------------
@@ -457,28 +405,23 @@ def assemble_volume_rhs(mesh, spaces, f=None, g=None, degree=None):
     """
     layout = DofLayout(spaces)
     F = np.zeros(layout.total)
-    degree = degree or 2 * spaces.ell + 4
-    rule = triangle_quadrature(degree)
-    bdm_vals = spaces.bdm.eval(rule.points)
+    rule = triangle_quadrature(degree or 2 * spaces.ell + 4)
+    maps = mesh.element_maps
+    wq = rule.weights * maps.det[:, None]
+    phys = maps.origin[:, None, :] + rule.points @ np.swapaxes(maps.jacobian, 1, 2)
+    shape = phys.shape[:2]
+    phys = phys.reshape(-1, 2)
+    if f is not None:
+        fv = np.array([f(x) for x in phys]).reshape(shape + (2,))
+        uvals = spaces.on_elements("u", spaces.bdm.eval(rule.points))
+        loads = np.einsum("eqc,euqc,eq->eu", fv, uvals, wq)
+        F_u = np.bincount(spaces.u_dofmap.ravel(), loads.ravel(), minlength=spaces.size_u)
+        F[layout.sl("u")] += F_u
     p_vals = spaces.p.eval(rule.points)
-    for t in range(mesh.n_elements):
-        amap = build_affine_map(mesh, t)
-        wq = rule.weights * amap.det
-        phys = amap.to_physical(rule.points)
-        if f is not None:
-            fv = np.array([f(x) for x in phys])
-            uvals = piola_map(amap, bdm_vals) * spaces.u_signs[t][:, None, None]
-            F[layout.sl("u")][spaces.u_dofmap[t]] += np.einsum(
-                "qc,uqc,q->u", fv, uvals, wq
-            )
-        if g is not None:
-            for i, gi in enumerate(g):
-                if gi is None:
-                    continue
-                gv = np.array([gi(x) for x in phys])
-                F[layout.sl(f"p{i}")][spaces.p_dofs(t)] += np.einsum(
-                    "q,pq,q->p", gv, p_vals, wq
-                )
+    for i, gi in enumerate(g or ()):
+        if gi is not None:
+            gv = np.array([gi(x) for x in phys]).reshape(shape)
+            F[layout.sl(f"p{i}")] += np.einsum("eq,pq,eq->ep", gv, p_vals, wq).ravel()
     return F
 
 

@@ -33,7 +33,11 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Affine map from the reference triangle {(0,0),(1,0),(0,1)} to an element."""
+    """Affine map from the reference triangle {(0,0),(1,0),(0,1)} to an element.
+
+    ``Mesh.element_maps`` holds the maps of all elements in one instance,
+    every field with a leading element axis.
+    """
 
     element: int
     origin: np.ndarray          # image of (0, 0)
@@ -99,6 +103,16 @@ class Mesh:
             bad = int(np.argmax(det <= 0.0))
             raise MeshError(f"element {bad} has non-positive signed area")
         self.element_area = 0.5 * det
+        # affine maps of all elements, batched along a leading element axis
+        jac = np.stack([e1, e2], axis=2)
+        cofactor = np.stack([jac[:, 1, 1], -jac[:, 1, 0], -jac[:, 0, 1], jac[:, 0, 0]], axis=1)
+        self.element_maps = AffineMap(
+            element=np.arange(len(det)),
+            origin=v[:, 0],
+            jacobian=jac,
+            det=det,
+            inv_transpose=cofactor.reshape(-1, 2, 2) / det[:, None, None],
+        )
         lengths = np.stack(
             [np.linalg.norm(v[:, b] - v[:, a], axis=1) for a, b in LOCAL_EDGE_VERTICES],
             axis=1,
@@ -178,7 +192,7 @@ class Mesh:
         return n / np.linalg.norm(n)
 
     def _freeze(self):
-        for name, value in vars(self).items():
+        for value in [*vars(self).values(), *vars(self.element_maps).values()]:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
@@ -228,29 +242,20 @@ class Mesh:
     def locate_point(self, point, tol=1e-10):
         """Return (element, reference coords) of the element containing ``point``."""
         point = np.asarray(point, dtype=float)
-        for t in range(self.n_elements):
-            amap = build_affine_map(self, t)
-            ref = amap.to_reference(point)
-            if ref[0] >= -tol and ref[1] >= -tol and ref.sum() <= 1.0 + tol:
-                return t, ref
-        raise MeshError(f"point {point} lies outside the mesh")
+        maps = self.element_maps
+        ref = np.einsum("ea,eab->eb", point - maps.origin, maps.inv_transpose)
+        inside = (ref[:, 0] >= -tol) & (ref[:, 1] >= -tol) & (ref.sum(axis=1) <= 1.0 + tol)
+        if not inside.any():
+            raise MeshError(f"point {point} lies outside the mesh")
+        t = int(np.argmax(inside))      # the lowest-index containing element
+        return t, build_affine_map(self, t).to_reference(point)
 
 
 def build_affine_map(mesh, element):
-    """Affine map of ``element``; raises MeshError for degenerate triangles."""
-    v = mesh.vertices[mesh.elements[element]]
-    jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    if det <= 0.0:
-        raise MeshError(f"element {element} is degenerate or inverted")
-    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-    return AffineMap(
-        element=int(element),
-        origin=v[0].copy(),
-        jacobian=jac,
-        det=det,
-        inv_transpose=inv.T.copy(),
-    )
+    """Affine map of ``element``, read from ``mesh.element_maps``."""
+    m = mesh.element_maps
+    parts = (m.origin, m.jacobian, m.det, m.inv_transpose)
+    return AffineMap(element, *(a[element] for a in parts))
 
 
 # ----------------------------------------------------------------------

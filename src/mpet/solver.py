@@ -201,13 +201,11 @@ class BlockDiagPreconditioner:
 
 def _block_diag_inverse(mat, block_size):
     """Exact inverse of an element-block-diagonal sparse matrix."""
-    mat = mat.tocsr()
-    n = mat.shape[0]
-    blocks = []
-    for start in range(0, n, block_size):
-        sl = slice(start, start + block_size)
-        blocks.append(np.linalg.inv(mat[sl, sl].toarray()))
-    return sps.block_diag(blocks, format="csr")
+    idx = np.arange(mat.shape[0]).reshape(-1, block_size, 1)
+    rows, cols = np.broadcast_arrays(idx, np.swapaxes(idx, 1, 2))
+    blocks = np.asarray(mat.tocsr()[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+    inv = np.linalg.inv(blocks)
+    return sps.csr_matrix((inv.ravel(), (rows.ravel(), cols.ravel())), shape=mat.shape)
 
 
 @dataclass

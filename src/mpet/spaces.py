@@ -405,38 +405,82 @@ def eval_basis(space, ell, points):
 # ----------------------------------------------------------------------
 
 
+def _apply(op, ref, n):
+    """Per-element linear map ``op[..., out, in]`` on the last ``n`` axes of ``ref``.
+
+    ``out`` and ``in`` are ``n`` tensor axes each.  ``ref`` holds
+    reference data without an element axis; the element axes of a map of
+    many elements (``Mesh.element_maps``) lead, so every transform below
+    returns ``element axes + ref.shape``.
+    """
+    lead = op.ndim - 2 * n
+    ins = (list(range(lead + n, op.ndim)), list(range(ref.ndim - n, ref.ndim)))
+    out = np.tensordot(op, ref, axes=ins)
+    return np.moveaxis(out, list(range(lead, lead + n)), list(range(out.ndim - n, out.ndim)))
+
+
+def _det(amap, n):
+    """det J with ``n`` trailing unit axes."""
+    return np.reshape(amap.det, np.shape(amap.det) + (1,) * n)
+
+
 def piola_map(amap, ref_values):
     """Contravariant Piola transform of vector values: v = J v_ref / det J."""
-    return np.einsum("ab,...b->...a", amap.jacobian, ref_values) / amap.det
+    return _apply(amap.jacobian / _det(amap, 2), ref_values, 1)
 
 
 def piola_div(amap, ref_divs):
     """Divergence under the Piola transform: div v = div_ref v / det J."""
-    return ref_divs / amap.det
+    return ref_divs / _det(amap, np.ndim(ref_divs))
 
 
 def piola_grad(amap, ref_grads):
     """Gradient of Piola-mapped values; grad[..., r, c] = d v_r / d x_c."""
-    jinv = amap.inv_transpose.T
-    return np.einsum("ar,...rc,cb->...ab", amap.jacobian, ref_grads, jinv) / amap.det
+    op = np.einsum("...ar,...bc->...abrc", amap.jacobian, amap.inv_transpose)
+    return _apply(op / _det(amap, 4), ref_grads, 2)
 
 
 def piola_hess(amap, ref_hess):
-    jinv = amap.inv_transpose.T
-    return (
-        np.einsum("ar,...rcd,cb,de->...abe", amap.jacobian, ref_hess, jinv, jinv)
-        / amap.det
-    )
+    jit = amap.inv_transpose
+    op = np.einsum("...ar,...bc,...ed->...abercd", amap.jacobian, jit, jit)
+    return _apply(op / _det(amap, 6), ref_hess, 3)
 
 
 def scalar_grad(amap, ref_grads):
     """Physical gradient of reference scalar gradients."""
-    return np.einsum("...c,ca->...a", ref_grads, amap.inv_transpose.T)
+    return _apply(amap.inv_transpose, ref_grads, 1)
 
 
 def scalar_hess(amap, ref_hess):
-    jinv = amap.inv_transpose.T
-    return np.einsum("...cd,ca,db->...ab", ref_hess, jinv, jinv)
+    jit = amap.inv_transpose
+    return _apply(np.einsum("...ac,...bd->...abcd", jit, jit), ref_hess, 2)
+
+
+# transform of each kind of basis data in ``SpaceSet.on_elements``
+_ELEMENT_TRANSFORMS = {
+    "p": lambda amap, ref: np.broadcast_to(ref, np.shape(amap.det) + np.shape(ref)),
+    "u": piola_map,
+    "u_div": piola_div,
+    "u_grad": piola_grad,
+    "u_hess": piola_hess,
+    "w": piola_map,
+    "w_div": piola_div,
+    "p_grad": scalar_grad,
+    "p_hess": scalar_hess,
+}
+
+
+def orient_trace(values, direction):
+    """Trace values at the edge rule, ordered along the global facet direction.
+
+    ``values`` has the axes of ``direction`` (``Mesh.facet_direction``
+    entries) followed by (basis, quadrature point, ...).  Where the local
+    edge runs against the facet (-1) the quadrature axis is reversed:
+    Gauss points are symmetric, so this evaluates at ``-t``.
+    """
+    direction = np.asarray(direction)
+    forward = (direction == 1).reshape(direction.shape + (1,) * (values.ndim - direction.ndim))
+    return np.where(forward, values, np.flip(values, axis=direction.ndim + 1))
 
 
 # ----------------------------------------------------------------------
@@ -511,46 +555,60 @@ class SpaceSet:
     # -- DOF maps ------------------------------------------------------
 
     def _build_u_dofmap(self):
-        mesh, ell = self.mesh, self.ell
+        mesh = self.mesh
         ne, nf = mesh.n_elements, mesh.n_facets
-        n_loc = self.bdm.n_dofs
-        self.u_dofmap = np.empty((ne, n_loc), dtype=int)
-        self.u_signs = np.empty((ne, n_loc))
-        for t in range(ne):
-            col = 0
-            for j in range(3):
-                f = mesh.element_facets[t, j]
-                sigma = mesh.facet_sign[t, j]
-                o = mesh.facet_direction[t, j]
-                for m in range(self.n_u_edge):
-                    self.u_dofmap[t, col] = f * self.n_u_edge + m
-                    self.u_signs[t, col] = sigma * (o**m)
-                    col += 1
-            for r in range(self.n_u_int):
-                self.u_dofmap[t, col] = nf * self.n_u_edge + t * self.n_u_int + r
-                self.u_signs[t, col] = 1.0
-                col += 1
+        # mode m on local edge j: facet dof f * (ell + 1) + m, sign sigma * o^m
+        m = np.arange(self.n_u_edge)
+        edge = mesh.element_facets[:, :, None] * self.n_u_edge + m
+        sign = mesh.facet_sign[:, :, None] * mesh.facet_direction[:, :, None] ** m
+        interior = nf * self.n_u_edge + np.arange(ne * self.n_u_int).reshape(ne, self.n_u_int)
+        self.u_dofmap = np.concatenate([edge.reshape(ne, -1), interior], axis=1)
+        self.u_signs = np.concatenate([sign.reshape(ne, -1), np.ones((ne, self.n_u_int))], axis=1)
         self.u_dofmap.setflags(write=False)
         self.u_signs.setflags(write=False)
 
+    # an index array of facets or elements gives one row of dofs per entry
+
     def uhat_dofs(self, facet):
-        return np.arange(facet * self.n_uhat, (facet + 1) * self.n_uhat)
+        return np.add.outer(np.multiply(facet, self.n_uhat), np.arange(self.n_uhat))
 
     def phat_dofs(self, facet):
-        return np.arange(facet * self.n_phat, (facet + 1) * self.n_phat)
+        return np.add.outer(np.multiply(facet, self.n_phat), np.arange(self.n_phat))
 
     def w_dofs(self, element):
-        return np.arange(element * self.n_w, (element + 1) * self.n_w)
+        return np.add.outer(np.multiply(element, self.n_w), np.arange(self.n_w))
 
     def p_dofs(self, element):
-        return np.arange(element * self.n_p, (element + 1) * self.n_p)
+        return np.add.outer(np.multiply(element, self.n_p), np.arange(self.n_p))
+
+    # -- bases on every element ----------------------------------------
+
+    def on_elements(self, kind, ref):
+        """Reference data ``ref`` (no element axis) mapped to every element.
+
+        ``kind`` names the transform, see ``_ELEMENT_TRANSFORMS``; the
+        element axis leads the result, and displacement ("u") bases carry
+        the global dof signs.
+        """
+        out = _ELEMENT_TRANSFORMS[kind](self.mesh.element_maps, ref)
+        if kind.startswith("u"):
+            out = out * self.u_signs.reshape(self.u_signs.shape + (1,) * (out.ndim - 2))
+        return out
+
+    def on_edge(self, kind, cache, local_edge):
+        """Traces ``cache[local_edge]`` mapped as by :meth:`on_elements`.
+
+        They are ordered along the global facet direction, see
+        :func:`orient_trace`.
+        """
+        values = self.on_elements(kind, cache[local_edge])
+        return orient_trace(values, self.mesh.facet_direction[:, local_edge])
 
     # -- caches --------------------------------------------------------
 
     def _build_caches(self):
         vol = triangle_quadrature(self.quad_degree)
         self.vol_rule = vol
-        self.bdm_vals = self.bdm.eval(vol.points)
         self.bdm_grads = self.bdm.eval_grad(vol.points)
         self.bdm_divs = self.bdm.eval_div(vol.points)
         self.rt_vals = self.rt.eval(vol.points)
@@ -566,10 +624,8 @@ class SpaceSet:
         self.bdm_edge_grads = []
         self.rt_edge_vals = []
         self.p_edge_vals = []
-        self.edge_ref_points = []
         for j in range(3):
             pts = _edge_points(j, edge.points)
-            self.edge_ref_points.append(pts)
             self.bdm_edge_vals.append(self.bdm.eval(pts))
             self.bdm_edge_grads.append(self.bdm.eval_grad(pts))
             self.rt_edge_vals.append(self.rt.eval(pts))
@@ -598,16 +654,8 @@ class SpaceSet:
         def points(rule):
             return mid[:, None, :] + rule.points[None, :, None] * half[:, None, :]
 
-        # contravariant Piola map of each adjacent element's BDM traces,
-        # ordered along the global facet direction (Gauss points are symmetric)
-        ref = np.stack(self.bdm_edge_vals)[local]
-        forward = (mesh.facet_direction[elem, local] == 1)[:, None, None, None]
-        ref = np.where(forward, ref, ref[:, :, ::-1])
-        v = mesh.vertices[mesh.elements[elem]]
-        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        trace = np.einsum("fab,fuqb->fuqa", jac, ref) / det[:, None, None, None]
-        trace = trace * self.u_signs[elem][:, :, None, None]
+        # signed, Piola-mapped BDM traces of each adjacent element
+        trace = np.stack([self.on_edge("u", self.bdm_edge_vals, j) for j in range(3)])[local, elem]
 
         arrays = {
             "facets": bf,
@@ -631,81 +679,50 @@ class SpaceSet:
             self.boundary[tag] = BoundaryFacets(**parts)
 
     def facet_trace(self, cache, element, local_edge):
-        """Trace values from ``cache`` reordered to the global facet direction.
-
-        Gauss points are symmetric, so reversing the quadrature axis
-        evaluates at ``-t``.
-        """
-        o = self.mesh.facet_direction[element, local_edge]
-        vals = cache[local_edge]
-        return vals if o == 1 else vals[:, ::-1, ...]
+        """Trace values from ``cache`` reordered to the global facet direction."""
+        return orient_trace(cache[local_edge], self.mesh.facet_direction[element, local_edge])
 
     # -- interpolation -------------------------------------------------
 
     def interpolate_u(self, f, degree=None):
         """BDM interpolation of a vector field ``f(x) -> (2,)`` by moments."""
-        degree = degree or 2 * self.ell + 8
         coeffs = np.zeros(self.size_u)
-        edge_rule = segment_quadrature(degree)
-        vol_rule = triangle_quadrature(degree)
-        leg = legvander(edge_rule.points, self.n_u_edge - 1).T
-        weights = self.bdm._interior_weights()
-        for t in range(self.mesh.n_elements):
-            amap = build_affine_map(self.mesh, t)
-            moments = np.empty(self.bdm.n_dofs)
-            row = 0
-            for j in range(3):
-                pts = _edge_points(j, edge_rule.points)
-                phys = amap.to_physical(pts)
-                fv = np.array([f(x) for x in phys])
-                pullback = amap.det * np.einsum("ab,qb->qa", amap.inv_transpose.T, fv)
-                vn = pullback @ _REF_EDGE_NORMALS[j]
-                scale = _REF_EDGE_LENGTHS[j] / 2.0
-                for m in range(self.n_u_edge):
-                    moments[row] = (vn * leg[m] * edge_rule.weights).sum() * scale
-                    row += 1
-            if self.n_u_int:
-                phys = amap.to_physical(vol_rule.points)
-                fv = np.array([f(x) for x in phys])
-                pullback = amap.det * np.einsum("ab,qb->qa", amap.inv_transpose.T, fv)
-                for w in weights:
-                    wv = w(vol_rule.points)
-                    moments[row] = np.einsum("qc,qc,q->", pullback, wv, vol_rule.weights)
-                    row += 1
+        for t, moments in enumerate(self._hdiv_moments(self.bdm, f, degree)):
             coeffs[self.u_dofmap[t]] = self.u_signs[t] * moments
         return coeffs
 
     def interpolate_w(self, f, degree=None):
         """Broken RT interpolation of a vector field, element by element."""
+        return self._hdiv_moments(self.rt, f, degree).ravel()
+
+    def _hdiv_moments(self, basis, f, degree):
+        """Dof functionals of ``basis`` applied to the Piola pullback of ``f``, per element.
+
+        The edge functionals are scaled as in :meth:`HdivReferenceBasis._fit`:
+        raw Legendre integrals for BDM, edge means for RT.
+        """
         degree = degree or 2 * self.ell + 8
-        coeffs = np.zeros(self.size_w)
         edge_rule = segment_quadrature(degree)
         vol_rule = triangle_quadrature(degree)
-        leg = legvander(edge_rule.points, self.rt.n_edge_modes - 1).T
-        weights = self.rt._interior_weights()
+        leg = legvander(edge_rule.points, basis.n_edge_modes - 1).T
+        weights = basis._interior_weights()
+        scale = _REF_EDGE_LENGTHS / 2.0 if basis.family == "bdm" else np.full(3, 0.5)
+        out = np.empty((self.mesh.n_elements, basis.n_dofs))
         for t in range(self.mesh.n_elements):
             amap = build_affine_map(self.mesh, t)
-            moments = np.empty(self.rt.n_dofs)
             row = 0
             for j in range(3):
-                pts = _edge_points(j, edge_rule.points)
-                phys = amap.to_physical(pts)
-                fv = np.array([f(x) for x in phys])
-                pullback = amap.det * np.einsum("ab,qb->qa", amap.inv_transpose.T, fv)
-                vn = pullback @ _REF_EDGE_NORMALS[j]
-                for m in range(self.rt.n_edge_modes):
-                    moments[row] = (vn * leg[m] * edge_rule.weights).sum() / 2.0
+                vn = _pullback(amap, f, _edge_points(j, edge_rule.points)) @ _REF_EDGE_NORMALS[j]
+                for m in range(basis.n_edge_modes):
+                    out[t, row] = (vn * leg[m] * edge_rule.weights).sum() * scale[j]
                     row += 1
-            if self.rt.n_interior:
-                phys = amap.to_physical(vol_rule.points)
-                fv = np.array([f(x) for x in phys])
-                pullback = amap.det * np.einsum("ab,qb->qa", amap.inv_transpose.T, fv)
+            if basis.n_interior:
+                pullback = _pullback(amap, f, vol_rule.points)
                 for w in weights:
                     wv = w(vol_rule.points)
-                    moments[row] = np.einsum("qc,qc,q->", pullback, wv, vol_rule.weights)
+                    out[t, row] = np.einsum("qc,qc,q->", pullback, wv, vol_rule.weights)
                     row += 1
-            coeffs[self.w_dofs(t)] = moments
-        return coeffs
+        return out
 
     def interpolate_p(self, f, degree=None):
         """Element-wise L2 projection of a scalar field onto P_{ell-1}."""
@@ -758,6 +775,12 @@ class SpaceSet:
                 c = (2 * m + 1) / 2.0 * (fv * leg[m] * rule.weights).sum()
                 coeffs[fct * self.n_uhat + m] = c
         return coeffs
+
+
+def _pullback(amap, f, ref_points):
+    """Inverse Piola transform det J J^-1 f of a vector field at mapped reference points."""
+    fv = np.array([f(x) for x in amap.to_physical(ref_points)])
+    return amap.det * np.einsum("ab,qb->qa", amap.inv_transpose.T, fv)
 
 
 def dof_counts(mesh, ell, n_networks):

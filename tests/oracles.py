@@ -15,6 +15,7 @@ from mpet.spaces import (
     eval_basis,
     piola_div,
     piola_grad,
+    piola_hess,
     piola_map,
     segment_quadrature,
     triangle_quadrature,
@@ -150,6 +151,44 @@ def oracle_blocks(mesh, spaces, eta=10.0):
         "M_w": M_w,
         "M_p": M_p,
     }
+
+
+def oracle_displacement_hdg_norm(mesh, spaces, include_h2=True):
+    """Dense displacement HDG norm matrix on (u, uhat) by brute quadrature."""
+    ell = spaces.ell
+    vol = triangle_quadrature(2 * ell + 2)
+    seg = segment_quadrature(2 * ell + 2)
+    nu = spaces.size_u
+    size = nu + spaces.size_uhat
+    N = np.zeros((size, size))
+    for t in range(mesh.n_elements):
+        amap = build_affine_map(mesh, t)
+        _, ug, _ = u_eval(mesh, spaces, t, vol.points)
+        eps = 0.5 * (ug + np.swapaxes(ug, 2, 3))
+        _, _, ref_hess = eval_basis("bdm", ell, vol.points)
+        hess = piola_hess(amap, ref_hess)
+        uh = np.zeros((nu, len(vol.points), 2, 2, 2))
+        for loc in range(spaces.bdm.n_dofs):
+            uh[spaces.u_dofmap[t, loc]] += spaces.u_signs[t, loc] * hess[loc]
+        hT = mesh.element_h[t]
+        for q in range(len(vol.points)):
+            w = vol.weights[q] * amap.det
+            N[:nu, :nu] += w * np.einsum("iab,jab->ij", eps[:, q], eps[:, q])
+            if include_h2:
+                N[:nu, :nu] += w * hT**2 * np.einsum("iabc,jabc->ij", uh[:, q], uh[:, q])
+        for j in range(3):
+            f = mesh.element_facets[t, j]
+            n_out = mesh.facet_sign[t, j] * mesh.facet_normal[f]
+            hF = mesh.facet_length[f]
+            pts = facet_points(mesh, f, seg.points)
+            uv, _, _ = u_eval(mesh, spaces, t, amap.to_reference(pts))
+            uhv = uhat_eval(mesh, spaces, f, seg.points)
+            for q in range(len(seg.points)):
+                w = seg.weights[q] * hF / 2.0
+                u_t = uv[:, q] - np.outer(uv[:, q] @ n_out, n_out)
+                jump = np.concatenate([-u_t, uhv[:, q]])
+                N += w / hF * np.einsum("ia,ja->ij", jump, jump)
+    return N
 
 
 def oracle_pressure_hdg_norm(mesh, spaces, include_h2=True):

@@ -73,6 +73,24 @@ def test_two_element_kernels_match_oracle(ell):
     assert rel_err(kernels.M_p, expected["M_p"]) <= 1e-12
 
 
+@pytest.mark.parametrize("include_h2", [True, False])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_norm_matrices_match_oracle(ell, include_h2):
+    from mpet.assembly import displacement_hdg_matrix, pressure_hdg_matrix
+    from oracles import oracle_displacement_hdg_norm, oracle_pressure_hdg_norm
+
+    mesh = generate_unit_square(2)
+    spaces = SpaceSet(mesh, ell, 1)
+    assert rel_err(
+        displacement_hdg_matrix(mesh, spaces, include_h2=include_h2),
+        oracle_displacement_hdg_norm(mesh, spaces, include_h2=include_h2),
+    ) <= 1e-12
+    assert rel_err(
+        pressure_hdg_matrix(mesh, spaces, include_h2=include_h2),
+        oracle_pressure_hdg_norm(mesh, spaces, include_h2=include_h2),
+    ) <= 1e-12
+
+
 def test_full_matrix_matches_oracle_composition():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 2)

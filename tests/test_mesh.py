@@ -164,6 +164,20 @@ def test_locate_point():
         mesh.locate_point((3.0, 3.0))
 
 
+def test_locate_point_on_shared_edges_and_vertices_takes_lowest_element():
+    mesh = generate_unit_square(2)
+    # a diagonal edge, a vertical edge between cells, an interior vertex
+    for point in [(0.25, 0.25), (0.5, 0.25), (0.5, 0.5)]:
+        containing = []
+        for t in range(mesh.n_elements):
+            ref = build_affine_map(mesh, t).to_reference(point)
+            if ref.min() >= -1e-10 and ref.sum() <= 1.0 + 1e-10:
+                containing.append(t)
+        t, ref = mesh.locate_point(point)
+        assert len(containing) >= 2 and t == containing[0]
+        assert np.allclose(build_affine_map(mesh, t).to_physical(ref), point)
+
+
 def test_dump_load_roundtrip(tmp_path):
     mesh = generate_annulus(30.0, 70.0, 2, 8)
     path = tmp_path / "annulus.txt"

@@ -149,6 +149,18 @@ def test_condense_matches_dense_schur_oracle():
     assert np.allclose(condensed.K_red.toarray(), expected, atol=1e-12 * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("block_size", [3, 6])
+def test_block_diag_inverse_equals_per_block_inverse(block_size):
+    from mpet.solver import _block_diag_inverse
+
+    rng = np.random.default_rng(4)
+    blocks = rng.normal(size=(40, block_size, block_size))
+    blocks = blocks @ np.swapaxes(blocks, 1, 2) + block_size * np.eye(block_size)
+    expected = sps.block_diag([np.linalg.inv(b) for b in blocks]).toarray()
+    produced = _block_diag_inverse(sps.block_diag(list(blocks), format="csr"), block_size)
+    assert np.array_equal(produced.toarray(), expected)
+
+
 def test_condensed_solve_matches_unreduced():
     _, _, scaled, system, bcs, con = make_problem(n_side=2, ell=2, n_networks=2,
                                                   alpha_p=0.3, xi=0.1)

@@ -358,3 +358,20 @@ def test_precomputed_boundary_data_and_probes_match_per_facet_references():
         uv, _, _ = u_eval(mesh, spaces, elem, np.atleast_2d(ref))
         want = np.hypot(*(state.u @ uv[:, 0]))
         assert abs(values["u_mag"][j] - want) <= 1e-14 * np.abs(state.u).max() * np.abs(uv).max()
+
+
+def test_time_loop_import_leaves_sympy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mpet
+
+    src = str(Path(mpet.__file__).resolve().parents[1])
+    code = (
+        "import sys, mpet.timeloop; assert 'sympy' not in sys.modules; "
+        "import mpet; assert callable(mpet.default_manufactured); "
+        "assert 'sympy' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .spaces import triangle_quadrature
+from .spaces import evaluate, legendre_scale, triangle_quadrature
 
 __all__ = [
     "DofLayout",
@@ -44,7 +44,11 @@ __all__ = [
     "pressure_nullspace",
     "constant_pressure_mode",
     "displacement_hdg_matrix",
+    "displacement_hdg_factors",
+    "divdiv_factors",
+    "NormFactors",
     "pressure_hdg_matrix",
+    "pressure_hdg_factors",
 ]
 
 DEFAULT_ETA = 10.0
@@ -157,7 +161,7 @@ def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
         spaces=spaces,
         eta=eta,
         a_hdg=_scatter((size_uu, size_uu), *a_terms),
-        divdiv=_scatter((s.size_u, s.size_u), (udofs, udofs, _gram(udivs, udivs, wq))),
+        divdiv=divdiv_factors(s).matrix(),
         D=_scatter((s.size_p, s.size_u), (pdofs, udofs, _gram(pvals, udivs, wq))),
         Dw=_scatter((s.size_p, s.size_w), (pdofs, wdofs, _gram(pvals, wdivs, wq))),
         Ew=_scatter((s.size_phat, s.size_w), *ew_terms),
@@ -217,11 +221,15 @@ def _gram(a, b, w):
     axis.  Each side carries sqrt(w), so a basis's Gram with itself is the
     single product B B^T and comes out exactly symmetric.
     """
-    ne, ni, nq = a.shape[:3]
-    root = np.sqrt(w).reshape((ne, 1, nq) + (1,) * (a.ndim - 3))
-    aw = (a * root).reshape(ne, ni, -1)
-    bw = aw if b is a else (b * root).reshape(ne, b.shape[1], -1)
+    aw = _weighted(a, w)
+    bw = aw if b is a else _weighted(b, w)
     return aw @ np.swapaxes(bw, 1, 2)
+
+
+def _weighted(a, w):
+    """``a[e, i, q, ...] * sqrt(w[e, q])`` with the quadrature and tensor axes flattened."""
+    ne, ni, nq = a.shape[:3]
+    return (a * np.sqrt(w).reshape((ne, 1, nq) + (1,) * (a.ndim - 3))).reshape(ne, ni, -1)
 
 
 def _scatter(shape, *terms):
@@ -232,19 +240,48 @@ def _scatter(shape, *terms):
     return sps.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
+class NormFactors:
+    """A norm matrix kept as its element factors.
+
+    Each term ``(dofs (e, i), factor (e, i, k))`` adds the blocks
+    ``factor factor^T``, where ``factor`` holds a basis's sqrt(w)-weighted
+    quadrature values (see :func:`_weighted`).  The squared norm of a
+    coefficient vector is then a sum of squares of its own weighted
+    values: on the kernel of the matrix it is rounding squared, where the
+    quadratic form ``x^T N x`` would be rounding of either sign.
+    """
+
+    def __init__(self, size, terms):
+        self.size = size
+        self.terms = terms
+
+    def matrix(self):
+        blocks = [(d, d, f @ np.swapaxes(f, 1, 2)) for d, f in self.terms]
+        return _scatter((self.size, self.size), *blocks)
+
+    def norm2(self, x):
+        return float(sum(np.square(np.einsum("ei,eik->ek", x[d], f)).sum() for d, f in self.terms))
+
+
 def _hdg_norm(spaces, dofs, grads, hess, jump, size):
     """Volume Gram of ``grads`` (+ h_T^2 that of ``hess``), plus h_F^-1 Grams of ``jump``."""
     mesh = spaces.mesh
     wq = spaces.vol_rule.weights * mesh.element_maps.det[:, None]
-    block = _gram(grads, grads, wq)
+    terms = [(dofs, _weighted(grads, wq))]
     if hess is not None:
-        block = block + (mesh.element_h**2)[:, None, None] * _gram(hess, hess, wq)
-    terms = [(dofs, dofs, block)]
+        terms.append((dofs, _weighted(hess, wq * (mesh.element_h**2)[:, None])))
     for j in range(3):
         _, h, ds, _ = _facet_frame(spaces, j)
         rows, basis = jump(spaces, j)
-        terms.append((rows, rows, _gram(basis, basis, ds) / h[:, None, None]))
-    return _scatter((size, size), *terms)
+        terms.append((rows, _weighted(basis, ds / h[:, None])))
+    return NormFactors(size, terms)
+
+
+def divdiv_factors(spaces):
+    """:class:`NormFactors` of the div-div kernel ``FormKernels.divdiv``."""
+    s = spaces
+    wq = s.vol_rule.weights * s.mesh.element_maps.det[:, None]
+    return NormFactors(s.size_u, [(s.u_dofmap, _weighted(s.on_elements("u_div", s.bdm_divs), wq))])
 
 
 def assemble_a_hdg(mesh, spaces, eta=DEFAULT_ETA):
@@ -376,6 +413,11 @@ def displacement_hdg_matrix(mesh, spaces, include_h2=True):
     seminorm is diagnostics-only and can be switched off (the block
     preconditioner uses the stabilized bilinear form instead).
     """
+    return displacement_hdg_factors(mesh, spaces, include_h2).matrix()
+
+
+def displacement_hdg_factors(mesh, spaces, include_h2=True):
+    """:class:`NormFactors` of :func:`displacement_hdg_matrix`."""
     s = spaces
     eps = _sym(s.on_elements("u_grad", s.bdm_grads))
     hess = s.on_elements("u_hess", s.bdm.eval_hess(s.vol_rule.points)) if include_h2 else None
@@ -384,6 +426,11 @@ def displacement_hdg_matrix(mesh, spaces, include_h2=True):
 
 def pressure_hdg_matrix(mesh, spaces, include_h2=False):
     """Matrix of the pressure HDG norm on (p, phat) for a single network."""
+    return pressure_hdg_factors(mesh, spaces, include_h2).matrix()
+
+
+def pressure_hdg_factors(mesh, spaces, include_h2=False):
+    """:class:`NormFactors` of :func:`pressure_hdg_matrix`."""
     s = spaces
     grads = s.on_elements("p_grad", s.p_grads)
     hess = s.on_elements("p_hess", s.p.eval_hess(s.vol_rule.points)) if include_h2 else None
@@ -399,28 +446,27 @@ def pressure_hdg_matrix(mesh, spaces, include_h2=False):
 def assemble_volume_rhs(mesh, spaces, f=None, g=None, degree=None):
     """Volume load vector for a body force ``f(x)`` and sources ``g[i](x)``.
 
-    Returns a full-layout vector.  Mass sources enter the pressure test
-    rows as assembled, matching the sign convention of the third block
-    row (the caller provides g already in scaled form).
+    Each callable is called once, at the quadrature points of all
+    elements (see :func:`~mpet.spaces.evaluate`).  Returns a full-layout
+    vector.  Mass sources enter the pressure test rows as assembled,
+    matching the sign convention of the third block row (the caller
+    provides g already in scaled form).
     """
     layout = DofLayout(spaces)
     F = np.zeros(layout.total)
     rule = triangle_quadrature(degree or 2 * spaces.ell + 4)
     maps = mesh.element_maps
     wq = rule.weights * maps.det[:, None]
-    phys = maps.origin[:, None, :] + rule.points @ np.swapaxes(maps.jacobian, 1, 2)
-    shape = phys.shape[:2]
-    phys = phys.reshape(-1, 2)
+    phys = maps.to_physical(rule.points)
     if f is not None:
-        fv = np.array([f(x) for x in phys]).reshape(shape + (2,))
         uvals = spaces.on_elements("u", spaces.bdm.eval(rule.points))
-        loads = np.einsum("eqc,euqc,eq->eu", fv, uvals, wq)
+        loads = np.einsum("eqc,euqc,eq->eu", evaluate(f, phys, vector=True), uvals, wq)
         F_u = np.bincount(spaces.u_dofmap.ravel(), loads.ravel(), minlength=spaces.size_u)
         F[layout.sl("u")] += F_u
     p_vals = spaces.p.eval(rule.points)
     for i, gi in enumerate(g or ()):
         if gi is not None:
-            gv = np.array([gi(x) for x in phys]).reshape(shape)
+            gv = evaluate(gi, phys)
             F[layout.sl(f"p{i}")] += np.einsum("eq,pq,eq->ep", gv, p_vals, wq).ravel()
     return F
 
@@ -429,8 +475,9 @@ def assemble_traction_rhs(mesh, spaces, bcs, t=0.0):
     """Natural surface load on the displacement rows from traction tags.
 
     The facet geometry comes from ``spaces.boundary`` (built on ``mesh``);
-    each traction callable ``g(x, t, n)`` is evaluated at the edge-rule
-    points of its tag and contracted with the stored traces.
+    each traction callable ``g(x, t, n)`` is called once, at the edge-rule
+    points of its tag and their outward normals, and contracted with the
+    stored traces.
     """
     layout = DofLayout(spaces)
     F = np.zeros(layout.total)
@@ -439,10 +486,9 @@ def assemble_traction_rhs(mesh, spaces, bcs, t=0.0):
         kind, fn = bcs.displacement[tag]
         if kind != "traction":
             continue
-        k, nq = bd.ds.shape
-        normals = np.repeat(bd.normal, nq, axis=0)
-        gv = np.array([fn(x, t, n) for x, n in zip(bd.edge_points.reshape(-1, 2), normals)])
-        loads = np.einsum("fqc,fuqc,fq->fu", gv.reshape(k, nq, 2), bd.u_trace, bd.ds)
+        normals = np.broadcast_to(bd.normal[:, None, :], bd.edge_points.shape)
+        gv = evaluate(lambda x, n: fn(x, t, n), bd.edge_points, normals, vector=True)
+        loads = np.einsum("fqc,fuqc,fq->fu", gv, bd.u_trace, bd.ds)
         F_u += np.bincount(bd.u_dofs.ravel(), loads.ravel(), minlength=spaces.size_u)
     return F
 
@@ -459,6 +505,10 @@ class BoundaryConditionSet:
     ("traction", g(x, t, n) -> (2,)).
     ``pressure``: one dict per network, tag -> ("dirichlet", g(x, t))
     or ("flux", None) for the zero-flux condition.
+
+    Each callable is called once per tag with all of its points,
+    coordinate-first: ``x`` (and ``n``) of shape ``(2, m)``; see
+    :func:`~mpet.spaces.evaluate` for the shapes it may return.
     """
 
     def __init__(self, displacement, pressure):
@@ -539,11 +589,11 @@ class ConstrainedSystem:
 def constraint_data(layout, spaces, bcs, t):
     """Constrained DOF indices and values for essential boundary data.
 
-    Each Dirichlet callable is evaluated at the ``spaces.bc_rule`` points
-    of its tag (``spaces.boundary``) and reduced per facet: raw Legendre
-    moments of the normal component give the u values, Legendre
-    coefficients of the tangential component and of the pressure give
-    the uhat and phat values.
+    Each Dirichlet callable is called once, at the ``spaces.bc_rule``
+    points of its tag (``spaces.boundary``), and reduced per facet: raw
+    Legendre moments of the normal component give the u values, Legendre
+    coefficients of the tangential component and of the pressure give the
+    uhat and phat values.
     """
     bcs.validate(spaces.mesh)
     weights = spaces.bc_rule.weights
@@ -560,31 +610,24 @@ def constraint_data(layout, spaces, bcs, t):
         val.append(values)
 
     for tag, bd in spaces.boundary.items():
-        k, nq = bd.points.shape[:2]
-        points = bd.points.reshape(-1, 2)
         kind, fn = bcs.displacement[tag]
         if kind == "dirichlet":
-            gv = np.array([fn(x, t) for x in points]).reshape(k, nq, 2)
+            gv = evaluate(lambda x: fn(x, t), bd.points, vector=True)
             gn = np.einsum("fqc,fc->fq", gv, bd.normal)
             gt = np.einsum("fqc,fc->fq", gv, bd.tangent)
             add("u", bd.facets, moments(gn, spaces.n_u_edge) * bd.length[:, None] / 2.0)
-            add("uhat", bd.facets, _legendre_scale(spaces.n_uhat) * moments(gt, spaces.n_uhat))
+            add("uhat", bd.facets, legendre_scale(spaces.n_uhat) * moments(gt, spaces.n_uhat))
         for i, pres in enumerate(bcs.pressure):
             pkind, pfn = pres[tag]
             if pkind == "dirichlet":
-                gv = np.array([float(pfn(x, t)) for x in points]).reshape(k, nq)
+                gv = evaluate(lambda x: pfn(x, t), bd.points)
                 add(f"phat{i}", bd.facets,
-                    _legendre_scale(spaces.n_phat) * moments(gv, spaces.n_phat))
+                    legendre_scale(spaces.n_phat) * moments(gv, spaces.n_phat))
     if not idx:
         return np.array([], dtype=int), np.array([])
     idx = np.concatenate([a.ravel() for a in idx])
     order = np.argsort(idx)
     return idx[order], np.concatenate([a.ravel() for a in val])[order]
-
-
-def _legendre_scale(n_modes):
-    """(2m + 1) / 2: Legendre coefficients from moments on [-1, 1]."""
-    return (2 * np.arange(n_modes) + 1) / 2.0
 
 
 def apply_boundary_conditions(system, bcs, t=0.0):

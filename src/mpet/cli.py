@@ -4,15 +4,18 @@ Subcommands: ``convergence``, ``sweep``, ``orderrobust``, ``brain`` and
 ``eigs``, each driven by a key=value config file (INI sections) and
 writing CSV tables into an output directory.  Every CSV starts with a
 provenance comment carrying the resolved configuration, and identical
-configs produce bit-identical files.  Exit codes: 0 on success, 1 on
-configuration errors, 2 on solver failure.
+configs produce bit-identical files.  Exit codes: 0 on success, 1 when
+the config cannot be read or parsed, 2 when the run fails (an unconverged
+solve, or an error such as ``MeshError`` or a dense-size guard raised
+while running, reported with its type).
 """
 
 import argparse
+import configparser
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from configparser import ConfigParser
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,6 @@ from .diagnostics import (
     write_conservation_csv,
     write_infsup_csv,
 )
-from .manufactured import default_manufactured
 from .mesh import generate_unit_square
 from .params import (
     PhysicalParameters,
@@ -70,9 +72,21 @@ class SolverFailure(RuntimeError):
 # ----------------------------------------------------------------------
 
 
+@contextmanager
+def config_errors():
+    """Report a missing key, a bad value or a malformed file as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, ValueError, configparser.Error) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def read_config(path):
-    cfg = ConfigParser()
-    found = cfg.read(path)
+    cfg = configparser.ConfigParser()
+    with config_errors():
+        found = cfg.read(path)
     if not found:
         raise ConfigError(f"config file {path} not found")
     return cfg
@@ -171,6 +185,16 @@ def _workers(cfg):
 # ----------------------------------------------------------------------
 
 
+def default_manufactured(n_networks=2):
+    """The benchmark fields of :mod:`mpet.manufactured`, imported on first use.
+
+    Building them needs sympy, which ``mpet brain`` never loads.
+    """
+    from .manufactured import default_manufactured as build
+
+    return build(n_networks)
+
+
 def manufactured_problem(n_side, ell, scaled, eta=10.0):
     mesh = generate_unit_square(n_side)
     spaces = SpaceSet(mesh, ell, scaled.n)
@@ -235,15 +259,16 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
 
 
 def cmd_convergence(cfg, out_dir):
-    mode, scaled = parse_parameters(cfg)
-    if mode != "scaled":
-        raise ConfigError("convergence runs use scaled-parameter mode")
-    run = cfg["run"]
-    orders = _ints(run.get("orders", "1, 2"))
-    levels = _ints(run.get("levels", "4, 8, 16"))
-    _validate_grid(orders, levels=levels)
-    opts = _solver_options(cfg)
-    comment = resolved_config_comment("convergence", cfg)
+    with config_errors():
+        mode, scaled = parse_parameters(cfg)
+        if mode != "scaled":
+            raise ConfigError("convergence runs use scaled-parameter mode")
+        run = cfg["run"]
+        orders = _ints(run.get("orders", "1, 2"))
+        levels = _ints(run.get("levels", "4, 8, 16"))
+        _validate_grid(orders, levels=levels)
+        opts = _solver_options(cfg)
+        comment = resolved_config_comment("convergence", cfg)
 
     rows = []
     failed = False
@@ -332,15 +357,17 @@ def _sweep_parameters(i, lam, mixed, zero_coupling=False):
 
 
 def cmd_sweep(cfg, out_dir):
-    if cfg.has_section("parameters"):
-        mode, _ = parse_parameters(cfg)
-        if mode != "scaled":
-            raise ConfigError("sweep runs use scaled-parameter mode")
-    run = cfg["run"]
-    n_side = int(run.get("n_per_side", "8"))
-    opts = _solver_options(cfg)
-    cells = _sweep_cells(cfg)
-    comment = resolved_config_comment("sweep", cfg, {"note": MAXIT_SENTINEL_NOTE})
+    with config_errors():
+        if cfg.has_section("parameters"):
+            mode, _ = parse_parameters(cfg)
+            if mode != "scaled":
+                raise ConfigError("sweep runs use scaled-parameter mode")
+        run = cfg["run"]
+        n_side = int(run.get("n_per_side", "8"))
+        opts = _solver_options(cfg)
+        cells = _sweep_cells(cfg)
+        comment = resolved_config_comment("sweep", cfg, {"note": MAXIT_SENTINEL_NOTE})
+        workers = _workers(cfg)
 
     def run_cell(cell):
         variant, ell, i, lam, mixed, zero_coupling = cell
@@ -350,7 +377,6 @@ def cmd_sweep(cfg, out_dir):
         )
         return report
 
-    workers = _workers(cfg)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_cell, cells))
@@ -370,15 +396,16 @@ def cmd_sweep(cfg, out_dir):
 
 
 def cmd_orderrobust(cfg, out_dir):
-    run = cfg["run"]
-    orders = _ints(run.get("orders", "1, 2, 3"))
-    n_list = _ints(run.get("n_list", "2, 4, 8, 16"))
-    _validate_grid(orders, n_list=n_list)
-    opts = _solver_options(cfg)
+    with config_errors():
+        run = cfg["run"]
+        orders = _ints(run.get("orders", "1, 2, 3"))
+        n_list = _ints(run.get("n_list", "2, 4, 8, 16"))
+        _validate_grid(orders, n_list=n_list)
+        opts = _solver_options(cfg)
+        comment = resolved_config_comment("orderrobust", cfg)
     scaled = scaled_from_direct(
         1.0, [1e-4, 1e-4], [1e-4, 1e-4], np.array([[0.0, 1e-4], [1e-4, 0.0]])
     )
-    comment = resolved_config_comment("orderrobust", cfg)
     path = Path(out_dir) / "orderrobust.csv"
     table = {}
     with open(path, "w") as fh:
@@ -405,22 +432,25 @@ def cmd_orderrobust(cfg, out_dir):
 
 
 def cmd_brain(cfg, out_dir):
-    run = cfg["run"] if cfg.has_section("run") else {}
-    long_run = str(run.get("long", "false")).strip().lower() in ("true", "1", "yes")
-    tau = float(run.get("tau", "0.125" if long_run else "0.0125"))
-    t_end = float(run.get("t_end", "2500.0" if long_run else "3.0"))
-    n_radial = int(run.get("n_radial", "4"))
-    n_angular = int(run.get("n_angular", "32"))
-    opts = _solver_options(cfg)
+    with config_errors():
+        run = cfg["run"] if cfg.has_section("run") else {}
+        long_run = str(run.get("long", "false")).strip().lower() in ("true", "1", "yes")
+        tau = float(run.get("tau", "0.125" if long_run else "0.0125"))
+        t_end = float(run.get("t_end", "2500.0" if long_run else "3.0"))
+        n_radial = int(run.get("n_radial", "4"))
+        n_angular = int(run.get("n_angular", "32"))
+        sample_every = int(run.get("sample_every", "1"))
+        opts = _solver_options(cfg)
 
-    phys = None
-    if cfg.has_section("parameters"):
-        mode, parsed = parse_parameters(cfg)
-        if mode != "physical":
-            raise ConfigError("the brain scenario needs physical parameters")
-        phys = parsed
-        if phys.tau != tau:
-            raise ConfigError("[parameters] tau must match [run] tau")
+        phys = None
+        if cfg.has_section("parameters"):
+            mode, parsed = parse_parameters(cfg)
+            if mode != "physical":
+                raise ConfigError("the brain scenario needs physical parameters")
+            phys = parsed
+            if phys.tau != tau:
+                raise ConfigError("[parameters] tau must match [run] tau")
+        comment = resolved_config_comment("brain", cfg)
 
     scenario = brain_analog_scenario(
         n_radial=n_radial, n_angular=n_angular, tau=tau, t_end=t_end, tol=opts["tol"]
@@ -429,9 +459,7 @@ def cmd_brain(cfg, out_dir):
         scenario.phys = phys
     scenario.maxit = opts["maxit"]
     scenario.variant = opts["variant"]
-    scenario.sample_every = int(run.get("sample_every", "1"))
-
-    comment = resolved_config_comment("brain", cfg)
+    scenario.sample_every = sample_every
     stepper = TimeStepper(scenario)
     probe_path = Path(out_dir) / "probes.csv"
     log_path = Path(out_dir) / "solver_log.csv"
@@ -472,15 +500,16 @@ def cmd_brain(cfg, out_dir):
 
 
 def cmd_eigs(cfg, out_dir):
-    run = cfg["run"] if cfg.has_section("run") else {}
-    n_side = int(run.get("n_per_side", "2"))
-    ell = int(run.get("order", "1"))
-    i_list = _ints(run.get("i_list", "0, 2, 4, 6, 8"))
-    lam = float(run.get("lambda", "1.0"))
-    equiv_levels = _ints(run.get("equivalence_levels", "1, 2, 4"))
-    infsup_levels = _ints(run.get("infsup_levels", "2, 4, 8"))
-    opts = _solver_options(cfg)
-    comment = resolved_config_comment("eigs", cfg)
+    with config_errors():
+        run = cfg["run"] if cfg.has_section("run") else {}
+        n_side = int(run.get("n_per_side", "2"))
+        ell = int(run.get("order", "1"))
+        i_list = _ints(run.get("i_list", "0, 2, 4, 6, 8"))
+        lam = float(run.get("lambda", "1.0"))
+        equiv_levels = _ints(run.get("equivalence_levels", "1, 2, 4"))
+        infsup_levels = _ints(run.get("infsup_levels", "2, 4, 8"))
+        opts = _solver_options(cfg)
+        comment = resolved_config_comment("eigs", cfg)
     paths = []
 
     # spectrum of the reduced operator against the Schur preconditioner,
@@ -592,11 +621,14 @@ def main(argv=None):
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = COMMANDS[args.command](cfg, out_dir)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
+    except (KeyError, ValueError, ArithmeticError, RuntimeError) as exc:
+        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(path)

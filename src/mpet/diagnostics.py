@@ -15,7 +15,10 @@ from scipy.linalg import eigh
 from .assembly import (
     DofLayout,
     assemble_kernels,
+    displacement_hdg_factors,
     displacement_hdg_matrix,
+    divdiv_factors,
+    pressure_hdg_factors,
     pressure_hdg_matrix,
 )
 
@@ -51,7 +54,10 @@ class NormAssembler:
 
     The second-derivative terms of the displacement and pressure HDG
     norms are included here (they are omitted from the preconditioner
-    blocks, which use the stabilized bilinear forms instead).
+    blocks, which use the stabilized bilinear forms instead).  Norms are
+    sums of squares of the field's weighted quadrature values
+    (:class:`~mpet.assembly.NormFactors`), so a rigid motion has a
+    displacement norm of rounding size, not the square root of it.
     """
 
     def __init__(self, mesh, spaces, kernels=None):
@@ -59,17 +65,16 @@ class NormAssembler:
         self.spaces = spaces
         self.kernels = kernels or assemble_kernels(mesh, spaces)
         self.layout = DofLayout(spaces)
-        self.u_hdg_mat = displacement_hdg_matrix(mesh, spaces, include_h2=True)
-        self.p_hdg_mat = pressure_hdg_matrix(mesh, spaces, include_h2=True)
+        self.u_hdg = displacement_hdg_factors(mesh, spaces, include_h2=True)
+        self.divdiv = divdiv_factors(spaces)
+        self.p_hdg = pressure_hdg_factors(mesh, spaces, include_h2=True)
 
     def report(self, x, scaled):
         layout = self.layout
-        spaces = self.spaces
         n = scaled.n
         uu = np.concatenate([x[layout.sl("u")], x[layout.sl("uhat")]])
-        u_hdg2 = float(uu @ (self.u_hdg_mat @ uu))
-        du = x[layout.sl("u")]
-        u_bar2 = u_hdg2 + scaled.lam * float(du @ (self.kernels.divdiv @ du))
+        u_hdg2 = self.u_hdg.norm2(uu)
+        u_bar2 = u_hdg2 + scaled.lam * self.divdiv.norm2(x[layout.sl("u")])
 
         w2 = 0.0
         for i in range(n):
@@ -79,7 +84,7 @@ class NormAssembler:
         p_hdg = []
         for i in range(n):
             pair = np.concatenate([x[layout.sl(f"p{i}")], x[layout.sl(f"phat{i}")]])
-            p_hdg.append(np.sqrt(max(float(pair @ (self.p_hdg_mat @ pair)), 0.0)))
+            p_hdg.append(float(np.sqrt(self.p_hdg.norm2(pair))))
         p_all = np.concatenate([x[layout.sl(f"p{i}")] for i in range(n)])
         lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), self.kernels.M_p)
         p_bar2 = sum(scaled.R[i] * p_hdg[i] ** 2 for i in range(n)) + float(
@@ -105,14 +110,15 @@ class NormAssembler:
         total = layout.total
         mat = sps.lil_matrix((total, total))
         iu = np.concatenate([layout.indices("u"), layout.indices("uhat")])
-        mat[np.ix_(iu, iu)] = self.u_hdg_mat.toarray()
+        mat[np.ix_(iu, iu)] = self.u_hdg.matrix().toarray()
         iuo = layout.indices("u")
         mat[np.ix_(iuo, iuo)] += scaled.lam * self.kernels.divdiv.toarray()
+        p_hdg = self.p_hdg.matrix().toarray()
         for i in range(n):
             iw = layout.indices(f"w{i}")
             mat[np.ix_(iw, iw)] = (self.kernels.M_w / scaled.R[i]).toarray()
             pair = np.concatenate([layout.indices(f"p{i}"), layout.indices(f"phat{i}")])
-            mat[np.ix_(pair, pair)] += scaled.R[i] * self.p_hdg_mat.toarray()
+            mat[np.ix_(pair, pair)] += scaled.R[i] * p_hdg
         ip = np.concatenate([layout.indices(f"p{i}") for i in range(n)])
         lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), self.kernels.M_p)
         mat[np.ix_(ip, ip)] += lam_mass.toarray()

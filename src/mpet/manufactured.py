@@ -12,24 +12,27 @@ scalar factor are differentiated once and combined per parameter set,
 which keeps sweeps over lambda, R and zeta cheap.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import sympy as sp
 
 __all__ = ["ManufacturedSolution", "default_manufactured"]
 
 
+# the evaluators take coordinate-first points: x[0], x[1] are the
+# coordinate arrays of a batch (or the two coordinates of one point);
+# a constant expression is broadcast to the shape of the batch
+
+
 def _lambdify_vec(xy, exprs):
     fns = [sp.lambdify(xy, e, "numpy") for e in exprs]
-
-    def call(x):
-        return np.array([float(f(x[0], x[1])) for f in fns])
-
-    return call
+    return lambda x: np.stack([np.broadcast_to(f(x[0], x[1]), np.shape(x[0])) for f in fns])
 
 
 def _lambdify_scalar(xy, expr):
     f = sp.lambdify(xy, expr, "numpy")
-    return lambda x: float(f(x[0], x[1]))
+    return lambda x: np.broadcast_to(f(x[0], x[1]), np.shape(x[0]))
 
 
 class ManufacturedSolution:
@@ -88,7 +91,7 @@ class ManufacturedSolution:
                 val = -self._div_u(x) + R * self._lap_p[i](x)
                 for j in range(self.n):
                     if zeta[i, j] != 0.0:
-                        val -= zeta[i, j] * self.p[j](x)
+                        val = val - zeta[i, j] * self.p[j](x)
                 return val
 
             return g
@@ -101,8 +104,9 @@ class ManufacturedSolution:
         return lambda x, t: p(x)
 
 
+@lru_cache(maxsize=None)
 def default_manufactured(n_networks=2):
-    """The unit-square benchmark fields.
+    """The unit-square benchmark fields, built once per network count.
 
     u = (phi, phi) with phi = sin(pi x) sin(pi y), and mean-zero pressures
     p_1 = x^2 (1-x)^2 y^2 (1-y)^2 - 1/900, p_2 = sin^2(pi x) sin^2(pi y) - 1/4.

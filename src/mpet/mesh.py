@@ -46,8 +46,13 @@ class AffineMap:
     inv_transpose: np.ndarray   # J^{-T}
 
     def to_physical(self, ref_points):
-        """Map reference coordinates (m, 2) to physical coordinates."""
+        """Map reference coordinates (m, 2) to physical coordinates.
+
+        The maps of many elements give one ``(e, m, 2)`` block.
+        """
         ref_points = np.asarray(ref_points, dtype=float)
+        if np.ndim(self.det):
+            return self.origin[:, None, :] + ref_points @ np.swapaxes(self.jacobian, 1, 2)
         return self.origin + ref_points @ self.jacobian.T
 
     def to_reference(self, phys_points):
@@ -121,27 +126,33 @@ class Mesh:
 
     def _build_facets(self):
         ne = len(self.elements)
-        first_seen = {}
-        fv, f_elems, f_local = [], [], []
-        for t in range(ne):
-            for j, (a, b) in enumerate(LOCAL_EDGE_VERTICES):
-                key = tuple(sorted((int(self.elements[t, a]), int(self.elements[t, b]))))
-                if key not in first_seen:
-                    first_seen[key] = len(fv)
-                    fv.append(key)
-                    f_elems.append([t, -1])
-                    f_local.append([j, -1])
-                else:
-                    f = first_seen[key]
-                    if f_elems[f][1] != -1:
-                        raise MeshError(f"facet {key} adjacent to more than two elements")
-                    f_elems[f][1] = t
-                    f_local[f][1] = j
+        # local edges element-major, (t, j) at row 3 t + j; facets are
+        # numbered in the order their first edge appears
+        a, b = np.array(LOCAL_EDGE_VERTICES).T
+        ga, gb = self.elements[:, a].ravel(), self.elements[:, b].ravel()
+        keys = np.stack([np.minimum(ga, gb), np.maximum(ga, gb)], axis=1)
+        _, first, inverse, counts = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        if np.any(counts > 2):
+            key = tuple(int(v) for v in keys[first[np.argmax(counts > 2)]])
+            raise MeshError(f"facet {key} adjacent to more than two elements")
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        facet_of_edge = rank[inverse.ravel()]
+        first = first[order]
+        nf = len(first)
 
-        self.facet_vertices = np.array(fv, dtype=int)
-        self.facet_elements = np.array(f_elems, dtype=int)
-        self.facet_local = np.array(f_local, dtype=int)
-        nf = len(fv)
+        # the second edge of each interior facet, found by blanking the first
+        second = np.full(nf, -1)
+        seen_twice = np.ones(3 * ne, dtype=bool)
+        seen_twice[first] = False
+        second[facet_of_edge[seen_twice]] = np.nonzero(seen_twice)[0]
+        sides = np.stack([first, second], axis=1)
+        self.facet_vertices = keys[first]
+        self.facet_elements = np.where(sides >= 0, sides // 3, -1)
+        self.facet_local = np.where(sides >= 0, sides % 3, -1)
 
         # global facet frame: tangent from lower to higher vertex index,
         # normal = outward normal of the lower-indexed ("left") element
@@ -154,42 +165,33 @@ class Mesh:
         self.facet_tangent = d / self.facet_length[:, None]
         self.facet_midpoint = 0.5 * (va + vb)
 
-        self.facet_normal = np.empty((nf, 2))
-        for f in range(nf):
-            t = self.facet_elements[f, 0]
-            n = self._outward_normal(t, self.facet_local[f, 0])
-            self.facet_normal[f] = n
+        outward = self._outward_normals()
+        self.facet_normal = outward[first]
 
         # per-element facet table with sign data:
         #   facet_sign      sigma = +1 if element outward normal == global normal
         #   facet_direction o     = +1 if local edge direction == global tangent
-        self.element_facets = np.empty((ne, 3), dtype=int)
-        self.facet_sign = np.empty((ne, 3), dtype=int)
-        self.facet_direction = np.empty((ne, 3), dtype=int)
-        lookup = {tuple(fv[i]): i for i in range(nf)}
-        for t in range(ne):
-            for j, (a, b) in enumerate(LOCAL_EDGE_VERTICES):
-                ga, gb = int(self.elements[t, a]), int(self.elements[t, b])
-                f = lookup[tuple(sorted((ga, gb)))]
-                self.element_facets[t, j] = f
-                self.facet_direction[t, j] = 1 if ga < gb else -1
-                n = self._outward_normal(t, j)
-                self.facet_sign[t, j] = 1 if float(n @ self.facet_normal[f]) > 0.0 else -1
+        self.element_facets = facet_of_edge.reshape(ne, 3)
+        self.facet_direction = np.where(ga < gb, 1, -1).reshape(ne, 3)
+        along = np.einsum("ka,ka->k", outward, self.facet_normal[facet_of_edge])
+        self.facet_sign = np.where(along > 0.0, 1, -1).reshape(ne, 3)
 
         self.n_facets = nf
         bdry = self.facet_elements[:, 1] == -1
         self.boundary_facets = np.nonzero(bdry)[0]
         self.interior_facets = np.nonzero(~bdry)[0]
 
-    def _outward_normal(self, element, local_edge):
-        a, b = LOCAL_EDGE_VERTICES[local_edge]
-        pa = self.vertices[self.elements[element, a]]
-        pb = self.vertices[self.elements[element, b]]
-        d = pb - pa
+    def _outward_normals(self):
+        """Unit outward normals ``(3 ne, 2)`` of every local edge, element-major."""
+        v = self.vertices[self.elements]
+        a, b = np.array(LOCAL_EDGE_VERTICES).T
+        d = (v[:, b] - v[:, a]).reshape(-1, 2)
         # rotate tangent by -90 deg; for positively oriented triangles this
         # points out of the element on every edge
-        n = np.array([d[1], -d[0]])
-        return n / np.linalg.norm(n)
+        n = np.stack([d[:, 1], -d[:, 0]], axis=1)
+        # one dot product per normal, as np.linalg.norm takes it (with the
+        # rounding of a fused multiply-add where BLAS uses one)
+        return n / np.sqrt(n[:, None, :] @ n[:, :, None])[:, 0]
 
     def _freeze(self):
         for value in [*vars(self).values(), *vars(self.element_maps).values()]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .mesh import LOCAL_EDGE_VERTICES, build_affine_map
+from .mesh import LOCAL_EDGE_VERTICES
 
 __all__ = [
     "SpaceOrder",
@@ -31,6 +31,7 @@ __all__ = [
     "triangle_quadrature",
     "segment_quadrature",
     "eval_basis",
+    "evaluate",
     "piola_map",
     "SpaceSet",
     "BoundaryFacets",
@@ -492,7 +493,7 @@ def orient_trace(values, direction):
 class BoundaryFacets:
     """Quadrature geometry of the boundary facets that carry one tag.
 
-    Boundary data is evaluated pointwise at ``points`` (the essential-data
+    Boundary data is evaluated at ``points`` (the essential-data
     rule ``SpaceSet.bc_rule``) or ``edge_points`` (``SpaceSet.edge_rule``),
     both facet-major with the facet's parameter running along its global
     direction.  ``u_trace`` holds the signed, Piola-mapped BDM basis of
@@ -647,12 +648,6 @@ class SpaceSet:
         bf = mesh.boundary_facets
         elem = mesh.facet_elements[bf, 0]
         local = mesh.facet_local[bf, 0]
-        ends = mesh.vertices[mesh.facet_vertices[bf]]
-        half = 0.5 * (ends[:, 1] - ends[:, 0])
-        mid = mesh.facet_midpoint[bf]
-
-        def points(rule):
-            return mid[:, None, :] + rule.points[None, :, None] * half[:, None, :]
 
         # signed, Piola-mapped BDM traces of each adjacent element
         trace = np.stack([self.on_edge("u", self.bdm_edge_vals, j) for j in range(3)])[local, elem]
@@ -662,8 +657,8 @@ class SpaceSet:
             "normal": mesh.facet_normal[bf],
             "tangent": mesh.facet_tangent[bf],
             "length": mesh.facet_length[bf],
-            "points": points(self.bc_rule),
-            "edge_points": points(self.edge_rule),
+            "points": _facet_points(mesh, bf, self.bc_rule.points),
+            "edge_points": _facet_points(mesh, bf, self.edge_rule.points),
             "u_dofs": self.u_dofmap[elem],
             "u_trace": trace,
             "ds": self.edge_rule.weights[None, :] * (mesh.facet_length[bf] / 2.0)[:, None],
@@ -685,10 +680,18 @@ class SpaceSet:
     # -- interpolation -------------------------------------------------
 
     def interpolate_u(self, f, degree=None):
-        """BDM interpolation of a vector field ``f(x) -> (2,)`` by moments."""
+        """BDM interpolation of a vector field ``f(x) -> (2,)`` by moments.
+
+        Like every ``interpolate_*`` method it calls ``f`` once, on the
+        points of all elements or facets (see :func:`evaluate`).
+
+        A facet dof is seen by both adjacent elements; the value of the
+        higher-indexed element is kept.
+        """
+        values = (self.u_signs * self._hdiv_moments(self.bdm, f, degree)).ravel()
+        dofs, last = np.unique(self.u_dofmap.ravel()[::-1], return_index=True)
         coeffs = np.zeros(self.size_u)
-        for t, moments in enumerate(self._hdiv_moments(self.bdm, f, degree)):
-            coeffs[self.u_dofmap[t]] = self.u_signs[t] * moments
+        coeffs[dofs] = values[::-1][last]
         return coeffs
 
     def interpolate_w(self, f, degree=None):
@@ -699,30 +702,26 @@ class SpaceSet:
         """Dof functionals of ``basis`` applied to the Piola pullback of ``f``, per element.
 
         The edge functionals are scaled as in :meth:`HdivReferenceBasis._fit`:
-        raw Legendre integrals for BDM, edge means for RT.
+        raw Legendre integrals for BDM, edge means for RT.  ``f`` is called
+        once, at the edge and volume points of every element.
         """
         degree = degree or 2 * self.ell + 8
         edge_rule = segment_quadrature(degree)
         vol_rule = triangle_quadrature(degree)
-        leg = legvander(edge_rule.points, basis.n_edge_modes - 1).T
-        weights = basis._interior_weights()
+        nqe = len(edge_rule.points)
+        ref = np.concatenate([_edge_points(j, edge_rule.points) for j in range(3)]
+                             + [vol_rule.points])
+        pullback = _pullback(self.mesh.element_maps, f, ref)
+        leg = legvander(edge_rule.points, basis.n_edge_modes - 1).T * edge_rule.weights
         scale = _REF_EDGE_LENGTHS / 2.0 if basis.family == "bdm" else np.full(3, 0.5)
-        out = np.empty((self.mesh.n_elements, basis.n_dofs))
-        for t in range(self.mesh.n_elements):
-            amap = build_affine_map(self.mesh, t)
-            row = 0
-            for j in range(3):
-                vn = _pullback(amap, f, _edge_points(j, edge_rule.points)) @ _REF_EDGE_NORMALS[j]
-                for m in range(basis.n_edge_modes):
-                    out[t, row] = (vn * leg[m] * edge_rule.weights).sum() * scale[j]
-                    row += 1
-            if basis.n_interior:
-                pullback = _pullback(amap, f, vol_rule.points)
-                for w in weights:
-                    wv = w(vol_rule.points)
-                    out[t, row] = np.einsum("qc,qc,q->", pullback, wv, vol_rule.weights)
-                    row += 1
-        return out
+        edges = pullback[:, : 3 * nqe].reshape(-1, 3, nqe, 2)
+        vn = np.einsum("ejqc,jc->ejq", edges, _REF_EDGE_NORMALS)
+        out = [np.einsum("ejq,mq,j->ejm", vn, leg, scale).reshape(len(vn), -1)]
+        if basis.n_interior:
+            weights = np.stack([w(vol_rule.points) for w in basis._interior_weights()])
+            vol = pullback[:, 3 * nqe :]
+            out.append(np.einsum("eqc,iqc,q->ei", vol, weights, vol_rule.weights))
+        return np.concatenate(out, axis=1)
 
     def interpolate_p(self, f, degree=None):
         """Element-wise L2 projection of a scalar field onto P_{ell-1}."""
@@ -730,57 +729,69 @@ class SpaceSet:
         rule = triangle_quadrature(degree)
         vals = self.p.eval(rule.points)
         mass = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
-        coeffs = np.zeros(self.size_p)
-        for t in range(self.mesh.n_elements):
-            amap = build_affine_map(self.mesh, t)
-            phys = amap.to_physical(rule.points)
-            fv = np.array([f(x) for x in phys])
-            rhs = np.einsum("iq,q,q->i", vals, fv, rule.weights)
-            coeffs[self.p_dofs(t)] = np.linalg.solve(mass, rhs)
-        return coeffs
+        fv = evaluate(f, self.mesh.element_maps.to_physical(rule.points))
+        rhs = np.einsum("iq,eq,q->ie", vals, fv, rule.weights)
+        return np.linalg.solve(mass, rhs).T.ravel()
 
     def interpolate_phat(self, f, degree=None):
         """Per-facet Legendre projection of a scalar trace."""
-        degree = degree or 2 * self.ell + 8
-        rule = segment_quadrature(degree)
-        leg = legvander(rule.points, self.n_phat - 1).T
-        coeffs = np.zeros(self.size_phat)
-        mesh = self.mesh
-        for fct in range(mesh.n_facets):
-            va, vb = mesh.facet_vertices[fct]
-            mid = mesh.facet_midpoint[fct]
-            half = 0.5 * (mesh.vertices[vb] - mesh.vertices[va])
-            phys = mid + np.outer(rule.points, half)
-            fv = np.array([f(x) for x in phys])
-            for m in range(self.n_phat):
-                c = (2 * m + 1) / 2.0 * (fv * leg[m] * rule.weights).sum()
-                coeffs[fct * self.n_phat + m] = c
-        return coeffs
+        leg, points = self._facet_rule(degree, self.n_phat)
+        return np.einsum("fq,mq->fm", evaluate(f, points), leg).ravel()
 
     def interpolate_uhat(self, f, degree=None):
         """Per-facet Legendre projection of the tangential trace of ``f``."""
-        degree = degree or 2 * self.ell + 8
-        rule = segment_quadrature(degree)
-        leg = legvander(rule.points, self.n_uhat - 1).T
-        coeffs = np.zeros(self.size_uhat)
-        mesh = self.mesh
-        for fct in range(mesh.n_facets):
-            va, vb = mesh.facet_vertices[fct]
-            mid = mesh.facet_midpoint[fct]
-            half = 0.5 * (mesh.vertices[vb] - mesh.vertices[va])
-            phys = mid + np.outer(rule.points, half)
-            tang = mesh.facet_tangent[fct]
-            fv = np.array([float(np.dot(f(x), tang)) for x in phys])
-            for m in range(self.n_uhat):
-                c = (2 * m + 1) / 2.0 * (fv * leg[m] * rule.weights).sum()
-                coeffs[fct * self.n_uhat + m] = c
-        return coeffs
+        leg, points = self._facet_rule(degree, self.n_uhat)
+        ft = np.einsum("fqc,fc->fq", evaluate(f, points, vector=True), self.mesh.facet_tangent)
+        return np.einsum("fq,mq->fm", ft, leg).ravel()
+
+    def _facet_rule(self, degree, n_modes):
+        """Legendre projectors ``(2m+1)/2 P_m w`` and every facet's edge-rule points."""
+        rule = segment_quadrature(degree or 2 * self.ell + 8)
+        leg = legendre_scale(n_modes)[:, None] * legvander(rule.points, n_modes - 1).T
+        points = _facet_points(self.mesh, np.arange(self.mesh.n_facets), rule.points)
+        return leg * rule.weights, points
 
 
-def _pullback(amap, f, ref_points):
-    """Inverse Piola transform det J J^-1 f of a vector field at mapped reference points."""
-    fv = np.array([f(x) for x in amap.to_physical(ref_points)])
-    return amap.det * np.einsum("ab,qb->qa", amap.inv_transpose.T, fv)
+def _facet_points(mesh, facets, t):
+    """Points ``(k, len(t), 2)`` at parameters ``t`` in [-1, 1] along the global facet direction."""
+    ends = mesh.vertices[mesh.facet_vertices[facets]]
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    return mesh.facet_midpoint[facets][:, None, :] + t[None, :, None] * half[:, None, :]
+
+
+def legendre_scale(n_modes):
+    """(2m + 1) / 2: Legendre coefficients from moments on [-1, 1]."""
+    return (2 * np.arange(n_modes) + 1) / 2.0
+
+
+def evaluate(f, points, *args, vector=False):
+    """Values of the data callable ``f`` at ``points`` (..., 2), from one call.
+
+    ``f`` receives the points coordinate-first, as a ``(2, m)`` stack, and
+    each extra argument (for example the normals of a traction callable,
+    ``(..., 2)`` like ``points``) the same way.  A scalar result is
+    broadcast to ``(m,)`` and a vector result reshaped and broadcast to
+    ``(2, m)``, so constants and functions of time alone are valid data.
+    Returns an array of shape ``points.shape[:-1]``, plus a trailing
+    axis of 2 for vectors.
+    """
+    points = np.asarray(points, dtype=float)
+    lead = points.shape[:-1]
+    coords = [np.reshape(a, (-1, 2)).T for a in (points, *args)]
+    m = coords[0].shape[1]
+    values = np.asarray(f(*coords), dtype=float)
+    if vector:
+        return np.broadcast_to(values.reshape(2, -1), (2, m)).T.reshape(lead + (2,))
+    return np.broadcast_to(values, (m,)).reshape(lead)
+
+
+def _pullback(maps, f, ref_points):
+    """Inverse Piola transform det J J^-1 f of a vector field at mapped reference points.
+
+    ``maps`` is a batch of element maps; returns ``(e, q, 2)``.
+    """
+    fv = evaluate(f, maps.to_physical(ref_points), vector=True)
+    return maps.det[:, None, None] * np.einsum("eba,eqb->eqa", maps.inv_transpose, fv)
 
 
 def dof_counts(mesh, ell, n_networks):

@@ -51,8 +51,9 @@ MMHG = 133.322e-6
 class Scenario:
     """Everything a time-dependent run needs.
 
-    Boundary profiles are physical-pressure callables ``(x, t)``; the
-    stepper wraps them with the similarity scaling.  ``pressure_unit``
+    Boundary profiles are physical-pressure callables ``(x, t)``, called
+    with coordinate-first batches of points (see ``BoundaryConditionSet``);
+    the stepper wraps them with the similarity scaling.  ``pressure_unit``
     only affects probe output (internal value divided by it).
     """
 

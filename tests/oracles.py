@@ -5,13 +5,21 @@ computed points, evaluating basis functions straight from the reference
 definitions.  No trace caches, no batched einsum contractions, no sparse
 scatter: this is the slow textbook path the production assembler is
 checked against.
+
+The ``pointwise_*`` references compute the right-hand sides, boundary
+values and interpolants element by element (or facet by facet) and call
+every data callable at one point ``x`` of shape ``(2,)`` at a time.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
+from mpet.assembly import DofLayout
 from mpet.mesh import build_affine_map
 from mpet.spaces import (
+    _REF_EDGE_LENGTHS,
+    _REF_EDGE_NORMALS,
+    _edge_points,
     eval_basis,
     piola_div,
     piola_grad,
@@ -263,3 +271,149 @@ def oracle_full_matrix(mesh, spaces, scaled, eta=10.0):
             sq = slice(op + jn * npr, op + (jn + 1) * npr)
             K[sp_, sq] += -scaled.zeta[i, jn] * blocks["M_p"]
     return K
+
+
+# ----------------------------------------------------------------------
+# per-point references for the data callables
+# ----------------------------------------------------------------------
+
+
+def _at_points(f, points, *args):
+    """``f`` called at each point of ``points`` (m, 2) in turn, with per-point ``args``."""
+    return np.array([np.asarray(f(x, *(a[k] for a in args)), dtype=float)
+                     for k, x in enumerate(points)])
+
+
+def pointwise_volume_rhs(mesh, spaces, f=None, g=(), degree=None):
+    layout = DofLayout(spaces)
+    F = np.zeros(layout.total)
+    rule = triangle_quadrature(degree or 2 * spaces.ell + 4)
+    pvals = spaces.p.eval(rule.points)
+    for t in range(mesh.n_elements):
+        amap = build_affine_map(mesh, t)
+        phys = amap.to_physical(rule.points)
+        w = rule.weights * amap.det
+        if f is not None:
+            uvals = piola_map(amap, spaces.bdm.eval(rule.points)) * spaces.u_signs[t][:, None, None]
+            F[spaces.u_dofmap[t]] += np.einsum("qc,iqc,q->i", _at_points(f, phys), uvals, w)
+        for i, gi in enumerate(g or ()):
+            if gi is not None:
+                rows = layout.offsets[f"p{i}"] + spaces.p_dofs(t)
+                F[rows] += np.einsum("q,iq,q->i", _at_points(gi, phys), pvals, w)
+    return F
+
+
+def pointwise_traction_rhs(mesh, spaces, bcs, t=0.0):
+    layout = DofLayout(spaces)
+    F = np.zeros(layout.total)
+    for tag, bd in spaces.boundary.items():
+        kind, fn = bcs.displacement[tag]
+        if kind != "traction":
+            continue
+        for k in range(len(bd.facets)):
+            for q, x in enumerate(bd.edge_points[k]):
+                gv = np.asarray(fn(x, t, bd.normal[k]), dtype=float)
+                F[bd.u_dofs[k]] += bd.u_trace[k, :, q, :] @ gv * bd.ds[k, q]
+    return F
+
+
+def pointwise_constraint_data(layout, spaces, bcs, t):
+    """Essential values, returned as a dict ``global dof -> value``."""
+    w = spaces.bc_rule.weights
+    leg = spaces.bc_leg
+    out = {}
+
+    def put(field, facet, coeffs):
+        for m, c in enumerate(coeffs):
+            out[layout.offsets[field] + facet * len(coeffs) + m] = c
+
+    for tag, bd in spaces.boundary.items():
+        kind, fn = bcs.displacement[tag]
+        for k, f in enumerate(bd.facets):
+            if kind == "dirichlet":
+                gv = _at_points(lambda x: fn(x, t), bd.points[k])
+                gn, gt = gv @ bd.normal[k], gv @ bd.tangent[k]
+                put("u", f, [(gn * leg[m] * w).sum() * bd.length[k] / 2
+                             for m in range(spaces.n_u_edge)])
+                put("uhat", f, [(2 * m + 1) / 2 * (gt * leg[m] * w).sum()
+                                for m in range(spaces.n_uhat)])
+            for i, pres in enumerate(bcs.pressure):
+                pkind, pfn = pres[tag]
+                if pkind == "dirichlet":
+                    gv = _at_points(lambda x: pfn(x, t), bd.points[k])
+                    put(f"phat{i}", f, [(2 * m + 1) / 2 * (gv * leg[m] * w).sum()
+                                        for m in range(spaces.n_phat)])
+    return out
+
+
+def _pointwise_hdiv_moments(spaces, basis, f, degree=None):
+    degree = degree or 2 * spaces.ell + 8
+    edge_rule = segment_quadrature(degree)
+    vol_rule = triangle_quadrature(degree)
+    leg = legvander(edge_rule.points, basis.n_edge_modes - 1).T
+    scale = _REF_EDGE_LENGTHS / 2.0 if basis.family == "bdm" else np.full(3, 0.5)
+    out = np.empty((spaces.mesh.n_elements, basis.n_dofs))
+    for t in range(spaces.mesh.n_elements):
+        amap = build_affine_map(spaces.mesh, t)
+
+        def pullback(ref):
+            fv = _at_points(f, amap.to_physical(ref))
+            return amap.det * fv @ amap.inv_transpose
+
+        row = 0
+        for j in range(3):
+            vn = pullback(_edge_points(j, edge_rule.points)) @ _REF_EDGE_NORMALS[j]
+            for m in range(basis.n_edge_modes):
+                out[t, row] = (vn * leg[m] * edge_rule.weights).sum() * scale[j]
+                row += 1
+        if basis.n_interior:
+            vol = pullback(vol_rule.points)
+            for w in basis._interior_weights():
+                out[t, row] = np.einsum("qc,qc,q->", vol, w(vol_rule.points), vol_rule.weights)
+                row += 1
+    return out
+
+
+def pointwise_interpolate_u(spaces, f):
+    coeffs = np.zeros(spaces.size_u)
+    for t, moments in enumerate(_pointwise_hdiv_moments(spaces, spaces.bdm, f)):
+        coeffs[spaces.u_dofmap[t]] = spaces.u_signs[t] * moments
+    return coeffs
+
+
+def pointwise_interpolate_w(spaces, f):
+    return _pointwise_hdiv_moments(spaces, spaces.rt, f).ravel()
+
+
+def pointwise_interpolate_p(spaces, f):
+    rule = triangle_quadrature(2 * spaces.ell + 8)
+    vals = spaces.p.eval(rule.points)
+    mass = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
+    coeffs = np.zeros(spaces.size_p)
+    for t in range(spaces.mesh.n_elements):
+        fv = _at_points(f, build_affine_map(spaces.mesh, t).to_physical(rule.points))
+        rhs = np.einsum("iq,q,q->i", vals, fv, rule.weights)
+        coeffs[spaces.p_dofs(t)] = np.linalg.solve(mass, rhs)
+    return coeffs
+
+
+def _pointwise_facet_projection(spaces, values, n_modes):
+    rule = segment_quadrature(2 * spaces.ell + 8)
+    leg = legvander(rule.points, n_modes - 1).T
+    coeffs = np.zeros(spaces.mesh.n_facets * n_modes)
+    for fct in range(spaces.mesh.n_facets):
+        fv = np.array([values(x, fct) for x in facet_points(spaces.mesh, fct, rule.points)])
+        for m in range(n_modes):
+            coeffs[fct * n_modes + m] = (2 * m + 1) / 2.0 * (fv * leg[m] * rule.weights).sum()
+    return coeffs
+
+
+def pointwise_interpolate_phat(spaces, f):
+    return _pointwise_facet_projection(spaces, lambda x, fct: float(f(x)), spaces.n_phat)
+
+
+def pointwise_interpolate_uhat(spaces, f):
+    tang = spaces.mesh.facet_tangent
+    return _pointwise_facet_projection(
+        spaces, lambda x, fct: float(np.dot(f(x), tang[fct])), spaces.n_uhat
+    )

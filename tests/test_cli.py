@@ -167,3 +167,49 @@ def test_worker_env_cap(tmp_path, monkeypatch):
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[run]\norders = 1\nn_list = 2\n\n[solver]\ntol = abc\n", "orders = 1\n"],
+    ids=["bad-value", "no-section-header"],
+)
+def test_unparsable_config_exits_1(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path / "bad.cfg", text)
+    assert main(["orderrobust", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_mesh_error_during_run_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "brain.cfg", "[run]\nn_radial = 1\nn_angular = 2\n")
+    assert main(["brain", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "MeshError" in err and "config error" not in err
+
+
+def test_size_guard_during_run_exits_2(tmp_path, capsys):
+    # the stokes-like inf-sup estimate on a 24x24 mesh exceeds the dense limit
+    cfg = write_cfg(
+        tmp_path / "eigs.cfg",
+        "[run]\nn_per_side = 1\norder = 1\ni_list = 0\nequivalence_levels = 1\n"
+        "infsup_levels = 24\n",
+    )
+    assert main(["eigs", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "too large" in err
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mpet
+
+    src = str(Path(mpet.__file__).resolve().parents[1])
+    code = (
+        "import sys, mpet.cli; assert 'sympy' not in sys.modules; "
+        "mpet.cli.default_manufactured(1); assert 'sympy' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

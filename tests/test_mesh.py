@@ -190,3 +190,70 @@ def test_dump_load_roundtrip(tmp_path):
     path2 = tmp_path / "again.txt"
     dump_mesh(other, path2)
     assert path.read_text() == path2.read_text()
+
+
+def loop_facets(vertices, elements):
+    """Per-element loop reference for the facet tables built by ``Mesh``.
+
+    Facets are numbered in the order their first (element, local edge)
+    appears; the normal is the outward normal of that first side.
+    """
+    first_seen, fv, f_elems, f_local = {}, [], [], []
+    for t, tri in enumerate(elements):
+        for j, (a, b) in enumerate(LOCAL_EDGE_VERTICES):
+            key = tuple(sorted((int(tri[a]), int(tri[b]))))
+            if key not in first_seen:
+                first_seen[key] = len(fv)
+                fv.append(key)
+                f_elems.append([t, -1])
+                f_local.append([j, -1])
+            else:
+                f = first_seen[key]
+                if f_elems[f][1] != -1:
+                    raise MeshError(f"facet {key} adjacent to more than two elements")
+                f_elems[f][1] = t
+                f_local[f][1] = j
+    normals = []
+    for t, j in zip(np.array(f_elems)[:, 0], np.array(f_local)[:, 0]):
+        a, b = LOCAL_EDGE_VERTICES[j]
+        d = vertices[elements[t, b]] - vertices[elements[t, a]]
+        n = np.array([d[1], -d[0]])
+        normals.append(n / np.linalg.norm(n))
+    return np.array(fv), np.array(f_elems), np.array(f_local), np.array(normals)
+
+
+def perturbed_square(n, seed):
+    base = generate_unit_square(n)
+    rng = np.random.default_rng(seed)
+    verts = base.vertices.copy()
+    inner = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[inner] += rng.uniform(-0.2, 0.2, size=(inner.sum(), 2)) / n
+    mesh = Mesh(verts, base.elements)
+    mesh.tag_boundary(lambda x: True, "boundary")
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [generate_unit_square(5), generate_annulus(1.0, 2.0, 3, 11), perturbed_square(6, 3)],
+    ids=["square", "annulus", "perturbed"],
+)
+def test_facet_tables_equal_loop_reference_bitwise(mesh):
+    fv, f_elems, f_local, normals = loop_facets(mesh.vertices, mesh.elements)
+    assert np.array_equal(mesh.facet_vertices, fv)
+    assert np.array_equal(mesh.facet_elements, f_elems)
+    assert np.array_equal(mesh.facet_local, f_local)
+    assert np.array_equal(mesh.facet_normal, normals)
+    for f, ((tl, tr), (jl, jr)) in enumerate(zip(f_elems, f_local)):
+        assert mesh.element_facets[tl, jl] == f
+        if tr >= 0:
+            assert mesh.element_facets[tr, jr] == f
+    mesh.validate()
+
+
+def test_non_manifold_facet_rejected():
+    # three triangles on the edge (0, 1)
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]
+    elems = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    with pytest.raises(MeshError, match=r"facet \(0, 1\) adjacent to more than two"):
+        Mesh(verts, elems)

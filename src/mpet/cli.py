@@ -12,9 +12,7 @@ while running, reported with its type).
 
 import argparse
 import configparser
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -168,16 +166,6 @@ def _solver_options(cfg):
         "maxit": int(sec.get("maxit", "500")),
         "eta": float(sec.get("eta", "10.0")),
     }
-
-
-def _workers(cfg):
-    requested = 1
-    if cfg.has_section("solver") and "workers" in cfg["solver"]:
-        requested = int(cfg["solver"]["workers"])
-    cap = os.environ.get("MPET_MAX_WORKERS")
-    if cap is not None:
-        requested = min(requested, max(1, int(cap)))
-    return max(1, requested)
 
 
 # ----------------------------------------------------------------------
@@ -367,21 +355,14 @@ def cmd_sweep(cfg, out_dir):
         opts = _solver_options(cfg)
         cells = _sweep_cells(cfg)
         comment = resolved_config_comment("sweep", cfg, {"note": MAXIT_SENTINEL_NOTE})
-        workers = _workers(cfg)
 
-    def run_cell(cell):
-        variant, ell, i, lam, mixed, zero_coupling = cell
+    reports = []
+    for variant, ell, i, lam, mixed, zero_coupling in cells:
         scaled = _sweep_parameters(i, lam, mixed, zero_coupling)
         report, _, _ = manufactured_solve(
             n_side, ell, scaled, opts["tol"], opts["maxit"], variant, eta=opts["eta"]
         )
-        return report
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(cell) for cell in cells]
+        reports.append(report)
 
     path = Path(out_dir) / "sweep.csv"
     with open(path, "w") as fh:

@@ -11,7 +11,8 @@ Two symmetric positive definite preconditioners are provided:
   elasticity block and the resulting pressure Schur complement plus the
   Lambda mass.
 
-Both inner blocks are inverted by direct sparse factorization; the
+Both inner blocks are inverted by a symmetric-mode sparse factorization
+whose pivots also certify the block SPD, at every size; the
 iteration itself is a standard three-term preconditioned MinRes recurrence
 whose convergence is measured in the preconditioned residual norm.
 """
@@ -49,11 +50,9 @@ class PreconditionerError(RuntimeError):
 
 @dataclass
 class PreconditionerConfig:
-    """Choice of preconditioner variant and factorization options."""
+    """Choice of preconditioner variant."""
 
     variant: str = "schur_reduced"
-    eta: float = 10.0
-    spd_check_max_size: int = 6000
 
     def __post_init__(self):
         if self.variant not in ("schur_reduced", "full_block"):
@@ -150,28 +149,34 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500, x0=None):
 
 
 # ----------------------------------------------------------------------
-# factorization with SPD certificate
+# sparse factorization that is its own SPD certificate
 # ----------------------------------------------------------------------
 
 
 class _SPDFactor:
-    """Direct factorization of an SPD block; raises if the block is not SPD."""
+    """Sparse factorization of an SPD block; raises if the block is not SPD.
 
-    def __init__(self, mat, max_dense_check=6000):
-        mat = sps.csc_matrix(mat)
-        n = mat.shape[0]
-        if n <= max_dense_check:
-            try:
-                np.linalg.cholesky(mat.toarray())
-            except np.linalg.LinAlgError as exc:
-                raise PreconditionerError(
-                    "preconditioner not SPD (penalty too small, or R, alpha_p and "
-                    "xi all vanish)"
-                ) from exc
+    The symmetric-mode ``splu`` is also the certificate: with rows and
+    columns permuted alike, the block is SPD exactly when every pivot
+    ``U.diagonal()`` is positive (Sylvester's criterion).
+    """
+
+    def __init__(self, mat):
         try:
-            self._lu = spla.splu(mat)
+            lu = spla.splu(
+                sps.csc_matrix(mat),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise PreconditionerError("preconditioner not SPD (singular factor)") from exc
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+            raise PreconditionerError(
+                "preconditioner not SPD (penalty too small, or R, alpha_p and "
+                "xi all vanish)"
+            )
+        self._lu = lu
 
     def solve(self, r):
         return self._lu.solve(r)
@@ -180,10 +185,10 @@ class _SPDFactor:
 class BlockDiagPreconditioner:
     """Applies the inverse of blockdiag(X_1, X_2) split at ``cut``."""
 
-    def __init__(self, x1, x2, cut, max_dense_check=6000):
+    def __init__(self, x1, x2, cut):
         self.cut = cut
-        self.f1 = _SPDFactor(x1, max_dense_check)
-        self.f2 = _SPDFactor(x2, max_dense_check)
+        self.f1 = _SPDFactor(x1)
+        self.f2 = _SPDFactor(x2)
         self.x1 = x1
         self.x2 = x2
 
@@ -393,7 +398,7 @@ def build_preconditioner(target, scaled, config=None, kernel_vectors=None):
     """
     config = config or PreconditionerConfig()
     x1, x2 = preconditioner_matrices(target, scaled, config, kernel_vectors)
-    return BlockDiagPreconditioner(x1, x2, x1.shape[0], config.spd_check_max_size)
+    return BlockDiagPreconditioner(x1, x2, x1.shape[0])
 
 
 def _restrict_kernel_to_q(con, kernel_vectors):

@@ -199,8 +199,9 @@ def test_both_variants_spd_at_hard_corner():
     build_preconditioner(con, scaled, PreconditionerConfig("full_block"))
 
 
-def test_small_penalty_rejected():
-    _, spaces, scaled, system, bcs, _ = make_problem(n_side=1, ell=2)
+@pytest.mark.parametrize("n_side, ell", [(1, 2), (17, 2)])
+def test_small_penalty_rejected(n_side, ell):
+    _, spaces, scaled, system, bcs, _ = make_problem(n_side=n_side, ell=ell)
     mesh = spaces.mesh
     kernels = assemble_kernels(mesh, spaces, eta=0.05)
     sys2 = build_block_system(kernels, scaled)
@@ -209,6 +210,32 @@ def test_small_penalty_rejected():
     condensed = condense_velocity(con2)
     with pytest.raises(PreconditionerError, match="not SPD"):
         build_preconditioner(condensed, scaled, PreconditionerConfig("schur_reduced"))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
+    ids=["indefinite", "singular-psd", "zero-diagonal"],
+)
+def test_spd_factor_rejects_small_non_spd_blocks(mat):
+    from mpet.solver import _SPDFactor
+
+    with pytest.raises(PreconditionerError, match="not SPD"):
+        _SPDFactor(sps.csc_matrix(np.array(mat)))
+
+
+def test_spd_factor_certifies_large_blocks():
+    """A 6400-DOF Laplacian is accepted and solved; shifted by -0.5 I it is
+    indefinite and rejected, whatever its size."""
+    from mpet.solver import _SPDFactor
+
+    t = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(80, 80))
+    lap = sps.kronsum(t, t, format="csc")
+    b = np.ones(lap.shape[0])
+    x = _SPDFactor(lap).solve(b)
+    assert np.linalg.norm(lap @ x - b) <= 1e-10 * np.linalg.norm(b)
+    with pytest.raises(PreconditionerError, match="not SPD"):
+        _SPDFactor(lap - 0.5 * sps.eye(lap.shape[0], format="csc"))
 
 
 def test_xp_and_schur_pressure_blocks_spectrally_equivalent():

@@ -324,7 +324,6 @@ class BlockSystem:
     F: np.ndarray
     kernels: FormKernels
     scaled: object
-    symmetric: bool = True
     _full: object = field(default=None, repr=False)
 
     def full_matrix(self):
@@ -399,6 +398,34 @@ def build_block_system(kernels, scaled):
         kernels=kernels,
         scaled=scaled,
     )
+
+
+def _lambda_mass_q(kernels, scaled):
+    """Lambda-weighted pressure mass on the q block (zeros on the multipliers)."""
+    spaces = kernels.spaces
+    n = scaled.n
+    lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), kernels.M_p, format="csr")
+    z = sps.csr_matrix((n * spaces.size_phat, n * spaces.size_phat))
+    return sps.bmat([[lam_mass, None], [None, z]], format="csr")
+
+
+def _embed_per_network(mat, spaces, n, weights):
+    """Place a (p, phat) matrix on each network's diagonal with given weights.
+
+    The q block orders all volume pressures first, then all multipliers,
+    so the embedding splits the per-network matrix into its four parts.
+    """
+    np_ = spaces.size_p
+    mat = mat.tocsr()
+    app = mat[:np_, :np_]
+    aph = mat[:np_, np_:]
+    ahp = mat[np_:, :np_]
+    ahh = mat[np_:, np_:]
+    pp = sps.block_diag([w * app for w in weights], format="csr")
+    hh = sps.block_diag([w * ahh for w in weights], format="csr")
+    ph = sps.block_diag([w * aph for w in weights], format="csr")
+    hp = sps.block_diag([w * ahp for w in weights], format="csr")
+    return sps.bmat([[pp, ph], [hp, hh]], format="csr")
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .assembly import (
     assemble_kernels,
     assemble_volume_rhs,
     build_block_system,
+    homogeneous_bcs,
 )
 from .diagnostics import (
     NormAssembler,
@@ -502,19 +503,8 @@ def cmd_eigs(cfg, out_dir):
         for i in i_list:
             R = 10.0 ** (-i)
             scaled = scaled_from_direct(lam, [R, R], [0.0, 0.0])
-            mesh = generate_unit_square(n_side)
-            spaces = SpaceSet(mesh, ell, 2)
-            system = build_block_system(assemble_kernels(mesh, spaces, opts["eta"]), scaled)
-            manu = default_manufactured(2)
-            system.F = assemble_volume_rhs(
-                mesh, spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled)
-            )
-            bcs = BoundaryConditionSet(
-                {"boundary": ("dirichlet", lambda x, t: np.zeros(2))},
-                [{"boundary": ("flux", None)} for _ in range(2)],
-            )
-            con = apply_boundary_conditions(system, bcs)
-            condensed = condense_velocity(con)
+            system = manufactured_problem(n_side, ell, scaled, opts["eta"])[2]
+            condensed = condense_velocity(apply_boundary_conditions(system, homogeneous_bcs(2)))
             x1, x2 = preconditioner_matrices(
                 condensed, scaled, PreconditionerConfig("schur_reduced")
             )
@@ -532,18 +522,7 @@ def cmd_eigs(cfg, out_dir):
         fh.write("n,eig_min,eig_max\n")
         for n in equiv_levels:
             scaled = scaled_from_direct(1.0, [1.0], [0.0])
-            mesh = generate_unit_square(n)
-            spaces = SpaceSet(mesh, ell, 1)
-            system = build_block_system(assemble_kernels(mesh, spaces, opts["eta"]), scaled)
-            manu = default_manufactured(1)
-            system.F = assemble_volume_rhs(
-                mesh, spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled)
-            )
-            bcs = BoundaryConditionSet(
-                {"boundary": ("dirichlet", lambda x, t: np.zeros(2))},
-                [{"boundary": ("dirichlet", manu.pressure_trace_bc(0))}],
-            )
-            con = apply_boundary_conditions(system, bcs)
+            con = manufactured_problem(n, ell, scaled, opts["eta"])[-1]
             condensed = condense_velocity(con)
             _, xp = preconditioner_matrices(con, scaled, PreconditionerConfig("full_block"))
             _, xpt = preconditioner_matrices(

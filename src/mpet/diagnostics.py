@@ -14,6 +14,8 @@ from scipy.linalg import eigh
 
 from .assembly import (
     DofLayout,
+    _embed_per_network,
+    _lambda_mass_q,
     assemble_kernels,
     displacement_hdg_factors,
     displacement_hdg_matrix,
@@ -104,25 +106,15 @@ class NormAssembler:
 
     def product_norm_matrix(self, scaled):
         """Full-layout sparse matrix of the squared product norm."""
-        layout = self.layout
         spaces = self.spaces
-        n = scaled.n
-        total = layout.total
-        mat = sps.lil_matrix((total, total))
-        iu = np.concatenate([layout.indices("u"), layout.indices("uhat")])
-        mat[np.ix_(iu, iu)] = self.u_hdg.matrix().toarray()
-        iuo = layout.indices("u")
-        mat[np.ix_(iuo, iuo)] += scaled.lam * self.kernels.divdiv.toarray()
-        p_hdg = self.p_hdg.matrix().toarray()
-        for i in range(n):
-            iw = layout.indices(f"w{i}")
-            mat[np.ix_(iw, iw)] = (self.kernels.M_w / scaled.R[i]).toarray()
-            pair = np.concatenate([layout.indices(f"p{i}"), layout.indices(f"phat{i}")])
-            mat[np.ix_(pair, pair)] += scaled.R[i] * p_hdg
-        ip = np.concatenate([layout.indices(f"p{i}") for i in range(n)])
-        lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), self.kernels.M_p)
-        mat[np.ix_(ip, ip)] += lam_mass.toarray()
-        return mat.tocsr()
+        kernels = self.kernels
+        divdiv = sps.block_diag(
+            [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))]
+        )
+        masses = [kernels.M_w / R for R in scaled.R]
+        p_bar = _embed_per_network(self.p_hdg.matrix(), spaces, scaled.n, scaled.R)
+        p_bar = p_bar + _lambda_mass_q(kernels, scaled)
+        return sps.block_diag([self.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")
 
 
 def evaluate_norms(x, mesh, spaces, scaled, kernels=None):

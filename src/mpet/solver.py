@@ -12,7 +12,8 @@ Two symmetric positive definite preconditioners are provided:
   Lambda mass.
 
 Both inner blocks are inverted by a symmetric-mode sparse factorization
-whose pivots also certify the block SPD, at every size; the
+whose pivots also certify the block SPD, at every size; a pressure block
+left singular by all-flux networks is bordered by its kernel vectors.  The
 iteration itself is a standard three-term preconditioned MinRes recurrence
 whose convergence is measured in the preconditioned residual norm.
 """
@@ -25,6 +26,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .assembly import (
+    _embed_per_network,
+    _lambda_mass_q,
     constant_pressure_mode,
     mean_correct,
     pressure_hdg_matrix,
@@ -157,21 +160,50 @@ class _SPDFactor:
     """Sparse factorization of an SPD block; raises if the block is not SPD.
 
     The symmetric-mode ``splu`` is also the certificate: with rows and
-    columns permuted alike, the block is SPD exactly when every pivot
-    ``U.diagonal()`` is positive (Sylvester's criterion).
+    columns permuted alike, the pivots ``U.diagonal()`` have the inertia
+    of the matrix (Sylvester's law), so an unbordered block is SPD exactly
+    when every pivot is positive.
+
+    A block bordered by ``border`` kernel columns, ``[[X, K], [K^T, -I/s]]``,
+    stands for its Schur complement ``X + s K K^T``, which :meth:`solve`
+    inverts.  ``X`` may be singular along the kernel, so the sparse factor
+    must not end on it: one anchor row of each kernel column joins the
+    border in a dense ``2m x 2m`` tail that is eliminated last.  By
+    Haynsworth's inertia additivity the complement is SPD exactly when no
+    pivot of the head or eigenvalue of the tail is zero and exactly
+    ``border`` of them are negative.
     """
 
-    def __init__(self, mat):
+    def __init__(self, mat, border=0):
+        mat = sps.csc_matrix(mat)
+        self._border = border
+        head = mat
+        if border:
+            n = mat.shape[0] - border
+            anchors = [mat[:n, j].indices.min() for j in range(n, n + border)]
+            self._tail = np.array(anchors + list(range(n, n + border)))
+            self._head = np.setdiff1d(np.arange(n + border), self._tail)
+            head = mat[np.ix_(self._head, self._head)]
         try:
             lu = spla.splu(
-                sps.csc_matrix(mat),
+                head,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
             raise PreconditionerError("preconditioner not SPD (singular factor)") from exc
-        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        pivots = lu.U.diagonal()
+        if border:
+            coupling = mat[np.ix_(self._head, self._tail)].toarray()
+            self._w = lu.solve(coupling)
+            self._schur = mat[np.ix_(self._tail, self._tail)].toarray() - coupling.T @ self._w
+            pivots = np.concatenate([pivots, np.linalg.eigvalsh(self._schur)])
+        if not (
+            np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(pivots != 0)
+            and np.count_nonzero(pivots < 0) == border
+        ):
             raise PreconditionerError(
                 "preconditioner not SPD (penalty too small, or R, alpha_p and "
                 "xi all vanish)"
@@ -179,16 +211,23 @@ class _SPDFactor:
         self._lu = lu
 
     def solve(self, r):
-        return self._lu.solve(r)
+        if not self._border:
+            return self._lu.solve(r)
+        r = np.concatenate([r, np.zeros(self._border)])
+        z = np.linalg.solve(self._schur, r[self._tail] - self._w.T @ r[self._head])
+        r[self._head] = self._lu.solve(r[self._head]) - self._w @ z
+        r[self._tail] = z
+        return r[: -self._border]
 
 
 class BlockDiagPreconditioner:
-    """Applies the inverse of blockdiag(X_1, X_2) split at ``cut``."""
+    """Applies the inverse of blockdiag(X_1, X_2); ``x2`` may be bordered
+    by ``border`` kernel columns (see :class:`_SPDFactor`)."""
 
-    def __init__(self, x1, x2, cut):
-        self.cut = cut
+    def __init__(self, x1, x2, border=0):
+        self.cut = x1.shape[0]
         self.f1 = _SPDFactor(x1)
-        self.f2 = _SPDFactor(x2)
+        self.f2 = _SPDFactor(x2, border)
         self.x1 = x1
         self.x2 = x2
 
@@ -308,52 +347,28 @@ def condense_velocity(constrained):
 # ----------------------------------------------------------------------
 
 
-def _lambda_mass_q(kernels, scaled):
-    """Lambda-weighted pressure mass on the q block (zeros on the multipliers)."""
-    spaces = kernels.spaces
-    n = scaled.n
-    lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), kernels.M_p, format="csr")
-    z = sps.csr_matrix((n * spaces.size_phat, n * spaces.size_phat))
-    return sps.bmat([[lam_mass, None], [None, z]], format="csr")
-
-
-def _embed_per_network(mat, spaces, n, weights):
-    """Place a (p, phat) matrix on each network's diagonal with given weights.
-
-    The q block orders all volume pressures first, then all multipliers,
-    so the embedding splits the per-network matrix into its four parts.
+def _border_with_kernel(mat, kernel_vectors):
+    """``[[X, K], [K^T, -I/s]]`` with the unit kernel vectors as the sparse
+    columns of ``K`` and ``s`` the mean absolute diagonal of ``X``: the
+    Schur complement on ``X`` is ``X + s K K^T``, definite along the kernel.
     """
-    np_, nph = spaces.size_p, spaces.size_phat
-    mat = mat.tocsr()
-    app = mat[:np_, :np_]
-    aph = mat[:np_, np_:]
-    ahp = mat[np_:, :np_]
-    ahh = mat[np_:, np_:]
-    pp = sps.block_diag([w * app for w in weights], format="csr")
-    hh = sps.block_diag([w * ahh for w in weights], format="csr")
-    ph = sps.block_diag([w * aph for w in weights], format="csr")
-    hp = sps.block_diag([w * ahp for w in weights], format="csr")
-    return sps.bmat([[pp, ph], [hp, hh]], format="csr")
-
-
-def _augment_with_kernel(mat, kernel_vectors):
     if not kernel_vectors:
         return mat
     scale = abs(mat.diagonal()).mean()
-    mat = mat.tocsr()
-    for k in kernel_vectors:
-        mat = mat + scale * sps.csr_matrix(np.outer(k, k) / float(k @ k))
-    return mat.tocsr()
+    K = sps.csc_matrix(np.column_stack([k / np.linalg.norm(k) for k in kernel_vectors]))
+    corner = sps.identity(len(kernel_vectors)) / -scale
+    return sps.bmat([[mat, K], [K.T, corner]], format="csr")
 
 
-def preconditioner_matrices(target, scaled, config=None, kernel_vectors=None):
+def preconditioner_matrices(target, scaled, config=None, kernel_vectors=()):
     """The two diagonal blocks of the chosen preconditioner, unfactorized.
 
-    Returns ``(x_first, x_pressure)``.  With ``kernel_vectors`` the
-    pressure block is made definite by rank-one augmentation (needed only
-    when all-Neumann networks without transfer are present); spectrum
-    diagnostics should pass none and restrict the pencil to the mean-zero
-    subspace instead.
+    Returns ``(x_first, x_pressure)``.  With ``kernel_vectors`` (needed
+    only when all-flux networks without transfer are present) the
+    pressure block comes bordered by the ``m`` unit kernel vectors, one
+    extra row and column each, and stands for ``X_p + s K K^T`` (see
+    :class:`_SPDFactor`); spectrum diagnostics should pass none and
+    restrict the pencil to the mean-zero subspace instead.
     """
     config = config or PreconditionerConfig()
     if config.variant == "full_block":
@@ -379,13 +394,10 @@ def preconditioner_matrices(target, scaled, config=None, kernel_vectors=None):
             con.layout.q_fields,
             con.layout.q_fields,
         )
-    if kernel_vectors:
-        kq = _restrict_kernel_to_q(con, kernel_vectors)
-        x_p = _augment_with_kernel(x_p, kq)
-    return x_uw, x_p
+    return x_uw, _border_with_kernel(x_p, _restrict_kernel_to_q(con, kernel_vectors))
 
 
-def build_preconditioner(target, scaled, config=None, kernel_vectors=None):
+def build_preconditioner(target, scaled, config=None, kernel_vectors=()):
     """SPD block-diagonal preconditioner for a constrained or condensed system.
 
     ``full_block`` expects a :class:`~mpet.assembly.ConstrainedSystem` and
@@ -393,19 +405,19 @@ def build_preconditioner(target, scaled, config=None, kernel_vectors=None):
     HDG norm plus Lambda mass.  ``schur_reduced`` expects a
     :class:`CondensedSystem` and pairs the elasticity block with the flux
     Schur complement plus Lambda mass.  Singular constant-pressure modes
-    (all-Neumann networks without transfer) are handled by rank-one
-    augmentation with the supplied kernel vectors.
+    (all-flux networks without transfer) are handled by factoring the
+    pressure block bordered by the supplied kernel vectors, which applies
+    the inverse of ``X_p + s K K^T``.
     """
     config = config or PreconditionerConfig()
     x1, x2 = preconditioner_matrices(target, scaled, config, kernel_vectors)
-    return BlockDiagPreconditioner(x1, x2, x1.shape[0])
+    return BlockDiagPreconditioner(x1, x2, len(kernel_vectors))
 
 
 def _restrict_kernel_to_q(con, kernel_vectors):
-    layout = con.layout
-    q_idx = np.concatenate([layout.indices(f) for f in layout.q_fields])
-    mask = np.isin(q_idx, con.free, assume_unique=True)
-    return [k[q_idx][mask] for k in kernel_vectors]
+    # the q fields close the layout, so their free dofs close the sorted free list
+    q_free = con.free[con.free >= con.layout.size_v]
+    return [k[q_free] for k in kernel_vectors]
 
 
 def mean_zero_functionals(system):
@@ -443,51 +455,33 @@ def solve(constrained, scaled, config=None, tol=1e-8, maxit=500, bcs=None,
 
     Returns ``(x_full, report, reuse)`` where ``x_full`` is the solution in
     the full layout (constrained values inserted) and ``reuse`` bundles the
-    factorizations and condensed operator for repeated solves with new
-    right-hand sides.  With ``bcs`` given, all-Neumann networks without
-    transfer are detected, the right-hand side is compatibility-corrected
-    and the pressure means of the solution are zeroed.
+    factorizations, the condensed operator and the pressure kernel for
+    repeated solves with new right-hand sides.  With ``bcs`` given,
+    all-flux networks without transfer are detected once per
+    factorization, the right-hand side is compatibility-corrected and the
+    pressure means of the solution are zeroed on those networks.
     """
     config = config or PreconditionerConfig()
-    kernel_vectors = []
-    null_networks = []
-    if bcs is not None:
-        kernel_vectors = pressure_nullspace(constrained.base, bcs)
-        layout = constrained.layout
-        for k in kernel_vectors:
-            for i in range(layout.n_networks):
-                if np.any(k[layout.sl(f"p{i}")]):
-                    null_networks.append(i)
-
     if reuse is None:
         if config.variant == "schur_reduced":
             target = condense_velocity(constrained)
         else:
             target = constrained
+        kernel_vectors = [] if bcs is None else pressure_nullspace(constrained.base, bcs)
         prec = build_preconditioner(target, scaled, config, kernel_vectors)
-        reuse = (target, prec)
-    else:
-        target, prec = reuse
+        reuse = (target, prec, kernel_vectors)
+    target, prec, kernel_vectors = reuse
 
     if config.variant == "schur_reduced":
         rhs = target.rhs(full_rhs)
         operator = target.K_red
+        kernel = reduced_subspace_vectors(target, kernel_vectors)
     else:
         rhs = constrained.rhs(full_rhs)
         operator = constrained.K_ff
-
-    if kernel_vectors:
-        rhs = rhs.copy()
-        if config.variant == "schur_reduced":
-            nu = len(target.iu)
-            for k in _restrict_kernel_to_q(constrained, kernel_vectors):
-                kk = np.concatenate([np.zeros(nu), k])
-                rhs -= (kk @ rhs) / (kk @ kk) * kk
-        else:
-            # kernel vectors are zero outside the q block in the free vector
-            for k in kernel_vectors:
-                kf = k[constrained.free]
-                rhs -= (kf @ rhs) / (kf @ kf) * kf
+        kernel = [k[constrained.free] for k in kernel_vectors]
+    for k in kernel:
+        rhs = rhs - (k @ rhs) / (k @ k) * k
 
     x_red, report = minres(operator, prec, rhs, tol=tol, maxit=maxit)
     report.variant = config.variant
@@ -497,8 +491,11 @@ def solve(constrained, scaled, config=None, tol=1e-8, maxit=500, bcs=None,
     else:
         x_free = x_red
     x_full = constrained.expand(x_free)
-    if null_networks:
-        x_full = mean_correct(x_full, constrained.base, sorted(set(null_networks)))
+    if kernel_vectors:
+        layout = constrained.layout
+        support = np.any(kernel_vectors, axis=0)
+        null_networks = [i for i in range(layout.n_networks) if support[layout.sl(f"p{i}")].any()]
+        x_full = mean_correct(x_full, constrained.base, null_networks)
     if report.converged:
         from .diagnostics import conservation_residual
 

@@ -273,6 +273,17 @@ def oracle_full_matrix(mesh, spaces, scaled, eta=10.0):
     return K
 
 
+def dense_kernel_augmentation(mat, kernel_vectors):
+    """``X + s sum_k k k^T / (k . k)`` as a dense array, ``s`` the mean
+    absolute diagonal of ``X``: the definite pressure block that the
+    bordered factor stands for."""
+    dense = mat.toarray()
+    scale = abs(dense.diagonal()).mean()
+    for k in kernel_vectors:
+        dense = dense + scale * np.outer(k, k) / float(k @ k)
+    return dense
+
+
 # ----------------------------------------------------------------------
 # per-point references for the data callables
 # ----------------------------------------------------------------------

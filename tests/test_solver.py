@@ -11,6 +11,7 @@ from mpet.assembly import (
     build_block_system,
     homogeneous_bcs,
     pressure_hdg_matrix,
+    pressure_nullspace,
 )
 from mpet.manufactured import default_manufactured
 from mpet.mesh import generate_unit_square
@@ -22,9 +23,11 @@ from mpet.solver import (
     build_preconditioner,
     condense_velocity,
     minres,
+    preconditioner_matrices,
     solve,
 )
 from mpet.spaces import SpaceSet
+from oracles import dense_kernel_augmentation
 
 
 def identity_prec(r):
@@ -238,6 +241,83 @@ def test_spd_factor_certifies_large_blocks():
         _SPDFactor(lap - 0.5 * sps.eye(lap.shape[0], format="csc"))
 
 
+def _bordered_laplacian(shift=0.0, n=50):
+    """Neumann 1D Laplacian (PSD, kernel: constants) minus ``shift`` I,
+    bordered by the unit kernel; also returns the Laplacian, kernel and scale."""
+    lap = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="lil")
+    lap[0, 0] = lap[-1, -1] = 1.0
+    lap = lap.tocsc()
+    k = np.ones(n) / np.sqrt(n)
+    scale = abs(lap.diagonal()).mean()
+    x = lap - shift * sps.eye(n, format="csc")
+    bordered = sps.bmat([[x, k[:, None]], [k[None, :], [[-1.0 / scale]]]], format="csc")
+    return bordered, lap, k, scale
+
+
+def test_spd_factor_accepts_bordered_psd_block_with_its_kernel():
+    from mpet.solver import _SPDFactor
+
+    bordered, lap, k, scale = _bordered_laplacian()
+    b = np.random.default_rng(0).standard_normal(lap.shape[0])
+    x = _SPDFactor(bordered, 1).solve(b)
+    expected = np.linalg.solve(lap.toarray() + scale * np.outer(k, k), b)
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("shift, border", [(0.5, 1), (0.0, 0), (0.0, 2)],
+                         ids=["indefinite", "border-0", "border-2"])
+def test_spd_factor_rejects_bordered_block(shift, border):
+    """An indefinite X under a correct border, or a wrong border count on an
+    SPD complement, changes the negative-pivot count and is rejected."""
+    from mpet.solver import _SPDFactor
+
+    bordered, *_ = _bordered_laplacian(shift)
+    with pytest.raises(PreconditionerError, match="not SPD"):
+        _SPDFactor(bordered, border)
+
+
+def _all_flux_problem(n_side, ell, n_networks):
+    _, _, scaled, system, bcs, con = make_problem(
+        n_side=n_side, ell=ell, n_networks=n_networks, pressure_bc="flux"
+    )
+    return scaled, system, bcs, con
+
+
+@pytest.mark.parametrize("n_side, ell", [(4, 1), (8, 2)])
+@pytest.mark.parametrize("variant", ["schur_reduced", "full_block"])
+def test_bordered_preconditioner_matches_dense_augmentation(n_side, ell, variant):
+    """With two all-flux networks, prec(r) is the inverse of
+    blockdiag(X_1, X_p + s K K^T) with the augmentation formed densely."""
+    from mpet.solver import _restrict_kernel_to_q
+
+    scaled, system, bcs, con = _all_flux_problem(n_side, ell, 2)
+    kernel_vectors = pressure_nullspace(system, bcs)
+    assert len(kernel_vectors) == 2
+    target = condense_velocity(con) if variant == "schur_reduced" else con
+    config = PreconditionerConfig(variant)
+    prec = build_preconditioner(target, scaled, config, kernel_vectors)
+    x1, xp = preconditioner_matrices(target, scaled, config)
+    augmented = dense_kernel_augmentation(xp, _restrict_kernel_to_q(con, kernel_vectors))
+    cut = x1.shape[0]
+    r = np.random.default_rng(1).standard_normal(cut + xp.shape[0])
+    expected = np.concatenate(
+        [spla.spsolve(x1.tocsc(), r[:cut]), np.linalg.solve(augmented, r[cut:])]
+    )
+    assert np.linalg.norm(prec(r) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_bordered_pressure_block_stays_sparse():
+    """At (16,2) with two all-flux networks the bordered pressure block adds
+    two border rows and columns, not two dense rank-one terms (3.5M nnz)."""
+    scaled, system, bcs, con = _all_flux_problem(16, 2, 2)
+    kernel_vectors = pressure_nullspace(system, bcs)
+    for target, variant in ((condense_velocity(con), "schur_reduced"), (con, "full_block")):
+        _, xp = preconditioner_matrices(
+            target, scaled, PreconditionerConfig(variant), kernel_vectors
+        )
+        assert xp.nnz < 200_000
+
+
 def test_xp_and_schur_pressure_blocks_spectrally_equivalent():
     """Generalized eigenvalues of (X_p, X_p_tilde) stay in a bounded interval."""
     bounds = []
@@ -289,25 +369,30 @@ def test_solve_report_carries_conservation_summary():
     assert report.conservation <= 1e-8
 
 
-def test_all_neumann_mean_zero_network():
-    """Pure flux data with no transfer: singular mode handled by projection."""
+@pytest.mark.parametrize("n_networks", [1, 2])
+def test_all_neumann_mean_zero_network(n_networks):
+    """Pure flux data with no transfer: singular modes handled by projection.
+
+    With two networks the pressure block alone is singular along k1 - k2,
+    so the preconditioner needs both kernel vectors."""
     mesh = generate_unit_square(2)
-    spaces = SpaceSet(mesh, 1, 1)
-    scaled = scaled_from_direct(1.0, [1.0], [0.0])
+    spaces = SpaceSet(mesh, 1, n_networks)
+    scaled = scaled_from_direct(1.0, [1.0] * n_networks, [0.0] * n_networks)
     system = build_block_system(assemble_kernels(mesh, spaces), scaled)
-    manu = default_manufactured(1)
+    manu = default_manufactured(n_networks)
     system.F = assemble_volume_rhs(
         mesh, spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled)
     )
-    bcs = homogeneous_bcs(1)
+    bcs = homogeneous_bcs(n_networks)
     con = apply_boundary_conditions(system, bcs)
     x, report, _ = solve(con, scaled, tol=1e-9, bcs=bcs)
     assert report.converged
     layout = system.layout
     ones = spaces.interpolate_p(lambda xx: 1.0)
     kernels = system.kernels
-    mean = float(ones @ (kernels.M_p @ x[layout.sl("p0")])) / kernels.volume
-    assert abs(mean) < 1e-10
+    for i in range(n_networks):
+        mean = float(ones @ (kernels.M_p @ x[layout.sl(f"p{i}")])) / kernels.volume
+        assert abs(mean) < 1e-10
 
     # oracle: least-squares solution of the singular system, mean-corrected
     K = con.K_ff.toarray()
@@ -315,5 +400,5 @@ def test_all_neumann_mean_zero_network():
     x_ls_full = con.expand(x_ls)
     from mpet.assembly import mean_correct
 
-    x_ls_full = mean_correct(x_ls_full, system, [0])
+    x_ls_full = mean_correct(x_ls_full, system, range(n_networks))
     assert np.abs(x - x_ls_full).max() < 1e-6 * (1 + np.abs(x_ls_full).max())

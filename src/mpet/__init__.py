@@ -39,8 +39,7 @@ from .diagnostics import (
     NormAssembler,
     conservation_residual,
     estimate_inf_sup,
-    evaluate_norms,
-    preconditioned_spectrum,
+    spectrum_ends,
 )
 from .timeloop import Scenario, State, TimeStepper, brain_analog_scenario, windowed_mean
 

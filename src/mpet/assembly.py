@@ -34,9 +34,6 @@ __all__ = [
     "BoundaryConditionSet",
     "ConstrainedSystem",
     "assemble_kernels",
-    "assemble_a_hdg",
-    "assemble_divdiv_and_coupling",
-    "assemble_flow",
     "build_block_system",
     "assemble_volume_rhs",
     "assemble_traction_rhs",
@@ -118,10 +115,6 @@ class FormKernels:
     M_p: sps.csr_matrix          # p x p mass
     volume: float
     p_mass_inv: np.ndarray = field(repr=False)   # (n_elements, n_p, n_p)
-
-    def b_block(self):
-        """b-form matrix (p+phat rows, w cols) with the row-3 signs."""
-        return sps.bmat([[-self.Dw], [self.Ew]], format="csr")
 
 
 def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
@@ -282,30 +275,6 @@ def divdiv_factors(spaces):
     s = spaces
     wq = s.vol_rule.weights * s.mesh.element_maps.det[:, None]
     return NormFactors(s.size_u, [(s.u_dofmap, _weighted(s.on_elements("u_div", s.bdm_divs), wq))])
-
-
-def assemble_a_hdg(mesh, spaces, eta=DEFAULT_ETA):
-    """Stabilized HDG elasticity form on (u, uhat)."""
-    return assemble_kernels(mesh, spaces, eta).a_hdg
-
-
-def assemble_divdiv_and_coupling(mesh, spaces, scaled, kernels=None):
-    """lambda-weighted div-div block and the displacement-pressure coupling.
-
-    Returns ``(lam * divdiv, [-D] * n)``: one coupling block per network,
-    identical by construction.
-    """
-    kernels = kernels or assemble_kernels(mesh, spaces)
-    return scaled.lam * kernels.divdiv, [-kernels.D] * scaled.n
-
-
-def assemble_flow(mesh, spaces, scaled, kernels=None):
-    """Weighted flux masses, b-form blocks and the network coupling block C."""
-    kernels = kernels or assemble_kernels(mesh, spaces)
-    masses = [kernels.M_w / scaled.R[i] for i in range(scaled.n)]
-    b_blocks = [kernels.b_block()] * scaled.n
-    C = sps.kron(sps.csr_matrix(scaled.zeta), kernels.M_p, format="csr")
-    return masses, b_blocks, C
 
 
 # ----------------------------------------------------------------------
@@ -689,23 +658,26 @@ def apply_boundary_conditions(system, bcs, t=0.0):
 # ----------------------------------------------------------------------
 
 
-def pressure_nullspace(system, bcs):
-    """Constant-pressure kernel vectors of the constrained system.
+def pressure_nullspace(constrained):
+    """Constant-pressure kernel vectors of a constrained system.
 
-    A network contributes a kernel vector (p_i = phat_i = 1) when all of
-    its boundary data is zero-flux, the displacement boundary is fully
-    essential, and its zeta row vanishes.  Returns full-layout vectors.
+    Read off which DOFs are constrained: a network contributes a kernel
+    vector (p_i = phat_i = 1) when every boundary-facet u DOF is
+    constrained, none of its phat_i DOFs is, and its zeta row vanishes.
+    Returns full-layout vectors.
     """
+    system = constrained.base
     spaces = system.kernels.spaces
-    scaled = system.scaled
     layout = system.layout
-    if any(kind != "dirichlet" for kind, _ in bcs.displacement.values()):
+    fixed = np.zeros(layout.total, dtype=bool)
+    fixed[constrained.constrained] = True
+    n_edge = spaces.n_u_edge
+    u_boundary = spaces.mesh.boundary_facets[:, None] * n_edge + np.arange(n_edge)
+    if not fixed[layout.offsets["u"] + u_boundary].all():
         return []
     vectors = []
-    for i in range(scaled.n):
-        if any(kind != "flux" for kind, _ in bcs.pressure[i].values()):
-            continue
-        if np.any(scaled.zeta[i] != 0.0):
+    for i in range(system.scaled.n):
+        if fixed[layout.sl(f"phat{i}")].any() or np.any(system.scaled.zeta[i] != 0.0):
             continue
         k = np.zeros(layout.total)
         k[layout.sl(f"p{i}")], k[layout.sl(f"phat{i}")] = constant_pressure_mode(spaces)

@@ -1,43 +1,41 @@
 """Parameter-dependent norms, conservation checks, inf-sup and spectra.
 
 Everything here is a pure function of assembled matrices and coefficient
-vectors.  The eigenvalue-based estimators use dense solves and guard
-against meshes too large for that; they are diagnostics, not production
-paths.
+vectors.  The eigenvalue-based estimators run implicitly restarted
+Lanczos (ARPACK) through the solver's sparse factors, so they hold at
+every mesh size and their memory grows with the factors' fill, not with
+the square of the problem size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg import eigh
+import scipy.sparse.linalg as spla
 
 from .assembly import (
     DofLayout,
     _embed_per_network,
     _lambda_mass_q,
     assemble_kernels,
+    constant_pressure_mode,
     displacement_hdg_factors,
     displacement_hdg_matrix,
     divdiv_factors,
     pressure_hdg_factors,
     pressure_hdg_matrix,
 )
+from .solver import PreconditionerError, _block_diag_inverse, _border_with_kernel, _SPDFactor
 
 __all__ = [
     "NormReport",
     "NormAssembler",
-    "evaluate_norms",
     "conservation_residual",
     "estimate_inf_sup",
-    "preconditioned_spectrum",
-    "pressure_schur_complement",
+    "spectrum_ends",
     "write_conservation_csv",
     "write_infsup_csv",
 ]
-
-DENSE_LIMIT = 6000
-
 
 @dataclass
 class NormReport:
@@ -57,7 +55,7 @@ class NormAssembler:
     The second-derivative terms of the displacement and pressure HDG
     norms are included here (they are omitted from the preconditioner
     blocks, which use the stabilized bilinear forms instead).  Norms are
-    sums of squares of the field's weighted quadrature values
+    sums of squares of the field's quadrature values scaled by sqrt(w)
     (:class:`~mpet.assembly.NormFactors`), so a rigid motion has a
     displacement norm of rounding size, not the square root of it.
     """
@@ -115,11 +113,6 @@ class NormAssembler:
         p_bar = _embed_per_network(self.p_hdg.matrix(), spaces, scaled.n, scaled.R)
         p_bar = p_bar + _lambda_mass_q(kernels, scaled)
         return sps.block_diag([self.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")
-
-
-def evaluate_norms(x, mesh, spaces, scaled, kernels=None):
-    """One-shot norm report; precompute a :class:`NormAssembler` for loops."""
-    return NormAssembler(mesh, spaces, kernels).report(x, scaled)
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +187,8 @@ def _analysis_free_uu(mesh, spaces):
     return np.nonzero(mask)[0]
 
 
-def estimate_inf_sup(mesh, spaces, which, dense_limit=DENSE_LIMIT):
-    """Discrete inf-sup constant by a dense Schur eigenvalue problem.
+def estimate_inf_sup(mesh, spaces, which):
+    """Discrete inf-sup constant from the smallest nonzero Schur eigenvalue.
 
     ``which`` is "stokes-like" (divergence coupling against the
     displacement HDG norm and the L2 norm of the summed pressure) or
@@ -205,40 +198,24 @@ def estimate_inf_sup(mesh, spaces, which, dense_limit=DENSE_LIMIT):
     """
     kernels = assemble_kernels(mesh, spaces)
     if which == "stokes-like":
-        A = displacement_hdg_matrix(mesh, spaces, include_h2=True)
         free = _analysis_free_uu(mesh, spaces)
-        if len(free) > dense_limit:
-            raise ValueError("mesh too large for a dense inf-sup solve; use a smaller mesh")
-        A = A[np.ix_(free, free)].toarray()
-        # columns: all free u DOFs first (uhat columns do not couple)
-        Dfull = np.zeros((spaces.size_p, len(free)))
-        u_free = free[free < spaces.size_u]
-        Dfull[:, : len(u_free)] = kernels.D.toarray()[:, u_free]
-        S = Dfull @ np.linalg.solve(A, Dfull.T)
-        M = kernels.M_p.toarray()
-        eigs = eigh(0.5 * (S + S.T), M, eigvals_only=True)
-    elif which == "darcy-like":
-        size_q = spaces.size_p + spaces.size_phat
-        if size_q > dense_limit:
-            raise ValueError("mesh too large for a dense inf-sup solve; use a smaller mesh")
-        N = pressure_hdg_matrix(mesh, spaces, include_h2=True).toarray()
-        B = np.vstack([kernels.Dw.toarray(), -kernels.Ew.toarray()])
-        Mw = kernels.M_w.toarray()
-        S = B @ np.linalg.solve(Mw, B.T)
-        # both S and N share the constant (q, qhat) pair as kernel; reduce
-        # to the positive eigenspace of N first
-        d, V = np.linalg.eigh(0.5 * (N + N.T))
-        keep = d > 1e-10 * d.max()
-        Vk = V[:, keep]
-        S_red = Vk.T @ (0.5 * (S + S.T)) @ Vk
-        N_red = np.diag(d[keep])
-        eigs = eigh(S_red, N_red, eigvals_only=True)
-    else:
-        raise ValueError(f"unknown inf-sup kind {which!r}")
-    eigs = np.real(eigs)
-    tol = 1e-10 * max(eigs.max(), 1e-300)
-    nonzero = eigs[eigs > tol]
-    return float(np.sqrt(nonzero.min()))
+        A = _SPDFactor(displacement_hdg_matrix(mesh, spaces, include_h2=True)[np.ix_(free, free)])
+        # columns: the free (u, uhat) DOFs (uhat columns do not couple)
+        G = sps.hstack([kernels.D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))])
+        G = G.tocsc()[:, free]
+        S = spla.LinearOperator((spaces.size_p,) * 2, lambda x: G @ A.solve(G.T @ x), dtype=float)
+        # the constant pressure spans the kernel of S; its zero comes first
+        Minv = _block_diag_inverse(kernels.M_p, spaces.n_p)
+        return float(np.sqrt(_lanczos(S, kernels.M_p, "SA", k=2, Minv=Minv)[1]))
+    if which == "darcy-like":
+        N = pressure_hdg_matrix(mesh, spaces, include_h2=True)
+        B = sps.vstack([kernels.Dw, -kernels.Ew])
+        S = B @ _block_diag_inverse(kernels.M_w, spaces.n_w) @ B.T
+        # S and N share the constant (q, qhat) pair as their kernel
+        k = np.concatenate(constant_pressure_mode(spaces))
+        _, inner, _ = _restricted_pencil(S, N, [k])
+        return float(np.sqrt(inner("LA")))
+    raise ValueError(f"unknown inf-sup kind {which!r}")
 
 
 # ----------------------------------------------------------------------
@@ -246,61 +223,87 @@ def estimate_inf_sup(mesh, spaces, which, dense_limit=DENSE_LIMIT):
 # ----------------------------------------------------------------------
 
 
-def preconditioned_spectrum(system_matrix, preconditioner_matrix, dense_limit=DENSE_LIMIT,
-                            exclude=None):
-    """Generalized eigenvalues of (K, B) with B SPD, densely.
+def _lanczos(A, M, which, k=1, v0=None, **kwargs):
+    """The ``k`` eigenvalues of the pencil ``(A, M)`` at one end, ascending,
+    by implicitly restarted Lanczos from a fixed start vector."""
+    n = A.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n) if v0 is None else v0
+    vals = spla.eigsh(A, k, M, which=which, v0=v0, ncv=min(40, n), tol=1e-10,
+                      return_eigenvectors=False, **kwargs)
+    return np.sort(vals)
 
-    ``exclude`` restricts the pencil to the orthogonal complement of the
-    given vectors; this realizes the mean-zero-compatible subspace on
-    which the uniform well-posedness bounds hold when constant-pressure
-    modes are present.
+
+def _restricted_pencil(K, B, exclude):
+    """Lanczos runs on the pencil ``(K, B)`` restricted to the orthogonal
+    complement of the ``exclude`` vectors.
+
+    After a Jacobi scaling by ``B``'s diagonal, and with ``P`` the
+    projector onto that complement, Lanczos sees the symmetric pair
+    ``(P K P, P B P + I - P)``, whose spectrum is the restricted one plus
+    zeros along ``exclude``, and reaches it through the sparse factors of
+    ``B`` and ``K`` bordered by ``exclude`` with a zero corner; the factor
+    of ``B`` certifies it SPD on the complement.
+    Returns ``(outer, inner, definite)``: ``outer(which)`` is the end of
+    the plain mode, ``inner(which)`` the end of shift-invert at 0, and
+    ``definite`` whether the bordered ``K`` passed the SPD certificate.
     """
-    K = system_matrix.toarray() if sps.issparse(system_matrix) else np.asarray(system_matrix)
-    B = (
-        preconditioner_matrix.toarray()
-        if sps.issparse(preconditioner_matrix)
-        else np.asarray(preconditioner_matrix)
-    )
-    if K.shape[0] > dense_limit:
-        raise ValueError("system too large for a dense spectrum")
-    if exclude:
-        kmat = np.column_stack(exclude)
-        q, _ = np.linalg.qr(kmat, mode="complete")
-        Q = q[:, kmat.shape[1] :]
-        K = Q.T @ K @ Q
-        B = Q.T @ B @ Q
-    return eigh(0.5 * (K + K.T), 0.5 * (B + B.T), eigvals_only=True)
+    # the Jacobi-scaled pencil has the same eigenvalues; unscaled, B's
+    # diagonal spans 2e10 at R = 1e-8 and rounding in the B-inner products
+    # moves the ends by 1e-10
+    d = 1.0 / np.sqrt(B.diagonal())
+    D = sps.diags(d)
+    K, B = D @ K @ D, D @ B @ D
+    E = [d * e for e in exclude or []]
+    m = len(E)
+    n = K.shape[0]
+    Q = np.linalg.qr(np.column_stack(E))[0] if m else np.zeros((n, 0))
+
+    def project(x):
+        for q in Q.T:
+            x = x - q * (q @ x)
+        return x
+
+    def operator(fn):
+        return spla.LinearOperator((n, n), fn, dtype=float)
+
+    A = operator(lambda x: project(K @ project(x)))
+    M = operator(lambda x: project(B @ project(x)) + x - project(x))
+    Binv = _SPDFactor(_border_with_kernel(B, E, corner=0.0), m).solve
+    Minv = operator(lambda r: Binv(r) + r - project(r))
+    try:
+        Kinv = _SPDFactor(_border_with_kernel(K, E, corner=0.0), m).solve
+        definite = True
+    except PreconditionerError:
+        lu = spla.splu(sps.csc_matrix(_border_with_kernel(K, E, corner=0.0)))
+        Kinv = lambda r: lu.solve(np.concatenate([r, np.zeros(m)]))[:n]
+        definite = False
+    v0 = project(np.random.default_rng(0).standard_normal(n))
+
+    def outer(which):
+        return float(_lanczos(A, M, which, v0=v0, Minv=Minv)[0])
+
+    def inner(which):
+        return float(_lanczos(A, M, which, v0=v0, sigma=0.0, OPinv=operator(Kinv))[0])
+
+    return outer, inner, definite
 
 
-def pressure_schur_complement(constrained):
-    """Dense pressure Schur complement S_p = -B A^{-1} B^T - C on free DOFs."""
-    con = constrained
-    layout = con.layout
-    pos = con.free_pos
-    iv = np.concatenate([layout.indices(f) for f in layout.v_fields])
-    iv = pos[iv]
-    iv = iv[iv >= 0]
-    iq = np.concatenate([layout.indices(f) for f in layout.q_fields])
-    iq = pos[iq]
-    iq = iq[iq >= 0]
-    if len(iv) + len(iq) > DENSE_LIMIT:
-        raise ValueError("system too large for a dense Schur complement")
-    K = con.K_ff.toarray()
-    A = K[np.ix_(iv, iv)]
-    B = K[np.ix_(iq, iv)]
-    minusC = K[np.ix_(iq, iq)]
-    return -B @ np.linalg.solve(A, B.T) + minusC
+def spectrum_ends(K, B, exclude=None):
+    """Ends of the negative and positive spectrum of the pencil ``(K, B)``.
 
-
-def spectrum_intervals(eigs, tol=1e-12):
-    """Split eigenvalues into the negative and positive branches."""
-    eigs = np.sort(np.real(np.asarray(eigs)))
-    neg = eigs[eigs < -tol]
-    pos = eigs[eigs > tol]
-    return (
-        (float(neg.min()), float(neg.max())) if len(neg) else None,
-        (float(pos.min()), float(pos.max())) if len(pos) else None,
-    )
+    ``B`` must be SPD on the orthogonal complement of the ``exclude``
+    vectors, to which the pencil is restricted; this realizes the
+    mean-zero-compatible subspace on which the uniform well-posedness
+    bounds hold when constant-pressure modes are present.  Returns
+    ``(neg, pos)``, each a ``(min, max)`` pair or None for an empty branch.
+    Each end is one Lanczos run (see :func:`_restricted_pencil`); a
+    definite pencil needs two.
+    """
+    outer, inner, definite = _restricted_pencil(K, B, exclude)
+    if definite:
+        return None, (inner("LA"), outer("LA"))
+    lo, hi = outer("SA"), outer("LA")
+    return (lo, inner("SA")) if lo < 0 else None, (inner("LA"), hi) if hi > 0 else None
 
 
 # ----------------------------------------------------------------------

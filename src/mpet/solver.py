@@ -171,7 +171,10 @@ class _SPDFactor:
     border in a dense ``2m x 2m`` tail that is eliminated last.  By
     Haynsworth's inertia additivity the complement is SPD exactly when no
     pivot of the head or eigenvalue of the tail is zero and exactly
-    ``border`` of them are negative.
+    ``border`` of them are negative.  A zero corner gives the inverse on the
+    complement of the border: :meth:`solve` returns the ``x`` with
+    ``K^T x = 0`` and ``X x - r`` in the span of ``K``, and the same count
+    certifies ``X`` SPD on that complement.
     """
 
     def __init__(self, mat, border=0):
@@ -347,17 +350,19 @@ def condense_velocity(constrained):
 # ----------------------------------------------------------------------
 
 
-def _border_with_kernel(mat, kernel_vectors):
-    """``[[X, K], [K^T, -I/s]]`` with the unit kernel vectors as the sparse
-    columns of ``K`` and ``s`` the mean absolute diagonal of ``X``: the
-    Schur complement on ``X`` is ``X + s K K^T``, definite along the kernel.
+def _border_with_kernel(mat, kernel_vectors, corner=-1.0):
+    """``[[X, K], [K^T, corner I/s]]`` with the unit kernel vectors as the
+    sparse columns of ``K`` and ``s`` the mean absolute diagonal of ``X``.
+    With the default corner the Schur complement on ``X`` is
+    ``X + s K K^T``, definite along the kernel; a zero corner constrains
+    ``K^T x = 0`` instead.
     """
     if not kernel_vectors:
         return mat
     scale = abs(mat.diagonal()).mean()
     K = sps.csc_matrix(np.column_stack([k / np.linalg.norm(k) for k in kernel_vectors]))
-    corner = sps.identity(len(kernel_vectors)) / -scale
-    return sps.bmat([[mat, K], [K.T, corner]], format="csr")
+    C = sps.identity(len(kernel_vectors)) * (corner / scale)
+    return sps.bmat([[mat, K], [K.T, C]], format="csr")
 
 
 def preconditioner_matrices(target, scaled, config=None, kernel_vectors=()):
@@ -449,17 +454,17 @@ def reduced_subspace_vectors(condensed, vectors):
 # ----------------------------------------------------------------------
 
 
-def solve(constrained, scaled, config=None, tol=1e-8, maxit=500, bcs=None,
-          full_rhs=None, reuse=None):
+def solve(constrained, scaled, config=None, tol=1e-8, maxit=500, full_rhs=None, reuse=None):
     """Solve a constrained block system with preconditioned MinRes.
 
     Returns ``(x_full, report, reuse)`` where ``x_full`` is the solution in
     the full layout (constrained values inserted) and ``reuse`` bundles the
     factorizations, the condensed operator and the pressure kernel for
-    repeated solves with new right-hand sides.  With ``bcs`` given,
-    all-flux networks without transfer are detected once per
-    factorization, the right-hand side is compatibility-corrected and the
-    pressure means of the solution are zeroed on those networks.
+    repeated solves with new right-hand sides.  All-flux networks without
+    transfer are detected from the constrained DOFs once per factorization
+    (:func:`~mpet.assembly.pressure_nullspace`); on them the right-hand
+    side is compatibility-corrected and the pressure means of the solution
+    are zeroed.
     """
     config = config or PreconditionerConfig()
     if reuse is None:
@@ -467,7 +472,7 @@ def solve(constrained, scaled, config=None, tol=1e-8, maxit=500, bcs=None,
             target = condense_velocity(constrained)
         else:
             target = constrained
-        kernel_vectors = [] if bcs is None else pressure_nullspace(constrained.base, bcs)
+        kernel_vectors = pressure_nullspace(constrained)
         prec = build_preconditioner(target, scaled, config, kernel_vectors)
         reuse = (target, prec, kernel_vectors)
     target, prec, kernel_vectors = reuse

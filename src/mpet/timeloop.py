@@ -268,7 +268,6 @@ class TimeStepper:
             self.config,
             tol=sc.tol,
             maxit=sc.maxit,
-            bcs=self.bcs_scaled,
             full_rhs=F,
             reuse=self._reuse,
         )

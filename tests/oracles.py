@@ -9,10 +9,15 @@ checked against.
 The ``pointwise_*`` references compute the right-hand sides, boundary
 values and interpolants element by element (or facet by facet) and call
 every data callable at one point ``x`` of shape ``(2,)`` at a time.
+
+The dense spectral references compute every eigenvalue of the pencils
+that the diagnostics reach by sparse Lanczos runs.
 """
 
 import numpy as np
+import scipy.sparse as sps
 from numpy.polynomial.legendre import legvander
+from scipy.linalg import eigh
 
 from mpet.assembly import DofLayout
 from mpet.mesh import build_affine_map
@@ -282,6 +287,90 @@ def dense_kernel_augmentation(mat, kernel_vectors):
     for k in kernel_vectors:
         dense = dense + scale * np.outer(k, k) / float(k @ k)
     return dense
+
+
+# ----------------------------------------------------------------------
+# dense spectral references
+# ----------------------------------------------------------------------
+
+
+def preconditioned_spectrum(system_matrix, preconditioner_matrix, exclude=None):
+    """All generalized eigenvalues of (K, B) with B SPD, densely.
+
+    ``exclude`` restricts the pencil to the orthogonal complement of the
+    given vectors through a complete QR basis.
+    """
+    K = system_matrix.toarray() if sps.issparse(system_matrix) else np.asarray(system_matrix)
+    B = (
+        preconditioner_matrix.toarray()
+        if sps.issparse(preconditioner_matrix)
+        else np.asarray(preconditioner_matrix)
+    )
+    if exclude:
+        kmat = np.column_stack(exclude)
+        q, _ = np.linalg.qr(kmat, mode="complete")
+        Q = q[:, kmat.shape[1] :]
+        K = Q.T @ K @ Q
+        B = Q.T @ B @ Q
+    return eigh(0.5 * (K + K.T), 0.5 * (B + B.T), eigvals_only=True)
+
+
+def spectrum_intervals(eigs, tol=1e-12):
+    """Split eigenvalues into ``(neg, pos)`` ``(min, max)`` pairs."""
+    eigs = np.sort(np.real(np.asarray(eigs)))
+    neg = eigs[eigs < -tol]
+    pos = eigs[eigs > tol]
+    return (
+        (float(neg.min()), float(neg.max())) if len(neg) else None,
+        (float(pos.min()), float(pos.max())) if len(pos) else None,
+    )
+
+
+def pressure_schur_complement(constrained):
+    """Dense pressure Schur complement S_p = -B A^{-1} B^T - C on free DOFs."""
+    con = constrained
+    layout = con.layout
+    pos = con.free_pos
+    iv = pos[np.concatenate([layout.indices(f) for f in layout.v_fields])]
+    iv = iv[iv >= 0]
+    iq = pos[np.concatenate([layout.indices(f) for f in layout.q_fields])]
+    iq = iq[iq >= 0]
+    K = con.K_ff.toarray()
+    A = K[np.ix_(iv, iv)]
+    B = K[np.ix_(iq, iv)]
+    minusC = K[np.ix_(iq, iq)]
+    return -B @ np.linalg.solve(A, B.T) + minusC
+
+
+def estimate_inf_sup(mesh, spaces, which):
+    """Discrete inf-sup constant by a dense Schur eigenvalue problem on the
+    production-assembled matrices: the square root of the smallest nonzero
+    generalized eigenvalue."""
+    from mpet.assembly import assemble_kernels, displacement_hdg_matrix, pressure_hdg_matrix
+    from mpet.diagnostics import _analysis_free_uu
+
+    kernels = assemble_kernels(mesh, spaces)
+    if which == "stokes-like":
+        free = _analysis_free_uu(mesh, spaces)
+        A = displacement_hdg_matrix(mesh, spaces, include_h2=True)[np.ix_(free, free)].toarray()
+        # columns: all free u DOFs first (uhat columns do not couple)
+        Dfull = np.zeros((spaces.size_p, len(free)))
+        u_free = free[free < spaces.size_u]
+        Dfull[:, : len(u_free)] = kernels.D.toarray()[:, u_free]
+        S = Dfull @ np.linalg.solve(A, Dfull.T)
+        eigs = eigh(0.5 * (S + S.T), kernels.M_p.toarray(), eigvals_only=True)
+    else:
+        N = pressure_hdg_matrix(mesh, spaces, include_h2=True).toarray()
+        B = np.vstack([kernels.Dw.toarray(), -kernels.Ew.toarray()])
+        S = B @ np.linalg.solve(kernels.M_w.toarray(), B.T)
+        # both S and N share the constant (q, qhat) pair as kernel; reduce
+        # to the positive eigenspace of N first
+        d, V = np.linalg.eigh(0.5 * (N + N.T))
+        Vk = V[:, d > 1e-10 * d.max()]
+        eigs = eigh(Vk.T @ (0.5 * (S + S.T)) @ Vk, np.diag(d[d > 1e-10 * d.max()]),
+                    eigvals_only=True)
+    nonzero = eigs[eigs > 1e-10 * max(eigs.max(), 1e-300)]
+    return float(np.sqrt(nonzero.min()))
 
 
 # ----------------------------------------------------------------------

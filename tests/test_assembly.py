@@ -7,9 +7,6 @@ from mpet.assembly import (
     BoundaryConditionSet,
     DofLayout,
     apply_boundary_conditions,
-    assemble_a_hdg,
-    assemble_divdiv_and_coupling,
-    assemble_flow,
     assemble_kernels,
     assemble_traction_rhs,
     assemble_volume_rhs,
@@ -53,7 +50,7 @@ def default_scaled(n=2, lam=1.0, R=1.0, alpha_p=0.0, xi=0.0):
 def test_reference_element_a_hdg_matches_oracle(ell):
     mesh = reference_element_mesh()
     spaces = SpaceSet(mesh, ell, 1)
-    produced = assemble_a_hdg(mesh, spaces, eta=10.0)
+    produced = assemble_kernels(mesh, spaces, eta=10.0).a_hdg
     expected = oracle_blocks(mesh, spaces, eta=10.0)["a_hdg"]
     assert rel_err(produced, expected) <= 1e-12
 
@@ -108,7 +105,7 @@ def test_full_matrix_matches_oracle_composition():
 def test_rigid_motions_in_a_hdg_kernel():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 2, 1)
-    a = assemble_a_hdg(mesh, spaces)
+    a = assemble_kernels(mesh, spaces).a_hdg
     for motion in (
         lambda x: np.array([1.0, 0.0]),
         lambda x: np.array([0.3, -0.7]),
@@ -124,7 +121,7 @@ def test_rigid_motions_in_a_hdg_kernel():
 def test_a_hdg_positive_beyond_rigid_modes():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 1)
-    a = np.asarray(assemble_a_hdg(mesh, spaces, eta=10.0).todense())
+    a = assemble_kernels(mesh, spaces, eta=10.0).a_hdg.toarray()
     eigs = np.sort(np.linalg.eigvalsh(a))
     assert np.all(np.abs(eigs[:3]) < 1e-11)
     assert eigs[3] > 1e-8
@@ -140,8 +137,7 @@ def test_penalty_must_be_positive():
 def test_divergence_free_rotation_has_zero_divdiv_energy():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 1, 1)
-    scaled = default_scaled(n=1)
-    divdiv, _ = assemble_divdiv_and_coupling(mesh, spaces, scaled)
+    divdiv = assemble_kernels(mesh, spaces).divdiv
     coeffs = spaces.interpolate_u(lambda x: np.array([-x[1], x[0]]))
     assert abs(coeffs @ (divdiv @ coeffs)) < 1e-12
 
@@ -177,11 +173,15 @@ def test_flow_c_block_diagonal_without_transfer():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 2)
     scaled = default_scaled(n=2, alpha_p=0.7, xi=0.0)
-    masses, _, C = assemble_flow(mesh, spaces, scaled)
     kernels = assemble_kernels(mesh, spaces)
-    expected = sps.block_diag([0.7 * kernels.M_p, 0.7 * kernels.M_p]).todense()
-    assert rel_err(C, np.asarray(expected)) <= 1e-12
-    assert rel_err(masses[0], np.asarray(kernels.M_w.todense())) <= 1e-12
+    system = build_block_system(kernels, scaled)
+    n_p = 2 * spaces.size_p
+    expected = sps.block_diag([0.7 * kernels.M_p, 0.7 * kernels.M_p]).toarray()
+    assert rel_err(system.C[:n_p, :n_p], expected) <= 1e-12
+    assert abs(system.C[n_p:]).sum() == 0.0 and abs(system.C[:, n_p:]).sum() == 0.0
+    for i in range(2):
+        w = system.layout.sl(f"w{i}")
+        assert rel_err(system.A[w, w], kernels.M_w.toarray()) <= 1e-12
 
 
 def test_a_hdg_coercive_against_hdg_norm_across_meshes():
@@ -194,7 +194,7 @@ def test_a_hdg_coercive_against_hdg_norm_across_meshes():
     for n in (1, 2, 4):
         mesh = generate_unit_square(n)
         spaces = SpaceSet(mesh, 2, 1)
-        a = assemble_a_hdg(mesh, spaces, eta=10.0)
+        a = assemble_kernels(mesh, spaces, eta=10.0).a_hdg
         norm_mat = displacement_hdg_matrix(mesh, spaces, include_h2=False)
         # constrain the boundary to remove rigid modes
         mask = np.ones(spaces.size_u + spaces.size_uhat, dtype=bool)
@@ -442,14 +442,15 @@ def test_pressure_nullspace_detection():
     scaled = default_scaled(n=2, alpha_p=0.0, xi=0.0)
     system = build_block_system(kernels, scaled)
     bcs = homogeneous_bcs(2)
-    vectors = pressure_nullspace(system, bcs)
-    assert len(vectors) == 2
     con = apply_boundary_conditions(system, bcs)
+    vectors = pressure_nullspace(con)
+    assert len(vectors) == 2
     for k in vectors:
         assert np.abs(con.K_ff @ k[con.free]).max() < 1e-12
 
     # any transfer coupling or pressure Dirichlet data removes the kernel
     scaled2 = default_scaled(n=2, alpha_p=0.5, xi=0.0)
     system2 = build_block_system(kernels, scaled2)
-    assert pressure_nullspace(system2, bcs) == []
-    assert pressure_nullspace(system, homogeneous_bcs(2, pressure="dirichlet")) == []
+    assert pressure_nullspace(apply_boundary_conditions(system2, bcs)) == []
+    dirichlet = apply_boundary_conditions(system, homogeneous_bcs(2, pressure="dirichlet"))
+    assert pressure_nullspace(dirichlet) == []

@@ -13,9 +13,7 @@ from mpet.diagnostics import (
     NormAssembler,
     conservation_residual,
     estimate_inf_sup,
-    preconditioned_spectrum,
-    pressure_schur_complement,
-    spectrum_intervals,
+    spectrum_ends,
     write_conservation_csv,
     write_infsup_csv,
 )
@@ -25,6 +23,7 @@ from mpet.params import scaled_from_direct
 from mpet.solver import PreconditionerConfig, build_preconditioner, condense_velocity, solve
 from mpet.spaces import SpaceSet
 
+import oracles
 from oracles import oracle_blocks
 
 
@@ -289,11 +288,25 @@ def test_darcy_infsup_matches_oracle_assembly():
     assert np.isclose(beta, beta_oracle, rtol=1e-9)
 
 
-def test_infsup_dense_guard():
-    mesh = generate_unit_square(4)
+def test_infsup_at_n24_within_band():
+    """No size limit: at n = 24 (about 7000 DOFs per estimator) both
+    constants stay in the 20% band of the n = 2, 4, 8 values."""
+    for which in ("stokes-like", "darcy-like"):
+        betas = []
+        for n in (2, 4, 8, 24):
+            mesh = generate_unit_square(n)
+            betas.append(estimate_inf_sup(mesh, SpaceSet(mesh, 1, 1), which))
+        assert min(betas) > 0
+        assert (max(betas) - min(betas)) / max(betas) < 0.2, (which, betas)
+
+
+@pytest.mark.parametrize("which", ["stokes-like", "darcy-like"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_infsup_matches_dense_oracle(which, n):
+    mesh = generate_unit_square(n)
     spaces = SpaceSet(mesh, 1, 1)
-    with pytest.raises(ValueError, match="smaller mesh"):
-        estimate_inf_sup(mesh, spaces, "darcy-like", dense_limit=10)
+    beta = estimate_inf_sup(mesh, spaces, which)
+    assert np.isclose(beta, oracles.estimate_inf_sup(mesh, spaces, which), rtol=1e-10, atol=0)
 
 
 def test_infsup_csv(tmp_path):
@@ -314,8 +327,8 @@ def test_absolute_value_preconditioner_gives_unit_spectrum():
     K = con.K_ff.toarray()
     lam, V = np.linalg.eigh(K)
     absK = V @ np.diag(np.abs(lam)) @ V.T
-    eigs = preconditioned_spectrum(K, absK)
-    assert np.allclose(np.abs(eigs), 1.0, atol=1e-9)
+    neg, pos = spectrum_ends(K, absK)
+    assert np.allclose(np.abs(neg + pos), 1.0, atol=1e-9)
 
 
 def test_preconditioned_spectrum_bounded_over_R_sweep():
@@ -343,8 +356,7 @@ def test_preconditioned_spectrum_bounded_over_R_sweep():
         x1, x2 = preconditioner_matrices(condensed, scaled, PreconditionerConfig("schur_reduced"))
         prec_mat = sps.block_diag([x1, x2], format="csr")
         exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
-        eigs = preconditioned_spectrum(condensed.K_red, prec_mat, exclude=exclude)
-        neg, pos = spectrum_intervals(eigs)
+        neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=exclude)
         assert neg is not None and pos is not None
         assert pos[0] > 1e-2 and neg[1] < -1e-2
         intervals.append((neg, pos))
@@ -362,11 +374,66 @@ def test_network_decoupling_of_schur_spectrum():
 
     def schur_vs_xp(bundle):
         mesh, spaces, scaled, system, bcs, con = bundle
-        sp_mat = pressure_schur_complement(con)
+        sp_mat = oracles.pressure_schur_complement(con)
         prec = build_preconditioner(con, scaled, PreconditionerConfig("full_block"))
-        return np.sort(preconditioned_spectrum(-sp_mat, prec.x2))
+        return np.sort(oracles.preconditioned_spectrum(-sp_mat, prec.x2))
 
     e1 = schur_vs_xp(single)
     e2 = schur_vs_xp(double)
     expected = np.sort(np.concatenate([e1, e1]))
     assert np.allclose(e2, expected, rtol=1e-4, atol=1e-8)
+
+
+def _eigs_preset_pencil(i):
+    """The eigs preset's reduced-operator pencil at R = 10^-i."""
+    import scipy.sparse as sps
+    from mpet.solver import (
+        mean_zero_functionals,
+        preconditioner_matrices,
+        reduced_subspace_vectors,
+    )
+
+    _, _, scaled, system, _, con = make_problem(
+        2, 1, 2, R=10.0 ** (-i), alpha_p=0.0, xi=0.0, pressure_bc="flux"
+    )
+    condensed = condense_velocity(con)
+    x1, x2 = preconditioner_matrices(condensed, scaled, PreconditionerConfig("schur_reduced"))
+    exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
+    return condensed.K_red, sps.block_diag([x1, x2], format="csr"), exclude
+
+
+@pytest.mark.parametrize("i", [0, 2, 4, 6, 8])
+def test_spectrum_ends_match_dense_oracle(i):
+    """The four ends at the eigs preset's sizes against every dense
+    eigenvalue.  At i = 6 and 8 B's diagonal spans 2e10 and the dense
+    neg_min carries a restricted eigen-residual of 2.6e-8 and 2.4e-6, so
+    only that end is held to 1e-6."""
+    K, B, exclude = _eigs_preset_pencil(i)
+    neg, pos = spectrum_ends(K, B, exclude=exclude)
+    want_neg, want_pos = oracles.spectrum_intervals(
+        oracles.preconditioned_spectrum(K, B, exclude=exclude)
+    )
+    rtol = [1e-6 if i >= 6 else 1e-10, 1e-10, 1e-10, 1e-10]
+    for got, want, tol in zip(neg + pos, want_neg + want_pos, rtol):
+        assert abs(got - want) <= tol * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("n_side", [1, 2, 4])
+def test_definite_pencil_ends_match_dense_oracle(n_side):
+    """The pressure-block equivalence pair is definite: two Lanczos runs."""
+    from mpet.solver import preconditioner_matrices
+
+    _, _, scaled, _, _, con = make_problem(n_side, 1, 1, R=1.0)
+    _, xp = preconditioner_matrices(con, scaled, PreconditionerConfig("full_block"))
+    _, xpt = preconditioner_matrices(
+        condense_velocity(con), scaled, PreconditionerConfig("schur_reduced")
+    )
+    neg, pos = spectrum_ends(xp, xpt)
+    eigs = oracles.preconditioned_spectrum(xp, xpt)
+    assert neg is None
+    assert np.allclose(pos, (eigs.min(), eigs.max()), rtol=1e-10, atol=0)
+
+
+def test_spectrum_ends_are_bit_reproducible():
+    K, B, exclude = _eigs_preset_pencil(4)
+    assert spectrum_ends(K, B, exclude=exclude) == spectrum_ends(K, B, exclude=exclude)

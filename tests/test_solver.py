@@ -9,6 +9,7 @@ from mpet.assembly import (
     assemble_kernels,
     assemble_volume_rhs,
     build_block_system,
+    constant_pressure_mode,
     homogeneous_bcs,
     pressure_hdg_matrix,
     pressure_nullspace,
@@ -291,7 +292,7 @@ def test_bordered_preconditioner_matches_dense_augmentation(n_side, ell, variant
     from mpet.solver import _restrict_kernel_to_q
 
     scaled, system, bcs, con = _all_flux_problem(n_side, ell, 2)
-    kernel_vectors = pressure_nullspace(system, bcs)
+    kernel_vectors = pressure_nullspace(con)
     assert len(kernel_vectors) == 2
     target = condense_velocity(con) if variant == "schur_reduced" else con
     config = PreconditionerConfig(variant)
@@ -310,7 +311,7 @@ def test_bordered_pressure_block_stays_sparse():
     """At (16,2) with two all-flux networks the bordered pressure block adds
     two border rows and columns, not two dense rank-one terms (3.5M nnz)."""
     scaled, system, bcs, con = _all_flux_problem(16, 2, 2)
-    kernel_vectors = pressure_nullspace(system, bcs)
+    kernel_vectors = pressure_nullspace(con)
     for target, variant in ((condense_velocity(con), "schur_reduced"), (con, "full_block")):
         _, xp = preconditioner_matrices(
             target, scaled, PreconditionerConfig(variant), kernel_vectors
@@ -369,6 +370,21 @@ def test_solve_report_carries_conservation_summary():
     assert report.conservation <= 1e-8
 
 
+@pytest.mark.parametrize("n_side, ell", [(2, 1), (4, 1), (8, 1)])
+def test_two_all_flux_networks_solve_from_the_constrained_system(n_side, ell):
+    """The pressure kernel is read off the constrained DOFs: with two
+    all-flux networks the solve takes the bordered path, with no boundary
+    data handed to it."""
+    scaled, system, _, con = _all_flux_problem(n_side, ell, 2)
+    x, report, _ = solve(con, scaled)
+    assert report.converged
+    layout, kernels = system.layout, system.kernels
+    ones, _ = constant_pressure_mode(kernels.spaces)
+    for i in range(2):
+        mean = float(ones @ (kernels.M_p @ x[layout.sl(f"p{i}")])) / kernels.volume
+        assert abs(mean) < 1e-10
+
+
 @pytest.mark.parametrize("n_networks", [1, 2])
 def test_all_neumann_mean_zero_network(n_networks):
     """Pure flux data with no transfer: singular modes handled by projection.
@@ -385,7 +401,7 @@ def test_all_neumann_mean_zero_network(n_networks):
     )
     bcs = homogeneous_bcs(n_networks)
     con = apply_boundary_conditions(system, bcs)
-    x, report, _ = solve(con, scaled, tol=1e-9, bcs=bcs)
+    x, report, _ = solve(con, scaled, tol=1e-9)
     assert report.converged
     layout = system.layout
     ones = spaces.interpolate_p(lambda xx: 1.0)

@@ -17,7 +17,7 @@ from .params import (
     scale_parameters,
     scaled_from_direct,
 )
-from .spaces import SpaceSet, SpaceOrder, dof_counts, eval_basis, piola_map
+from .spaces import SpaceSet, dof_counts, eval_basis, piola_map
 from .assembly import (
     BlockSystem,
     BoundaryConditionSet,
@@ -27,7 +27,6 @@ from .assembly import (
     build_block_system,
 )
 from .solver import (
-    PreconditionerConfig,
     PreconditionerError,
     SolveReport,
     build_preconditioner,

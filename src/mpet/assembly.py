@@ -1,14 +1,17 @@
 """Assembly of the HDG / hybrid-mixed block system.
 
-The discrete single-step problem has the symmetric indefinite form
+The discrete single-step problem is one symmetric indefinite operator
+``K`` on x = (u, uhat, w_1..w_n, p_1..p_n, phat_1..phat_n), composed over
+the field grid (u+uhat, w_i, p_i, phat_i):
 
-    [ A   B^T ] [ u_bar ]   [ F_u ]
-    [ B  -C   ] [ p_bar ] = [ F_p ]
+    [ A_hdg + lam divdiv   0              -D^T       0     ]
+    [ 0                    M_w / R_i      -Dw^T      Ew^T  ]
+    [ -D                   -Dw            -zeta M_p  0     ]
+    [ 0                    Ew             0          0     ]
 
-with u_bar = (u, uhat, w_1..w_n) and p_bar = (p_1..p_n, phat_1..phat_n).
-A carries the stabilized elasticity form on (u, uhat) plus the weighted
-flux masses, B the divergence coupling and the hybrid-mixed b-form, and
-C the network transfer masses.
+with the stabilized elasticity form on (u, uhat), the weighted flux
+masses, the divergence coupling and hybrid-mixed b-form, and the network
+transfer masses ``-zeta_ij M_p`` (present only where ``zeta_ij != 0``).
 
 Assembly is split into parameter-independent kernels and cheap
 parameter-weighted composition, so parameter sweeps reuse the expensive
@@ -60,8 +63,8 @@ class DofLayout:
     """Offsets of the fields in the global vector.
 
     Order: u, uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}.
-    The first 2 + n fields form the A-block ("velocity" side), the rest
-    the pressure side.
+    The first 2 + n fields form the "velocity" side (u, uhat, w), the rest
+    the pressure side (q).
     """
 
     def __init__(self, spaces):
@@ -284,85 +287,50 @@ def divdiv_factors(spaces):
 
 @dataclass
 class BlockSystem:
-    """Assembled blocks of the saddle-point matrix plus right-hand side."""
+    """The assembled operator ``K`` (see the module docstring) plus right-hand side."""
 
     layout: DofLayout
-    A: sps.csr_matrix
-    B: sps.csr_matrix
-    C: sps.csr_matrix
+    K: sps.csr_matrix
     F: np.ndarray
     kernels: FormKernels
     scaled: object
-    _full: object = field(default=None, repr=False)
-
-    def full_matrix(self):
-        # the blocks are fixed after assembly (only F changes), so cache
-        if self._full is None:
-            self._full = sps.bmat([[self.A, self.B.T], [self.B, -self.C]], format="csr")
-        return self._full
 
     def symmetry_defect(self):
-        m = self.full_matrix()
-        d = m - m.T
-        denom = max(abs(m.max()), abs(m.min()), 1e-300)
+        d = self.K - self.K.T
+        denom = max(abs(self.K.max()), abs(self.K.min()), 1e-300)
         if d.nnz == 0:
             return 0.0
         return max(abs(d.max()), abs(d.min())) / denom
 
 
 def build_block_system(kernels, scaled):
-    """Compose the parameter-weighted block system from the kernels."""
+    """Compose the parameter-weighted operator from the kernels in one block grid."""
     spaces = kernels.spaces
     n = scaled.n
     if n != spaces.n_networks:
         raise ValueError("network count of parameters and spaces disagree")
+    divdiv_padded = sps.block_diag(
+        [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))],
+        format="csr",
+    )
+    div_u = sps.hstack(
+        [-kernels.D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr"
+    )
+    # grid rows and columns: u+uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}
+    grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
+    grid[0][0] = kernels.a_hdg + divdiv_padded
+    for i in range(n):
+        w, p, phat = 1 + i, 1 + n + i, 1 + 2 * n + i
+        grid[w][w] = kernels.M_w / scaled.R[i]
+        grid[p][0], grid[0][p] = div_u, div_u.T
+        grid[p][w], grid[w][p] = -kernels.Dw, -kernels.Dw.T
+        grid[phat][w], grid[w][phat] = kernels.Ew, kernels.Ew.T
+        for j in np.flatnonzero(scaled.zeta[i]):
+            grid[p][1 + n + j] = -scaled.zeta[i, j] * kernels.M_p
     layout = DofLayout(spaces)
-
-    size_uu = spaces.size_u + spaces.size_uhat
-    a_blocks = [[None] * (1 + n) for _ in range(1 + n)]
-    divdiv_padded = sps.bmat(
-        [
-            [scaled.lam * kernels.divdiv, None],
-            [None, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))],
-        ],
-        format="csr",
-    )
-    a_blocks[0][0] = (kernels.a_hdg + divdiv_padded).tocsr()
-    for i in range(n):
-        a_blocks[1 + i][1 + i] = kernels.M_w / scaled.R[i]
-    A = sps.bmat(a_blocks, format="csr")
-
-    # B rows: all p_i first, then all phat_i
-    b_rows_p = []
-    for i in range(n):
-        cols = [None] * (1 + n)
-        cols[0] = sps.hstack(
-            [-kernels.D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr"
-        )
-        cols[1 + i] = -kernels.Dw
-        b_rows_p.append(cols)
-    b_rows_phat = []
-    for i in range(n):
-        cols = [None] * (1 + n)
-        cols[0] = sps.csr_matrix((spaces.size_phat, size_uu))
-        cols[1 + i] = kernels.Ew
-        b_rows_phat.append(cols)
-    B = sps.bmat(b_rows_p + b_rows_phat, format="csr")
-
-    C_pp = sps.kron(sps.csr_matrix(scaled.zeta), kernels.M_p, format="csr")
-    C = sps.bmat(
-        [
-            [C_pp, None],
-            [None, sps.csr_matrix((n * spaces.size_phat, n * spaces.size_phat))],
-        ],
-        format="csr",
-    )
-
     return BlockSystem(
         layout=layout,
-        A=A,
-        B=B,
-        C=C,
+        K=sps.bmat(grid, format="csr"),
         F=np.zeros(layout.total),
         kernels=kernels,
         scaled=scaled,
@@ -559,22 +527,10 @@ class ConstrainedSystem:
         x[self.constrained] = self.values
         return x
 
-    def restrict_matrix(self, mat, rows_fields, cols_fields):
-        """Restrict a field-block matrix to free DOFs of the given fields."""
-        rows = self._free_within(rows_fields)
-        cols = self._free_within(cols_fields)
-        return mat[np.ix_(rows, cols)]
-
-    def _free_within(self, fields):
-        layout = self.base.layout
-        keep = []
-        offset = 0
-        for name in fields:
-            idx = layout.indices(name)
-            mask = np.isin(idx, self.free, assume_unique=True)
-            keep.append(np.nonzero(mask)[0] + offset)
-            offset += layout.sizes[name]
-        return np.concatenate(keep)
+    def free_in(self, fields):
+        """Global indices of the free DOFs of ``fields``, in layout order."""
+        idx = np.concatenate([self.layout.indices(f) for f in fields])
+        return idx[self.free_pos[idx] >= 0]
 
     def update_values(self, spaces, bcs, t):
         """Recompute constrained values for time-dependent profiles."""
@@ -637,7 +593,7 @@ def apply_boundary_conditions(system, bcs, t=0.0):
     layout = system.layout
     constrained, values = constraint_data(layout, spaces, bcs, t)
     free = np.setdiff1d(np.arange(layout.total), constrained, assume_unique=True)
-    K = system.full_matrix()
+    K = system.K
     K_ff = K[np.ix_(free, free)].tocsr()
     K_fc = K[np.ix_(free, constrained)].tocsr()
     free_pos = np.full(layout.total, -1, dtype=int)

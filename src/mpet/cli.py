@@ -4,7 +4,8 @@ Subcommands: ``convergence``, ``sweep``, ``orderrobust``, ``brain`` and
 ``eigs``, each driven by a key=value config file (INI sections) and
 writing CSV tables into an output directory.  Every CSV starts with a
 provenance comment carrying the resolved configuration, and identical
-configs produce bit-identical files.  Exit codes: 0 on success, 1 when
+configs produce bit-identical files when BLAS runs on one thread
+(``OPENBLAS_NUM_THREADS=1``).  Exit codes: 0 on success, 1 when
 the config cannot be read or parsed, 2 when the run fails (an unconverged
 solve, or an error such as ``MeshError`` raised while running, reported
 with its type).
@@ -42,7 +43,6 @@ from .params import (
     scaled_from_direct,
 )
 from .solver import (
-    PreconditionerConfig,
     condense_velocity,
     mean_zero_functionals,
     preconditioner_matrices,
@@ -207,7 +207,7 @@ def manufactured_problem(n_side, ell, scaled, eta=10.0):
 def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
                        with_errors=False):
     mesh, spaces, system, manu, _, con = manufactured_problem(n_side, ell, scaled, eta)
-    x, report, _ = solve(con, scaled, PreconditionerConfig(variant), tol=tol, maxit=maxit)
+    x, report, _ = solve(con, scaled, variant, tol=tol, maxit=maxit)
     errors = None
     if with_errors:
         layout = system.layout
@@ -502,9 +502,7 @@ def cmd_eigs(cfg, out_dir):
             scaled = scaled_from_direct(lam, [R, R], [0.0, 0.0])
             system = manufactured_problem(n_side, ell, scaled, opts["eta"])[2]
             condensed = condense_velocity(apply_boundary_conditions(system, homogeneous_bcs(2)))
-            x1, x2 = preconditioner_matrices(
-                condensed, scaled, PreconditionerConfig("schur_reduced")
-            )
+            x1, x2 = preconditioner_matrices(condensed, scaled)
             prec_mat = sps.block_diag([x1, x2], format="csr")
             exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
             neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=exclude)
@@ -520,10 +518,8 @@ def cmd_eigs(cfg, out_dir):
             scaled = scaled_from_direct(1.0, [1.0], [0.0])
             con = manufactured_problem(n, ell, scaled, opts["eta"])[-1]
             condensed = condense_velocity(con)
-            _, xp = preconditioner_matrices(con, scaled, PreconditionerConfig("full_block"))
-            _, xpt = preconditioner_matrices(
-                condensed, scaled, PreconditionerConfig("schur_reduced")
-            )
+            _, xp = preconditioner_matrices(con, scaled)
+            _, xpt = preconditioner_matrices(condensed, scaled)
             _, (lo, hi) = spectrum_ends(xp, xpt)
             fh.write(f"{n},{lo!r},{hi!r}\n")
     paths.append(equiv_path)

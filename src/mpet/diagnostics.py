@@ -137,7 +137,7 @@ def conservation_residual(x_full, system, full_rhs=None):
     n = layout.n_networks
     ne = spaces.mesh.n_elements
     F = system.F if full_rhs is None else full_rhs
-    r = F - system.full_matrix() @ x_full
+    r = F - system.K @ x_full
 
     def dual_norm2(vecs):
         # squared L2 norms of the Riesz representatives, per vector and element
@@ -179,11 +179,10 @@ def conservation_residual(x_full, system, full_rhs=None):
 
 def _analysis_free_uu(mesh, spaces):
     """Free (u, uhat) indices for homogeneous displacement Dirichlet data."""
+    bf = mesh.boundary_facets
     mask = np.ones(spaces.size_u + spaces.size_uhat, dtype=bool)
-    for f in mesh.boundary_facets:
-        mask[f * spaces.n_u_edge : (f + 1) * spaces.n_u_edge] = False
-        start = spaces.size_u + f * spaces.n_uhat
-        mask[start : start + spaces.n_uhat] = False
+    mask[bf[:, None] * spaces.n_u_edge + np.arange(spaces.n_u_edge)] = False
+    mask[spaces.size_u + spaces.uhat_dofs(bf)] = False
     return np.nonzero(mask)[0]
 
 

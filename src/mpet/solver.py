@@ -11,6 +11,10 @@ Two symmetric positive definite preconditioners are provided:
   elasticity block and the resulting pressure Schur complement plus the
   Lambda mass.
 
+:func:`solve` takes the variant by name.  :func:`build_preconditioner`
+reads it off its target: a :class:`~mpet.assembly.ConstrainedSystem`
+gets ``full_block`` and a :class:`CondensedSystem` ``schur_reduced``.
+
 Both inner blocks are inverted by a symmetric-mode sparse factorization
 whose pivots also certify the block SPD, at every size; a pressure block
 left singular by all-flux networks is bordered by its kernel vectors.  The
@@ -36,7 +40,6 @@ from .assembly import (
 
 __all__ = [
     "PreconditionerError",
-    "PreconditionerConfig",
     "SolveReport",
     "minres",
     "preconditioner_matrices",
@@ -49,17 +52,6 @@ __all__ = [
 
 class PreconditionerError(RuntimeError):
     pass
-
-
-@dataclass
-class PreconditionerConfig:
-    """Choice of preconditioner variant."""
-
-    variant: str = "schur_reduced"
-
-    def __post_init__(self):
-        if self.variant not in ("schur_reduced", "full_block"):
-            raise ValueError(f"unknown preconditioner variant {self.variant!r}")
 
 
 @dataclass
@@ -81,7 +73,7 @@ class SolveReport:
 # ----------------------------------------------------------------------
 
 
-def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500, x0=None):
+def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
     """Preconditioned MinRes for a symmetric operator and SPD preconditioner.
 
     Stops when the preconditioned residual norm falls below ``tol`` times
@@ -90,7 +82,7 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500, x0=None):
     """
     n = rhs.shape[0]
     matvec = operator.dot if hasattr(operator, "dot") else operator
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     t0 = time.perf_counter()
 
     v_prev = np.zeros(n)
@@ -231,8 +223,6 @@ class BlockDiagPreconditioner:
         self.cut = x1.shape[0]
         self.f1 = _SPDFactor(x1)
         self.f2 = _SPDFactor(x2, border)
-        self.x1 = x1
-        self.x2 = x2
 
     def __call__(self, r):
         out = np.empty_like(r)
@@ -304,15 +294,9 @@ def condense_velocity(constrained):
     spaces = con.base.kernels.spaces
     n = layout.n_networks
     pos = con.free_pos
-
-    def positions(fields):
-        idx = np.concatenate([layout.indices(f) for f in fields])
-        p = pos[idx]
-        return p[p >= 0]
-
-    iu = positions(["u", "uhat"])
-    iw = [positions([f"w{i}"]) for i in range(n)]
-    iq = positions(layout.q_fields)
+    iu = pos[con.free_in(["u", "uhat"])]
+    iw = [pos[con.free_in([f"w{i}"])] for i in range(n)]
+    iq = pos[con.free_in(layout.q_fields)]
 
     K = con.K_ff
     A_uu = K[np.ix_(iu, iu)].tocsr()
@@ -365,9 +349,11 @@ def _border_with_kernel(mat, kernel_vectors, corner=-1.0):
     return sps.bmat([[mat, K], [K.T, C]], format="csr")
 
 
-def preconditioner_matrices(target, scaled, config=None, kernel_vectors=()):
-    """The two diagonal blocks of the chosen preconditioner, unfactorized.
+def preconditioner_matrices(target, scaled, kernel_vectors=()):
+    """The two diagonal blocks of the target's preconditioner, unfactorized.
 
+    A :class:`CondensedSystem` gets the ``schur_reduced`` blocks, a
+    :class:`~mpet.assembly.ConstrainedSystem` the ``full_block`` ones.
     Returns ``(x_first, x_pressure)``.  With ``kernel_vectors`` (needed
     only when all-flux networks without transfer are present) the
     pressure block comes bordered by the ``m`` unit kernel vectors, one
@@ -375,54 +361,39 @@ def preconditioner_matrices(target, scaled, config=None, kernel_vectors=()):
     :class:`_SPDFactor`); spectrum diagnostics should pass none and
     restrict the pencil to the mean-zero subspace instead.
     """
-    config = config or PreconditionerConfig()
-    if config.variant == "full_block":
-        con = target
-        layout = con.layout
-        spaces = con.base.kernels.spaces
-        pos = con.free_pos
-        iv = np.concatenate([layout.indices(f) for f in layout.v_fields])
-        iv = pos[iv]
-        iv = iv[iv >= 0]
+    reduced = isinstance(target, CondensedSystem)
+    con = target.constrained if reduced else target
+    layout = con.layout
+    kernels = con.base.kernels
+    q_free = con.free_in(layout.q_fields)
+    iq = np.ix_(q_free - layout.size_v, q_free - layout.size_v)   # within the q block
+    if reduced:
+        x_uw = target.A_uu
+        x_p = target.schur + _lambda_mass_q(kernels, scaled)[iq]
+    else:
+        iv = con.free_pos[con.free_in(layout.v_fields)]
         x_uw = con.K_ff[np.ix_(iv, iv)].tocsr()
-
+        spaces = kernels.spaces
         p_hdg = pressure_hdg_matrix(spaces.mesh, spaces, include_h2=False)
         x_p_full = _embed_per_network(p_hdg, spaces, scaled.n, scaled.R)
-        x_p_full = x_p_full + _lambda_mass_q(con.base.kernels, scaled)
-        x_p = con.restrict_matrix(x_p_full, layout.q_fields, layout.q_fields)
-    else:
-        condensed = target
-        con = condensed.constrained
-        x_uw = condensed.A_uu
-        x_p = condensed.schur + con.restrict_matrix(
-            _lambda_mass_q(con.base.kernels, scaled),
-            con.layout.q_fields,
-            con.layout.q_fields,
-        )
-    return x_uw, _border_with_kernel(x_p, _restrict_kernel_to_q(con, kernel_vectors))
+        x_p = (x_p_full + _lambda_mass_q(kernels, scaled))[iq]
+    return x_uw, _border_with_kernel(x_p, [k[q_free] for k in kernel_vectors])
 
 
-def build_preconditioner(target, scaled, config=None, kernel_vectors=()):
+def build_preconditioner(target, scaled, kernel_vectors=()):
     """SPD block-diagonal preconditioner for a constrained or condensed system.
 
-    ``full_block`` expects a :class:`~mpet.assembly.ConstrainedSystem` and
+    A :class:`~mpet.assembly.ConstrainedSystem` gets ``full_block``, which
     pairs the (u, uhat, w) block of the operator with the weighted pressure
-    HDG norm plus Lambda mass.  ``schur_reduced`` expects a
-    :class:`CondensedSystem` and pairs the elasticity block with the flux
+    HDG norm plus Lambda mass.  A :class:`CondensedSystem` gets
+    ``schur_reduced``, which pairs the elasticity block with the flux
     Schur complement plus Lambda mass.  Singular constant-pressure modes
     (all-flux networks without transfer) are handled by factoring the
     pressure block bordered by the supplied kernel vectors, which applies
     the inverse of ``X_p + s K K^T``.
     """
-    config = config or PreconditionerConfig()
-    x1, x2 = preconditioner_matrices(target, scaled, config, kernel_vectors)
+    x1, x2 = preconditioner_matrices(target, scaled, kernel_vectors)
     return BlockDiagPreconditioner(x1, x2, len(kernel_vectors))
-
-
-def _restrict_kernel_to_q(con, kernel_vectors):
-    # the q fields close the layout, so their free dofs close the sorted free list
-    q_free = con.free[con.free >= con.layout.size_v]
-    return [k[q_free] for k in kernel_vectors]
 
 
 def mean_zero_functionals(system):
@@ -442,11 +413,8 @@ def mean_zero_functionals(system):
 def reduced_subspace_vectors(condensed, vectors):
     """Map full-layout q-side vectors into condensed-system coordinates."""
     con = condensed.constrained
-    nu = len(condensed.iu)
-    return [
-        np.concatenate([np.zeros(nu), kq])
-        for kq in _restrict_kernel_to_q(con, vectors)
-    ]
+    q_free = con.free_in(con.layout.q_fields)
+    return [np.concatenate([np.zeros(len(condensed.iu)), k[q_free]]) for k in vectors]
 
 
 # ----------------------------------------------------------------------
@@ -454,30 +422,33 @@ def reduced_subspace_vectors(condensed, vectors):
 # ----------------------------------------------------------------------
 
 
-def solve(constrained, scaled, config=None, tol=1e-8, maxit=500, full_rhs=None, reuse=None):
+def solve(constrained, scaled, variant="schur_reduced", tol=1e-8, maxit=500, full_rhs=None,
+          reuse=None):
     """Solve a constrained block system with preconditioned MinRes.
 
-    Returns ``(x_full, report, reuse)`` where ``x_full`` is the solution in
-    the full layout (constrained values inserted) and ``reuse`` bundles the
-    factorizations, the condensed operator and the pressure kernel for
-    repeated solves with new right-hand sides.  All-flux networks without
-    transfer are detected from the constrained DOFs once per factorization
-    (:func:`~mpet.assembly.pressure_nullspace`); on them the right-hand
-    side is compatibility-corrected and the pressure means of the solution
-    are zeroed.
+    ``variant`` is ``"schur_reduced"`` (condense the fluxes, then
+    precondition the reduced operator) or ``"full_block"`` (precondition
+    the constrained operator itself); any other value raises
+    ``ValueError``.  Returns ``(x_full, report, reuse)`` where ``x_full``
+    is the solution in the full layout (constrained values inserted) and
+    ``reuse`` bundles the factorizations, the condensed operator and the
+    pressure kernel for repeated solves with new right-hand sides.
+    All-flux networks without transfer are detected from the constrained
+    DOFs once per factorization (:func:`~mpet.assembly.pressure_nullspace`);
+    on them the right-hand side is compatibility-corrected and the
+    pressure means of the solution are zeroed.
     """
-    config = config or PreconditionerConfig()
+    if variant not in ("schur_reduced", "full_block"):
+        raise ValueError(f"unknown preconditioner variant {variant!r}")
+    reduced = variant == "schur_reduced"
     if reuse is None:
-        if config.variant == "schur_reduced":
-            target = condense_velocity(constrained)
-        else:
-            target = constrained
+        target = condense_velocity(constrained) if reduced else constrained
         kernel_vectors = pressure_nullspace(constrained)
-        prec = build_preconditioner(target, scaled, config, kernel_vectors)
+        prec = build_preconditioner(target, scaled, kernel_vectors)
         reuse = (target, prec, kernel_vectors)
     target, prec, kernel_vectors = reuse
 
-    if config.variant == "schur_reduced":
+    if reduced:
         rhs = target.rhs(full_rhs)
         operator = target.K_red
         kernel = reduced_subspace_vectors(target, kernel_vectors)
@@ -489,9 +460,9 @@ def solve(constrained, scaled, config=None, tol=1e-8, maxit=500, full_rhs=None, 
         rhs = rhs - (k @ rhs) / (k @ k) * k
 
     x_red, report = minres(operator, prec, rhs, tol=tol, maxit=maxit)
-    report.variant = config.variant
+    report.variant = variant
 
-    if config.variant == "schur_reduced":
+    if reduced:
         x_free = target.expand(x_red, full_rhs)
     else:
         x_free = x_red

@@ -26,7 +26,6 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .mesh import LOCAL_EDGE_VERTICES
 
 __all__ = [
-    "SpaceOrder",
     "QuadratureRule",
     "triangle_quadrature",
     "segment_quadrature",
@@ -46,17 +45,6 @@ _REF_EDGE_NORMALS = np.array(
     [[1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], [-1.0, 0.0], [0.0, -1.0]]
 )
 _REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
-
-
-@dataclass(frozen=True)
-class SpaceOrder:
-    """Polynomial order of the displacement space; flux/pressure follow at ell-1."""
-
-    ell: int
-
-    def __post_init__(self):
-        if self.ell not in SUPPORTED_ORDERS:
-            raise ValueError(f"unsupported order {self.ell}; supported: {SUPPORTED_ORDERS}")
 
 
 # ----------------------------------------------------------------------
@@ -523,8 +511,6 @@ class SpaceSet:
     """
 
     def __init__(self, mesh, ell, n_networks, quad_degree=None):
-        if isinstance(ell, SpaceOrder):
-            ell = ell.ell
         if ell not in SUPPORTED_ORDERS:
             raise ValueError(f"unsupported order {ell}")
         self.mesh = mesh
@@ -679,7 +665,7 @@ class SpaceSet:
 
     # -- interpolation -------------------------------------------------
 
-    def interpolate_u(self, f, degree=None):
+    def interpolate_u(self, f):
         """BDM interpolation of a vector field ``f(x) -> (2,)`` by moments.
 
         Like every ``interpolate_*`` method it calls ``f`` once, on the
@@ -688,24 +674,24 @@ class SpaceSet:
         A facet dof is seen by both adjacent elements; the value of the
         higher-indexed element is kept.
         """
-        values = (self.u_signs * self._hdiv_moments(self.bdm, f, degree)).ravel()
+        values = (self.u_signs * self._hdiv_moments(self.bdm, f)).ravel()
         dofs, last = np.unique(self.u_dofmap.ravel()[::-1], return_index=True)
         coeffs = np.zeros(self.size_u)
         coeffs[dofs] = values[::-1][last]
         return coeffs
 
-    def interpolate_w(self, f, degree=None):
+    def interpolate_w(self, f):
         """Broken RT interpolation of a vector field, element by element."""
-        return self._hdiv_moments(self.rt, f, degree).ravel()
+        return self._hdiv_moments(self.rt, f).ravel()
 
-    def _hdiv_moments(self, basis, f, degree):
+    def _hdiv_moments(self, basis, f):
         """Dof functionals of ``basis`` applied to the Piola pullback of ``f``, per element.
 
         The edge functionals are scaled as in :meth:`HdivReferenceBasis._fit`:
         raw Legendre integrals for BDM, edge means for RT.  ``f`` is called
         once, at the edge and volume points of every element.
         """
-        degree = degree or 2 * self.ell + 8
+        degree = 2 * self.ell + 8
         edge_rule = segment_quadrature(degree)
         vol_rule = triangle_quadrature(degree)
         nqe = len(edge_rule.points)
@@ -723,30 +709,29 @@ class SpaceSet:
             out.append(np.einsum("eqc,iqc,q->ei", vol, weights, vol_rule.weights))
         return np.concatenate(out, axis=1)
 
-    def interpolate_p(self, f, degree=None):
+    def interpolate_p(self, f):
         """Element-wise L2 projection of a scalar field onto P_{ell-1}."""
-        degree = degree or 2 * self.ell + 8
-        rule = triangle_quadrature(degree)
+        rule = triangle_quadrature(2 * self.ell + 8)
         vals = self.p.eval(rule.points)
         mass = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
         fv = evaluate(f, self.mesh.element_maps.to_physical(rule.points))
         rhs = np.einsum("iq,eq,q->ie", vals, fv, rule.weights)
         return np.linalg.solve(mass, rhs).T.ravel()
 
-    def interpolate_phat(self, f, degree=None):
+    def interpolate_phat(self, f):
         """Per-facet Legendre projection of a scalar trace."""
-        leg, points = self._facet_rule(degree, self.n_phat)
+        leg, points = self._facet_rule(self.n_phat)
         return np.einsum("fq,mq->fm", evaluate(f, points), leg).ravel()
 
-    def interpolate_uhat(self, f, degree=None):
+    def interpolate_uhat(self, f):
         """Per-facet Legendre projection of the tangential trace of ``f``."""
-        leg, points = self._facet_rule(degree, self.n_uhat)
+        leg, points = self._facet_rule(self.n_uhat)
         ft = np.einsum("fqc,fc->fq", evaluate(f, points, vector=True), self.mesh.facet_tangent)
         return np.einsum("fq,mq->fm", ft, leg).ravel()
 
-    def _facet_rule(self, degree, n_modes):
+    def _facet_rule(self, n_modes):
         """Legendre projectors ``(2m+1)/2 P_m w`` and every facet's edge-rule points."""
-        rule = segment_quadrature(degree or 2 * self.ell + 8)
+        rule = segment_quadrature(2 * self.ell + 8)
         leg = legendre_scale(n_modes)[:, None] * legvander(rule.points, n_modes - 1).T
         points = _facet_points(self.mesh, np.arange(self.mesh.n_facets), rule.points)
         return leg * rule.weights, points
@@ -801,8 +786,6 @@ def dof_counts(mesh, ell, n_networks):
     constrained (homogeneous Dirichlet for u), flux spaces are broken so
     all their DOFs remain, facet pressures stay free (zero-flux data).
     """
-    if isinstance(ell, SpaceOrder):
-        ell = ell.ell
     if ell not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported order {ell}")
     bdm = _reference_basis("bdm", ell)

@@ -28,7 +28,7 @@ from .assembly import (
 )
 from .mesh import build_affine_map, generate_annulus
 from .params import PhysicalParameters, lame_from_young_poisson, scale_parameters
-from .solver import PreconditionerConfig, solve
+from .solver import solve
 from .spaces import SpaceSet, piola_map
 
 __all__ = [
@@ -162,7 +162,6 @@ class TimeStepper:
         self.layout = self.system.layout
         self.bcs_scaled = self._wrap_bcs(sc.bcs, sc.phys)
         self.constrained = apply_boundary_conditions(self.system, self.bcs_scaled, t=0.0)
-        self.config = PreconditionerConfig(sc.variant)
         self._reuse = None
         self._probes = [self._probe_basis(p) for p in sc.probes]
 
@@ -265,7 +264,7 @@ class TimeStepper:
         x, report, self._reuse = solve(
             self.constrained,
             self.scaled,
-            self.config,
+            sc.variant,
             tol=sc.tol,
             maxit=sc.maxit,
             full_rhs=F,

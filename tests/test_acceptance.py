@@ -28,7 +28,6 @@ from mpet.manufactured import default_manufactured
 from mpet.mesh import generate_unit_square
 from mpet.params import scaled_from_direct
 from mpet.solver import (
-    PreconditionerConfig,
     condense_velocity,
     mean_zero_functionals,
     preconditioner_matrices,
@@ -166,9 +165,7 @@ def test_criterion_5_spectrum_boundedness():
         )
         con = apply_boundary_conditions(system, bcs)
         condensed = condense_velocity(con)
-        x1, x2 = preconditioner_matrices(
-            condensed, scaled, PreconditionerConfig("schur_reduced")
-        )
+        x1, x2 = preconditioner_matrices(condensed, scaled)
         prec = sps.block_diag([x1, x2], format="csr")
         exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
         neg, pos = spectrum_ends(condensed.K_red, prec, exclude=exclude)
@@ -184,10 +181,8 @@ def test_criterion_5_spectrum_boundedness():
         scaled = scaled_from_direct(1.0, [1.0], [0.0])
         _, _, _, _, _, con = manufactured_problem(n, 1, scaled)
         condensed = condense_velocity(con)
-        _, xp = preconditioner_matrices(con, scaled, PreconditionerConfig("full_block"))
-        _, xpt = preconditioner_matrices(
-            condensed, scaled, PreconditionerConfig("schur_reduced")
-        )
+        _, xp = preconditioner_matrices(con, scaled)
+        _, xpt = preconditioner_matrices(condensed, scaled)
         _, (eig_min, eig_max) = spectrum_ends(xp, xpt)
         assert eig_min >= lo and eig_max <= hi, (n, eig_min, eig_max)
     announce(5, "spectrum boundedness",

@@ -20,7 +20,7 @@ from mpet.diagnostics import (
 from mpet.manufactured import default_manufactured
 from mpet.mesh import Mesh, generate_unit_square
 from mpet.params import scaled_from_direct
-from mpet.solver import PreconditionerConfig, build_preconditioner, condense_velocity, solve
+from mpet.solver import condense_velocity, preconditioner_matrices, solve
 from mpet.spaces import SpaceSet
 
 import oracles
@@ -211,7 +211,7 @@ def test_conservation_residual_matches_per_element_reference():
         scale2 += sum(dual_norm2(system.F[layout.sl(f"p{i}")]))
         zp = sum(scaled.zeta[i, j] * (kernels.M_p @ x[layout.sl(f"p{j}")]) for j in range(2))
         scale2 += sum(dual_norm2(zp))
-    r = system.F - system.full_matrix() @ x
+    r = system.F - system.K @ x
     expected = [
         (t, i, np.sqrt(v) / np.sqrt(scale2))
         for i in range(2)
@@ -341,11 +341,7 @@ def test_preconditioned_spectrum_bounded_over_R_sweep():
     factorizable and would distort the spectrum).
     """
     import scipy.sparse as sps
-    from mpet.solver import (
-        mean_zero_functionals,
-        preconditioner_matrices,
-        reduced_subspace_vectors,
-    )
+    from mpet.solver import mean_zero_functionals, reduced_subspace_vectors
 
     intervals = []
     for expo in (0, 4, 8):
@@ -353,7 +349,7 @@ def test_preconditioned_spectrum_bounded_over_R_sweep():
             2, 1, 2, R=10.0 ** (-expo), alpha_p=0.0, xi=0.0, pressure_bc="flux"
         )
         condensed = condense_velocity(con)
-        x1, x2 = preconditioner_matrices(condensed, scaled, PreconditionerConfig("schur_reduced"))
+        x1, x2 = preconditioner_matrices(condensed, scaled)
         prec_mat = sps.block_diag([x1, x2], format="csr")
         exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
         neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=exclude)
@@ -375,8 +371,8 @@ def test_network_decoupling_of_schur_spectrum():
     def schur_vs_xp(bundle):
         mesh, spaces, scaled, system, bcs, con = bundle
         sp_mat = oracles.pressure_schur_complement(con)
-        prec = build_preconditioner(con, scaled, PreconditionerConfig("full_block"))
-        return np.sort(oracles.preconditioned_spectrum(-sp_mat, prec.x2))
+        _, xp = preconditioner_matrices(con, scaled)
+        return np.sort(oracles.preconditioned_spectrum(-sp_mat, xp))
 
     e1 = schur_vs_xp(single)
     e2 = schur_vs_xp(double)
@@ -387,17 +383,13 @@ def test_network_decoupling_of_schur_spectrum():
 def _eigs_preset_pencil(i):
     """The eigs preset's reduced-operator pencil at R = 10^-i."""
     import scipy.sparse as sps
-    from mpet.solver import (
-        mean_zero_functionals,
-        preconditioner_matrices,
-        reduced_subspace_vectors,
-    )
+    from mpet.solver import mean_zero_functionals, reduced_subspace_vectors
 
     _, _, scaled, system, _, con = make_problem(
         2, 1, 2, R=10.0 ** (-i), alpha_p=0.0, xi=0.0, pressure_bc="flux"
     )
     condensed = condense_velocity(con)
-    x1, x2 = preconditioner_matrices(condensed, scaled, PreconditionerConfig("schur_reduced"))
+    x1, x2 = preconditioner_matrices(condensed, scaled)
     exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
     return condensed.K_red, sps.block_diag([x1, x2], format="csr"), exclude
 
@@ -421,13 +413,9 @@ def test_spectrum_ends_match_dense_oracle(i):
 @pytest.mark.parametrize("n_side", [1, 2, 4])
 def test_definite_pencil_ends_match_dense_oracle(n_side):
     """The pressure-block equivalence pair is definite: two Lanczos runs."""
-    from mpet.solver import preconditioner_matrices
-
     _, _, scaled, _, _, con = make_problem(n_side, 1, 1, R=1.0)
-    _, xp = preconditioner_matrices(con, scaled, PreconditionerConfig("full_block"))
-    _, xpt = preconditioner_matrices(
-        condense_velocity(con), scaled, PreconditionerConfig("schur_reduced")
-    )
+    _, xp = preconditioner_matrices(con, scaled)
+    _, xpt = preconditioner_matrices(condense_velocity(con), scaled)
     neg, pos = spectrum_ends(xp, xpt)
     eigs = oracles.preconditioned_spectrum(xp, xpt)
     assert neg is None

@@ -19,7 +19,6 @@ from mpet.mesh import generate_unit_square
 from mpet.params import scaled_from_direct
 from mpet.solver import (
     CondensedSystem,
-    PreconditionerConfig,
     PreconditionerError,
     build_preconditioner,
     condense_velocity,
@@ -199,8 +198,8 @@ def test_both_variants_spd_at_hard_corner():
     """Factorization succeeds at the hardest sweep corner R -> 0, alpha_p = xi = 0."""
     _, _, scaled, system, bcs, con = make_problem(n_side=2, ell=1, n_networks=2, R=1e-8)
     condensed = condense_velocity(con)
-    build_preconditioner(condensed, scaled, PreconditionerConfig("schur_reduced"))
-    build_preconditioner(con, scaled, PreconditionerConfig("full_block"))
+    build_preconditioner(condensed, scaled)
+    build_preconditioner(con, scaled)
 
 
 @pytest.mark.parametrize("n_side, ell", [(1, 2), (17, 2)])
@@ -213,7 +212,7 @@ def test_small_penalty_rejected(n_side, ell):
     con2 = apply_boundary_conditions(sys2, bcs)
     condensed = condense_velocity(con2)
     with pytest.raises(PreconditionerError, match="not SPD"):
-        build_preconditioner(condensed, scaled, PreconditionerConfig("schur_reduced"))
+        build_preconditioner(condensed, scaled)
 
 
 @pytest.mark.parametrize(
@@ -289,16 +288,14 @@ def _all_flux_problem(n_side, ell, n_networks):
 def test_bordered_preconditioner_matches_dense_augmentation(n_side, ell, variant):
     """With two all-flux networks, prec(r) is the inverse of
     blockdiag(X_1, X_p + s K K^T) with the augmentation formed densely."""
-    from mpet.solver import _restrict_kernel_to_q
-
     scaled, system, bcs, con = _all_flux_problem(n_side, ell, 2)
     kernel_vectors = pressure_nullspace(con)
     assert len(kernel_vectors) == 2
     target = condense_velocity(con) if variant == "schur_reduced" else con
-    config = PreconditionerConfig(variant)
-    prec = build_preconditioner(target, scaled, config, kernel_vectors)
-    x1, xp = preconditioner_matrices(target, scaled, config)
-    augmented = dense_kernel_augmentation(xp, _restrict_kernel_to_q(con, kernel_vectors))
+    prec = build_preconditioner(target, scaled, kernel_vectors)
+    x1, xp = preconditioner_matrices(target, scaled)
+    q_free = con.free_in(con.layout.q_fields)
+    augmented = dense_kernel_augmentation(xp, [k[q_free] for k in kernel_vectors])
     cut = x1.shape[0]
     r = np.random.default_rng(1).standard_normal(cut + xp.shape[0])
     expected = np.concatenate(
@@ -312,10 +309,8 @@ def test_bordered_pressure_block_stays_sparse():
     two border rows and columns, not two dense rank-one terms (3.5M nnz)."""
     scaled, system, bcs, con = _all_flux_problem(16, 2, 2)
     kernel_vectors = pressure_nullspace(con)
-    for target, variant in ((condense_velocity(con), "schur_reduced"), (con, "full_block")):
-        _, xp = preconditioner_matrices(
-            target, scaled, PreconditionerConfig(variant), kernel_vectors
-        )
+    for target in (condense_velocity(con), con):
+        _, xp = preconditioner_matrices(target, scaled, kernel_vectors)
         assert xp.nnz < 200_000
 
 
@@ -327,10 +322,8 @@ def test_xp_and_schur_pressure_blocks_spectrally_equivalent():
             n_side=n_side, ell=1, n_networks=1, R=1.0
         )
         condensed = condense_velocity(con)
-        prec_full = build_preconditioner(con, scaled, PreconditionerConfig("full_block"))
-        prec_red = build_preconditioner(condensed, scaled, PreconditionerConfig("schur_reduced"))
-        xp = prec_full.x2.toarray()
-        xpt = prec_red.x2.toarray()
+        xp = preconditioner_matrices(con, scaled)[1].toarray()
+        xpt = preconditioner_matrices(condensed, scaled)[1].toarray()
         from scipy.linalg import eigh
 
         eigs = eigh(xp, xpt, eigvals_only=True)
@@ -346,12 +339,29 @@ def test_preconditioned_solve_matches_direct():
         _, _, scaled, system, bcs, con = make_problem(
             n_side=2, ell=2, n_networks=2, lam=1e4, R=1e-4, alpha_p=1e-4, xi=1e-4
         )
-        x, report, _ = solve(con, scaled, PreconditionerConfig(variant), tol=1e-10)
+        x, report, _ = solve(con, scaled, variant, tol=1e-10)
         assert report.converged
         x_direct = np.zeros(system.layout.total)
         x_direct[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
         x_direct[con.constrained] = con.values
         assert np.abs(x - x_direct).max() <= 1e-6 * np.abs(x_direct).max()
+
+
+def test_solve_rejects_unknown_variant():
+    _, _, scaled, _, _, con = make_problem(n_side=1, ell=1)
+    with pytest.raises(ValueError, match="unknown preconditioner variant 'bogus'"):
+        solve(con, scaled, "bogus")
+
+
+def test_preconditioner_variant_follows_target_type():
+    """A condensed target gets the (u, uhat) elasticity block, a constrained
+    one the (u, uhat, w) block of the operator."""
+    _, _, scaled, _, _, con = make_problem(n_side=2, ell=1)
+    condensed = condense_velocity(con)
+    x_red, _ = preconditioner_matrices(condensed, scaled)
+    x_full, _ = preconditioner_matrices(con, scaled)
+    assert x_red.shape[0] == len(condensed.iu)
+    assert x_full.shape[0] == len(condensed.iu) + sum(len(iw) for iw in condensed.iw)
 
 
 def test_solve_reuse_is_identical():

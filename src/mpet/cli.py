@@ -2,17 +2,21 @@
 
 Subcommands: ``convergence``, ``sweep``, ``orderrobust``, ``brain`` and
 ``eigs``, each driven by a key=value config file (INI sections) and
-writing CSV tables into an output directory.  Every CSV starts with a
-provenance comment carrying the resolved configuration, and identical
+writing CSV tables into an output directory through :func:`write_csv`.
+Every CSV starts with a provenance comment carrying the configuration as
+given (keys left at their defaults are not listed), and identical
 configs produce bit-identical files when BLAS runs on one thread
-(``OPENBLAS_NUM_THREADS=1``).  Exit codes: 0 on success, 1 when
-the config cannot be read or parsed, 2 when the run fails (an unconverged
-solve, or an error such as ``MeshError`` raised while running, reported
-with its type).
+(``OPENBLAS_NUM_THREADS=1``).  Boolean keys take ``true``/``false``,
+``yes``/``no`` or ``1``/``0`` in any case.  Exit codes: 0 on success, 1
+when the config cannot be read or parsed or a value is bad (an unknown
+variant and ``sample_every < 1`` included), 2 when the run fails (an
+unconverged solve, or an error such as ``MeshError`` raised while
+running, reported with its type).
 """
 
 import argparse
 import configparser
+import itertools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,10 +37,8 @@ from .diagnostics import (
     conservation_residual,
     estimate_inf_sup,
     spectrum_ends,
-    write_conservation_csv,
-    write_infsup_csv,
 )
-from .mesh import generate_unit_square
+from .mesh import MeshError, generate_unit_square
 from .params import (
     PhysicalParameters,
     lame_from_young_poisson,
@@ -55,6 +57,8 @@ from .timeloop import TimeStepper, brain_analog_scenario, windowed_mean
 __all__ = ["main"]
 
 MAXIT_SENTINEL_NOTE = "unconverged cells are recorded with converged=0"
+FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+ERRORS = ("energy", "p_l2", "w_l2")
 
 
 class ConfigError(ValueError):
@@ -66,16 +70,20 @@ class SolverFailure(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# config plumbing
+# config plumbing and tables
 # ----------------------------------------------------------------------
 
 
 @contextmanager
 def config_errors():
-    """Report a missing key, a bad value or a malformed file as a ConfigError."""
+    """Report a missing key, a bad value or a malformed file as a ConfigError.
+
+    A ``MeshError`` (a ``ValueError``) stays a run error: a mesh that
+    cannot be built fails the run, not the reading of the config.
+    """
     try:
         yield
-    except ConfigError:
+    except (ConfigError, MeshError):
         raise
     except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
@@ -94,8 +102,33 @@ def _floats(text):
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
-def _ints(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list(run, key, default, parse=int):
+    """The comma-separated ``[run] key``, each value read by ``parse``; never empty."""
+    values = [parse(tok.strip()) for tok in run.get(key, default).split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"{key} must be non-empty")
+    return values
+
+
+def _order(text):
+    ell = int(text)
+    if ell not in (1, 2, 3):
+        raise ConfigError(f"unsupported order {ell}; supported: 1, 2, 3")
+    return ell
+
+
+def _variant(name):
+    if name not in ("schur_reduced", "full_block"):
+        raise ConfigError(f"unknown solver variant {name!r}")
+    return name
+
+
+def _flag(run, key):
+    """A boolean ``[run] key``, false when absent; any other spelling is an error."""
+    text = run.get(key, "false").strip().lower()
+    if text not in FLAGS:
+        raise ConfigError(f"{key} must be one of {', '.join(FLAGS)}, got {text!r}")
+    return FLAGS[text]
 
 
 def _matrix(text, n):
@@ -156,16 +189,37 @@ def resolved_config_comment(command, cfg, extra=None):
 
 
 def _solver_options(cfg):
+    """``[solver]`` as keyword arguments of :func:`manufactured_solve`."""
     sec = cfg["solver"] if cfg.has_section("solver") else {}
-    variant = sec.get("variant", "schur_reduced")
-    if variant not in ("schur_reduced", "full_block"):
-        raise ConfigError(f"unknown solver variant {variant!r}")
     return {
-        "variant": variant,
+        "variant": _variant(sec.get("variant", "schur_reduced")),
         "tol": float(sec.get("tol", "1e-8")),
         "maxit": int(sec.get("maxit", "500")),
         "eta": float(sec.get("eta", "10.0")),
     }
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, comment, header, rows, trailer=()):
+    """Write the comment line, the header, one line per row and the trailer lines.
+
+    Floats (numpy scalars included) are written with ``repr``, bools as
+    0/1, ``None`` as an empty cell and anything else with ``str``.
+    Returns ``path``.
+    """
+    lines = [comment, header, *(",".join(map(_cell, row)) for row in rows), *trailer]
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -220,22 +274,14 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
             exact[layout.sl(f"p{i}")] = spaces.interpolate_p(manu.p[j])
             exact[layout.sl(f"phat{i}")] = spaces.interpolate_phat(manu.p[j])
         diff = x - exact
-        norms = NormAssembler(mesh, spaces, system.kernels)
-        rep = norms.report(diff, scaled)
         kernels = system.kernels
-        err_p2 = sum(
-            float(diff[layout.sl(f"p{i}")] @ (kernels.M_p @ diff[layout.sl(f"p{i}")]))
-            for i in range(scaled.n)
-        )
-        err_w2 = sum(
-            float(diff[layout.sl(f"w{i}")] @ (kernels.M_w @ diff[layout.sl(f"w{i}")]))
-            for i in range(scaled.n)
-        )
-        errors = {
-            "energy": rep.u_bar,
-            "p_l2": float(np.sqrt(err_p2)),
-            "w_l2": float(np.sqrt(err_w2)),
-        }
+        rep = NormAssembler(mesh, spaces, kernels).report(diff, scaled)
+
+        def l2(field, mass):
+            blocks = (diff[layout.sl(f"{field}{i}")] for i in range(scaled.n))
+            return float(np.sqrt(sum(float(d @ (mass @ d)) for d in blocks)))
+
+        errors = {"energy": rep.u_bar, "p_l2": l2("p", kernels.M_p), "w_l2": l2("w", kernels.M_w)}
     return report, errors, (x, system, con)
 
 
@@ -250,81 +296,30 @@ def cmd_convergence(cfg, out_dir):
         if mode != "scaled":
             raise ConfigError("convergence runs use scaled-parameter mode")
         run = cfg["run"]
-        orders = _ints(run.get("orders", "1, 2"))
-        levels = _ints(run.get("levels", "4, 8, 16"))
-        _validate_grid(orders, levels=levels)
+        orders = _list(run, "orders", "1, 2", _order)
+        levels = _list(run, "levels", "4, 8, 16")
         opts = _solver_options(cfg)
         comment = resolved_config_comment("convergence", cfg)
 
     rows = []
-    failed = False
-    for ell in orders:
-        prev = None
-        for n in levels:
-            report, errors, _ = manufactured_solve(
-                n, ell, scaled, opts["tol"], opts["maxit"], opts["variant"],
-                eta=opts["eta"], with_errors=True,
-            )
-            if not report.converged:
-                failed = True
-            rates = {}
-            if prev is not None:
-                for key in ("energy", "p_l2", "w_l2"):
-                    rates[key] = float(np.log2(prev[key] / errors[key]))
-            rows.append((ell, n, 1.0 / n, errors, rates, report.iterations))
-            prev = errors
-            if failed:
-                break
-        if failed:
+    for ell, (k, n) in itertools.product(orders, enumerate(levels)):
+        report, errors, _ = manufactured_solve(n, ell, scaled, **opts, with_errors=True)
+        # observed orders against the previous level of the same order
+        rates = [float(np.log2(prev[key] / errors[key])) if k else None for key in ERRORS]
+        rows.append((ell, n, 1.0 / n, *(errors[key] for key in ERRORS), *rates,
+                     report.iterations))
+        prev = errors
+        if not report.converged:
             break
 
-    path = Path(out_dir) / "convergence.csv"
-    with open(path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("ell,n,h,err_energy,err_p_l2,err_w_l2,rate_energy,rate_p_l2,rate_w_l2,iterations\n")
-        for ell, n, h, errors, rates, iters in rows:
-            rate_cols = ",".join(
-                repr(rates[k]) if k in rates else "" for k in ("energy", "p_l2", "w_l2")
-            )
-            fh.write(
-                f"{ell},{n},{h!r},{errors['energy']!r},{errors['p_l2']!r},"
-                f"{errors['w_l2']!r},{rate_cols},{iters}\n"
-            )
-    if failed:
+    path = write_csv(
+        out_dir / "convergence.csv", comment,
+        "ell,n,h,err_energy,err_p_l2,err_w_l2,rate_energy,rate_p_l2,rate_w_l2,iterations",
+        rows,
+    )
+    if not report.converged:
         raise SolverFailure("convergence study aborted on an unconverged solve")
     return [path]
-
-
-def _validate_grid(orders, **lists):
-    for name, values in lists.items():
-        if not list(values):
-            raise ConfigError(f"{name} must be non-empty")
-    if not orders:
-        raise ConfigError("orders must be non-empty")
-    bad = [ell for ell in orders if ell not in (1, 2, 3)]
-    if bad:
-        raise ConfigError(f"unsupported orders {bad}; supported: 1, 2, 3")
-
-
-def _sweep_cells(cfg):
-    run = cfg["run"]
-    i_list = _ints(run.get("i_list", "0, 2, 4, 6, 8"))
-    lambda_list = _floats(run.get("lambda_list", "1e0, 1e4, 1e8"))
-    orders = _ints(run.get("orders", "1, 2"))
-    _validate_grid(orders, i_list=i_list, lambda_list=lambda_list)
-    variants = [v.strip() for v in run.get("variants", "schur_reduced").split(",")]
-    truthy = ("true", "1", "yes")
-    mixed = run.get("mixed", "false").strip().lower() in truthy
-    zero_coupling = run.get("zero_coupling", "false").strip().lower() in truthy
-    if mixed and zero_coupling:
-        raise ConfigError("mixed and zero_coupling are mutually exclusive")
-    cells = []
-    for variant in variants:
-        for ell in orders:
-            for i in i_list:
-                for lam in lambda_list:
-                    cells.append((variant, ell, i, lam, mixed, zero_coupling))
-    return cells
 
 
 def _sweep_parameters(i, lam, mixed, zero_coupling=False):
@@ -351,178 +346,137 @@ def cmd_sweep(cfg, out_dir):
         run = cfg["run"]
         n_side = int(run.get("n_per_side", "8"))
         opts = _solver_options(cfg)
-        cells = _sweep_cells(cfg)
+        cells = list(itertools.product(
+            _list(run, "variants", "schur_reduced", _variant),
+            _list(run, "orders", "1, 2", _order),
+            _list(run, "i_list", "0, 2, 4, 6, 8"),
+            _list(run, "lambda_list", "1e0, 1e4, 1e8", float),
+        ))
+        mixed, zero_coupling = _flag(run, "mixed"), _flag(run, "zero_coupling")
+        if mixed and zero_coupling:
+            raise ConfigError("mixed and zero_coupling are mutually exclusive")
         comment = resolved_config_comment("sweep", cfg, {"note": MAXIT_SENTINEL_NOTE})
 
-    reports = []
-    for variant, ell, i, lam, mixed, zero_coupling in cells:
+    rows = []
+    for variant, ell, i, lam in cells:
         scaled = _sweep_parameters(i, lam, mixed, zero_coupling)
-        report, _, _ = manufactured_solve(
-            n_side, ell, scaled, opts["tol"], opts["maxit"], variant, eta=opts["eta"]
-        )
-        reports.append(report)
-
-    path = Path(out_dir) / "sweep.csv"
-    with open(path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("variant,ell,i,lambda,iterations,converged\n")
-        for cell, report in zip(cells, reports):
-            variant, ell, i, lam = cell[:4]
-            fh.write(
-                f"{variant},{ell},{i},{lam!r},{report.iterations},{int(report.converged)}\n"
-            )
-    return [path]
+        report = manufactured_solve(n_side, ell, scaled, **dict(opts, variant=variant))[0]
+        rows.append((variant, ell, i, lam, report.iterations, report.converged))
+    header = "variant,ell,i,lambda,iterations,converged"
+    return [write_csv(out_dir / "sweep.csv", comment, header, rows)]
 
 
 def cmd_orderrobust(cfg, out_dir):
     with config_errors():
         run = cfg["run"]
-        orders = _ints(run.get("orders", "1, 2, 3"))
-        n_list = _ints(run.get("n_list", "2, 4, 8, 16"))
-        _validate_grid(orders, n_list=n_list)
+        orders = _list(run, "orders", "1, 2, 3", _order)
+        n_list = _list(run, "n_list", "2, 4, 8, 16")
         opts = _solver_options(cfg)
         comment = resolved_config_comment("orderrobust", cfg)
     scaled = scaled_from_direct(
         1.0, [1e-4, 1e-4], [1e-4, 1e-4], np.array([[0.0, 1e-4], [1e-4, 0.0]])
     )
-    path = Path(out_dir) / "orderrobust.csv"
-    table = {}
-    with open(path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("ell,n,iterations,converged\n")
-        for ell in orders:
-            for n in n_list:
-                report, _, _ = manufactured_solve(
-                    n, ell, scaled, opts["tol"], opts["maxit"], opts["variant"],
-                    eta=opts["eta"],
-                )
-                table[(ell, n)] = report.iterations
-                fh.write(f"{ell},{n},{report.iterations},{int(report.converged)}\n")
-        # with directly inverted blocks no growth trend in the mesh size is
-        # expected; flag material growth over the last refinements
-        verdict = "ok"
-        for ell in orders:
-            tail = [table[(ell, n)] for n in n_list[-3:]]
-            if len(tail) == 3 and tail[2] > 1.3 * tail[0]:
-                verdict = f"growth-trend ell={ell}"
-                break
-        fh.write(f"# mesh_growth_check={verdict}\n")
+    rows = []
+    for ell, n in itertools.product(orders, n_list):
+        report = manufactured_solve(n, ell, scaled, **opts)[0]
+        rows.append((ell, n, report.iterations, report.converged))
+    # with directly inverted blocks no growth trend in the mesh size is
+    # expected; flag material growth over the last refinements
+    table = {(ell, n): iterations for ell, n, iterations, _ in rows}
+    grown = [ell for ell in orders if len(n_list) >= 3
+             and table[(ell, n_list[-1])] > 1.3 * table[(ell, n_list[-3])]]
+    verdict = f"growth-trend ell={grown[0]}" if grown else "ok"
+    path = write_csv(
+        out_dir / "orderrobust.csv", comment, "ell,n,iterations,converged", rows,
+        trailer=[f"# mesh_growth_check={verdict}"],
+    )
     return [path]
 
 
 def cmd_brain(cfg, out_dir):
     with config_errors():
         run = cfg["run"] if cfg.has_section("run") else {}
-        long_run = str(run.get("long", "false")).strip().lower() in ("true", "1", "yes")
+        long_run = _flag(run, "long")
         tau = float(run.get("tau", "0.125" if long_run else "0.0125"))
-        t_end = float(run.get("t_end", "2500.0" if long_run else "3.0"))
-        n_radial = int(run.get("n_radial", "4"))
-        n_angular = int(run.get("n_angular", "32"))
-        sample_every = int(run.get("sample_every", "1"))
-        opts = _solver_options(cfg)
-
         phys = None
         if cfg.has_section("parameters"):
-            mode, parsed = parse_parameters(cfg)
+            mode, phys = parse_parameters(cfg)
             if mode != "physical":
                 raise ConfigError("the brain scenario needs physical parameters")
-            phys = parsed
             if phys.tau != tau:
                 raise ConfigError("[parameters] tau must match [run] tau")
         comment = resolved_config_comment("brain", cfg)
+        scenario = brain_analog_scenario(
+            n_radial=int(run.get("n_radial", "4")),
+            n_angular=int(run.get("n_angular", "32")),
+            tau=tau,
+            t_end=float(run.get("t_end", "2500.0" if long_run else "3.0")),
+            phys=phys,
+            sample_every=int(run.get("sample_every", "1")),
+            **_solver_options(cfg),
+        )
 
-    scenario = brain_analog_scenario(
-        n_radial=n_radial, n_angular=n_angular, tau=tau, t_end=t_end, tol=opts["tol"]
-    )
-    if phys is not None:
-        scenario.phys = phys
-    scenario.maxit = opts["maxit"]
-    scenario.variant = opts["variant"]
-    scenario.sample_every = sample_every
     stepper = TimeStepper(scenario)
-    probe_path = Path(out_dir) / "probes.csv"
-    log_path = Path(out_dir) / "solver_log.csv"
-    means_path = Path(out_dir) / "means.csv"
     try:
-        state, series = stepper.run()
+        _, series = stepper.run()
     except RuntimeError as exc:
         raise SolverFailure(str(exc)) from exc
-    with open(probe_path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("t,field,probe,value\n")
-        for t, name, probe, value in series.rows():
-            fh.write(f"{t!r},{name},{probe},{value!r}\n")
-    with open(log_path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("t,iterations,residual\n")
-        for t, iters, res in series.log:
-            fh.write(f"{t!r},{iters},{res!r}\n")
-    with open(means_path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("t,field,probe,mean\n")
-        times = np.array(series.times)
-        fields = [f"p{i+1}" for i in range(scenario.n_networks)]
-        extracted = {
-            (name, j): series.series(name, j)
-            for name in fields
-            for j in range(len(scenario.probes))
-        }
-        for t_k in times:
-            if t_k + 0.5 > times[-1] + 1e-12:
-                continue
-            for name in fields:
-                for j in range(len(scenario.probes)):
-                    ts, vs = extracted[(name, j)]
-                    mean = windowed_mean(ts, vs, float(t_k))
-                    fh.write(f"{float(t_k)!r},{name},{j},{mean!r}\n")
-    return [probe_path, log_path, means_path]
+    times = series.times
+    fields = [f"p{i+1}" for i in range(scenario.n_networks)]
+    probes = range(len(scenario.probes))
+    extracted = {(name, j): series.series(name, j) for name in fields for j in probes}
+    means = [
+        (t_k, name, j, windowed_mean(*extracted[(name, j)], t_k))
+        for t_k in times
+        if t_k + 0.5 <= times[-1] + 1e-12
+        for name in fields
+        for j in probes
+    ]
+    return [
+        write_csv(out_dir / "probes.csv", comment, "t,field,probe,value", series.rows()),
+        write_csv(out_dir / "solver_log.csv", comment, "t,iterations,residual", series.log),
+        write_csv(out_dir / "means.csv", comment, "t,field,probe,mean", means),
+    ]
 
 
 def cmd_eigs(cfg, out_dir):
     with config_errors():
         run = cfg["run"] if cfg.has_section("run") else {}
         n_side = int(run.get("n_per_side", "2"))
-        ell = int(run.get("order", "1"))
-        i_list = _ints(run.get("i_list", "0, 2, 4, 6, 8"))
+        ell = _order(run.get("order", "1"))
+        i_list = _list(run, "i_list", "0, 2, 4, 6, 8")
         lam = float(run.get("lambda", "1.0"))
-        equiv_levels = _ints(run.get("equivalence_levels", "1, 2, 4"))
-        infsup_levels = _ints(run.get("infsup_levels", "2, 4, 8"))
+        equiv_levels = _list(run, "equivalence_levels", "1, 2, 4")
+        infsup_levels = _list(run, "infsup_levels", "2, 4, 8")
         opts = _solver_options(cfg)
         comment = resolved_config_comment("eigs", cfg)
     paths = []
 
     # spectrum of the reduced operator against the Schur preconditioner,
     # restricted to the mean-zero subspace (all-flux analysis setting)
-    spec_path = Path(out_dir) / "eigs.csv"
-    with open(spec_path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("R,neg_min,neg_max,pos_min,pos_max\n")
-        for i in i_list:
-            R = 10.0 ** (-i)
-            scaled = scaled_from_direct(lam, [R, R], [0.0, 0.0])
-            system = manufactured_problem(n_side, ell, scaled, opts["eta"])[2]
-            condensed = condense_velocity(apply_boundary_conditions(system, homogeneous_bcs(2)))
-            x1, x2 = preconditioner_matrices(condensed, scaled)
-            prec_mat = sps.block_diag([x1, x2], format="csr")
-            exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
-            neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=exclude)
-            fh.write(f"{R!r},{neg[0]!r},{neg[1]!r},{pos[0]!r},{pos[1]!r}\n")
-    paths.append(spec_path)
+    rows = []
+    for i in i_list:
+        R = 10.0 ** (-i)
+        scaled = scaled_from_direct(lam, [R, R], [0.0, 0.0])
+        system = manufactured_problem(n_side, ell, scaled, opts["eta"])[2]
+        condensed = condense_velocity(apply_boundary_conditions(system, homogeneous_bcs(2)))
+        x1, x2 = preconditioner_matrices(condensed, scaled)
+        prec_mat = sps.block_diag([x1, x2], format="csr")
+        exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
+        neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=exclude)
+        rows.append((R, *neg, *pos))
+    paths.append(write_csv(out_dir / "eigs.csv", comment, "R,neg_min,neg_max,pos_min,pos_max", rows))
 
     # spectral equivalence of the two pressure preconditioner blocks
-    equiv_path = Path(out_dir) / "xp_equivalence.csv"
-    with open(equiv_path, "w") as fh:
-        fh.write(comment + "\n")
-        fh.write("n,eig_min,eig_max\n")
-        for n in equiv_levels:
-            scaled = scaled_from_direct(1.0, [1.0], [0.0])
-            con = manufactured_problem(n, ell, scaled, opts["eta"])[-1]
-            condensed = condense_velocity(con)
-            _, xp = preconditioner_matrices(con, scaled)
-            _, xpt = preconditioner_matrices(condensed, scaled)
-            _, (lo, hi) = spectrum_ends(xp, xpt)
-            fh.write(f"{n},{lo!r},{hi!r}\n")
-    paths.append(equiv_path)
+    rows = []
+    for n in equiv_levels:
+        scaled = scaled_from_direct(1.0, [1.0], [0.0])
+        con = manufactured_problem(n, ell, scaled, opts["eta"])[-1]
+        condensed = condense_velocity(con)
+        _, xp = preconditioner_matrices(con, scaled)
+        _, xpt = preconditioner_matrices(condensed, scaled)
+        rows.append((n, *spectrum_ends(xp, xpt)[1]))
+    paths.append(write_csv(out_dir / "xp_equivalence.csv", comment, "n,eig_min,eig_max", rows))
 
     # inf-sup constants over mesh levels, one table per estimator kind
     for which, fname in (("stokes-like", "infsup_stokes.csv"), ("darcy-like", "infsup_darcy.csv")):
@@ -531,19 +485,13 @@ def cmd_eigs(cfg, out_dir):
             mesh = generate_unit_square(n)
             spaces = SpaceSet(mesh, ell, 1)
             rows.append((n, estimate_inf_sup(mesh, spaces, which)))
-        infsup_path = Path(out_dir) / fname
-        write_infsup_csv(infsup_path, rows, header_comment=comment.lstrip("# "))
-        paths.append(infsup_path)
+        paths.append(write_csv(out_dir / fname, comment, "mesh_n,beta_h", rows))
 
     # conservation table from one converged solve
     scaled = scaled_from_direct(1.0, [1.0, 1.0], [1.0, 1.0])
-    report, _, (x, system, con) = manufactured_solve(
-        n_side, ell, scaled, opts["tol"], opts["maxit"], opts["variant"], eta=opts["eta"]
-    )
+    _, _, (x, system, _) = manufactured_solve(n_side, ell, scaled, **opts)
     _, rows = conservation_residual(x, system)
-    cons_path = Path(out_dir) / "conservation.csv"
-    write_conservation_csv(cons_path, rows, header_comment=comment.lstrip("# "))
-    paths.append(cons_path)
+    paths.append(write_csv(out_dir / "conservation.csv", comment, "element,network,residual", rows))
     return paths
 
 

@@ -33,8 +33,6 @@ __all__ = [
     "conservation_residual",
     "estimate_inf_sup",
     "spectrum_ends",
-    "write_conservation_csv",
-    "write_infsup_csv",
 ]
 
 @dataclass
@@ -304,25 +302,3 @@ def spectrum_ends(K, B, exclude=None):
     lo, hi = outer("SA"), outer("LA")
     return (lo, inner("SA")) if lo < 0 else None, (inner("LA"), hi) if hi > 0 else None
 
-
-# ----------------------------------------------------------------------
-# CSV reports
-# ----------------------------------------------------------------------
-
-
-def write_conservation_csv(path, rows, header_comment=None):
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("element,network,residual\n")
-        for element, network, residual in rows:
-            fh.write(f"{element},{network},{residual!r}\n")
-
-
-def write_infsup_csv(path, rows, header_comment=None):
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("mesh_n,beta_h\n")
-        for mesh_n, beta in rows:
-            fh.write(f"{mesh_n},{beta!r}\n")

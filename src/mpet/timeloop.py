@@ -13,7 +13,6 @@ boundary profiles in mmHg convert at this layer (1 mmHg = 133.322e-6
 N/mm^2).
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,27 +317,33 @@ class TimeStepper:
 
 
 def brain_analog_scenario(n_radial=4, n_angular=32, tau=0.0125, t_end=3.0,
-                          tol=1e-8, ell=1):
+                          tol=1e-8, ell=1, phys=None, **options):
     """Four-network annulus analog of the brain scenario.
 
     Units: mm, s, N/mm^2.  The reference parameters (given per N/m^2)
     convert with factors of 1e6; scaled coefficient groups are invariant
     under this choice of pressure unit.  Boundary values in mmHg.
+    ``phys`` replaces the reference parameters, and its ``alpha`` weights
+    the ventricle load; ``options`` (``maxit``, ``variant``,
+    ``sample_every``, ``eta``) go to :class:`Scenario`.
     """
     mesh = generate_annulus(30.0, 70.0, n_radial, n_angular)
-    mu, lam = lame_from_young_poisson(1500.0e-6, 0.4999)
-    xi = np.zeros((4, 4))
-    for i, j in ((0, 2), (0, 3), (1, 3), (2, 3)):
-        xi[i, j] = xi[j, i] = 1.0
-    phys = PhysicalParameters(
-        mu=mu,
-        lam=lam,
-        alpha=[0.49, 0.25, 0.01, 0.25],
-        s=[390.0, 290.0, 15.0, 290.0],
-        K=[15.7, 3.75e4, 3.75e4, 3.75e4],
-        xi=xi,
-        tau=tau,
-    )
+    if phys is None:
+        mu, lam = lame_from_young_poisson(1500.0e-6, 0.4999)
+        xi = np.zeros((4, 4))
+        for i, j in ((0, 2), (0, 3), (1, 3), (2, 3)):
+            xi[i, j] = xi[j, i] = 1.0
+        phys = PhysicalParameters(
+            mu=mu,
+            lam=lam,
+            alpha=[0.49, 0.25, 0.01, 0.25],
+            s=[390.0, 290.0, 15.0, 290.0],
+            K=[15.7, 3.75e4, 3.75e4, 3.75e4],
+            xi=xi,
+            tau=tau,
+        )
+    elif phys.n != 4:
+        raise ValueError(f"the brain scenario has 4 networks, the parameters give {phys.n}")
 
     def profile(base, amp):
         return lambda x, t: MMHG * (base + amp * np.sin(2.0 * np.pi * t))
@@ -380,6 +385,7 @@ def brain_analog_scenario(n_radial=4, n_angular=32, tau=0.0125, t_end=3.0,
         probes=probes,
         tol=tol,
         pressure_unit=MMHG,
+        **options,
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpet.cli import main, parse_parameters, read_config
+from mpet.cli import _flag, main, parse_parameters, read_config, write_csv
 
 
 def write_cfg(path, text):
@@ -216,3 +216,72 @@ def test_cli_import_leaves_sympy_unloaded():
         "mpet.cli.default_manufactured(1); assert 'sympy' in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_write_csv(tmp_path):
+    rows = [(0, "p1", 1.5e-12, True), (1, "p2", np.float64(0.5), None)]
+    path = write_csv(tmp_path / "t.csv", "# demo", "n,name,value,flag", rows,
+                     trailer=["# check=ok"])
+    assert path.read_text().splitlines() == [
+        "# demo",
+        "n,name,value,flag",
+        "0,p1,1.5e-12,1",
+        "1,p2,0.5,",
+        "# check=ok",
+    ]
+
+
+def test_brain_sample_every_zero_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "brain.cfg", "[run]\nn_radial = 1\nn_angular = 8\nsample_every = 0\n")
+    assert main(["brain", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: sample_every must be at least 1" in capsys.readouterr().err
+
+
+def test_unknown_sweep_variant_exits_1_before_any_solve(tmp_path, capsys, monkeypatch):
+    import mpet.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cell was solved before the config was checked")
+
+    monkeypatch.setattr(mpet.cli, "manufactured_solve", no_solve)
+    cfg = write_cfg(
+        tmp_path / "sweep.cfg",
+        "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nn_per_side = 2\n"
+        "variants = full_block, schur_reduce\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: unknown solver variant 'schur_reduce'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("sweep", "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nmixed = maybe\n"),
+        ("sweep", "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nzero_coupling = on\n"),
+        ("brain", "[run]\nn_radial = 1\nn_angular = 8\nlong = maybe\n"),
+    ],
+    ids=["mixed", "zero_coupling", "long"],
+)
+def test_bad_boolean_exits_1(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path / "bad.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_brain_needs_four_networks(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "brain.cfg",
+        "[run]\nn_radial = 1\nn_angular = 8\n\n[parameters]\nmode = physical\n"
+        "E = 1.5e-3\nnu = 0.4999\nalpha = 0.49, 0.25\ns = 390.0, 290.0\n"
+        "K = 15.7, 3.75e4\ntau = 0.0125\n",
+    )
+    assert main(["brain", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: the brain scenario has 4 networks" in capsys.readouterr().err
+
+
+def test_boolean_spellings():
+    for text in ("true", "TRUE", "Yes", "1"):
+        assert _flag({"mixed": text}, "mixed") is True
+    for text in ("false", "False", "NO", "0"):
+        assert _flag({"mixed": text}, "mixed") is False
+    assert _flag({}, "mixed") is False

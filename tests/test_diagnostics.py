@@ -9,13 +9,12 @@ from mpet.assembly import (
     assemble_volume_rhs,
     build_block_system,
 )
+from mpet.cli import write_csv
 from mpet.diagnostics import (
     NormAssembler,
     conservation_residual,
     estimate_inf_sup,
     spectrum_ends,
-    write_conservation_csv,
-    write_infsup_csv,
 )
 from mpet.manufactured import default_manufactured
 from mpet.mesh import Mesh, generate_unit_square
@@ -228,8 +227,7 @@ def test_conservation_residual_matches_per_element_reference():
 
 def test_conservation_csv(tmp_path):
     rows = [(0, 0, 1.5e-12), (1, 0, 2.5e-13)]
-    path = tmp_path / "cons.csv"
-    write_conservation_csv(path, rows, header_comment="demo")
+    path = write_csv(tmp_path / "cons.csv", "# demo", "element,network,residual", rows)
     text = path.read_text().splitlines()
     assert text[0] == "# demo"
     assert text[1] == "element,network,residual"
@@ -310,11 +308,10 @@ def test_infsup_matches_dense_oracle(which, n):
 
 
 def test_infsup_csv(tmp_path):
-    path = tmp_path / "beta.csv"
-    write_infsup_csv(path, [(2, 0.5), (4, 0.49)])
+    path = write_csv(tmp_path / "beta.csv", "# demo", "mesh_n,beta_h", [(2, 0.5), (4, 0.49)])
     lines = path.read_text().splitlines()
-    assert lines[0] == "mesh_n,beta_h"
-    assert lines[1] == "2,0.5"
+    assert lines[1] == "mesh_n,beta_h"
+    assert lines[2] == "2,0.5"
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,25 @@ def test_brain_analog_scenario_setup():
     assert np.allclose(values["u_mag"], 0.0)
 
 
+def test_brain_traction_follows_given_alpha():
+    """The ventricle load is sum_i alpha_i p_i with the alpha the scenario runs with."""
+    import dataclasses
+
+    reference = brain_analog_scenario(n_radial=1, n_angular=8)
+    phys = dataclasses.replace(reference.phys, alpha=[0.1] * 4)
+    sc = brain_analog_scenario(n_radial=1, n_angular=8, phys=phys)
+    assert sc.phys is phys
+    x, n = np.array([[30.0], [0.0]]), np.array([[-1.0], [0.0]])
+
+    def load(scenario):
+        return scenario.bcs.displacement["ventricle"][1](x, 0.25, n)[0, 0] / MMHG
+
+    # ventricle pressures at t = 0.25: 7.012, 80, 6 and 38 mmHg
+    assert np.isclose(load(sc), 0.1 * (7.012 + 80.0 + 6.0 + 38.0), rtol=1e-12)
+    assert np.isclose(load(reference), 0.49 * 7.012 + 0.25 * 80.0 + 0.01 * 6.0 + 0.25 * 38.0,
+                      rtol=1e-12)
+
+
 def test_brain_analog_short_run_bounded_iterations():
     sc = brain_analog_scenario(n_radial=1, n_angular=8, tau=0.0125, t_end=0.125)
     stepper = TimeStepper(sc)

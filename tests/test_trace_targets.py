@@ -4,8 +4,10 @@ The benchmark raises on a missing traced function only when it runs; these
 checks make a rename fail the test suite as well.
 """
 
+import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,3 +42,33 @@ def test_constrained_system_has_counted_attributes():
         build_block_system(assemble_kernels(mesh, spaces), scaled), homogeneous_bcs(1)
     )
     assert len(con.free) == con.K_ff.shape[0] and con.K_ff.nnz > 0
+
+
+def test_sweep_solves_each_cell_through_the_module_name(tmp_path, monkeypatch):
+    """The sweep workload replaces ``mpet.cli.manufactured_solve`` with a timer
+    that returns ``(report, None, None)``; every cell must go through it."""
+    import mpet.cli
+
+    signature = inspect.signature(mpet.cli.manufactured_solve)
+    calls = []
+
+    def counting(*args, **kwargs):
+        arg = signature.bind(*args, **kwargs).arguments
+        calls.append((arg["variant"], arg["ell"], arg["scaled"].R[0], arg["scaled"].lam))
+        return SimpleNamespace(iterations=10 + len(calls), converged=True), None, None
+
+    monkeypatch.setattr(mpet.cli, "manufactured_solve", counting)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        "[run]\ni_list = 4, 0\nlambda_list = 1.0, 1e4\norders = 1\nn_per_side = 2\n"
+        "variants = full_block, schur_reduced\n"
+    )
+    assert mpet.cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert calls == [
+        (variant, 1, R, lam)
+        for variant in ("full_block", "schur_reduced")
+        for R in (1e-4, 1.0)
+        for lam in (1.0, 1e4)
+    ]
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
+    assert [int(row[4]) for row in rows] == [10 + k for k in range(1, len(calls) + 1)]

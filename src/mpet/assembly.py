@@ -15,10 +15,11 @@ transfer masses ``-zeta_ij M_p`` (present only where ``zeta_ij != 0``).
 
 Assembly is split into parameter-independent kernels and cheap
 parameter-weighted composition, so parameter sweeps reuse the expensive
-part.  Every element and facet integral (the kernels, the HDG norm
-matrices, the volume load) is computed for all elements at once: bases
-mapped by ``SpaceSet.on_elements`` carry a leading element axis, the
-facet terms take one pass per local edge, ``_gram`` contracts each
+part.  Functions take the space set alone and read the geometry from
+``spaces.mesh``.  Every element and facet integral (the kernels, the HDG
+norm matrices, the volume load) is computed for all elements at once:
+bases mapped by ``SpaceSet.on_elements`` carry a leading element axis,
+the facet terms take one pass per local edge, ``_gram`` contracts each
 quadrature sum as one batched matmul, and ``_scatter`` sums the element
 blocks into a sparse matrix.
 """
@@ -82,7 +83,6 @@ class DofLayout:
         self.v_fields = names[: 2 + n]
         self.q_fields = names[2 + n :]
         self.size_v = sum(self.sizes[f] for f in self.v_fields)
-        self.size_q = self.total - self.size_v
 
     def sl(self, name):
         o = self.offsets[name]
@@ -108,7 +108,6 @@ class FormKernels:
     """
 
     spaces: object
-    eta: float
     a_hdg: sps.csr_matrix        # (u + uhat) x (u + uhat), includes penalty
     divdiv: sps.csr_matrix       # u x u
     D: sps.csr_matrix            # p x u, entries (div psi_u, phi_p)
@@ -120,11 +119,12 @@ class FormKernels:
     p_mass_inv: np.ndarray = field(repr=False)   # (n_elements, n_p, n_p)
 
 
-def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
+def assemble_kernels(spaces, eta=DEFAULT_ETA):
     """Every parameter-free form matrix, from batched element and facet integrals."""
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
     s = spaces
+    mesh = s.mesh
     elements = np.arange(mesh.n_elements)
     udofs, wdofs, pdofs = s.u_dofmap, s.w_dofs(elements), s.p_dofs(elements)
     wq = s.vol_rule.weights * mesh.element_maps.det[:, None]
@@ -155,7 +155,6 @@ def assemble_kernels(mesh, spaces, eta=DEFAULT_ETA):
     size_uu = s.size_u + s.size_uhat
     return FormKernels(
         spaces=spaces,
-        eta=eta,
         a_hdg=_scatter((size_uu, size_uu), *a_terms),
         divdiv=divdiv_factors(s).matrix(),
         D=_scatter((s.size_p, s.size_u), (pdofs, udofs, _gram(pvals, udivs, wq))),
@@ -346,7 +345,7 @@ def _lambda_mass_q(kernels, scaled):
     return sps.bmat([[lam_mass, None], [None, z]], format="csr")
 
 
-def _embed_per_network(mat, spaces, n, weights):
+def _embed_per_network(mat, spaces, weights):
     """Place a (p, phat) matrix on each network's diagonal with given weights.
 
     The q block orders all volume pressures first, then all multipliers,
@@ -354,15 +353,9 @@ def _embed_per_network(mat, spaces, n, weights):
     """
     np_ = spaces.size_p
     mat = mat.tocsr()
-    app = mat[:np_, :np_]
-    aph = mat[:np_, np_:]
-    ahp = mat[np_:, :np_]
-    ahh = mat[np_:, np_:]
-    pp = sps.block_diag([w * app for w in weights], format="csr")
-    hh = sps.block_diag([w * ahh for w in weights], format="csr")
-    ph = sps.block_diag([w * aph for w in weights], format="csr")
-    hp = sps.block_diag([w * ahp for w in weights], format="csr")
-    return sps.bmat([[pp, ph], [hp, hh]], format="csr")
+    parts = [[mat[:np_, :np_], mat[:np_, np_:]], [mat[np_:, :np_], mat[np_:, np_:]]]
+    grid = [[sps.block_diag([w * a for w in weights], format="csr") for a in row] for row in parts]
+    return sps.bmat(grid, format="csr")
 
 
 # ----------------------------------------------------------------------
@@ -370,17 +363,17 @@ def _embed_per_network(mat, spaces, n, weights):
 # ----------------------------------------------------------------------
 
 
-def displacement_hdg_matrix(mesh, spaces, include_h2=True):
+def displacement_hdg_matrix(spaces, include_h2=True):
     """Matrix of the displacement HDG norm on (u, uhat).
 
     Strain mass plus h^-1 tangential jump terms; the h^2 second-derivative
     seminorm is diagnostics-only and can be switched off (the block
     preconditioner uses the stabilized bilinear form instead).
     """
-    return displacement_hdg_factors(mesh, spaces, include_h2).matrix()
+    return displacement_hdg_factors(spaces, include_h2).matrix()
 
 
-def displacement_hdg_factors(mesh, spaces, include_h2=True):
+def displacement_hdg_factors(spaces, include_h2=True):
     """:class:`NormFactors` of :func:`displacement_hdg_matrix`."""
     s = spaces
     eps = _sym(s.on_elements("u_grad", s.bdm_grads))
@@ -388,17 +381,17 @@ def displacement_hdg_factors(mesh, spaces, include_h2=True):
     return _hdg_norm(s, s.u_dofmap, eps, hess, _u_jump, s.size_u + s.size_uhat)
 
 
-def pressure_hdg_matrix(mesh, spaces, include_h2=False):
+def pressure_hdg_matrix(spaces, include_h2=False):
     """Matrix of the pressure HDG norm on (p, phat) for a single network."""
-    return pressure_hdg_factors(mesh, spaces, include_h2).matrix()
+    return pressure_hdg_factors(spaces, include_h2).matrix()
 
 
-def pressure_hdg_factors(mesh, spaces, include_h2=False):
+def pressure_hdg_factors(spaces, include_h2=False):
     """:class:`NormFactors` of :func:`pressure_hdg_matrix`."""
     s = spaces
     grads = s.on_elements("p_grad", s.p_grads)
     hess = s.on_elements("p_hess", s.p.eval_hess(s.vol_rule.points)) if include_h2 else None
-    pdofs = s.p_dofs(np.arange(mesh.n_elements))
+    pdofs = s.p_dofs(np.arange(s.mesh.n_elements))
     return _hdg_norm(s, pdofs, grads, hess, _p_jump, s.size_p + s.size_phat)
 
 
@@ -407,7 +400,7 @@ def pressure_hdg_factors(mesh, spaces, include_h2=False):
 # ----------------------------------------------------------------------
 
 
-def assemble_volume_rhs(mesh, spaces, f=None, g=None, degree=None):
+def assemble_volume_rhs(spaces, f=None, g=None, degree=None):
     """Volume load vector for a body force ``f(x)`` and sources ``g[i](x)``.
 
     Each callable is called once, at the quadrature points of all
@@ -419,7 +412,7 @@ def assemble_volume_rhs(mesh, spaces, f=None, g=None, degree=None):
     layout = DofLayout(spaces)
     F = np.zeros(layout.total)
     rule = triangle_quadrature(degree or 2 * spaces.ell + 4)
-    maps = mesh.element_maps
+    maps = spaces.mesh.element_maps
     wq = rule.weights * maps.det[:, None]
     phys = maps.to_physical(rule.points)
     if f is not None:
@@ -435,13 +428,12 @@ def assemble_volume_rhs(mesh, spaces, f=None, g=None, degree=None):
     return F
 
 
-def assemble_traction_rhs(mesh, spaces, bcs, t=0.0):
+def assemble_traction_rhs(spaces, bcs, t=0.0):
     """Natural surface load on the displacement rows from traction tags.
 
-    The facet geometry comes from ``spaces.boundary`` (built on ``mesh``);
-    each traction callable ``g(x, t, n)`` is called once, at the edge-rule
-    points of its tag and their outward normals, and contracted with the
-    stored traces.
+    The facet geometry comes from ``spaces.boundary``; each traction
+    callable ``g(x, t, n)`` is called once, at the edge-rule points of its
+    tag and their outward normals, and contracted with the stored traces.
     """
     layout = DofLayout(spaces)
     F = np.zeros(layout.total)
@@ -532,10 +524,9 @@ class ConstrainedSystem:
         idx = np.concatenate([self.layout.indices(f) for f in fields])
         return idx[self.free_pos[idx] >= 0]
 
-    def update_values(self, spaces, bcs, t):
+    def update_values(self, bcs, t):
         """Recompute constrained values for time-dependent profiles."""
-        _, values = constraint_data(self.base.layout, spaces, bcs, t)
-        self.values = values
+        _, self.values = constraint_data(self.layout, self.base.kernels.spaces, bcs, t)
 
 
 def constraint_data(layout, spaces, bcs, t):

@@ -16,6 +16,7 @@ running, reported with its type).
 
 import argparse
 import configparser
+import functools
 import itertools
 import sys
 from contextlib import contextmanager
@@ -237,30 +238,34 @@ def default_manufactured(n_networks=2):
     return build(n_networks)
 
 
-def manufactured_problem(n_side, ell, scaled, eta=10.0):
-    mesh = generate_unit_square(n_side)
-    spaces = SpaceSet(mesh, ell, scaled.n)
-    kernels = assemble_kernels(mesh, spaces, eta=eta)
-    system = build_block_system(kernels, scaled)
-    manu = default_manufactured(min(scaled.n, 2))
-    g = manu.mass_sources(scaled)
-    while len(g) < scaled.n:
-        g.append(g[-1])
-    system.F = assemble_volume_rhs(mesh, spaces, f=manu.body_force(scaled), g=g)
-    pres = [
-        {"boundary": ("dirichlet", manu.pressure_trace_bc(min(i, manu.n - 1)))}
-        for i in range(scaled.n)
-    ]
-    bcs = BoundaryConditionSet(
-        {"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres
-    )
-    con = apply_boundary_conditions(system, bcs)
-    return mesh, spaces, system, manu, bcs, con
+@functools.lru_cache(maxsize=1)
+def unit_square_kernels(n_side, ell, n_networks, eta):
+    """Form kernels of order ``ell`` on the ``n_side`` x ``n_side`` unit square.
+
+    They do not depend on the MPET parameters, so consecutive calls with
+    equal arguments share one mesh, space set and kernels; callers must
+    not modify them.
+    """
+    return assemble_kernels(SpaceSet(generate_unit_square(n_side), ell, n_networks), eta)
 
 
 def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
                        with_errors=False):
-    mesh, spaces, system, manu, _, con = manufactured_problem(n_side, ell, scaled, eta)
+    """Solve the manufactured benchmark, Dirichlet data all round, on the unit square.
+
+    Returns ``(report, errors, (x, system, con))``; ``errors`` (energy, p
+    and w L2) is None unless ``with_errors``.
+    """
+    kernels = unit_square_kernels(n_side, ell, scaled.n, eta)
+    spaces = kernels.spaces
+    system = build_block_system(kernels, scaled)
+    manu = default_manufactured(min(scaled.n, 2))
+    exact_of = [min(i, manu.n - 1) for i in range(scaled.n)]   # network -> exact field
+    g = manu.mass_sources(scaled)
+    system.F = assemble_volume_rhs(spaces, f=manu.body_force(scaled), g=[g[j] for j in exact_of])
+    pres = [{"boundary": ("dirichlet", manu.pressure_trace_bc(j))} for j in exact_of]
+    bcs = BoundaryConditionSet({"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres)
+    con = apply_boundary_conditions(system, bcs)
     x, report, _ = solve(con, scaled, variant, tol=tol, maxit=maxit)
     errors = None
     if with_errors:
@@ -268,14 +273,12 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
         exact = np.zeros(layout.total)
         exact[layout.sl("u")] = spaces.interpolate_u(manu.u)
         exact[layout.sl("uhat")] = spaces.interpolate_uhat(manu.u)
-        for i in range(scaled.n):
-            j = min(i, manu.n - 1)
+        for i, j in enumerate(exact_of):
             exact[layout.sl(f"w{i}")] = spaces.interpolate_w(manu.flux(scaled, j))
             exact[layout.sl(f"p{i}")] = spaces.interpolate_p(manu.p[j])
             exact[layout.sl(f"phat{i}")] = spaces.interpolate_phat(manu.p[j])
         diff = x - exact
-        kernels = system.kernels
-        rep = NormAssembler(mesh, spaces, kernels).report(diff, scaled)
+        rep = NormAssembler(kernels).report(diff, scaled)
 
         def l2(field, mass):
             blocks = (diff[layout.sl(f"{field}{i}")] for i in range(scaled.n))
@@ -439,6 +442,20 @@ def cmd_brain(cfg, out_dir):
     ]
 
 
+def _equivalence_ends(n, ell, eta):
+    """Ends of the pencil of the two pressure preconditioner blocks at level ``n``.
+
+    The blocks depend on which DOFs are constrained, not on their values.
+    The level's system is freed on return, before the next assembly.
+    """
+    scaled = scaled_from_direct(1.0, [1.0], [0.0])
+    system = build_block_system(unit_square_kernels(n, ell, scaled.n, eta), scaled)
+    con = apply_boundary_conditions(system, homogeneous_bcs(1, pressure="dirichlet"))
+    _, xp = preconditioner_matrices(con, scaled)
+    _, xpt = preconditioner_matrices(condense_velocity(con), scaled)
+    return spectrum_ends(xp, xpt)[1]
+
+
 def cmd_eigs(cfg, out_dir):
     with config_errors():
         run = cfg["run"] if cfg.has_section("run") else {}
@@ -450,6 +467,7 @@ def cmd_eigs(cfg, out_dir):
         infsup_levels = _list(run, "infsup_levels", "2, 4, 8")
         opts = _solver_options(cfg)
         comment = resolved_config_comment("eigs", cfg)
+    eta = opts["eta"]
     paths = []
 
     # spectrum of the reduced operator against the Schur preconditioner,
@@ -458,33 +476,24 @@ def cmd_eigs(cfg, out_dir):
     for i in i_list:
         R = 10.0 ** (-i)
         scaled = scaled_from_direct(lam, [R, R], [0.0, 0.0])
-        system = manufactured_problem(n_side, ell, scaled, opts["eta"])[2]
+        system = build_block_system(unit_square_kernels(n_side, ell, scaled.n, eta), scaled)
         condensed = condense_velocity(apply_boundary_conditions(system, homogeneous_bcs(2)))
-        x1, x2 = preconditioner_matrices(condensed, scaled)
-        prec_mat = sps.block_diag([x1, x2], format="csr")
+        prec_mat = sps.block_diag(preconditioner_matrices(condensed, scaled), format="csr")
         exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
         neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=exclude)
         rows.append((R, *neg, *pos))
     paths.append(write_csv(out_dir / "eigs.csv", comment, "R,neg_min,neg_max,pos_min,pos_max", rows))
 
     # spectral equivalence of the two pressure preconditioner blocks
-    rows = []
-    for n in equiv_levels:
-        scaled = scaled_from_direct(1.0, [1.0], [0.0])
-        con = manufactured_problem(n, ell, scaled, opts["eta"])[-1]
-        condensed = condense_velocity(con)
-        _, xp = preconditioner_matrices(con, scaled)
-        _, xpt = preconditioner_matrices(condensed, scaled)
-        rows.append((n, *spectrum_ends(xp, xpt)[1]))
+    rows = [(n, *_equivalence_ends(n, ell, eta)) for n in equiv_levels]
     paths.append(write_csv(out_dir / "xp_equivalence.csv", comment, "n,eig_min,eig_max", rows))
 
-    # inf-sup constants over mesh levels, one table per estimator kind
-    for which, fname in (("stokes-like", "infsup_stokes.csv"), ("darcy-like", "infsup_darcy.csv")):
-        rows = []
-        for n in infsup_levels:
-            mesh = generate_unit_square(n)
-            spaces = SpaceSet(mesh, ell, 1)
-            rows.append((n, estimate_inf_sup(mesh, spaces, which)))
+    # inf-sup constants over mesh levels, one table per estimator kind; the
+    # two estimators of a level read one cached assembly
+    betas = [[estimate_inf_sup(unit_square_kernels(n, ell, 1, eta), which)
+              for which in ("stokes-like", "darcy-like")] for n in infsup_levels]
+    for column, fname in zip(zip(*betas), ("infsup_stokes.csv", "infsup_darcy.csv")):
+        rows = zip(infsup_levels, column)
         paths.append(write_csv(out_dir / fname, comment, "mesh_n,beta_h", rows))
 
     # conservation table from one converged solve

@@ -17,7 +17,6 @@ from .assembly import (
     DofLayout,
     _embed_per_network,
     _lambda_mass_q,
-    assemble_kernels,
     constant_pressure_mode,
     displacement_hdg_factors,
     displacement_hdg_matrix,
@@ -48,7 +47,7 @@ class NormReport:
 
 
 class NormAssembler:
-    """Precomputed norm matrices on a fixed mesh and space set.
+    """Precomputed norm matrices on the mesh and space set of ``kernels``.
 
     The second-derivative terms of the displacement and pressure HDG
     norms are included here (they are omitted from the preconditioner
@@ -58,14 +57,13 @@ class NormAssembler:
     displacement norm of rounding size, not the square root of it.
     """
 
-    def __init__(self, mesh, spaces, kernels=None):
-        self.mesh = mesh
-        self.spaces = spaces
-        self.kernels = kernels or assemble_kernels(mesh, spaces)
+    def __init__(self, kernels):
+        self.kernels = kernels
+        self.spaces = spaces = kernels.spaces
         self.layout = DofLayout(spaces)
-        self.u_hdg = displacement_hdg_factors(mesh, spaces, include_h2=True)
+        self.u_hdg = displacement_hdg_factors(spaces, include_h2=True)
         self.divdiv = divdiv_factors(spaces)
-        self.p_hdg = pressure_hdg_factors(mesh, spaces, include_h2=True)
+        self.p_hdg = pressure_hdg_factors(spaces, include_h2=True)
 
     def report(self, x, scaled):
         layout = self.layout
@@ -108,7 +106,7 @@ class NormAssembler:
             [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))]
         )
         masses = [kernels.M_w / R for R in scaled.R]
-        p_bar = _embed_per_network(self.p_hdg.matrix(), spaces, scaled.n, scaled.R)
+        p_bar = _embed_per_network(self.p_hdg.matrix(), spaces, scaled.R)
         p_bar = p_bar + _lambda_mass_q(kernels, scaled)
         return sps.block_diag([self.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")
 
@@ -175,28 +173,29 @@ def conservation_residual(x_full, system, full_rhs=None):
 # ----------------------------------------------------------------------
 
 
-def _analysis_free_uu(mesh, spaces):
+def _analysis_free_uu(spaces):
     """Free (u, uhat) indices for homogeneous displacement Dirichlet data."""
-    bf = mesh.boundary_facets
+    bf = spaces.mesh.boundary_facets
     mask = np.ones(spaces.size_u + spaces.size_uhat, dtype=bool)
     mask[bf[:, None] * spaces.n_u_edge + np.arange(spaces.n_u_edge)] = False
     mask[spaces.size_u + spaces.uhat_dofs(bf)] = False
     return np.nonzero(mask)[0]
 
 
-def estimate_inf_sup(mesh, spaces, which):
+def estimate_inf_sup(kernels, which):
     """Discrete inf-sup constant from the smallest nonzero Schur eigenvalue.
 
     ``which`` is "stokes-like" (divergence coupling against the
     displacement HDG norm and the L2 norm of the summed pressure) or
     "darcy-like" (the hybrid-mixed b-form against the flux L2 norm and
-    the pressure HDG norm).  Returns the square root of the smallest
-    nonzero generalized eigenvalue.
+    the pressure HDG norm); the couplings and masses are read from
+    ``kernels``.  Returns the square root of the smallest nonzero
+    generalized eigenvalue.
     """
-    kernels = assemble_kernels(mesh, spaces)
+    spaces = kernels.spaces
     if which == "stokes-like":
-        free = _analysis_free_uu(mesh, spaces)
-        A = _SPDFactor(displacement_hdg_matrix(mesh, spaces, include_h2=True)[np.ix_(free, free)])
+        free = _analysis_free_uu(spaces)
+        A = _SPDFactor(displacement_hdg_matrix(spaces, include_h2=True)[np.ix_(free, free)])
         # columns: the free (u, uhat) DOFs (uhat columns do not couple)
         G = sps.hstack([kernels.D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))])
         G = G.tocsc()[:, free]
@@ -205,7 +204,7 @@ def estimate_inf_sup(mesh, spaces, which):
         Minv = _block_diag_inverse(kernels.M_p, spaces.n_p)
         return float(np.sqrt(_lanczos(S, kernels.M_p, "SA", k=2, Minv=Minv)[1]))
     if which == "darcy-like":
-        N = pressure_hdg_matrix(mesh, spaces, include_h2=True)
+        N = pressure_hdg_matrix(spaces, include_h2=True)
         B = sps.vstack([kernels.Dw, -kernels.Ew])
         S = B @ _block_diag_inverse(kernels.M_w, spaces.n_w) @ B.T
         # S and N share the constant (q, qhat) pair as their kernel
@@ -247,7 +246,10 @@ def _restricted_pencil(K, B, exclude):
     # the Jacobi-scaled pencil has the same eigenvalues; unscaled, B's
     # diagonal spans 2e10 at R = 1e-8 and rounding in the B-inner products
     # moves the ends by 1e-10
-    d = 1.0 / np.sqrt(B.diagonal())
+    diag = B.diagonal()
+    if not np.all(diag > 0.0):
+        raise PreconditionerError("preconditioner not SPD (diagonal entry not positive)")
+    d = 1.0 / np.sqrt(diag)
     D = sps.diags(d)
     K, B = D @ K @ D, D @ B @ D
     E = [d * e for e in exclude or []]

@@ -210,9 +210,6 @@ class Mesh:
     def n_elements(self):
         return len(self.elements)
 
-    def is_boundary_facet(self, f):
-        return self.facet_elements[f, 1] == -1
-
     def tag_boundary(self, predicate, tag):
         """Tag all boundary facets whose midpoint satisfies ``predicate``."""
         for f in self.boundary_facets:

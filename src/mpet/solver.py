@@ -374,8 +374,8 @@ def preconditioner_matrices(target, scaled, kernel_vectors=()):
         iv = con.free_pos[con.free_in(layout.v_fields)]
         x_uw = con.K_ff[np.ix_(iv, iv)].tocsr()
         spaces = kernels.spaces
-        p_hdg = pressure_hdg_matrix(spaces.mesh, spaces, include_h2=False)
-        x_p_full = _embed_per_network(p_hdg, spaces, scaled.n, scaled.R)
+        p_hdg = pressure_hdg_matrix(spaces, include_h2=False)
+        x_p_full = _embed_per_network(p_hdg, spaces, scaled.R)
         x_p = (x_p_full + _lambda_mass_q(kernels, scaled))[iq]
     return x_uw, _border_with_kernel(x_p, [k[q_free] for k in kernel_vectors])
 

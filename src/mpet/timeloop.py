@@ -155,7 +155,7 @@ class TimeStepper:
         sc = scenario
         self.scenario = sc
         self.spaces = SpaceSet(sc.mesh, sc.ell, sc.n_networks)
-        self.kernels = assemble_kernels(sc.mesh, self.spaces, eta=sc.eta)
+        self.kernels = assemble_kernels(self.spaces, eta=sc.eta)
         self.scaled = scale_parameters(sc.phys)
         self.system = build_block_system(self.kernels, self.scaled)
         self.layout = self.system.layout
@@ -245,8 +245,8 @@ class TimeStepper:
                 for i, fn in enumerate(sc.mass_sources)
             ]
         if f_fn is not None or g_fns is not None:
-            F += assemble_volume_rhs(sc.mesh, self.spaces, f=f_fn, g=g_fns)
-        F += assemble_traction_rhs(sc.mesh, self.spaces, self.bcs_scaled, t=t_k)
+            F += assemble_volume_rhs(self.spaces, f=f_fn, g=g_fns)
+        F += assemble_traction_rhs(self.spaces, self.bcs_scaled, t=t_k)
         # recurrence: g_i -= div u^{k-1} + (s_i / alpha_i) p_i^{k-1}
         div_u = self.kernels.D @ state.u
         for i in range(phys.n):
@@ -259,7 +259,7 @@ class TimeStepper:
         sc = self.scenario
         t_k = state.t + sc.tau if t_k is None else t_k
         F = self.step_rhs(state, t_k)
-        self.constrained.update_values(self.spaces, self.bcs_scaled, t_k)
+        self.constrained.update_values(self.bcs_scaled, t_k)
         x, report, self._reuse = solve(
             self.constrained,
             self.scaled,

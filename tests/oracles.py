@@ -342,17 +342,17 @@ def pressure_schur_complement(constrained):
     return -B @ np.linalg.solve(A, B.T) + minusC
 
 
-def estimate_inf_sup(mesh, spaces, which):
+def estimate_inf_sup(kernels, which):
     """Discrete inf-sup constant by a dense Schur eigenvalue problem on the
     production-assembled matrices: the square root of the smallest nonzero
     generalized eigenvalue."""
-    from mpet.assembly import assemble_kernels, displacement_hdg_matrix, pressure_hdg_matrix
+    from mpet.assembly import displacement_hdg_matrix, pressure_hdg_matrix
     from mpet.diagnostics import _analysis_free_uu
 
-    kernels = assemble_kernels(mesh, spaces)
+    spaces = kernels.spaces
     if which == "stokes-like":
-        free = _analysis_free_uu(mesh, spaces)
-        A = displacement_hdg_matrix(mesh, spaces, include_h2=True)[np.ix_(free, free)].toarray()
+        free = _analysis_free_uu(spaces)
+        A = displacement_hdg_matrix(spaces, include_h2=True)[np.ix_(free, free)].toarray()
         # columns: all free u DOFs first (uhat columns do not couple)
         Dfull = np.zeros((spaces.size_p, len(free)))
         u_free = free[free < spaces.size_u]
@@ -360,7 +360,7 @@ def estimate_inf_sup(mesh, spaces, which):
         S = Dfull @ np.linalg.solve(A, Dfull.T)
         eigs = eigh(0.5 * (S + S.T), kernels.M_p.toarray(), eigvals_only=True)
     else:
-        N = pressure_hdg_matrix(mesh, spaces, include_h2=True).toarray()
+        N = pressure_hdg_matrix(spaces, include_h2=True).toarray()
         B = np.vstack([kernels.Dw.toarray(), -kernels.Ew.toarray()])
         S = B @ np.linalg.solve(kernels.M_w.toarray(), B.T)
         # both S and N share the constant (q, qhat) pair as kernel; reduce

@@ -50,7 +50,7 @@ def default_scaled(n=2, lam=1.0, R=1.0, alpha_p=0.0, xi=0.0):
 def test_reference_element_a_hdg_matches_oracle(ell):
     mesh = reference_element_mesh()
     spaces = SpaceSet(mesh, ell, 1)
-    produced = assemble_kernels(mesh, spaces, eta=10.0).a_hdg
+    produced = assemble_kernels(spaces, eta=10.0).a_hdg
     expected = oracle_blocks(mesh, spaces, eta=10.0)["a_hdg"]
     assert rel_err(produced, expected) <= 1e-12
 
@@ -59,7 +59,7 @@ def test_reference_element_a_hdg_matches_oracle(ell):
 def test_two_element_kernels_match_oracle(ell):
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, ell, 1)
-    kernels = assemble_kernels(mesh, spaces, eta=10.0)
+    kernels = assemble_kernels(spaces, eta=10.0)
     expected = oracle_blocks(mesh, spaces, eta=10.0)
     assert rel_err(kernels.a_hdg, expected["a_hdg"]) <= 1e-12
     assert rel_err(kernels.divdiv, expected["divdiv"]) <= 1e-12
@@ -79,11 +79,11 @@ def test_norm_matrices_match_oracle(ell, include_h2):
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, ell, 1)
     assert rel_err(
-        displacement_hdg_matrix(mesh, spaces, include_h2=include_h2),
+        displacement_hdg_matrix(spaces, include_h2=include_h2),
         oracle_displacement_hdg_norm(mesh, spaces, include_h2=include_h2),
     ) <= 1e-12
     assert rel_err(
-        pressure_hdg_matrix(mesh, spaces, include_h2=include_h2),
+        pressure_hdg_matrix(spaces, include_h2=include_h2),
         oracle_pressure_hdg_norm(mesh, spaces, include_h2=include_h2),
     ) <= 1e-12
 
@@ -92,7 +92,7 @@ def test_full_matrix_matches_oracle_composition():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 2)
     scaled = default_scaled(n=2, lam=3.0, R=0.5, alpha_p=0.25, xi=0.1)
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     expected = oracle_full_matrix(mesh, spaces, scaled)
     assert rel_err(system.K, expected) <= 1e-12
 
@@ -105,7 +105,7 @@ def test_full_matrix_matches_oracle_composition():
 def test_rigid_motions_in_a_hdg_kernel():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 2, 1)
-    a = assemble_kernels(mesh, spaces).a_hdg
+    a = assemble_kernels(spaces).a_hdg
     for motion in (
         lambda x: np.array([1.0, 0.0]),
         lambda x: np.array([0.3, -0.7]),
@@ -121,7 +121,7 @@ def test_rigid_motions_in_a_hdg_kernel():
 def test_a_hdg_positive_beyond_rigid_modes():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 1)
-    a = assemble_kernels(mesh, spaces, eta=10.0).a_hdg.toarray()
+    a = assemble_kernels(spaces, eta=10.0).a_hdg.toarray()
     eigs = np.sort(np.linalg.eigvalsh(a))
     assert np.all(np.abs(eigs[:3]) < 1e-11)
     assert eigs[3] > 1e-8
@@ -131,13 +131,13 @@ def test_penalty_must_be_positive():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 1)
     with pytest.raises(ValueError, match="eta"):
-        assemble_kernels(mesh, spaces, eta=0.0)
+        assemble_kernels(spaces, eta=0.0)
 
 
 def test_divergence_free_rotation_has_zero_divdiv_energy():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 1, 1)
-    divdiv = assemble_kernels(mesh, spaces).divdiv
+    divdiv = assemble_kernels(spaces).divdiv
     coeffs = spaces.interpolate_u(lambda x: np.array([-x[1], x[0]]))
     assert abs(coeffs @ (divdiv @ coeffs)) < 1e-12
 
@@ -146,7 +146,7 @@ def test_coupling_row_sum_zero_for_constant_pressure():
     """(1, div v) = 0 for v with zero normal trace on the domain boundary."""
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 1, 1)
-    kernels = assemble_kernels(mesh, spaces)
+    kernels = assemble_kernels(spaces)
     ones = np.zeros(spaces.size_p)
     for t in range(mesh.n_elements):
         ones[spaces.p_dofs(t)[0]] = 1.0
@@ -161,7 +161,7 @@ def test_coupling_row_sum_zero_for_constant_pressure():
 def test_flow_facet_terms_cancel_for_continuous_flux():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 2, 1)
-    kernels = assemble_kernels(mesh, spaces)
+    kernels = assemble_kernels(spaces)
     w = spaces.interpolate_w(lambda x: np.array([x[0] ** 2 + x[1], 1.0 - x[0] * x[1]]))
     paired = kernels.Ew @ w
     for f in mesh.interior_facets:
@@ -173,7 +173,7 @@ def test_flow_c_block_diagonal_without_transfer():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 2)
     scaled = default_scaled(n=2, alpha_p=0.7, xi=0.0)
-    kernels = assemble_kernels(mesh, spaces)
+    kernels = assemble_kernels(spaces)
     system = build_block_system(kernels, scaled)
     size_v = system.layout.size_v
     A, C = system.K[:size_v, :size_v], -system.K[size_v:, size_v:]
@@ -196,8 +196,8 @@ def test_a_hdg_coercive_against_hdg_norm_across_meshes():
     for n in (1, 2, 4):
         mesh = generate_unit_square(n)
         spaces = SpaceSet(mesh, 2, 1)
-        a = assemble_kernels(mesh, spaces, eta=10.0).a_hdg
-        norm_mat = displacement_hdg_matrix(mesh, spaces, include_h2=False)
+        a = assemble_kernels(spaces, eta=10.0).a_hdg
+        norm_mat = displacement_hdg_matrix(spaces, include_h2=False)
         # constrain the boundary to remove rigid modes
         mask = np.ones(spaces.size_u + spaces.size_uhat, dtype=bool)
         for f in mesh.boundary_facets:
@@ -217,7 +217,7 @@ def test_full_matrix_symmetry():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 2, 2)
     scaled = default_scaled(n=2, lam=1e4, R=1e-4, alpha_p=1e-4, xi=1e-4)
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     assert system.symmetry_defect() <= 1e-12
 
 
@@ -225,8 +225,8 @@ def test_assembly_is_bit_deterministic():
     """Repeated assembly produces bit-identical matrices."""
     mesh = generate_unit_square(3)
     spaces = SpaceSet(mesh, 2, 1)
-    k1 = assemble_kernels(mesh, spaces, eta=10.0)
-    k2 = assemble_kernels(mesh, spaces, eta=10.0)
+    k1 = assemble_kernels(spaces, eta=10.0)
+    k2 = assemble_kernels(spaces, eta=10.0)
     for name in ("a_hdg", "divdiv", "D", "Dw", "Ew", "M_w", "M_p"):
         a, b = getattr(k1, name).tocsr(), getattr(k2, name).tocsr()
         assert np.array_equal(a.data, b.data)
@@ -240,8 +240,8 @@ def test_quadrature_degree_invariance():
     for ell in (1, 2):
         s1 = SpaceSet(mesh, ell, 1, quad_degree=2 * ell + 2)
         s2 = SpaceSet(mesh, ell, 1, quad_degree=2 * ell + 4)
-        k1 = assemble_kernels(mesh, s1)
-        k2 = assemble_kernels(mesh, s2)
+        k1 = assemble_kernels(s1)
+        k2 = assemble_kernels(s2)
         for name in ("a_hdg", "divdiv", "D", "Dw", "Ew", "M_w", "M_p"):
             assert rel_err(getattr(k1, name), np.asarray(getattr(k2, name).todense())) <= 1e-12
 
@@ -255,7 +255,7 @@ def test_homogeneous_constraint_count():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 1, 2)
     scaled = default_scaled(n=2)
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     bcs = homogeneous_bcs(2)
     constrained = apply_boundary_conditions(system, bcs)
     nbf = len(mesh.boundary_facets)
@@ -272,7 +272,7 @@ def test_missing_condition_rejected():
     mesh = generate_annulus(1.0, 2.0, 1, 4)
     spaces = SpaceSet(mesh, 1, 1)
     scaled = default_scaled(n=1)
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     bcs = BoundaryConditionSet(
         {"skull": ("dirichlet", lambda x, t: np.zeros(2))},
         [{"skull": ("flux", None)}],
@@ -292,7 +292,7 @@ def test_traction_rhs_matches_facet_quadrature_oracle():
         },
         [{"ventricle": ("flux", None), "skull": ("flux", None)}],
     )
-    F = assemble_traction_rhs(mesh, spaces, bcs)
+    F = assemble_traction_rhs(spaces, bcs)
     layout = DofLayout(spaces)
 
     from oracles import facet_points, u_eval
@@ -337,9 +337,9 @@ def test_inhomogeneous_lift_solves_exactly():
     manu = ManufacturedSolution(
         (sp.Rational(0), sp.Rational(0)), [sp.symbols("x y")[0] - sp.Rational(1, 2)]
     )
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     system.F = assemble_volume_rhs(
-        mesh, spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled)
+        spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled)
     )
     bcs = BoundaryConditionSet(
         {"boundary": ("dirichlet", lambda x, t: np.zeros(2))},
@@ -404,9 +404,9 @@ def test_exact_fields_nearly_satisfy_discrete_system():
     for n in (2, 4, 8):
         mesh = generate_unit_square(n)
         spaces = SpaceSet(mesh, 1, 2)
-        system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+        system = build_block_system(assemble_kernels(spaces), scaled)
         system.F = assemble_volume_rhs(
-            mesh, spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled), degree=10
+            spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled), degree=10
         )
         layout = system.layout
 
@@ -440,7 +440,7 @@ def test_exact_fields_nearly_satisfy_discrete_system():
 def test_pressure_nullspace_detection():
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 1, 2)
-    kernels = assemble_kernels(mesh, spaces)
+    kernels = assemble_kernels(spaces)
     scaled = default_scaled(n=2, alpha_p=0.0, xi=0.0)
     system = build_block_system(kernels, scaled)
     bcs = homogeneous_bcs(2)

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mpet import cli
+from mpet.assembly import constraint_data, homogeneous_bcs
 from mpet.cli import _flag, main, parse_parameters, read_config, write_csv
+from mpet.params import scaled_from_direct
 
 
 def write_cfg(path, text):
@@ -138,6 +143,50 @@ def test_eigs_small(tmp_path):
     cons = (out / "conservation.csv").read_text().splitlines()
     assert cons[1] == "element,network,residual"
     assert all(float(r.split(",")[2]) < 1e-8 for r in cons[2:])
+
+
+def test_eigs_small_penalty_exits_2_without_warning(tmp_path, capsys):
+    # the Schur preconditioner has a negative diagonal entry at eta = 0.01;
+    # the spectrum rows reject it before taking its square root
+    cfg = write_cfg(
+        tmp_path / "eigs.cfg",
+        "[run]\nn_per_side = 1\norder = 1\n\n[solver]\neta = 0.01\n",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eigs", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "run error: PreconditionerError" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_manufactured_solve_on_cached_kernels_matches_a_cold_build():
+    # a cell solved on kernels another cell used first equals a cold solve
+    args = (2, 2, cli._sweep_parameters(4, 1e4, False), 1e-8, 500, "schur_reduced")
+    cli.unit_square_kernels.cache_clear()
+    cli.manufactured_solve(2, 2, cli._sweep_parameters(0, 1.0, False), 1e-8, 500, "full_block")
+    hits = cli.unit_square_kernels.cache_info().hits
+    warm, _, (x_warm, _, _) = cli.manufactured_solve(*args)
+    assert cli.unit_square_kernels.cache_info().hits == hits + 1
+    cli.unit_square_kernels.cache_clear()
+    cold, _, (x_cold, _, _) = cli.manufactured_solve(*args)
+    assert np.array_equal(x_warm, x_cold)
+    assert warm.iterations == cold.iterations
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_dirichlet_pressure_constrains_the_manufactured_dofs(ell):
+    # cmd_eigs builds its equivalence rows on homogeneous Dirichlet data in
+    # place of the manufactured data; both must fix the same DOFs
+    scaled = scaled_from_direct(1.0, [1.0], [0.0])
+    con = cli.manufactured_solve(2, ell, scaled, 1e-8, 500, "schur_reduced")[2][2]
+    spaces = con.base.kernels.spaces
+    constrained, _ = constraint_data(
+        con.layout, spaces, homogeneous_bcs(1, pressure="dirichlet"), 0.0
+    )
+    assert np.array_equal(constrained, con.constrained)
+    # and the pressure trace is among them
+    flux = constraint_data(con.layout, spaces, homogeneous_bcs(1), 0.0)[0]
+    assert len(flux) < len(constrained)
 
 
 def test_sweep_parameter_grids():

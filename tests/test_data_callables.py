@@ -97,7 +97,7 @@ MESHES = [square, annulus]
 def test_volume_rhs_matches_pointwise(make, ell):
     spaces = make(ell)
     g = [source, lambda x: x[0] - x[1] ** 3]
-    got = assemble_volume_rhs(spaces.mesh, spaces, f=body, g=g)
+    got = assemble_volume_rhs(spaces, f=body, g=g)
     assert_close(got, oracles.pointwise_volume_rhs(spaces.mesh, spaces, f=body, g=g))
 
 
@@ -112,7 +112,7 @@ def test_boundary_data_match_pointwise(make, ell):
     assert list(idx) == sorted(ref)
     assert_close(val, np.array([ref[k] for k in idx]))
     tbcs = traction_bcs(spaces)
-    got = assemble_traction_rhs(spaces.mesh, spaces, tbcs, t=T)
+    got = assemble_traction_rhs(spaces, tbcs, t=T)
     assert_close(got, oracles.pointwise_traction_rhs(spaces.mesh, spaces, tbcs, t=T))
 
 
@@ -131,7 +131,7 @@ def test_interpolation_matches_pointwise(make, ell):
 def test_each_callable_called_once_per_field_and_tag():
     spaces = annulus(2)
     f, g0, g1 = Counting(body), Counting(source), Counting(source)
-    assemble_volume_rhs(spaces.mesh, spaces, f=f, g=[g0, g1])
+    assemble_volume_rhs(spaces, f=f, g=[g0, g1])
     assert len(f.shapes) == len(g0.shapes) == len(g1.shapes) == 1
     assert f.shapes[0][0] == 2 and f.shapes[0][1] > 1
 
@@ -146,7 +146,7 @@ def test_each_callable_called_once_per_field_and_tag():
     assert len(p0.shapes) == 2          # two tags of network 0
     assert len(p1.shapes) == 1
     assert not tr.shapes
-    assemble_traction_rhs(spaces.mesh, spaces, bcs, t=T)
+    assemble_traction_rhs(spaces, bcs, t=T)
     assert len(tr.shapes) == 1
 
     for name, fn in [("interpolate_u", body), ("interpolate_w", body),
@@ -173,9 +173,9 @@ def test_constant_data_are_broadcast():
     idx, val = constraint_data(layout, spaces, bcs, T)
     ref = oracles.pointwise_constraint_data(layout, spaces, bcs, T)
     assert np.array_equal(val, [ref[k] for k in idx])
-    assert_close(assemble_traction_rhs(spaces.mesh, spaces, bcs, t=T),
+    assert_close(assemble_traction_rhs(spaces, bcs, t=T),
                  oracles.pointwise_traction_rhs(spaces.mesh, spaces, bcs, t=T))
-    F = assemble_volume_rhs(spaces.mesh, spaces, f=lambda x: np.zeros(2), g=[lambda x: 1.0])
+    F = assemble_volume_rhs(spaces, f=lambda x: np.zeros(2), g=[lambda x: 1.0])
     assert not F[layout.sl("u")].any()
     assert_close(F, oracles.pointwise_volume_rhs(spaces.mesh, spaces, g=[lambda x: 1.0]))
     assert np.allclose(spaces.interpolate_p(lambda x: 2.5)[:: spaces.n_p], 2.5, rtol=1e-14)
@@ -205,7 +205,7 @@ def test_manufactured_zero_displacement_broadcasts():
     assert manu.u(pts[:, 0]).shape == (2,)
     scaled = scaled_from_direct(2.0, [1.0, 0.5], [1.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]))
     f, g = manu.body_force(scaled), manu.mass_sources(scaled)
-    got = assemble_volume_rhs(spaces.mesh, spaces, f=f, g=g)
+    got = assemble_volume_rhs(spaces, f=f, g=g)
     assert_close(got, oracles.pointwise_volume_rhs(spaces.mesh, spaces, f=f, g=g))
     assert not spaces.interpolate_u(manu.u).any()
     assert_close(spaces.interpolate_phat(manu.p[0]),

@@ -33,12 +33,12 @@ def make_problem(n_side=2, ell=1, n_networks=2, lam=1.0, R=1.0, alpha_p=0.0, xi=
     xi_mat = np.full((n_networks, n_networks), xi)
     np.fill_diagonal(xi_mat, 0.0)
     scaled = scaled_from_direct(lam, [R] * n_networks, [alpha_p] * n_networks, xi_mat)
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     manu = default_manufactured(min(n_networks, 2))
     g = manu.mass_sources(scaled)
     while len(g) < n_networks:
         g.append(g[-1])
-    system.F = assemble_volume_rhs(mesh, spaces, f=manu.body_force(scaled), g=g)
+    system.F = assemble_volume_rhs(spaces, f=manu.body_force(scaled), g=g)
     if pressure_bc == "dirichlet":
         pres = [
             {"boundary": ("dirichlet", manu.pressure_trace_bc(min(i, manu.n - 1)))}
@@ -58,7 +58,7 @@ def make_problem(n_side=2, ell=1, n_networks=2, lam=1.0, R=1.0, alpha_p=0.0, xi=
 
 def test_zero_state_zero_norms():
     mesh, spaces, scaled, system, _, _ = make_problem(1, 1, 1)
-    norms = NormAssembler(mesh, spaces, system.kernels)
+    norms = NormAssembler(system.kernels)
     rep = norms.report(np.zeros(system.layout.total), scaled)
     assert rep.product == 0.0
     assert rep.u_hdg == 0.0 and rep.w == 0.0 and rep.p_bar == 0.0
@@ -66,7 +66,7 @@ def test_zero_state_zero_norms():
 
 def test_rigid_translation_in_hdg_kernel():
     mesh, spaces, scaled, system, _, _ = make_problem(2, 1, 1)
-    norms = NormAssembler(mesh, spaces, system.kernels)
+    norms = NormAssembler(system.kernels)
     x = np.zeros(system.layout.total)
     motion = lambda p: np.array([0.4, -1.1])
     x[system.layout.sl("u")] = spaces.interpolate_u(motion)
@@ -80,7 +80,7 @@ def test_norm_homogeneity_and_product_identity():
     mesh, spaces, scaled, system, _, con = make_problem(2, 2, 2, lam=10.0, alpha_p=0.3, xi=0.2)
     rng = np.random.default_rng(2)
     x = rng.normal(size=system.layout.total)
-    norms = NormAssembler(mesh, spaces, system.kernels)
+    norms = NormAssembler(system.kernels)
     rep1 = norms.report(x, scaled)
     rep3 = norms.report(3.0 * x, scaled)
     assert np.isclose(rep3.product, 3.0 * rep1.product, rtol=1e-12)
@@ -99,8 +99,8 @@ def test_single_element_norm_matches_dense_oracle():
     mesh.tag_boundary(lambda x: True, "boundary")
     spaces = SpaceSet(mesh, 1, 1)
     scaled = scaled_from_direct(1.0, [1.0], [0.0])
-    kernels = assemble_kernels(mesh, spaces)
-    norms = NormAssembler(mesh, spaces, kernels)
+    kernels = assemble_kernels(spaces)
+    norms = NormAssembler(kernels)
     rng = np.random.default_rng(0)
     x = rng.normal(size=norms.layout.total)
     rep = norms.report(x, scaled)
@@ -111,11 +111,11 @@ def test_single_element_norm_matches_dense_oracle():
     # the norm matrix definition directly with the h2 seminorm dropped
     from mpet.assembly import displacement_hdg_matrix
 
-    mat = displacement_hdg_matrix(mesh, spaces, include_h2=False)
+    mat = displacement_hdg_matrix(spaces, include_h2=False)
     val_eps = float(uu @ (blocks["a_hdg"] @ uu))  # includes cross + penalty
     # strain mass from oracle equals the norm matrix minus its jump part
     # (the jump part itself is the penalty of a_hdg at eta ell^2 = 1)
-    jump = displacement_hdg_matrix(mesh, spaces, include_h2=False) - _strain_only(mesh, spaces)
+    jump = displacement_hdg_matrix(spaces, include_h2=False) - _strain_only(mesh, spaces)
     assert np.isclose(
         float(uu @ (mat @ uu)),
         float(uu @ (_strain_only(mesh, spaces) @ uu)) + float(uu @ (jump @ uu)),
@@ -154,7 +154,7 @@ def test_solve_matches_direct_in_product_norm():
     x_direct = np.zeros(system.layout.total)
     x_direct[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
     x_direct[con.constrained] = con.values
-    norms = NormAssembler(mesh, spaces, system.kernels)
+    norms = NormAssembler(system.kernels)
     err = norms.report(x - x_direct, scaled).product
     ref = norms.report(x_direct, scaled).product
     assert err <= 1e-6 * ref
@@ -242,10 +242,9 @@ def test_conservation_csv(tmp_path):
 def test_infsup_positive_and_mesh_independent():
     betas_s, betas_d = [], []
     for n in (2, 4, 8):
-        mesh = generate_unit_square(n)
-        spaces = SpaceSet(mesh, 1, 1)
-        betas_s.append(estimate_inf_sup(mesh, spaces, "stokes-like"))
-        betas_d.append(estimate_inf_sup(mesh, spaces, "darcy-like"))
+        kernels = assemble_kernels(SpaceSet(generate_unit_square(n), 1, 1))
+        betas_s.append(estimate_inf_sup(kernels, "stokes-like"))
+        betas_d.append(estimate_inf_sup(kernels, "darcy-like"))
     for seq in (betas_s, betas_d):
         assert all(b > 0 for b in seq)
         assert (max(seq) - min(seq)) / max(seq) < 0.2
@@ -259,8 +258,8 @@ def test_infsup_invariant_under_translation_rotation():
     moved = Mesh(verts, base.elements)
     moved.tag_boundary(lambda x: True, "boundary")
     for which in ("stokes-like", "darcy-like"):
-        b0 = estimate_inf_sup(base, SpaceSet(base, 1, 1), which)
-        b1 = estimate_inf_sup(moved, SpaceSet(moved, 1, 1), which)
+        b0 = estimate_inf_sup(assemble_kernels(SpaceSet(base, 1, 1)), which)
+        b1 = estimate_inf_sup(assemble_kernels(SpaceSet(moved, 1, 1)), which)
         assert abs(b0 - b1) <= 1e-10 * max(b0, 1.0)
 
 
@@ -271,7 +270,7 @@ def test_darcy_infsup_matches_oracle_assembly():
 
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 1, 1)
-    beta = estimate_inf_sup(mesh, spaces, "darcy-like")
+    beta = estimate_inf_sup(assemble_kernels(spaces), "darcy-like")
 
     blocks = oracle_blocks(mesh, spaces)
     N = oracle_pressure_hdg_norm(mesh, spaces, include_h2=True)
@@ -292,8 +291,8 @@ def test_infsup_at_n24_within_band():
     for which in ("stokes-like", "darcy-like"):
         betas = []
         for n in (2, 4, 8, 24):
-            mesh = generate_unit_square(n)
-            betas.append(estimate_inf_sup(mesh, SpaceSet(mesh, 1, 1), which))
+            kernels = assemble_kernels(SpaceSet(generate_unit_square(n), 1, 1))
+            betas.append(estimate_inf_sup(kernels, which))
         assert min(betas) > 0
         assert (max(betas) - min(betas)) / max(betas) < 0.2, (which, betas)
 
@@ -301,10 +300,9 @@ def test_infsup_at_n24_within_band():
 @pytest.mark.parametrize("which", ["stokes-like", "darcy-like"])
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_infsup_matches_dense_oracle(which, n):
-    mesh = generate_unit_square(n)
-    spaces = SpaceSet(mesh, 1, 1)
-    beta = estimate_inf_sup(mesh, spaces, which)
-    assert np.isclose(beta, oracles.estimate_inf_sup(mesh, spaces, which), rtol=1e-10, atol=0)
+    kernels = assemble_kernels(SpaceSet(generate_unit_square(n), 1, 1))
+    beta = estimate_inf_sup(kernels, which)
+    assert np.isclose(beta, oracles.estimate_inf_sup(kernels, which), rtol=1e-10, atol=0)
 
 
 def test_infsup_csv(tmp_path):

@@ -41,13 +41,13 @@ def make_problem(n_side=2, ell=1, n_networks=2, lam=1.0, R=1.0, alpha_p=0.0,
     xi_mat = np.full((n_networks, n_networks), xi)
     np.fill_diagonal(xi_mat, 0.0)
     scaled = scaled_from_direct(lam, [R] * n_networks, [alpha_p] * n_networks, xi_mat)
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     manu = default_manufactured(min(n_networks, 2))
     if rhs:
         g = manu.mass_sources(scaled)
         while len(g) < n_networks:
             g.append(g[-1])
-        system.F = assemble_volume_rhs(mesh, spaces, f=manu.body_force(scaled), g=g)
+        system.F = assemble_volume_rhs(spaces, f=manu.body_force(scaled), g=g)
     if pressure_bc == "dirichlet":
         pres = []
         for i in range(n_networks):
@@ -206,7 +206,7 @@ def test_both_variants_spd_at_hard_corner():
 def test_small_penalty_rejected(n_side, ell):
     _, spaces, scaled, system, bcs, _ = make_problem(n_side=n_side, ell=ell)
     mesh = spaces.mesh
-    kernels = assemble_kernels(mesh, spaces, eta=0.05)
+    kernels = assemble_kernels(spaces, eta=0.05)
     sys2 = build_block_system(kernels, scaled)
     sys2.F = system.F
     con2 = apply_boundary_conditions(sys2, bcs)
@@ -404,10 +404,10 @@ def test_all_neumann_mean_zero_network(n_networks):
     mesh = generate_unit_square(2)
     spaces = SpaceSet(mesh, 1, n_networks)
     scaled = scaled_from_direct(1.0, [1.0] * n_networks, [0.0] * n_networks)
-    system = build_block_system(assemble_kernels(mesh, spaces), scaled)
+    system = build_block_system(assemble_kernels(spaces), scaled)
     manu = default_manufactured(n_networks)
     system.F = assemble_volume_rhs(
-        mesh, spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled)
+        spaces, f=manu.body_force(scaled), g=manu.mass_sources(scaled)
     )
     bcs = homogeneous_bcs(n_networks)
     con = apply_boundary_conditions(system, bcs)

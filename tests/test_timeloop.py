@@ -196,7 +196,6 @@ def test_prescribed_sources_enter_the_recurrence():
 
     phys = sc.phys
     expected = assemble_volume_rhs(
-        sc.mesh,
         stepper.spaces,
         g=[lambda x: -phys.tau / phys.alpha[0] * source(x, t_k), None],
     )
@@ -315,7 +314,7 @@ def test_precomputed_boundary_data_and_probes_match_per_facet_references():
     con = apply_boundary_conditions(stepper.system, bcs, t=0.0)
 
     for t in (0.3, 0.8):
-        con.update_values(spaces, bcs, t)
+        con.update_values(bcs, t)
         fresh = apply_boundary_conditions(stepper.system, bcs, t)
         assert np.array_equal(con.constrained, fresh.constrained)
         assert np.array_equal(con.values, fresh.values)
@@ -348,7 +347,7 @@ def test_precomputed_boundary_data_and_probes_match_per_facet_references():
         want = np.array([expected[k] for k in con.constrained])
         assert np.abs(con.values - want).max() <= 1e-12 * np.abs(want).max()
 
-        F = assemble_traction_rhs(mesh, spaces, bcs, t=t)
+        F = assemble_traction_rhs(spaces, bcs, t=t)
         loads = np.zeros(spaces.size_u)
         for f in mesh.boundary_facets:
             if mesh.boundary_tags[int(f)] != "ventricle":

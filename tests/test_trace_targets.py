@@ -39,7 +39,7 @@ def test_constrained_system_has_counted_attributes():
     spaces = SpaceSet(mesh, 1, 1)
     scaled = scaled_from_direct(1.0, [1.0], [1.0])
     con = apply_boundary_conditions(
-        build_block_system(assemble_kernels(mesh, spaces), scaled), homogeneous_bcs(1)
+        build_block_system(assemble_kernels(spaces), scaled), homogeneous_bcs(1)
     )
     assert len(con.free) == con.K_ff.shape[0] and con.K_ff.nnz > 0
 
@@ -72,3 +72,29 @@ def test_sweep_solves_each_cell_through_the_module_name(tmp_path, monkeypatch):
     ]
     rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
     assert [int(row[4]) for row in rows] == [10 + k for k in range(1, len(calls) + 1)]
+
+
+def test_sweep_builds_through_the_traced_module_names(tmp_path, monkeypatch):
+    """Cells on one ``(n_side, ell)`` share their kernels, and each build still
+    calls ``mpet.cli.generate_unit_square`` and ``mpet.cli.assemble_kernels``,
+    the names the traced sweep wraps for its mesh and kernel layers."""
+    import mpet.cli
+
+    calls = {}
+
+    def counted(name):
+        fn = getattr(mpet.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("generate_unit_square", "assemble_kernels"):
+        monkeypatch.setattr(mpet.cli, name, counted(name))
+    mpet.cli.unit_square_kernels.cache_clear()
+    config = tmp_path / "sweep.cfg"
+    config.write_text("[run]\ni_list = 0, 2\nlambda_list = 1.0\norders = 1, 2\nn_per_side = 2\n")
+    assert mpet.cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert calls == {"generate_unit_square": 2, "assemble_kernels": 2}

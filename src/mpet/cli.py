@@ -9,7 +9,8 @@ configs produce bit-identical files when BLAS runs on one thread
 (``OPENBLAS_NUM_THREADS=1``).  Boolean keys take ``true``/``false``,
 ``yes``/``no`` or ``1``/``0`` in any case.  Exit codes: 0 on success, 1
 when the config cannot be read or parsed or a value is bad (an unknown
-variant and ``sample_every < 1`` included), 2 when the run fails (an
+variant, ``sample_every < 1``, ``[solver] eta <= 0``, a ``tol`` outside
+(0, 1) and ``maxit < 1`` included), 2 when the run fails (an
 unconverged solve, or an error such as ``MeshError`` raised while
 running, reported with its type).
 """
@@ -192,12 +193,19 @@ def resolved_config_comment(command, cfg, extra=None):
 def _solver_options(cfg):
     """``[solver]`` as keyword arguments of :func:`manufactured_solve`."""
     sec = cfg["solver"] if cfg.has_section("solver") else {}
-    return {
+    opts = {
         "variant": _variant(sec.get("variant", "schur_reduced")),
         "tol": float(sec.get("tol", "1e-8")),
         "maxit": int(sec.get("maxit", "500")),
         "eta": float(sec.get("eta", "10.0")),
     }
+    # comparisons, so that nan fails them too
+    for key, ok, rule in (("eta", 0 < opts["eta"] < np.inf, "positive and finite"),
+                          ("tol", 0 < opts["tol"] < 1, "in (0, 1)"),
+                          ("maxit", opts["maxit"] >= 1, "at least 1")):
+        if not ok:
+            raise ConfigError(f"[solver] {key} must be {rule}, got {opts[key]}")
+    return opts
 
 
 def _cell(value):

@@ -9,16 +9,19 @@ Five spaces are provided at order ``ell`` in {1, 2, 3}:
 * pressure: discontinuous P_{ell-1} per network,
 * facet pressure: scalar polynomials of degree ell-1 per facet.
 
-Vector bases are constructed on the reference triangle by inverting a
-moment matrix (edge Legendre moments plus interior moments) and mapped
-with the contravariant Piola transform.  Edge DOFs of the displacement
-space use raw integral moments so that the mapped traces from the two
-sides of a facet agree; a per-element sign fixes global normal direction
-and edge orientation.
+Reference bases are monomial sets with one derivative rule.  Vector bases
+are fitted on the reference triangle by inverting the moment matrix of
+their DOF functionals (edge Legendre moments plus interior moments,
+:meth:`HdivReferenceBasis.moments`, which also interpolate fields) and
+mapped with the contravariant Piola transform.  Edge DOFs of the
+displacement space use raw integral moments so that the mapped traces
+from the two sides of a facet agree; a per-element sign fixes global
+normal direction and edge orientation.
 """
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -94,7 +97,7 @@ def segment_quadrature(degree):
 
 
 # ----------------------------------------------------------------------
-# scalar polynomial basis (monomials, constant first)
+# monomial sets and moment-fitted H(div) bases
 # ----------------------------------------------------------------------
 
 
@@ -102,142 +105,109 @@ def _monomial_exponents(degree):
     return [(a, d - a) for d in range(degree + 1) for a in range(d, -1, -1)]
 
 
-class ScalarPolyBasis:
+def _rule(a, b, i, j, scale=1):
+    """(c, a - i, b - j) of scale d^(i+j)/dx^i dy^j x^a y^b = c x^(a-i) y^(b-j), i, j <= 2.
+
+    c is scale times the falling factorials a (a - 1) ... and b (b - 1) ...
+    """
+    falling = [np.where(k > 0, n, 1) * np.where(k > 1, n - 1, 1) for n, k in ((a, i), (b, j))]
+    return scale * falling[0] * falling[1], np.maximum(a - i, 0), np.maximum(b - j, 0)
+
+
+# the derivative orders (i, j) in the columns of ``_Monomials.rule``
+_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@lru_cache(maxsize=None)
+def _derivative_columns(order):
+    """Columns of ``_ORDERS`` for the derivatives along every tuple of ``order`` axes.
+
+    Returns ``(axes, slots, r, dropped)``.  ``slots`` repeats ``axes`` for
+    the vector components ``r`` = 0, 1; ``dropped[k]`` is the column of the
+    derivative without position k where that axis is r (else -1), the
+    product-rule terms of d(x_r s) that differentiate x_r.
+    """
+    tuples = list(itertools.product((0, 1), repeat=order))
+
+    def column(ax):
+        return _ORDERS.index((ax.count(0), ax.count(1)))
+
+    dropped = [np.array([column(ax[:k] + ax[k + 1:]) if ax[k] == r else -1
+                         for r in (0, 1) for ax in tuples]) for k in range(order)]
+    dropped = [(k, (k >= 0)[:, None]) for k in dropped]
+    axes = np.array([column(ax) for ax in tuples])
+    return axes, np.tile(axes, 2), np.repeat([0, 1], len(axes)), dropped
+
+
+class _Monomials:
+    """Monomials x^a y^b, scalar or times a vector.
+
+    ``comp`` r in {0, 1} makes the term x^a y^b e_r, r = -1 makes it
+    x^a y^b (x, y) (the extra Raviart-Thomas terms).  Every derivative
+    comes from one rule, d^(i+j)/dx^i dy^j x^a y^b = c x^(a-i) y^(b-j) with
+    c the falling factorials; the (x, y) terms add the product rule.
+    """
+
+    def __init__(self, exponents, comp=None):
+        self.a, self.b = np.array(exponents, dtype=int).reshape(-1, 2).T
+        self.comp = None if comp is None else np.array(comp, dtype=int)
+        self.n_dofs = len(self.a)
+        self.top = int(max(self.a.max(initial=0), self.b.max(initial=0)))
+        self.rule = _rule(self.a[:, None], self.b[:, None], *np.array(_ORDERS).T)
+        if comp is not None:
+            self.euler = (self.comp < 0)[:, None, None]
+            # div(x^a y^b e_r) = d_r x^a y^b, div(x^a y^b (x, y)) = (2 + a + b) x^a y^b
+            self.div_rule = _rule(self.a, self.b, self.comp == 0, self.comp == 1,
+                                  np.where(self.comp < 0, 2 + self.a + self.b, 1))
+
+    def _apply(self, rule, points):
+        """c * x^(a-i) * y^(b-j), multiplied in that order, with the point axis last."""
+        # x ** e with a Python int e: numpy squares for e = 2, where an
+        # integer exponent array would call pow() and can round differently
+        xp, yp = np.array([[v**e for e in range(self.top + 1)] for v in points.T])
+        c, ea, eb = rule
+        return c[..., None] * xp.take(ea, axis=0) * yp.take(eb, axis=0)
+
+    def derivative(self, points, order):
+        """Derivatives of order 0-2 at ``points``, along every tuple of axes.
+
+        Shape (n, m) + (2,) * order for a scalar set; a vector set puts
+        the component first, (n, m, 2) + (2,) * order.
+        """
+        points = np.atleast_2d(points)
+        table = self._apply(self.rule, points)
+        axes, slots, r, dropped = _derivative_columns(order)
+        if self.comp is None:
+            out = table.take(axes, axis=1)
+        else:
+            # d(w_r s) for w = e_comp or (x, y): the terms that differentiate w_r, then w_r d(s)
+            w = np.where(self.euler, points.T[r], self.comp[:, None, None] == r[:, None])
+            out = sum(np.where(self.euler & mask, table.take(k, axis=1), 0.0) for k, mask in dropped)
+            out = out + w * table.take(slots, axis=1)
+        shape = (len(out), len(points)) + (2,) * (order + (self.comp is not None))
+        return np.ascontiguousarray(out.swapaxes(1, 2)).reshape(shape)
+
+    eval = partialmethod(derivative, order=0)
+    eval_grad = partialmethod(derivative, order=1)  # [i, p, (r,) c] = d(v_r)/d(x_c)
+    eval_hess = partialmethod(derivative, order=2)  # [i, p, (r,) c, d] = d^2(v_r)/(d x_c d x_d)
+
+    def eval_div(self, points):
+        return self._apply(self.div_rule, np.atleast_2d(points))
+
+
+class ScalarPolyBasis(_Monomials):
     """Monomial basis of P_degree on the reference triangle, constant first."""
 
     def __init__(self, degree):
-        self.degree = degree
-        self.exponents = _monomial_exponents(degree)
-        self.n_dofs = len(self.exponents)
-
-    def eval(self, points):
-        points = np.atleast_2d(points)
-        x, y = points[:, 0], points[:, 1]
-        return np.array([x**a * y**b for a, b in self.exponents])
-
-    def eval_grad(self, points):
-        points = np.atleast_2d(points)
-        x, y = points[:, 0], points[:, 1]
-        out = np.zeros((self.n_dofs, len(points), 2))
-        for i, (a, b) in enumerate(self.exponents):
-            if a > 0:
-                out[i, :, 0] = a * x ** (a - 1) * y**b
-            if b > 0:
-                out[i, :, 1] = b * x**a * y ** (b - 1)
-        return out
-
-    def eval_hess(self, points):
-        points = np.atleast_2d(points)
-        x, y = points[:, 0], points[:, 1]
-        out = np.zeros((self.n_dofs, len(points), 2, 2))
-        for i, (a, b) in enumerate(self.exponents):
-            if a > 1:
-                out[i, :, 0, 0] = a * (a - 1) * x ** (a - 2) * y**b
-            if a > 0 and b > 0:
-                xy = a * b * x ** (a - 1) * y ** (b - 1)
-                out[i, :, 0, 1] = xy
-                out[i, :, 1, 0] = xy
-            if b > 1:
-                out[i, :, 1, 1] = b * (b - 1) * x**a * y ** (b - 2)
-        return out
+        super().__init__(_monomial_exponents(degree))
 
 
-# ----------------------------------------------------------------------
-# vector monomials and moment-fitted H(div) bases
-# ----------------------------------------------------------------------
-
-
-class _VectorMonomials:
-    """Monomial set for BDM (full (P_ell)^2) or RT ((P_k)^2 plus x * homogeneous P_k)."""
-
-    def __init__(self, family, order):
-        self.family = family
-        if family == "bdm":
-            scalars = _monomial_exponents(order)
-            self.terms = [("c", comp, a, b) for comp in (0, 1) for a, b in scalars]
-        elif family == "rt":
-            scalars = _monomial_exponents(order)
-            self.terms = [("c", comp, a, b) for comp in (0, 1) for a, b in scalars]
-            self.terms += [("x", None, a, order - a) for a in range(order, -1, -1)]
-        else:
-            raise ValueError(family)
-        self.n = len(self.terms)
-
-    def eval(self, points):
-        points = np.atleast_2d(points)
-        x, y = points[:, 0], points[:, 1]
-        out = np.zeros((self.n, len(points), 2))
-        for i, (kind, comp, a, b) in enumerate(self.terms):
-            s = x**a * y**b
-            if kind == "c":
-                out[i, :, comp] = s
-            else:
-                out[i, :, 0] = x * s
-                out[i, :, 1] = y * s
-        return out
-
-    def eval_div(self, points):
-        points = np.atleast_2d(points)
-        x, y = points[:, 0], points[:, 1]
-        out = np.zeros((self.n, len(points)))
-        for i, (kind, comp, a, b) in enumerate(self.terms):
-            if kind == "c":
-                if comp == 0 and a > 0:
-                    out[i] = a * x ** (a - 1) * y**b
-                elif comp == 1 and b > 0:
-                    out[i] = b * x**a * y ** (b - 1)
-            else:
-                # div(x * x^a y^b) = (2 + a + b) x^a y^b
-                out[i] = (2 + a + b) * x**a * y**b
-        return out
-
-    def eval_grad(self, points):
-        """grad[i, p, r, c] = d(v_r)/d(x_c)."""
-        points = np.atleast_2d(points)
-        x, y = points[:, 0], points[:, 1]
-        out = np.zeros((self.n, len(points), 2, 2))
-        for i, (kind, comp, a, b) in enumerate(self.terms):
-            dx = a * x ** (a - 1) * y**b if a > 0 else 0.0
-            dy = b * x**a * y ** (b - 1) if b > 0 else 0.0
-            if kind == "c":
-                out[i, :, comp, 0] = dx
-                out[i, :, comp, 1] = dy
-            else:
-                s = x**a * y**b
-                out[i, :, 0, 0] = s + x * dx
-                out[i, :, 0, 1] = x * dy
-                out[i, :, 1, 0] = y * dx
-                out[i, :, 1, 1] = s + y * dy
-        return out
-
-    def eval_hess(self, points):
-        """hess[i, p, r, c, d] = d^2(v_r)/(d x_c d x_d)."""
-        points = np.atleast_2d(points)
-        x, y = points[:, 0], points[:, 1]
-        npts = len(points)
-        out = np.zeros((self.n, npts, 2, 2, 2))
-        for i, (kind, comp, a, b) in enumerate(self.terms):
-            dxx = a * (a - 1) * x ** (a - 2) * y**b if a > 1 else np.zeros(npts)
-            dyy = b * (b - 1) * x**a * y ** (b - 2) if b > 1 else np.zeros(npts)
-            dxy = a * b * x ** (a - 1) * y ** (b - 1) if (a > 0 and b > 0) else np.zeros(npts)
-            if kind == "c":
-                out[i, :, comp, 0, 0] = dxx
-                out[i, :, comp, 0, 1] = dxy
-                out[i, :, comp, 1, 0] = dxy
-                out[i, :, comp, 1, 1] = dyy
-            else:
-                dx = a * x ** (a - 1) * y**b if a > 0 else np.zeros(npts)
-                dy = b * x**a * y ** (b - 1) if b > 0 else np.zeros(npts)
-                # v = (x s, y s)
-                out[i, :, 0, 0, 0] = 2 * dx + x * dxx
-                out[i, :, 0, 0, 1] = dy + x * dxy
-                out[i, :, 0, 1, 0] = dy + x * dxy
-                out[i, :, 0, 1, 1] = x * dyy
-                out[i, :, 1, 0, 0] = y * dxx
-                out[i, :, 1, 0, 1] = dx + y * dxy
-                out[i, :, 1, 1, 0] = dx + y * dxy
-                out[i, :, 1, 1, 1] = 2 * dy + y * dyy
-        return out
+def _vector_monomials(family, order):
+    """BDM: (P_order)^2; RT: (P_order)^2 plus x^a y^b (x, y) with a + b = order."""
+    scalars = _monomial_exponents(order)
+    euler = [(a, order - a) for a in range(order, -1, -1)] if family == "rt" else []
+    comp = [0] * len(scalars) + [1] * len(scalars) + [-1] * len(euler)
+    return _Monomials(scalars + scalars + euler, comp)
 
 
 def _edge_points(local_edge, t):
@@ -246,6 +216,13 @@ def _edge_points(local_edge, t):
     pa, pb = _REF_VERTICES[a], _REF_VERTICES[b]
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return 0.5 * (pa + pb) + 0.5 * np.outer(t, pb - pa)
+
+
+def _moment_points(degree):
+    """The points of :meth:`HdivReferenceBasis.moments`: edges 0-2, then the volume."""
+    edge = segment_quadrature(degree).points
+    return np.concatenate([_edge_points(j, edge) for j in range(3)]
+                          + [triangle_quadrature(degree).points])
 
 
 class HdivReferenceBasis:
@@ -258,84 +235,58 @@ class HdivReferenceBasis:
     """
 
     def __init__(self, family, ell):
+        if family not in ("bdm", "rt"):
+            raise ValueError(f"unknown space id {family!r}")
         self.family = family
         self.ell = ell
-        if family == "bdm":
-            self.mono = _VectorMonomials("bdm", ell)
-            self.n_edge_modes = ell + 1
-            normalized = False
-        else:
-            k = ell - 1
-            self.mono = _VectorMonomials("rt", k)
-            self.n_edge_modes = k + 1
-            normalized = True
-        self.n_dofs = self.mono.n
+        order = ell if family == "bdm" else ell - 1
+        self.mono = _vector_monomials(family, order)
+        self.n_edge_modes = order + 1
+        self.n_dofs = self.mono.n_dofs
         self.n_interior = self.n_dofs - 3 * self.n_edge_modes
-        self.coeffs = self._fit(normalized)
-
-    def _fit(self, normalized):
-        nd = self.n_dofs
-        vmat = np.zeros((nd, nd))
-        row = 0
-        edge_rule = segment_quadrature(2 * self.ell + 2)
-        leg = legvander(edge_rule.points, self.n_edge_modes - 1).T  # (modes, nq)
-        for j in range(3):
-            pts = _edge_points(j, edge_rule.points)
-            vals = self.mono.eval(pts)                      # (n, nq, 2)
-            vn = vals @ _REF_EDGE_NORMALS[j]                # (n, nq)
-            scale = _REF_EDGE_LENGTHS[j] / 2.0
-            if normalized:
-                scale /= _REF_EDGE_LENGTHS[j]
-            for m in range(self.n_edge_modes):
-                vmat[row] = (vn * leg[m] * edge_rule.weights).sum(axis=1) * scale
-                row += 1
-        for w in self._interior_weights():
-            vol = triangle_quadrature(2 * self.ell + 2)
-            vals = self.mono.eval(vol.points)
-            wvals = w(vol.points)                           # (nq, 2)
-            vmat[row] = np.einsum("nqc,qc,q->n", vals, wvals, vol.weights)
-            row += 1
-        assert row == nd
+        degree = 2 * ell + 2
+        vmat = self.moments(self.mono.eval(_moment_points(degree)), degree).T
         cond = np.linalg.cond(vmat)
         if not np.isfinite(cond) or cond > 1e12:
-            raise ValueError(f"moment matrix for {self.family}_{self.ell} is singular")
-        return np.linalg.inv(vmat)
+            raise ValueError(f"moment matrix for {family}_{ell} is singular")
+        self.coeffs = np.linalg.inv(vmat)
 
-    def _interior_weights(self):
-        weights = []
-        if self.family == "bdm":
-            # gradients of P_{ell-1} beyond constants, plus curls of bubble
-            # times P_{ell-2}; classical unisolvent complement for BDM
-            grads = ScalarPolyBasis(self.ell - 1)
-            for i in range(1, grads.n_dofs):
-                weights.append(lambda pts, i=i, g=grads: g.eval_grad(pts)[i])
-            if self.ell >= 2:
-                bub = ScalarPolyBasis(self.ell - 2)
-                for i in range(bub.n_dofs):
-                    def curl_bubble(pts, i=i, sb=bub):
-                        pts = np.atleast_2d(pts)
-                        x, y = pts[:, 0], pts[:, 1]
-                        b = x * y * (1.0 - x - y)
-                        db = np.stack([y - 2 * x * y - y**2, x - x**2 - 2 * x * y], axis=1)
-                        m = sb.eval(pts)[i]
-                        dm = sb.eval_grad(pts)[i]
-                        dy_total = b * dm[:, 1] + m * db[:, 1]
-                        dx_total = b * dm[:, 0] + m * db[:, 0]
-                        return np.stack([dy_total, -dx_total], axis=1)
-                    weights.append(curl_bubble)
-        else:
-            k = self.ell - 1
-            if k >= 1:
-                scal = ScalarPolyBasis(k - 1)
-                for comp in (0, 1):
-                    for i in range(scal.n_dofs):
-                        def vec_mono(pts, comp=comp, i=i, s=scal):
-                            v = np.zeros((len(np.atleast_2d(pts)), 2))
-                            v[:, comp] = s.eval(pts)[i]
-                            return v
-                        weights.append(vec_mono)
-        assert len(weights) == self.n_interior
-        return weights
+    def moments(self, values, degree):
+        """The dof functionals applied to vector ``values`` (..., q, 2).
+
+        ``values`` are given at ``_moment_points(degree)``; returns
+        (..., n_dofs).  The fit applies them to the monomials, the
+        interpolation to the Piola pullback of a field.
+        """
+        edge = segment_quadrature(degree)
+        nqe = len(edge.points)
+        leg = legvander(edge.points, self.n_edge_modes - 1).T  # (modes, nq)
+        out = []
+        for j in range(3):
+            vn = values[..., j * nqe : (j + 1) * nqe, :] @ _REF_EDGE_NORMALS[j]
+            scale = 0.5 if self.family == "rt" else _REF_EDGE_LENGTHS[j] / 2.0
+            out += [(vn * leg[m] * edge.weights).sum(axis=-1) * scale
+                    for m in range(self.n_edge_modes)]
+        vol = triangle_quadrature(degree)
+        out += [np.einsum("...qc,qc,q->...", values[..., 3 * nqe :, :], w, vol.weights)
+                for w in self.interior_weights(vol.points)]
+        return np.stack(out, axis=-1)
+
+    def interior_weights(self, points):
+        """Weights (n_interior, m, 2) of the interior moments at ``points`` (m, 2)."""
+        if self.family == "rt":
+            # RT_k: (P_{k-1})^2, component 0 first
+            vals = ScalarPolyBasis(self.ell - 2).eval(points)[..., None]
+            return np.concatenate([vals * e for e in np.eye(2)])
+        # gradients of P_{ell-1} beyond constants, plus curls of bubble
+        # times P_{ell-2}; classical unisolvent complement for BDM
+        x, y = points[:, 0], points[:, 1]
+        b = x * y * (1.0 - x - y)
+        db = np.stack([y - 2 * x * y - y**2, x - x**2 - 2 * x * y], axis=1)
+        bub = ScalarPolyBasis(self.ell - 2)
+        m, dm = bub.eval(points), bub.eval_grad(points)
+        curl = np.stack([b * dm[..., 1] + m * db[:, 1], -(b * dm[..., 0] + m * db[:, 0])], axis=-1)
+        return np.concatenate([ScalarPolyBasis(self.ell - 1).eval_grad(points)[1:], curl])
 
     def eval(self, points):
         return np.einsum("nd,npc->dpc", self.coeffs, self.mono.eval(points))
@@ -352,11 +303,7 @@ class HdivReferenceBasis:
 
 @lru_cache(maxsize=None)
 def _reference_basis(family, ell):
-    if family in ("bdm", "rt"):
-        return HdivReferenceBasis(family, ell)
-    if family == "p":
-        return ScalarPolyBasis(ell)
-    raise ValueError(f"unknown space id {family!r}")
+    return ScalarPolyBasis(ell) if family == "p" else HdivReferenceBasis(family, ell)
 
 
 def eval_basis(space, ell, points):
@@ -376,17 +323,12 @@ def eval_basis(space, ell, points):
         Shapes (nd, m, 2)/(nd, m, 2, 2)/(nd, m, 2, 2, 2) for vector
         spaces and (nd, m)/(nd, m, 2)/(nd, m, 2, 2) for "p".
     """
-    if space in ("bdm", "rt"):
-        if ell not in SUPPORTED_ORDERS:
-            raise ValueError(f"unsupported order {ell}")
-        basis = _reference_basis(space, ell)
-        return basis.eval(points), basis.eval_grad(points), basis.eval_hess(points)
-    if space == "p":
-        if not 0 <= ell <= max(SUPPORTED_ORDERS) - 1:
-            raise ValueError(f"unsupported degree {ell}")
-        basis = _reference_basis("p", ell)
-        return basis.eval(points), basis.eval_grad(points), basis.eval_hess(points)
-    raise ValueError(f"unknown space id {space!r}")
+    if space not in ("bdm", "rt", "p"):
+        raise ValueError(f"unknown space id {space!r}")
+    if (ell + 1 if space == "p" else ell) not in SUPPORTED_ORDERS:
+        raise ValueError(f"unsupported {'degree' if space == 'p' else 'order'} {ell}")
+    basis = _reference_basis(space, ell)
+    return basis.eval(points), basis.eval_grad(points), basis.eval_hess(points)
 
 
 # ----------------------------------------------------------------------
@@ -594,29 +536,25 @@ class SpaceSet:
     # -- caches --------------------------------------------------------
 
     def _build_caches(self):
-        vol = triangle_quadrature(self.quad_degree)
-        self.vol_rule = vol
-        self.bdm_grads = self.bdm.eval_grad(vol.points)
-        self.bdm_divs = self.bdm.eval_div(vol.points)
-        self.rt_vals = self.rt.eval(vol.points)
-        self.rt_divs = self.rt.eval_div(vol.points)
-        self.p_vals = self.p.eval(vol.points)
-        self.p_grads = self.p.eval_grad(vol.points)
-
-        edge = segment_quadrature(self.quad_degree)
-        self.edge_rule = edge
+        self.vol_rule = vol = triangle_quadrature(self.quad_degree)
+        self.edge_rule = edge = segment_quadrature(self.quad_degree)
         nqe = len(edge.points)
-        # traces at edge quadrature points, local edge parametrization
-        self.bdm_edge_vals = []
-        self.bdm_edge_grads = []
-        self.rt_edge_vals = []
-        self.p_edge_vals = []
-        for j in range(3):
-            pts = _edge_points(j, edge.points)
-            self.bdm_edge_vals.append(self.bdm.eval(pts))
-            self.bdm_edge_grads.append(self.bdm.eval_grad(pts))
-            self.rt_edge_vals.append(self.rt.eval(pts))
-            self.p_edge_vals.append(self.p.eval(pts))
+
+        def split(values):
+            """Values at ``_moment_points``: the traces on edges 0-2 (local
+            edge parametrization), then the volume values."""
+            parts = np.split(values, [nqe, 2 * nqe, 3 * nqe], axis=1)
+            return [np.ascontiguousarray(v) for v in parts[:3]], np.ascontiguousarray(parts[3])
+
+        # one evaluation of each basis at the edge and volume points
+        pts = _moment_points(self.quad_degree)
+        self.bdm_edge_vals = split(self.bdm.eval(pts))[0]
+        self.bdm_edge_grads, self.bdm_grads = split(self.bdm.eval_grad(pts))
+        self.rt_edge_vals, self.rt_vals = split(self.rt.eval(pts))
+        self.p_edge_vals, self.p_vals = split(self.p.eval(pts))
+        self.bdm_divs = self.bdm.eval_div(vol.points)
+        self.rt_divs = self.rt.eval_div(vol.points)
+        self.p_grads = self.p.eval_grad(vol.points)
         # Legendre values at the edge rule, for facet-space bases
         max_modes = max(self.n_uhat, self.n_phat)
         self.leg_edge = legvander(edge.points, max_modes - 1).T
@@ -659,10 +597,6 @@ class SpaceSet:
                 a.setflags(write=False)
             self.boundary[tag] = BoundaryFacets(**parts)
 
-    def facet_trace(self, cache, element, local_edge):
-        """Trace values from ``cache`` reordered to the global facet direction."""
-        return orient_trace(cache[local_edge], self.mesh.facet_direction[element, local_edge])
-
     # -- interpolation -------------------------------------------------
 
     def interpolate_u(self, f):
@@ -687,27 +621,10 @@ class SpaceSet:
     def _hdiv_moments(self, basis, f):
         """Dof functionals of ``basis`` applied to the Piola pullback of ``f``, per element.
 
-        The edge functionals are scaled as in :meth:`HdivReferenceBasis._fit`:
-        raw Legendre integrals for BDM, edge means for RT.  ``f`` is called
-        once, at the edge and volume points of every element.
+        ``f`` is called once, at the moment points of every element.
         """
         degree = 2 * self.ell + 8
-        edge_rule = segment_quadrature(degree)
-        vol_rule = triangle_quadrature(degree)
-        nqe = len(edge_rule.points)
-        ref = np.concatenate([_edge_points(j, edge_rule.points) for j in range(3)]
-                             + [vol_rule.points])
-        pullback = _pullback(self.mesh.element_maps, f, ref)
-        leg = legvander(edge_rule.points, basis.n_edge_modes - 1).T * edge_rule.weights
-        scale = _REF_EDGE_LENGTHS / 2.0 if basis.family == "bdm" else np.full(3, 0.5)
-        edges = pullback[:, : 3 * nqe].reshape(-1, 3, nqe, 2)
-        vn = np.einsum("ejqc,jc->ejq", edges, _REF_EDGE_NORMALS)
-        out = [np.einsum("ejq,mq,j->ejm", vn, leg, scale).reshape(len(vn), -1)]
-        if basis.n_interior:
-            weights = np.stack([w(vol_rule.points) for w in basis._interior_weights()])
-            vol = pullback[:, 3 * nqe :]
-            out.append(np.einsum("eqc,iqc,q->ei", vol, weights, vol_rule.weights))
-        return np.concatenate(out, axis=1)
+        return basis.moments(_pullback(self.mesh.element_maps, f, _moment_points(degree)), degree)
 
     def interpolate_p(self, f):
         """Element-wise L2 projection of a scalar field onto P_{ell-1}."""

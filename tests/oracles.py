@@ -468,8 +468,8 @@ def _pointwise_hdiv_moments(spaces, basis, f, degree=None):
                 row += 1
         if basis.n_interior:
             vol = pullback(vol_rule.points)
-            for w in basis._interior_weights():
-                out[t, row] = np.einsum("qc,qc,q->", vol, w(vol_rule.points), vol_rule.weights)
+            for w in basis.interior_weights(vol_rule.points):
+                out[t, row] = np.einsum("qc,qc,q->", vol, w, vol_rule.weights)
                 row += 1
     return out
 

@@ -303,6 +303,38 @@ def test_unknown_sweep_variant_exits_1_before_any_solve(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize(
+    "command, solver",
+    [
+        ("sweep", "eta = 0"),
+        ("sweep", "eta = -1"),
+        ("sweep", "eta = inf"),
+        ("sweep", "tol = -1"),
+        ("sweep", "tol = 0"),
+        ("sweep", "tol = 1"),
+        ("sweep", "tol = nan"),
+        ("sweep", "maxit = 0"),
+        ("brain", "maxit = 0"),
+    ],
+)
+def test_bad_solver_value_exits_1_before_any_solve(tmp_path, capsys, monkeypatch, command, solver):
+    import mpet.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a system was solved before the config was checked")
+
+    monkeypatch.setattr(mpet.cli, "manufactured_solve", no_solve)
+    monkeypatch.setattr(mpet.cli, "TimeStepper", no_solve)
+    run = {
+        "sweep": "i_list = 0\nlambda_list = 1.0\norders = 1\nn_per_side = 2\n",
+        "brain": "n_radial = 1\nn_angular = 8\n",
+    }[command]
+    cfg = write_cfg(tmp_path / "bad.cfg", f"[run]\n{run}\n[solver]\n{solver}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    key = solver.split()[0]
+    assert f"config error: [solver] {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, text",
     [
         ("sweep", "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nmixed = maybe\n"),

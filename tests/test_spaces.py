@@ -10,8 +10,10 @@ from mpet.spaces import (
     _REF_EDGE_LENGTHS,
     _REF_EDGE_NORMALS,
     _edge_points,
+    _reference_basis,
     dof_counts,
     eval_basis,
+    orient_trace,
     piola_div,
     piola_map,
     segment_quadrature,
@@ -113,11 +115,55 @@ def test_hdiv_basis_duality(family, ell):
             row += 1
     vol = triangle_quadrature(2 * ell + 2)
     vals = basis.eval(vol.points)
-    for w in basis._interior_weights():
-        wv = w(vol.points)
+    for wv in basis.interior_weights(vol.points):
         ident[row] = np.einsum("dqc,qc,q->d", vals, wv, vol.weights)
         row += 1
     assert np.allclose(ident, np.eye(basis.n_dofs), atol=1e-11)
+
+
+def _sympy_monomial_derivatives(mono, points):
+    """Values (n, m, k), gradients (n, m, k, 2) and Hessians (n, m, k, 2, 2) of a monomial set.
+
+    The terms are read from the exposed exponents ``a``, ``b`` and, for a
+    vector set, ``comp`` (k = 2); a scalar set has k = 1.  Every
+    derivative is taken by sympy and lambdified over the point array.
+    """
+    x, y = sp.symbols("x y")
+    comp = [None] * mono.n_dofs if mono.comp is None else mono.comp
+    fields = []
+    for a, b, r in zip(mono.a, mono.b, comp):
+        s = x ** int(a) * y ** int(b)
+        fields.append([s] if r is None else [x * s, y * s] if r < 0 else [s * int(r == 0), s * int(r == 1)])
+    exprs = [[f, [sp.diff(f, u) for u in (x, y)], [[sp.diff(f, u, w) for w in (x, y)] for u in (x, y)]]
+             for field in fields for f in field]
+    flat = sp.lambdify((x, y), [e for val, grad, hess in exprs for e in [val, *grad, *hess[0], *hess[1]]])
+    m = len(points)
+    values = np.array([np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in flat(*points.T)])
+    values = values.reshape(mono.n_dofs, len(fields[0]), 7, m).transpose(0, 3, 1, 2)
+    return values[..., 0], values[..., 1:3], values[..., 3:].reshape(values.shape[:3] + (2, 2))
+
+
+@pytest.mark.parametrize(
+    "space,ell", [("p", 0), ("p", 1), ("p", 2)] + [(f, ell) for f in ("bdm", "rt") for ell in (1, 2, 3)]
+)
+def test_basis_derivatives_match_sympy(space, ell):
+    """eval_grad, eval_hess and eval_div differentiate the polynomial that eval represents."""
+    basis = _reference_basis(space, ell)
+    vector = space != "p"
+    mono = basis.mono if vector else basis
+    coeffs = basis.coeffs if vector else np.eye(basis.n_dofs)
+    points = triangle_quadrature(7).points
+    refs = [np.einsum("nd,n...->d...", coeffs, r) for r in _sympy_monomial_derivatives(mono, points)]
+    if not vector:
+        refs = [r[:, :, 0] for r in refs]
+    got = [basis.eval(points), basis.eval_grad(points), basis.eval_hess(points)]
+    if vector:
+        refs.append(np.trace(refs[1], axis1=2, axis2=3))
+        got.append(basis.eval_div(points))
+    tol = 1e-12 * np.abs(coeffs).max()
+    for g, r in zip(got, refs):
+        assert g.shape == r.shape
+        assert np.abs(g - r).max() <= tol
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -217,7 +263,7 @@ def test_global_normal_continuity():
                 t = mesh.facet_elements[f, side]
                 j = mesh.facet_local[f, side]
                 amap = build_affine_map(mesh, t)
-                ref = spaces.facet_trace(spaces.bdm_edge_vals, t, j)
+                ref = orient_trace(spaces.bdm_edge_vals[j], mesh.facet_direction[t, j])
                 phys = piola_map(amap, ref)
                 vn = phys @ mesh.facet_normal[f]
                 glob = np.zeros((spaces.size_u, vn.shape[1]))

@@ -16,7 +16,9 @@ transfer masses ``-zeta_ij M_p`` (present only where ``zeta_ij != 0``).
 Assembly is split into parameter-independent kernels and cheap
 parameter-weighted composition, so parameter sweeps reuse the expensive
 part, including the flux elimination ``M_w^{-1}`` and ``S_w`` that the
-solver weights by R_i.  Functions take the space set alone and read the
+solver weights by R_i.  The composition writes the weighted kernel data
+into sparsity patterns recorded once per kernels and structure (see
+:mod:`mpet.sparsity`).  Functions take the space set alone and read the
 geometry from ``spaces.mesh``.  Every element and facet integral (the
 kernels, the HDG norm matrices, the volume load) is computed for all
 elements at once: bases mapped by ``SpaceSet.on_elements`` carry a
@@ -26,10 +28,12 @@ leading element axis, the facet terms take one pass per local edge,
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
 
+from .sparsity import Gather, Structure, Union, numbered
 from .spaces import evaluate, legendre_scale, triangle_quadrature
 
 __all__ = [
@@ -112,6 +116,10 @@ class FormKernels:
     Grams.  ``S_w = B M_w^{-1} B^T`` with ``B = [-Dw; Ew]`` is the flux
     elimination of one network on its (p, phat): network i's flux mass is
     ``M_w / R_i``, so its flux Schur complement is ``R_i S_w``.
+
+    ``structure`` holds the sparsity patterns recorded by the compositions
+    on these kernels (:func:`build_block_system` and the steps after it),
+    keyed by what each pattern depends on; new kernels start with none.
     """
 
     spaces: object
@@ -126,6 +134,12 @@ class FormKernels:
     M_p: sps.csr_matrix          # p x p mass
     volume: float
     p_mass_inv: np.ndarray = field(repr=False)   # (n_elements, n_p, n_p)
+    structure: Structure = field(default_factory=Structure, repr=False, compare=False)
+
+    @cached_property
+    def p_hdg(self):
+        """Pressure HDG norm matrix on one network's (p, phat), formed on first use."""
+        return pressure_hdg_matrix(self.spaces, include_h2=False)
 
 
 def assemble_kernels(spaces, eta=DEFAULT_ETA):
@@ -302,13 +316,18 @@ def divdiv_factors(spaces):
 
 @dataclass
 class BlockSystem:
-    """The assembled operator ``K`` (see the module docstring) plus right-hand side."""
+    """The assembled operator ``K`` (see the module docstring) plus right-hand side.
+
+    ``structure`` is the recorded pattern of ``K``, on which the
+    constrained and condensed systems record theirs.
+    """
 
     layout: DofLayout
     K: sps.csr_matrix
     F: np.ndarray
     kernels: FormKernels
     scaled: object
+    structure: Structure = field(repr=False)
 
     def symmetry_defect(self):
         d = self.K - self.K.T
@@ -319,44 +338,102 @@ class BlockSystem:
 
 
 def build_block_system(kernels, scaled):
-    """Compose the parameter-weighted operator from the kernels in one block grid."""
+    """Compose the parameter-weighted operator from the kernels in one block grid.
+
+    ``K``'s entries are the kernels' data weighted as scipy's
+    ``a_hdg + lam divdiv``, ``M_w / R_i``, ``-D``, ``-Dw``, ``Ew`` and
+    ``-zeta_ij M_p`` compute them, gathered into the grid's pattern.  The
+    pattern is recorded by the first composition with the same transfer
+    couplings (nonzero ``zeta``) and the same zero entries of the
+    elasticity block, which scipy's sum leaves out.
+    """
     spaces = kernels.spaces
     n = scaled.n
     if n != spaces.n_networks:
         raise ValueError("network count of parameters and spaces disagree")
-    divdiv_padded = sps.block_diag(
-        [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))],
-        format="csr",
+    elastic = kernels.structure.derive("elastic", lambda: _elastic_union(kernels))
+    a = elastic.values(kernels.a_hdg.data, kernels.divdiv.data * scaled.lam)
+    drop = np.flatnonzero(a == 0)
+    coupled = np.nonzero(scaled.zeta)
+    transposes = kernels.structure.derive("transposes", lambda: _transposes(kernels))
+    structure = kernels.structure.derive(
+        ("K", np.flatnonzero(scaled.zeta).tobytes(), drop.tobytes()),
+        lambda: Structure(K=_operator_pattern(kernels, transposes, coupled, elastic, drop)),
     )
-    div_u = sps.hstack(
-        [-kernels.D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr"
-    )
-    # grid rows and columns: u+uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}
-    grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
-    grid[0][0] = kernels.a_hdg + divdiv_padded
-    for i in range(n):
-        w, p, phat = 1 + i, 1 + n + i, 1 + 2 * n + i
-        grid[w][w] = kernels.M_w / scaled.R[i]
-        grid[p][0], grid[0][p] = div_u, div_u.T
-        grid[p][w], grid[w][p] = -kernels.Dw, -kernels.Dw.T
-        grid[phat][w], grid[w][phat] = kernels.Ew, kernels.Ew.T
-        for j in np.flatnonzero(scaled.zeta[i]):
-            grid[p][1 + n + j] = -scaled.zeta[i, j] * kernels.M_p
+    D_T, Dw_T, Ew_T = transposes
+    source = np.concatenate([
+        a,
+        *(kernels.M_w.data * (1 / R) for R in scaled.R),
+        -kernels.D.data,
+        -kernels.Dw.data,
+        kernels.Ew.data,
+        -D_T.data,
+        -Dw_T.data,
+        Ew_T.data,
+        *(kernels.M_p.data * -scaled.zeta[i, j] for i, j in zip(*coupled)),
+    ])
     layout = DofLayout(spaces)
     return BlockSystem(
         layout=layout,
-        K=sps.bmat(grid, format="csr"),
+        K=structure.K.matrix(source),
         F=np.zeros(layout.total),
         kernels=kernels,
         scaled=scaled,
+        structure=structure,
     )
 
 
-def _lambda_mass_q(kernels, scaled):
-    """Lambda-weighted pressure mass on the q block (zeros on the multipliers)."""
+def _elastic_union(kernels):
+    """Merged pattern of ``a_hdg + blockdiag(lam divdiv, 0)`` on (u, uhat)."""
+    size_uhat = kernels.spaces.size_uhat
+    a_hdg, divdiv = numbered(kernels.a_hdg), numbered(kernels.divdiv)
+    padded = sps.block_diag([*divdiv, sps.csr_matrix((size_uhat, size_uhat))], format="csr")
+    return Union(*a_hdg, padded)
+
+
+def _transposes(kernels):
+    """``D^T``, ``Dw^T`` and ``Ew^T`` as CSR matrices.
+
+    The blocks above the diagonal of ``K`` take their data in this order,
+    so it runs along ``K``'s rows as that of the blocks below does.
+    """
+    return tuple(m.T.tocsr() for m in (kernels.D, kernels.Dw, kernels.Ew))
+
+
+def _operator_pattern(kernels, transposes, coupled, elastic, drop):
+    """Gather of ``K`` recorded on the block grid of id matrices.
+
+    The source is the merged elasticity block (``elastic``, without the
+    entries at ``drop``), then each network's flux mass, ``D``, ``Dw``,
+    ``Ew``, their ``transposes`` and one ``M_p`` per transfer coupling
+    ``(i, j)`` in ``coupled``.
+    """
     spaces = kernels.spaces
-    n = scaled.n
-    lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), kernels.M_p, format="csr")
+    n = spaces.n_networks
+    k = kernels
+    ids = numbered(*[k.M_w] * n, k.D, k.Dw, k.Ew, *transposes,
+                   *[k.M_p] * len(coupled[0]), start=elastic.size)
+    masses, (D, Dw, Ew, D_T, Dw_T, Ew_T), transfer = ids[:n], ids[n : n + 6], ids[n + 6 :]
+    div_u = sps.hstack([D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr")
+    div_u_T = sps.vstack([D_T, sps.csr_matrix((spaces.size_uhat, spaces.size_p))], format="csr")
+    # grid rows and columns: u+uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}
+    grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
+    grid[0][0] = elastic.kept(drop)
+    for i in range(n):
+        w, p, phat = 1 + i, 1 + n + i, 1 + 2 * n + i
+        grid[w][w] = masses[i]
+        grid[p][0], grid[0][p] = div_u, div_u_T
+        grid[p][w], grid[w][p] = Dw, Dw_T
+        grid[phat][w], grid[w][phat] = Ew, Ew_T
+    for M_p, i, j in zip(transfer, *coupled):
+        grid[1 + n + i][1 + n + j] = M_p
+    return Gather(sps.bmat(grid, format="csr"))
+
+
+def _lambda_mass_q(spaces, Lambda, M_p):
+    """``Lambda (x) M_p`` on the q block (zeros on the multipliers)."""
+    n = Lambda.shape[0]
+    lam_mass = sps.kron(sps.csr_matrix(Lambda), M_p, format="csr")
     z = sps.csr_matrix((n * spaces.size_phat, n * spaces.size_phat))
     return sps.bmat([[lam_mass, None], [None, z]], format="csr")
 
@@ -526,6 +603,7 @@ class ConstrainedSystem:
     K_ff: sps.csr_matrix
     K_fc: sps.csr_matrix
     free_pos: np.ndarray      # total-length map: global dof -> position in free list (-1)
+    structure: Structure = field(repr=False)   # recorded patterns of K_ff and K_fc
 
     @property
     def layout(self):
@@ -600,25 +678,41 @@ def apply_boundary_conditions(system, bcs, t=0.0):
 
     Returns a :class:`ConstrainedSystem` wrapping the reduced operator.
     Inhomogeneous essential values are lifted into the right-hand side
-    through the stored free-to-constrained coupling columns.
+    through the stored free-to-constrained coupling columns.  ``K_ff`` and
+    ``K_fc`` are gathers of ``K``'s data into the patterns of
+    ``K[ix_(free, free)]`` and ``K[ix_(free, constrained)]``, recorded once
+    per constrained DOF set; the shared ``free`` and ``free_pos`` arrays
+    are read-only.
     """
-    spaces = system.kernels.spaces
-    layout = system.layout
-    constrained, values = constraint_data(layout, spaces, bcs, t)
-    free = np.setdiff1d(np.arange(layout.total), constrained, assume_unique=True)
-    K = system.K
-    K_ff = K[np.ix_(free, free)].tocsr()
-    K_fc = K[np.ix_(free, constrained)].tocsr()
-    free_pos = np.full(layout.total, -1, dtype=int)
-    free_pos[free] = np.arange(len(free))
+    constrained, values = constraint_data(system.layout, system.kernels.spaces, bcs, t)
+    structure = system.structure.derive(
+        constrained.tobytes(), lambda: _constrained_pattern(system, constrained)
+    )
     return ConstrainedSystem(
         base=system,
-        free=free,
+        free=structure.free,
         constrained=constrained,
         values=values,
-        K_ff=K_ff,
-        K_fc=K_fc,
+        K_ff=structure.K_ff.matrix(system.K.data),
+        K_fc=structure.K_fc.matrix(system.K.data),
+        free_pos=structure.free_pos,
+        structure=structure,
+    )
+
+
+def _constrained_pattern(system, constrained):
+    """Free DOFs, their positions and the gathers of ``K_ff`` and ``K_fc`` from ``K``."""
+    total = system.layout.total
+    free = np.setdiff1d(np.arange(total), constrained, assume_unique=True)
+    free_pos = np.full(total, -1, dtype=int)
+    free_pos[free] = np.arange(len(free))
+    free.flags.writeable = free_pos.flags.writeable = False
+    (K,) = numbered(system.K)
+    return Structure(
+        free=free,
         free_pos=free_pos,
+        K_ff=Gather(K[np.ix_(free, free)]),
+        K_fc=Gather(K[np.ix_(free, constrained)]),
     )
 
 

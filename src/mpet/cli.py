@@ -246,15 +246,23 @@ def default_manufactured(n_networks=2):
     return build(n_networks)
 
 
+_built = []   # the kernels unit_square_kernels built last
+
+
 @functools.lru_cache(maxsize=1)
 def unit_square_kernels(n_side, ell, n_networks, eta):
     """Form kernels of order ``ell`` on the ``n_side`` x ``n_side`` unit square.
 
     They do not depend on the MPET parameters, so consecutive calls with
-    equal arguments share one mesh, space set and kernels; callers must
-    not modify them.
+    equal arguments share one mesh, space set and kernels, and the
+    sparsity patterns and elasticity factors recorded on them; callers
+    must not modify them.  Building new kernels first drops what was
+    recorded on the previous ones, which a caller may still hold.
     """
-    return assemble_kernels(SpaceSet(generate_unit_square(n_side), ell, n_networks), eta)
+    for kernels in _built:
+        kernels.structure.clear()
+    _built[:] = [assemble_kernels(SpaceSet(generate_unit_square(n_side), ell, n_networks), eta)]
+    return _built[0]
 
 
 def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,

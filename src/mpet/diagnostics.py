@@ -108,7 +108,7 @@ class NormAssembler:
         )
         masses = [kernels.M_w / R for R in scaled.R]
         p_bar = _embed_per_network(self.p_hdg.matrix(), spaces, scaled.R)
-        p_bar = p_bar + _lambda_mass_q(kernels, scaled)
+        p_bar = p_bar + _lambda_mass_q(spaces, scaled.Lambda, kernels.M_p)
         return sps.block_diag([self.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")
 
 

@@ -15,7 +15,14 @@ The flux elimination is formed once per mesh with the form kernels:
 network i's flux mass is ``M_w / R_i``, so its inverse is ``R_i M_w^{-1}``
 and its Schur complement ``R_i S_w``.  The condensation and both pressure
 blocks, ``blockdiag(R_i N) + Lambda (x) M_p`` with ``N`` the pressure HDG
-norm or ``S_w``, only weight per-mesh matrices by the parameters.
+norm (``FormKernels.p_hdg``) or ``S_w``, only weight per-mesh matrices by
+the parameters: each is a gather of weighted kernel data into a sparsity
+pattern recorded once per structure (see :mod:`mpet.sparsity`), with the
+same per-entry arithmetic as the scipy expressions it replays.  The
+factor of the first block is kept per structure for the last
+``FIRST_FACTORS`` parameter values it depends on (lambda for
+``schur_reduced``), so cells that differ only in R, alpha_p or xi share
+it.
 
 :func:`solve` takes the variant by name.  :func:`build_preconditioner`
 reads it off its target: a :class:`~mpet.assembly.ConstrainedSystem`
@@ -29,6 +36,7 @@ whose convergence is measured in the preconditioned residual norm.
 """
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +48,9 @@ from .assembly import (
     _lambda_mass_q,
     constant_pressure_mode,
     mean_correct,
-    pressure_hdg_matrix,
     pressure_nullspace,
 )
+from .sparsity import Gather, Structure, Union, numbered, weighted_ids
 
 __all__ = [
     "PreconditionerError",
@@ -54,6 +62,11 @@ __all__ = [
     "mean_zero_functionals",
     "solve",
 ]
+
+
+# first-block factors a structure keeps: more than the lambda_list of any
+# preset (3 values), so a sweep factors each lambda's elasticity block once
+FIRST_FACTORS = 4
 
 
 class PreconditionerError(RuntimeError):
@@ -222,13 +235,13 @@ class _SPDFactor:
 
 
 class BlockDiagPreconditioner:
-    """Applies the inverse of blockdiag(X_1, X_2); ``x2`` may be bordered
-    by ``border`` kernel columns (see :class:`_SPDFactor`)."""
+    """Applies the inverse of blockdiag(X_1, X_2) with the factors ``f1``
+    and ``f2`` of its blocks; ``X_1`` has ``cut`` rows."""
 
-    def __init__(self, x1, x2, border=0):
-        self.cut = x1.shape[0]
-        self.f1 = _SPDFactor(x1)
-        self.f2 = _SPDFactor(x2, border)
+    def __init__(self, f1, f2, cut):
+        self.cut = cut
+        self.f1 = f1
+        self.f2 = f2
 
     def __call__(self, r):
         out = np.empty_like(r)
@@ -278,12 +291,35 @@ def condense_velocity(constrained):
     ``R_i M_w^{-1}`` and its Schur complement ``R_i S_w`` (both from
     :class:`~mpet.assembly.FormKernels`).  Returns a
     :class:`CondensedSystem` whose matrix is the symmetric reduced
-    operator on (u, uhat, p, phat).
+    operator on (u, uhat, p, phat): ``K_ff`` on them minus
+    ``blockdiag(0, R_i S_w)``, gathered into the pattern of scipy's
+    difference (recorded once per structure and set of zero entries).
     """
     con = constrained
-    layout = con.layout
     kernels = con.base.kernels
     R = con.base.scaled.R
+    structure = con.structure.derive("condense", lambda: _condensed_pattern(con))
+    K_red = structure.K_red.values(
+        con.K_ff.data, np.multiply.outer(R, kernels.S_w.data).ravel(), np.subtract
+    )
+    drop = np.flatnonzero(K_red == 0)
+    kept = structure.derive(drop.tobytes(), lambda: Gather(structure.K_red.kept(drop)))
+    return CondensedSystem(
+        constrained=con,
+        K_red=kept.matrix(K_red),
+        iu=structure.iu,
+        iw=structure.iw,
+        iq=structure.iq,
+        C=structure.C.matrix(con.K_ff.data),
+        Mw_inv=structure.Mw_inv.matrix(np.multiply.outer(R, kernels.M_w_inv.data).ravel()),
+    )
+
+
+def _condensed_pattern(con):
+    """Patterns of ``K_red``, ``C`` and ``kron(diag(R), M_w^-1)`` on id matrices."""
+    layout = con.layout
+    kernels = con.base.kernels
+    n = layout.n_networks
     pos = con.free_pos
     iu = pos[con.free_in(["u", "uhat"])]
     iw = pos[con.free_in(layout.v_fields[2:])]
@@ -291,18 +327,20 @@ def condense_velocity(constrained):
     iq = pos[q_free]
     keep = np.concatenate([iu, iq])
     within = q_free - layout.size_v   # positions within the q block
-    schur = _embed_per_network(kernels.S_w, kernels.spaces, R)[np.ix_(within, within)]
-    K_red = con.K_ff[np.ix_(keep, keep)] - sps.block_diag(
-        [sps.csr_matrix((len(iu), len(iu))), schur], format="csr"
-    )
-    return CondensedSystem(
-        constrained=con,
-        K_red=K_red,
+    (K_ff,) = numbered(con.K_ff)
+    embed = lambda w, m: _embed_per_network(m, kernels.spaces, w)
+    schur = weighted_ids(embed, n, kernels.S_w)[np.ix_(within, within)]
+    eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), schur], format="csr")
+    Mw_inv = weighted_ids(lambda w, m: sps.kron(sps.diags(w), m, format="csr"), n, kernels.M_w_inv)
+    for index in (iu, iw, iq):
+        index.flags.writeable = False
+    return Structure(
         iu=iu,
         iw=iw,
         iq=iq,
-        C=con.K_ff[np.ix_(iw, iq)],
-        Mw_inv=sps.kron(sps.diags(R), kernels.M_w_inv, format="csr"),
+        K_red=Union(K_ff[np.ix_(keep, keep)], eliminated),
+        C=Gather(K_ff[np.ix_(iw, iq)]),
+        Mw_inv=Gather(Mw_inv),
     )
 
 
@@ -340,19 +378,57 @@ def preconditioner_matrices(target, scaled, kernel_vectors=()):
     ``X_p + s K K^T`` (see
     :class:`_SPDFactor`); spectrum diagnostics should pass none and
     restrict the pencil to the mean-zero subspace instead.
+
+    Both blocks are gathers into patterns recorded once per structure,
+    variant, pattern of ``Lambda`` and set of zero entries of the sum.
     """
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
+    kernels = con.base.kernels
+    Lambda = scaled.Lambda
+    coupled = Lambda != 0
+    structure = con.structure.derive(
+        (reduced, np.flatnonzero(coupled).tobytes()),
+        lambda: _preconditioner_pattern(con, reduced, coupled),
+    )
+    N = kernels.S_w if reduced else kernels.p_hdg
+    x_p = structure.x_p.values(
+        np.multiply.outer(scaled.R, N.data).ravel(),
+        np.multiply.outer(Lambda[coupled], kernels.M_p.data).ravel(),
+    )
+    drop = np.flatnonzero(x_p == 0)
+    kept = structure.derive(
+        drop.tobytes(), lambda: Gather(structure.x_p.kept(drop)[structure.within])
+    )
+    x_p = _border_with_kernel(kept.matrix(x_p), [k[structure.q_free] for k in kernel_vectors])
+    return structure.first.matrix(con.K_ff.data), x_p
+
+
+def _preconditioner_pattern(con, reduced, coupled):
+    """Patterns of the first block and of ``blockdiag(R_i N) + Lambda (x) M_p``
+    for the nonzero pattern ``coupled`` of ``Lambda``, on id matrices."""
     layout = con.layout
     kernels = con.base.kernels
-    spaces = kernels.spaces
     first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
-    N = kernels.S_w if reduced else pressure_hdg_matrix(spaces, include_h2=False)
     q_free = con.free_in(layout.q_fields)
-    iq = np.ix_(q_free - layout.size_v, q_free - layout.size_v)   # within the q block
-    x_p = (_embed_per_network(N, spaces, scaled.R) + _lambda_mass_q(kernels, scaled))[iq]
-    x_p = _border_with_kernel(x_p, [k[q_free] for k in kernel_vectors])
-    return con.K_ff[np.ix_(first, first)], x_p
+    q_free.flags.writeable = False
+    within = q_free - layout.size_v   # positions within the q block
+    N = kernels.S_w if reduced else kernels.p_hdg
+    embed = lambda w, m: _embed_per_network(m, kernels.spaces, w)
+    pattern = sps.csr_matrix(coupled.astype(float))
+
+    def lambda_mass(w, m):
+        Lambda = sps.csr_matrix((w, pattern.indices, pattern.indptr), shape=pattern.shape)
+        return _lambda_mass_q(kernels.spaces, Lambda, m)
+
+    (K_ff,) = numbered(con.K_ff)
+    return Structure(
+        first=Gather(K_ff[np.ix_(first, first)]),
+        x_p=Union(weighted_ids(embed, layout.n_networks, N),
+                  weighted_ids(lambda_mass, pattern.nnz, kernels.M_p)),
+        within=np.ix_(within, within),
+        q_free=q_free,
+    )
 
 
 def build_preconditioner(target, scaled, kernel_vectors=()):
@@ -366,9 +442,23 @@ def build_preconditioner(target, scaled, kernel_vectors=()):
     (all-flux networks without transfer) are handled by factoring the
     pressure block bordered by the supplied kernel vectors, which applies
     the inverse of ``X_p + s K K^T``.
+
+    The first block is a gather of the operator, fixed by its structure
+    and by lambda (and R for ``full_block``); its factor is kept per
+    structure for the last ``FIRST_FACTORS`` such values and shared by
+    the preconditioners built with them.
     """
     x1, x2 = preconditioner_matrices(target, scaled, kernel_vectors)
-    return BlockDiagPreconditioner(x1, x2, len(kernel_vectors))
+    reduced = isinstance(target, CondensedSystem)
+    con = target.constrained if reduced else target
+    base = con.base.scaled   # x1 is a gather of the operator built with these
+    key = (reduced, base.lam) if reduced else (reduced, base.lam, *base.R)
+    factors = con.structure.derive("first factors", OrderedDict)
+    f1 = factors.pop(key, None) or _SPDFactor(x1)
+    factors[key] = f1
+    if len(factors) > FIRST_FACTORS:
+        factors.popitem(last=False)
+    return BlockDiagPreconditioner(f1, _SPDFactor(x2, len(kernel_vectors)), x1.shape[0])
 
 
 def mean_zero_functionals(system):

@@ -12,6 +12,11 @@ every data callable at one point ``x`` of shape ``(2,)`` at a time.
 
 The dense spectral references compute every eigenvalue of the pencils
 that the diagnostics reach by sparse Lanczos runs.
+
+The ``reference_*`` compositions build the operator, its free-DOF
+blocks, the flux condensation and the preconditioner blocks with the
+scipy expressions (``bmat``, ``np.ix_`` indexing, sparse sums) that
+:mod:`mpet.sparsity` records once and replays as gathers.
 """
 
 import numpy as np
@@ -517,3 +522,96 @@ def pointwise_interpolate_uhat(spaces, f):
     return _pointwise_facet_projection(
         spaces, lambda x, fct: float(np.dot(f(x), tang[fct])), spaces.n_uhat
     )
+
+
+# ----------------------------------------------------------------------
+# reference compositions: the scipy expressions that the recorded
+# patterns of mpet.sparsity replay as gathers
+# ----------------------------------------------------------------------
+
+
+def reference_operator(kernels, scaled):
+    """``K`` composed with one ``sps.bmat`` over the field grid."""
+    spaces = kernels.spaces
+    n = scaled.n
+    divdiv_padded = sps.block_diag(
+        [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))],
+        format="csr",
+    )
+    div_u = sps.hstack(
+        [-kernels.D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr"
+    )
+    grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
+    grid[0][0] = kernels.a_hdg + divdiv_padded
+    for i in range(n):
+        w, p, phat = 1 + i, 1 + n + i, 1 + 2 * n + i
+        grid[w][w] = kernels.M_w / scaled.R[i]
+        grid[p][0], grid[0][p] = div_u, div_u.T
+        grid[p][w], grid[w][p] = -kernels.Dw, -kernels.Dw.T
+        grid[phat][w], grid[w][phat] = kernels.Ew, kernels.Ew.T
+        for j in np.flatnonzero(scaled.zeta[i]):
+            grid[p][1 + n + j] = -scaled.zeta[i, j] * kernels.M_p
+    return sps.bmat(grid, format="csr")
+
+
+def reference_constrained(K, constrained):
+    """``(K_ff, K_fc)`` by fancy indexing with ``np.ix_``."""
+    free = np.setdiff1d(np.arange(K.shape[0]), constrained, assume_unique=True)
+    return K[np.ix_(free, free)].tocsr(), K[np.ix_(free, constrained)].tocsr()
+
+
+def _embed(mat, spaces, weights):
+    """Weighted copies of a (p, phat) matrix on each network's diagonal of the q block."""
+    n, np_ = len(weights), spaces.size_p
+    coo = mat.tocoo()
+    i = np.arange(n)[:, None]
+
+    def place(idx):
+        return (idx + np.where(idx < np_, i * np_, (n - 1) * np_ + i * spaces.size_phat)).ravel()
+
+    vals = np.multiply.outer(np.asarray(weights, dtype=float), coo.data).ravel()
+    size = n * mat.shape[0]
+    return sps.csr_matrix((vals, (place(coo.row), place(coo.col))), shape=(size, size))
+
+
+def _lambda_mass(kernels, Lambda):
+    n = Lambda.shape[0]
+    size = n * kernels.spaces.size_phat
+    lam_mass = sps.kron(sps.csr_matrix(Lambda), kernels.M_p, format="csr")
+    return sps.bmat([[lam_mass, None], [None, sps.csr_matrix((size, size))]], format="csr")
+
+
+def reference_condensed(con):
+    """``(K_red, C, Mw_inv)`` of the flux condensation by sparse subtraction."""
+    layout = con.layout
+    kernels = con.base.kernels
+    R = con.base.scaled.R
+    pos = con.free_pos
+    iu = pos[con.free_in(["u", "uhat"])]
+    iw = pos[con.free_in(layout.v_fields[2:])]
+    q_free = con.free_in(layout.q_fields)
+    iq = pos[q_free]
+    keep = np.concatenate([iu, iq])
+    within = q_free - layout.size_v
+    schur = _embed(kernels.S_w, kernels.spaces, R)[np.ix_(within, within)]
+    K_red = con.K_ff[np.ix_(keep, keep)] - sps.block_diag(
+        [sps.csr_matrix((len(iu), len(iu))), schur], format="csr"
+    )
+    return K_red, con.K_ff[np.ix_(iw, iq)], sps.kron(sps.diags(R), kernels.M_w_inv, format="csr")
+
+
+def reference_preconditioner(con, scaled, reduced, kernel_vectors=()):
+    """``(x_first, x_p)`` with the pressure block summed and restricted by scipy."""
+    from mpet.assembly import pressure_hdg_matrix
+    from mpet.solver import _border_with_kernel
+
+    layout = con.layout
+    kernels = con.base.kernels
+    spaces = kernels.spaces
+    first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
+    N = kernels.S_w if reduced else pressure_hdg_matrix(spaces, include_h2=False)
+    q_free = con.free_in(layout.q_fields)
+    iq = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
+    x_p = (_embed(N, spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda))[iq]
+    x_p = _border_with_kernel(x_p, [k[q_free] for k in kernel_vectors])
+    return con.K_ff[np.ix_(first, first)], x_p

@@ -1,0 +1,163 @@
+"""Recorded sparsity patterns against the scipy compositions they replay.
+
+Every matrix a cell composes (``K``, ``K_ff``, ``K_fc``, ``K_red``, ``C``,
+``Mw_inv`` and both preconditioner blocks) must equal the reference
+composition of ``oracles.py`` array for array, over a sequence of cells
+that reuses, extends and re-keys the patterns recorded on one mesh.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import mpet.cli
+import mpet.solver
+from mpet.assembly import (
+    apply_boundary_conditions,
+    assemble_kernels,
+    build_block_system,
+    homogeneous_bcs,
+    pressure_nullspace,
+)
+from mpet.cli import _sweep_parameters
+from mpet.mesh import generate_unit_square
+from mpet.params import scaled_from_direct
+from mpet.solver import (
+    FIRST_FACTORS,
+    build_preconditioner,
+    condense_velocity,
+    preconditioner_matrices,
+    solve,
+)
+from mpet.spaces import SpaceSet
+from oracles import (
+    reference_condensed,
+    reference_constrained,
+    reference_operator,
+    reference_preconditioner,
+)
+
+
+def assert_same(actual, expected, name):
+    assert actual.shape == expected.shape, name
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(actual, part), getattr(expected, part)), (name, part)
+
+
+def _kernels(n_side, ell):
+    return assemble_kernels(SpaceSet(generate_unit_square(n_side), ell, 2))
+
+
+# i = 0 has a diagonal Lambda and i = 2 a full one; zero_coupling has no
+# transfer (zeta = 0) and a zero Lambda, mixed has unequal networks
+CELLS = [(0, False, False), (2, False, False), (2, False, True), (4, True, False)]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_cells_on_one_mesh_match_the_scipy_composition(ell):
+    kernels = _kernels(2, ell)
+    for (i, mixed, zero_coupling), lam, pressure in itertools.product(
+        CELLS, (1.0, 1e4, 1e8), ("dirichlet", "flux")
+    ):
+        scaled = _sweep_parameters(i, lam, mixed, zero_coupling)
+        system = build_block_system(kernels, scaled)
+        assert_same(system.K, reference_operator(kernels, scaled), "K")
+        con = apply_boundary_conditions(system, homogeneous_bcs(2, pressure=pressure))
+        K_ff, K_fc = reference_constrained(system.K, con.constrained)
+        assert_same(con.K_ff, K_ff, "K_ff")
+        assert_same(con.K_fc, K_fc, "K_fc")
+        condensed = condense_velocity(con)
+        for name, expected in zip(("K_red", "C", "Mw_inv"), reference_condensed(con)):
+            assert_same(getattr(condensed, name), expected, name)
+        kernel_vectors = pressure_nullspace(con)
+        if pressure == "flux" and zero_coupling:
+            assert len(kernel_vectors) == 2   # the bordered pressure block
+        for target, reduced in ((condensed, True), (con, False)):
+            x_first, x_p = preconditioner_matrices(target, scaled, kernel_vectors)
+            ref_first, ref_p = reference_preconditioner(con, scaled, reduced, kernel_vectors)
+            assert_same(x_first, ref_first, f"x_first reduced={reduced}")
+            assert_same(x_p, ref_p, f"x_p reduced={reduced}")
+
+
+def test_a_later_cell_leaves_an_earlier_cells_matrices_and_factors_unchanged():
+    """Cells share recorded patterns and elasticity factors, never data:
+    what ``solve(reuse=...)`` and ``TimeStepper`` hold stays as built."""
+    kernels = _kernels(2, 2)
+    bcs = homogeneous_bcs(2, pressure="dirichlet")
+
+    def cell(i, lam):
+        scaled = _sweep_parameters(i, lam, False)
+        con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
+        con.base.F = np.random.default_rng(i).standard_normal(con.layout.total)
+        return con, solve(con, scaled)[2]
+
+    con, (condensed, prec, _) = cell(0, 1.0)
+    arrays = {name: [m.data.copy(), m.indices.copy(), m.indptr.copy()]
+              for name, m in (("K_ff", con.K_ff), ("K_red", condensed.K_red))}
+    r = np.random.default_rng(7).standard_normal(condensed.K_red.shape[0])
+    applied = prec(r)
+    later = [cell(i, lam) for i, lam in ((2, 1.0), (4, 1e4), (0, 1.0))]
+    assert later[-1][1][1].f1 is prec.f1   # equal lambda: one elasticity factor
+    for name, m in (("K_ff", con.K_ff), ("K_red", condensed.K_red)):
+        for saved, now in zip(arrays[name], (m.data, m.indices, m.indptr)):
+            assert np.array_equal(saved, now), name
+    for other, (other_condensed, _, _) in later:
+        assert not np.shares_memory(other.K_ff.data, con.K_ff.data)
+        assert not np.shares_memory(other_condensed.K_red.data, condensed.K_red.data)
+    assert np.array_equal(prec(r), applied)
+
+
+class _Counted(mpet.solver._SPDFactor):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    _Counted.built = 0
+    monkeypatch.setattr(mpet.solver, "_SPDFactor", _Counted)
+    return _Counted
+
+
+def test_benchmark_sweep_factors_each_lambdas_elasticity_block_once(tmp_path, counted):
+    """The seed-0 ``sweep`` benchmark grid: per order, three elasticity
+    factors (one per lambda) and fifteen pressure factors (one per cell)."""
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        "[run]\ni_list = 0, 2, 4, 6, 8\nlambda_list = 1e0, 1e4, 1e8\norders = 1, 2\n"
+        "n_per_side = 8\n"
+    )
+    mpet.cli.unit_square_kernels.cache_clear()
+    assert mpet.cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert counted.built == 2 * (3 + 15)
+
+
+def test_elasticity_factors_are_kept_for_the_last_lambdas(counted):
+    kernels = _kernels(2, 1)
+    bcs = homogeneous_bcs(2, pressure="dirichlet")
+
+    def precondition(lam):
+        scaled = scaled_from_direct(lam, [1.0, 1.0], [1.0, 1.0])
+        con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
+        before = counted.built
+        build_preconditioner(condense_velocity(con), scaled)
+        return counted.built - before   # 1: the pressure block only, 2: both
+
+    lams = 10.0 ** np.arange(FIRST_FACTORS + 1)
+    assert [precondition(lam) for lam in lams] == [2] * len(lams)
+    assert precondition(lams[-1]) == 1
+    assert precondition(lams[1]) == 1
+    assert precondition(lams[0]) == 2   # evicted by the newest lambda
+
+
+def test_new_kernels_start_without_recorded_patterns():
+    first, second = _kernels(1, 1), _kernels(1, 1)
+    scaled = scaled_from_direct(1.0, [1.0, 1.0], [1.0, 1.0])
+    system = build_block_system(first, scaled)
+    apply_boundary_conditions(system, homogeneous_bcs(2))
+    assert first.structure.derived and not second.structure.derived
+    assert build_block_system(second, scaled).structure is not system.structure

@@ -98,3 +98,28 @@ def test_sweep_builds_through_the_traced_module_names(tmp_path, monkeypatch):
     config.write_text("[run]\ni_list = 0, 2\nlambda_list = 1.0\norders = 1, 2\nn_per_side = 2\n")
     assert mpet.cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert calls == {"generate_unit_square": 2, "assemble_kernels": 2}
+
+
+def test_sweep_cell_calls_the_traced_composition_layers(tmp_path, monkeypatch):
+    """A cell composes its matrices from recorded patterns, and still goes
+    through every function the compose, constrain, condense and precond
+    layers wrap, once each."""
+    import mpet.cli
+
+    layers = ("assembly.compose", "assembly.constrain", "solver.condense", "solver.precond")
+    calls = dict.fromkeys(layers, 0)
+    for layer in layers:
+        for owner, attr in tracing.LAYERS[layer]:
+            if owner.startswith("mpet.timeloop"):
+                continue
+            obj = tracing.resolve(owner)
+
+            def counted(*args, _fn=vars(obj)[attr], _layer=layer, **kwargs):
+                calls[_layer] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(obj, attr, counted)
+    config = tmp_path / "sweep.cfg"
+    config.write_text("[run]\ni_list = 2\nlambda_list = 1.0\norders = 1\nn_per_side = 2\n")
+    assert mpet.cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert calls == dict.fromkeys(layers, 1)

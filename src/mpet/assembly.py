@@ -117,9 +117,12 @@ class FormKernels:
     elimination of one network on its (p, phat): network i's flux mass is
     ``M_w / R_i``, so its flux Schur complement is ``R_i S_w``.
 
-    ``structure`` holds the sparsity patterns recorded by the compositions
-    on these kernels (:func:`build_block_system` and the steps after it),
-    keyed by what each pattern depends on; new kernels start with none.
+    Every matrix here, and :attr:`p_hdg`, stores no zero entries, so a
+    weighted sum of them has none either unless two entries cancel
+    exactly.  ``structure`` holds the sparsity patterns recorded by the
+    compositions on these kernels (:func:`build_block_system` and the
+    steps after it), keyed by the constrained DOFs and which weights are
+    nonzero; new kernels start with none.
     """
 
     spaces: object
@@ -139,7 +142,7 @@ class FormKernels:
     @cached_property
     def p_hdg(self):
         """Pressure HDG norm matrix on one network's (p, phat), formed on first use."""
-        return pressure_hdg_matrix(self.spaces, include_h2=False)
+        return _zero_free(pressure_hdg_matrix(self.spaces, include_h2=False))
 
 
 def assemble_kernels(spaces, eta=DEFAULT_ETA):
@@ -181,8 +184,7 @@ def assemble_kernels(spaces, eta=DEFAULT_ETA):
     Dw = _scatter((s.size_p, s.size_w), (pdofs, wdofs, _gram(pvals, wdivs, wq)))
     Ew = _scatter((s.size_phat, s.size_w), *ew_terms)
     B = sps.vstack([-Dw, Ew], format="csr")
-    return FormKernels(
-        spaces=spaces,
+    matrices = dict(
         a_hdg=_scatter((size_uu, size_uu), *a_terms),
         divdiv=divdiv_factors(s).matrix(),
         D=_scatter((s.size_p, s.size_u), (pdofs, udofs, _gram(pvals, udivs, wq))),
@@ -192,9 +194,19 @@ def assemble_kernels(spaces, eta=DEFAULT_ETA):
         M_w_inv=M_w_inv,
         S_w=(B @ (M_w_inv @ B.T)).tocsr(),
         M_p=_scatter((s.size_p, s.size_p), (pdofs, pdofs, p_mass)),
+    )
+    return FormKernels(
+        spaces=spaces,
+        **{name: _zero_free(m) for name, m in matrices.items()},
         volume=float(mesh.element_area.sum()),
         p_mass_inv=np.linalg.inv(p_mass),
     )
+
+
+def _zero_free(mat):
+    """``mat`` without its stored zeros, which a kernel must not carry into a sum."""
+    mat.eliminate_zeros()
+    return mat
 
 
 # ----------------------------------------------------------------------
@@ -329,13 +341,6 @@ class BlockSystem:
     scaled: object
     structure: Structure = field(repr=False)
 
-    def symmetry_defect(self):
-        d = self.K - self.K.T
-        denom = max(abs(self.K.max()), abs(self.K.min()), 1e-300)
-        if d.nnz == 0:
-            return 0.0
-        return max(abs(d.max()), abs(d.min())) / denom
-
 
 def build_block_system(kernels, scaled):
     """Compose the parameter-weighted operator from the kernels in one block grid.
@@ -343,26 +348,26 @@ def build_block_system(kernels, scaled):
     ``K``'s entries are the kernels' data weighted as scipy's
     ``a_hdg + lam divdiv``, ``M_w / R_i``, ``-D``, ``-Dw``, ``Ew`` and
     ``-zeta_ij M_p`` compute them, gathered into the grid's pattern.  The
-    pattern is recorded by the first composition with the same transfer
-    couplings (nonzero ``zeta``) and the same zero entries of the
-    elasticity block, which scipy's sum leaves out.
+    pattern is recorded by the first composition with the same nonzero
+    weights: the transfer couplings (nonzero ``zeta``) and ``lam != 0``.
     """
     spaces = kernels.spaces
     n = scaled.n
     if n != spaces.n_networks:
         raise ValueError("network count of parameters and spaces disagree")
-    elastic = kernels.structure.derive("elastic", lambda: _elastic_union(kernels))
-    a = elastic.values(kernels.a_hdg.data, kernels.divdiv.data * scaled.lam)
-    drop = np.flatnonzero(a == 0)
+    has_lam = scaled.lam != 0
+    elastic = kernels.structure.derive(
+        ("elastic", has_lam), lambda: _elastic_union(kernels, has_lam)
+    )
     coupled = np.nonzero(scaled.zeta)
     transposes = kernels.structure.derive("transposes", lambda: _transposes(kernels))
     structure = kernels.structure.derive(
-        ("K", np.flatnonzero(scaled.zeta).tobytes(), drop.tobytes()),
-        lambda: Structure(K=_operator_pattern(kernels, transposes, coupled, elastic, drop)),
+        ("K", has_lam, np.flatnonzero(scaled.zeta).tobytes()),
+        lambda: Structure(K=_operator_pattern(kernels, transposes, coupled, elastic)),
     )
     D_T, Dw_T, Ew_T = transposes
     source = np.concatenate([
-        a,
+        elastic.values(kernels.a_hdg.data, kernels.divdiv.data * scaled.lam),
         *(kernels.M_w.data * (1 / R) for R in scaled.R),
         -kernels.D.data,
         -kernels.Dw.data,
@@ -383,12 +388,14 @@ def build_block_system(kernels, scaled):
     )
 
 
-def _elastic_union(kernels):
-    """Merged pattern of ``a_hdg + blockdiag(lam divdiv, 0)`` on (u, uhat)."""
+def _elastic_union(kernels, has_lam):
+    """Merged pattern of ``a_hdg + blockdiag(lam divdiv, 0)`` on (u, uhat),
+    that of ``a_hdg`` alone for ``lam = 0``."""
     size_uhat = kernels.spaces.size_uhat
-    a_hdg, divdiv = numbered(kernels.a_hdg), numbered(kernels.divdiv)
-    padded = sps.block_diag([*divdiv, sps.csr_matrix((size_uhat, size_uhat))], format="csr")
-    return Union(*a_hdg, padded)
+    (a_hdg,), (divdiv,) = numbered(kernels.a_hdg), numbered(kernels.divdiv)
+    divdiv = divdiv if has_lam else sps.csr_matrix(divdiv.shape)
+    padded = sps.block_diag([divdiv, sps.csr_matrix((size_uhat, size_uhat))], format="csr")
+    return Union(a_hdg, padded)
 
 
 def _transposes(kernels):
@@ -400,13 +407,12 @@ def _transposes(kernels):
     return tuple(m.T.tocsr() for m in (kernels.D, kernels.Dw, kernels.Ew))
 
 
-def _operator_pattern(kernels, transposes, coupled, elastic, drop):
+def _operator_pattern(kernels, transposes, coupled, elastic):
     """Gather of ``K`` recorded on the block grid of id matrices.
 
-    The source is the merged elasticity block (``elastic``, without the
-    entries at ``drop``), then each network's flux mass, ``D``, ``Dw``,
-    ``Ew``, their ``transposes`` and one ``M_p`` per transfer coupling
-    ``(i, j)`` in ``coupled``.
+    The source is the merged elasticity block (``elastic``), then each
+    network's flux mass, ``D``, ``Dw``, ``Ew``, their ``transposes`` and
+    one ``M_p`` per transfer coupling ``(i, j)`` in ``coupled``.
     """
     spaces = kernels.spaces
     n = spaces.n_networks
@@ -418,7 +424,7 @@ def _operator_pattern(kernels, transposes, coupled, elastic, drop):
     div_u_T = sps.vstack([D_T, sps.csr_matrix((spaces.size_uhat, spaces.size_p))], format="csr")
     # grid rows and columns: u+uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}
     grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
-    grid[0][0] = elastic.kept(drop)
+    grid[0][0] = elastic.ids()
     for i in range(n):
         w, p, phat = 1 + i, 1 + n + i, 1 + 2 * n + i
         grid[w][w] = masses[i]

@@ -15,8 +15,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     DofLayout,
-    _embed_per_network,
-    _lambda_mass_q,
     _scatter,
     constant_pressure_mode,
     displacement_hdg_factors,
@@ -98,18 +96,6 @@ class NormAssembler:
             p_bar=sqrt(p_bar2),
             product=sqrt(prod2),
         )
-
-    def product_norm_matrix(self, scaled):
-        """Full-layout sparse matrix of the squared product norm."""
-        spaces = self.spaces
-        kernels = self.kernels
-        divdiv = sps.block_diag(
-            [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))]
-        )
-        masses = [kernels.M_w / R for R in scaled.R]
-        p_bar = _embed_per_network(self.p_hdg.matrix(), spaces, scaled.R)
-        p_bar = p_bar + _lambda_mass_q(spaces, scaled.Lambda, kernels.M_p)
-        return sps.block_diag([self.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")
 
 
 # ----------------------------------------------------------------------

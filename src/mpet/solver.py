@@ -293,20 +293,17 @@ def condense_velocity(constrained):
     :class:`CondensedSystem` whose matrix is the symmetric reduced
     operator on (u, uhat, p, phat): ``K_ff`` on them minus
     ``blockdiag(0, R_i S_w)``, gathered into the pattern of scipy's
-    difference (recorded once per structure and set of zero entries).
+    difference (recorded once per structure: every R_i is nonzero).
     """
     con = constrained
     kernels = con.base.kernels
     R = con.base.scaled.R
     structure = con.structure.derive("condense", lambda: _condensed_pattern(con))
-    K_red = structure.K_red.values(
-        con.K_ff.data, np.multiply.outer(R, kernels.S_w.data).ravel(), np.subtract
-    )
-    drop = np.flatnonzero(K_red == 0)
-    kept = structure.derive(drop.tobytes(), lambda: Gather(structure.K_red.kept(drop)))
     return CondensedSystem(
         constrained=con,
-        K_red=kept.matrix(K_red),
+        K_red=structure.K_red.matrix(
+            con.K_ff.data, np.multiply.outer(R, kernels.S_w.data).ravel(), np.subtract
+        ),
         iu=structure.iu,
         iw=structure.iw,
         iq=structure.iq,
@@ -380,7 +377,8 @@ def preconditioner_matrices(target, scaled, kernel_vectors=()):
     restrict the pencil to the mean-zero subspace instead.
 
     Both blocks are gathers into patterns recorded once per structure,
-    variant, pattern of ``Lambda`` and set of zero entries of the sum.
+    variant and pattern of ``Lambda``, which says which weights are
+    nonzero.
     """
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
@@ -392,21 +390,18 @@ def preconditioner_matrices(target, scaled, kernel_vectors=()):
         lambda: _preconditioner_pattern(con, reduced, coupled),
     )
     N = kernels.S_w if reduced else kernels.p_hdg
-    x_p = structure.x_p.values(
+    x_p = structure.x_p.matrix(structure.q_sum.values(
         np.multiply.outer(scaled.R, N.data).ravel(),
         np.multiply.outer(Lambda[coupled], kernels.M_p.data).ravel(),
-    )
-    drop = np.flatnonzero(x_p == 0)
-    kept = structure.derive(
-        drop.tobytes(), lambda: Gather(structure.x_p.kept(drop)[structure.within])
-    )
-    x_p = _border_with_kernel(kept.matrix(x_p), [k[structure.q_free] for k in kernel_vectors])
+    ))
+    x_p = _border_with_kernel(x_p, [k[structure.q_free] for k in kernel_vectors])
     return structure.first.matrix(con.K_ff.data), x_p
 
 
 def _preconditioner_pattern(con, reduced, coupled):
     """Patterns of the first block and of ``blockdiag(R_i N) + Lambda (x) M_p``
-    for the nonzero pattern ``coupled`` of ``Lambda``, on id matrices."""
+    for the nonzero pattern ``coupled`` of ``Lambda``, on id matrices: the
+    sum on the whole q block and its restriction ``x_p`` to the free DOFs."""
     layout = con.layout
     kernels = con.base.kernels
     first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
@@ -422,11 +417,12 @@ def _preconditioner_pattern(con, reduced, coupled):
         return _lambda_mass_q(kernels.spaces, Lambda, m)
 
     (K_ff,) = numbered(con.K_ff)
+    total = Union(weighted_ids(embed, layout.n_networks, N),
+                  weighted_ids(lambda_mass, pattern.nnz, kernels.M_p))
     return Structure(
         first=Gather(K_ff[np.ix_(first, first)]),
-        x_p=Union(weighted_ids(embed, layout.n_networks, N),
-                  weighted_ids(lambda_mass, pattern.nnz, kernels.M_p)),
-        within=np.ix_(within, within),
+        q_sum=total,
+        x_p=Gather(total.ids()[np.ix_(within, within)]),
         q_free=q_free,
     )
 

@@ -16,6 +16,13 @@ say where each of its entries comes from and its pattern and entry
 order are scipy's.  Sums and differences are
 recorded by :class:`Union`, and weighted copies by :func:`weighted_ids`.
 
+The operands store no zeros and a term whose weight is zero is left
+out, so a sum's merged pattern is the result's: a recorded pattern
+depends only on the mesh, the constrained DOFs and which weights are
+nonzero.  An entry whose two sources cancel exactly would stay as a
+stored zero where scipy drops it; none occurs in any preset or test
+cell.
+
 A recorded map is kept as runs of consecutive source positions
 (:class:`Runs`), a few per matrix row, and the recorded ``indices`` and
 ``indptr`` arrays are read-only and shared by every matrix composed on
@@ -82,14 +89,20 @@ class Runs:
         return values
 
 
-def _shared(ids):
-    """``ids``' pattern arrays, made read-only to be shared by the replayed matrices."""
-    for array in (ids.indices, ids.indptr):
-        array.flags.writeable = False
-    return ids.shape, ids.indices, ids.indptr
+class _Pattern:
+    """A recorded CSR pattern whose read-only ``indices`` and ``indptr`` are
+    shared by every matrix placed on it."""
+
+    def __init__(self, ids):
+        for array in (ids.indices, ids.indptr):
+            array.flags.writeable = False
+        self.shape, self.indices, self.indptr = ids.shape, ids.indices, ids.indptr
+
+    def _on(self, data):
+        return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-class Gather:
+class Gather(_Pattern):
     """A recorded CSR pattern and, for each entry, the source entry it takes.
 
     Built from the id matrix a recording produced; :meth:`matrix` places
@@ -97,25 +110,24 @@ class Gather:
     """
 
     def __init__(self, ids):
-        self.shape, self.indices, self.indptr = _shared(ids)
+        super().__init__(ids)
         self.take = Runs(ids.data - 1)
 
     def matrix(self, source):
-        return sps.csr_matrix(
-            (source[self.take.expand()], self.indices, self.indptr), shape=self.shape
-        )
+        return self._on(source[self.take.expand()])
 
 
-class Union:
+class Union(_Pattern):
     """The entries of ``P + Q`` (or ``P - Q``) for id matrices ``P`` and ``Q``.
 
     scipy's sum and difference walk the same merged pattern, in an order
     that depends only on the two patterns, so one recorded sum serves
     both: with ``Q``'s ids scaled by ``m = max(P) + 1`` every entry of
-    ``P + m Q`` decodes to the pair of source entries it adds.  scipy
-    drops an entry whose result is zero, so :meth:`values` returns every
-    merged entry and :meth:`kept` the pattern without the dropped ones;
-    callers key what they record on the dropped positions.
+    ``P + m Q`` decodes to the pair of source entries it adds.  Operands
+    without stored zeros and a nonzero weight on each make the merged
+    pattern the result's; scipy would drop an entry that cancels exactly,
+    which stays here as a stored zero (none occurs in any preset or test
+    cell).
     """
 
     def __init__(self, p, q):
@@ -123,11 +135,11 @@ class Union:
         p = sps.csr_matrix((p.data.astype(float), p.indices, p.indptr), shape=p.shape)
         q = sps.csr_matrix((q.data * m, q.indices, q.indptr), shape=q.shape)
         merged = p + q
+        super().__init__(merged)
         code = merged.data      # exact in float64 while m * max(Q) < 2^53
         b = np.floor(code / m)
         a = code - b * m - 1    # -1 where an operand has no entry
         b -= 1
-        self.shape, self.indices, self.indptr = _shared(merged)
         self.size = len(code)
         self.has_a, self.has_b = a >= 0, b >= 0
         self.a, self.b = Runs(a[self.has_a]), Runs(b[self.has_b])
@@ -144,18 +156,13 @@ class Union:
         out[self.has_b] = op(out[self.has_b], b[self.b.expand()])
         return out
 
-    def kept(self, drop):
-        """Id matrix of the result without the entries at ``drop``, numbering the merged entries.
+    def matrix(self, a, b, op=np.add):
+        """:meth:`values` on the merged pattern."""
+        return self._on(self.values(a, b, op))
 
-        Without dropped entries it shares the merged pattern.
-        """
-        ids = np.arange(1, self.size + 1, dtype=np.int32)
-        if not len(drop):
-            return sps.csr_matrix((ids, self.indices, self.indptr), shape=self.shape)
-        ids[drop] = 0
-        kept = sps.csr_matrix((ids, self.indices.copy(), self.indptr.copy()), shape=self.shape)
-        kept.eliminate_zeros()
-        return kept
+    def ids(self):
+        """Id matrix numbering the merged entries, on the merged pattern."""
+        return self._on(np.arange(1, self.size + 1, dtype=np.int32))
 
 
 class Structure:

@@ -615,3 +615,29 @@ def reference_preconditioner(con, scaled, reduced, kernel_vectors=()):
     x_p = (_embed(N, spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda))[iq]
     x_p = _border_with_kernel(x_p, [k[q_free] for k in kernel_vectors])
     return con.K_ff[np.ix_(first, first)], x_p
+
+
+# ----------------------------------------------------------------------
+# test-only matrices of assembled systems and norms
+# ----------------------------------------------------------------------
+
+
+def symmetry_defect(K):
+    """Largest entry of ``K - K^T`` relative to the largest entry of ``K``."""
+    d = K - K.T
+    denom = max(abs(K.max()), abs(K.min()), 1e-300)
+    if d.nnz == 0:
+        return 0.0
+    return max(abs(d.max()), abs(d.min())) / denom
+
+
+def product_norm_matrix(norms, scaled):
+    """Full-layout sparse matrix of the squared product norm of a ``NormAssembler``."""
+    spaces = norms.spaces
+    kernels = norms.kernels
+    divdiv = sps.block_diag(
+        [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))]
+    )
+    masses = [kernels.M_w / R for R in scaled.R]
+    p_bar = _embed(norms.p_hdg.matrix(), spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda)
+    return sps.block_diag([norms.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")

@@ -89,7 +89,7 @@ def test_norm_homogeneity_and_product_identity():
         rep1.product**2, rep1.u_bar**2 + rep1.w**2 + rep1.p_bar**2, rtol=1e-12
     )
     # consistency with the explicit product-norm matrix
-    N = norms.product_norm_matrix(scaled)
+    N = oracles.product_norm_matrix(norms, scaled)
     assert np.isclose(float(x @ (N @ x)), rep1.product**2, rtol=1e-11)
 
 

@@ -3,17 +3,22 @@
 Every matrix a cell composes (``K``, ``K_ff``, ``K_fc``, ``K_red``, ``C``,
 ``Mw_inv`` and both preconditioner blocks) must equal the reference
 composition of ``oracles.py`` array for array, over a sequence of cells
-that reuses, extends and re-keys the patterns recorded on one mesh.
+that reuses, extends and re-keys the patterns recorded on one mesh.  The
+kernels store no zeros, so the recorded patterns depend on which weights
+are nonzero and never on their values.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 import mpet.cli
 import mpet.solver
 from mpet.assembly import (
+    FormKernels,
     apply_boundary_conditions,
     assemble_kernels,
     build_block_system,
@@ -21,7 +26,7 @@ from mpet.assembly import (
     pressure_nullspace,
 )
 from mpet.cli import _sweep_parameters
-from mpet.mesh import generate_unit_square
+from mpet.mesh import generate_annulus, generate_unit_square
 from mpet.params import scaled_from_direct
 from mpet.solver import (
     FIRST_FACTORS,
@@ -31,6 +36,7 @@ from mpet.solver import (
     solve,
 )
 from mpet.spaces import SpaceSet
+from mpet.sparsity import Structure
 from oracles import (
     reference_condensed,
     reference_constrained,
@@ -58,7 +64,7 @@ CELLS = [(0, False, False), (2, False, False), (2, False, True), (4, True, False
 def test_cells_on_one_mesh_match_the_scipy_composition(ell):
     kernels = _kernels(2, ell)
     for (i, mixed, zero_coupling), lam, pressure in itertools.product(
-        CELLS, (1.0, 1e4, 1e8), ("dirichlet", "flux")
+        CELLS, (0.0, 1.0, 1e4, 1e8), ("dirichlet", "flux")
     ):
         scaled = _sweep_parameters(i, lam, mixed, zero_coupling)
         system = build_block_system(kernels, scaled)
@@ -78,6 +84,57 @@ def test_cells_on_one_mesh_match_the_scipy_composition(ell):
             ref_first, ref_p = reference_preconditioner(con, scaled, reduced, kernel_vectors)
             assert_same(x_first, ref_first, f"x_first reduced={reduced}")
             assert_same(x_p, ref_p, f"x_p reduced={reduced}")
+
+
+@pytest.mark.parametrize(
+    "mesh, ell",
+    [(generate_unit_square(2), ell) for ell in (1, 2, 3)]
+    + [(generate_annulus(30.0, 70.0, 2, 8), 1)],
+    ids=["square-1", "square-2", "square-3", "annulus-1"],
+)
+def test_kernels_store_no_zeros(mesh, ell):
+    kernels = assemble_kernels(SpaceSet(mesh, ell, 2))
+    matrices = {f.name: getattr(kernels, f.name) for f in dataclasses.fields(FormKernels)}
+    matrices = {name: m for name, m in matrices.items() if sps.issparse(m)}
+    assert len(matrices) == 9
+    for name, m in {**matrices, "p_hdg": kernels.p_hdg}.items():
+        assert m.nnz and np.count_nonzero(m.data == 0) == 0, name
+
+
+def _recorded(structure):
+    """Entries of the ``derived`` dict of every structure in the tree, in tree order."""
+    counts = [len(structure.derived)]
+    for found in structure.derived.values():
+        if isinstance(found, Structure):
+            counts += _recorded(found)
+    return counts
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_patterns_depend_only_on_which_weights_are_nonzero(ell):
+    """Cells with new nonzero lambda, R, alpha_p and xi, but the zero
+    pattern of an earlier cell, record no new structure."""
+    kernels = _kernels(2, ell)
+    rng = np.random.default_rng(ell)
+
+    def cell(has_lam, has_xi, has_alpha_p, pressure):
+        draw = lambda size=None: 10.0 ** rng.uniform(-8, 8, size)
+        xi = np.array([[0.0, 1.0], [1.0, 0.0]]) * draw() * has_xi
+        scaled = scaled_from_direct(draw() * has_lam, draw(2), draw(2) * has_alpha_p, xi)
+        bcs = homogeneous_bcs(2, pressure=pressure)
+        con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
+        kernel_vectors = pressure_nullspace(con)
+        for target in (condense_velocity(con), con):
+            preconditioner_matrices(target, scaled, kernel_vectors)
+
+    # lambda, xi and alpha_p each zero or not, under both pressure conditions
+    patterns = list(itertools.product((0, 1), (0, 1), (0, 1), ("dirichlet", "flux")))
+    for pattern in patterns:
+        cell(*pattern)
+    recorded = _recorded(kernels.structure)
+    for pattern in patterns * 3:
+        cell(*pattern)
+    assert _recorded(kernels.structure) == recorded
 
 
 def test_a_later_cell_leaves_an_earlier_cells_matrices_and_factors_unchanged():

@@ -20,11 +20,12 @@ solver weights by R_i.  The composition writes the weighted kernel data
 into sparsity patterns recorded once per kernels and structure (see
 :mod:`mpet.sparsity`).  Functions take the space set alone and read the
 geometry from ``spaces.mesh``.  Every element and facet integral (the
-kernels, the HDG norm matrices, the volume load) is computed for all
-elements at once: bases mapped by ``SpaceSet.on_elements`` carry a
-leading element axis, the facet terms take one pass per local edge,
-``_gram`` contracts each quadrature sum as one batched matmul, and
-``_scatter`` sums the element blocks into a sparse matrix.
+kernels, the volume load) is computed for all elements at once: bases
+mapped by ``SpaceSet.on_elements`` carry a leading element axis, the
+facet terms take one pass per local edge, ``_gram`` contracts each
+quadrature sum as one batched matmul, and ``_scatter`` sums the element
+blocks into a sparse matrix.  The HDG norms do the same over element
+chunks of a fixed size in bytes (:class:`NormFactors`).
 """
 
 from dataclasses import dataclass, field
@@ -164,8 +165,8 @@ def assemble_kernels(spaces, eta=DEFAULT_ETA):
     a_terms = [(udofs, udofs, _gram(eps, eps, wq))]
     ew_terms = []
     for j in range(3):
-        f, h, ds, n_out = _facet_frame(s, j)
-        rows, jump = _u_jump(s, j)
+        f, h, ds, n_out = _facet_frame(s, j, elements)
+        rows, jump = _u_jump(s, j, elements)
         # consistency term (eps(v) n, jump), zero on the uhat rows
         tr_eps = _sym(s.on_edge("u_grad", s.bdm_edge_grads, j))
         eps_n = np.einsum("eiqab,eb->eiqa", tr_eps, n_out)
@@ -214,37 +215,38 @@ def _zero_free(mat):
 # ----------------------------------------------------------------------
 
 
-def _facet_frame(spaces, j):
-    """Facets, lengths, edge-rule weights and outward normals of local edge ``j``."""
+def _facet_frame(spaces, j, elements):
+    """Facets, lengths, edge-rule weights and outward normals of local edge ``j``
+    of the index array ``elements``."""
     mesh = spaces.mesh
-    f = mesh.element_facets[:, j]
+    f = mesh.element_facets[elements, j]
     h = mesh.facet_length[f]
     ds = spaces.edge_rule.weights * (h / 2.0)[:, None]
-    return f, h, ds, mesh.facet_sign[:, j, None] * mesh.facet_normal[f]
+    return f, h, ds, mesh.facet_sign[elements, j, None] * mesh.facet_normal[f]
 
 
-def _u_jump(spaces, j):
-    """Basis of (vhat - v)_t on local edge ``j`` of every element.
+def _u_jump(spaces, j, elements):
+    """Basis of (vhat - v)_t on local edge ``j`` of ``elements``.
 
     Rows are the element's u dofs, then the uhat dofs of its facet;
     returns ``(rows (e, i), basis (e, i, q, 2))``.
     """
     s = spaces
-    f, _, _, n_out = _facet_frame(s, j)
-    tr = s.on_edge("u", s.bdm_edge_vals, j)
+    f, _, _, n_out = _facet_frame(s, j, elements)
+    tr = s.on_edge("u", s.bdm_edge_vals, j, elements)
     u_t = tr - np.einsum("eiq,ea->eiqa", np.einsum("eiqa,ea->eiq", tr, n_out), n_out)
     uhat = np.einsum("mq,ea->emqa", s.leg_edge[: s.n_uhat], s.mesh.facet_tangent[f])
-    rows = np.concatenate([s.u_dofmap, s.size_u + s.uhat_dofs(f)], axis=1)
+    rows = np.concatenate([s.u_dofmap[elements], s.size_u + s.uhat_dofs(f)], axis=1)
     return rows, np.concatenate([-u_t, uhat], axis=1)
 
 
-def _p_jump(spaces, j):
-    """Basis of phat - p on local edge ``j`` of every element, as :func:`_u_jump`."""
+def _p_jump(spaces, j, elements):
+    """Basis of phat - p on local edge ``j`` of ``elements``, as :func:`_u_jump`."""
     s = spaces
-    f = s.mesh.element_facets[:, j]
-    tr = s.on_edge("p", s.p_edge_vals, j)
-    rows = np.concatenate([s.p_dofs(np.arange(len(f))), s.size_p + s.phat_dofs(f)], axis=1)
-    return rows, np.concatenate([-tr, s.on_elements("p", s.leg_edge[: s.n_phat])], axis=1)
+    f = s.mesh.element_facets[elements, j]
+    tr = s.on_edge("p", s.p_edge_vals, j, elements)
+    rows = np.concatenate([s.p_dofs(elements), s.size_p + s.phat_dofs(f)], axis=1)
+    return rows, np.concatenate([-tr, s.on_elements("p", s.leg_edge[: s.n_phat], elements)], axis=1)
 
 
 def _sym(grads):
@@ -277,48 +279,93 @@ def _scatter(shape, *terms):
     return sps.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
-class NormFactors:
-    """A norm matrix kept as its element factors.
+# bytes of the widest factor of one element chunk (see NormFactors)
+_CHUNK_BYTES = 4 << 20
 
-    Each term ``(dofs (e, i), factor (e, i, k))`` adds the blocks
-    ``factor factor^T``, where ``factor`` holds a basis's sqrt(w)-weighted
-    quadrature values (see :func:`_weighted`).  The squared norm of a
-    coefficient vector is then a sum of squares of its own weighted
-    values: on the kernel of the matrix it is rounding squared, where the
-    quadratic form ``x^T N x`` would be rounding of either sign.
+
+class NormFactors:
+    """A norm matrix kept as the builder of its element factors.
+
+    ``factors(elements)`` yields, for an index array of elements, one
+    ``(dofs (e, i), factor (e, i, k))`` per term, always in the same
+    order; each term adds the blocks ``factor factor^T``, where
+    ``factor`` holds a basis's sqrt(w)-weighted quadrature values (see
+    :func:`_weighted`).  The squared norm of a coefficient vector is then
+    a sum of squares of its own weighted values: on the kernel of the
+    matrix it is rounding squared, where the quadratic form ``x^T N x``
+    would be rounding of either sign.
+
+    Both methods reduce over chunks of consecutive elements, so no factor
+    is ever held for the whole mesh: :meth:`norm2` sums the squares chunk
+    by chunk, :meth:`matrix` scatters every chunk's blocks at once.  A
+    chunk's widest factor, ``element_bytes`` per element, fills at most
+    ``_CHUNK_BYTES``.  The budget is fixed rather than an option: it keeps
+    the memory of a norm from growing with the mesh, and each element's
+    factor comes from the same operations in any chunk, so the chunking
+    can move an entry only where BLAS takes another kernel for a smaller
+    product (by rounding; on the unit-square meshes, whose Jacobians have
+    zero entries, not at all).
     """
 
-    def __init__(self, size, terms):
+    def __init__(self, size, n_elements, factors, element_bytes):
         self.size = size
-        self.terms = terms
+        self.n_elements = n_elements
+        self.factors = factors
+        self.element_bytes = element_bytes
+
+    def _chunks(self):
+        step = max(1, _CHUNK_BYTES // self.element_bytes)
+        starts = range(0, self.n_elements, step)
+        return (np.arange(a, min(a + step, self.n_elements)) for a in starts)
 
     def matrix(self):
-        blocks = [(d, d, f @ np.swapaxes(f, 1, 2)) for d, f in self.terms]
-        return _scatter((self.size, self.size), *blocks)
+        """The norm matrix, from one ``_scatter`` of every chunk's blocks in element order."""
+        chunks = [[(d, d, f @ np.swapaxes(f, 1, 2)) for d, f in self.factors(e)]
+                  for e in self._chunks()]
+        return _scatter((self.size, self.size), *(b for term in zip(*chunks) for b in term))
 
     def norm2(self, x):
-        return float(sum(np.square(np.einsum("ei,eik->ek", x[d], f)).sum() for d, f in self.terms))
+        """Squared norm of ``x`` (size,), or that of each column of a block (size, m)."""
+        block = x.reshape(len(x), -1)
+        total = 0.0
+        for elements in self._chunks():
+            for d, f in self.factors(elements):
+                total = total + np.square(np.swapaxes(block[d], 1, 2) @ f).sum(axis=(0, 2))
+        return float(total[0]) if x.ndim == 1 else total
 
 
-def _hdg_norm(spaces, dofs, grads, hess, jump, size):
-    """Volume Gram of ``grads`` (+ h_T^2 that of ``hess``), plus h_F^-1 Grams of ``jump``."""
+def _hdg_norm(spaces, dofs, grads, hess, jump, size, element_bytes):
+    """Volume Gram of ``grads`` (+ h_T^2 that of ``hess``), plus h_F^-1 Grams of ``jump``.
+
+    ``dofs``, ``grads`` and ``hess`` (or None) map an index array of
+    elements to their dofs and mapped basis data, ``jump`` is
+    :func:`_u_jump` or :func:`_p_jump`.
+    """
     mesh = spaces.mesh
-    wq = spaces.vol_rule.weights * mesh.element_maps.det[:, None]
-    terms = [(dofs, _weighted(grads, wq))]
-    if hess is not None:
-        terms.append((dofs, _weighted(hess, wq * (mesh.element_h**2)[:, None])))
-    for j in range(3):
-        _, h, ds, _ = _facet_frame(spaces, j)
-        rows, basis = jump(spaces, j)
-        terms.append((rows, _weighted(basis, ds / h[:, None])))
-    return NormFactors(size, terms)
+
+    def factors(elements):
+        wq = spaces.vol_rule.weights * mesh.element_maps.det[elements, None]
+        yield dofs(elements), _weighted(grads(elements), wq)
+        if hess is not None:
+            h2 = (mesh.element_h[elements] ** 2)[:, None]
+            yield dofs(elements), _weighted(hess(elements), wq * h2)
+        for j in range(3):
+            _, h, ds, _ = _facet_frame(spaces, j, elements)
+            rows, basis = jump(spaces, j, elements)
+            yield rows, _weighted(basis, ds / h[:, None])
+
+    return NormFactors(size, mesh.n_elements, factors, element_bytes)
 
 
 def divdiv_factors(spaces):
     """:class:`NormFactors` of the div-div kernel ``FormKernels.divdiv``."""
     s = spaces
-    wq = s.vol_rule.weights * s.mesh.element_maps.det[:, None]
-    return NormFactors(s.size_u, [(s.u_dofmap, _weighted(s.on_elements("u_div", s.bdm_divs), wq))])
+
+    def factors(elements):
+        wq = s.vol_rule.weights * s.mesh.element_maps.det[elements, None]
+        yield s.u_dofmap[elements], _weighted(s.on_elements("u_div", s.bdm_divs, elements), wq)
+
+    return NormFactors(s.size_u, s.mesh.n_elements, factors, s.bdm_divs.nbytes)
 
 
 # ----------------------------------------------------------------------
@@ -481,9 +528,16 @@ def displacement_hdg_matrix(spaces, include_h2=True):
 def displacement_hdg_factors(spaces, include_h2=True):
     """:class:`NormFactors` of :func:`displacement_hdg_matrix`."""
     s = spaces
-    eps = _sym(s.on_elements("u_grad", s.bdm_grads))
-    hess = s.on_elements("u_hess", s.bdm.eval_hess(s.vol_rule.points)) if include_h2 else None
-    return _hdg_norm(s, s.u_dofmap, eps, hess, _u_jump, s.size_u + s.size_uhat)
+    ref_hess = s.bdm.eval_hess(s.vol_rule.points) if include_h2 else None
+    return _hdg_norm(
+        s,
+        lambda e: s.u_dofmap[e],
+        lambda e: _sym(s.on_elements("u_grad", s.bdm_grads, e)),
+        None if ref_hess is None else lambda e: s.on_elements("u_hess", ref_hess, e),
+        _u_jump,
+        s.size_u + s.size_uhat,
+        (s.bdm_grads if ref_hess is None else ref_hess).nbytes,
+    )
 
 
 def pressure_hdg_matrix(spaces, include_h2=False):
@@ -494,10 +548,16 @@ def pressure_hdg_matrix(spaces, include_h2=False):
 def pressure_hdg_factors(spaces, include_h2=False):
     """:class:`NormFactors` of :func:`pressure_hdg_matrix`."""
     s = spaces
-    grads = s.on_elements("p_grad", s.p_grads)
-    hess = s.on_elements("p_hess", s.p.eval_hess(s.vol_rule.points)) if include_h2 else None
-    pdofs = s.p_dofs(np.arange(s.mesh.n_elements))
-    return _hdg_norm(s, pdofs, grads, hess, _p_jump, s.size_p + s.size_phat)
+    ref_hess = s.p.eval_hess(s.vol_rule.points) if include_h2 else None
+    return _hdg_norm(
+        s,
+        s.p_dofs,
+        lambda e: s.on_elements("p_grad", s.p_grads, e),
+        None if ref_hess is None else lambda e: s.on_elements("p_hess", ref_hess, e),
+        _p_jump,
+        s.size_p + s.size_phat,
+        (s.p_grads if ref_hess is None else ref_hess).nbytes,
+    )
 
 
 # ----------------------------------------------------------------------

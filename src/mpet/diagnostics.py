@@ -46,7 +46,7 @@ class NormReport:
 
 
 class NormAssembler:
-    """Precomputed norm matrices on the mesh and space set of ``kernels``.
+    """The parameter-dependent norms on the mesh and space set of ``kernels``.
 
     The second-derivative terms of the displacement and pressure HDG
     norms are included here (they are omitted from the preconditioner
@@ -54,6 +54,11 @@ class NormAssembler:
     sums of squares of the field's quadrature values scaled by sqrt(w)
     (:class:`~mpet.assembly.NormFactors`), so a rigid motion has a
     displacement norm of rounding size, not the square root of it.
+
+    It holds the builders of those factors, not the factors: :meth:`report`
+    reduces each norm over element chunks of a fixed byte budget, so its
+    memory does not grow with the mesh, and the pressure norms of all
+    networks share one pass.
     """
 
     def __init__(self, kernels):
@@ -76,10 +81,10 @@ class NormAssembler:
             wi = x[layout.sl(f"w{i}")]
             w2 += float(wi @ (self.kernels.M_w @ wi)) / scaled.R[i]
 
-        p_hdg = []
-        for i in range(n):
-            pair = np.concatenate([x[layout.sl(f"p{i}")], x[layout.sl(f"phat{i}")]])
-            p_hdg.append(float(np.sqrt(self.p_hdg.norm2(pair))))
+        # one (p_i, phat_i) column per network, reduced in one pass
+        pairs = np.stack([np.concatenate([x[layout.sl(f"p{i}")], x[layout.sl(f"phat{i}")]])
+                          for i in range(n)], axis=1)
+        p_hdg = [float(v) for v in np.sqrt(self.p_hdg.norm2(pairs))]
         p_all = np.concatenate([x[layout.sl(f"p{i}")] for i in range(n)])
         lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), self.kernels.M_p)
         p_bar2 = sum(scaled.R[i] * p_hdg[i] ** 2 for i in range(n)) + float(

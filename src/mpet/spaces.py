@@ -26,7 +26,7 @@ from functools import lru_cache, partialmethod
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .mesh import LOCAL_EDGE_VERTICES
+from .mesh import LOCAL_EDGE_VERTICES, build_affine_map
 
 __all__ = [
     "QuadratureRule",
@@ -510,28 +510,30 @@ class SpaceSet:
     def p_dofs(self, element):
         return np.add.outer(np.multiply(element, self.n_p), np.arange(self.n_p))
 
-    # -- bases on every element ----------------------------------------
+    # -- bases on the elements -----------------------------------------
 
-    def on_elements(self, kind, ref):
-        """Reference data ``ref`` (no element axis) mapped to every element.
+    def on_elements(self, kind, ref, elements=slice(None)):
+        """Reference data ``ref`` (no element axis) mapped to ``elements``.
 
-        ``kind`` names the transform, see ``_ELEMENT_TRANSFORMS``; the
-        element axis leads the result, and displacement ("u") bases carry
-        the global dof signs.
+        ``elements`` indexes the mesh's elements, all by default.  ``kind``
+        names the transform, see ``_ELEMENT_TRANSFORMS``; the element axis
+        leads the result, and displacement ("u") bases carry the global
+        dof signs.
         """
-        out = _ELEMENT_TRANSFORMS[kind](self.mesh.element_maps, ref)
+        out = _ELEMENT_TRANSFORMS[kind](build_affine_map(self.mesh, elements), ref)
         if kind.startswith("u"):
-            out = out * self.u_signs.reshape(self.u_signs.shape + (1,) * (out.ndim - 2))
+            signs = self.u_signs[elements]
+            out = out * signs.reshape(signs.shape + (1,) * (out.ndim - 2))
         return out
 
-    def on_edge(self, kind, cache, local_edge):
+    def on_edge(self, kind, cache, local_edge, elements=slice(None)):
         """Traces ``cache[local_edge]`` mapped as by :meth:`on_elements`.
 
         They are ordered along the global facet direction, see
         :func:`orient_trace`.
         """
-        values = self.on_elements(kind, cache[local_edge])
-        return orient_trace(values, self.mesh.facet_direction[:, local_edge])
+        values = self.on_elements(kind, cache[local_edge], elements)
+        return orient_trace(values, self.mesh.facet_direction[elements, local_edge])
 
     # -- caches --------------------------------------------------------
 
@@ -573,8 +575,13 @@ class SpaceSet:
         elem = mesh.facet_elements[bf, 0]
         local = mesh.facet_local[bf, 0]
 
-        # signed, Piola-mapped BDM traces of each adjacent element
-        trace = np.stack([self.on_edge("u", self.bdm_edge_vals, j) for j in range(3)])[local, elem]
+        # signed, Piola-mapped BDM traces of each adjacent element, mapped
+        # on those elements only, one local edge at a time; concatenating
+        # keeps the memory order of the mapped values, which orders the
+        # sums over them (assemble_traction_rhs)
+        by_edge = [(j, np.flatnonzero(local == j)) for j in np.unique(local)]
+        traces = [self.on_edge("u", self.bdm_edge_vals, j, elem[k]) for j, k in by_edge]
+        trace = np.concatenate(traces)[np.argsort(np.concatenate([k for _, k in by_edge]))]
 
         arrays = {
             "facets": bf,

@@ -13,6 +13,10 @@ every data callable at one point ``x`` of shape ``(2,)`` at a time.
 The dense spectral references compute every eigenvalue of the pencils
 that the diagnostics reach by sparse Lanczos runs.
 
+The ``whole_mesh_*`` references evaluate the element factors of the
+norm matrices for every element in one array each, where
+``NormFactors`` reduces over element chunks.
+
 The ``reference_*`` compositions build the operator, its free-DOF
 blocks, the flux condensation and the preconditioner blocks with the
 scipy expressions (``bmat``, ``np.ix_`` indexing, sparse sums) that
@@ -641,3 +645,62 @@ def product_norm_matrix(norms, scaled):
     masses = [kernels.M_w / R for R in scaled.R]
     p_bar = _embed(norms.p_hdg.matrix(), spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda)
     return sps.block_diag([norms.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")
+
+
+# ----------------------------------------------------------------------
+# norm factors of the whole mesh in one array
+# ----------------------------------------------------------------------
+
+
+def whole_mesh_norm_factors(spaces, norm, include_h2=False):
+    """``(size, terms)`` of ``norm`` ("u_hdg", "p_hdg" or "divdiv").
+
+    The terms ``(dofs (e, i), factor (e, i, k))`` are those of the
+    ``NormFactors`` of :mod:`mpet.assembly`, in its term order, each
+    evaluated for every element in one array.
+    """
+    from mpet.assembly import _sym, _weighted
+
+    s, mesh = spaces, spaces.mesh
+    wq = s.vol_rule.weights * mesh.element_maps.det[:, None]
+    if norm == "divdiv":
+        return s.size_u, [(s.u_dofmap, _weighted(s.on_elements("u_div", s.bdm_divs), wq))]
+    if norm == "u_hdg":
+        dofs, size = s.u_dofmap, s.size_u + s.size_uhat
+        terms = [(dofs, _weighted(_sym(s.on_elements("u_grad", s.bdm_grads)), wq))]
+        hess = ("u_hess", s.bdm.eval_hess(s.vol_rule.points))
+    else:
+        dofs, size = s.p_dofs(np.arange(mesh.n_elements)), s.size_p + s.size_phat
+        terms = [(dofs, _weighted(s.on_elements("p_grad", s.p_grads), wq))]
+        hess = ("p_hess", s.p.eval_hess(s.vol_rule.points))
+    if include_h2:
+        terms.append((dofs, _weighted(s.on_elements(*hess), wq * (mesh.element_h**2)[:, None])))
+    for j in range(3):
+        f = mesh.element_facets[:, j]
+        h = mesh.facet_length[f]
+        ds = s.edge_rule.weights * (h / 2.0)[:, None]
+        if norm == "u_hdg":
+            n_out = mesh.facet_sign[:, j, None] * mesh.facet_normal[f]
+            tr = s.on_edge("u", s.bdm_edge_vals, j)
+            u_t = tr - np.einsum("eiq,ea->eiqa", np.einsum("eiqa,ea->eiq", tr, n_out), n_out)
+            uhat = np.einsum("mq,ea->emqa", s.leg_edge[: s.n_uhat], mesh.facet_tangent[f])
+            rows = np.concatenate([s.u_dofmap, s.size_u + s.uhat_dofs(f)], axis=1)
+            basis = np.concatenate([-u_t, uhat], axis=1)
+        else:
+            tr = s.on_edge("p", s.p_edge_vals, j)
+            rows = np.concatenate([dofs, s.size_p + s.phat_dofs(f)], axis=1)
+            basis = np.concatenate([-tr, s.on_elements("p", s.leg_edge[: s.n_phat])], axis=1)
+        terms.append((rows, _weighted(basis, ds / h[:, None])))
+    return size, terms
+
+
+def whole_mesh_norm_matrix(size, terms):
+    """The norm matrix of whole-mesh ``terms``: one scatter of their ``f f^T`` blocks."""
+    from mpet.assembly import _scatter
+
+    return _scatter((size, size), *[(d, d, f @ np.swapaxes(f, 1, 2)) for d, f in terms])
+
+
+def whole_mesh_norm2(terms, x):
+    """Squared norm of ``x``: the sum of squares of its weighted values."""
+    return float(sum(np.square(np.einsum("ei,eik->ek", x[d], f)).sum() for d, f in terms))

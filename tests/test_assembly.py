@@ -88,6 +88,46 @@ def test_norm_matrices_match_oracle(ell, include_h2):
     ) <= 1e-12
 
 
+def _norm_factors(spaces, norm, include_h2):
+    from mpet.assembly import displacement_hdg_factors, divdiv_factors, pressure_hdg_factors
+
+    if norm == "divdiv":
+        return divdiv_factors(spaces)
+    build = displacement_hdg_factors if norm == "u_hdg" else pressure_hdg_factors
+    return build(spaces, include_h2)
+
+
+@pytest.mark.parametrize(
+    "norm, include_h2",
+    [("u_hdg", True), ("u_hdg", False), ("p_hdg", True), ("p_hdg", False), ("divdiv", False)],
+)
+@pytest.mark.parametrize("mesh_kind, ell", [("square", 1), ("square", 2), ("square", 3), ("annulus", 1)])
+def test_norm_factor_chunks_match_whole_mesh(monkeypatch, mesh_kind, ell, norm, include_h2):
+    """Reduced over chunks of 5 elements, which divide neither element count
+    (18 and 28), a norm matrix is bitwise the one scattered from the
+    whole-mesh factors, and its squared norms agree to rounding."""
+    import mpet.assembly
+    from oracles import whole_mesh_norm2, whole_mesh_norm_factors, whole_mesh_norm_matrix
+
+    mesh = generate_unit_square(3) if mesh_kind == "square" else generate_annulus(1.0, 2.0, 2, 7)
+    spaces = SpaceSet(mesh, ell, 1)
+    factors = _norm_factors(spaces, norm, include_h2)
+    monkeypatch.setattr(mpet.assembly, "_CHUNK_BYTES", 5 * factors.element_bytes)
+    assert [len(c) for c in factors._chunks()][:2] == [5, 5] and mesh.n_elements % 5
+
+    size, terms = whole_mesh_norm_factors(spaces, norm, include_h2)
+    got, want = factors.matrix(), whole_mesh_norm_matrix(size, terms)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    X = np.random.default_rng(ell).normal(size=(size, 3))
+    expected = [whole_mesh_norm2(terms, x) for x in X.T]
+    assert np.allclose(factors.norm2(X), expected, rtol=1e-14, atol=0.0)
+    assert isinstance(factors.norm2(X[:, 0]), float)
+    assert np.isclose(factors.norm2(X[:, 0]), expected[0], rtol=1e-14, atol=0.0)
+
+
 def test_full_matrix_matches_oracle_composition():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 2)

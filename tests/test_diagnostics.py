@@ -93,6 +93,30 @@ def test_norm_homogeneity_and_product_identity():
     assert np.isclose(float(x @ (N @ x)), rep1.product**2, rtol=1e-11)
 
 
+def test_norm_memory_does_not_grow_with_the_mesh():
+    """The numpy peak of one norm evaluation, under ``tracemalloc``, is the
+    same at (8,3) and (16,3): no norm factor is held for the whole mesh.
+
+    Measured 14.2 and 14.2 MiB (two networks); whole-mesh factors gave
+    22.6 and 90.3 MiB.
+    """
+    import tracemalloc
+
+    peaks = []
+    for n_side in (8, 16):
+        spaces = SpaceSet(generate_unit_square(n_side), 3, 2)
+        kernels = assemble_kernels(spaces)
+        scaled = scaled_from_direct(10.0, [0.5, 2.0], [0.3, 0.1], [[0.0, 0.2], [0.2, 0.0]])
+        x = np.random.default_rng(0).normal(size=NormAssembler(kernels).layout.total)
+        tracemalloc.start()
+        try:
+            NormAssembler(kernels).report(x, scaled)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0] and peaks[1] <= 18.0, peaks
+
+
 def test_single_element_norm_matches_dense_oracle():
     """Strain part of the HDG norm against the raw oracle blocks."""
     mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])

@@ -407,21 +407,16 @@ def build_block_system(kernels, scaled):
         ("elastic", has_lam), lambda: _elastic_union(kernels, has_lam)
     )
     coupled = np.nonzero(scaled.zeta)
-    transposes = kernels.structure.derive("transposes", lambda: _transposes(kernels))
     structure = kernels.structure.derive(
         ("K", has_lam, np.flatnonzero(scaled.zeta).tobytes()),
-        lambda: Structure(K=_operator_pattern(kernels, transposes, coupled, elastic)),
+        lambda: Structure(K=_operator_pattern(kernels, coupled, elastic)),
     )
-    D_T, Dw_T, Ew_T = transposes
     source = np.concatenate([
         elastic.values(kernels.a_hdg.data, kernels.divdiv.data * scaled.lam),
         *(kernels.M_w.data * (1 / R) for R in scaled.R),
         -kernels.D.data,
         -kernels.Dw.data,
         kernels.Ew.data,
-        -D_T.data,
-        -Dw_T.data,
-        Ew_T.data,
         *(kernels.M_p.data * -scaled.zeta[i, j] for i, j in zip(*coupled)),
     ])
     layout = DofLayout(spaces)
@@ -445,69 +440,32 @@ def _elastic_union(kernels, has_lam):
     return Union(a_hdg, padded)
 
 
-def _transposes(kernels):
-    """``D^T``, ``Dw^T`` and ``Ew^T`` as CSR matrices.
-
-    The blocks above the diagonal of ``K`` take their data in this order,
-    so it runs along ``K``'s rows as that of the blocks below does.
-    """
-    return tuple(m.T.tocsr() for m in (kernels.D, kernels.Dw, kernels.Ew))
-
-
-def _operator_pattern(kernels, transposes, coupled, elastic):
+def _operator_pattern(kernels, coupled, elastic):
     """Gather of ``K`` recorded on the block grid of id matrices.
 
     The source is the merged elasticity block (``elastic``), then each
-    network's flux mass, ``D``, ``Dw``, ``Ew``, their ``transposes`` and
-    one ``M_p`` per transfer coupling ``(i, j)`` in ``coupled``.
+    network's flux mass, ``D``, ``Dw``, ``Ew`` and one ``M_p`` per
+    transfer coupling ``(i, j)`` in ``coupled``.  The blocks above the
+    diagonal are the transposed id matrices of ``D``, ``Dw`` and ``Ew``.
     """
     spaces = kernels.spaces
     n = spaces.n_networks
     k = kernels
-    ids = numbered(*[k.M_w] * n, k.D, k.Dw, k.Ew, *transposes,
-                   *[k.M_p] * len(coupled[0]), start=elastic.size)
-    masses, (D, Dw, Ew, D_T, Dw_T, Ew_T), transfer = ids[:n], ids[n : n + 6], ids[n + 6 :]
+    ids = numbered(*[k.M_w] * n, k.D, k.Dw, k.Ew, *[k.M_p] * len(coupled[0]), start=elastic.size)
+    masses, (D, Dw, Ew), transfer = ids[:n], ids[n : n + 3], ids[n + 3 :]
     div_u = sps.hstack([D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr")
-    div_u_T = sps.vstack([D_T, sps.csr_matrix((spaces.size_uhat, spaces.size_p))], format="csr")
     # grid rows and columns: u+uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}
     grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
     grid[0][0] = elastic.ids()
     for i in range(n):
         w, p, phat = 1 + i, 1 + n + i, 1 + 2 * n + i
         grid[w][w] = masses[i]
-        grid[p][0], grid[0][p] = div_u, div_u_T
-        grid[p][w], grid[w][p] = Dw, Dw_T
-        grid[phat][w], grid[w][phat] = Ew, Ew_T
+        grid[p][0], grid[0][p] = div_u, div_u.T
+        grid[p][w], grid[w][p] = Dw, Dw.T
+        grid[phat][w], grid[w][phat] = Ew, Ew.T
     for M_p, i, j in zip(transfer, *coupled):
         grid[1 + n + i][1 + n + j] = M_p
     return Gather(sps.bmat(grid, format="csr"))
-
-
-def _lambda_mass_q(spaces, Lambda, M_p):
-    """``Lambda (x) M_p`` on the q block (zeros on the multipliers)."""
-    n = Lambda.shape[0]
-    lam_mass = sps.kron(sps.csr_matrix(Lambda), M_p, format="csr")
-    z = sps.csr_matrix((n * spaces.size_phat, n * spaces.size_phat))
-    return sps.bmat([[lam_mass, None], [None, z]], format="csr")
-
-
-def _embed_per_network(mat, spaces, weights):
-    """Place a (p, phat) matrix on each network's diagonal with given weights.
-
-    The q block orders all volume pressures first, then all multipliers,
-    so network i's copy of a volume-pressure index moves by ``i size_p``
-    and that of a multiplier index by ``(n - 1) size_p + i size_phat``.
-    """
-    n, np_ = len(weights), spaces.size_p
-    coo = mat.tocoo()
-    i = np.arange(n)[:, None]
-
-    def place(idx):
-        return (idx + np.where(idx < np_, i * np_, (n - 1) * np_ + i * spaces.size_phat)).ravel()
-
-    vals = np.multiply.outer(np.asarray(weights, dtype=float), coo.data).ravel()
-    size = n * mat.shape[0]
-    return sps.csr_matrix((vals, (place(coo.row), place(coo.col))), shape=(size, size))
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,10 @@ norm (``FormKernels.p_hdg``) or ``S_w``, only weight per-mesh matrices by
 the parameters: each is a gather of weighted kernel data into a sparsity
 pattern recorded once per structure (see :mod:`mpet.sparsity`), with the
 same per-entry arithmetic as the scipy expressions it replays.  The
+weighted copies (``R_i S_w``, ``R_i N``, ``R_i M_w^{-1}`` and
+``Lambda (x) M_p``) are recorded by placing id matrices by index, and
+the pressure block as the sum of its two operands, each restricted to
+the free DOFs first.  The
 factor of the first block is kept per structure for the last
 ``FIRST_FACTORS`` parameter values it depends on (lambda for
 ``schur_reduced``), so cells that differ only in R, alpha_p or xi share
@@ -43,14 +47,8 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    _embed_per_network,
-    _lambda_mass_q,
-    constant_pressure_mode,
-    mean_correct,
-    pressure_nullspace,
-)
-from .sparsity import Gather, Structure, Union, numbered, weighted_ids
+from .assembly import constant_pressure_mode, mean_correct, pressure_nullspace
+from .sparsity import Gather, Structure, Union, copies, numbered
 
 __all__ = [
     "PreconditionerError",
@@ -325,10 +323,11 @@ def _condensed_pattern(con):
     keep = np.concatenate([iu, iq])
     within = q_free - layout.size_v   # positions within the q block
     (K_ff,) = numbered(con.K_ff)
-    embed = lambda w, m: _embed_per_network(m, kernels.spaces, w)
-    schur = weighted_ids(embed, n, kernels.S_w)[np.ix_(within, within)]
+    schur = _per_network(kernels.S_w, kernels.spaces)[np.ix_(within, within)]
     eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), schur], format="csr")
-    Mw_inv = weighted_ids(lambda w, m: sps.kron(sps.diags(w), m, format="csr"), n, kernels.M_w_inv)
+    size = kernels.M_w_inv.shape[0]
+    on_diagonal = lambda k, row, col: (k * size + row, k * size + col)
+    Mw_inv = copies(kernels.M_w_inv, n, on_diagonal, (n * size, n * size))
     for index in (iu, iw, iq):
         index.flags.writeable = False
     return Structure(
@@ -390,41 +389,56 @@ def preconditioner_matrices(target, scaled, kernel_vectors=()):
         lambda: _preconditioner_pattern(con, reduced, coupled),
     )
     N = kernels.S_w if reduced else kernels.p_hdg
-    x_p = structure.x_p.matrix(structure.q_sum.values(
+    x_p = structure.x_p.matrix(
         np.multiply.outer(scaled.R, N.data).ravel(),
         np.multiply.outer(Lambda[coupled], kernels.M_p.data).ravel(),
-    ))
+    )
     x_p = _border_with_kernel(x_p, [k[structure.q_free] for k in kernel_vectors])
     return structure.first.matrix(con.K_ff.data), x_p
 
 
 def _preconditioner_pattern(con, reduced, coupled):
     """Patterns of the first block and of ``blockdiag(R_i N) + Lambda (x) M_p``
-    for the nonzero pattern ``coupled`` of ``Lambda``, on id matrices: the
-    sum on the whole q block and its restriction ``x_p`` to the free DOFs."""
+    on the free (p, phat) for the nonzero pattern ``coupled`` of ``Lambda``,
+    on id matrices: ``x_p`` is the sum of the two operands, each restricted
+    to the free DOFs."""
     layout = con.layout
     kernels = con.base.kernels
+    spaces = kernels.spaces
     first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
     q_free = con.free_in(layout.q_fields)
     q_free.flags.writeable = False
-    within = q_free - layout.size_v   # positions within the q block
+    within = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
     N = kernels.S_w if reduced else kernels.p_hdg
-    embed = lambda w, m: _embed_per_network(m, kernels.spaces, w)
-    pattern = sps.csr_matrix(coupled.astype(float))
-
-    def lambda_mass(w, m):
-        Lambda = sps.csr_matrix((w, pattern.indices, pattern.indptr), shape=pattern.shape)
-        return _lambda_mass_q(kernels.spaces, Lambda, m)
-
+    # copy k of M_p is Lambda's k-th nonzero (i, j) times M_p, on the (p_i, p_j) block
+    i, j = np.nonzero(coupled)
+    size_p, size_q = spaces.size_p, layout.total - layout.size_v
+    on_block = lambda k, row, col: (i[k] * size_p + row, j[k] * size_p + col)
+    lambda_mass = copies(kernels.M_p, len(i), on_block, (size_q, size_q))
     (K_ff,) = numbered(con.K_ff)
-    total = Union(weighted_ids(embed, layout.n_networks, N),
-                  weighted_ids(lambda_mass, pattern.nnz, kernels.M_p))
     return Structure(
         first=Gather(K_ff[np.ix_(first, first)]),
-        q_sum=total,
-        x_p=Gather(total.ids()[np.ix_(within, within)]),
+        x_p=Union(_per_network(N, spaces)[within], lambda_mass[within]),
         q_free=q_free,
     )
+
+
+def _per_network(mat, spaces):
+    """Id matrix of one copy of a (p, phat) matrix on each network's diagonal
+    of the q block, numbered as ``np.multiply.outer(R, mat.data).ravel()``.
+
+    The q block orders all volume pressures first, then all multipliers,
+    so network k's copy of a volume-pressure index moves by ``k size_p``
+    and that of a multiplier index by ``(n - 1) size_p + k size_phat``.
+    """
+    n, size_p, size_phat = spaces.n_networks, spaces.size_p, spaces.size_phat
+
+    def place(k, row, col):
+        shift = lambda idx: np.where(idx < size_p, k * size_p, (n - 1) * size_p + k * size_phat)
+        return row + shift(row), col + shift(col)
+
+    size = n * mat.shape[0]
+    return copies(mat, n, place, (size, size))
 
 
 def build_preconditioner(target, scaled, kernel_vectors=()):

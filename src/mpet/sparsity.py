@@ -13,8 +13,13 @@ matrices*: copies of the operands whose data number the source entries
 1, 2, ...  Operations that only move entries (``bmat``, fancy indexing,
 transposes, ``block_diag``) carry the ids along, so the result's data
 say where each of its entries comes from and its pattern and entry
-order are scipy's.  Sums and differences are
-recorded by :class:`Union`, and weighted copies by :func:`weighted_ids`.
+order are scipy's.  A transposed block is the transpose of its id
+matrix, so it takes the entries of the block itself and the source
+holds no transposed data.  Weighted copies of a matrix (a Kronecker
+product, a per-network embedding) are placed by index with
+:func:`copies`, which numbers every copy's entries at once.  Sums and
+differences are recorded by :class:`Union`; a sum that is restricted
+afterwards is recorded as the sum of its restricted operands.
 
 The operands store no zeros and a term whose weight is zero is left
 out, so a sum's merged pattern is the result's: a recorded pattern
@@ -33,7 +38,7 @@ a shared pattern in place.
 import numpy as np
 import scipy.sparse as sps
 
-__all__ = ["Gather", "Runs", "Structure", "Union", "numbered", "weighted_ids"]
+__all__ = ["Gather", "Runs", "Structure", "Union", "copies", "numbered"]
 
 
 def numbered(*mats, start=0):
@@ -51,20 +56,20 @@ def numbered(*mats, start=0):
     return out
 
 
-def weighted_ids(place, n_weights, mat):
-    """Id matrix of ``place(w, mat)`` numbering ``np.multiply.outer(w, mat.data).ravel()``.
+def copies(mat, n, place, shape):
+    """Id matrix of ``n`` copies of ``mat`` placed by index, of the given ``shape``.
 
-    ``place(w, m)`` multiplies each entry of ``m`` by one of the ``n_weights``
-    weights and moves it (a Kronecker product, a weighted embedding).  A
-    pass with unit weights numbers the entries of ``mat``, and a pass with
-    unit data numbers the weights; both products are exact in float64.
+    ``place(k, row, col)`` gives the positions of copy ``k``'s entries from
+    their positions in ``mat`` (``k`` a column of copy numbers, ``row`` and
+    ``col`` those of ``mat``'s entries in ``data`` order).  Copy ``k``'s
+    entries are numbered ``k nnz + 1, ...``, the positions of their values
+    in ``np.multiply.outer(w, mat.data).ravel()`` for weights ``w``.
+    Copies must not overlap.
     """
-    (ids,) = numbered(mat)
-    entry = place(np.ones(n_weights), ids)
-    ones = sps.csr_matrix((np.ones(mat.nnz), ids.indices, ids.indptr), shape=mat.shape)
-    weight = place(np.arange(1.0, n_weights + 1), ones)
-    entry.data = (weight.data - 1) * mat.nnz + entry.data
-    return entry
+    coo = mat.tocoo()
+    rows, cols = place(np.arange(n)[:, None], coo.row, coo.col)
+    ids = np.arange(1, n * mat.nnz + 1, dtype=np.int32)
+    return sps.csr_matrix((ids, (rows.ravel(), cols.ravel())), shape=shape)
 
 
 class Runs:

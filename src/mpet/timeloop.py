@@ -78,6 +78,10 @@ class Scenario:
             raise ValueError("need tau > 0 and t_end >= tau")
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
+        for name in ("initial_pressures", "mass_sources"):
+            values = getattr(self, name)
+            if values is not None and len(values) != self.phys.n:
+                raise ValueError(f"{name} has {len(values)} entries for {self.phys.n} networks")
         for point in self.probes:
             self.mesh.locate_point(point)   # raises if outside
 
@@ -255,7 +259,8 @@ class TimeStepper:
         return F
 
     def step(self, state, t_k=None):
-        """Advance one implicit-Euler step; returns (new state, report)."""
+        """Advance one implicit-Euler step; returns ``(new_state, report, x)``
+        with ``x`` the scaled solution vector of the step."""
         sc = self.scenario
         t_k = state.t + sc.tau if t_k is None else t_k
         F = self.step_rhs(state, t_k)

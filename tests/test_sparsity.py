@@ -37,6 +37,7 @@ from mpet.solver import (
 )
 from mpet.spaces import SpaceSet
 from mpet.sparsity import Structure
+from mpet.timeloop import TimeStepper, brain_analog_scenario
 from oracles import (
     reference_condensed,
     reference_constrained,
@@ -84,6 +85,28 @@ def test_cells_on_one_mesh_match_the_scipy_composition(ell):
             ref_first, ref_p = reference_preconditioner(con, scaled, reduced, kernel_vectors)
             assert_same(x_first, ref_first, f"x_first reduced={reduced}")
             assert_same(x_p, ref_p, f"x_p reduced={reduced}")
+
+
+def test_brain_system_matches_the_scipy_composition():
+    """Four networks on an annulus, with transfer between some pairs only
+    (zeta zero at (0, 1), (1, 0), (1, 2) and (2, 1)), a traction boundary
+    and mixed pressure conditions."""
+    stepper = TimeStepper(brain_analog_scenario(t_end=0.0125))
+    system, con, scaled = stepper.system, stepper.constrained, stepper.scaled
+    assert list(zip(*np.nonzero(scaled.zeta == 0))) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert_same(system.K, reference_operator(stepper.kernels, scaled), "K")
+    K_ff, K_fc = reference_constrained(system.K, con.constrained)
+    assert_same(con.K_ff, K_ff, "K_ff")
+    assert_same(con.K_fc, K_fc, "K_fc")
+    condensed = condense_velocity(con)
+    for name, expected in zip(("K_red", "C", "Mw_inv"), reference_condensed(con)):
+        assert_same(getattr(condensed, name), expected, name)
+    kernel_vectors = pressure_nullspace(con)
+    for target, reduced in ((condensed, True), (con, False)):
+        x_first, x_p = preconditioner_matrices(target, scaled, kernel_vectors)
+        ref_first, ref_p = reference_preconditioner(con, scaled, reduced, kernel_vectors)
+        assert_same(x_first, ref_first, f"x_first reduced={reduced}")
+        assert_same(x_p, ref_p, f"x_p reduced={reduced}")
 
 
 @pytest.mark.parametrize(

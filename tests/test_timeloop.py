@@ -157,6 +157,27 @@ def test_probe_outside_domain_rejected():
         Scenario(**{**sc.__dict__})
 
 
+@pytest.mark.parametrize(
+    "name, values",
+    [
+        ("initial_pressures", [1.0]),
+        ("initial_pressures", [1.0, 2.0, 3.0]),
+        ("mass_sources", [None]),
+        ("mass_sources", [None, None, None]),
+    ],
+)
+def test_per_network_lists_of_the_wrong_length_rejected(name, values):
+    sc = tiny_scenario()
+    with pytest.raises(ValueError, match=name):
+        Scenario(**{**sc.__dict__, name: values})
+
+
+def test_brain_scenario_rejects_three_initial_pressures():
+    sc = brain_analog_scenario(t_end=0.0125)
+    with pytest.raises(ValueError, match="initial_pressures has 3 entries for 4 networks"):
+        Scenario(**{**sc.__dict__, "initial_pressures": sc.initial_pressures[:3]})
+
+
 def test_dirichlet_trace_honored_each_step():
     sc = tiny_scenario(tau=0.1, t_end=0.3)
     stepper = TimeStepper(sc)

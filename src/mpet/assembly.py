@@ -388,6 +388,24 @@ class BlockSystem:
     scaled: object
     structure: Structure = field(repr=False)
 
+    @property
+    def p_block(self):
+        """Slice of every network's volume pressures, contiguous in the layout."""
+        start = self.layout.offsets["p0"]
+        return slice(start, start + self.layout.n_networks * self.kernels.spaces.size_p)
+
+    @cached_property
+    def balance_rows(self):
+        """The rows of ``K`` tested by the volume pressures: the element mass
+        balances, on views of ``K``'s data and indices."""
+        K, rows = self.K, self.p_block
+        start, stop = K.indptr[rows.start], K.indptr[rows.stop]
+        balance = sps.csr_matrix((rows.stop - rows.start, K.shape[1]))
+        # assigned, not passed: scipy's constructor copies a view of a larger array
+        balance.data, balance.indices = K.data[start:stop], K.indices[start:stop]
+        balance.indptr = K.indptr[rows.start : rows.stop + 1] - start
+        return balance
+
 
 def build_block_system(kernels, scaled):
     """Compose the parameter-weighted operator from the kernels in one block grid.

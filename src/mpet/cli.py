@@ -515,7 +515,8 @@ def cmd_eigs(cfg, out_dir):
     # conservation table from one converged solve
     scaled = scaled_from_direct(1.0, [1.0, 1.0], [1.0, 1.0])
     _, _, (x, system, _) = manufactured_solve(n_side, ell, scaled, **opts)
-    _, rows = conservation_residual(x, system)
+    _, residual = conservation_residual(x, system)
+    rows = [(element, network, value) for (network, element), value in np.ndenumerate(residual)]
     paths.append(write_csv(out_dir / "conservation.csv", comment, "element,network,residual", rows))
     return paths
 

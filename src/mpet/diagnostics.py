@@ -116,8 +116,9 @@ def conservation_residual(x_full, system, full_rhs=None):
     residual function is measured in L2 on each element, that is in the
     dual norm ``r_t . M_t^{-1} r_t`` with the element's pressure mass block
     (``kernels.p_mass_inv``), and normalized by the global magnitude of
-    the balance terms.  Returns ``(max_relative, rows)`` with one
-    ``(element, network, residual)`` row per pair, network-major.
+    the balance terms.  Only the balance rows of ``K`` are multiplied.
+    Returns ``(max_relative, residual)`` with ``residual[i, t]`` that of
+    network ``i`` on element ``t``.
     """
     layout = system.layout
     kernels = system.kernels
@@ -125,15 +126,14 @@ def conservation_residual(x_full, system, full_rhs=None):
     n = layout.n_networks
     ne = spaces.mesh.n_elements
     F = system.F if full_rhs is None else full_rhs
-    r = F - system.K @ x_full
+    p_block = system.p_block
 
     def dual_norm2(vecs):
         # squared L2 norms of the Riesz representatives, per vector and element
         local = np.reshape(vecs, (-1, ne, spaces.n_p))
         return np.einsum("kti,tij,ktj->kt", local, kernels.p_mass_inv, local)
 
-    # the p_i and w_i fields are contiguous in the layout
-    p_block = slice(layout.offsets["p0"], layout.offsets["p0"] + n * spaces.size_p)
+    # the w_i fields are contiguous in the layout
     w_block = slice(layout.offsets["w0"], layout.offsets["w0"] + n * spaces.size_w)
     P = x_full[p_block].reshape(n, spaces.size_p)
     W = x_full[w_block].reshape(n, spaces.size_w)
@@ -149,15 +149,9 @@ def conservation_residual(x_full, system, full_rhs=None):
     )
     scale = float(max(np.sqrt(dual_norm2(terms).sum()), 1e-300))
 
-    residual = np.sqrt(np.maximum(dual_norm2(r[p_block]), 0.0)) / scale
-    rows = list(
-        zip(
-            np.tile(np.arange(ne), n).tolist(),
-            np.repeat(np.arange(n), ne).tolist(),
-            residual.ravel().tolist(),
-        )
-    )
-    return float(residual.max()), rows
+    r = F[p_block] - system.balance_rows @ x_full
+    residual = np.sqrt(np.maximum(dual_norm2(r), 0.0)) / scale
+    return float(residual.max()), residual
 
 
 # ----------------------------------------------------------------------

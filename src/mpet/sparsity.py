@@ -84,13 +84,13 @@ class Runs:
     def __init__(self, values):
         starts = np.flatnonzero(values[1:] - values[:-1] != 1) + 1
         starts = np.concatenate([[0], starts]) if len(values) else starts
-        self.shift = values[starts].astype(np.int64) - starts
+        self.shift = (values[starts] - starts).astype(np.int32)
         self.lengths = np.diff(starts, append=len(values)).astype(np.int32)
         self.size = len(values)
 
     def expand(self):
-        values = np.repeat(self.shift, self.lengths)
-        values += np.arange(self.size)
+        values = np.arange(self.size)
+        values += np.repeat(self.shift, self.lengths)
         return values
 
 

@@ -194,9 +194,9 @@ def test_conservation_after_direct_solve():
     x = np.zeros(system.layout.total)
     x[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
     x[con.constrained] = con.values
-    max_rel, rows = conservation_residual(x, system)
+    max_rel, residual = conservation_residual(x, system)
     assert max_rel <= 1e-12
-    assert len(rows) == mesh.n_elements * 2
+    assert residual.shape == (2, mesh.n_elements)
 
 
 def test_conservation_after_minres_solve_and_negative_control():
@@ -219,7 +219,7 @@ def test_conservation_residual_matches_per_element_reference():
     x[con.constrained] = con.values
     # perturbed, so every element's residual sits far above round-off
     x += 1e-3 * np.random.default_rng(11).normal(size=x.shape)
-    max_rel, rows = conservation_residual(x, system)
+    max_rel, residual = conservation_residual(x, system)
 
     layout, kernels = system.layout, system.kernels
     dofs = [spaces.p_dofs(t) for t in range(mesh.n_elements)]
@@ -235,18 +235,18 @@ def test_conservation_residual_matches_per_element_reference():
         zp = sum(scaled.zeta[i, j] * (kernels.M_p @ x[layout.sl(f"p{j}")]) for j in range(2))
         scale2 += sum(dual_norm2(zp))
     r = system.F - system.K @ x
-    expected = [
-        (t, i, np.sqrt(v) / np.sqrt(scale2))
-        for i in range(2)
-        for t, v in enumerate(dual_norm2(r[layout.sl(f"p{i}")]))
-    ]
-
-    assert [row[:2] for row in rows] == [row[:2] for row in expected]
-    got = np.array([row[2] for row in rows])
-    want = np.array([row[2] for row in expected])
+    # row i, column t: network i on element t
+    want = np.sqrt([dual_norm2(r[layout.sl(f"p{i}")]) for i in range(2)]) / np.sqrt(scale2)
+    assert residual.shape == want.shape
     assert want.min() > 1e-6
-    assert np.abs(got - want).max() <= 1e-12 * want.min()
+    assert np.abs(residual - want).max() <= 1e-12 * want.min()
     assert abs(max_rel - want.max()) <= 1e-12 * want.max()
+
+
+def test_balance_rows_are_the_pressure_rows_of_the_operator():
+    mesh, spaces, scaled, system, bcs, con = make_problem(2, 2, 2, alpha_p=0.5, xi=0.3)
+    x = np.random.default_rng(3).normal(size=system.layout.total)
+    assert np.array_equal(system.balance_rows @ x, (system.K @ x)[system.p_block])
 
 
 def test_conservation_csv(tmp_path):

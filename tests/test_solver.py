@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+import mpet.solver
 from mpet.assembly import (
     BoundaryConditionSet,
     apply_boundary_conditions,
@@ -27,6 +28,7 @@ from mpet.solver import (
     solve,
 )
 from mpet.spaces import SpaceSet
+from mpet.timeloop import TimeStepper, brain_analog_scenario
 from oracles import dense_kernel_augmentation
 
 
@@ -218,30 +220,71 @@ def test_small_penalty_rejected(n_side, ell):
         build_preconditioner(condensed, scaled)
 
 
+def _both_factorizations(monkeypatch):
+    """Yield True, then False: ``_SPDFactor`` takes the band within its
+    budget, then ``splu`` with the band budget set to zero."""
+    for budget in (mpet.solver._BAND_BYTES, 0):
+        monkeypatch.setattr(mpet.solver, "_BAND_BYTES", budget)
+        yield budget > 0
+
+
 @pytest.mark.parametrize(
     "mat",
     [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
     ids=["indefinite", "singular-psd", "zero-diagonal"],
 )
-def test_spd_factor_rejects_small_non_spd_blocks(mat):
-    from mpet.solver import _SPDFactor
-
-    with pytest.raises(PreconditionerError, match="not SPD"):
-        _SPDFactor(sps.csc_matrix(np.array(mat)))
+def test_spd_factor_rejects_small_non_spd_blocks(mat, monkeypatch):
+    mat = sps.csc_matrix(np.array(mat))
+    for banded in _both_factorizations(monkeypatch):
+        assert (mpet.solver._rcm_band(mat) is not None) == banded
+        with pytest.raises(PreconditionerError, match="not SPD"):
+            mpet.solver._SPDFactor(mat)
 
 
 def test_spd_factor_certifies_large_blocks():
-    """A 6400-DOF Laplacian is accepted and solved; shifted by -0.5 I it is
-    indefinite and rejected, whatever its size."""
-    from mpet.solver import _SPDFactor
+    """A 2D Laplacian is accepted and solved; shifted by -0.5 I it is
+    indefinite and rejected, whatever its size.  At 80 x 80 its RCM band,
+    6400 x 81 entries, fits the band budget; at 110 x 110 (12100 x 111) it
+    does not, and ``splu`` certifies it."""
+    for side, banded in ((80, True), (110, False)):
+        t = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(side, side))
+        lap = sps.kronsum(t, t, format="csc")
+        b = np.ones(lap.shape[0])
+        factor = mpet.solver._SPDFactor(lap)
+        assert factor.banded == banded
+        x = factor.solve(b)
+        assert np.linalg.norm(lap @ x - b) <= 1e-10 * np.linalg.norm(b)
+        with pytest.raises(PreconditionerError, match="not SPD"):
+            mpet.solver._SPDFactor(lap - 0.5 * sps.eye(lap.shape[0], format="csc"))
 
-    t = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(80, 80))
-    lap = sps.kronsum(t, t, format="csc")
-    b = np.ones(lap.shape[0])
-    x = _SPDFactor(lap).solve(b)
-    assert np.linalg.norm(lap @ x - b) <= 1e-10 * np.linalg.norm(b)
-    with pytest.raises(PreconditionerError, match="not SPD"):
-        _SPDFactor(lap - 0.5 * sps.eye(lap.shape[0], format="csc"))
+
+@pytest.fixture(scope="module")
+def brain_blocks():
+    """The ``schur_reduced`` blocks of the 4-network brain annulus."""
+    stepper = TimeStepper(brain_analog_scenario())
+    assert not pressure_nullspace(stepper.constrained)
+    return preconditioner_matrices(condense_velocity(stepper.constrained), stepper.scaled)
+
+
+def test_brain_blocks_take_the_band_and_large_blocks_splu(brain_blocks):
+    assert all(mpet.solver._SPDFactor(x).banded for x in brain_blocks)
+    *_, scaled, _, _, con = make_problem(n_side=16, ell=3, rhs=False)
+    for x in preconditioner_matrices(condense_velocity(con), scaled):
+        assert not mpet.solver._SPDFactor(x).banded
+
+
+# Relative 2-norm distance to the dense solve.  X_u is conditioned at about
+# 5e5, which keeps any two exact solves about 1e-11 apart (3.6e-12 for the
+# band, 9.2e-12 for splu at seed 0); X_p's are 6e-16.
+@pytest.mark.parametrize("block, rtol", [(0, 1e-10), (1, 1e-12)], ids=["X_u", "X_p"])
+def test_both_factorizations_match_a_dense_solve(brain_blocks, block, rtol, monkeypatch):
+    mat = brain_blocks[block]
+    r = np.random.default_rng(0).standard_normal(mat.shape[0])
+    dense = np.linalg.solve(mat.toarray(), r)
+    for banded in _both_factorizations(monkeypatch):
+        factor = mpet.solver._SPDFactor(mat)
+        assert factor.banded == banded
+        assert np.linalg.norm(factor.solve(r) - dense) <= rtol * np.linalg.norm(dense)
 
 
 def _bordered_laplacian(shift=0.0, n=50):
@@ -258,11 +301,9 @@ def _bordered_laplacian(shift=0.0, n=50):
 
 
 def test_spd_factor_accepts_bordered_psd_block_with_its_kernel():
-    from mpet.solver import _SPDFactor
-
     bordered, lap, k, scale = _bordered_laplacian()
     b = np.random.default_rng(0).standard_normal(lap.shape[0])
-    x = _SPDFactor(bordered, 1).solve(b)
+    x = mpet.solver._SPDFactor(bordered, 1).solve(b)
     expected = np.linalg.solve(lap.toarray() + scale * np.outer(k, k), b)
     assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
@@ -272,11 +313,9 @@ def test_spd_factor_accepts_bordered_psd_block_with_its_kernel():
 def test_spd_factor_rejects_bordered_block(shift, border):
     """An indefinite X under a correct border, or a wrong border count on an
     SPD complement, changes the negative-pivot count and is rejected."""
-    from mpet.solver import _SPDFactor
-
     bordered, *_ = _bordered_laplacian(shift)
     with pytest.raises(PreconditionerError, match="not SPD"):
-        _SPDFactor(bordered, border)
+        mpet.solver._SPDFactor(bordered, border)
 
 
 def _all_flux_problem(n_side, ell, n_networks):

@@ -36,7 +36,7 @@ from mpet.solver import (
     solve,
 )
 from mpet.spaces import SpaceSet
-from mpet.sparsity import Structure
+from mpet.sparsity import Runs, Structure
 from mpet.timeloop import TimeStepper, brain_analog_scenario
 from oracles import (
     reference_condensed,
@@ -241,3 +241,14 @@ def test_new_kernels_start_without_recorded_patterns():
     apply_boundary_conditions(system, homogeneous_bcs(2))
     assert first.structure.derived and not second.structure.derived
     assert build_block_system(second, scaled).structure is not system.structure
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_runs_store_int32_shifts_and_expand_to_the_values(dtype):
+    """Recorded maps are integer ids (``Union`` decodes them as floats)."""
+    values = np.array([5, 6, 7, 0, 1, 9, 3, 4, 5, 6], dtype=dtype)
+    runs = Runs(values)
+    assert runs.shift.dtype == np.int32 and len(runs.shift) == 4
+    assert np.array_equal(runs.expand(), values)
+    assert runs.expand().dtype == np.int64
+    assert len(Runs(values[:0]).expand()) == 0

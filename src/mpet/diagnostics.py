@@ -23,7 +23,7 @@ from .assembly import (
     pressure_hdg_factors,
     pressure_hdg_matrix,
 )
-from .solver import PreconditionerError, _border_with_kernel, _SPDFactor
+from .solver import PreconditionerError, _SPDFactor
 
 __all__ = [
     "NormReport",
@@ -222,8 +222,10 @@ def _restricted_pencil(K, B, exclude):
     projector onto that complement, Lanczos sees the symmetric pair
     ``(P K P, P B P + I - P)``, whose spectrum is the restricted one plus
     zeros along ``exclude``, and reaches it through the sparse factors of
-    ``B`` and ``K`` bordered by ``exclude`` with a zero corner; the factor
-    of ``B`` certifies it SPD on the complement.
+    ``B`` and ``K`` that take ``exclude`` as their kernel with a zero
+    corner; the factor of ``B`` certifies it SPD on the complement.  An
+    indefinite ``K`` is factored by a pivoting ``splu`` of
+    ``[[K, E], [E^T, 0]]`` instead, ``E`` the scaled ``exclude`` vectors.
     Returns ``(outer, inner, definite)``: ``outer(which)`` is the end of
     the plain mode, ``inner(which)`` the end of shift-invert at 0, and
     ``definite`` whether the bordered ``K`` passed the SPD certificate.
@@ -252,13 +254,18 @@ def _restricted_pencil(K, B, exclude):
 
     A = operator(lambda x: project(K @ project(x)))
     M = operator(lambda x: project(B @ project(x)) + x - project(x))
-    Binv = _SPDFactor(_border_with_kernel(B, E, corner=0.0), m).solve
+    Binv = _SPDFactor(B, E, corner=0.0).solve
     Minv = operator(lambda r: Binv(r) + r - project(r))
     try:
-        Kinv = _SPDFactor(_border_with_kernel(K, E, corner=0.0), m).solve
+        Kinv = _SPDFactor(K, E, corner=0.0).solve
         definite = True
     except PreconditionerError:
-        lu = spla.splu(sps.csc_matrix(_border_with_kernel(K, E, corner=0.0)))
+        # the constraint ``E^T x = 0`` does not depend on how E is scaled
+        bordered = K
+        if m:
+            border = sps.csc_matrix(np.column_stack(E))
+            bordered = sps.bmat([[K, border], [border.T, None]])
+        lu = spla.splu(sps.csc_matrix(bordered))
         Kinv = lambda r: lu.solve(np.concatenate([r, np.zeros(m)]))[:n]
         definite = False
     v0 = project(np.random.default_rng(0).standard_normal(n))

@@ -36,10 +36,12 @@ Both inner blocks are inverted exactly by a factorization that also
 certifies the block SPD, at every size (:class:`_SPDFactor`).  A block
 whose reverse Cuthill-McKee band fits in ``_BAND_BYTES`` (4 MiB) is
 factored by LAPACK's banded Cholesky, which succeeds exactly when every
-leading minor is positive; any other block, and a pressure block left
-singular by all-flux networks and bordered by its kernel vectors, by a
-symmetric-mode sparse LU whose pivot signs give its inertia.  The band
-takes the brain annulus and 8x8 sweep blocks, whose band solves cost
+leading minor is positive; any other block by a symmetric-mode sparse
+LU whose pivot signs give its inertia.  A pressure block left singular
+by all-flux networks is factored with their kernel vectors, which the
+factor takes and borders the block by itself, so the blocks that
+:func:`preconditioner_matrices` returns are always the plain ones.  The
+band takes the brain annulus and 8x8 sweep blocks, whose band solves cost
 about half of SuperLU's; the larger unit-square blocks stay on SuperLU.
 The iteration itself is a standard three-term preconditioned MinRes
 recurrence whose convergence is measured in the preconditioned residual
@@ -189,18 +191,17 @@ class _SPDFactor:
 
     One of two exact factorizations is chosen from the block's structure:
 
-    * **Banded Cholesky.**  An unbordered block is reordered by reverse
-      Cuthill-McKee.  If its upper band, ``n (w + 1)`` entries for
+    * **Banded Cholesky.**  A block without a kernel is reordered by
+      reverse Cuthill-McKee.  If its upper band, ``n (w + 1)`` entries for
       bandwidth ``w``, fits in ``_BAND_BYTES``, it is factored by LAPACK
       ``pbtrf`` and solved by ``pbtrs``.  The band is written straight
       from the block's upper entries through the inverse permutation and
-      factored in place.  A row with ``d`` off-diagonal entries forces
-      ``w >= ceil(d / 2)``, so a block that cannot fit skips the
-      reordering.  Cholesky succeeds exactly when every leading minor is
-      positive (Sylvester's criterion), so ``pbtrf`` is the certificate.
+      factored in place.  Cholesky succeeds exactly when every leading
+      minor is positive (Sylvester's criterion), so ``pbtrf`` is the
+      certificate.
     * **Symmetric-mode ``splu``** for every other block.  With rows and
       columns permuted alike, the pivots ``U.diagonal()`` have the inertia
-      of the matrix (Sylvester's law), so an unbordered block is SPD
+      of the matrix (Sylvester's law), so a block without a kernel is SPD
       exactly when every pivot is positive.
 
     Both are exact inverses of the same matrix.  The band's triangular
@@ -222,23 +223,26 @@ class _SPDFactor:
     (16,3) X_u        9,984   1,117,984  3.8M, over       1.6 ms      10.5 ms
     ================  ======  =========  ===============  ==========  ==========
 
-    A block bordered by ``border`` kernel columns, ``[[X, K], [K^T, -I/s]]``,
-    always takes ``splu``.  It stands for its Schur complement
-    ``X + s K K^T``, which :meth:`solve` inverts.  ``X`` may be singular
-    along the kernel, so the sparse factor must not end on it: one anchor
-    row of each kernel column joins the border in a dense ``2m x 2m`` tail
-    that is eliminated last.  By Haynsworth's inertia additivity the
-    complement is SPD exactly when no pivot of the head or eigenvalue of
-    the tail is zero and exactly ``border`` of them are negative.  A zero
-    corner gives the inverse on the complement of the border: :meth:`solve`
-    returns the ``x`` with ``K^T x = 0`` and ``X x - r`` in the span of
-    ``K``, and the same count certifies ``X`` SPD on that complement.
+    With ``kernel`` vectors ``k_1 .. k_m`` the factor borders the block
+    itself: ``X`` stands for ``[[X, K], [K^T, corner I/s]]``, with the unit
+    kernel vectors as the columns of ``K`` and ``s`` the mean absolute
+    diagonal of ``X``, and always takes ``splu``.  The default corner
+    gives the Schur complement ``X + s K K^T``, which :meth:`solve`
+    inverts; ``X`` may be singular along the kernel, so the sparse factor
+    must not end on it: one anchor row of each kernel vector, its first
+    nonzero, joins the border in a dense ``2m x 2m`` tail that is
+    eliminated last.  By Haynsworth's inertia additivity the complement is
+    SPD exactly when no pivot of the head or eigenvalue of the tail is zero
+    and exactly ``m`` of them are negative.  A zero corner gives the
+    inverse on the complement of the kernel: :meth:`solve` returns the
+    ``x`` with ``K^T x = 0`` and ``X x - r`` in the span of ``K``, and the
+    same count certifies ``X`` SPD on that complement.
     """
 
-    def __init__(self, mat, border=0):
-        self._border = border
+    def __init__(self, mat, kernel=(), corner=-1.0):
+        self._m = m = len(kernel)
         self._cholesky = None
-        found = None if border else _rcm_band(mat)
+        found = None if m else _rcm_band(mat)
         if found is not None:
             band, self._perm, self._inv = found
             self._cholesky, info = _pbtrf(band, overwrite_ab=1)
@@ -247,12 +251,11 @@ class _SPDFactor:
             return
         mat = sps.csc_matrix(mat)
         head = mat
-        if border:
-            n = mat.shape[0] - border
-            anchors = [mat[:n, j].indices.min() for j in range(n, n + border)]
-            self._tail = np.array(anchors + list(range(n, n + border)))
-            self._head = np.setdiff1d(np.arange(n + border), self._tail)
-            head = mat[np.ix_(self._head, self._head)]
+        if m:
+            K = np.column_stack([k / np.linalg.norm(k) for k in kernel])
+            self._anchors = a = np.array([np.flatnonzero(k)[0] for k in K.T])
+            self._head = h = np.setdiff1d(np.arange(mat.shape[0]), a)
+            head = mat[np.ix_(h, h)]
         try:
             lu = spla.splu(
                 head,
@@ -263,15 +266,19 @@ class _SPDFactor:
         except RuntimeError as exc:
             raise PreconditionerError("preconditioner not SPD (singular factor)") from exc
         pivots = lu.U.diagonal()
-        if border:
-            coupling = mat[np.ix_(self._head, self._tail)].toarray()
+        if m:
+            # column-major, as a CSC block's ``toarray()``: the BLAS kernel of
+            # ``coupling.T @ w``, and so its rounding, follows the layout
+            coupling = np.asfortranarray(np.hstack([mat[np.ix_(h, a)].toarray(), K[h]]))
+            corner = np.diag(np.full(m, corner / abs(mat.diagonal()).mean()))
+            tail = np.block([[mat[np.ix_(a, a)].toarray(), K[a]], [K[a].T, corner]])
             self._w = lu.solve(coupling)
-            self._schur = mat[np.ix_(self._tail, self._tail)].toarray() - coupling.T @ self._w
+            self._schur = tail - coupling.T @ self._w
             pivots = np.concatenate([pivots, np.linalg.eigvalsh(self._schur)])
         if not (
             np.array_equal(lu.perm_r, lu.perm_c)
             and np.all(pivots != 0)
-            and np.count_nonzero(pivots < 0) == border
+            and np.count_nonzero(pivots < 0) == m
         ):
             raise PreconditionerError(_NOT_SPD)
         self._lu = lu
@@ -285,13 +292,15 @@ class _SPDFactor:
         if self._cholesky is not None:
             x, _ = _pbtrs(self._cholesky, r[self._perm], overwrite_b=1)
             return x[self._inv]
-        if not self._border:
+        if not self._m:
             return self._lu.solve(r)
-        r = np.concatenate([r, np.zeros(self._border)])
-        z = np.linalg.solve(self._schur, r[self._tail] - self._w.T @ r[self._head])
-        r[self._head] = self._lu.solve(r[self._head]) - self._w @ z
-        r[self._tail] = z
-        return r[: -self._border]
+        h, a = self._head, self._anchors
+        rhs = np.concatenate([r[a], np.zeros(self._m)]) - self._w.T @ r[h]
+        z = np.linalg.solve(self._schur, rhs)
+        x = np.empty_like(r)
+        x[h] = self._lu.solve(r[h]) - self._w @ z
+        x[a] = z[: self._m]
+        return x
 
 
 def _rcm_band(mat):
@@ -306,11 +315,9 @@ def _rcm_band(mat):
     mat = sps.csr_matrix(mat)
     mat.sum_duplicates()
     n = mat.shape[0]
-    budget = _BAND_BYTES // 8
-    # a row of k entries has at least k - 1 off the diagonal, so w >= k // 2;
     # an empty row is singular, and splu rejects it
     counts = np.diff(mat.indptr)
-    if counts.min() == 0 or n * (int(counts.max()) // 2 + 1) > budget:
+    if counts.min() == 0:
         return None
     perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
     inv = np.empty_like(perm)
@@ -319,7 +326,7 @@ def _rcm_band(mat):
     first = mat.indptr[:-1]
     w = int(max((np.maximum.reduceat(cols, first) - inv).max(),
                 (inv - np.minimum.reduceat(cols, first)).max()))
-    if n * (w + 1) > budget:
+    if n * (w + 1) > _BAND_BYTES // 8:
         return None
     rows = np.repeat(inv, counts)
     upper = rows <= cols
@@ -447,35 +454,17 @@ def _condensed_pattern(con):
 # ----------------------------------------------------------------------
 
 
-def _border_with_kernel(mat, kernel_vectors, corner=-1.0):
-    """``[[X, K], [K^T, corner I/s]]`` with the unit kernel vectors as the
-    sparse columns of ``K`` and ``s`` the mean absolute diagonal of ``X``.
-    With the default corner the Schur complement on ``X`` is
-    ``X + s K K^T``, definite along the kernel; a zero corner constrains
-    ``K^T x = 0`` instead.
-    """
-    if not kernel_vectors:
-        return mat
-    scale = abs(mat.diagonal()).mean()
-    K = sps.csc_matrix(np.column_stack([k / np.linalg.norm(k) for k in kernel_vectors]))
-    C = sps.identity(len(kernel_vectors)) * (corner / scale)
-    return sps.bmat([[mat, K], [K.T, C]], format="csr")
-
-
-def preconditioner_matrices(target, scaled, kernel_vectors=()):
+def preconditioner_matrices(target, scaled):
     """The two diagonal blocks of the target's preconditioner, unfactorized.
 
     A :class:`CondensedSystem` gets the ``schur_reduced`` blocks, a
     :class:`~mpet.assembly.ConstrainedSystem` the ``full_block`` ones.
     Returns ``(x_first, x_pressure)``: the operator's (u, uhat) or
     (u, uhat, w) block, and ``blockdiag(R_i N) + Lambda (x) M_p`` on the
-    free (p, phat) with ``N = S_w`` or the pressure HDG norm.  With
-    ``kernel_vectors`` (needed only when all-flux networks without
-    transfer are present) the pressure block comes bordered by the ``m``
-    unit kernel vectors, one extra row and column each, and stands for
-    ``X_p + s K K^T`` (see
-    :class:`_SPDFactor`); spectrum diagnostics should pass none and
-    restrict the pencil to the mean-zero subspace instead.
+    free (p, phat) with ``N = S_w`` or the pressure HDG norm.  The
+    pressure block is singular along the constant modes of all-flux
+    networks without transfer; its factor takes their kernel vectors and
+    borders it (:class:`_SPDFactor`, :func:`build_preconditioner`).
 
     Both blocks are gathers into patterns recorded once per structure,
     variant and pattern of ``Lambda``, which says which weights are
@@ -495,7 +484,6 @@ def preconditioner_matrices(target, scaled, kernel_vectors=()):
         np.multiply.outer(scaled.R, N.data).ravel(),
         np.multiply.outer(Lambda[coupled], kernels.M_p.data).ravel(),
     )
-    x_p = _border_with_kernel(x_p, [k[structure.q_free] for k in kernel_vectors])
     return structure.first.matrix(con.K_ff.data), x_p
 
 
@@ -509,7 +497,6 @@ def _preconditioner_pattern(con, reduced, coupled):
     spaces = kernels.spaces
     first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
     q_free = con.free_in(layout.q_fields)
-    q_free.flags.writeable = False
     within = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
     N = kernels.S_w if reduced else kernels.p_hdg
     # copy k of M_p is Lambda's k-th nonzero (i, j) times M_p, on the (p_i, p_j) block
@@ -521,7 +508,6 @@ def _preconditioner_pattern(con, reduced, coupled):
     return Structure(
         first=Gather(K_ff[np.ix_(first, first)]),
         x_p=Union(_per_network(N, spaces)[within], lambda_mass[within]),
-        q_free=q_free,
     )
 
 
@@ -551,18 +537,20 @@ def build_preconditioner(target, scaled, kernel_vectors=()):
     HDG norm plus Lambda mass.  A :class:`CondensedSystem` gets
     ``schur_reduced``, which pairs the elasticity block with the flux
     Schur complement plus Lambda mass.  Singular constant-pressure modes
-    (all-flux networks without transfer) are handled by factoring the
-    pressure block bordered by the supplied kernel vectors, which applies
-    the inverse of ``X_p + s K K^T``.
+    (all-flux networks without transfer) are handled by the pressure
+    block's factor, which takes the supplied kernel vectors on the free
+    (p, phat), borders the block by them and applies the inverse of
+    ``X_p + s K K^T``.
 
     The first block is a gather of the operator, fixed by its structure
     and by lambda (and R for ``full_block``); its factor is kept per
     structure for the last ``FIRST_FACTORS`` such values and shared by
     the preconditioners built with them.
     """
-    x1, x2 = preconditioner_matrices(target, scaled, kernel_vectors)
+    x1, x2 = preconditioner_matrices(target, scaled)
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
+    kernel = [k[con.free_in(con.layout.q_fields)] for k in kernel_vectors]
     base = con.base.scaled   # x1 is a gather of the operator built with these
     key = (reduced, base.lam) if reduced else (reduced, base.lam, *base.R)
     factors = con.structure.derive("first factors", OrderedDict)
@@ -570,7 +558,7 @@ def build_preconditioner(target, scaled, kernel_vectors=()):
     factors[key] = f1
     if len(factors) > FIRST_FACTORS:
         factors.popitem(last=False)
-    return BlockDiagPreconditioner(f1, _SPDFactor(x2, len(kernel_vectors)), x1.shape[0])
+    return BlockDiagPreconditioner(f1, _SPDFactor(x2, kernel), x1.shape[0])
 
 
 def mean_zero_functionals(system):

@@ -290,7 +290,7 @@ def oracle_full_matrix(mesh, spaces, scaled, eta=10.0):
 def dense_kernel_augmentation(mat, kernel_vectors):
     """``X + s sum_k k k^T / (k . k)`` as a dense array, ``s`` the mean
     absolute diagonal of ``X``: the definite pressure block that the
-    bordered factor stands for."""
+    factor given the kernel vectors stands for."""
     dense = mat.toarray()
     scale = abs(dense.diagonal()).mean()
     for k in kernel_vectors:
@@ -604,10 +604,9 @@ def reference_condensed(con):
     return K_red, con.K_ff[np.ix_(iw, iq)], sps.kron(sps.diags(R), kernels.M_w_inv, format="csr")
 
 
-def reference_preconditioner(con, scaled, reduced, kernel_vectors=()):
+def reference_preconditioner(con, scaled, reduced):
     """``(x_first, x_p)`` with the pressure block summed and restricted by scipy."""
     from mpet.assembly import pressure_hdg_matrix
-    from mpet.solver import _border_with_kernel
 
     layout = con.layout
     kernels = con.base.kernels
@@ -617,7 +616,6 @@ def reference_preconditioner(con, scaled, reduced, kernel_vectors=()):
     q_free = con.free_in(layout.q_fields)
     iq = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
     x_p = (_embed(N, spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda))[iq]
-    x_p = _border_with_kernel(x_p, [k[q_free] for k in kernel_vectors])
     return con.K_ff[np.ix_(first, first)], x_p
 
 

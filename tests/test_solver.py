@@ -287,35 +287,42 @@ def test_both_factorizations_match_a_dense_solve(brain_blocks, block, rtol, monk
         assert np.linalg.norm(factor.solve(r) - dense) <= rtol * np.linalg.norm(dense)
 
 
-def _bordered_laplacian(shift=0.0, n=50):
-    """Neumann 1D Laplacian (PSD, kernel: constants) minus ``shift`` I,
-    bordered by the unit kernel; also returns the Laplacian, kernel and scale."""
+def _neumann_laplacian(shift=0.0, n=50):
+    """Neumann 1D Laplacian (PSD, kernel: constants) minus ``shift`` I, and
+    its kernel vector."""
     lap = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="lil")
     lap[0, 0] = lap[-1, -1] = 1.0
-    lap = lap.tocsc()
-    k = np.ones(n) / np.sqrt(n)
-    scale = abs(lap.diagonal()).mean()
-    x = lap - shift * sps.eye(n, format="csc")
-    bordered = sps.bmat([[x, k[:, None]], [k[None, :], [[-1.0 / scale]]]], format="csc")
-    return bordered, lap, k, scale
+    return lap.tocsc() - shift * sps.eye(n, format="csc"), np.ones(n)
 
 
 def test_spd_factor_accepts_bordered_psd_block_with_its_kernel():
-    bordered, lap, k, scale = _bordered_laplacian()
+    lap, k = _neumann_laplacian()
     b = np.random.default_rng(0).standard_normal(lap.shape[0])
-    x = mpet.solver._SPDFactor(bordered, 1).solve(b)
-    expected = np.linalg.solve(lap.toarray() + scale * np.outer(k, k), b)
+    x = mpet.solver._SPDFactor(lap, [k]).solve(b)
+    expected = np.linalg.solve(dense_kernel_augmentation(lap, [k]), b)
     assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("shift, border", [(0.5, 1), (0.0, 0), (0.0, 2)],
-                         ids=["indefinite", "border-0", "border-2"])
-def test_spd_factor_rejects_bordered_block(shift, border):
-    """An indefinite X under a correct border, or a wrong border count on an
-    SPD complement, changes the negative-pivot count and is rejected."""
-    bordered, *_ = _bordered_laplacian(shift)
+def test_spd_factor_with_a_zero_corner_solves_the_constrained_system():
+    """With ``corner=0.0`` the factor solves ``[[X, K], [K^T, 0]]``: ``x``
+    is orthogonal to the kernel and ``X x - b`` lies in its span."""
+    lap, k = _neumann_laplacian()
+    n = lap.shape[0]
+    b = np.random.default_rng(0).standard_normal(n)
+    x = mpet.solver._SPDFactor(lap, [k], corner=0.0).solve(b)
+    saddle = np.block([[lap.toarray(), k[:, None]], [k[None, :], np.zeros((1, 1))]])
+    expected = np.linalg.solve(saddle, np.concatenate([b, [0.0]]))[:n]
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert abs(k @ x) <= 1e-12 * np.linalg.norm(k) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("corner", [-1.0, 0.0], ids=["indefinite", "indefinite-zero-corner"])
+def test_spd_factor_rejects_bordered_block(corner):
+    """A block that is indefinite on the complement of its kernel changes
+    the negative-pivot count and is rejected, whatever the corner."""
+    lap, k = _neumann_laplacian(shift=0.5)
     with pytest.raises(PreconditionerError, match="not SPD"):
-        mpet.solver._SPDFactor(bordered, border)
+        mpet.solver._SPDFactor(lap, [k], corner=corner)
 
 
 def _all_flux_problem(n_side, ell, n_networks):
@@ -347,13 +354,15 @@ def test_bordered_preconditioner_matches_dense_augmentation(n_side, ell, variant
 
 
 def test_bordered_pressure_block_stays_sparse():
-    """At (16,2) with two all-flux networks the bordered pressure block adds
-    two border rows and columns, not two dense rank-one terms (3.5M nnz)."""
+    """At (16,2) with two all-flux networks the kernel enters the pressure
+    block's sparse factor as a border, not as two dense rank-one terms
+    (3.5M entries): its ``L.nnz + U.nnz`` is 303,798 for ``schur_reduced``
+    and 201,314 for ``full_block``."""
     scaled, system, bcs, con = _all_flux_problem(16, 2, 2)
     kernel_vectors = pressure_nullspace(con)
-    for target in (condense_velocity(con), con):
-        _, xp = preconditioner_matrices(target, scaled, kernel_vectors)
-        assert xp.nnz < 200_000
+    for target, fill in ((condense_velocity(con), 310_000), (con, 205_000)):
+        lu = build_preconditioner(target, scaled, kernel_vectors).f2._lu
+        assert lu.L.nnz + lu.U.nnz < fill
 
 
 def test_xp_and_schur_pressure_blocks_spectrally_equivalent():

@@ -77,12 +77,11 @@ def test_cells_on_one_mesh_match_the_scipy_composition(ell):
         condensed = condense_velocity(con)
         for name, expected in zip(("K_red", "C", "Mw_inv"), reference_condensed(con)):
             assert_same(getattr(condensed, name), expected, name)
-        kernel_vectors = pressure_nullspace(con)
         if pressure == "flux" and zero_coupling:
-            assert len(kernel_vectors) == 2   # the bordered pressure block
+            assert len(pressure_nullspace(con)) == 2   # a singular pressure block
         for target, reduced in ((condensed, True), (con, False)):
-            x_first, x_p = preconditioner_matrices(target, scaled, kernel_vectors)
-            ref_first, ref_p = reference_preconditioner(con, scaled, reduced, kernel_vectors)
+            x_first, x_p = preconditioner_matrices(target, scaled)
+            ref_first, ref_p = reference_preconditioner(con, scaled, reduced)
             assert_same(x_first, ref_first, f"x_first reduced={reduced}")
             assert_same(x_p, ref_p, f"x_p reduced={reduced}")
 
@@ -101,10 +100,9 @@ def test_brain_system_matches_the_scipy_composition():
     condensed = condense_velocity(con)
     for name, expected in zip(("K_red", "C", "Mw_inv"), reference_condensed(con)):
         assert_same(getattr(condensed, name), expected, name)
-    kernel_vectors = pressure_nullspace(con)
     for target, reduced in ((condensed, True), (con, False)):
-        x_first, x_p = preconditioner_matrices(target, scaled, kernel_vectors)
-        ref_first, ref_p = reference_preconditioner(con, scaled, reduced, kernel_vectors)
+        x_first, x_p = preconditioner_matrices(target, scaled)
+        ref_first, ref_p = reference_preconditioner(con, scaled, reduced)
         assert_same(x_first, ref_first, f"x_first reduced={reduced}")
         assert_same(x_p, ref_p, f"x_p reduced={reduced}")
 
@@ -146,9 +144,8 @@ def test_patterns_depend_only_on_which_weights_are_nonzero(ell):
         scaled = scaled_from_direct(draw() * has_lam, draw(2), draw(2) * has_alpha_p, xi)
         bcs = homogeneous_bcs(2, pressure=pressure)
         con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
-        kernel_vectors = pressure_nullspace(con)
         for target in (condense_velocity(con), con):
-            preconditioner_matrices(target, scaled, kernel_vectors)
+            preconditioner_matrices(target, scaled)
 
     # lambda, xi and alpha_p each zero or not, under both pressure conditions
     patterns = list(itertools.product((0, 1), (0, 1), (0, 1), ("dirichlet", "flux")))

@@ -46,6 +46,7 @@ __all__ = [
     "assemble_kernels",
     "build_block_system",
     "assemble_volume_rhs",
+    "VolumeQuadrature",
     "assemble_traction_rhs",
     "apply_boundary_conditions",
     "pressure_nullspace",
@@ -123,7 +124,9 @@ class FormKernels:
     exactly.  ``structure`` holds the sparsity patterns recorded by the
     compositions on these kernels (:func:`build_block_system` and the
     steps after it), keyed by the constrained DOFs and which weights are
-    nonzero; new kernels start with none.
+    nonzero, and other parameter-free data kept per kernels, such as the
+    manufactured load values of :func:`mpet.cli.manufactured_solve`; new
+    kernels start with none.
     """
 
     spaces: object
@@ -541,32 +544,61 @@ def pressure_hdg_factors(spaces, include_h2=False):
 # ----------------------------------------------------------------------
 
 
-def assemble_volume_rhs(spaces, f=None, g=None):
-    """Volume load vector for a body force ``f(x)`` and sources ``g[i](x)``.
+class VolumeQuadrature:
+    """The quadrature of the volume load on a space set, independent of the data.
 
-    Each callable is called once, at the quadrature points of all
-    elements (see :func:`~mpet.spaces.evaluate`).  Returns a full-layout
-    vector.  Mass sources enter the pressure test rows as assembled,
-    matching the sign convention of the third block row (the caller
-    provides g already in scaled form).
+    ``phys`` holds the physical quadrature points of all elements,
+    ``(n_elements, q, 2)``, and ``wq`` their weights times the Jacobian
+    determinants.  The mapped displacement test functions ``u_vals`` are
+    formed on first use, so a load of sources alone never maps them.
     """
-    layout = DofLayout(spaces)
-    F = np.zeros(layout.total)
-    rule = triangle_quadrature(2 * spaces.ell + 4)
-    maps = spaces.mesh.element_maps
-    wq = rule.weights * maps.det[:, None]
-    phys = maps.to_physical(rule.points)
-    if f is not None:
-        uvals = spaces.on_elements("u", spaces.bdm.eval(rule.points))
-        loads = np.einsum("eqc,euqc,eq->eu", evaluate(f, phys, vector=True), uvals, wq)
-        F_u = np.bincount(spaces.u_dofmap.ravel(), loads.ravel(), minlength=spaces.size_u)
-        F[layout.sl("u")] += F_u
-    p_vals = spaces.p.eval(rule.points)
-    for i, gi in enumerate(g or ()):
-        if gi is not None:
-            gv = evaluate(gi, phys)
-            F[layout.sl(f"p{i}")] += np.einsum("eq,pq,eq->ep", gv, p_vals, wq).ravel()
-    return F
+
+    def __init__(self, spaces):
+        self.spaces = spaces
+        self.rule = triangle_quadrature(2 * spaces.ell + 4)
+        maps = spaces.mesh.element_maps
+        self.wq = self.rule.weights * maps.det[:, None]
+        self.phys = maps.to_physical(self.rule.points)
+        self.p_vals = spaces.p.eval(self.rule.points)
+
+    @cached_property
+    def u_vals(self):
+        return self.spaces.on_elements("u", self.spaces.bdm.eval(self.rule.points))
+
+    def load(self, f=None, g=()):
+        """Full-layout load vector from the values of a body force ``f``,
+        ``(n_elements, q, 2)``, and of sources ``g[i]``, ``(n_elements, q)``,
+        at ``phys``; a ``None`` field contributes nothing."""
+        s = self.spaces
+        layout = DofLayout(s)
+        F = np.zeros(layout.total)
+        if f is not None:
+            loads = np.einsum("eqc,euqc,eq->eu", f, self.u_vals, self.wq)
+            F[layout.sl("u")] += np.bincount(s.u_dofmap.ravel(), loads.ravel(), minlength=s.size_u)
+        for i, gv in enumerate(g):
+            if gv is not None:
+                F[layout.sl(f"p{i}")] += np.einsum("eq,pq,eq->ep", gv, self.p_vals, self.wq).ravel()
+        return F
+
+
+def assemble_volume_rhs(spaces, f=None, g=None, quadrature=None):
+    """Volume load vector for a body force ``f`` and sources ``g[i]``.
+
+    Each is a callable, called once at the quadrature points of all
+    elements (see :func:`~mpet.spaces.evaluate`), or already its values
+    at ``quadrature.phys``: ``quadrature`` is a :class:`VolumeQuadrature`
+    of ``spaces`` that a caller loading one mesh repeatedly keeps, formed
+    here when not given.  Returns a full-layout vector.  Mass sources
+    enter the pressure test rows as assembled, matching the sign
+    convention of the third block row (the caller provides g already in
+    scaled form).
+    """
+    quad = VolumeQuadrature(spaces) if quadrature is None else quadrature
+
+    def values(fn, vector=False):
+        return evaluate(fn, quad.phys, vector=vector) if callable(fn) else fn
+
+    return quad.load(values(f, vector=True), [values(gi) for gi in g or ()])
 
 
 def assemble_traction_rhs(spaces, bcs, t=0.0):

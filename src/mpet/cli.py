@@ -6,13 +6,13 @@ writing CSV tables into an output directory through :func:`write_csv`.
 Every CSV starts with a provenance comment carrying the configuration as
 given (keys left at their defaults are not listed), and identical
 configs produce bit-identical files when BLAS runs on one thread
-(``OPENBLAS_NUM_THREADS=1``).  Boolean keys take ``true``/``false``,
-``yes``/``no`` or ``1``/``0`` in any case.  Exit codes: 0 on success, 1
-when the config cannot be read or parsed or a value is bad (an unknown
-variant, ``sample_every < 1``, ``[solver] eta <= 0``, a ``tol`` outside
-(0, 1) and ``maxit < 1`` included), 2 when the run fails (an
-unconverged solve, or an error such as ``MeshError`` raised while
-running, reported with its type).
+(``OPENBLAS_NUM_THREADS=1``) with one OpenBLAS kernel.  Boolean keys
+take ``true``/``false``, ``yes``/``no`` or ``1``/``0`` in any case.
+Exit codes: 0 on success, 1 when the config cannot be read or parsed or
+a value is bad (an unknown variant, ``sample_every < 1``,
+``[solver] eta <= 0``, a ``tol`` outside (0, 1) and ``maxit < 1``
+included), 2 when the run fails (an unconverged solve, or an error such
+as ``MeshError`` raised while running, reported with its type).
 """
 
 import argparse
@@ -28,6 +28,7 @@ import scipy.sparse as sps
 
 from .assembly import (
     BoundaryConditionSet,
+    VolumeQuadrature,
     apply_boundary_conditions,
     assemble_kernels,
     assemble_volume_rhs,
@@ -40,6 +41,7 @@ from .diagnostics import (
     estimate_inf_sup,
     spectrum_ends,
 )
+from .manufactured import default_manufactured
 from .mesh import MeshError, generate_unit_square
 from .params import (
     PhysicalParameters,
@@ -236,16 +238,6 @@ def write_csv(path, comment, header, rows, trailer=()):
 # ----------------------------------------------------------------------
 
 
-def default_manufactured(n_networks=2):
-    """The benchmark fields of :mod:`mpet.manufactured`, imported on first use.
-
-    Building them needs sympy, which ``mpet brain`` never loads.
-    """
-    from .manufactured import default_manufactured as build
-
-    return build(n_networks)
-
-
 _built = []   # the kernels unit_square_kernels built last
 
 
@@ -255,14 +247,21 @@ def unit_square_kernels(n_side, ell, n_networks, eta):
 
     They do not depend on the MPET parameters, so consecutive calls with
     equal arguments share one mesh, space set and kernels, and the
-    sparsity patterns and elasticity factors recorded on them; callers
-    must not modify them.  Building new kernels first drops what was
-    recorded on the previous ones, which a caller may still hold.
+    sparsity patterns, elasticity factors and manufactured load values
+    recorded on them; callers must not modify them.  Building new
+    kernels first drops what was recorded on the previous ones, which a
+    caller may still hold.
     """
     for kernels in _built:
         kernels.structure.clear()
     _built[:] = [assemble_kernels(SpaceSet(generate_unit_square(n_side), ell, n_networks), eta)]
     return _built[0]
+
+
+def _load_values(spaces, manu):
+    """The volume quadrature of ``spaces`` and the load pieces of ``manu`` at its points."""
+    quad = VolumeQuadrature(spaces)
+    return quad, manu.load_at(quad.phys)
 
 
 def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
@@ -277,8 +276,10 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
     system = build_block_system(kernels, scaled)
     manu = default_manufactured(min(scaled.n, 2))
     exact_of = [min(i, manu.n - 1) for i in range(scaled.n)]   # network -> exact field
-    g = manu.mass_sources(scaled)
-    system.F = assemble_volume_rhs(spaces, f=manu.body_force(scaled), g=[g[j] for j in exact_of])
+    quad, load = kernels.structure.derive("manufactured load", lambda: _load_values(spaces, manu))
+    g = load.mass_sources(scaled)
+    system.F = assemble_volume_rhs(spaces, f=load.body_force(scaled), g=[g[j] for j in exact_of],
+                                   quadrature=quad)
     pres = [{"boundary": ("dirichlet", manu.pressure_trace_bc(j))} for j in exact_of]
     bcs = BoundaryConditionSet({"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres)
     con = apply_boundary_conditions(system, bcs)

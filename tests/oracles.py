@@ -10,6 +10,9 @@ The ``pointwise_*`` references compute the right-hand sides, boundary
 values and interpolants element by element (or facet by facet) and call
 every data callable at one point ``x`` of shape ``(2,)`` at a time.
 
+:func:`sympy_benchmark` derives the benchmark's load by symbolic
+differentiation, against which its closed forms are checked.
+
 The dense spectral references compute every eigenvalue of the pencils
 that the diagnostics reach by sparse Lanczos runs.
 
@@ -303,11 +306,29 @@ def dense_kernel_augmentation(mat, kernel_vectors):
 # ----------------------------------------------------------------------
 
 
+def sympy_benchmark(n_networks):
+    """The benchmark fields of :func:`mpet.manufactured.default_manufactured`
+    as sympy expressions, with every load piece differentiated symbolically."""
+    import sympy as sp
+
+    from mpet.manufactured import ManufacturedSolution
+
+    x, y = sp.symbols("x y")
+    phi = sp.sin(sp.pi * x) * sp.sin(sp.pi * y)
+    p1 = x**2 * (1 - x) ** 2 * y**2 * (1 - y) ** 2 - sp.Rational(1, 900)
+    p2 = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2 - sp.Rational(1, 4)
+    return ManufacturedSolution((phi, phi), [p1, p2][:n_networks])
+
+
 def preconditioned_spectrum(system_matrix, preconditioner_matrix, exclude=None):
     """All generalized eigenvalues of (K, B) with B SPD, densely.
 
     ``exclude`` restricts the pencil to the orthogonal complement of the
-    given vectors through a complete QR basis.
+    given vectors through a complete QR basis.  The pencil is first
+    Jacobi-scaled, ``D K D`` and ``D B D`` with ``D = diag(B)^-1/2`` (and
+    the vectors by ``D``), which leaves its eigenvalues unchanged and
+    keeps a ``B`` whose diagonal spans many orders of magnitude from
+    costing ``eigh`` digits.
     """
     K = system_matrix.toarray() if sps.issparse(system_matrix) else np.asarray(system_matrix)
     B = (
@@ -315,8 +336,12 @@ def preconditioned_spectrum(system_matrix, preconditioner_matrix, exclude=None):
         if sps.issparse(preconditioner_matrix)
         else np.asarray(preconditioner_matrix)
     )
+    d = 1.0 / np.sqrt(np.diag(B))
+    K = d[:, None] * K * d
+    B = d[:, None] * B * d
     if exclude:
-        kmat = np.column_stack(exclude)
+        # x = D z is orthogonal to a vector e exactly when z is to D e
+        kmat = d[:, None] * np.column_stack(exclude)
         q, _ = np.linalg.qr(kmat, mode="complete")
         Q = q[:, kmat.shape[1] :]
         K = Q.T @ K @ Q

@@ -26,6 +26,10 @@ facet terms take one pass per local edge, ``_gram`` contracts each
 quadrature sum as one batched matmul, and ``_scatter`` sums the element
 blocks into a sparse matrix.  The HDG norms do the same over element
 chunks of a fixed size in bytes (:class:`NormFactors`).
+
+A :class:`ConstrainedSystem` holds all that a solve reads: ``base.F``,
+``base.scaled`` and, recorded once per constrained DOF set, the free
+(p, phat) and the pressure kernel (:func:`pressure_nullspace`).
 """
 
 from dataclasses import dataclass, field
@@ -677,15 +681,15 @@ class ConstrainedSystem:
     K_ff: sps.csr_matrix
     K_fc: sps.csr_matrix
     free_pos: np.ndarray      # total-length map: global dof -> position in free list (-1)
-    structure: Structure = field(repr=False)   # recorded patterns of K_ff and K_fc
+    structure: Structure = field(repr=False)   # K_ff, K_fc, q_free and the pressure kernel
 
     @property
     def layout(self):
         return self.base.layout
 
-    def rhs(self, F_full=None):
-        F = self.base.F if F_full is None else F_full
-        return F[self.free] - self.K_fc @ self.values
+    def rhs(self):
+        """``base.F`` on the free DOFs, with the constrained values lifted out."""
+        return self.base.F[self.free] - self.K_fc @ self.values
 
     def expand(self, x_free):
         x = np.zeros(self.base.layout.total)
@@ -775,16 +779,24 @@ def apply_boundary_conditions(system, bcs, t=0.0):
 
 
 def _constrained_pattern(system, constrained):
-    """Free DOFs, their positions and the gathers of ``K_ff`` and ``K_fc`` from ``K``."""
-    total = system.layout.total
-    free = np.setdiff1d(np.arange(total), constrained, assume_unique=True)
-    free_pos = np.full(total, -1, dtype=int)
+    """Free DOFs, their positions, the free (p, phat), the all-flux networks
+    with their constant modes on those, and the gathers of ``K_ff`` and
+    ``K_fc`` from ``K``.  The (p, phat) close the layout: ``q_free`` is the
+    tail of ``free``."""
+    layout = system.layout
+    free = np.setdiff1d(np.arange(layout.total), constrained, assume_unique=True)
+    free_pos = np.full(layout.total, -1, dtype=int)
     free_pos[free] = np.arange(len(free))
     free.flags.writeable = free_pos.flags.writeable = False
+    q_free = free[np.searchsorted(free, layout.size_v) :]   # a read-only view
+    null_networks = _null_networks(system, constrained)
     (K,) = numbered(system.K)
     return Structure(
         free=free,
         free_pos=free_pos,
+        q_free=q_free,
+        null_networks=null_networks,
+        kernel=[constant_pressure_mode(system.kernels.spaces, i)[q_free] for i in null_networks],
         K_ff=Gather(K[np.ix_(free, free)]),
         K_fc=Gather(K[np.ix_(free, constrained)]),
     )
@@ -795,61 +807,53 @@ def _constrained_pattern(system, constrained):
 # ----------------------------------------------------------------------
 
 
-def pressure_nullspace(constrained):
-    """Constant-pressure kernel vectors of a constrained system.
-
-    Read off which DOFs are constrained: a network contributes a kernel
-    vector (p_i = phat_i = 1) when every boundary-facet u DOF is
-    constrained, none of its phat_i DOFs is, and its zeta row vanishes.
-    Returns full-layout vectors.
-    """
-    system = constrained.base
+def _null_networks(system, constrained):
+    """The networks whose constant pressure is in the kernel of the operator
+    constrained at ``constrained``: every boundary-facet u DOF is
+    constrained, none of the network's phat DOFs is, and its zeta row
+    vanishes."""
     spaces = system.kernels.spaces
     layout = system.layout
     fixed = np.zeros(layout.total, dtype=bool)
-    fixed[constrained.constrained] = True
+    fixed[constrained] = True
     n_edge = spaces.n_u_edge
     u_boundary = spaces.mesh.boundary_facets[:, None] * n_edge + np.arange(n_edge)
     if not fixed[layout.offsets["u"] + u_boundary].all():
-        return []
-    vectors = []
-    for i in range(system.scaled.n):
-        if fixed[layout.sl(f"phat{i}")].any() or np.any(system.scaled.zeta[i] != 0.0):
-            continue
-        k = np.zeros(layout.total)
-        k[layout.sl(f"p{i}")], k[layout.sl(f"phat{i}")] = constant_pressure_mode(spaces)
-        vectors.append(k)
-    return vectors
+        return ()
+    return tuple(
+        i for i in range(layout.n_networks)
+        if not fixed[layout.sl(f"phat{i}")].any() and not np.any(system.scaled.zeta[i] != 0.0)
+    )
 
 
-def constant_pressure_mode(spaces):
-    """Coefficients of the constant 1 in the pressure and facet-pressure spaces.
+def pressure_nullspace(constrained):
+    """Constant-pressure kernel vectors of a constrained system, full-layout:
+    the constant mode of each all-flux network without transfer, detected
+    once per constrained structure."""
+    spaces = constrained.base.kernels.spaces
+    return [constant_pressure_mode(spaces, i) for i in constrained.structure.null_networks]
+
+
+def constant_pressure_mode(spaces, i):
+    """Full-layout coefficients of the constant 1 in network ``i``'s
+    pressure and facet pressure, zero elsewhere.
 
     Local basis function 0 is the constant in both (monomials and
-    Legendre polynomials start with 1).  Returns ``(p, phat)`` vectors.
+    Legendre polynomials start with 1).
     """
-    p = np.zeros(spaces.size_p)
-    p[:: spaces.n_p] = 1.0
-    phat = np.zeros(spaces.size_phat)
-    phat[:: spaces.n_phat] = 1.0
-    return p, phat
+    layout = DofLayout(spaces)
+    k = np.zeros(layout.total)
+    k[layout.sl(f"p{i}")][:: spaces.n_p] = 1.0
+    k[layout.sl(f"phat{i}")][:: spaces.n_phat] = 1.0
+    return k
 
 
-def mean_correct(x, system, networks=None):
-    """Shift constant-kernel pressure components to zero mean.
-
-    ``networks`` defaults to all; the facet multiplier is shifted by the
-    same constant so the pair stays in the kernel direction.
-    """
-    spaces = system.kernels.spaces
-    layout = system.layout
+def mean_correct(x, system, networks):
+    """Shift the pressure pairs of ``networks`` along their constant modes
+    to zero pressure mean."""
     kernels = system.kernels
-    networks = range(system.scaled.n) if networks is None else networks
-    ones, _ = constant_pressure_mode(spaces)
-    x = x.copy()
     for i in networks:
-        p = x[layout.sl(f"p{i}")]
-        mean = float(ones @ (kernels.M_p @ p)) / kernels.volume
-        x[layout.sl(f"p{i}")] -= mean * ones
-        x[layout.sl(f"phat{i}")][:: spaces.n_phat] -= mean
+        k = constant_pressure_mode(kernels.spaces, i)
+        p = system.layout.sl(f"p{i}")
+        x = x - float(k[p] @ (kernels.M_p @ x[p])) / kernels.volume * k
     return x

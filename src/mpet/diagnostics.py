@@ -108,7 +108,7 @@ class NormAssembler:
 # ----------------------------------------------------------------------
 
 
-def conservation_residual(x_full, system, full_rhs=None):
+def conservation_residual(x_full, system):
     """Element-wise mass-balance residual of the solved state.
 
     For every element and network, the volume-pressure test rows are
@@ -117,6 +117,7 @@ def conservation_residual(x_full, system, full_rhs=None):
     dual norm ``r_t . M_t^{-1} r_t`` with the element's pressure mass block
     (``kernels.p_mass_inv``), and normalized by the global magnitude of
     the balance terms.  Only the balance rows of ``K`` are multiplied.
+    The balance is taken against the system's right-hand side ``F``.
     Returns ``(max_relative, residual)`` with ``residual[i, t]`` that of
     network ``i`` on element ``t``.
     """
@@ -125,7 +126,7 @@ def conservation_residual(x_full, system, full_rhs=None):
     spaces = kernels.spaces
     n = layout.n_networks
     ne = spaces.mesh.n_elements
-    F = system.F if full_rhs is None else full_rhs
+    F = system.F
     p_block = system.p_block
 
     def dual_norm2(vecs):
@@ -193,7 +194,8 @@ def estimate_inf_sup(kernels, which):
     if which == "darcy-like":
         N = pressure_hdg_matrix(spaces, include_h2=True)
         # S_w and N share the constant (q, qhat) pair as their kernel
-        k = np.concatenate(constant_pressure_mode(spaces))
+        layout = DofLayout(spaces)
+        k = constant_pressure_mode(spaces, 0)[np.r_[layout.sl("p0"), layout.sl("phat0")]]
         _, inner, _ = _restricted_pencil(kernels.S_w, N, [k])
         return float(np.sqrt(inner("LA")))
     raise ValueError(f"unknown inf-sup kind {which!r}")

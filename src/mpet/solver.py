@@ -31,6 +31,9 @@ it.
 :func:`solve` takes the variant by name.  :func:`build_preconditioner`
 reads it off its target: a :class:`~mpet.assembly.ConstrainedSystem`
 gets ``full_block`` and a :class:`CondensedSystem` ``schur_reduced``.
+Every entry point takes the system alone and reads the rest from it:
+the parameters from ``base.scaled``, the right-hand side from
+``rhs()`` and the pressure kernel from the constrained structure.
 
 Both inner blocks are inverted exactly by a factorization that also
 certifies the block SPD, at every size (:class:`_SPDFactor`).  A block
@@ -59,7 +62,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .assembly import constant_pressure_mode, mean_correct, pressure_nullspace
+from .assembly import constant_pressure_mode, mean_correct
 from .sparsity import Gather, Structure, Union, copies, numbered
 
 __all__ = [
@@ -374,14 +377,14 @@ class CondensedSystem:
         """``C``'s transpose (CSC), kept for :meth:`rhs`."""
         return self.C.T
 
-    def rhs(self, full_rhs=None):
-        r = self.constrained.rhs(full_rhs)
+    def rhs(self, r):
+        """Reduce the free right-hand side ``r``, ``constrained.rhs()``."""
         return np.concatenate([r[self.iu], r[self.iq] - self.C_T @ (self.Mw_inv @ r[self.iw])])
 
-    def expand(self, x_red, full_rhs=None):
-        """Recover fluxes element-wise and return the full free vector."""
+    def expand(self, x_red, r):
+        """Recover fluxes element-wise, with ``r`` as in :meth:`rhs`, and
+        return the full free vector."""
         nu = len(self.iu)
-        r = self.constrained.rhs(full_rhs)
         x_free = np.zeros(len(self.constrained.free))
         x_free[self.iu] = x_red[:nu]
         q = x_red[nu:]
@@ -427,7 +430,7 @@ def _condensed_pattern(con):
     pos = con.free_pos
     iu = pos[con.free_in(["u", "uhat"])]
     iw = pos[con.free_in(layout.v_fields[2:])]
-    q_free = con.free_in(layout.q_fields)
+    q_free = con.structure.q_free
     iq = pos[q_free]
     keep = np.concatenate([iu, iq])
     within = q_free - layout.size_v   # positions within the q block
@@ -454,8 +457,9 @@ def _condensed_pattern(con):
 # ----------------------------------------------------------------------
 
 
-def preconditioner_matrices(target, scaled):
-    """The two diagonal blocks of the target's preconditioner, unfactorized.
+def preconditioner_matrices(target):
+    """The two diagonal blocks of the target's preconditioner, unfactorized,
+    weighted by the parameters its system was built with.
 
     A :class:`CondensedSystem` gets the ``schur_reduced`` blocks, a
     :class:`~mpet.assembly.ConstrainedSystem` the ``full_block`` ones.
@@ -463,7 +467,7 @@ def preconditioner_matrices(target, scaled):
     (u, uhat, w) block, and ``blockdiag(R_i N) + Lambda (x) M_p`` on the
     free (p, phat) with ``N = S_w`` or the pressure HDG norm.  The
     pressure block is singular along the constant modes of all-flux
-    networks without transfer; its factor takes their kernel vectors and
+    networks without transfer; its factor takes the system's kernel and
     borders it (:class:`_SPDFactor`, :func:`build_preconditioner`).
 
     Both blocks are gathers into patterns recorded once per structure,
@@ -473,6 +477,7 @@ def preconditioner_matrices(target, scaled):
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
     kernels = con.base.kernels
+    scaled = con.base.scaled
     Lambda = scaled.Lambda
     coupled = Lambda != 0
     structure = con.structure.derive(
@@ -496,7 +501,7 @@ def _preconditioner_pattern(con, reduced, coupled):
     kernels = con.base.kernels
     spaces = kernels.spaces
     first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
-    q_free = con.free_in(layout.q_fields)
+    q_free = con.structure.q_free
     within = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
     N = kernels.S_w if reduced else kernels.p_hdg
     # copy k of M_p is Lambda's k-th nonzero (i, j) times M_p, on the (p_i, p_j) block
@@ -529,7 +534,7 @@ def _per_network(mat, spaces):
     return copies(mat, n, place, (size, size))
 
 
-def build_preconditioner(target, scaled, kernel_vectors=()):
+def build_preconditioner(target):
     """SPD block-diagonal preconditioner for a constrained or condensed system.
 
     A :class:`~mpet.assembly.ConstrainedSystem` gets ``full_block``, which
@@ -538,48 +543,41 @@ def build_preconditioner(target, scaled, kernel_vectors=()):
     ``schur_reduced``, which pairs the elasticity block with the flux
     Schur complement plus Lambda mass.  Singular constant-pressure modes
     (all-flux networks without transfer) are handled by the pressure
-    block's factor, which takes the supplied kernel vectors on the free
-    (p, phat), borders the block by them and applies the inverse of
-    ``X_p + s K K^T``.
+    block's factor, which takes the system's kernel on the free (p, phat)
+    (:func:`~mpet.assembly.pressure_nullspace`), borders the block by it
+    and applies the inverse of ``X_p + s K K^T``.
 
     The first block is a gather of the operator, fixed by its structure
     and by lambda (and R for ``full_block``); its factor is kept per
     structure for the last ``FIRST_FACTORS`` such values and shared by
     the preconditioners built with them.
     """
-    x1, x2 = preconditioner_matrices(target, scaled)
+    x1, x2 = preconditioner_matrices(target)
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
-    kernel = [k[con.free_in(con.layout.q_fields)] for k in kernel_vectors]
-    base = con.base.scaled   # x1 is a gather of the operator built with these
-    key = (reduced, base.lam) if reduced else (reduced, base.lam, *base.R)
+    scaled = con.base.scaled
+    key = (reduced, scaled.lam) if reduced else (reduced, scaled.lam, *scaled.R)
     factors = con.structure.derive("first factors", OrderedDict)
     f1 = factors.pop(key, None) or _SPDFactor(x1)
     factors[key] = f1
     if len(factors) > FIRST_FACTORS:
         factors.popitem(last=False)
-    return BlockDiagPreconditioner(f1, _SPDFactor(x2, kernel), x1.shape[0])
+    return BlockDiagPreconditioner(f1, _SPDFactor(x2, con.structure.kernel), x1.shape[0])
 
 
-def mean_zero_functionals(system):
-    """Full-layout constraint vectors whose joint null space is the
-    per-network mean-zero pressure subspace, where the uniform spectral
-    bounds live."""
-    layout = system.layout
-    ones, _ = constant_pressure_mode(system.kernels.spaces)
+def mean_zero_functionals(condensed):
+    """Constraint vectors in the coordinates of ``condensed`` whose joint
+    null space is the per-network mean-zero pressure subspace, where the
+    uniform spectral bounds live."""
+    con = condensed.constrained
+    layout, kernels = con.layout, con.base.kernels
     out = []
     for i in range(layout.n_networks):
         m = np.zeros(layout.total)
-        m[layout.sl(f"p{i}")] = system.kernels.M_p @ ones
-        out.append(m)
+        p = layout.sl(f"p{i}")
+        m[p] = kernels.M_p @ constant_pressure_mode(kernels.spaces, i)[p]
+        out.append(np.concatenate([np.zeros(len(condensed.iu)), m[con.structure.q_free]]))
     return out
-
-
-def reduced_subspace_vectors(condensed, vectors):
-    """Map full-layout q-side vectors into condensed-system coordinates."""
-    con = condensed.constrained
-    q_free = con.free_in(con.layout.q_fields)
-    return [np.concatenate([np.zeros(len(condensed.iu)), k[q_free]]) for k in vectors]
 
 
 # ----------------------------------------------------------------------
@@ -587,59 +585,40 @@ def reduced_subspace_vectors(condensed, vectors):
 # ----------------------------------------------------------------------
 
 
-def solve(constrained, scaled, variant="schur_reduced", tol=1e-8, maxit=500, full_rhs=None,
-          reuse=None):
-    """Solve a constrained block system with preconditioned MinRes.
+def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None):
+    """Solve ``K_ff x = constrained.rhs()`` with preconditioned MinRes.
 
     ``variant`` is ``"schur_reduced"`` (condense the fluxes, then
     precondition the reduced operator) or ``"full_block"`` (precondition
     the constrained operator itself); any other value raises
     ``ValueError``.  Returns ``(x_full, report, reuse)`` where ``x_full``
     is the solution in the full layout (constrained values inserted) and
-    ``reuse`` bundles the factorizations, the condensed operator and the
-    pressure kernel for repeated solves with new right-hand sides.
-    All-flux networks without transfer are detected from the constrained
-    DOFs once per factorization (:func:`~mpet.assembly.pressure_nullspace`);
-    on them the right-hand side is compatibility-corrected and the
-    pressure means of the solution are zeroed.
+    ``reuse`` holds the target and its preconditioner for solves with a
+    new ``base.F`` or new constrained values.  On the pressure kernel
+    (:func:`~mpet.assembly.pressure_nullspace`), in the last rows of the
+    solve vector from ``prec.cut`` on in both variants, the right-hand
+    side is compatibility-corrected and the pressure means are zeroed.
     """
     if variant not in ("schur_reduced", "full_block"):
         raise ValueError(f"unknown preconditioner variant {variant!r}")
     reduced = variant == "schur_reduced"
     if reuse is None:
         target = condense_velocity(constrained) if reduced else constrained
-        kernel_vectors = pressure_nullspace(constrained)
-        prec = build_preconditioner(target, scaled, kernel_vectors)
-        reuse = (target, prec, kernel_vectors)
-    target, prec, kernel_vectors = reuse
+        reuse = (target, build_preconditioner(target))
+    target, prec = reuse
+    r = constrained.rhs()
+    rhs = target.rhs(r) if reduced else r
+    tail = rhs[prec.cut :]   # a view: the projection edits rhs, never r in the reduced variant
+    for k in constrained.structure.kernel:
+        tail -= (k @ tail) / (k @ k) * k
 
-    if reduced:
-        rhs = target.rhs(full_rhs)
-        operator = target.K_red
-        kernel = reduced_subspace_vectors(target, kernel_vectors)
-    else:
-        rhs = constrained.rhs(full_rhs)
-        operator = constrained.K_ff
-        kernel = [k[constrained.free] for k in kernel_vectors]
-    for k in kernel:
-        rhs = rhs - (k @ rhs) / (k @ k) * k
-
-    x_red, report = minres(operator, prec, rhs, tol=tol, maxit=maxit)
+    x_red, report = minres(target.K_red if reduced else target.K_ff, prec, rhs, tol=tol, maxit=maxit)
     report.variant = variant
 
-    if reduced:
-        x_free = target.expand(x_red, full_rhs)
-    else:
-        x_free = x_red
-    x_full = constrained.expand(x_free)
-    if kernel_vectors:
-        layout = constrained.layout
-        support = np.any(kernel_vectors, axis=0)
-        null_networks = [i for i in range(layout.n_networks) if support[layout.sl(f"p{i}")].any()]
-        x_full = mean_correct(x_full, constrained.base, null_networks)
+    x_full = constrained.expand(target.expand(x_red, r) if reduced else x_red)
+    x_full = mean_correct(x_full, constrained.base, constrained.structure.null_networks)
     if report.converged:
         from .diagnostics import conservation_residual
 
-        used = constrained.base.F if full_rhs is None else full_rhs
-        report.conservation, _ = conservation_residual(x_full, constrained.base, used)
+        report.conservation, _ = conservation_residual(x_full, constrained.base)
     return x_full, report, reuse

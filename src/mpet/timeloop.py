@@ -53,7 +53,8 @@ class Scenario:
     Boundary profiles are physical-pressure callables ``(x, t)``, called
     with coordinate-first batches of points (see ``BoundaryConditionSet``);
     the stepper wraps them with the similarity scaling.  ``pressure_unit``
-    only affects probe output (internal value divided by it).
+    only affects probe output (internal value divided by it).  ``t_end``
+    must be a whole number of steps ``tau``, to within rounding.
     """
 
     mesh: object
@@ -76,6 +77,9 @@ class Scenario:
     def __post_init__(self):
         if self.tau <= 0.0 or self.t_end < self.tau:
             raise ValueError("need tau > 0 and t_end >= tau")
+        steps = self.t_end / self.tau
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end = {self.t_end} is not a whole number of steps of tau = {self.tau}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
         for name in ("initial_pressures", "mass_sources"):
@@ -263,16 +267,10 @@ class TimeStepper:
         with ``x`` the scaled solution vector of the step."""
         sc = self.scenario
         t_k = state.t + sc.tau if t_k is None else t_k
-        F = self.step_rhs(state, t_k)
+        self.system.F = self.step_rhs(state, t_k)
         self.constrained.update_values(self.bcs_scaled, t_k)
         x, report, self._reuse = solve(
-            self.constrained,
-            self.scaled,
-            sc.variant,
-            tol=sc.tol,
-            maxit=sc.maxit,
-            full_rhs=F,
-            reuse=self._reuse,
+            self.constrained, sc.variant, tol=sc.tol, maxit=sc.maxit, reuse=self._reuse
         )
         if not report.converged:
             raise RuntimeError(

@@ -292,6 +292,15 @@ def test_brain_sample_every_zero_exits_1(tmp_path, capsys):
     assert "config error: sample_every must be at least 1" in capsys.readouterr().err
 
 
+def test_brain_t_end_off_the_step_grid_exits_1(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "brain.cfg", "[run]\nn_radial = 1\nn_angular = 8\ntau = 0.4\nt_end = 1.0\n"
+    )
+    assert main(["brain", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: t_end = 1.0 is not a whole number of steps of tau = 0.4" in err
+
+
 def test_unknown_sweep_variant_exits_1_before_any_solve(tmp_path, capsys, monkeypatch):
     import mpet.cli
 

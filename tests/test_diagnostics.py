@@ -173,7 +173,7 @@ def _strain_only(mesh, spaces):
 
 def test_solve_matches_direct_in_product_norm():
     mesh, spaces, scaled, system, bcs, con = make_problem(2, 2, 2, lam=1e4, R=1e-4)
-    x, report, _ = solve(con, scaled, tol=1e-8)
+    x, report, _ = solve(con, tol=1e-8)
     assert report.converged
     x_direct = np.zeros(system.layout.total)
     x_direct[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
@@ -201,11 +201,11 @@ def test_conservation_after_direct_solve():
 
 def test_conservation_after_minres_solve_and_negative_control():
     mesh, spaces, scaled, system, bcs, con = make_problem(2, 2, 2, alpha_p=1e-4, xi=1e-4)
-    x, report, _ = solve(con, scaled, tol=1e-10)
+    x, report, _ = solve(con, tol=1e-10)
     max_rel, _ = conservation_residual(x, system)
     assert max_rel <= 1e-8
 
-    x_bad, report_bad, _ = solve(con, scaled, tol=1e-1)
+    x_bad, report_bad, _ = solve(con, tol=1e-1)
     bad_rel, _ = conservation_residual(x_bad, system)
     assert bad_rel > 1e-8
 
@@ -360,7 +360,7 @@ def test_preconditioned_spectrum_bounded_over_R_sweep():
     factorizable and would distort the spectrum).
     """
     import scipy.sparse as sps
-    from mpet.solver import mean_zero_functionals, reduced_subspace_vectors
+    from mpet.solver import mean_zero_functionals
 
     intervals = []
     for expo in (0, 4, 8):
@@ -368,9 +368,9 @@ def test_preconditioned_spectrum_bounded_over_R_sweep():
             2, 1, 2, R=10.0 ** (-expo), alpha_p=0.0, xi=0.0, pressure_bc="flux"
         )
         condensed = condense_velocity(con)
-        x1, x2 = preconditioner_matrices(condensed, scaled)
+        x1, x2 = preconditioner_matrices(condensed)
         prec_mat = sps.block_diag([x1, x2], format="csr")
-        exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
+        exclude = mean_zero_functionals(condensed)
         neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=exclude)
         assert neg is not None and pos is not None
         assert pos[0] > 1e-2 and neg[1] < -1e-2
@@ -390,7 +390,7 @@ def test_network_decoupling_of_schur_spectrum():
     def schur_vs_xp(bundle):
         mesh, spaces, scaled, system, bcs, con = bundle
         sp_mat = oracles.pressure_schur_complement(con)
-        _, xp = preconditioner_matrices(con, scaled)
+        _, xp = preconditioner_matrices(con)
         return np.sort(oracles.preconditioned_spectrum(-sp_mat, xp))
 
     e1 = schur_vs_xp(single)
@@ -402,14 +402,14 @@ def test_network_decoupling_of_schur_spectrum():
 def _eigs_preset_pencil(i):
     """The eigs preset's reduced-operator pencil at R = 10^-i."""
     import scipy.sparse as sps
-    from mpet.solver import mean_zero_functionals, reduced_subspace_vectors
+    from mpet.solver import mean_zero_functionals
 
     _, _, scaled, system, _, con = make_problem(
         2, 1, 2, R=10.0 ** (-i), alpha_p=0.0, xi=0.0, pressure_bc="flux"
     )
     condensed = condense_velocity(con)
-    x1, x2 = preconditioner_matrices(condensed, scaled)
-    exclude = reduced_subspace_vectors(condensed, mean_zero_functionals(system))
+    x1, x2 = preconditioner_matrices(condensed)
+    exclude = mean_zero_functionals(condensed)
     return condensed.K_red, sps.block_diag([x1, x2], format="csr"), exclude
 
 
@@ -435,8 +435,8 @@ def test_spectrum_ends_match_dense_oracle(i):
 def test_definite_pencil_ends_match_dense_oracle(n_side):
     """The pressure-block equivalence pair is definite: two Lanczos runs."""
     _, _, scaled, _, _, con = make_problem(n_side, 1, 1, R=1.0)
-    _, xp = preconditioner_matrices(con, scaled)
-    _, xpt = preconditioner_matrices(condense_velocity(con), scaled)
+    _, xp = preconditioner_matrices(con)
+    _, xpt = preconditioner_matrices(condense_velocity(con))
     neg, pos = spectrum_ends(xp, xpt)
     eigs = oracles.preconditioned_spectrum(xp, xpt)
     assert neg is None

@@ -99,7 +99,7 @@ def test_reduced_operator_is_the_dense_schur_elimination(ell, lam, R, alpha_p, x
 def test_recovered_fluxes_satisfy_the_flux_rows(ell, lam, R, alpha_p, xi, pressure):
     con, condensed = condensed_problem(ell, lam, R, alpha_p, xi, pressure)
     x_red = np.random.default_rng(0).standard_normal(len(condensed.iu) + len(condensed.iq))
-    x_free = condensed.expand(x_red)
+    x_free = condensed.expand(x_red, con.rhs())
     iw = condensed.iw
     r_w = con.rhs()[iw]
     flux_rows = con.K_ff[iw]

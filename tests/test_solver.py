@@ -174,9 +174,9 @@ def test_condensed_solve_matches_unreduced():
     x_direct[con.constrained] = con.values
 
     condensed = condense_velocity(con)
-    rhs_red = condensed.rhs()
+    rhs_red = condensed.rhs(con.rhs())
     x_red = spla.spsolve(condensed.K_red.tocsc(), rhs_red)
-    x_full = con.expand(condensed.expand(x_red))
+    x_full = con.expand(condensed.expand(x_red, con.rhs()))
     scale = np.abs(x_direct).max()
     assert np.abs(x_full - x_direct).max() <= 1e-10 * scale
 
@@ -203,8 +203,8 @@ def test_both_variants_spd_at_hard_corner():
     """Factorization succeeds at the hardest sweep corner R -> 0, alpha_p = xi = 0."""
     _, _, scaled, system, bcs, con = make_problem(n_side=2, ell=1, n_networks=2, R=1e-8)
     condensed = condense_velocity(con)
-    build_preconditioner(condensed, scaled)
-    build_preconditioner(con, scaled)
+    build_preconditioner(condensed)
+    build_preconditioner(con)
 
 
 @pytest.mark.parametrize("n_side, ell", [(1, 2), (17, 2)])
@@ -217,7 +217,7 @@ def test_small_penalty_rejected(n_side, ell):
     con2 = apply_boundary_conditions(sys2, bcs)
     condensed = condense_velocity(con2)
     with pytest.raises(PreconditionerError, match="not SPD"):
-        build_preconditioner(condensed, scaled)
+        build_preconditioner(condensed)
 
 
 def _both_factorizations(monkeypatch):
@@ -263,13 +263,13 @@ def brain_blocks():
     """The ``schur_reduced`` blocks of the 4-network brain annulus."""
     stepper = TimeStepper(brain_analog_scenario())
     assert not pressure_nullspace(stepper.constrained)
-    return preconditioner_matrices(condense_velocity(stepper.constrained), stepper.scaled)
+    return preconditioner_matrices(condense_velocity(stepper.constrained))
 
 
 def test_brain_blocks_take_the_band_and_large_blocks_splu(brain_blocks):
     assert all(mpet.solver._SPDFactor(x).banded for x in brain_blocks)
     *_, scaled, _, _, con = make_problem(n_side=16, ell=3, rhs=False)
-    for x in preconditioner_matrices(condense_velocity(con), scaled):
+    for x in preconditioner_matrices(condense_velocity(con)):
         assert not mpet.solver._SPDFactor(x).banded
 
 
@@ -341,8 +341,8 @@ def test_bordered_preconditioner_matches_dense_augmentation(n_side, ell, variant
     kernel_vectors = pressure_nullspace(con)
     assert len(kernel_vectors) == 2
     target = condense_velocity(con) if variant == "schur_reduced" else con
-    prec = build_preconditioner(target, scaled, kernel_vectors)
-    x1, xp = preconditioner_matrices(target, scaled)
+    prec = build_preconditioner(target)
+    x1, xp = preconditioner_matrices(target)
     q_free = con.free_in(con.layout.q_fields)
     augmented = dense_kernel_augmentation(xp, [k[q_free] for k in kernel_vectors])
     cut = x1.shape[0]
@@ -359,9 +359,8 @@ def test_bordered_pressure_block_stays_sparse():
     (3.5M entries): its ``L.nnz + U.nnz`` is 303,798 for ``schur_reduced``
     and 201,314 for ``full_block``."""
     scaled, system, bcs, con = _all_flux_problem(16, 2, 2)
-    kernel_vectors = pressure_nullspace(con)
     for target, fill in ((condense_velocity(con), 310_000), (con, 205_000)):
-        lu = build_preconditioner(target, scaled, kernel_vectors).f2._lu
+        lu = build_preconditioner(target).f2._lu
         assert lu.L.nnz + lu.U.nnz < fill
 
 
@@ -373,8 +372,8 @@ def test_xp_and_schur_pressure_blocks_spectrally_equivalent():
             n_side=n_side, ell=1, n_networks=1, R=1.0
         )
         condensed = condense_velocity(con)
-        xp = preconditioner_matrices(con, scaled)[1].toarray()
-        xpt = preconditioner_matrices(condensed, scaled)[1].toarray()
+        xp = preconditioner_matrices(con)[1].toarray()
+        xpt = preconditioner_matrices(condensed)[1].toarray()
         from scipy.linalg import eigh
 
         eigs = eigh(xp, xpt, eigvals_only=True)
@@ -390,7 +389,7 @@ def test_preconditioned_solve_matches_direct():
         _, _, scaled, system, bcs, con = make_problem(
             n_side=2, ell=2, n_networks=2, lam=1e4, R=1e-4, alpha_p=1e-4, xi=1e-4
         )
-        x, report, _ = solve(con, scaled, variant, tol=1e-10)
+        x, report, _ = solve(con, variant, tol=1e-10)
         assert report.converged
         x_direct = np.zeros(system.layout.total)
         x_direct[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
@@ -401,7 +400,7 @@ def test_preconditioned_solve_matches_direct():
 def test_solve_rejects_unknown_variant():
     _, _, scaled, _, _, con = make_problem(n_side=1, ell=1)
     with pytest.raises(ValueError, match="unknown preconditioner variant 'bogus'"):
-        solve(con, scaled, "bogus")
+        solve(con, "bogus")
 
 
 def test_preconditioner_variant_follows_target_type():
@@ -409,45 +408,56 @@ def test_preconditioner_variant_follows_target_type():
     one the (u, uhat, w) block of the operator."""
     _, _, scaled, _, _, con = make_problem(n_side=2, ell=1)
     condensed = condense_velocity(con)
-    x_red, _ = preconditioner_matrices(condensed, scaled)
-    x_full, _ = preconditioner_matrices(con, scaled)
+    x_red, _ = preconditioner_matrices(condensed)
+    x_full, _ = preconditioner_matrices(con)
     assert x_red.shape[0] == len(condensed.iu)
     assert x_full.shape[0] == len(condensed.iu) + len(condensed.iw)
 
 
 def test_solve_reuse_is_identical():
     _, _, scaled, system, bcs, con = make_problem(n_side=2, ell=1)
-    x1, r1, reuse = solve(con, scaled, tol=1e-9)
-    x2, r2, _ = solve(con, scaled, tol=1e-9, reuse=reuse)
+    x1, r1, reuse = solve(con, tol=1e-9)
+    x2, r2, _ = solve(con, tol=1e-9, reuse=reuse)
     assert np.array_equal(x1, x2)
     assert r1.iterations == r2.iterations
 
 
 def test_solve_report_carries_conservation_summary():
     _, _, scaled, system, bcs, con = make_problem(n_side=2, ell=1, alpha_p=0.2)
-    _, report, _ = solve(con, scaled, tol=1e-9)
+    _, report, _ = solve(con, tol=1e-9)
     assert report.converged
     assert report.conservation is not None
     assert report.conservation <= 1e-8
 
 
-@pytest.mark.parametrize("n_side, ell", [(2, 1), (4, 1), (8, 1)])
-def test_two_all_flux_networks_solve_from_the_constrained_system(n_side, ell):
+def _both_variants(*cases):
+    """Each case under ``schur_reduced`` with the case's own id, then under
+    ``full_block`` with that id suffixed."""
+    return [
+        pytest.param(*case, variant, id="-".join(map(str, case)) + suffix)
+        for variant, suffix in (("schur_reduced", ""), ("full_block", "-full_block"))
+        for case in cases
+    ]
+
+
+@pytest.mark.parametrize("n_side, ell, variant", _both_variants((2, 1), (4, 1), (8, 1)))
+def test_two_all_flux_networks_solve_from_the_constrained_system(n_side, ell, variant):
     """The pressure kernel is read off the constrained DOFs: with two
     all-flux networks the solve takes the bordered path, with no boundary
     data handed to it."""
     scaled, system, _, con = _all_flux_problem(n_side, ell, 2)
-    x, report, _ = solve(con, scaled)
+    x, report, _ = solve(con, variant)
     assert report.converged
     layout, kernels = system.layout, system.kernels
-    ones, _ = constant_pressure_mode(kernels.spaces)
     for i in range(2):
-        mean = float(ones @ (kernels.M_p @ x[layout.sl(f"p{i}")])) / kernels.volume
+        p = layout.sl(f"p{i}")
+        ones = constant_pressure_mode(kernels.spaces, i)[p]
+        mean = float(ones @ (kernels.M_p @ x[p])) / kernels.volume
         assert abs(mean) < 1e-10
 
 
-@pytest.mark.parametrize("n_networks", [1, 2])
-def test_all_neumann_mean_zero_network(n_networks):
+@pytest.mark.parametrize("n_networks, variant", _both_variants((1,), (2,)))
+def test_all_neumann_mean_zero_network(n_networks, variant):
     """Pure flux data with no transfer: singular modes handled by projection.
 
     With two networks the pressure block alone is singular along k1 - k2,
@@ -462,7 +472,7 @@ def test_all_neumann_mean_zero_network(n_networks):
     )
     bcs = homogeneous_bcs(n_networks)
     con = apply_boundary_conditions(system, bcs)
-    x, report, _ = solve(con, scaled, tol=1e-9)
+    x, report, _ = solve(con, variant, tol=1e-9)
     assert report.converged
     layout = system.layout
     ones = spaces.interpolate_p(lambda xx: 1.0)

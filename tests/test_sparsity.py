@@ -80,7 +80,7 @@ def test_cells_on_one_mesh_match_the_scipy_composition(ell):
         if pressure == "flux" and zero_coupling:
             assert len(pressure_nullspace(con)) == 2   # a singular pressure block
         for target, reduced in ((condensed, True), (con, False)):
-            x_first, x_p = preconditioner_matrices(target, scaled)
+            x_first, x_p = preconditioner_matrices(target)
             ref_first, ref_p = reference_preconditioner(con, scaled, reduced)
             assert_same(x_first, ref_first, f"x_first reduced={reduced}")
             assert_same(x_p, ref_p, f"x_p reduced={reduced}")
@@ -101,7 +101,7 @@ def test_brain_system_matches_the_scipy_composition():
     for name, expected in zip(("K_red", "C", "Mw_inv"), reference_condensed(con)):
         assert_same(getattr(condensed, name), expected, name)
     for target, reduced in ((condensed, True), (con, False)):
-        x_first, x_p = preconditioner_matrices(target, scaled)
+        x_first, x_p = preconditioner_matrices(target)
         ref_first, ref_p = reference_preconditioner(con, scaled, reduced)
         assert_same(x_first, ref_first, f"x_first reduced={reduced}")
         assert_same(x_p, ref_p, f"x_p reduced={reduced}")
@@ -145,7 +145,7 @@ def test_patterns_depend_only_on_which_weights_are_nonzero(ell):
         bcs = homogeneous_bcs(2, pressure=pressure)
         con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
         for target in (condense_velocity(con), con):
-            preconditioner_matrices(target, scaled)
+            preconditioner_matrices(target)
 
     # lambda, xi and alpha_p each zero or not, under both pressure conditions
     patterns = list(itertools.product((0, 1), (0, 1), (0, 1), ("dirichlet", "flux")))
@@ -167,9 +167,9 @@ def test_a_later_cell_leaves_an_earlier_cells_matrices_and_factors_unchanged():
         scaled = _sweep_parameters(i, lam, False)
         con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
         con.base.F = np.random.default_rng(i).standard_normal(con.layout.total)
-        return con, solve(con, scaled)[2]
+        return con, solve(con)[2]
 
-    con, (condensed, prec, _) = cell(0, 1.0)
+    con, (condensed, prec) = cell(0, 1.0)
     arrays = {name: [m.data.copy(), m.indices.copy(), m.indptr.copy()]
               for name, m in (("K_ff", con.K_ff), ("K_red", condensed.K_red))}
     r = np.random.default_rng(7).standard_normal(condensed.K_red.shape[0])
@@ -179,7 +179,7 @@ def test_a_later_cell_leaves_an_earlier_cells_matrices_and_factors_unchanged():
     for name, m in (("K_ff", con.K_ff), ("K_red", condensed.K_red)):
         for saved, now in zip(arrays[name], (m.data, m.indices, m.indptr)):
             assert np.array_equal(saved, now), name
-    for other, (other_condensed, _, _) in later:
+    for other, (other_condensed, _) in later:
         assert not np.shares_memory(other.K_ff.data, con.K_ff.data)
         assert not np.shares_memory(other_condensed.K_red.data, condensed.K_red.data)
     assert np.array_equal(prec(r), applied)
@@ -221,7 +221,7 @@ def test_elasticity_factors_are_kept_for_the_last_lambdas(counted):
         scaled = scaled_from_direct(lam, [1.0, 1.0], [1.0, 1.0])
         con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
         before = counted.built
-        build_preconditioner(condense_velocity(con), scaled)
+        build_preconditioner(condense_velocity(con))
         return counted.built - before   # 1: the pressure block only, 2: both
 
     lams = 10.0 ** np.arange(FIRST_FACTORS + 1)

@@ -150,6 +150,16 @@ def test_sample_cadence_thins_probes_but_not_log():
         Scenario(**{**bad.__dict__})
 
 
+@pytest.mark.parametrize("tau", [0.4, 0.3])
+def test_t_end_off_the_step_grid_rejected(tau):
+    """1.0 is 2.5 steps of 0.4 and 3.33 of 0.3: a run would stop short of
+    it.  Rounding is forgiven: 0.3 / 0.1, 2.9999999999999996, passes in
+    ``test_dirichlet_trace_honored_each_step``."""
+    sc = tiny_scenario()
+    with pytest.raises(ValueError, match=f"t_end = 1.0 is not a whole number of steps of tau = {tau}"):
+        Scenario(**{**sc.__dict__, "tau": tau, "t_end": 1.0})
+
+
 def test_probe_outside_domain_rejected():
     with pytest.raises(Exception):
         sc = tiny_scenario()

@@ -16,9 +16,9 @@ transfer masses ``-zeta_ij M_p`` (present only where ``zeta_ij != 0``).
 Assembly is split into parameter-independent kernels and cheap
 parameter-weighted composition, so parameter sweeps reuse the expensive
 part, including the flux elimination ``M_w^{-1}`` and ``S_w`` that the
-solver weights by R_i.  The composition writes the weighted kernel data
-into sparsity patterns recorded once per kernels and structure (see
-:mod:`mpet.sparsity`).  Functions take the space set alone and read the
+solver weights by R_i.  A composition used again with the same kernels
+and structure writes the weighted kernel data into a sparsity pattern
+recorded on its second use (see :mod:`mpet.sparsity`).  Functions take the space set alone and read the
 geometry from ``spaces.mesh``.  Every element and facet integral (the
 kernels, the volume load) is computed for all elements at once: bases
 mapped by ``SpaceSet.on_elements`` carry a leading element axis, the
@@ -28,7 +28,7 @@ blocks into a sparse matrix.  The HDG norms do the same over element
 chunks of a fixed size in bytes (:class:`NormFactors`).
 
 A :class:`ConstrainedSystem` holds all that a solve reads: ``base.F``,
-``base.scaled`` and, recorded once per constrained DOF set, the free
+``base.scaled`` and, computed once per constrained DOF set, the free
 (p, phat) and the pressure kernel (:func:`pressure_nullspace`).
 """
 
@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sps
 
-from .sparsity import Gather, Structure, Union, numbered
+from .sparsity import Structure
 from .spaces import evaluate, legendre_scale, triangle_quadrature
 
 __all__ = [
@@ -129,8 +129,8 @@ class FormKernels:
     compositions on these kernels (:func:`build_block_system` and the
     steps after it), keyed by the constrained DOFs and which weights are
     nonzero, and other parameter-free data kept per kernels, such as the
-    manufactured load values of :func:`mpet.cli.manufactured_solve`; new
-    kernels start with none.
+    manufactured load values and Dirichlet data of
+    :func:`mpet.cli.manufactured_solve`; new kernels start with none.
     """
 
     spaces: object
@@ -419,35 +419,42 @@ def build_block_system(kernels, scaled):
 
     ``K``'s entries are the kernels' data weighted as scipy's
     ``a_hdg + lam divdiv``, ``M_w / R_i``, ``-D``, ``-Dw``, ``Ew`` and
-    ``-zeta_ij M_p`` compute them, gathered into the grid's pattern.  The
-    pattern is recorded by the first composition with the same nonzero
+    ``-zeta_ij M_p`` compute them, composed by :func:`_operator_grid`.  Its
+    pattern is recorded by the second composition with the same nonzero
     weights: the transfer couplings (nonzero ``zeta``) and ``lam != 0``.
     """
     spaces = kernels.spaces
     n = scaled.n
     if n != spaces.n_networks:
         raise ValueError("network count of parameters and spaces disagree")
+    k = kernels
     has_lam = scaled.lam != 0
-    elastic = kernels.structure.derive(
-        ("elastic", has_lam), lambda: _elastic_union(kernels, has_lam)
-    )
+    elastic = k.a_hdg
+    if has_lam:
+
+        def padded(a_hdg, divdiv):
+            size_uhat = spaces.size_uhat
+            return a_hdg, sps.block_diag([divdiv, sps.csr_matrix((size_uhat, size_uhat))], "csr")
+
+        elastic = k.structure.compose(
+            "elastic", padded, (k.a_hdg, k.a_hdg.data), (k.divdiv, k.divdiv.data * scaled.lam)
+        )
     coupled = np.nonzero(scaled.zeta)
-    structure = kernels.structure.derive(
-        ("K", has_lam, np.flatnonzero(scaled.zeta).tobytes()),
-        lambda: Structure(K=_operator_pattern(kernels, coupled, elastic)),
+    structure = k.structure.derive(("K", has_lam, np.flatnonzero(scaled.zeta).tobytes()), Structure)
+    K = structure.compose(
+        "K",
+        lambda *blocks: _operator_grid(spaces, coupled, *blocks),
+        (elastic, elastic.data),
+        *((k.M_w, k.M_w.data * (1 / R)) for R in scaled.R),
+        (k.D, -k.D.data),
+        (k.Dw, -k.Dw.data),
+        (k.Ew, k.Ew.data),
+        *((k.M_p, k.M_p.data * -scaled.zeta[i, j]) for i, j in zip(*coupled)),
     )
-    source = np.concatenate([
-        elastic.values(kernels.a_hdg.data, kernels.divdiv.data * scaled.lam),
-        *(kernels.M_w.data * (1 / R) for R in scaled.R),
-        -kernels.D.data,
-        -kernels.Dw.data,
-        kernels.Ew.data,
-        *(kernels.M_p.data * -scaled.zeta[i, j] for i, j in zip(*coupled)),
-    ])
     layout = DofLayout(spaces)
     return BlockSystem(
         layout=layout,
-        K=structure.K.matrix(source),
+        K=K,
         F=np.zeros(layout.total),
         kernels=kernels,
         scaled=scaled,
@@ -455,33 +462,18 @@ def build_block_system(kernels, scaled):
     )
 
 
-def _elastic_union(kernels, has_lam):
-    """Merged pattern of ``a_hdg + blockdiag(lam divdiv, 0)`` on (u, uhat),
-    that of ``a_hdg`` alone for ``lam = 0``."""
-    size_uhat = kernels.spaces.size_uhat
-    (a_hdg,), (divdiv,) = numbered(kernels.a_hdg), numbered(kernels.divdiv)
-    divdiv = divdiv if has_lam else sps.csr_matrix(divdiv.shape)
-    padded = sps.block_diag([divdiv, sps.csr_matrix((size_uhat, size_uhat))], format="csr")
-    return Union(a_hdg, padded)
-
-
-def _operator_pattern(kernels, coupled, elastic):
-    """Gather of ``K`` recorded on the block grid of id matrices.
-
-    The source is the merged elasticity block (``elastic``), then each
-    network's flux mass, ``D``, ``Dw``, ``Ew`` and one ``M_p`` per
-    transfer coupling ``(i, j)`` in ``coupled``.  The blocks above the
-    diagonal are the transposed id matrices of ``D``, ``Dw`` and ``Ew``.
-    """
-    spaces = kernels.spaces
+def _operator_grid(spaces, coupled, elastic, *blocks):
+    """``K`` as one ``sps.bmat`` of its weighted blocks: the elasticity
+    block, each network's flux mass, ``-D``, ``-Dw``, ``Ew`` and one
+    ``-zeta_ij M_p`` per transfer coupling ``(i, j)`` in ``coupled``.  The
+    blocks above the diagonal are the transposes of ``-D``, ``-Dw`` and
+    ``Ew``."""
     n = spaces.n_networks
-    k = kernels
-    ids = numbered(*[k.M_w] * n, k.D, k.Dw, k.Ew, *[k.M_p] * len(coupled[0]), start=elastic.size)
-    masses, (D, Dw, Ew), transfer = ids[:n], ids[n : n + 3], ids[n + 3 :]
+    masses, (D, Dw, Ew), transfer = blocks[:n], blocks[n : n + 3], blocks[n + 3 :]
     div_u = sps.hstack([D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr")
     # grid rows and columns: u+uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}
     grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
-    grid[0][0] = elastic.ids()
+    grid[0][0] = elastic
     for i in range(n):
         w, p, phat = 1 + i, 1 + n + i, 1 + 2 * n + i
         grid[w][w] = masses[i]
@@ -490,7 +482,7 @@ def _operator_pattern(kernels, coupled, elastic):
         grid[phat][w], grid[w][phat] = Ew, Ew.T
     for M_p, i, j in zip(transfer, *coupled):
         grid[1 + n + i][1 + n + j] = M_p
-    return Gather(sps.bmat(grid, format="csr"))
+    return sps.bmat(grid, format="csr")
 
 
 # ----------------------------------------------------------------------
@@ -751,54 +743,59 @@ def constraint_data(layout, spaces, bcs, t):
     return idx[order], np.concatenate([a.ravel() for a in val])[order]
 
 
-def apply_boundary_conditions(system, bcs, t=0.0):
+def apply_boundary_conditions(system, bcs, t=0.0, constraints=None):
     """Constrain essential DOFs; traction loads go through the RHS.
 
     Returns a :class:`ConstrainedSystem` wrapping the reduced operator.
     Inhomogeneous essential values are lifted into the right-hand side
-    through the stored free-to-constrained coupling columns.  ``K_ff`` and
-    ``K_fc`` are gathers of ``K``'s data into the patterns of
-    ``K[ix_(free, free)]`` and ``K[ix_(free, constrained)]``, recorded once
-    per constrained DOF set; the shared ``free`` and ``free_pos`` arrays
-    are read-only.
+    through the stored free-to-constrained coupling columns.  A caller
+    that keeps the ``(constrained, values)`` of :func:`constraint_data`
+    for ``bcs`` at ``t`` passes them as ``constraints``; they are
+    evaluated here otherwise.  ``K_ff`` and ``K_fc`` are
+    ``K[ix_(free, free)]`` and ``K[ix_(free, constrained)]``, composed on
+    patterns recorded per constrained DOF set; the shared ``free`` and
+    ``free_pos`` arrays are read-only.
     """
-    constrained, values = constraint_data(system.layout, system.kernels.spaces, bcs, t)
+    if constraints is None:
+        constraints = constraint_data(system.layout, system.kernels.spaces, bcs, t)
+    constrained, values = constraints
     structure = system.structure.derive(
-        constrained.tobytes(), lambda: _constrained_pattern(system, constrained)
+        constrained.tobytes(), lambda: _constrained_structure(system, constrained)
     )
+    K, free = (system.K, system.K.data), structure.free
     return ConstrainedSystem(
         base=system,
-        free=structure.free,
+        free=free,
         constrained=constrained,
         values=values,
-        K_ff=structure.K_ff.matrix(system.K.data),
-        K_fc=structure.K_fc.matrix(system.K.data),
+        K_ff=structure.compose("K_ff", lambda K: K[np.ix_(free, free)], K),
+        K_fc=structure.compose("K_fc", lambda K: K[np.ix_(free, constrained)], K),
         free_pos=structure.free_pos,
         structure=structure,
     )
 
 
-def _constrained_pattern(system, constrained):
-    """Free DOFs, their positions, the free (p, phat), the all-flux networks
-    with their constant modes on those, and the gathers of ``K_ff`` and
-    ``K_fc`` from ``K``.  The (p, phat) close the layout: ``q_free`` is the
-    tail of ``free``."""
+def _constrained_structure(system, constrained):
+    """Free DOFs, their positions, the free (p, phat) (``q_free``, and
+    ``q_within`` as positions within the (p, phat) block), and the
+    all-flux networks with their constant modes on those.  The (p, phat)
+    close the layout: ``q_free`` is the tail of ``free``."""
     layout = system.layout
     free = np.setdiff1d(np.arange(layout.total), constrained, assume_unique=True)
     free_pos = np.full(layout.total, -1, dtype=int)
     free_pos[free] = np.arange(len(free))
     free.flags.writeable = free_pos.flags.writeable = False
     q_free = free[np.searchsorted(free, layout.size_v) :]   # a read-only view
+    q_within = q_free - layout.size_v
+    q_within.flags.writeable = False
     null_networks = _null_networks(system, constrained)
-    (K,) = numbered(system.K)
     return Structure(
         free=free,
         free_pos=free_pos,
         q_free=q_free,
+        q_within=q_within,
         null_networks=null_networks,
         kernel=[constant_pressure_mode(system.kernels.spaces, i)[q_free] for i in null_networks],
-        K_ff=Gather(K[np.ix_(free, free)]),
-        K_fc=Gather(K[np.ix_(free, constrained)]),
     )
 
 

@@ -30,11 +30,13 @@ import scipy.sparse as sps
 
 from .assembly import (
     BoundaryConditionSet,
+    DofLayout,
     VolumeQuadrature,
     apply_boundary_conditions,
     assemble_kernels,
     assemble_volume_rhs,
     build_block_system,
+    constraint_data,
     homogeneous_bcs,
 )
 from .diagnostics import (
@@ -248,8 +250,8 @@ def unit_square_kernels(n_side, ell, n_networks, eta):
 
     They do not depend on the MPET parameters, so consecutive calls with
     equal arguments share one mesh, space set and kernels, and the
-    sparsity patterns, elasticity factors and manufactured load values
-    recorded on them; callers must not modify them.  Building new
+    sparsity patterns, elasticity factors and manufactured load and
+    Dirichlet values recorded on them; callers must not modify them.  Building new
     kernels first drops what was recorded on the previous ones, which a
     caller may still hold.
     """
@@ -263,6 +265,18 @@ def _load_values(spaces, manu):
     """The volume quadrature of ``spaces`` and the load pieces of ``manu`` at its points."""
     quad = VolumeQuadrature(spaces)
     return quad, manu.load_at(quad.phys)
+
+
+def _dirichlet_data(spaces, manu, exact_of):
+    """Dirichlet data all round: zero displacement and the exact pressure
+    traces of ``exact_of``, with their read-only constrained indices and
+    values."""
+    pres = [{"boundary": ("dirichlet", manu.pressure_trace_bc(j))} for j in exact_of]
+    bcs = BoundaryConditionSet({"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres)
+    constraints = constraint_data(DofLayout(spaces), spaces, bcs, 0.0)
+    for array in constraints:
+        array.flags.writeable = False
+    return bcs, constraints
 
 
 def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
@@ -281,9 +295,10 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
     g = load.mass_sources(scaled)
     system.F = assemble_volume_rhs(spaces, f=load.body_force(scaled), g=[g[j] for j in exact_of],
                                    quadrature=quad)
-    pres = [{"boundary": ("dirichlet", manu.pressure_trace_bc(j))} for j in exact_of]
-    bcs = BoundaryConditionSet({"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres)
-    con = apply_boundary_conditions(system, bcs)
+    bcs, constraints = kernels.structure.derive(
+        "manufactured constraints", lambda: _dirichlet_data(spaces, manu, exact_of)
+    )
+    con = apply_boundary_conditions(system, bcs, constraints=constraints)
     x, report, _ = solve(con, variant, tol=tol, maxit=maxit)
     errors = None
     if with_errors:

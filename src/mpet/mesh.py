@@ -217,25 +217,25 @@ class Mesh:
                 self.boundary_tags[int(f)] = tag
 
     def validate(self):
-        """Check the structural invariants; raises MeshError on failure."""
-        for f in self.boundary_facets:
-            if int(f) not in self.boundary_tags:
-                raise MeshError(f"boundary facet {int(f)} has no tag")
-        for f in range(self.n_facets):
-            for side in (0, 1):
-                t = self.facet_elements[f, side]
-                if t == -1:
-                    continue
-                j = self.facet_local[f, side]
-                if self.element_facets[t, j] != f:
-                    raise MeshError("facet/element adjacency tables disagree")
+        """Check the structural invariants; raises MeshError on failure.
+
+        Each message names the first offending facet, in the order of
+        ``boundary_facets`` and ``interior_facets``.
+        """
+        untagged = ~np.isin(self.boundary_facets, np.fromiter(self.boundary_tags, int))
+        if untagged.any():
+            raise MeshError(f"boundary facet {int(self.boundary_facets[untagged][0])} has no tag")
+        sides = self.facet_elements != -1
+        facets = np.broadcast_to(np.arange(self.n_facets)[:, None], sides.shape)
+        seen = self.element_facets[self.facet_elements[sides], self.facet_local[sides]]
+        if np.any(seen != facets[sides]):
+            raise MeshError("facet/element adjacency tables disagree")
         # interior facets must be seen with opposite signs from both sides
-        for f in self.interior_facets:
-            tl, tr = self.facet_elements[f]
-            jl = self.facet_local[f, 0]
-            jr = self.facet_local[f, 1]
-            if self.facet_sign[tl, jl] * self.facet_sign[tr, jr] != -1:
-                raise MeshError(f"facet {int(f)} normal signs not opposite")
+        f = self.interior_facets
+        signs = self.facet_sign[self.facet_elements[f], self.facet_local[f]]
+        opposite = signs[:, 0] * signs[:, 1] == -1
+        if not opposite.all():
+            raise MeshError(f"facet {int(f[~opposite][0])} normal signs not opposite")
         return True
 
     def locate_point(self, point, tol=1e-10):

@@ -16,17 +16,17 @@ network i's flux mass is ``M_w / R_i``, so its inverse is ``R_i M_w^{-1}``
 and its Schur complement ``R_i S_w``.  The condensation and both pressure
 blocks, ``blockdiag(R_i N) + Lambda (x) M_p`` with ``N`` the pressure HDG
 norm (``FormKernels.p_hdg``) or ``S_w``, only weight per-mesh matrices by
-the parameters: each is a gather of weighted kernel data into a sparsity
-pattern recorded once per structure (see :mod:`mpet.sparsity`), with the
-same per-entry arithmetic as the scipy expressions it replays.  The
-weighted copies (``R_i S_w``, ``R_i N``, ``R_i M_w^{-1}`` and
-``Lambda (x) M_p``) are recorded by placing id matrices by index, and
-the pressure block as the sum of its two operands, each restricted to
-the free DOFs first.  The
-factor of the first block is kept per structure for the last
-``FIRST_FACTORS`` parameter values it depends on (lambda for
-``schur_reduced``), so cells that differ only in R, alpha_p or xi share
-it.
+the parameters: each is one scipy composition of weighted kernel data,
+run directly on its first use per structure and recorded on its second,
+and from then on a gather into the recorded pattern with the same
+per-entry arithmetic (see :mod:`mpet.sparsity`).  The weighted copies
+(``R_i S_w``, ``R_i N``, ``R_i M_w^{-1}`` and ``Lambda (x) M_p``) are
+placed by index, and the pressure block is the sum of its two operands,
+each restricted to the free DOFs first.  The factor of the first block
+is kept per structure for the last ``FIRST_FACTORS`` parameter values it
+depends on (lambda for ``schur_reduced``), so cells that differ only in
+R, alpha_p or xi share it, and the block is composed only when its
+factor is not kept.
 
 :func:`solve` takes the variant by name.  :func:`build_preconditioner`
 reads it off its target: a :class:`~mpet.assembly.ConstrainedSystem`
@@ -46,6 +46,10 @@ factor takes and borders the block by itself, so the blocks that
 :func:`preconditioner_matrices` returns are always the plain ones.  The
 band takes the brain annulus and 8x8 sweep blocks, whose band solves cost
 about half of SuperLU's; the larger unit-square blocks stay on SuperLU.
+A block's RCM ordering and band layout depend on its pattern alone, so
+each preconditioner structure keeps them (:class:`_BandPlan`) and a
+block on a recorded pattern is written into its band by one indexed
+assignment; ``pbtrf`` still runs on every block, as its certificate.
 The iteration itself is a standard three-term preconditioned MinRes
 recurrence whose convergence is measured in the preconditioned residual
 norm.
@@ -63,7 +67,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import constant_pressure_mode, mean_correct
-from .sparsity import Gather, Structure, Union, copies, numbered
+from .sparsity import Copies, Structure
 
 __all__ = [
     "PreconditionerError",
@@ -127,7 +131,7 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
     t0 = time.perf_counter()
 
     v_prev = np.zeros(n)
-    v = rhs - matvec(x)
+    v = rhs.copy()   # the residual of the zero start, bitwise rhs - matvec(0)
     z = apply_prec(v)
     gamma2 = float(v @ z)
     if gamma2 < 0:
@@ -199,9 +203,11 @@ class _SPDFactor:
       bandwidth ``w``, fits in ``_BAND_BYTES``, it is factored by LAPACK
       ``pbtrf`` and solved by ``pbtrs``.  The band is written straight
       from the block's upper entries through the inverse permutation and
-      factored in place.  Cholesky succeeds exactly when every leading
-      minor is positive (Sylvester's criterion), so ``pbtrf`` is the
-      certificate.
+      factored in place.  ``plan``, the :class:`_BandPlan` of the block's
+      CSR pattern, gives the ordering and the band positions; a block
+      without one is planned here.  Cholesky succeeds exactly when every
+      leading minor is positive (Sylvester's criterion), so ``pbtrf`` is
+      the certificate.
     * **Symmetric-mode ``splu``** for every other block.  With rows and
       columns permuted alike, the pivots ``U.diagonal()`` have the inertia
       of the matrix (Sylvester's law), so a block without a kernel is SPD
@@ -242,10 +248,10 @@ class _SPDFactor:
     same count certifies ``X`` SPD on that complement.
     """
 
-    def __init__(self, mat, kernel=(), corner=-1.0):
+    def __init__(self, mat, kernel=(), corner=-1.0, plan=None):
         self._m = m = len(kernel)
         self._cholesky = None
-        found = None if m else _rcm_band(mat)
+        found = None if m else _rcm_band(mat, plan)
         if found is not None:
             band, self._perm, self._inv = found
             self._cholesky, info = _pbtrf(band, overwrite_ab=1)
@@ -306,37 +312,60 @@ class _SPDFactor:
         return x
 
 
-def _rcm_band(mat):
+def _rcm_band(mat, plan=None):
     """``(band, perm, inv)`` of the RCM-ordered block, or None if its band
     exceeds ``_BAND_BYTES`` or a row is empty.
 
     ``perm`` lists the block's rows in RCM order and ``inv`` is its
     inverse; ``band`` holds the upper triangle of the reordered block in
     LAPACK's upper band storage, ``band[w + i - j, j] = X[i, j]`` for
-    ``i <= j``.  The lower triangle is not read.
+    ``i <= j``.  The lower triangle is not read.  ``plan`` is the
+    :class:`_BandPlan` of ``mat``'s CSR pattern, formed here when not given.
     """
-    mat = sps.csr_matrix(mat)
-    mat.sum_duplicates()
-    n = mat.shape[0]
-    # an empty row is singular, and splu rejects it
-    counts = np.diff(mat.indptr)
-    if counts.min() == 0:
+    if plan is None:
+        mat = sps.csr_matrix(mat)
+        mat.sum_duplicates()
+        plan = _BandPlan(mat)
+    if plan.pos is None or plan.n * (plan.w + 1) > _BAND_BYTES // 8:
         return None
-    perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n, dtype=perm.dtype)
-    cols = inv[mat.indices]
-    first = mat.indptr[:-1]
-    w = int(max((np.maximum.reduceat(cols, first) - inv).max(),
-                (inv - np.minimum.reduceat(cols, first)).max()))
-    if n * (w + 1) > _BAND_BYTES // 8:
-        return None
-    rows = np.repeat(inv, counts)
-    upper = rows <= cols
-    cols = cols[upper]
-    band = np.zeros((w + 1, n), order="F")
-    band[w + rows[upper] - cols, cols] = mat.data[upper]
-    return band, perm, inv
+    return plan.fill(mat.data), plan.perm, plan.inv
+
+
+class _BandPlan:
+    """The RCM band layout of a canonical CSR pattern, shared by the blocks on it.
+
+    ``perm`` lists the rows in RCM order, ``inv`` is its inverse and ``w``
+    the bandwidth.  When the band fits ``_BAND_BYTES``, ``upper`` marks
+    the entries on or above the diagonal after reordering and ``pos``
+    gives their flat positions in the band, stored column-major; ``pos``
+    is None otherwise, and for a pattern with an empty row (such a block
+    is singular, and splu rejects it).
+    """
+
+    def __init__(self, mat):
+        self.n = n = mat.shape[0]
+        self.pos = None
+        counts = np.diff(mat.indptr)
+        if counts.min() == 0:
+            return
+        self.perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
+        self.inv = inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(n, dtype=inv.dtype)
+        cols = inv[mat.indices]
+        first = mat.indptr[:-1]
+        self.w = w = int(max((np.maximum.reduceat(cols, first) - inv).max(),
+                             (inv - np.minimum.reduceat(cols, first)).max()))
+        if n * (w + 1) <= _BAND_BYTES // 8:
+            rows = np.repeat(inv, counts)
+            self.upper = rows <= cols
+            cols = cols[self.upper]
+            self.pos = (w + rows[self.upper] - cols + (w + 1) * cols).astype(np.intp)
+
+    def fill(self, data):
+        """The band of the block with entries ``data`` on this pattern."""
+        band = np.zeros((self.w + 1) * self.n)
+        band[self.pos] = data[self.upper]
+        return band.reshape((self.w + 1, self.n), order="F")
 
 
 class BlockDiagPreconditioner:
@@ -402,54 +431,50 @@ def condense_velocity(constrained):
     :class:`~mpet.assembly.FormKernels`).  Returns a
     :class:`CondensedSystem` whose matrix is the symmetric reduced
     operator on (u, uhat, p, phat): ``K_ff`` on them minus
-    ``blockdiag(0, R_i S_w)``, gathered into the pattern of scipy's
-    difference (recorded once per structure: every R_i is nonzero).
+    ``blockdiag(0, R_i S_w)``, composed as the sum with ``-R_i S_w``, the
+    same per-entry arithmetic as scipy's difference (every R_i is
+    nonzero, so the pattern depends on the structure alone).
     """
     con = constrained
     kernels = con.base.kernels
     R = con.base.scaled.R
-    structure = con.structure.derive("condense", lambda: _condensed_pattern(con))
-    return CondensedSystem(
-        constrained=con,
-        K_red=structure.K_red.matrix(
-            con.K_ff.data, np.multiply.outer(R, kernels.S_w.data).ravel(), np.subtract
-        ),
-        iu=structure.iu,
-        iw=structure.iw,
-        iq=structure.iq,
-        C=structure.C.matrix(con.K_ff.data),
-        Mw_inv=structure.Mw_inv.matrix(np.multiply.outer(R, kernels.M_w_inv.data).ravel()),
-    )
+    structure = con.structure.derive("condense", lambda: _condensed_structure(con))
+    iu, iw, iq, keep = structure.iu, structure.iw, structure.iq, structure.keep
+    within = np.ix_(con.structure.q_within, con.structure.q_within)
 
+    def reduced(K, S):
+        eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), S[within]], format="csr")
+        return K[np.ix_(keep, keep)], eliminated
 
-def _condensed_pattern(con):
-    """Patterns of ``K_red``, ``C`` and ``kron(diag(R), M_w^-1)`` on id matrices."""
-    layout = con.layout
-    kernels = con.base.kernels
-    n = layout.n_networks
-    pos = con.free_pos
-    iu = pos[con.free_in(["u", "uhat"])]
-    iw = pos[con.free_in(layout.v_fields[2:])]
-    q_free = con.structure.q_free
-    iq = pos[q_free]
-    keep = np.concatenate([iu, iq])
-    within = q_free - layout.size_v   # positions within the q block
-    (K_ff,) = numbered(con.K_ff)
-    schur = _per_network(kernels.S_w, kernels.spaces)[np.ix_(within, within)]
-    eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), schur], format="csr")
+    K_ff = (con.K_ff, con.K_ff.data)
+    S_w = (_per_network(kernels.S_w, kernels.spaces), np.multiply.outer(-R, kernels.S_w.data).ravel())
     size = kernels.M_w_inv.shape[0]
     on_diagonal = lambda k, row, col: (k * size + row, k * size + col)
-    Mw_inv = copies(kernels.M_w_inv, n, on_diagonal, (n * size, n * size))
-    for index in (iu, iw, iq):
-        index.flags.writeable = False
-    return Structure(
+    Mw_inv = (Copies(kernels.M_w_inv, len(R), on_diagonal, (len(R) * size, len(R) * size)),
+              np.multiply.outer(R, kernels.M_w_inv.data).ravel())
+    return CondensedSystem(
+        constrained=con,
+        K_red=structure.compose("K_red", reduced, K_ff, S_w),
         iu=iu,
         iw=iw,
         iq=iq,
-        K_red=Union(K_ff[np.ix_(keep, keep)], eliminated),
-        C=Gather(K_ff[np.ix_(iw, iq)]),
-        Mw_inv=Gather(Mw_inv),
+        C=structure.compose("C", lambda K: K[np.ix_(iw, iq)], K_ff),
+        Mw_inv=structure.compose("Mw_inv", lambda M: M, Mw_inv),
     )
+
+
+def _condensed_structure(con):
+    """Positions of (u, uhat), the fluxes and (p, phat) in the free vector,
+    and ``keep`` = (u, uhat, p, phat)."""
+    layout = con.layout
+    pos = con.free_pos
+    iu = pos[con.free_in(["u", "uhat"])]
+    iw = pos[con.free_in(layout.v_fields[2:])]
+    iq = pos[con.structure.q_free]
+    keep = np.concatenate([iu, iq])
+    for index in (iu, iw, iq, keep):
+        index.flags.writeable = False
+    return Structure(iu=iu, iw=iw, iq=iq, keep=keep)
 
 
 # ----------------------------------------------------------------------
@@ -470,55 +495,59 @@ def preconditioner_matrices(target):
     networks without transfer; its factor takes the system's kernel and
     borders it (:class:`_SPDFactor`, :func:`build_preconditioner`).
 
-    Both blocks are gathers into patterns recorded once per structure,
-    variant and pattern of ``Lambda``, which says which weights are
-    nonzero.
+    Both blocks are composed on patterns recorded per structure, variant
+    and pattern of ``Lambda``, which says which weights are nonzero.
     """
+    con, structure = _preconditioner_structure(target)
+    return _first_block(con, structure), _pressure_block(con, structure)
+
+
+def _preconditioner_structure(target):
+    """The constrained system of ``target`` and the structure of its
+    preconditioner: the variant, the positions of the first block in the
+    free vector and the nonzero pattern of ``Lambda``."""
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
+    coupled = con.base.scaled.Lambda != 0
+
+    def build():
+        first = con.free_pos[con.free_in(["u", "uhat"] if reduced else con.layout.v_fields)]
+        first.flags.writeable = False
+        return Structure(reduced=reduced, first=first, coupled=coupled)
+
+    return con, con.structure.derive((reduced, np.flatnonzero(coupled).tobytes()), build)
+
+
+def _first_block(con, structure):
+    """The (u, uhat) or (u, uhat, w) block of ``K_ff``."""
+    first = structure.first
+    return structure.compose("first", lambda K: K[np.ix_(first, first)], (con.K_ff, con.K_ff.data))
+
+
+def _pressure_block(con, structure):
+    """``blockdiag(R_i N) + Lambda (x) M_p`` on the free (p, phat), the sum
+    of its two operands restricted to the free DOFs first."""
     kernels = con.base.kernels
     scaled = con.base.scaled
-    Lambda = scaled.Lambda
-    coupled = Lambda != 0
-    structure = con.structure.derive(
-        (reduced, np.flatnonzero(coupled).tobytes()),
-        lambda: _preconditioner_pattern(con, reduced, coupled),
-    )
-    N = kernels.S_w if reduced else kernels.p_hdg
-    x_p = structure.x_p.matrix(
-        np.multiply.outer(scaled.R, N.data).ravel(),
-        np.multiply.outer(Lambda[coupled], kernels.M_p.data).ravel(),
-    )
-    return structure.first.matrix(con.K_ff.data), x_p
-
-
-def _preconditioner_pattern(con, reduced, coupled):
-    """Patterns of the first block and of ``blockdiag(R_i N) + Lambda (x) M_p``
-    on the free (p, phat) for the nonzero pattern ``coupled`` of ``Lambda``,
-    on id matrices: ``x_p`` is the sum of the two operands, each restricted
-    to the free DOFs."""
-    layout = con.layout
-    kernels = con.base.kernels
     spaces = kernels.spaces
-    first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
-    q_free = con.structure.q_free
-    within = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
-    N = kernels.S_w if reduced else kernels.p_hdg
+    N = kernels.S_w if structure.reduced else kernels.p_hdg
     # copy k of M_p is Lambda's k-th nonzero (i, j) times M_p, on the (p_i, p_j) block
-    i, j = np.nonzero(coupled)
-    size_p, size_q = spaces.size_p, layout.total - layout.size_v
+    i, j = np.nonzero(structure.coupled)
+    size_p, size_q = spaces.size_p, con.layout.total - con.layout.size_v
     on_block = lambda k, row, col: (i[k] * size_p + row, j[k] * size_p + col)
-    lambda_mass = copies(kernels.M_p, len(i), on_block, (size_q, size_q))
-    (K_ff,) = numbered(con.K_ff)
-    return Structure(
-        first=Gather(K_ff[np.ix_(first, first)]),
-        x_p=Union(_per_network(N, spaces)[within], lambda_mass[within]),
+    within = np.ix_(con.structure.q_within, con.structure.q_within)
+    return structure.compose(
+        "x_p",
+        lambda N, L: (N[within], L[within]),
+        (_per_network(N, spaces), np.multiply.outer(scaled.R, N.data).ravel()),
+        (Copies(kernels.M_p, len(i), on_block, (size_q, size_q)),
+         np.multiply.outer(scaled.Lambda[structure.coupled], kernels.M_p.data).ravel()),
     )
 
 
 def _per_network(mat, spaces):
-    """Id matrix of one copy of a (p, phat) matrix on each network's diagonal
-    of the q block, numbered as ``np.multiply.outer(R, mat.data).ravel()``.
+    """:class:`~mpet.sparsity.Copies` of a (p, phat) matrix on each
+    network's diagonal of the q block.
 
     The q block orders all volume pressures first, then all multipliers,
     so network k's copy of a volume-pressure index moves by ``k size_p``
@@ -531,7 +560,7 @@ def _per_network(mat, spaces):
         return row + shift(row), col + shift(col)
 
     size = n * mat.shape[0]
-    return copies(mat, n, place, (size, size))
+    return Copies(mat, n, place, (size, size))
 
 
 def build_preconditioner(target):
@@ -547,22 +576,28 @@ def build_preconditioner(target):
     (:func:`~mpet.assembly.pressure_nullspace`), borders the block by it
     and applies the inverse of ``X_p + s K K^T``.
 
-    The first block is a gather of the operator, fixed by its structure
-    and by lambda (and R for ``full_block``); its factor is kept per
-    structure for the last ``FIRST_FACTORS`` such values and shared by
-    the preconditioners built with them.
+    The first block is fixed by the structure and by lambda (and R for
+    ``full_block``); its factor is kept per structure for the last
+    ``FIRST_FACTORS`` such values and shared by the preconditioners built
+    with them, and the block is composed only when its factor is not
+    kept.  The band plan of each block (:class:`_BandPlan`) is kept on
+    the preconditioner's structure, so a block composed on a recorded
+    pattern is written into its band by one indexed assignment.
     """
-    x1, x2 = preconditioner_matrices(target)
-    reduced = isinstance(target, CondensedSystem)
-    con = target.constrained if reduced else target
+    con, structure = _preconditioner_structure(target)
     scaled = con.base.scaled
-    key = (reduced, scaled.lam) if reduced else (reduced, scaled.lam, *scaled.R)
+    key = (True, scaled.lam) if structure.reduced else (False, scaled.lam, *scaled.R)
     factors = con.structure.derive("first factors", OrderedDict)
-    f1 = factors.pop(key, None) or _SPDFactor(x1)
+    f1 = factors.pop(key, None)
+    if f1 is None:
+        x1 = _first_block(con, structure)
+        f1 = _SPDFactor(x1, plan=structure.derive("first band", lambda: _BandPlan(x1)))
     factors[key] = f1
     if len(factors) > FIRST_FACTORS:
         factors.popitem(last=False)
-    return BlockDiagPreconditioner(f1, _SPDFactor(x2, con.structure.kernel), x1.shape[0])
+    x_p, kernel = _pressure_block(con, structure), con.structure.kernel
+    plan = None if kernel else structure.derive("pressure band", lambda: _BandPlan(x_p))
+    return BlockDiagPreconditioner(f1, _SPDFactor(x_p, kernel, plan=plan), len(structure.first))
 
 
 def mean_zero_functionals(condensed):

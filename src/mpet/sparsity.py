@@ -1,25 +1,29 @@
-"""Sparse compositions replayed as gathers on recorded patterns.
+"""Sparse compositions recorded on their second use and replayed as gathers.
 
 A parameter sweep composes the same sparse matrices over and over: the
 operator's block grid, its restriction to the free DOFs, the condensed
 operator and the preconditioner blocks.  Their sparsity patterns depend
 on the mesh and on which DOFs and couplings are present, not on the
-parameter values, so each composition is recorded once and every later
-composition writes the parameter-weighted kernel data into the recorded
-pattern with numpy gathers.
+parameter values, so once a composition is recorded every later one
+writes the parameter-weighted kernel data into the recorded pattern with
+one numpy gather.
 
-A composition is recorded by running scipy's own operations on *id
-matrices*: copies of the operands whose data number the source entries
-1, 2, ...  Operations that only move entries (``bmat``, fancy indexing,
-transposes, ``block_diag``) carry the ids along, so the result's data
-say where each of its entries comes from and its pattern and entry
-order are scipy's.  A transposed block is the transpose of its id
-matrix, so it takes the entries of the block itself and the source
-holds no transposed data.  Weighted copies of a matrix (a Kronecker
-product, a per-network embedding) are placed by index with
-:func:`copies`, which numbers every copy's entries at once.  Sums and
-differences are recorded by :class:`Union`; a sum that is restricted
-afterwards is recorded as the sum of its restricted operands.
+A composition is a function of its *operands*, sparse matrices whose
+data are weighted kernel data, built from scipy operations that only
+move entries (``bmat``, fancy indexing, transposes, ``block_diag``) and
+at most one final sum.  :meth:`Structure.compose` runs it on the real
+operands the first time it is used under a key, which is all that a
+structure used once (a single cold solve) ever pays.  The second use
+runs the same function on *id matrices*: copies of the operands whose
+data number the source entries 1, 2, ...  The ids move with the entries,
+so the result's data say where each of its entries comes from, and its
+pattern and entry order are scipy's.  From then on the composition is
+one gather from the operands' data.  Weighted copies of a
+matrix (a Kronecker product, a per-network embedding) are operands on
+:class:`Copies`, placed by index.  A final sum is recorded by
+:class:`Union`; a sum that is restricted afterwards is composed as the
+sum of its restricted operands, and a difference as the sum with the
+negated operand, which is the same floating-point operation.
 
 The operands store no zeros and a term whose weight is zero is left
 out, so a sum's merged pattern is the result's: a recorded pattern
@@ -28,70 +32,60 @@ nonzero.  An entry whose two sources cancel exactly would stay as a
 stored zero where scipy drops it; none occurs in any preset or test
 cell.
 
-A recorded map is kept as runs of consecutive source positions
-(:class:`Runs`), a few per matrix row, and the recorded ``indices`` and
-``indptr`` arrays are read-only and shared by every matrix composed on
-them: each composition gets fresh ``data`` only, and scipy cannot sort
-a shared pattern in place.
+A recorded map is a plain index array of numpy's ``intp``: numpy gathers
+with any other integer type by casting it first, which made a replay
+about 1.5 times as slow as with ``intp`` (int32, at 8x8 order 2).  The
+recorded ``indices`` and ``indptr`` arrays are read-only and shared by
+every matrix composed on them: each composition gets fresh ``data``
+only, and scipy cannot sort a shared pattern in place.
 """
 
 import numpy as np
 import scipy.sparse as sps
 
-__all__ = ["Gather", "Runs", "Structure", "Union", "copies", "numbered"]
+__all__ = ["Copies", "Gather", "Structure", "Union"]
 
 
-def numbered(*mats, start=0):
-    """Id matrices of ``mats`` (CSR), numbering their entries consecutively from ``start + 1``.
-
-    They share the read-only patterns of recorded matrices and copy any
-    other, which scipy might sort in place.
-    """
-    out = []
-    for mat in mats:
-        ids = np.arange(start + 1, start + mat.nnz + 1, dtype=np.int32)
-        pattern = [a if not a.flags.writeable else a.copy() for a in (mat.indices, mat.indptr)]
-        out.append(sps.csr_matrix((ids, *pattern), shape=mat.shape))
-        start += mat.nnz
-    return out
-
-
-def copies(mat, n, place, shape):
-    """Id matrix of ``n`` copies of ``mat`` placed by index, of the given ``shape``.
+class Copies:
+    """The pattern of ``n`` copies of ``mat`` placed by index, in a matrix of ``shape``.
 
     ``place(k, row, col)`` gives the positions of copy ``k``'s entries from
     their positions in ``mat`` (``k`` a column of copy numbers, ``row`` and
-    ``col`` those of ``mat``'s entries in ``data`` order).  Copy ``k``'s
-    entries are numbered ``k nnz + 1, ...``, the positions of their values
-    in ``np.multiply.outer(w, mat.data).ravel()`` for weights ``w``.
-    Copies must not overlap.
-    """
-    coo = mat.tocoo()
-    rows, cols = place(np.arange(n)[:, None], coo.row, coo.col)
-    ids = np.arange(1, n * mat.nnz + 1, dtype=np.int32)
-    return sps.csr_matrix((ids, (rows.ravel(), cols.ravel())), shape=shape)
-
-
-class Runs:
-    """An integer array stored as runs of consecutive values.
-
-    ``values[k] = shift[r] + k`` on run ``r``; :meth:`expand` rebuilds the
-    array.  Recorded maps follow the rows of their source blocks, so a
-    matrix needs a few runs per row where an index array needs one entry
-    per nonzero.
+    ``col`` those of ``mat``'s entries in ``data`` order).  An operand on
+    it holds copy ``k`` weighted by ``w[k]`` as the data
+    ``np.multiply.outer(w, mat.data).ravel()``.  Copies must not overlap.
     """
 
-    def __init__(self, values):
-        starts = np.flatnonzero(values[1:] - values[:-1] != 1) + 1
-        starts = np.concatenate([[0], starts]) if len(values) else starts
-        self.shift = (values[starts] - starts).astype(np.int32)
-        self.lengths = np.diff(starts, append=len(values)).astype(np.int32)
-        self.size = len(values)
+    def __init__(self, mat, n, place, shape):
+        self.mat, self.n, self.place, self.shape = mat, n, place, shape
+        self.nnz = n * mat.nnz
 
-    def expand(self):
-        values = np.arange(self.size)
-        values += np.repeat(self.shift, self.lengths)
-        return values
+    def on(self, data):
+        coo = self.mat.tocoo()
+        rows, cols = self.place(np.arange(self.n)[:, None], coo.row, coo.col)
+        return sps.csr_matrix((data, (rows.ravel(), cols.ravel())), shape=self.shape)
+
+
+def _on(pattern, data):
+    """``data`` on ``pattern``: :class:`Copies` or a CSR matrix, whose
+    entries ``data`` lists in order (the matrix itself if ``data`` is its
+    own).  A writeable CSR pattern is copied, because scipy might sort it
+    in place."""
+    if isinstance(pattern, Copies):
+        return pattern.on(data)
+    if data is pattern.data:
+        return pattern
+    shared = [a if not a.flags.writeable else a.copy() for a in (pattern.indices, pattern.indptr)]
+    return sps.csr_matrix((data, *shared), shape=pattern.shape)
+
+
+def _numbered(patterns):
+    """Id matrices on ``patterns``, their entries numbered consecutively from 1."""
+    out, start = [], 0
+    for pattern in patterns:
+        out.append(_on(pattern, np.arange(start + 1, start + pattern.nnz + 1, dtype=np.int32)))
+        start += pattern.nnz
+    return out
 
 
 class _Pattern:
@@ -116,26 +110,26 @@ class Gather(_Pattern):
 
     def __init__(self, ids):
         super().__init__(ids)
-        self.take = Runs(ids.data - 1)
+        self.take = (ids.data - 1).astype(np.intp)
 
     def matrix(self, source):
-        return self._on(source[self.take.expand()])
+        return self._on(source[self.take])
 
 
 class Union(_Pattern):
-    """The entries of ``P + Q`` (or ``P - Q``) for id matrices ``P`` and ``Q``.
+    """The entries of ``P + Q`` for id matrices ``P`` and ``Q``.
 
-    scipy's sum and difference walk the same merged pattern, in an order
-    that depends only on the two patterns, so one recorded sum serves
-    both: with ``Q``'s ids scaled by ``m = max(P) + 1`` every entry of
-    ``P + m Q`` decodes to the pair of source entries it adds.  Operands
-    without stored zeros and a nonzero weight on each make the merged
-    pattern the result's; scipy would drop an entry that cancels exactly,
-    which stays here as a stored zero (none occurs in any preset or test
-    cell).
+    scipy's sum walks the merged pattern in an order that depends only on
+    the two patterns: with ``Q``'s ids scaled by ``m = max(P) + 1`` every
+    entry of ``P + m Q`` decodes to the pair of source entries it adds,
+    ``a`` from ``P``'s source and ``b`` from ``Q``'s, whose ids follow the
+    ``start`` ids of ``P``'s.  Operands without stored zeros and a nonzero
+    weight on each make the merged pattern the result's; scipy would drop
+    an entry that cancels exactly, which stays here as a stored zero (none
+    occurs in any preset or test cell).
     """
 
-    def __init__(self, p, q):
+    def __init__(self, p, q, start):
         m = float(p.data.max()) + 1.0
         p = sps.csr_matrix((p.data.astype(float), p.indices, p.indptr), shape=p.shape)
         q = sps.csr_matrix((q.data * m, q.indices, q.indptr), shape=q.shape)
@@ -144,52 +138,73 @@ class Union(_Pattern):
         code = merged.data      # exact in float64 while m * max(Q) < 2^53
         b = np.floor(code / m)
         a = code - b * m - 1    # -1 where an operand has no entry
-        b -= 1
+        b -= start + 1
         self.size = len(code)
         self.has_a, self.has_b = a >= 0, b >= 0
-        self.a, self.b = Runs(a[self.has_a]), Runs(b[self.has_b])
+        self.a, self.b = a[self.has_a].astype(np.intp), b[self.has_b].astype(np.intp)
 
-    def values(self, a, b, op=np.add):
-        """``op`` of the two sources on every merged entry.
-
-        This is scipy's per-entry arithmetic: where ``Q`` has no entry the
-        result is ``P``'s (scipy's ``op(p, 0)``, equal to it unless both
-        are zero), and where ``P`` has none it is ``op(0, q)``.
-        """
+    def matrix(self, p, q):
+        """scipy's per-entry sum on the merged pattern of the sources ``p``
+        and ``q``: where ``Q`` has no entry the result is ``P``'s (scipy's
+        ``p + 0``, equal to it unless both are zero), and where ``P`` has
+        none it is ``0 + q``."""
         out = np.zeros(self.size)
-        out[self.has_a] = a[self.a.expand()]
-        out[self.has_b] = op(out[self.has_b], b[self.b.expand()])
-        return out
+        out[self.has_a] = p[self.a]
+        out[self.has_b] += q[self.b]
+        return self._on(out)
 
-    def matrix(self, a, b, op=np.add):
-        """:meth:`values` on the merged pattern."""
-        return self._on(self.values(a, b, op))
 
-    def ids(self):
-        """Id matrix numbering the merged entries, on the merged pattern."""
-        return self._on(np.arange(1, self.size + 1, dtype=np.int32))
+_SEEN = "composed once"   # marks a key whose one composition ran directly
 
 
 class Structure:
-    """Recorded data of one composition step and the structures recorded on top of it.
+    """Data of one composition step and the structures recorded on top of it.
 
-    ``derive(key, record)`` returns the structure recorded under ``key``,
-    calling ``record()`` the first time; a key names what the derived
-    pattern depends on beyond this structure.
+    ``derive(key, build)`` returns the data derived under ``key``, calling
+    ``build()`` the first time; ``compose`` runs a composition directly on
+    its first use under a key, records it on the second and replays it
+    from then on.  A key names what the derived data or the composed
+    pattern depend on beyond this structure.
     """
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
         self.derived = {}
 
-    def derive(self, key, record):
+    def derive(self, key, build):
         found = self.derived.get(key)
         if found is None:
-            found = self.derived[key] = record()
+            found = self.derived[key] = build()
         return found
 
+    def compose(self, key, fn, *operands):
+        """``fn`` on the ``operands``, as a CSR matrix.
+
+        Each operand is a pair ``(pattern, data)``: a CSR matrix whose
+        entries ``data`` lists in order, or :class:`Copies`.  ``fn`` takes
+        the operands as matrices and returns the composed matrix, or the
+        pair ``(P, Q)`` whose sum it is, ``P`` composed from the first of
+        two operands and ``Q`` from the second.  Its first use under
+        ``key`` runs on the real operands; the second records it and the
+        later ones replay the recording, each one gather from the
+        operands' data.
+        """
+        found = self.derived.get(key)
+        if found is None:
+            self.derived[key] = _SEEN
+            result = fn(*(_on(pattern, data) for pattern, data in operands))
+            return result[0] + result[1] if isinstance(result, tuple) else result
+        sources = [data for _, data in operands]
+        if found is _SEEN:
+            ids = fn(*_numbered(pattern for pattern, _ in operands))
+            found = Union(*ids, len(sources[0])) if isinstance(ids, tuple) else Gather(ids)
+            self.derived[key] = found
+        if isinstance(found, Union):
+            return found.matrix(*sources)
+        return found.matrix(sources[0] if len(sources) == 1 else np.concatenate(sources))
+
     def clear(self):
-        """Forget every structure recorded on top of this one; they are recorded again on use."""
+        """Forget everything derived and recorded on top of this structure."""
         for found in self.derived.values():
             if isinstance(found, Structure):
                 found.clear()

@@ -46,6 +46,15 @@ __all__ = [
 MMHG = 133.322e-6
 
 
+def _whole_steps(span, tau):
+    """The number of steps ``tau`` in ``span``, or None unless that number
+    is whole to within 1e-9 of it (1e-9 of a step when under one step)."""
+    steps = span / tau
+    if abs(steps - round(steps)) > 1e-9 * max(abs(steps), 1.0):
+        return None
+    return int(round(steps))
+
+
 @dataclass
 class Scenario:
     """Everything a time-dependent run needs.
@@ -77,8 +86,7 @@ class Scenario:
     def __post_init__(self):
         if self.tau <= 0.0 or self.t_end < self.tau:
             raise ValueError("need tau > 0 and t_end >= tau")
-        steps = self.t_end / self.tau
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if _whole_steps(self.t_end, self.tau) is None:
             raise ValueError(f"t_end = {self.t_end} is not a whole number of steps of tau = {self.tau}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
@@ -295,14 +303,20 @@ class TimeStepper:
     def run(self, start_state=None, collect=None):
         """March from ``start_state`` (default: initial conditions) to t_end.
 
-        Probe values are recorded every ``sample_every``-th step (and at the
-        final step); the solver log keeps one row per step either way.
+        A start state must lie a whole number of steps before ``t_end``,
+        by the rule that ``Scenario`` applies to ``t_end``; any other
+        raises ``ValueError``.  Probe values are recorded every
+        ``sample_every``-th step (and at the final step); the solver log
+        keeps one row per step either way.
         """
         sc = self.scenario
         state = start_state or self.initial_state()
+        n_steps = _whole_steps(sc.t_end - state.t, sc.tau)
+        if n_steps is None:
+            raise ValueError(f"start state at t = {state.t} is not a whole number of steps "
+                             f"of tau = {sc.tau} before t_end = {sc.t_end}")
         series = TimeSeries(probes=list(sc.probes))
         series.add(state.t, self.probe_values(state))
-        n_steps = int(round((sc.t_end - state.t) / sc.tau))
         for k in range(1, n_steps + 1):
             state, report, x = self.step(state)
             if k % sc.sample_every == 0 or k == n_steps:

@@ -149,6 +149,37 @@ def test_facet_adjacency_symmetry_and_signs():
         assert mesh.facet_sign[tl, jl] == 1
 
 
+def _corrupted(mesh, name, index, value):
+    """``mesh`` with one entry of a copy of its table ``name`` replaced."""
+    table = getattr(mesh, name).copy()
+    table[index] = value
+    setattr(mesh, name, table)
+    return mesh
+
+
+def test_validate_names_the_first_corrupted_facet():
+    """Each corrupted table fails with the message the per-facet loops gave."""
+    mesh = generate_unit_square(3)
+    f0, f1 = mesh.interior_facets[[2, 5]]
+    for f in (f1, f0):   # the message names the first bad facet, not the last corrupted
+        tl, jl = mesh.facet_elements[f, 0], mesh.facet_local[f, 0]
+        _corrupted(mesh, "facet_sign", (tl, jl), -mesh.facet_sign[tl, jl])
+    with pytest.raises(MeshError, match=rf"^facet {f0} normal signs not opposite$"):
+        mesh.validate()
+
+    mesh = generate_unit_square(3)
+    t, j = mesh.facet_elements[f0, 1], mesh.facet_local[f0, 1]
+    _corrupted(mesh, "element_facets", (t, j), f1)
+    with pytest.raises(MeshError, match="^facet/element adjacency tables disagree$"):
+        mesh.validate()
+
+    mesh = generate_unit_square(3)
+    for f in mesh.boundary_facets[[4, 1]]:
+        del mesh.boundary_tags[int(f)]
+    with pytest.raises(MeshError, match=rf"^boundary facet {mesh.boundary_facets[1]} has no tag$"):
+        mesh.validate()
+
+
 def test_mesh_is_immutable():
     mesh = generate_unit_square(2)
     with pytest.raises(ValueError):

@@ -3,9 +3,9 @@
 Every matrix a cell composes (``K``, ``K_ff``, ``K_fc``, ``K_red``, ``C``,
 ``Mw_inv`` and both preconditioner blocks) must equal the reference
 composition of ``oracles.py`` array for array, over a sequence of cells
-that reuses, extends and re-keys the patterns recorded on one mesh.  The
-kernels store no zeros, so the recorded patterns depend on which weights
-are nonzero and never on their values.
+that composes directly, records, replays and re-keys the patterns on one
+mesh.  The kernels store no zeros, so the recorded patterns depend on
+which weights are nonzero and never on their values.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ import scipy.sparse as sps
 
 import mpet.cli
 import mpet.solver
+import mpet.sparsity
 from mpet.assembly import (
     FormKernels,
     apply_boundary_conditions,
@@ -30,13 +31,14 @@ from mpet.mesh import generate_annulus, generate_unit_square
 from mpet.params import scaled_from_direct
 from mpet.solver import (
     FIRST_FACTORS,
+    PreconditionerError,
     build_preconditioner,
     condense_velocity,
     preconditioner_matrices,
     solve,
 )
 from mpet.spaces import SpaceSet
-from mpet.sparsity import Runs, Structure
+from mpet.sparsity import Gather, Structure, Union
 from mpet.timeloop import TimeStepper, brain_analog_scenario
 from oracles import (
     reference_condensed,
@@ -149,12 +151,15 @@ def test_patterns_depend_only_on_which_weights_are_nonzero(ell):
 
     # lambda, xi and alpha_p each zero or not, under both pressure conditions
     patterns = list(itertools.product((0, 1), (0, 1), (0, 1), ("dirichlet", "flux")))
-    for pattern in patterns:
+    for pattern in patterns * 2:
         cell(*pattern)
     recorded = _recorded(kernels.structure)
+    compositions = _compositions(kernels.structure)
+    assert all(isinstance(found, (Gather, Union)) for found in compositions)
     for pattern in patterns * 3:
         cell(*pattern)
     assert _recorded(kernels.structure) == recorded
+    assert all(a is b for a, b in zip(_compositions(kernels.structure), compositions))
 
 
 def test_a_later_cell_leaves_an_earlier_cells_matrices_and_factors_unchanged():
@@ -213,16 +218,23 @@ def test_benchmark_sweep_factors_each_lambdas_elasticity_block_once(tmp_path, co
     assert counted.built == 2 * (3 + 15)
 
 
-def test_elasticity_factors_are_kept_for_the_last_lambdas(counted):
+def test_elasticity_factors_are_kept_for_the_last_lambdas(counted, monkeypatch):
+    """A kept factor is reused, and its block is then not composed at all."""
     kernels = _kernels(2, 1)
     bcs = homogeneous_bcs(2, pressure="dirichlet")
+    first_blocks = []
+    first_block = mpet.solver._first_block
+    monkeypatch.setattr(mpet.solver, "_first_block",
+                        lambda *args: first_blocks.append(1) or first_block(*args))
 
     def precondition(lam):
         scaled = scaled_from_direct(lam, [1.0, 1.0], [1.0, 1.0])
         con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
-        before = counted.built
+        before, composed = counted.built, len(first_blocks)
         build_preconditioner(condense_velocity(con))
-        return counted.built - before   # 1: the pressure block only, 2: both
+        built = counted.built - before   # 1: the pressure block only, 2: both
+        assert len(first_blocks) - composed == built - 1
+        return built
 
     lams = 10.0 ** np.arange(FIRST_FACTORS + 1)
     assert [precondition(lam) for lam in lams] == [2] * len(lams)
@@ -240,12 +252,102 @@ def test_new_kernels_start_without_recorded_patterns():
     assert build_block_system(second, scaled).structure is not system.structure
 
 
+def _compositions(structure):
+    """What every structure in the tree keeps per composition, in tree order:
+    the recorded ``Gather`` or ``Union``, or the mark of a single use."""
+    out = []
+    for found in structure.derived.values():
+        if isinstance(found, Structure):
+            out += _compositions(found)
+        elif isinstance(found, (Gather, Union)) or found is mpet.sparsity._SEEN:
+            out.append(found)
+    return out
+
+
+def test_a_pattern_is_recorded_on_its_second_use():
+    """The first cell composes every matrix directly through scipy and
+    records nothing; the second records every composition, the third
+    replays them; all three give the same arrays."""
+    kernels = _kernels(2, 2)
+    bcs = homogeneous_bcs(2, pressure="dirichlet")
+
+    def cell():
+        scaled = _sweep_parameters(2, 1e4, True)
+        con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
+        condensed = condense_velocity(con)
+        return [con.base.K, con.K_ff, con.K_fc, condensed.K_red, condensed.C, condensed.Mw_inv,
+                *preconditioner_matrices(condensed), *preconditioner_matrices(con)]
+
+    first = cell()
+    composed = _compositions(kernels.structure)
+    # the elasticity sum, K, K_ff, K_fc, K_red, C, Mw_inv and two blocks per variant
+    assert len(composed) == 11
+    assert all(found is mpet.sparsity._SEEN for found in composed)
+    second = cell()
+    recorded = _compositions(kernels.structure)
+    assert len(recorded) == 11 and all(isinstance(f, (Gather, Union)) for f in recorded)
+    assert all(take.dtype == np.intp for f in recorded
+               for take in ((f.take,) if isinstance(f, Gather) else (f.a, f.b)))
+    third = cell()
+    assert all(a is b for a, b in zip(_compositions(kernels.structure), recorded))
+    for k, (a, b, c) in enumerate(zip(first, second, third)):
+        assert_same(b, a, k)
+        assert_same(c, a, k)
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-def test_runs_store_int32_shifts_and_expand_to_the_values(dtype):
-    """Recorded maps are integer ids (``Union`` decodes them as floats)."""
-    values = np.array([5, 6, 7, 0, 1, 9, 3, 4, 5, 6], dtype=dtype)
-    runs = Runs(values)
-    assert runs.shift.dtype == np.int32 and len(runs.shift) == 4
-    assert np.array_equal(runs.expand(), values)
-    assert runs.expand().dtype == np.int64
-    assert len(Runs(values[:0]).expand()) == 0
+def test_recorded_maps_are_plain_indices_into_the_source(dtype):
+    """A gather is one ``source[take]``, a sum ``p[a] + q[b]`` on the
+    merged entries, with ``intp`` indices (numpy's own, which it
+    gathers with without a cast); a difference is the sum with the negated
+    operand, and the restriction composes before the sum.  A map is read
+    from integer ids (``_numbered``'s) or float ones (``Union`` decodes its
+    codes as floats), ``dtype`` here."""
+    ids = np.array([5, 6, 7, 0, 1, 9, 3, 4, 5, 6], dtype=dtype) + 1
+    gather = Gather(sps.csr_matrix((ids, np.arange(10), [0, 10]), shape=(1, 10)))
+    assert gather.take.dtype == np.intp and np.array_equal(gather.take, ids - 1)
+    source = np.linspace(0.5, 5.0, 10)
+    assert np.array_equal(gather.matrix(source).toarray()[0], source[ids.astype(np.intp) - 1])
+
+    rng = np.random.default_rng(0)
+    P = sps.random(6, 6, density=0.5, format="csr", random_state=rng)
+    Q = sps.random(6, 6, density=0.5, format="csr", random_state=rng)
+    idx = np.array([0, 2, 3, 5])
+    structure = Structure()
+    sub = lambda p, q: (p[np.ix_(idx, idx)], q[np.ix_(idx, idx)])
+    operands = ((P, P.data), (Q, -Q.data))
+    expected = P[np.ix_(idx, idx)] - Q[np.ix_(idx, idx)]
+    for _ in range(3):
+        assert_same(structure.compose("sum", sub, *operands), expected, "sum")
+        assert_same(structure.compose("T", lambda p: p.T.tocsr(), (P, P.data)), P.T.tocsr(), "T")
+    union, gather = structure.derived["sum"], structure.derived["T"]
+    assert union.a.dtype == union.b.dtype == gather.take.dtype == np.intp
+    assert np.array_equal(P.data[gather.take], P.T.tocsr().data)
+    merged = np.zeros(union.size)
+    merged[union.has_a] = P.data[union.a]
+    merged[union.has_b] += -Q.data[union.b]
+    assert np.array_equal(merged, expected.data)
+
+
+def test_a_replayed_band_equals_a_fresh_one():
+    """The band plan kept on a preconditioner's structure fills the band of
+    a block composed on the recorded pattern bitwise as a fresh RCM band;
+    ``pbtrf`` still certifies every factorization on it."""
+    kernels = _kernels(2, 2)
+    bcs = homogeneous_bcs(2, pressure="dirichlet")
+    for lam in (1.0, 1e4, 1e8):   # a new lambda composes the first block too
+        scaled = _sweep_parameters(2, lam, False)
+        condensed = condense_velocity(apply_boundary_conditions(build_block_system(kernels, scaled), bcs))
+        prec = build_preconditioner(condensed)
+    assert prec.f1.banded and prec.f2.banded
+    _, structure = mpet.solver._preconditioner_structure(condensed)
+    assert isinstance(structure.derived["first"], Gather)   # composed on recorded patterns
+    assert isinstance(structure.derived["x_p"], Union)
+    for block, plan in zip(preconditioner_matrices(condensed),
+                           (structure.derived["first band"], structure.derived["pressure band"])):
+        fresh = mpet.solver._rcm_band(block.copy())
+        for a, b in zip(mpet.solver._rcm_band(block, plan), fresh):
+            assert np.array_equal(a, b)
+        negated = sps.csr_matrix((-block.data, block.indices, block.indptr), shape=block.shape)
+        with pytest.raises(PreconditionerError, match="not SPD"):
+            mpet.solver._SPDFactor(negated, plan=plan)

@@ -424,3 +424,16 @@ def test_time_loop_import_leaves_sympy_unloaded():
         "assert 'sympy' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_resume_off_the_step_grid_raises():
+    """A start state must lie a whole number of steps before ``t_end``:
+    from t = 0.15 with tau = 0.1, 1.5 steps remain to t_end = 0.3."""
+    stepper = TimeStepper(tiny_scenario(tau=0.1, t_end=0.3))
+    state = stepper.initial_state()
+    state.t = 0.15
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        stepper.run(start_state=state)
+    state.t = 0.1
+    final, _ = stepper.run(start_state=state)
+    assert final.t == pytest.approx(0.3)

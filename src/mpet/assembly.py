@@ -47,6 +47,7 @@ __all__ = [
     "BlockSystem",
     "BoundaryConditionSet",
     "ConstrainedSystem",
+    "EssentialMap",
     "assemble_kernels",
     "build_block_system",
     "assemble_volume_rhs",
@@ -602,19 +603,18 @@ def assemble_traction_rhs(spaces, bcs, t=0.0):
 
     The facet geometry comes from ``spaces.boundary``; each traction
     callable ``g(x, t, n)`` is called once, at the edge-rule points of its
-    tag and their outward normals, and contracted with the stored traces.
+    tag and their outward normals, and its values are mapped to the u
+    rows by the tag's :attr:`~mpet.spaces.BoundaryFacets.traction_map`,
+    formed on the first load of the tag.  Returns a full-layout vector.
     """
-    layout = DofLayout(spaces)
-    F = np.zeros(layout.total)
-    F_u = F[layout.sl("u")]
+    F = np.zeros(spaces.size_total)
     for tag, bd in spaces.boundary.items():
         kind, fn = bcs.displacement[tag]
         if kind != "traction":
             continue
-        normals = np.broadcast_to(bd.normal[:, None, :], bd.edge_points.shape)
-        gv = evaluate(lambda x, n: fn(x, t, n), bd.edge_points, normals, vector=True)
-        loads = np.einsum("fqc,fuqc,fq->fu", gv, bd.u_trace, bd.ds)
-        F_u += np.bincount(bd.u_dofs.ravel(), loads.ravel(), minlength=spaces.size_u)
+        gv = evaluate(lambda x, n: fn(x, t, n), bd.edge_points, bd.edge_normals, vector=True)
+        load = bd.traction_map
+        F[: load.shape[0]] += load @ gv.ravel()
     return F
 
 
@@ -695,52 +695,120 @@ class ConstrainedSystem:
         return idx[self.free_pos[idx] >= 0]
 
     def update_values(self, bcs, t):
-        """Recompute constrained values for time-dependent profiles."""
-        _, self.values = constraint_data(self.layout, self.base.kernels.spaces, bcs, t)
+        """Constrained values of ``bcs`` at ``t``, for time-dependent profiles.
+
+        The values come from the :class:`EssentialMap` of the condition
+        kinds of ``bcs``, built on the first update of this constrained
+        structure with those kinds and kept on it.
+        """
+        spaces = self.base.kernels.spaces
+        bcs.validate(spaces.mesh)
+
+        def build():
+            essential = EssentialMap(self.layout, spaces, bcs)
+            if not np.array_equal(essential.constrained, self.constrained):
+                raise ValueError("the boundary conditions constrain other DOFs than the system")
+            return essential
+
+        essential = self.structure.derive(("essential map", _condition_kinds(spaces, bcs)), build)
+        self.values = essential.values(spaces, bcs, t)
+
+
+def _condition_kinds(spaces, bcs):
+    """The kinds of the conditions of ``bcs`` on each boundary tag, which
+    fix its constrained DOFs and its :class:`EssentialMap`."""
+    return tuple((bcs.displacement[tag][0], *(p[tag][0] for p in bcs.pressure))
+                 for tag in spaces.boundary)
 
 
 def constraint_data(layout, spaces, bcs, t):
-    """Constrained DOF indices and values for essential boundary data.
+    """Constrained DOF indices, ascending, and their values for essential
+    boundary data, by the :class:`EssentialMap` of ``bcs``."""
+    bcs.validate(spaces.mesh)
+    essential = EssentialMap(layout, spaces, bcs)
+    return essential.constrained, essential.values(spaces, bcs, t)
+
+
+class EssentialMap:
+    """The constrained DOFs of boundary data of fixed condition kinds, and
+    the map from its Dirichlet callables to their values.
 
     Each Dirichlet callable is called once, at the ``spaces.bc_rule``
-    points of its tag (``spaces.boundary``), and reduced per facet: raw
-    Legendre moments of the normal component give the u values, Legendre
-    coefficients of the tangential component and of the pressure give the
-    uhat and phat values.
+    points of its tag (``spaces.boundary``), and its values go into one
+    stack of facet samples: the normal components of every displacement
+    callable, then their tangential components, then every pressure
+    callable.  One pass takes the stack's Legendre moments
+    ``sum_q g(x_q) P_m(s_q) w_q``.  The raw moments of the normal
+    component times half the facet length are the u values, the moments
+    of the tangential component and of the pressure times ``(2m + 1) / 2``
+    (Legendre coefficients) the uhat and phat values, and one gather puts
+    them in the ascending order of ``constrained``.  A facet's values come
+    from the same operations whatever the other facets in the stack, so a
+    map kept across calls gives bitwise the values of a fresh one.
     """
-    bcs.validate(spaces.mesh)
-    weights = spaces.bc_rule.weights
-    leg = spaces.bc_leg
-    idx, val = [], []
 
-    def moments(samples, n_modes):
-        # sum_q g(x_q) P_m(s_q) w_q for each facet (row) and mode m
-        return ((samples[:, None, :] * leg[:n_modes]) * weights).sum(axis=-1)
+    def __init__(self, layout, spaces, bcs):
+        boundary = spaces.boundary
+        disp = [tag for tag in boundary if bcs.displacement[tag][0] == "dirichlet"]
+        pres = [(tag, i) for tag in boundary
+                for i, p in enumerate(bcs.pressure) if p[tag][0] == "dirichlet"]
+        # the stack rows of each callable: the displacement callables' normal
+        # components fill rows 0..k_u, their tangential ones k_u..2 k_u
+        sizes = [len(boundary[tag].facets) for tag in disp + [tag for tag, _ in pres]]
+        starts = np.cumsum([0] + sizes)
+        self.k_u = k_u = int(starts[len(disp)])
+        rows = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        self.disp = list(zip(disp, rows))
+        self.pres = [(tag, i, slice(k_u + r.start, k_u + r.stop))
+                     for (tag, i), r in zip(pres, rows[len(disp):])]
 
-    def add(field, facets, values):
-        n_modes = values.shape[1]
-        idx.append(layout.offsets[field] + facets[:, None] * n_modes + np.arange(n_modes))
-        val.append(values)
+        def joined(name, tags, empty=()):
+            return np.concatenate([getattr(boundary[tag], name) for tag in tags]
+                                  or [np.zeros((0, *empty), dtype=int)])
 
-    for tag, bd in spaces.boundary.items():
-        kind, fn = bcs.displacement[tag]
-        if kind == "dirichlet":
-            gv = evaluate(lambda x: fn(x, t), bd.points, vector=True)
-            gn = np.einsum("fqc,fc->fq", gv, bd.normal)
-            gt = np.einsum("fqc,fc->fq", gv, bd.tangent)
-            add("u", bd.facets, moments(gn, spaces.n_u_edge) * bd.length[:, None] / 2.0)
-            add("uhat", bd.facets, legendre_scale(spaces.n_uhat) * moments(gt, spaces.n_uhat))
-        for i, pres in enumerate(bcs.pressure):
-            pkind, pfn = pres[tag]
-            if pkind == "dirichlet":
-                gv = evaluate(lambda x: pfn(x, t), bd.points)
-                add(f"phat{i}", bd.facets,
-                    legendre_scale(spaces.n_phat) * moments(gv, spaces.n_phat))
-    if not idx:
-        return np.array([], dtype=int), np.array([])
-    idx = np.concatenate([a.ravel() for a in idx])
-    order = np.argsort(idx)
-    return idx[order], np.concatenate([a.ravel() for a in val])[order]
+        self.normal, self.tangent = joined("normal", disp, (2,)), joined("tangent", disp, (2,))
+        u_facets, p_facets = joined("facets", disp), joined("facets", [tag for tag, _ in pres])
+        p_offset = np.repeat([layout.offsets[f"phat{i}"] for _, i in pres], sizes[len(disp):])
+        # per stack row and mode: the global DOF (-1 for a mode the field
+        # lacks), and the factors of (moments * scale) * half, which are
+        # (moments * length) / 2 for u and (2m + 1) / 2 * moments for uhat, phat
+        n = self.n_modes = max(spaces.n_u_edge, spaces.n_uhat, spaces.n_phat)
+        dofs = np.full((2 * k_u + len(p_facets), n), -1)
+        self.scale = np.zeros(dofs.shape)
+        self.half = np.ones(dofs.shape)
+        for field, stack, facets, offset, n_field in (
+            ("u", slice(0, k_u), u_facets, layout.offsets["u"], spaces.n_u_edge),
+            ("uhat", slice(k_u, 2 * k_u), u_facets, layout.offsets["uhat"], spaces.n_uhat),
+            ("phat", slice(2 * k_u, None), p_facets, p_offset, spaces.n_phat),
+        ):
+            dofs[stack, :n_field] = np.reshape(offset, (-1, 1)) + facets[:, None] * n_field + np.arange(n_field)
+            self.scale[stack, :n_field] = (joined("length", disp)[:, None] if field == "u"
+                                           else legendre_scale(n_field))
+        self.half[:k_u] = 0.5
+        kept = np.flatnonzero(dofs.ravel() >= 0)
+        self.take = kept[np.argsort(dofs.ravel()[kept])]
+        self.constrained = dofs.ravel()[self.take]
+
+    def values(self, spaces, bcs, t):
+        """The values of ``bcs`` at ``t`` on :attr:`constrained`."""
+        nq = len(spaces.bc_rule.weights)
+        stack = np.empty((len(self.scale), nq))
+        if self.k_u:
+            g = np.empty((self.k_u, nq, 2))
+            for tag, rows in self.disp:
+                g[rows] = _sample(spaces.boundary[tag], bcs.displacement[tag][1], True, t)
+            np.einsum("fqc,fc->fq", g, self.normal, out=stack[: self.k_u])
+            np.einsum("fqc,fc->fq", g, self.tangent, out=stack[self.k_u : 2 * self.k_u])
+        for tag, i, rows in self.pres:
+            stack[rows] = _sample(spaces.boundary[tag], bcs.pressure[i][tag][1], False, t)
+        leg, weights = spaces.bc_leg[: self.n_modes], spaces.bc_rule.weights
+        moments = ((stack[:, None, :] * leg) * weights).sum(axis=-1)
+        return ((moments * self.scale) * self.half).ravel()[self.take]
+
+
+def _sample(bd, fn, vector, t):
+    """The values of the Dirichlet callable ``fn`` at ``t`` and the points of ``bd``."""
+    return evaluate(lambda x: fn(x, t), bd.points, vector=vector)
 
 
 def apply_boundary_conditions(system, bcs, t=0.0, constraints=None):

@@ -6,9 +6,7 @@ writing CSV tables into an output directory through :func:`write_csv`.
 Every CSV starts with a provenance comment carrying the configuration as
 given (keys left at their defaults are not listed), and identical
 configs produce bit-identical files when BLAS runs on one thread
-(``OPENBLAS_NUM_THREADS=1``) with one OpenBLAS kernel, except for one
-cell: ``eigs.csv``'s ``pos_min`` at R = 1e-8 moves in its last digits
-from run to run.  Boolean keys
+(``OPENBLAS_NUM_THREADS=1``) with one OpenBLAS kernel.  Boolean keys
 take ``true``/``false``, ``yes``/``no`` or ``1``/``0`` in any case.
 Exit codes: 0 on success, 1 when the config cannot be read or parsed or
 a value is bad (an unknown variant, ``sample_every < 1``,

@@ -21,9 +21,10 @@ normal direction and edge orientation.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partialmethod
+from functools import cached_property, lru_cache, partialmethod
 
 import numpy as np
+import scipy.sparse as sps
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .mesh import LOCAL_EDGE_VERTICES, build_affine_map
@@ -428,6 +429,7 @@ class BoundaryFacets:
     both facet-major with the facet's parameter running along its global
     direction.  ``u_trace`` holds the signed, Piola-mapped BDM basis of
     the adjacent element at the edge points; its dofs are ``u_dofs``.
+    :attr:`edge_normals` and :attr:`traction_map` are formed on first use.
     """
 
     facets: np.ndarray        # (k,) global facet indices, ascending
@@ -439,6 +441,26 @@ class BoundaryFacets:
     u_dofs: np.ndarray        # (k, n_loc)
     u_trace: np.ndarray       # (k, n_loc, nqe, 2)
     ds: np.ndarray            # (k, nqe) edge-rule weights times facet length / 2
+
+    @cached_property
+    def edge_normals(self):
+        """``normal`` at each of ``edge_points``, ``(k, nqe, 2)``."""
+        return np.repeat(self.normal[:, None, :], self.edge_points.shape[1], axis=1)
+
+    @cached_property
+    def traction_map(self):
+        """The u rows of the surface load of a traction, as a sparse matrix
+        on its values at ``edge_points``, ``(k, nqe, 2)`` raveled.
+
+        Entry ``(u_dofs[f, i], (f, q, c))`` is ``u_trace[f, i, q, c] ds[f, q]``.
+        The rows run over the u dofs up to the largest of ``u_dofs``.
+        """
+        coef = self.u_trace * self.ds[:, None, :, None]
+        k, _, nqe, _ = coef.shape
+        rows = np.broadcast_to(self.u_dofs[:, :, None, None], coef.shape)
+        cols = np.broadcast_to(np.arange(k * nqe * 2).reshape(k, 1, nqe, 2), coef.shape)
+        return sps.csr_matrix((coef.ravel(), (rows.ravel(), cols.ravel())),
+                              shape=(self.u_dofs.max() + 1, k * nqe * 2))
 
 
 class SpaceSet:
@@ -477,6 +499,9 @@ class SpaceSet:
         self.size_w = ne * self.n_w
         self.size_p = ne * self.n_p
         self.size_phat = nf * self.n_phat
+        # length of the global vector of all fields (see assembly.DofLayout)
+        self.size_total = (self.size_u + self.size_uhat
+                           + self.n_networks * (self.size_w + self.size_p + self.size_phat))
 
         self._build_u_dofmap()
         self._build_caches()
@@ -690,8 +715,14 @@ def evaluate(f, points, *args, vector=False):
     m = coords[0].shape[1]
     values = np.asarray(f(*coords), dtype=float)
     if vector:
-        return np.broadcast_to(values.reshape(2, -1), (2, m)).T.reshape(lead + (2,))
-    return np.broadcast_to(values, (m,)).reshape(lead)
+        out = np.empty((m, 2))
+        out[...] = values.reshape(2, -1).T
+        return out.reshape(lead + (2,))
+    if values.size != m:
+        out = np.empty(m)
+        out[...] = values
+        values = out
+    return values.reshape(lead)
 
 
 def _pullback(maps, f, ref_points):

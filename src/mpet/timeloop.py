@@ -14,11 +14,14 @@ N/mm^2).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sps
 
 from .assembly import (
     BoundaryConditionSet,
+    VolumeQuadrature,
     apply_boundary_conditions,
     assemble_kernels,
     assemble_traction_rhs,
@@ -165,7 +168,29 @@ def windowed_mean(series_t, series_v, t_k):
 
 
 class TimeStepper:
-    """Owns the assembled operator, factorizations and scaled BC wrappers."""
+    """Owns the assembled operator, factorizations and scaled BC wrappers.
+
+    A step applies linear maps around MinRes, each recorded once and then
+    applied as one or two sparse products (the Dirichlet values as one
+    batched reduction), so that only the boundary and source callables are
+    evaluated anew:
+
+    * at construction, the previous state ``[u; p_1..p_n]`` to the
+      recurrence rows of the step's right-hand side, and to the probe
+      values;
+    * on the first load of a traction tag, its point values to the u rows
+      of the load (:attr:`~mpet.spaces.BoundaryFacets.traction_map`);
+    * on the first update of the constrained values, the Dirichlet point
+      values to those values (:class:`~mpet.assembly.EssentialMap`);
+    * on the first step that reuses the factorizations (the second), the
+      right-hand side to the reduced one, MinRes's solution to the full
+      one, and that to the conservation terms (:class:`~mpet.solver.SolveMaps`).
+
+    The reduced right-hand side and the full solution sum the same terms
+    in the same order as the unrecorded solve, so a step's state is the
+    same whichever step a stepper starts from; the other maps agree with
+    the unrecorded formulas to rounding.
+    """
 
     def __init__(self, scenario):
         sc = scenario
@@ -178,22 +203,55 @@ class TimeStepper:
         self.bcs_scaled = self._wrap_bcs(sc.bcs, sc.phys)
         self.constrained = apply_boundary_conditions(self.system, self.bcs_scaled, t=0.0)
         self._reuse = None
-        self._probes = [self._probe_basis(p) for p in sc.probes]
+        # p_i = 2 mu / alpha_i times the scaled pressure
+        self._p_scale = 2.0 * sc.phys.mu / sc.phys.alpha
+        self._recurrence = self._recurrence_map()
+        self._probe_map = self._probes_map()
 
-    def _probe_basis(self, point):
-        """Dofs and basis values at one probe point, for :meth:`probe_values`.
+    @cached_property
+    def _quadrature(self):
+        """The volume quadrature of the sources and the body force, formed on their first load."""
+        return VolumeQuadrature(self.spaces)
 
-        Returns the element's pressure dofs and basis values ``(n_p,)``
-        and its displacement dofs with the signed, Piola-mapped BDM values
-        ``(n_loc, 2)``.
+    def _recurrence_map(self):
+        """The state ``[u; p_1..p_n]`` to the recurrence rows of the step
+        right-hand side: ``-div u - (s_i / alpha_i) M_p p_i`` on network
+        i's volume pressures."""
+        phys, k = self.scenario.phys, self.kernels
+        n = phys.n
+        grid = [[-k.D] + [None] * n for _ in range(n)]
+        for i in range(n):
+            grid[i][1 + i] = -(phys.s[i] / phys.alpha[i]) * k.M_p
+        return sps.bmat(grid, format="csr")
+
+    def _probes_map(self):
+        """The state ``[u; p_1..p_n]`` to the probe values: network i's
+        pressure at each probe (in output units), then the two components
+        of u at each probe.
+
+        A probe's element is found by ``Mesh.locate_point``; the values
+        are those of the element's pressure basis and signed, Piola-mapped
+        BDM basis there.
         """
-        mesh = self.scenario.mesh
-        elem, ref = mesh.locate_point(point)
-        ref = np.atleast_2d(ref)
-        pvals = self.spaces.p.eval(ref)[:, 0]
-        bvals = piola_map(build_affine_map(mesh, elem), self.spaces.bdm.eval(ref))[:, 0, :]
-        bvals = bvals * self.spaces.u_signs[elem][:, None]
-        return self.spaces.p_dofs(elem), pvals, self.spaces.u_dofmap[elem], bvals
+        sc, s = self.scenario, self.spaces
+        n, m = sc.n_networks, len(sc.probes)
+        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for j, point in enumerate(sc.probes):
+            elem, ref = sc.mesh.locate_point(point)
+            ref = np.atleast_2d(ref)
+            pvals = s.p.eval(ref)[:, 0] / sc.pressure_unit
+            for i in range(n):
+                rows.append(np.full(s.n_p, i * m + j))
+                cols.append(s.size_u + i * s.size_p + s.p_dofs(elem))
+                vals.append(pvals)
+            bvals = piola_map(build_affine_map(sc.mesh, elem), s.bdm.eval(ref))[:, 0, :]
+            bvals = bvals * s.u_signs[elem][:, None]
+            for c in range(2):
+                rows.append(np.full(len(bvals), n * m + 2 * j + c))
+                cols.append(s.u_dofmap[elem])
+                vals.append(bvals[:, c])
+        return sps.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                              shape=((n + 2) * m, s.size_u + n * s.size_p))
 
     def _wrap_bcs(self, bcs, phys):
         """Express physical boundary data in the scaled variables."""
@@ -227,26 +285,30 @@ class TimeStepper:
         u = np.zeros(self.spaces.size_u)
         return State(t=0.0, u=u, p=p)
 
+    def _state(self, x, t):
+        """The physical state of a scaled solution vector, without its fluxes."""
+        p = x[self.system.p_block].reshape(self.scenario.n_networks, -1) * self._p_scale[:, None]
+        return State(t=t, u=x[self.layout.sl("u")].copy(), p=list(p))
+
     def unscale_solution(self, x, t):
         """Extract the physical state and fluxes from a scaled solution vector."""
         phys = self.scenario.phys
-        two_mu = 2.0 * phys.mu
-        u = x[self.layout.sl("u")].copy()
-        p = [
-            two_mu / phys.alpha[i] * x[self.layout.sl(f"p{i}")]
-            for i in range(phys.n)
-        ]
         w = [
             phys.alpha[i] / phys.tau * x[self.layout.sl(f"w{i}")]
             for i in range(phys.n)
         ]
-        return State(t=t, u=u, p=p), w
+        return self._state(x, t), w
 
     def step_rhs(self, state, t_k):
-        """Right-hand side of the scaled step system at time ``t_k``."""
+        """Right-hand side of the scaled step system at time ``t_k``, full layout.
+
+        The loads at ``t_k`` (sources, body force, tractions), plus the
+        recurrence ``-div u^{k-1} - (s_i / alpha_i) M_p p_i^{k-1}`` on the
+        volume pressures, one product of the state with the recorded map.
+        """
         sc = self.scenario
         phys = sc.phys
-        F = np.zeros(self.layout.total)
+        F = assemble_traction_rhs(self.spaces, self.bcs_scaled, t=t_k)
         # volume loads from prescribed sources
         f_fn = None
         if sc.body_force is not None:
@@ -261,13 +323,8 @@ class TimeStepper:
                 for i, fn in enumerate(sc.mass_sources)
             ]
         if f_fn is not None or g_fns is not None:
-            F += assemble_volume_rhs(self.spaces, f=f_fn, g=g_fns)
-        F += assemble_traction_rhs(self.spaces, self.bcs_scaled, t=t_k)
-        # recurrence: g_i -= div u^{k-1} + (s_i / alpha_i) p_i^{k-1}
-        div_u = self.kernels.D @ state.u
-        for i in range(phys.n):
-            contrib = -div_u - phys.s[i] / phys.alpha[i] * (self.kernels.M_p @ state.p[i])
-            F[self.layout.sl(f"p{i}")] += contrib
+            F += assemble_volume_rhs(self.spaces, f=f_fn, g=g_fns, quadrature=self._quadrature)
+        F[self.system.p_block] += self._recurrence @ np.concatenate([state.u, *state.p])
         return F
 
     def step(self, state, t_k=None):
@@ -285,19 +342,15 @@ class TimeStepper:
                 f"solver did not converge at t = {t_k} "
                 f"({report.iterations} iterations, residual {report.final_residual:.3e})"
             )
-        new_state, _ = self.unscale_solution(x, t_k)
-        return new_state, report, x
+        return self._state(x, t_k), report, x
 
     def probe_values(self, state, x=None):
-        """Sample pressures (in output units) and |u| at the probe points."""
-        sc = self.scenario
-        values = {f"p{i+1}": [] for i in range(sc.n_networks)}
-        values["u_mag"] = []
-        for pdofs, pvals, udofs, bvals in self._probes:
-            for i in range(sc.n_networks):
-                values[f"p{i+1}"].append(float(state.p[i][pdofs] @ pvals) / sc.pressure_unit)
-            uvec = state.u[udofs] @ bvals
-            values["u_mag"].append(float(np.hypot(*uvec)))
+        """Sample pressures (in output units) and |u| at the probe points,
+        one product of the state with the recorded probe map."""
+        n, m = self.scenario.n_networks, len(self.scenario.probes)
+        y = self._probe_map @ np.concatenate([state.u, *state.p])
+        values = {f"p{i+1}": y[i * m : (i + 1) * m].tolist() for i in range(n)}
+        values["u_mag"] = np.hypot(y[n * m :: 2], y[n * m + 1 :: 2]).tolist()
         return values
 
     def run(self, start_state=None, collect=None):

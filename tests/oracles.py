@@ -24,6 +24,11 @@ The ``reference_*`` compositions build the operator, its free-DOF
 blocks, the flux condensation and the preconditioner blocks with the
 scipy expressions (``bmat``, ``np.ix_`` indexing, sparse sums) that
 :mod:`mpet.sparsity` records once and replays as gathers.
+
+The ``unrecorded_*`` references compute the boundary values, loads,
+recurrence and probe values of a time step tag by tag and network by
+network, where the time stepper applies recorded sparse products or one
+batched reduction.
 """
 
 import numpy as np
@@ -727,3 +732,97 @@ def whole_mesh_norm_matrix(size, terms):
 def whole_mesh_norm2(terms, x):
     """Squared norm of ``x``: the sum of squares of its weighted values."""
     return float(sum(np.square(np.einsum("ei,eik->ek", x[d], f)).sum() for d, f in terms))
+
+
+# ----------------------------------------------------------------------
+# unrecorded time-step formulas
+# ----------------------------------------------------------------------
+
+
+def unrecorded_constraint_data(layout, spaces, bcs, t):
+    """Constrained DOFs and values, reduced tag by tag and field by field."""
+    from mpet.spaces import evaluate, legendre_scale
+
+    idx, val = [], []
+
+    def moments(samples, n_modes):
+        return ((samples[:, None, :] * spaces.bc_leg[:n_modes]) * spaces.bc_rule.weights).sum(axis=-1)
+
+    def add(field, facets, values):
+        n_modes = values.shape[1]
+        idx.append(layout.offsets[field] + facets[:, None] * n_modes + np.arange(n_modes))
+        val.append(values)
+
+    for tag, bd in spaces.boundary.items():
+        kind, fn = bcs.displacement[tag]
+        if kind == "dirichlet":
+            gv = evaluate(lambda x: fn(x, t), bd.points, vector=True)
+            gn = np.einsum("fqc,fc->fq", gv, bd.normal)
+            gt = np.einsum("fqc,fc->fq", gv, bd.tangent)
+            add("u", bd.facets, moments(gn, spaces.n_u_edge) * bd.length[:, None] / 2.0)
+            add("uhat", bd.facets,
+                legendre_scale(spaces.n_uhat) * moments(gt, spaces.n_uhat))
+        for i, pres in enumerate(bcs.pressure):
+            pkind, pfn = pres[tag]
+            if pkind == "dirichlet":
+                gv = evaluate(lambda x: pfn(x, t), bd.points)
+                add(f"phat{i}", bd.facets,
+                    legendre_scale(spaces.n_phat) * moments(gv, spaces.n_phat))
+    idx = np.concatenate([a.ravel() for a in idx])
+    order = np.argsort(idx)
+    return idx[order], np.concatenate([a.ravel() for a in val])[order]
+
+
+def unrecorded_traction_rhs(spaces, bcs, t):
+    """The traction load contracted per tag with ``einsum`` and summed by ``bincount``."""
+    from mpet.spaces import evaluate
+
+    F = np.zeros(DofLayout(spaces).total)
+    for tag, bd in spaces.boundary.items():
+        kind, fn = bcs.displacement[tag]
+        if kind != "traction":
+            continue
+        normals = np.broadcast_to(bd.normal[:, None, :], bd.edge_points.shape)
+        gv = evaluate(lambda x, n: fn(x, t, n), bd.edge_points, normals, vector=True)
+        loads = np.einsum("fqc,fuqc,fq->fu", gv, bd.u_trace, bd.ds)
+        F[: spaces.size_u] += np.bincount(bd.u_dofs.ravel(), loads.ravel(), minlength=spaces.size_u)
+    return F
+
+
+def unrecorded_step_rhs(stepper, state, t_k):
+    """The step right-hand side with the recurrence network by network."""
+    from mpet.assembly import assemble_volume_rhs
+
+    sc, layout, kernels = stepper.scenario, stepper.layout, stepper.kernels
+    phys = sc.phys
+    F = np.zeros(layout.total)
+    f = g = None
+    if sc.body_force is not None:
+        f = lambda x: np.asarray(sc.body_force(x, t_k)) / (2.0 * phys.mu)
+    if sc.mass_sources is not None:
+        g = [None if fn is None else (lambda x, fn=fn, i=i: -phys.tau / phys.alpha[i] * fn(x, t_k))
+             for i, fn in enumerate(sc.mass_sources)]
+    if f is not None or g is not None:
+        F += assemble_volume_rhs(stepper.spaces, f=f, g=g)
+    F += unrecorded_traction_rhs(stepper.spaces, stepper.bcs_scaled, t_k)
+    div_u = kernels.D @ state.u
+    for i in range(phys.n):
+        F[layout.sl(f"p{i}")] += -div_u - phys.s[i] / phys.alpha[i] * (kernels.M_p @ state.p[i])
+    return F
+
+
+def unrecorded_probe_values(stepper, state):
+    """Probe values from each probe's element basis, network by network."""
+    sc, spaces = stepper.scenario, stepper.spaces
+    values = {f"p{i + 1}": [] for i in range(sc.n_networks)}
+    values["u_mag"] = []
+    for point in sc.probes:
+        elem, ref = sc.mesh.locate_point(point)
+        ref = np.atleast_2d(ref)
+        pvals = spaces.p.eval(ref)[:, 0]
+        bvals = piola_map(build_affine_map(sc.mesh, elem), spaces.bdm.eval(ref))[:, 0, :]
+        bvals = bvals * spaces.u_signs[elem][:, None]
+        for i in range(sc.n_networks):
+            values[f"p{i + 1}"].append(float(state.p[i][spaces.p_dofs(elem)] @ pvals) / sc.pressure_unit)
+        values["u_mag"].append(float(np.hypot(*(state.u[spaces.u_dofmap[elem]] @ bvals))))
+    return values

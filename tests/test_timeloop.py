@@ -437,3 +437,78 @@ def test_resume_off_the_step_grid_raises():
     state.t = 0.1
     final, _ = stepper.run(start_state=state)
     assert final.t == pytest.approx(0.3)
+
+
+def test_implicit_euler_is_exact_for_a_solution_linear_in_t():
+    """Physical units on the unit square at ell = 2, two networks with
+    unequal alpha_i, s_i and K_i and a transfer xi: u quadratic and p_i
+    linear in space, both linear in t, which implicit Euler integrates
+    exactly and the spaces reproduce.  Every step matches the interpolant
+    to about the solver tolerance, which guards the s_i / alpha_i,
+    tau / alpha_i and 1 / (2 mu) factors of the step.  The loads come from
+    sympy, as an oracle only.  The right side carries a traction; u has no
+    shear stress there, so the traction is normal."""
+    import sympy as sp
+
+    from mpet.mesh import generate_unit_square
+    from mpet.timeloop import State
+
+    x, y, t, nx, ny = sp.symbols("x y t nx ny")
+    mu, lam, tau = 1.5, 4.0, 0.25
+    alpha, s, K = [0.6, 0.9], [0.3, 0.1], [2.0, 0.5]
+    xi = np.array([[0.0, 0.7], [0.7, 0.0]])
+    half = sp.Rational(1, 2)
+    u = (1 + t) * sp.Matrix([x**2 + half * y**2 + x * y,
+                             -x * y + sp.Rational(3, 10) * x**2 - sp.Rational(8, 5) * x + y**2 / 5])
+    p = [1 + half * x - sp.Rational(3, 10) * y + t * (sp.Rational(2, 5) - x / 5 + sp.Rational(7, 10) * y),
+         -half + x / 5 + sp.Rational(9, 10) * y + t * (sp.Rational(11, 10) + sp.Rational(3, 10) * x - 2 * y / 5)]
+    X = (x, y)
+    div_u = sp.diff(u[0], x) + sp.diff(u[1], y)
+    eps = sp.Matrix(2, 2, lambda a, b: (sp.diff(u[a], X[b]) + sp.diff(u[b], X[a])) / 2)
+    sigma = 2 * mu * eps + (lam * div_u - alpha[0] * p[0] - alpha[1] * p[1]) * sp.eye(2)
+    assert sp.simplify(sigma[0, 1].subs(x, 1)) == 0
+    body = -sp.Matrix([sum(sp.diff(sigma[a, b], X[b]) for b in range(2)) for a in range(2)])
+    sources = [s[i] * sp.diff(p[i], t) + alpha[i] * sp.diff(div_u, t)
+               - K[i] * (sp.diff(p[i], x, 2) + sp.diff(p[i], y, 2))
+               + sum(xi[i, j] * (p[i] - p[j]) for j in range(2)) for i in range(2)]
+
+    def field(expr, *extra):
+        # coordinate-first callables; a vector's components broadcast to the points
+        if isinstance(expr, sp.Matrix):
+            fn = sp.lambdify((x, y, t, *extra), list(expr), "numpy")
+            return lambda pts, tt, *args: np.array(
+                np.broadcast_arrays(*fn(pts[0], pts[1], tt, *args), pts[0])[:2])
+        fn = sp.lambdify((x, y, t), expr, "numpy")
+        return lambda pts, tt: fn(pts[0], pts[1], tt) + 0.0 * pts[0]
+
+    u_fn, p_fn = field(u), [field(pi) for pi in p]
+    trac = field(sigma * sp.Matrix([nx, ny]), nx, ny)
+    mesh = generate_unit_square(2)
+    mesh.tag_boundary(lambda mid: mid[0] > 1.0 - 1e-12, "right")
+    bcs = BoundaryConditionSet(
+        {"boundary": ("dirichlet", u_fn), "right": ("traction", lambda pts, tt, n: trac(pts, tt, *n))},
+        [{"boundary": ("dirichlet", p_fn[i]), "right": ("dirichlet", p_fn[i])} for i in range(2)],
+    )
+    phys = PhysicalParameters(mu=mu, lam=lam, alpha=alpha, s=s, K=K, xi=xi, tau=tau)
+    sc = Scenario(mesh=mesh, ell=2, phys=phys, bcs=bcs, initial_pressures=[0.0, 0.0], tau=tau,
+                  t_end=4 * tau, body_force=field(body), mass_sources=[field(g) for g in sources],
+                  tol=1e-12)
+    stepper = TimeStepper(sc)
+    spaces = stepper.spaces
+    fluxes = [field(-K[i] * sp.Matrix([sp.diff(p[i], x), sp.diff(p[i], y)])) for i in range(2)]
+
+    def at(fn, tt):
+        return lambda pts: fn(pts, tt)
+
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    state = State(t=0.0, u=spaces.interpolate_u(at(u_fn, 0.0)),
+                  p=[spaces.interpolate_p(at(fn, 0.0)) for fn in p_fn])
+    for _ in range(4):
+        state, _, x_k = stepper.step(state)
+        _, w = stepper.unscale_solution(x_k, state.t)
+        assert rel(state.u, spaces.interpolate_u(at(u_fn, state.t))) <= 1e-8
+        for i in range(2):
+            assert rel(state.p[i], spaces.interpolate_p(at(p_fn[i], state.t))) <= 1e-8
+            assert rel(w[i], spaces.interpolate_w(at(fluxes[i], state.t))) <= 1e-8

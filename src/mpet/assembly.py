@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .sparsity import Structure
-from .spaces import evaluate, legendre_scale, triangle_quadrature
+from .spaces import DofLayout, evaluate, legendre_scale, triangle_quadrature
 
 __all__ = [
     "DofLayout",
@@ -65,44 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_ETA = 10.0
-
-
-# ----------------------------------------------------------------------
-# global layout
-# ----------------------------------------------------------------------
-
-
-class DofLayout:
-    """Offsets of the fields in the global vector.
-
-    Order: u, uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}.
-    The first 2 + n fields form the "velocity" side (u, uhat, w), the rest
-    the pressure side (q).
-    """
-
-    def __init__(self, spaces):
-        n = spaces.n_networks
-        self.n_networks = n
-        names = ["u", "uhat"] + [f"w{i}" for i in range(n)]
-        sizes = [spaces.size_u, spaces.size_uhat] + [spaces.size_w] * n
-        names += [f"p{i}" for i in range(n)] + [f"phat{i}" for i in range(n)]
-        sizes += [spaces.size_p] * n + [spaces.size_phat] * n
-        self.names = names
-        self.sizes = dict(zip(names, sizes))
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.offsets = dict(zip(names, offsets[:-1].astype(int)))
-        self.total = int(offsets[-1])
-        self.v_fields = names[: 2 + n]
-        self.q_fields = names[2 + n :]
-        self.size_v = sum(self.sizes[f] for f in self.v_fields)
-
-    def sl(self, name):
-        o = self.offsets[name]
-        return slice(o, o + self.sizes[name])
-
-    def indices(self, name):
-        o = self.offsets[name]
-        return np.arange(o, o + self.sizes[name])
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +376,14 @@ class BlockSystem:
         balance.indptr = K.indptr[rows.start : rows.stop + 1] - start
         return balance
 
+    @cached_property
+    def conservation_map(self):
+        """The :class:`~mpet.diagnostics.ConservationMap` of this system,
+        formed on first use."""
+        from .diagnostics import ConservationMap
+
+        return ConservationMap(self)
+
 
 def build_block_system(kernels, scaled):
     """Compose the parameter-weighted operator from the kernels in one block grid.
@@ -607,7 +577,7 @@ def assemble_traction_rhs(spaces, bcs, t=0.0):
     rows by the tag's :attr:`~mpet.spaces.BoundaryFacets.traction_map`,
     formed on the first load of the tag.  Returns a full-layout vector.
     """
-    F = np.zeros(spaces.size_total)
+    F = np.zeros(spaces.layout.total)
     for tag, bd in spaces.boundary.items():
         kind, fn = bcs.displacement[tag]
         if kind != "traction":

@@ -109,7 +109,7 @@ class NormAssembler:
 # ----------------------------------------------------------------------
 
 
-def conservation_residual(x_full, system, recorded=None):
+def conservation_residual(x_full, system, recorded=False):
     """Element-wise mass-balance residual of the solved state.
 
     For every element and network, the volume-pressure test rows are
@@ -119,13 +119,14 @@ def conservation_residual(x_full, system, recorded=None):
     (``kernels.p_mass_inv``), and normalized by the global magnitude of
     the balance terms.  Only the balance rows of ``K`` are multiplied.
     The balance is taken against the system's right-hand side ``F``.
-    ``recorded``, the :class:`ConservationMap` of ``system``, gives the
-    same terms from one product; they then agree with the unrecorded ones
-    to rounding of the balance terms.  Returns ``(max_relative, residual)``
-    with ``residual[i, t]`` that of network ``i`` on element ``t``.
+    With ``recorded`` the terms come from one product with the system's
+    :class:`ConservationMap` (``system.conservation_map``, formed on first
+    use) and agree with the unrecorded ones to rounding of the balance
+    terms.  Returns ``(max_relative, residual)`` with ``residual[i, t]``
+    that of network ``i`` on element ``t``.
     """
-    if recorded is not None:
-        return recorded.residual(x_full, system.F)
+    if recorded:
+        return system.conservation_map.residual(x_full, system.F)
     layout = system.layout
     kernels = system.kernels
     spaces = kernels.spaces

@@ -77,7 +77,6 @@ __all__ = [
     "build_preconditioner",
     "condense_velocity",
     "mean_zero_functionals",
-    "SolveMaps",
     "solve",
 ]
 
@@ -621,87 +620,6 @@ def mean_zero_functionals(condensed):
 # ----------------------------------------------------------------------
 
 
-class SolveMaps:
-    """The linear maps of a solve around MinRes, recorded by :func:`solve`
-    on the first reuse of a target and its preconditioner.
-
-    * For ``schur_reduced``, ``flux`` maps the free right-hand side ``r``
-      (:meth:`~mpet.assembly.ConstrainedSystem.rhs`) to ``M_w^{-1} r_w``
-      and ``reduce`` maps ``[M_w^{-1} r_w; r]`` to the reduced right-hand
-      side ``[r_u; r_q - C^T M_w^{-1} r_w]`` (:meth:`CondensedSystem.rhs`);
-      ``balance`` maps ``[x_red; r]`` to ``r_w - C q``, whose product with
-      ``Mw_inv`` recovers the fluxes (:meth:`CondensedSystem.expand`).
-      For ``full_block`` MinRes solves with ``r`` itself.
-    * ``gather`` takes the full solution out of ``[x_red; fluxes; values]``.
-    * ``conservation`` maps the solution to the terms of
-      :func:`~mpet.diagnostics.conservation_residual`.
-
-    Each row of ``reduce`` and ``balance`` holds the negated stored entries
-    of ``C^T`` or ``C``, in the order in which scipy's product with the
-    matrix sums them, and then the lone term ``a`` of ``a - sum``, added
-    last: ``(-s) + a`` is ``a - s`` exactly.  With ``flux`` a
-    column-renumbered ``M_w^{-1}`` and ``gather`` a permutation, the
-    right-hand side MinRes sees and the full solution are bitwise those of
-    the unrecorded solve.
-    """
-
-    def __init__(self, constrained, target):
-        from .diagnostics import ConservationMap
-
-        con = constrained
-        free, n_free, n_con = con.free, len(con.free), len(con.constrained)
-        into = np.empty(con.layout.total, dtype=np.intp)   # a dof's entry in [x_red; fluxes; values]
-        into[con.constrained] = n_free + np.arange(n_con)
-        if isinstance(target, CondensedSystem):
-            iu, iw, iq = target.iu, target.iw, target.iq
-            nu, n_w, n_red = len(iu), len(iw), len(iu) + len(iq)
-            Mw_inv = target.Mw_inv
-            self.flux = sps.csr_matrix((Mw_inv.data, iw[Mw_inv.indices], Mw_inv.indptr),
-                                       shape=(n_w, n_free))
-            stacked = sps.vstack([sps.csr_matrix((nu, n_w)), target.C.T.tocsr()], format="csr")
-            self.reduce = _minus_then(stacked, n_w + np.concatenate([iu, iq]), n_w + n_free)
-            self.balance = _minus_then(target.C, n_red + iw, n_red + n_free, offset=nu)
-            self.Mw_inv = Mw_inv
-            position = np.empty(n_free, dtype=np.intp)
-            position[np.concatenate([iu, iq, iw])] = np.arange(n_free)
-            into[free] = position
-        else:
-            self.reduce = None
-            into[free] = np.arange(n_free)
-        self.gather = into
-        self.conservation = ConservationMap(con.base)
-
-    def rhs(self, r):
-        """The right-hand side MinRes solves with, from the free one ``r``."""
-        if self.reduce is None:
-            return r
-        return self.reduce @ np.concatenate([self.flux @ r, r])
-
-    def expand(self, x_red, r, values):
-        """The full-layout solution from MinRes's ``x_red``, with ``r`` from :meth:`rhs`."""
-        parts = [x_red]
-        if self.reduce is not None:
-            parts.append(self.Mw_inv @ (self.balance @ np.concatenate([x_red, r])))
-        return np.concatenate([*parts, values])[self.gather]
-
-
-def _minus_then(mat, last, width, offset=0):
-    """CSR rows of ``-mat``, columns moved by ``offset`` and entries in
-    ``mat``'s stored order, each followed by one entry 1.0 in column
-    ``last[k]``, in a matrix ``width`` wide (see :class:`SolveMaps`)."""
-    mat = sps.csr_matrix(mat)
-    n = mat.shape[0]
-    indptr = mat.indptr + np.arange(n + 1)
-    ends = indptr[1:] - 1
-    own = np.ones(indptr[-1], dtype=bool)
-    own[ends] = False
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data[own], indices[own] = -mat.data, mat.indices + offset
-    data[ends], indices[ends] = 1.0, last
-    return sps.csr_matrix((data, indices, indptr), shape=(n, width))
-
-
 def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None):
     """Solve ``K_ff x = constrained.rhs()`` with preconditioned MinRes.
 
@@ -711,33 +629,23 @@ def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None)
     ``ValueError``.  Returns ``(x_full, report, reuse)`` where ``x_full``
     is the solution in the full layout (constrained values inserted) and
     ``reuse`` holds the target and its preconditioner for solves with a
-    new ``base.F`` or new constrained values.  The first solve that is
-    passed a ``reuse`` records the maps around MinRes
-    (:class:`SolveMaps`), which ``reuse`` holds from then on as its third
-    item; a solve then forms its right-hand side and its solution as a few
-    sparse products, bitwise as before.  On the pressure kernel
+    new ``base.F`` or new constrained values; a solve passed a ``reuse``
+    takes its conservation residual from the system's recorded map
+    (:attr:`~mpet.assembly.BlockSystem.conservation_map`).  On the pressure kernel
     (:func:`~mpet.assembly.pressure_nullspace`), in the last rows of the
     solve vector from ``prec.cut`` on in both variants, the right-hand
     side is compatibility-corrected and the pressure means are zeroed.
     """
-    from .diagnostics import conservation_residual
-
     if variant not in ("schur_reduced", "full_block"):
         raise ValueError(f"unknown preconditioner variant {variant!r}")
     reduced = variant == "schur_reduced"
-    maps = None
+    warm = reuse is not None
     if reuse is None:
         target = condense_velocity(constrained) if reduced else constrained
         reuse = (target, build_preconditioner(target))
-    else:
-        maps = reuse[2] if len(reuse) > 2 else SolveMaps(constrained, reuse[0])
-        reuse = (*reuse[:2], maps)
-    target, prec = reuse[:2]
+    target, prec = reuse
     r = constrained.rhs()
-    if maps is None:
-        rhs = target.rhs(r) if reduced else r
-    else:
-        rhs = maps.rhs(r)
+    rhs = target.rhs(r) if reduced else r
     tail = rhs[prec.cut :]   # a view: the projection edits rhs, never r in the reduced variant
     for k in constrained.structure.kernel:
         tail -= (k @ tail) / (k @ k) * k
@@ -745,13 +653,10 @@ def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None)
     x_red, report = minres(target.K_red if reduced else target.K_ff, prec, rhs, tol=tol, maxit=maxit)
     report.variant = variant
 
-    if maps is None:
-        x_full = constrained.expand(target.expand(x_red, r) if reduced else x_red)
-    else:
-        x_full = maps.expand(x_red, r, constrained.values)
+    x_full = constrained.expand(target.expand(x_red, r) if reduced else x_red)
     x_full = mean_correct(x_full, constrained.base, constrained.structure.null_networks)
     if report.converged:
-        report.conservation, _ = conservation_residual(
-            x_full, constrained.base, None if maps is None else maps.conservation
-        )
+        from .diagnostics import conservation_residual
+
+        report.conservation, _ = conservation_residual(x_full, constrained.base, recorded=warm)
     return x_full, report, reuse

@@ -37,6 +37,7 @@ __all__ = [
     "evaluate",
     "piola_map",
     "SpaceSet",
+    "DofLayout",
     "BoundaryFacets",
     "dof_counts",
 ]
@@ -463,6 +464,39 @@ class BoundaryFacets:
                               shape=(self.u_dofs.max() + 1, k * nqe * 2))
 
 
+class DofLayout:
+    """Offsets of the fields in the global vector.
+
+    Order: u, uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}.
+    The first 2 + n fields form the "velocity" side (u, uhat, w), the rest
+    the pressure side (q).
+    """
+
+    def __init__(self, spaces):
+        n = spaces.n_networks
+        self.n_networks = n
+        names = ["u", "uhat"] + [f"w{i}" for i in range(n)]
+        sizes = [spaces.size_u, spaces.size_uhat] + [spaces.size_w] * n
+        names += [f"p{i}" for i in range(n)] + [f"phat{i}" for i in range(n)]
+        sizes += [spaces.size_p] * n + [spaces.size_phat] * n
+        self.names = names
+        self.sizes = dict(zip(names, sizes))
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.offsets = dict(zip(names, offsets[:-1].astype(int)))
+        self.total = int(offsets[-1])
+        self.v_fields = names[: 2 + n]
+        self.q_fields = names[2 + n :]
+        self.size_v = sum(self.sizes[f] for f in self.v_fields)
+
+    def sl(self, name):
+        o = self.offsets[name]
+        return slice(o, o + self.sizes[name])
+
+    def indices(self, name):
+        o = self.offsets[name]
+        return np.arange(o, o + self.sizes[name])
+
+
 class SpaceSet:
     """DOF layout and reference caches for all spaces on a mesh.
 
@@ -499,12 +533,14 @@ class SpaceSet:
         self.size_w = ne * self.n_w
         self.size_p = ne * self.n_p
         self.size_phat = nf * self.n_phat
-        # length of the global vector of all fields (see assembly.DofLayout)
-        self.size_total = (self.size_u + self.size_uhat
-                           + self.n_networks * (self.size_w + self.size_p + self.size_phat))
 
         self._build_u_dofmap()
         self._build_caches()
+
+    @cached_property
+    def layout(self):
+        """The :class:`DofLayout` of these spaces, formed on first use."""
+        return DofLayout(self)
 
     # -- DOF maps ------------------------------------------------------
 

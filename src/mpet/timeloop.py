@@ -171,8 +171,8 @@ class TimeStepper:
     """Owns the assembled operator, factorizations and scaled BC wrappers.
 
     A step applies linear maps around MinRes, each recorded once and then
-    applied as one or two sparse products (the Dirichlet values as one
-    batched reduction), so that only the boundary and source callables are
+    applied as one sparse product (the Dirichlet values as one batched
+    reduction), so that only the boundary and source callables are
     evaluated anew:
 
     * at construction, the previous state ``[u; p_1..p_n]`` to the
@@ -181,15 +181,15 @@ class TimeStepper:
     * on the first load of a traction tag, its point values to the u rows
       of the load (:attr:`~mpet.spaces.BoundaryFacets.traction_map`);
     * on the first update of the constrained values, the Dirichlet point
-      values to those values (:class:`~mpet.assembly.EssentialMap`);
+      values to those values (:class:`~mpet.assembly.EssentialMap`),
+      bitwise those of a fresh :func:`~mpet.assembly.constraint_data`;
     * on the first step that reuses the factorizations (the second), the
-      right-hand side to the reduced one, MinRes's solution to the full
-      one, and that to the conservation terms (:class:`~mpet.solver.SolveMaps`).
+      solution to the conservation terms
+      (:class:`~mpet.diagnostics.ConservationMap`).
 
-    The reduced right-hand side and the full solution sum the same terms
-    in the same order as the unrecorded solve, so a step's state is the
-    same whichever step a stepper starts from; the other maps agree with
-    the unrecorded formulas to rounding.
+    The reduced right-hand side and the flux recovery are those of a cold
+    solve.  The maps other than the Dirichlet values agree with the
+    unrecorded formulas to rounding.
     """
 
     def __init__(self, scenario):

@@ -1,11 +1,11 @@
 """The maps a time step records, against the unrecorded formulas.
 
-A ``TimeStepper`` applies its boundary values, loads, recurrence, reduced
-right-hand side, flux recovery, conservation terms and probe values as
-recorded maps.  Each is checked here on random states against the
-unrecorded formula (``oracles.unrecorded_*``, or the path of the package
-that a solve without ``reuse`` takes): bitwise where the map sums the
-same terms in the same order, to 1e-13 relative otherwise.
+A ``TimeStepper`` applies its boundary values, loads, recurrence,
+conservation terms and probe values as recorded maps.  Each is checked
+here on random states against the unrecorded formula
+(``oracles.unrecorded_*``, or the path of the package that a solve
+without ``reuse`` takes): bitwise where the map sums the same terms in
+the same order, to 1e-13 relative otherwise.
 """
 
 import numpy as np
@@ -69,24 +69,17 @@ def test_recorded_step_maps_match_unrecorded_formulas(name, variant):
         F = stepper.step_rhs(state, t)
         _close(F, oracles.unrecorded_step_rhs(stepper, state, t))
 
-        # the solve's maps, recorded on its first reuse: bitwise the unrecorded solve
+        # conservation, recorded on the first reuse: on a random state the
+        # residual is of the order of its terms, on the solution it is
+        # normalized by their scale
         stepper.system.F = F
-        x, report, reuse = solve(con, variant, tol=1e-8, reuse=stepper._reuse)
-        target, prec, maps = reuse
-        reduced = variant == "schur_reduced"
-        r = con.rhs()
-        assert np.array_equal(maps.rhs(r), target.rhs(r) if reduced else r)
-        x_red = rng.standard_normal(target.K_red.shape[0] if reduced else len(r))
-        want = con.expand(target.expand(x_red, r) if reduced else x_red)
-        assert np.array_equal(maps.expand(x_red, r, con.values), want)
-
-        # conservation: on a random state the residual is of the order of its
-        # terms, on the solution it is normalized by their scale
-        recorded = conservation_residual(want, con.base, maps.conservation)
-        unrecorded = conservation_residual(want, con.base)
+        x, report, _ = solve(con, variant, tol=1e-8, reuse=stepper._reuse)
+        y = x + rng.standard_normal(len(x))
+        recorded = conservation_residual(y, con.base, recorded=True)
+        unrecorded = conservation_residual(y, con.base)
         _close(recorded[1], unrecorded[1])
         assert recorded[0] == pytest.approx(unrecorded[0], rel=RTOL)
-        got = conservation_residual(x, con.base, maps.conservation)[1]
+        got = conservation_residual(x, con.base, recorded=True)[1]
         assert np.abs(got - conservation_residual(x, con.base)[1]).max() <= RTOL
         assert report.conservation == got.max()
 
@@ -97,17 +90,17 @@ def test_recorded_step_maps_match_unrecorded_formulas(name, variant):
 
 def test_a_cold_solve_records_no_step_maps():
     """Maps are recorded where a reuse is kept: a solve without ``reuse``
-    returns the pair ``(target, prec)`` and leaves the constrained structure
-    and the boundary facets without maps; the next solve adds them."""
+    leaves the system, the constrained structure and the boundary facets
+    without maps; the next solve adds the conservation map."""
     stepper = TimeStepper(_scenario("brain", "schur_reduced"))
     con = apply_boundary_conditions(stepper.system, stepper.bcs_scaled, t=0.0)
     stepper.system.F = np.random.default_rng(2).standard_normal(stepper.layout.total)
     _, _, reuse = solve(con)
-    assert len(reuse) == 2
+    assert "conservation_map" not in vars(con.base)
     assert not any(key[0] == "essential map" for key in con.structure.derived if isinstance(key, tuple))
     assert all("traction_map" not in vars(bd) for bd in stepper.spaces.boundary.values())
     x1, _, reuse = solve(con, reuse=reuse)
-    assert len(reuse) == 3
-    x2, _, again = solve(con, reuse=reuse)
-    assert again[2] is reuse[2]
+    recorded = con.base.conservation_map
+    x2, _, _ = solve(con, reuse=reuse)
+    assert con.base.conservation_map is recorded
     assert np.array_equal(x1, x2)

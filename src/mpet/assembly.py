@@ -24,8 +24,9 @@ kernels, the volume load) is computed for all elements at once: bases
 mapped by ``SpaceSet.on_elements`` carry a leading element axis, the
 facet terms take one pass per local edge, ``_gram`` contracts each
 quadrature sum as one batched matmul, and ``_scatter`` sums the element
-blocks into a sparse matrix.  The HDG norms do the same over element
-chunks of a fixed size in bytes (:class:`NormFactors`).
+blocks into a sparse matrix.  The HDG norm matrices do the same over
+element chunks of a fixed size in bytes (:class:`NormFactors`); the
+squared norm of a vector maps its field instead of every basis function.
 
 A :class:`ConstrainedSystem` holds all that a solve reads: ``base.F``,
 ``base.scaled`` and, computed once per constrained DOF set, the free
@@ -195,28 +196,47 @@ def _facet_frame(spaces, j, elements):
     return f, h, ds, mesh.facet_sign[elements, j, None] * mesh.facet_normal[f]
 
 
-def _u_jump(spaces, j, elements):
+def _u_jump(spaces, j, elements, x=None):
     """Basis of (vhat - v)_t on local edge ``j`` of ``elements``.
 
     Rows are the element's u dofs, then the uhat dofs of its facet;
-    returns ``(rows (e, i), basis (e, i, q, 2))``.
+    returns ``(rows (e, i), basis (e, i, q, 2))``.  Given a block ``x``
+    ``(size, m)`` on (u, uhat), the jumps of its ``m`` columns,
+    ``(e, m, q, 2)``, take the place of the basis.
     """
     s = spaces
     f, _, _, n_out = _facet_frame(s, j, elements)
-    tr = s.on_edge("u", s.bdm_edge_vals, j, elements)
-    u_t = tr - np.einsum("eiq,ea->eiqa", np.einsum("eiqa,ea->eiq", tr, n_out), n_out)
-    uhat = np.einsum("mq,ea->emqa", s.leg_edge[: s.n_uhat], s.mesh.facet_tangent[f])
     rows = np.concatenate([s.u_dofmap[elements], s.size_u + s.uhat_dofs(f)], axis=1)
-    return rows, np.concatenate([-u_t, uhat], axis=1)
+    c_u, c_uhat = _coefficients(x, rows, s.u_dofmap.shape[1])
+    tr = s.on_edge("u", s.bdm_edge_vals, j, elements, c_u)
+    u_t = tr - np.einsum("eiq,ea->eiqa", np.einsum("eiqa,ea->eiq", tr, n_out), n_out)
+    leg = s.on_elements("p", s.leg_edge[: s.n_uhat], elements, c_uhat)
+    uhat = leg[..., None] * s.mesh.facet_tangent[f][:, None, None, :]
+    return rows, _join(-u_t, uhat, x)
 
 
-def _p_jump(spaces, j, elements):
+def _p_jump(spaces, j, elements, x=None):
     """Basis of phat - p on local edge ``j`` of ``elements``, as :func:`_u_jump`."""
     s = spaces
     f = s.mesh.element_facets[elements, j]
-    tr = s.on_edge("p", s.p_edge_vals, j, elements)
     rows = np.concatenate([s.p_dofs(elements), s.size_p + s.phat_dofs(f)], axis=1)
-    return rows, np.concatenate([-tr, s.on_elements("p", s.leg_edge[: s.n_phat], elements)], axis=1)
+    c_p, c_phat = _coefficients(x, rows, s.n_p)
+    tr = s.on_edge("p", s.p_edge_vals, j, elements, c_p)
+    return rows, _join(-tr, s.on_elements("p", s.leg_edge[: s.n_phat], elements, c_phat), x)
+
+
+def _coefficients(x, rows, cut):
+    """``x[rows]`` split after the first ``cut`` rows of each element, ``(e, i, m)``
+    twice; None twice without ``x``."""
+    if x is None:
+        return None, None
+    c = x[rows]
+    return c[:, :cut], c[:, cut:]
+
+
+def _join(a, b, x):
+    """The basis parts ``a`` and ``b`` side by side, or with a block ``x`` the sum of its fields."""
+    return np.concatenate([a, b], axis=1) if x is None else a + b
 
 
 def _sym(grads):
@@ -249,48 +269,65 @@ def _scatter(shape, *terms):
     return sps.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
-# bytes of the widest factor of one element chunk (see NormFactors)
+# bytes of the widest weighted basis of one element chunk, and of the
+# widest fields of one chunk of a norm's squares (see NormFactors)
 _CHUNK_BYTES = 4 << 20
+_FIELD_BYTES = 256 << 10
 
 
 class NormFactors:
-    """A norm matrix kept as the builder of its element factors.
+    """A norm matrix kept as the description of its terms.
 
-    ``factors(elements)`` yields, for an index array of elements, one
-    ``(dofs (e, i), factor (e, i, k))`` per term, always in the same
-    order; each term adds the blocks ``factor factor^T``, where
-    ``factor`` holds a basis's sqrt(w)-weighted quadrature values (see
-    :func:`_weighted`).  The squared norm of a coefficient vector is then
-    a sum of squares of its own weighted values: on the kernel of the
-    matrix it is rounding squared, where the quadratic form ``x^T N x``
-    would be rounding of either sign.
+    ``terms(elements, x=None)`` yields, for an index array of elements,
+    one ``(dofs (e, i), values, w (e, q))`` per term, always in the same
+    order.  Without ``x``, ``values`` is the mapped basis ``(e, i, q, ...)``
+    at the term's quadrature points and the term adds the blocks
+    ``f f^T``, ``f`` the basis weighted by sqrt(w) (see :func:`_weighted`).
+    With a block ``x`` ``(size, m)``, ``values`` is the same term of the
+    ``m`` fields of ``x``'s columns, ``(e, m, q, ...)``: the coefficients
+    are contracted with the reference data and each element's map is
+    applied to the fields once per point (``SpaceSet.on_elements``).  So
+    :meth:`matrix` maps the basis and :meth:`norm2` maps the field, from
+    one description.  The squared norm is a sum of squares of the field's
+    own weighted values: on the kernel of the matrix it is rounding
+    squared, where the quadratic form ``x^T N x`` would be rounding of
+    either sign.
 
-    Both methods reduce over chunks of consecutive elements, so no factor
+    Both methods reduce over chunks of consecutive elements, so nothing
     is ever held for the whole mesh: :meth:`norm2` sums the squares chunk
-    by chunk, :meth:`matrix` scatters every chunk's blocks at once.  A
-    chunk's widest factor, ``element_bytes`` per element, fills at most
-    ``_CHUNK_BYTES``.  The budget is fixed rather than an option: it keeps
-    the memory of a norm from growing with the mesh, and each element's
-    factor comes from the same operations in any chunk, so the chunking
-    can move an entry only where BLAS takes another kernel for a smaller
-    product (by rounding; on the unit-square meshes, whose Jacobians have
-    zero entries, not at all).
+    by chunk, :meth:`matrix` scatters every chunk's blocks at once.
+    ``widest`` is the reference data of the widest term.  In a chunk of
+    :meth:`matrix` its mapped basis, ``element_bytes`` per element, fills
+    at most ``_CHUNK_BYTES``; in one of :meth:`norm2` its ``m`` fields,
+    ``m`` times ``field_bytes`` per element, fill at most
+    ``_FIELD_BYTES``.  The budgets are fixed rather than options: they
+    keep the memory of a norm from growing with the mesh, and each
+    element's block comes from the same operations in any chunk, so the
+    chunking can move an entry only where BLAS takes another kernel for
+    a smaller product (by rounding; on the unit-square meshes, whose
+    Jacobians have zero entries, not at all).
     """
 
-    def __init__(self, size, n_elements, factors, element_bytes):
+    def __init__(self, size, n_elements, terms, widest):
         self.size = size
         self.n_elements = n_elements
-        self.factors = factors
-        self.element_bytes = element_bytes
+        self.terms = terms
+        self.element_bytes = widest.nbytes
+        self.field_bytes = widest[0].nbytes
 
-    def _chunks(self):
-        step = max(1, _CHUNK_BYTES // self.element_bytes)
+    def _chunks(self, m=None):
+        """Index arrays of consecutive elements, for :meth:`matrix`, or for
+        :meth:`norm2` of ``m`` fields."""
+        per, budget = (self.element_bytes, _CHUNK_BYTES) if m is None else (
+            m * self.field_bytes, _FIELD_BYTES)
+        step = max(1, budget // per)
         starts = range(0, self.n_elements, step)
         return (np.arange(a, min(a + step, self.n_elements)) for a in starts)
 
     def matrix(self):
         """The norm matrix, from one ``_scatter`` of every chunk's blocks in element order."""
-        chunks = [[(d, d, f @ np.swapaxes(f, 1, 2)) for d, f in self.factors(e)]
+        chunks = [[(d, d, f @ np.swapaxes(f, 1, 2))
+                   for d, basis, w in self.terms(e) for f in [_weighted(basis, w)]]
                   for e in self._chunks()]
         return _scatter((self.size, self.size), *(b for term in zip(*chunks) for b in term))
 
@@ -298,44 +335,48 @@ class NormFactors:
         """Squared norm of ``x`` (size,), or that of each column of a block (size, m)."""
         block = x.reshape(len(x), -1)
         total = 0.0
-        for elements in self._chunks():
-            for d, f in self.factors(elements):
-                total = total + np.square(np.swapaxes(block[d], 1, 2) @ f).sum(axis=(0, 2))
+        for elements in self._chunks(block.shape[1]):
+            for _, fields, w in self.terms(elements, block):
+                total = total + np.square(_weighted(fields, w)).sum(axis=(0, 2))
         return float(total[0]) if x.ndim == 1 else total
 
 
-def _hdg_norm(spaces, dofs, grads, hess, jump, size, element_bytes):
+def _hdg_norm(spaces, dofs, grads, hess, jump, size, widest):
     """Volume Gram of ``grads`` (+ h_T^2 that of ``hess``), plus h_F^-1 Grams of ``jump``.
 
-    ``dofs``, ``grads`` and ``hess`` (or None) map an index array of
-    elements to their dofs and mapped basis data, ``jump`` is
-    :func:`_u_jump` or :func:`_p_jump`.
+    ``dofs`` maps an index array of elements to their dofs; ``grads`` and
+    ``hess`` (or None) map it, and optional coefficients ``(e, i, m)`` on
+    those dofs, to the mapped basis data or fields, as
+    ``SpaceSet.on_elements``.  ``jump`` is :func:`_u_jump` or :func:`_p_jump`.
     """
     mesh = spaces.mesh
 
-    def factors(elements):
+    def terms(elements, x=None):
         wq = spaces.vol_rule.weights * mesh.element_maps.det[elements, None]
-        yield dofs(elements), _weighted(grads(elements), wq)
+        d = dofs(elements)
+        coeffs = None if x is None else x[d]
+        yield d, grads(elements, coeffs), wq
         if hess is not None:
             h2 = (mesh.element_h[elements] ** 2)[:, None]
-            yield dofs(elements), _weighted(hess(elements), wq * h2)
+            yield d, hess(elements, coeffs), wq * h2
         for j in range(3):
             _, h, ds, _ = _facet_frame(spaces, j, elements)
-            rows, basis = jump(spaces, j, elements)
-            yield rows, _weighted(basis, ds / h[:, None])
+            rows, values = jump(spaces, j, elements, x)
+            yield rows, values, ds / h[:, None]
 
-    return NormFactors(size, mesh.n_elements, factors, element_bytes)
+    return NormFactors(size, mesh.n_elements, terms, widest)
 
 
 def divdiv_factors(spaces):
     """:class:`NormFactors` of the div-div kernel ``FormKernels.divdiv``."""
     s = spaces
 
-    def factors(elements):
+    def terms(elements, x=None):
         wq = s.vol_rule.weights * s.mesh.element_maps.det[elements, None]
-        yield s.u_dofmap[elements], _weighted(s.on_elements("u_div", s.bdm_divs, elements), wq)
+        d = s.u_dofmap[elements]
+        yield d, s.on_elements("u_div", s.bdm_divs, elements, None if x is None else x[d]), wq
 
-    return NormFactors(s.size_u, s.mesh.n_elements, factors, s.bdm_divs.nbytes)
+    return NormFactors(s.size_u, s.mesh.n_elements, terms, s.bdm_divs)
 
 
 # ----------------------------------------------------------------------
@@ -478,11 +519,11 @@ def displacement_hdg_factors(spaces, include_h2=True):
     return _hdg_norm(
         s,
         lambda e: s.u_dofmap[e],
-        lambda e: _sym(s.on_elements("u_grad", s.bdm_grads, e)),
-        None if ref_hess is None else lambda e: s.on_elements("u_hess", ref_hess, e),
+        lambda e, c: _sym(s.on_elements("u_grad", s.bdm_grads, e, c)),
+        None if ref_hess is None else lambda e, c: s.on_elements("u_hess", ref_hess, e, c),
         _u_jump,
         s.size_u + s.size_uhat,
-        (s.bdm_grads if ref_hess is None else ref_hess).nbytes,
+        s.bdm_grads if ref_hess is None else ref_hess,
     )
 
 
@@ -498,11 +539,11 @@ def pressure_hdg_factors(spaces, include_h2=False):
     return _hdg_norm(
         s,
         s.p_dofs,
-        lambda e: s.on_elements("p_grad", s.p_grads, e),
-        None if ref_hess is None else lambda e: s.on_elements("p_hess", ref_hess, e),
+        lambda e, c: s.on_elements("p_grad", s.p_grads, e, c),
+        None if ref_hess is None else lambda e, c: s.on_elements("p_hess", ref_hess, e, c),
         _p_jump,
         s.size_p + s.size_phat,
-        (s.p_grads if ref_hess is None else ref_hess).nbytes,
+        s.p_grads if ref_hess is None else ref_hess,
     )
 
 

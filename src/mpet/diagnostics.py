@@ -56,10 +56,13 @@ class NormAssembler:
     (:class:`~mpet.assembly.NormFactors`), so a rigid motion has a
     displacement norm of rounding size, not the square root of it.
 
-    It holds the builders of those factors, not the factors: :meth:`report`
-    reduces each norm over element chunks of a fixed byte budget, so its
-    memory does not grow with the mesh, and the pressure norms of all
-    networks share one pass.
+    ``u_hdg``, ``divdiv`` and ``p_hdg`` are the descriptions of those
+    norms' terms: their ``norm2``, which :meth:`report` calls, maps the
+    field, each element's map applied once per quadrature point to the
+    coefficients contracted with the reference data, and their ``matrix``
+    maps the basis.  :meth:`report` reduces each norm over element chunks
+    of a fixed byte budget, so its memory does not grow with the mesh,
+    and the pressure norms of all networks share one pass.
     """
 
     def __init__(self, kernels):
@@ -73,8 +76,7 @@ class NormAssembler:
     def report(self, x, scaled):
         layout = self.layout
         n = scaled.n
-        uu = np.concatenate([x[layout.sl("u")], x[layout.sl("uhat")]])
-        u_hdg2 = self.u_hdg.norm2(uu)
+        u_hdg2 = self.u_hdg.norm2(x[: layout.offsets["w0"]])  # u, then uhat
         u_bar2 = u_hdg2 + scaled.lam * self.divdiv.norm2(x[layout.sl("u")])
 
         w2 = 0.0
@@ -86,10 +88,11 @@ class NormAssembler:
         pairs = np.stack([np.concatenate([x[layout.sl(f"p{i}")], x[layout.sl(f"phat{i}")]])
                           for i in range(n)], axis=1)
         p_hdg = [float(v) for v in np.sqrt(self.p_hdg.norm2(pairs))]
-        p_all = np.concatenate([x[layout.sl(f"p{i}")] for i in range(n)])
-        lam_mass = sps.kron(sps.csr_matrix(scaled.Lambda), self.kernels.M_p)
+        # sum_ij Lambda_ij p_i^T M_p p_j, on the contiguous p_i, without
+        # forming Lambda (x) M_p, whose size would grow the peak with the mesh
+        P = x[layout.offsets["p0"] : layout.offsets["phat0"]].reshape(n, -1)
         p_bar2 = sum(scaled.R[i] * p_hdg[i] ** 2 for i in range(n)) + float(
-            p_all @ (lam_mass @ p_all)
+            np.sum(scaled.Lambda * (P @ (self.kernels.M_p @ P.T)))
         )
 
         prod2 = u_bar2 + w2 + p_bar2

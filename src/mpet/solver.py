@@ -348,9 +348,10 @@ class _BandPlan:
         counts = np.diff(mat.indptr)
         if counts.min() == 0:
             return
-        self.perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
+        # intp: numpy casts an int32 index array on every gather
+        self.perm = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
         self.inv = inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(n, dtype=inv.dtype)
+        inv[self.perm] = np.arange(n)
         cols = inv[mat.indices]
         first = mat.indptr[:-1]
         self.w = w = int(max((np.maximum.reduceat(cols, first) - inv).max(),

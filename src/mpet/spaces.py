@@ -338,18 +338,35 @@ def eval_basis(space, ell, points):
 # ----------------------------------------------------------------------
 
 
-def _apply(op, ref, n):
+def _apply(op, ref, n, coeffs=None):
     """Per-element linear map ``op[..., out, in]`` on the last ``n`` axes of ``ref``.
 
     ``out`` and ``in`` are ``n`` tensor axes each.  ``ref`` holds
     reference data without an element axis; the element axes of a map of
     many elements (``Mesh.element_maps``) lead, so every transform below
     returns ``element axes + ref.shape``.
+
+    With ``coeffs`` ``(e, i, m)``, the coefficients of ``m`` fields in the
+    basis ``ref`` on each of ``e`` elements (one element axis), the fields
+    are formed first (:func:`_fields`) and the map is applied to them, once
+    per point and field rather than once per basis function; the result
+    is ``(e, m) + ref.shape[1:]``.  Every transform below takes ``coeffs``.
     """
+    if coeffs is not None:
+        values = _fields(coeffs, ref)
+        k = 2**n
+        flat = values.reshape(len(values), -1, k)
+        return (flat @ np.swapaxes(op.reshape(-1, k, k), 1, 2)).reshape(values.shape)
     lead = op.ndim - 2 * n
     ins = (list(range(lead + n, op.ndim)), list(range(ref.ndim - n, ref.ndim)))
     out = np.tensordot(op, ref, axes=ins)
     return np.moveaxis(out, list(range(lead, lead + n)), list(range(out.ndim - n, out.ndim)))
+
+
+def _fields(coeffs, ref):
+    """``sum_i coeffs[e, i, m] ref[i, ...]``, shape ``(e, m) + ref.shape[1:]``, as one matmul."""
+    flat = np.swapaxes(coeffs, 1, 2).reshape(-1, len(ref)) @ ref.reshape(len(ref), -1)
+    return flat.reshape(coeffs.shape[::2] + ref.shape[1:])
 
 
 def _det(amap, n):
@@ -357,41 +374,49 @@ def _det(amap, n):
     return np.reshape(amap.det, np.shape(amap.det) + (1,) * n)
 
 
-def piola_map(amap, ref_values):
+def piola_map(amap, ref_values, coeffs=None):
     """Contravariant Piola transform of vector values: v = J v_ref / det J."""
-    return _apply(amap.jacobian / _det(amap, 2), ref_values, 1)
+    return _apply(amap.jacobian / _det(amap, 2), ref_values, 1, coeffs)
 
 
-def piola_div(amap, ref_divs):
+def piola_div(amap, ref_divs, coeffs=None):
     """Divergence under the Piola transform: div v = div_ref v / det J."""
-    return ref_divs / _det(amap, np.ndim(ref_divs))
+    values = ref_divs if coeffs is None else _fields(coeffs, ref_divs)
+    return values / _det(amap, np.ndim(ref_divs))
 
 
-def piola_grad(amap, ref_grads):
+def piola_grad(amap, ref_grads, coeffs=None):
     """Gradient of Piola-mapped values; grad[..., r, c] = d v_r / d x_c."""
     op = np.einsum("...ar,...bc->...abrc", amap.jacobian, amap.inv_transpose)
-    return _apply(op / _det(amap, 4), ref_grads, 2)
+    return _apply(op / _det(amap, 4), ref_grads, 2, coeffs)
 
 
-def piola_hess(amap, ref_hess):
+def piola_hess(amap, ref_hess, coeffs=None):
     jit = amap.inv_transpose
     op = np.einsum("...ar,...bc,...ed->...abercd", amap.jacobian, jit, jit)
-    return _apply(op / _det(amap, 6), ref_hess, 3)
+    return _apply(op / _det(amap, 6), ref_hess, 3, coeffs)
 
 
-def scalar_grad(amap, ref_grads):
+def scalar_grad(amap, ref_grads, coeffs=None):
     """Physical gradient of reference scalar gradients."""
-    return _apply(amap.inv_transpose, ref_grads, 1)
+    return _apply(amap.inv_transpose, ref_grads, 1, coeffs)
 
 
-def scalar_hess(amap, ref_hess):
+def scalar_hess(amap, ref_hess, coeffs=None):
     jit = amap.inv_transpose
-    return _apply(np.einsum("...ac,...bd->...abcd", jit, jit), ref_hess, 2)
+    return _apply(np.einsum("...ac,...bd->...abcd", jit, jit), ref_hess, 2, coeffs)
+
+
+def _unmapped(amap, ref, coeffs=None):
+    """Scalar values, which the element map leaves as they are."""
+    if coeffs is not None:
+        return _fields(coeffs, ref)
+    return np.broadcast_to(ref, np.shape(amap.det) + np.shape(ref))
 
 
 # transform of each kind of basis data in ``SpaceSet.on_elements``
 _ELEMENT_TRANSFORMS = {
-    "p": lambda amap, ref: np.broadcast_to(ref, np.shape(amap.det) + np.shape(ref)),
+    "p": _unmapped,
     "u": piola_map,
     "u_div": piola_div,
     "u_grad": piola_grad,
@@ -573,27 +598,34 @@ class SpaceSet:
 
     # -- bases on the elements -----------------------------------------
 
-    def on_elements(self, kind, ref, elements=slice(None)):
+    def on_elements(self, kind, ref, elements=slice(None), coeffs=None):
         """Reference data ``ref`` (no element axis) mapped to ``elements``.
 
         ``elements`` indexes the mesh's elements, all by default.  ``kind``
         names the transform, see ``_ELEMENT_TRANSFORMS``; the element axis
         leads the result, and displacement ("u") bases carry the global
-        dof signs.
+        dof signs.  With ``coeffs`` ``(e, i, m)``, global coefficients of
+        ``m`` fields in the basis ``ref`` on each element, the mapped fields
+        ``(e, m, ...)`` are returned instead (see :func:`_apply`); the u
+        signs go on the coefficients.
         """
-        out = _ELEMENT_TRANSFORMS[kind](build_affine_map(self.mesh, elements), ref)
-        if kind.startswith("u"):
-            signs = self.u_signs[elements]
+        transform = _ELEMENT_TRANSFORMS[kind]
+        amap = build_affine_map(self.mesh, elements)
+        signs = self.u_signs[elements] if kind.startswith("u") else None
+        if coeffs is not None:
+            return transform(amap, ref, coeffs if signs is None else coeffs * signs[..., None])
+        out = transform(amap, ref)
+        if signs is not None:
             out = out * signs.reshape(signs.shape + (1,) * (out.ndim - 2))
         return out
 
-    def on_edge(self, kind, cache, local_edge, elements=slice(None)):
+    def on_edge(self, kind, cache, local_edge, elements=slice(None), coeffs=None):
         """Traces ``cache[local_edge]`` mapped as by :meth:`on_elements`.
 
         They are ordered along the global facet direction, see
         :func:`orient_trace`.
         """
-        values = self.on_elements(kind, cache[local_edge], elements)
+        values = self.on_elements(kind, cache[local_edge], elements, coeffs)
         return orient_trace(values, self.mesh.facet_direction[elements, local_edge])
 
     # -- caches --------------------------------------------------------
@@ -764,10 +796,11 @@ def evaluate(f, points, *args, vector=False):
 def _pullback(maps, f, ref_points):
     """Inverse Piola transform det J J^-1 f of a vector field at mapped reference points.
 
-    ``maps`` is a batch of element maps; returns ``(e, q, 2)``.
+    ``maps`` is a batch of element maps; returns ``(e, q, 2)``.  The
+    contraction with J^-T is one batched matmul.
     """
     fv = evaluate(f, maps.to_physical(ref_points), vector=True)
-    return maps.det[:, None, None] * np.einsum("eba,eqb->eqa", maps.inv_transpose, fv)
+    return maps.det[:, None, None] * (fv @ maps.inv_transpose)
 
 
 def dof_counts(mesh, ell, n_networks):

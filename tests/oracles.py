@@ -9,6 +9,8 @@ checked against.
 The ``pointwise_*`` references compute the right-hand sides, boundary
 values and interpolants element by element (or facet by facet) and call
 every data callable at one point ``x`` of shape ``(2,)`` at a time.
+:func:`einsum_pullback` is the Piola pullback of the interpolation as
+the einsum contraction that the batched matmul replaced.
 
 :func:`sympy_benchmark` derives the benchmark's load by symbolic
 differentiation, against which its closed forms are checked.
@@ -43,6 +45,7 @@ from mpet.spaces import (
     _REF_EDGE_NORMALS,
     _edge_points,
     eval_basis,
+    evaluate,
     piola_div,
     piola_grad,
     piola_hess,
@@ -556,6 +559,13 @@ def pointwise_interpolate_uhat(spaces, f):
     return _pointwise_facet_projection(
         spaces, lambda x, fct: float(np.dot(f(x), tang[fct])), spaces.n_uhat
     )
+
+
+def einsum_pullback(maps, f, ref_points):
+    """The inverse Piola transform ``det J J^-1 f`` of ``mpet.spaces._pullback``
+    contracted by ``np.einsum``, the reference for its batched matmul."""
+    fv = evaluate(f, maps.to_physical(ref_points), vector=True)
+    return maps.det[:, None, None] * np.einsum("eba,eqb->eqa", maps.inv_transpose, fv)
 
 
 # ----------------------------------------------------------------------

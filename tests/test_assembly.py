@@ -128,6 +128,32 @@ def test_norm_factor_chunks_match_whole_mesh(monkeypatch, mesh_kind, ell, norm, 
     assert np.isclose(factors.norm2(X[:, 0]), expected[0], rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "norm, include_h2",
+    [("u_hdg", True), ("u_hdg", False), ("p_hdg", True), ("p_hdg", False), ("divdiv", False)],
+)
+@pytest.mark.parametrize("mesh_kind", ["square", "annulus"])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_field_norm_matches_the_quadratic_form_of_the_matrix(monkeypatch, mesh_kind, ell, norm,
+                                                             include_h2):
+    """``norm2`` maps each column's field, ``matrix`` every basis function,
+    from one description of the terms: per column of a random (size, 3)
+    block, reduced over chunks of 5 elements, the field's squared norm is
+    ``x^T N x`` with ``N = matrix()``."""
+    import mpet.assembly
+
+    mesh = generate_unit_square(3) if mesh_kind == "square" else generate_annulus(1.0, 2.0, 2, 7)
+    spaces = SpaceSet(mesh, ell, 1)
+    factors = _norm_factors(spaces, norm, include_h2)
+    N = factors.matrix()
+    monkeypatch.setattr(mpet.assembly, "_FIELD_BYTES", 5 * 3 * factors.field_bytes)
+    assert [len(c) for c in factors._chunks(3)][:2] == [5, 5]
+
+    X = np.random.default_rng(ell).normal(size=(factors.size, 3))
+    expected = [float(x @ (N @ x)) for x in X.T]
+    assert np.allclose(factors.norm2(X), expected, rtol=1e-12, atol=0.0)
+
+
 def test_full_matrix_matches_oracle_composition():
     mesh = generate_unit_square(1)
     spaces = SpaceSet(mesh, 1, 2)

@@ -273,6 +273,14 @@ def test_brain_blocks_take_the_band_and_large_blocks_splu(brain_blocks):
         assert not mpet.solver._SPDFactor(x).banded
 
 
+def test_band_permutations_are_intp(brain_blocks):
+    """A banded block gathers the residual through ``perm`` and ``inv`` on
+    every apply; as ``intp`` arrays they need no cast first."""
+    for x in brain_blocks:
+        factor = mpet.solver._SPDFactor(x)
+        assert factor._perm.dtype == factor._inv.dtype == np.intp
+
+
 # Relative 2-norm distance to the dense solve.  X_u is conditioned at about
 # 5e5, which keeps any two exact solves about 1e-11 apart (3.6e-12 for the
 # band, 9.2e-12 for splu at seed 0); X_p's are 6e-16.

@@ -351,3 +351,35 @@ def test_interpolation_reproduces_polynomials():
         recon = pc[spaces.p_dofs(t)] @ vals
         exact = np.array([g(x) for x in amap.to_physical(rule.points)])
         assert np.allclose(recon, exact, atol=1e-11)
+
+
+@pytest.mark.parametrize("mesh_kind", ["square", "square3", "annulus"])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_hdiv_interpolants_match_the_einsum_pullback(monkeypatch, mesh_kind, ell):
+    """The H(div) interpolants from the batched-matmul Piola pullback equal
+    those from the einsum contraction (``oracles.einsum_pullback``).
+
+    On a 2^k x 2^k unit square (the meshes of the convergence study and
+    the manufactured benchmark) the inverse Jacobians hold 0 and +-2^k, so
+    every product is exact and the two agree bitwise, even where BLAS
+    fuses a multiply-add.  On other meshes (the 3 x 3 square, the annulus)
+    they agree to 1e-15 relative.
+    """
+    import mpet.spaces
+    from oracles import einsum_pullback
+
+    mesh = {"square": lambda: generate_unit_square(4), "square3": lambda: generate_unit_square(3),
+            "annulus": lambda: generate_annulus(1.0, 2.0, 2, 7)}[mesh_kind]()
+    spaces = SpaceSet(mesh, ell, 1)
+
+    def f(x):
+        return np.array([np.sin(2.0 * x[0]) * x[1] + 1.0, np.cos(x[1] - 0.3 * x[0]) * x[0]])
+
+    got = [spaces.interpolate_u(f), spaces.interpolate_w(f)]
+    monkeypatch.setattr(mpet.spaces, "_pullback", einsum_pullback)
+    want = [spaces.interpolate_u(f), spaces.interpolate_w(f)]
+    for a, b in zip(got, want):
+        if mesh_kind == "square":
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()

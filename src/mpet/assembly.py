@@ -298,14 +298,15 @@ class NormFactors:
     by chunk, :meth:`matrix` scatters every chunk's blocks at once.
     ``widest`` is the reference data of the widest term.  In a chunk of
     :meth:`matrix` its mapped basis, ``element_bytes`` per element, fills
-    at most ``_CHUNK_BYTES``; in one of :meth:`norm2` its ``m`` fields,
-    ``m`` times ``field_bytes`` per element, fill at most
-    ``_FIELD_BYTES``.  The budgets are fixed rather than options: they
-    keep the memory of a norm from growing with the mesh, and each
-    element's block comes from the same operations in any chunk, so the
-    chunking can move an entry only where BLAS takes another kernel for
-    a smaller product (by rounding; on the unit-square meshes, whose
-    Jacobians have zero entries, not at all).
+    at most ``_CHUNK_BYTES``.  In one of :meth:`norm2` what it allocates
+    for its ``m`` fields, ``m`` times ``field_bytes`` per element, fills
+    at most ``_FIELD_BYTES``: per field, the coefficient gather, its
+    signed copy, the weights and the field itself.  The budgets are
+    fixed rather than options: they keep the memory of a norm from
+    growing with the mesh, and each element's block comes from the same
+    operations in any chunk, so the chunking can move an entry only where
+    BLAS takes another kernel for a smaller product (by rounding; on the
+    unit-square meshes, whose Jacobians have zero entries, not at all).
     """
 
     def __init__(self, size, n_elements, terms, widest):
@@ -313,7 +314,8 @@ class NormFactors:
         self.n_elements = n_elements
         self.terms = terms
         self.element_bytes = widest.nbytes
-        self.field_bytes = widest[0].nbytes
+        n_basis, n_points = widest.shape[:2]
+        self.field_bytes = widest.itemsize * (2 * n_basis + n_points) + widest[0].nbytes
 
     def _chunks(self, m=None):
         """Index arrays of consecutive elements, for :meth:`matrix`, or for
@@ -333,11 +335,12 @@ class NormFactors:
 
     def norm2(self, x):
         """Squared norm of ``x`` (size,), or that of each column of a block (size, m)."""
-        block = x.reshape(len(x), -1)
+        block = x if x.ndim == 2 else x[:, None]
         total = 0.0
         for elements in self._chunks(block.shape[1]):
             for _, fields, w in self.terms(elements, block):
                 total = total + np.square(_weighted(fields, w)).sum(axis=(0, 2))
+                del fields, w   # freed before the next term is mapped
         return float(total[0]) if x.ndim == 1 else total
 
 
@@ -417,14 +420,6 @@ class BlockSystem:
         balance.indptr = K.indptr[rows.start : rows.stop + 1] - start
         return balance
 
-    @cached_property
-    def conservation_map(self):
-        """The :class:`~mpet.diagnostics.ConservationMap` of this system,
-        formed on first use."""
-        from .diagnostics import ConservationMap
-
-        return ConservationMap(self)
-
 
 def build_block_system(kernels, scaled):
     """Compose the parameter-weighted operator from the kernels in one block grid.
@@ -463,7 +458,7 @@ def build_block_system(kernels, scaled):
         (k.Ew, k.Ew.data),
         *((k.M_p, k.M_p.data * -scaled.zeta[i, j]) for i, j in zip(*coupled)),
     )
-    layout = DofLayout(spaces)
+    layout = spaces.layout
     return BlockSystem(
         layout=layout,
         K=K,
@@ -578,7 +573,7 @@ class VolumeQuadrature:
         ``(n_elements, q, 2)``, and of sources ``g[i]``, ``(n_elements, q)``,
         at ``phys``; a ``None`` field contributes nothing."""
         s = self.spaces
-        layout = DofLayout(s)
+        layout = s.layout
         F = np.zeros(layout.total)
         if f is not None:
             loads = np.einsum("eqc,euqc,eq->eu", f, self.u_vals, self.wq)
@@ -917,7 +912,7 @@ def constant_pressure_mode(spaces, i):
     Local basis function 0 is the constant in both (monomials and
     Legendre polynomials start with 1).
     """
-    layout = DofLayout(spaces)
+    layout = spaces.layout
     k = np.zeros(layout.total)
     k[layout.sl(f"p{i}")][:: spaces.n_p] = 1.0
     k[layout.sl(f"phat{i}")][:: spaces.n_phat] = 1.0

@@ -28,7 +28,6 @@ import scipy.sparse as sps
 
 from .assembly import (
     BoundaryConditionSet,
-    DofLayout,
     VolumeQuadrature,
     apply_boundary_conditions,
     assemble_kernels,
@@ -271,7 +270,7 @@ def _dirichlet_data(spaces, manu, exact_of):
     values."""
     pres = [{"boundary": ("dirichlet", manu.pressure_trace_bc(j))} for j in exact_of]
     bcs = BoundaryConditionSet({"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres)
-    constraints = constraint_data(DofLayout(spaces), spaces, bcs, 0.0)
+    constraints = constraint_data(spaces.layout, spaces, bcs, 0.0)
     for array in constraints:
         array.flags.writeable = False
     return bcs, constraints

@@ -14,7 +14,6 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    DofLayout,
     _scatter,
     constant_pressure_mode,
     displacement_hdg_factors,
@@ -29,7 +28,6 @@ __all__ = [
     "NormReport",
     "NormAssembler",
     "conservation_residual",
-    "ConservationMap",
     "estimate_inf_sup",
     "spectrum_ends",
 ]
@@ -68,7 +66,7 @@ class NormAssembler:
     def __init__(self, kernels):
         self.kernels = kernels
         self.spaces = spaces = kernels.spaces
-        self.layout = DofLayout(spaces)
+        self.layout = spaces.layout
         self.u_hdg = displacement_hdg_factors(spaces, include_h2=True)
         self.divdiv = divdiv_factors(spaces)
         self.p_hdg = pressure_hdg_factors(spaces, include_h2=True)
@@ -85,9 +83,7 @@ class NormAssembler:
             w2 += float(wi @ (self.kernels.M_w @ wi)) / scaled.R[i]
 
         # one (p_i, phat_i) column per network, reduced in one pass
-        pairs = np.stack([np.concatenate([x[layout.sl(f"p{i}")], x[layout.sl(f"phat{i}")]])
-                          for i in range(n)], axis=1)
-        p_hdg = [float(v) for v in np.sqrt(self.p_hdg.norm2(pairs))]
+        p_hdg = [float(v) for v in np.sqrt(self.p_hdg.norm2(_PressurePairs(x, layout)))]
         # sum_ij Lambda_ij p_i^T M_p p_j, on the contiguous p_i, without
         # forming Lambda (x) M_p, whose size would grow the peak with the mesh
         P = x[layout.offsets["p0"] : layout.offsets["phat0"]].reshape(n, -1)
@@ -107,12 +103,34 @@ class NormAssembler:
         )
 
 
+class _PressurePairs:
+    """Every network's ``(p_i, phat_i)`` as column ``i`` of a block of
+    ``size_p + size_phat`` rows, read by row index from views of ``x``,
+    so that the block is never copied whole."""
+
+    ndim = 2
+
+    def __init__(self, x, layout):
+        n, p0, phat0 = layout.n_networks, layout.offsets["p0"], layout.offsets["phat0"]
+        self.p = x[p0:phat0].reshape(n, -1).T
+        self.phat = x[phat0 : phat0 + n * layout.sizes["phat0"]].reshape(n, -1).T
+        self.shape = (len(self.p) + len(self.phat), n)
+
+    def __getitem__(self, rows):
+        cut = len(self.p)
+        vol = rows < cut
+        out = np.empty(rows.shape + (self.shape[1],))
+        out[vol] = self.p[rows[vol]]
+        out[~vol] = self.phat[rows[~vol] - cut]
+        return out
+
+
 # ----------------------------------------------------------------------
 # conservation
 # ----------------------------------------------------------------------
 
 
-def conservation_residual(x_full, system, recorded=False):
+def conservation_residual(x_full, system):
     """Element-wise mass-balance residual of the solved state.
 
     For every element and network, the volume-pressure test rows are
@@ -122,14 +140,9 @@ def conservation_residual(x_full, system, recorded=False):
     (``kernels.p_mass_inv``), and normalized by the global magnitude of
     the balance terms.  Only the balance rows of ``K`` are multiplied.
     The balance is taken against the system's right-hand side ``F``.
-    With ``recorded`` the terms come from one product with the system's
-    :class:`ConservationMap` (``system.conservation_map``, formed on first
-    use) and agree with the unrecorded ones to rounding of the balance
-    terms.  Returns ``(max_relative, residual)`` with ``residual[i, t]``
-    that of network ``i`` on element ``t``.
+    Returns ``(max_relative, residual)`` with ``residual[i, t]`` that of
+    network ``i`` on element ``t``.
     """
-    if recorded:
-        return system.conservation_map.residual(x_full, system.F)
     layout = system.layout
     kernels = system.kernels
     spaces = kernels.spaces
@@ -162,55 +175,6 @@ def conservation_residual(x_full, system, recorded=False):
     r = F[p_block] - system.balance_rows @ x_full
     residual = np.sqrt(np.maximum(dual_norm2(r), 0.0)) / scale
     return float(residual.max()), residual
-
-
-class ConservationMap:
-    """The terms of :func:`conservation_residual` as one sparse product.
-
-    With ``p_mass_inv[t] = L_t L_t^T`` (Cholesky), the dual norm of ``r_t``
-    is ``|L_t^T r_t|``, so ``matrix`` maps ``[x_full; F_p]``, ``F_p`` the
-    volume-pressure rows of ``F``, to the balance terms and the balance
-    residual with ``L^T`` applied: ``div u``, each ``div w_i``, each
-    ``F_i``, each ``sum_j zeta_ij M_p p_j`` (the first ``n_terms`` rows),
-    then each ``F_i - (K x)_i``.  Its weights are those of ``system``.
-    """
-
-    def __init__(self, system):
-        layout, kernels = system.layout, system.kernels
-        spaces = kernels.spaces
-        n, ne = layout.n_networks, spaces.mesh.n_elements
-        self.shape = (n, ne, spaces.n_p)
-        pdofs = spaces.p_dofs(np.arange(ne))
-        L_T = np.swapaxes(np.linalg.cholesky(kernels.p_mass_inv), 1, 2)
-        L_T = _scatter(kernels.M_p.shape, (pdofs, pdofs, L_T))
-        per_network = sps.block_diag([L_T] * n, format="csr")
-        width = layout.total + n * spaces.size_p
-
-        def at(mat, column):
-            mat = sps.csr_matrix(mat)
-            return sps.csr_matrix((mat.data, mat.indices + column, mat.indptr),
-                                  shape=(mat.shape[0], width))
-
-        blocks = [
-            at(L_T @ kernels.D, layout.offsets["u"]),
-            at(per_network @ sps.block_diag([kernels.Dw] * n), layout.offsets["w0"]),
-            at(per_network, layout.total),
-            at(per_network @ sps.kron(sps.csr_matrix(system.scaled.zeta), kernels.M_p),
-               layout.offsets["p0"]),
-        ]
-        self.n_terms = sum(b.shape[0] for b in blocks)
-        blocks.append(at(per_network, layout.total) - at(per_network @ system.balance_rows, 0))
-        self.matrix = sps.vstack(blocks, format="csr")
-        self.p_block = system.p_block
-
-    def residual(self, x_full, F):
-        """``(max_relative, residual)`` as :func:`conservation_residual` returns them."""
-        y = self.matrix @ np.concatenate([x_full, F[self.p_block]])
-        terms = y[: self.n_terms]
-        scale = float(max(np.sqrt(terms @ terms), 1e-300))
-        r = y[self.n_terms :].reshape(self.shape)
-        residual = np.sqrt(np.einsum("kti,kti->kt", r, r)) / scale
-        return float(residual.max()), residual
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +216,7 @@ def estimate_inf_sup(kernels, which):
     if which == "darcy-like":
         N = pressure_hdg_matrix(spaces, include_h2=True)
         # S_w and N share the constant (q, qhat) pair as their kernel
-        layout = DofLayout(spaces)
+        layout = spaces.layout
         k = constant_pressure_mode(spaces, 0)[np.r_[layout.sl("p0"), layout.sl("phat0")]]
         _, inner, _ = _restricted_pencil(kernels.S_w, N, [k])
         return float(np.sqrt(inner("LA")))

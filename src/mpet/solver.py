@@ -630,9 +630,7 @@ def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None)
     ``ValueError``.  Returns ``(x_full, report, reuse)`` where ``x_full``
     is the solution in the full layout (constrained values inserted) and
     ``reuse`` holds the target and its preconditioner for solves with a
-    new ``base.F`` or new constrained values; a solve passed a ``reuse``
-    takes its conservation residual from the system's recorded map
-    (:attr:`~mpet.assembly.BlockSystem.conservation_map`).  On the pressure kernel
+    new ``base.F`` or new constrained values.  On the pressure kernel
     (:func:`~mpet.assembly.pressure_nullspace`), in the last rows of the
     solve vector from ``prec.cut`` on in both variants, the right-hand
     side is compatibility-corrected and the pressure means are zeroed.
@@ -640,7 +638,6 @@ def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None)
     if variant not in ("schur_reduced", "full_block"):
         raise ValueError(f"unknown preconditioner variant {variant!r}")
     reduced = variant == "schur_reduced"
-    warm = reuse is not None
     if reuse is None:
         target = condense_velocity(constrained) if reduced else constrained
         reuse = (target, build_preconditioner(target))
@@ -659,5 +656,5 @@ def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None)
     if report.converged:
         from .diagnostics import conservation_residual
 
-        report.conservation, _ = conservation_residual(x_full, constrained.base, recorded=warm)
+        report.conservation, _ = conservation_residual(x_full, constrained.base)
     return x_full, report, reuse

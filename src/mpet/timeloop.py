@@ -182,14 +182,11 @@ class TimeStepper:
       of the load (:attr:`~mpet.spaces.BoundaryFacets.traction_map`);
     * on the first update of the constrained values, the Dirichlet point
       values to those values (:class:`~mpet.assembly.EssentialMap`),
-      bitwise those of a fresh :func:`~mpet.assembly.constraint_data`;
-    * on the first step that reuses the factorizations (the second), the
-      solution to the conservation terms
-      (:class:`~mpet.diagnostics.ConservationMap`).
+      bitwise those of a fresh :func:`~mpet.assembly.constraint_data`.
 
-    The reduced right-hand side and the flux recovery are those of a cold
-    solve.  The maps other than the Dirichlet values agree with the
-    unrecorded formulas to rounding.
+    The reduced right-hand side, the flux recovery and the conservation
+    residual are those of a cold solve.  The maps other than the Dirichlet
+    values agree with the unrecorded formulas to rounding.
     """
 
     def __init__(self, scenario):
@@ -344,7 +341,7 @@ class TimeStepper:
             )
         return self._state(x, t_k), report, x
 
-    def probe_values(self, state, x=None):
+    def probe_values(self, state):
         """Sample pressures (in output units) and |u| at the probe points,
         one product of the state with the recorded probe map."""
         n, m = self.scenario.n_networks, len(self.scenario.probes)
@@ -371,9 +368,9 @@ class TimeStepper:
         series = TimeSeries(probes=list(sc.probes))
         series.add(state.t, self.probe_values(state))
         for k in range(1, n_steps + 1):
-            state, report, x = self.step(state)
+            state, report, _ = self.step(state)
             if k % sc.sample_every == 0 or k == n_steps:
-                series.add(state.t, self.probe_values(state, x), report)
+                series.add(state.t, self.probe_values(state), report)
             else:
                 series.log.append((state.t, report.iterations, report.final_residual))
             if collect is not None:

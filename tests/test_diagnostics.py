@@ -21,6 +21,7 @@ from mpet.mesh import Mesh, generate_unit_square
 from mpet.params import scaled_from_direct
 from mpet.solver import condense_velocity, preconditioner_matrices, solve
 from mpet.spaces import SpaceSet
+from mpet.timeloop import TimeStepper, brain_analog_scenario
 
 import oracles
 from oracles import oracle_blocks
@@ -95,15 +96,17 @@ def test_norm_homogeneity_and_product_identity():
 
 def test_norm_memory_does_not_grow_with_the_mesh():
     """The numpy peak of one norm evaluation, under ``tracemalloc``, is the
-    same at (8,3) and (16,3): no norm factor is held for the whole mesh.
+    same at (8,3), (16,3) and (32,3): no norm factor or pressure block is
+    held for the whole mesh.
 
-    Measured 14.2 and 14.2 MiB (two networks); whole-mesh factors gave
-    22.6 and 90.3 MiB.
+    Measured 0.73, 0.73 and 0.73 MiB (two networks); chunks sized by the
+    fields alone, with a stacked copy of the pressures, gave 0.91, 0.97
+    and 2.15 MiB.
     """
     import tracemalloc
 
     peaks = []
-    for n_side in (8, 16):
+    for n_side in (8, 16, 32):
         spaces = SpaceSet(generate_unit_square(n_side), 3, 2)
         kernels = assemble_kernels(spaces)
         scaled = scaled_from_direct(10.0, [0.5, 2.0], [0.3, 0.1], [[0.0, 0.2], [0.2, 0.0]])
@@ -114,7 +117,7 @@ def test_norm_memory_does_not_grow_with_the_mesh():
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0] and peaks[1] <= 18.0, peaks
+    assert max(peaks) <= 1.1 * peaks[0] and max(peaks) <= 18.0, peaks
 
 
 def test_single_element_norm_matches_dense_oracle():
@@ -210,18 +213,32 @@ def test_conservation_after_minres_solve_and_negative_control():
     assert bad_rel > 1e-8
 
 
-def test_conservation_residual_matches_per_element_reference():
-    """Batched dual norms against a plain loop over networks and elements."""
-    mesh, spaces, scaled, system, bcs, con = make_problem(2, 2, 2, alpha_p=0.5, xi=0.3)
-    assert scaled.zeta[0, 1] != 0.0
-    x = np.zeros(system.layout.total)
-    x[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
-    x[con.constrained] = con.values
+@pytest.mark.parametrize("name", ["unit_square", "brain"])
+def test_conservation_residual_matches_per_element_reference(name):
+    """Batched dual norms against a plain loop over networks and elements,
+    on a two-network unit square solved directly and on the brain annulus
+    after its first step (four networks, transfer, Dirichlet and flux
+    pressure tags, a traction)."""
+    if name == "brain":
+        stepper = TimeStepper(brain_analog_scenario(t_end=0.0125))
+        x = stepper.step(stepper.initial_state())[2]
+        spaces, scaled, system = stepper.spaces, stepper.scaled, stepper.system
+        mesh = spaces.mesh
+        # of the order of the solution: the balance terms of the annulus's
+        # elements and networks span five orders of magnitude
+        noise = 1.0
+    else:
+        mesh, spaces, scaled, system, bcs, con = make_problem(2, 2, 2, alpha_p=0.5, xi=0.3)
+        x = np.zeros(system.layout.total)
+        x[con.free] = spla.spsolve(con.K_ff.tocsc(), con.rhs())
+        x[con.constrained] = con.values
+        noise = 1e-3
+    assert np.any(scaled.zeta[~np.eye(scaled.n, dtype=bool)] != 0.0)   # transfer between networks
     # perturbed, so every element's residual sits far above round-off
-    x += 1e-3 * np.random.default_rng(11).normal(size=x.shape)
+    x += noise * np.random.default_rng(11).normal(size=x.shape)
     max_rel, residual = conservation_residual(x, system)
 
-    layout, kernels = system.layout, system.kernels
+    layout, kernels, n = system.layout, system.kernels, scaled.n
     dofs = [spaces.p_dofs(t) for t in range(mesh.n_elements)]
     m_inv = [np.linalg.inv(kernels.M_p[np.ix_(d, d)].toarray()) for d in dofs]
 
@@ -229,17 +246,20 @@ def test_conservation_residual_matches_per_element_reference():
         return [float(vec[d] @ minv @ vec[d]) for d, minv in zip(dofs, m_inv)]
 
     scale2 = sum(dual_norm2(kernels.D @ x[layout.sl("u")]))
-    for i in range(2):
+    for i in range(n):
         scale2 += sum(dual_norm2(kernels.Dw @ x[layout.sl(f"w{i}")]))
         scale2 += sum(dual_norm2(system.F[layout.sl(f"p{i}")]))
-        zp = sum(scaled.zeta[i, j] * (kernels.M_p @ x[layout.sl(f"p{j}")]) for j in range(2))
+        zp = sum(scaled.zeta[i, j] * (kernels.M_p @ x[layout.sl(f"p{j}")]) for j in range(n))
         scale2 += sum(dual_norm2(zp))
     r = system.F - system.K @ x
     # row i, column t: network i on element t
-    want = np.sqrt([dual_norm2(r[layout.sl(f"p{i}")]) for i in range(2)]) / np.sqrt(scale2)
+    want = np.sqrt([dual_norm2(r[layout.sl(f"p{i}")]) for i in range(n)]) / np.sqrt(scale2)
     assert residual.shape == want.shape
     assert want.min() > 1e-6
-    assert np.abs(residual - want).max() <= 1e-12 * want.min()
+    # element by element: on the annulus the residuals span five decades
+    assert np.all(np.abs(residual - want) <= 1e-12 * want)
+    if name == "unit_square":
+        assert np.abs(residual - want).max() <= 1e-12 * want.min()
     assert abs(max_rel - want.max()) <= 1e-12 * want.max()
 
 

@@ -262,11 +262,26 @@ def _weighted(a, w):
 
 
 def _scatter(shape, *terms):
-    """Sparse sum of element blocks ``(rows (e, i), cols (e, j), blocks (e, i, j))``."""
-    rows = [np.broadcast_to(r[:, :, None], b.shape).ravel() for r, _, b in terms]
-    cols = [np.broadcast_to(c[:, None, :], b.shape).ravel() for _, c, b in terms]
-    vals = np.concatenate([b.ravel() for _, _, b in terms])
-    return sps.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+    """Sparse sum of element blocks ``(rows (e, i), cols (e, j), blocks (e, i, j))``.
+
+    Each term's broadcast indices and blocks are written, in term order,
+    into its slice of one preallocated COO triplet whose indices have the
+    dtype scipy picks for ``shape`` (int32 below 2^31), so scipy
+    converts the triplet itself instead of a cast copy: the peak is the
+    triplet and the CSR matrix built from it.
+    """
+    n = sum(b.size for _, _, b in terms)
+    index = sps.get_index_dtype(maxval=max(shape))
+    rows, cols = np.empty(n, dtype=index), np.empty(n, dtype=index)
+    vals = np.empty(n, dtype=np.result_type(*(b for _, _, b in terms)))
+    start = 0
+    for r, c, b in terms:
+        stop = start + b.size
+        np.copyto(rows[start:stop].reshape(b.shape), r[:, :, None])
+        np.copyto(cols[start:stop].reshape(b.shape), c[:, None, :])
+        np.copyto(vals[start:stop].reshape(b.shape), b)
+        start = stop
+    return sps.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 # bytes of the widest weighted basis of one element chunk, and of the
@@ -670,13 +685,18 @@ def homogeneous_bcs(n_networks, tags=("boundary",), pressure="flux"):
 
 @dataclass
 class ConstrainedSystem:
-    """Block system restricted to free DOFs, with lift data for resolves."""
+    """Block system restricted to free DOFs, with lift data for resolves.
+
+    ``K_ff``, the operator on the free DOFs, is composed on its first
+    read: ``full_block`` runs MinRes on it, while ``schur_reduced``
+    restricts ``base.K`` straight to the blocks it needs and never forms
+    it.
+    """
 
     base: BlockSystem
     free: np.ndarray
     constrained: np.ndarray
     values: np.ndarray
-    K_ff: sps.csr_matrix
     K_fc: sps.csr_matrix
     free_pos: np.ndarray      # total-length map: global dof -> position in free list (-1)
     structure: Structure = field(repr=False)   # K_ff, K_fc, q_free and the pressure kernel
@@ -684,6 +704,12 @@ class ConstrainedSystem:
     @property
     def layout(self):
         return self.base.layout
+
+    @cached_property
+    def K_ff(self):
+        """``K[ix_(free, free)]``, composed on the pattern recorded for the free DOFs."""
+        free, K = self.free, self.base.K
+        return self.structure.compose("K_ff", lambda K: K[np.ix_(free, free)], (K, K.data))
 
     def rhs(self):
         """``base.F`` on the free DOFs, with the constrained values lifted out."""
@@ -825,10 +851,10 @@ def apply_boundary_conditions(system, bcs, t=0.0, constraints=None):
     through the stored free-to-constrained coupling columns.  A caller
     that keeps the ``(constrained, values)`` of :func:`constraint_data`
     for ``bcs`` at ``t`` passes them as ``constraints``; they are
-    evaluated here otherwise.  ``K_ff`` and ``K_fc`` are
-    ``K[ix_(free, free)]`` and ``K[ix_(free, constrained)]``, composed on
-    patterns recorded per constrained DOF set; the shared ``free`` and
-    ``free_pos`` arrays are read-only.
+    evaluated here otherwise.  ``K_fc`` is ``K[ix_(free, constrained)]``,
+    composed here, and ``K_ff`` is ``K[ix_(free, free)]``, composed when
+    first read; both use patterns recorded per constrained DOF set.  The
+    shared ``free`` and ``free_pos`` arrays are read-only.
     """
     if constraints is None:
         constraints = constraint_data(system.layout, system.kernels.spaces, bcs, t)
@@ -842,7 +868,6 @@ def apply_boundary_conditions(system, bcs, t=0.0, constraints=None):
         free=free,
         constrained=constrained,
         values=values,
-        K_ff=structure.compose("K_ff", lambda K: K[np.ix_(free, free)], K),
         K_fc=structure.compose("K_fc", lambda K: K[np.ix_(free, constrained)], K),
         free_pos=structure.free_pos,
         structure=structure,

@@ -22,7 +22,10 @@ and from then on a gather into the recorded pattern with the same
 per-entry arithmetic (see :mod:`mpet.sparsity`).  The weighted copies
 (``R_i S_w``, ``R_i N``, ``R_i M_w^{-1}`` and ``Lambda (x) M_p``) are
 placed by index, and the pressure block is the sum of its two operands,
-each restricted to the free DOFs first.  The factor of the first block
+each restricted to the free DOFs first.  The condensed operator, its flux
+coupling and the first block restrict the operator ``K`` itself at the
+global indices of their DOFs, so a ``schur_reduced`` solve never forms
+``K_ff``, which only ``full_block`` reads.  The factor of the first block
 is kept per structure for the last ``FIRST_FACTORS`` parameter values it
 depends on (lambda for ``schur_reduced``), so cells that differ only in
 R, alpha_p or xi share it, and the block is composed only when its
@@ -434,20 +437,24 @@ def condense_velocity(constrained):
     operator on (u, uhat, p, phat): ``K_ff`` on them minus
     ``blockdiag(0, R_i S_w)``, composed as the sum with ``-R_i S_w``, the
     same per-entry arithmetic as scipy's difference (every R_i is
-    nonzero, so the pattern depends on the structure alone).
+    nonzero, so the pattern depends on the structure alone).  It and
+    ``C`` restrict ``base.K`` at the global indices of their free DOFs,
+    which moves the same entries as restricting ``K_ff``, so ``K_ff`` is
+    never formed.
     """
     con = constrained
     kernels = con.base.kernels
     R = con.base.scaled.R
     structure = con.structure.derive("condense", lambda: _condensed_structure(con))
-    iu, iw, iq, keep = structure.iu, structure.iw, structure.iq, structure.keep
+    iu, iw, iq, free = structure.iu, structure.iw, structure.iq, con.free
     within = np.ix_(con.structure.q_within, con.structure.q_within)
 
     def reduced(K, S):
+        keep = free[structure.keep]
         eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), S[within]], format="csr")
         return K[np.ix_(keep, keep)], eliminated
 
-    K_ff = (con.K_ff, con.K_ff.data)
+    K = (con.base.K, con.base.K.data)
     S_w = (_per_network(kernels.S_w, kernels.spaces), np.multiply.outer(-R, kernels.S_w.data).ravel())
     size = kernels.M_w_inv.shape[0]
     on_diagonal = lambda k, row, col: (k * size + row, k * size + col)
@@ -455,11 +462,11 @@ def condense_velocity(constrained):
               np.multiply.outer(R, kernels.M_w_inv.data).ravel())
     return CondensedSystem(
         constrained=con,
-        K_red=structure.compose("K_red", reduced, K_ff, S_w),
+        K_red=structure.compose("K_red", reduced, K, S_w),
         iu=iu,
         iw=iw,
         iq=iq,
-        C=structure.compose("C", lambda K: K[np.ix_(iw, iq)], K_ff),
+        C=structure.compose("C", lambda K: K[np.ix_(free[iw], free[iq])], K),
         Mw_inv=structure.compose("Mw_inv", lambda M: M, Mw_inv),
     )
 
@@ -520,9 +527,9 @@ def _preconditioner_structure(target):
 
 
 def _first_block(con, structure):
-    """The (u, uhat) or (u, uhat, w) block of ``K_ff``."""
-    first = structure.first
-    return structure.compose("first", lambda K: K[np.ix_(first, first)], (con.K_ff, con.K_ff.data))
+    """The (u, uhat) or (u, uhat, w) block of ``K_ff``, restricted from ``base.K``."""
+    K, first = con.base.K, con.free[structure.first]
+    return structure.compose("first", lambda K: K[np.ix_(first, first)], (K, K.data))
 
 
 def _pressure_block(con, structure):

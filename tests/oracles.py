@@ -18,6 +18,10 @@ differentiation, against which its closed forms are checked.
 The dense spectral references compute every eigenvalue of the pencils
 that the diagnostics reach by sparse Lanczos runs.
 
+:func:`concatenated_scatter` sums element blocks into a sparse matrix
+from concatenated copies of every term's indices and values, where
+``_scatter`` writes them into one preallocated triplet.
+
 The ``whole_mesh_*`` references evaluate the element factors of the
 norm matrices for every element in one array each, where
 ``NormFactors`` reduces over element chunks.
@@ -730,6 +734,16 @@ def whole_mesh_norm_factors(spaces, norm, include_h2=False):
             basis = np.concatenate([-tr, s.on_elements("p", s.leg_edge[: s.n_phat])], axis=1)
         terms.append((rows, _weighted(basis, ds / h[:, None])))
     return size, terms
+
+
+def concatenated_scatter(shape, *terms):
+    """Sparse sum of element blocks ``(rows (e, i), cols (e, j), blocks (e, i, j))``
+    from the concatenated per-term copies of their broadcast indices and
+    values, which scipy casts to its index dtype."""
+    rows = [np.broadcast_to(r[:, :, None], b.shape).ravel() for r, _, b in terms]
+    cols = [np.broadcast_to(c[:, None, :], b.shape).ravel() for _, c, b in terms]
+    vals = np.concatenate([b.ravel() for _, _, b in terms])
+    return sps.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
 def whole_mesh_norm_matrix(size, terms):

@@ -295,6 +295,35 @@ def test_a_pattern_is_recorded_on_its_second_use():
         assert_same(c, a, k)
 
 
+def test_schur_reduced_solves_never_compose_K_ff():
+    """A cold ``schur_reduced`` solve, a reused one and a time stepper's
+    construction and first step restrict ``base.K`` straight to the blocks
+    they read; ``K_ff`` is composed on its first read, bitwise the scipy
+    restriction, and ``full_block`` solves with it."""
+    composed = lambda con: "K_ff" in con.structure.derived or "K_ff" in vars(con)
+    kernels = _kernels(2, 2)
+    scaled = _sweep_parameters(2, 1e4, False)
+    bcs = homogeneous_bcs(2, pressure="dirichlet")
+    con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
+    con.base.F = np.random.default_rng(3).standard_normal(con.layout.total)
+    x, report, reuse = solve(con)
+    assert report.converged and not composed(con)
+    x_reused, _, _ = solve(con, reuse=reuse)
+    assert np.array_equal(x_reused, x) and not composed(con)
+    stepper = TimeStepper(brain_analog_scenario(t_end=0.0125))
+    stepper.step(stepper.initial_state())
+    assert stepper.scenario.variant == "schur_reduced" and not composed(stepper.constrained)
+
+    for con in (con, stepper.constrained):
+        K_ff, _ = reference_constrained(con.base.K, con.constrained)
+        assert_same(con.K_ff, K_ff, "K_ff")
+        assert composed(con) and con.K_ff is con.K_ff
+        x_reduced, _, _ = solve(con, tol=1e-11)
+        x_full, report, _ = solve(con, "full_block", tol=1e-11)
+        assert report.converged
+        assert np.abs(x_full - x_reduced).max() <= 1e-6 * np.abs(x_reduced).max()
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 def test_recorded_maps_are_plain_indices_into_the_source(dtype):
     """A gather is one ``source[take]``, a sum ``p[a] + q[b]`` on the

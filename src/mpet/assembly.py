@@ -623,9 +623,9 @@ def assemble_traction_rhs(spaces, bcs, t=0.0):
     """Natural surface load on the displacement rows from traction tags.
 
     The facet geometry comes from ``spaces.boundary``; each traction
-    callable ``g(x, t, n)`` is called once, at the edge-rule points of its
-    tag and their outward normals, and its values are mapped to the u
-    rows by the tag's :attr:`~mpet.spaces.BoundaryFacets.traction_map`,
+    callable ``g(x, t, n)`` is called once, at the points of its tag and
+    their outward normals, and its values go to the u rows (g.n) and the
+    uhat rows (g.t) by the tag's :attr:`~mpet.spaces.BoundaryFacets.traction_map`,
     formed on the first load of the tag.  Returns a full-layout vector.
     """
     F = np.zeros(spaces.layout.total)
@@ -633,7 +633,8 @@ def assemble_traction_rhs(spaces, bcs, t=0.0):
         kind, fn = bcs.displacement[tag]
         if kind != "traction":
             continue
-        gv = evaluate(lambda x, n: fn(x, t, n), bd.edge_points, bd.edge_normals, vector=True)
+        normals = np.repeat(bd.normal, bd.points.shape[1], axis=0)   # facet-major, as points
+        gv = evaluate(lambda x, n: fn(x, t, n), bd.points, normals, vector=True)
         load = bd.traction_map
         F[: load.shape[0]] += load @ gv.ravel()
     return F
@@ -648,7 +649,8 @@ class BoundaryConditionSet:
     """Boundary data in scaled variables.
 
     ``displacement``: tag -> ("dirichlet", g(x, t) -> (2,)) or
-    ("traction", g(x, t, n) -> (2,)).
+    ("traction", g(x, t, n) -> (2,)).  A traction's normal part g.n
+    loads the normal trace of u and its tangential part g.t loads uhat.
     ``pressure``: one dict per network, tag -> ("dirichlet", g(x, t))
     or ("flux", None) for the zero-flux condition.
 
@@ -774,7 +776,8 @@ class EssentialMap:
     component times half the facet length are the u values, the moments
     of the tangential component and of the pressure times ``(2m + 1) / 2``
     (Legendre coefficients) the uhat and phat values, and one gather puts
-    them in the ascending order of ``constrained``.  A facet's values come
+    them in the ascending order of ``constrained`` (u and uhat at the
+    rows of ``spaces.boundary``).  A facet's values come
     from the same operations whatever the other facets in the stack, so a
     map kept across calls gives bitwise the values of a fresh one.
     """
@@ -799,7 +802,7 @@ class EssentialMap:
                                   or [np.zeros((0, *empty), dtype=int)])
 
         self.normal, self.tangent = joined("normal", disp, (2,)), joined("tangent", disp, (2,))
-        u_facets, p_facets = joined("facets", disp), joined("facets", [tag for tag, _ in pres])
+        p_facets = joined("facets", [tag for tag, _ in pres])
         p_offset = np.repeat([layout.offsets[f"phat{i}"] for _, i in pres], sizes[len(disp):])
         # per stack row and mode: the global DOF (-1 for a mode the field
         # lacks), and the factors of (moments * scale) * half, which are
@@ -808,14 +811,16 @@ class EssentialMap:
         dofs = np.full((2 * k_u + len(p_facets), n), -1)
         self.scale = np.zeros(dofs.shape)
         self.half = np.ones(dofs.shape)
-        for field, stack, facets, offset, n_field in (
-            ("u", slice(0, k_u), u_facets, layout.offsets["u"], spaces.n_u_edge),
-            ("uhat", slice(k_u, 2 * k_u), u_facets, layout.offsets["uhat"], spaces.n_uhat),
-            ("phat", slice(2 * k_u, None), p_facets, p_offset, spaces.n_phat),
+        for stack, idx, scale in (
+            (slice(0, k_u), joined("u_rows", disp, (spaces.n_u_edge,)),
+             joined("length", disp)[:, None]),
+            (slice(k_u, 2 * k_u), joined("uhat_rows", disp, (spaces.n_uhat,)),
+             legendre_scale(spaces.n_uhat)),
+            (slice(2 * k_u, None), p_offset[:, None] + spaces.phat_dofs(p_facets),
+             legendre_scale(spaces.n_phat)),
         ):
-            dofs[stack, :n_field] = np.reshape(offset, (-1, 1)) + facets[:, None] * n_field + np.arange(n_field)
-            self.scale[stack, :n_field] = (joined("length", disp)[:, None] if field == "u"
-                                           else legendre_scale(n_field))
+            dofs[stack, : idx.shape[1]] = idx
+            self.scale[stack, : idx.shape[1]] = scale
         self.half[:k_u] = 0.5
         kept = np.flatnonzero(dofs.ravel() >= 0)
         self.take = kept[np.argsort(dofs.ravel()[kept])]

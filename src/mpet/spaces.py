@@ -448,14 +448,17 @@ def orient_trace(values, direction):
 
 @dataclass(frozen=True)
 class BoundaryFacets:
-    """Quadrature geometry of the boundary facets that carry one tag.
+    """Quadrature geometry and facet rows of the boundary facets that carry one tag.
 
-    Boundary data is evaluated at ``points`` (the essential-data
-    rule ``SpaceSet.bc_rule``) or ``edge_points`` (``SpaceSet.edge_rule``),
-    both facet-major with the facet's parameter running along its global
-    direction.  ``u_trace`` holds the signed, Piola-mapped BDM basis of
-    the adjacent element at the edge points; its dofs are ``u_dofs``.
-    :attr:`edge_normals` and :attr:`traction_map` are formed on first use.
+    Boundary data, essential and traction alike, is evaluated at
+    ``points`` (the rule ``SpaceSet.bc_rule``), facet-major with the
+    facet's parameter s running along its global direction, and reduced
+    to the facet Legendre moments ``sum_q g(x_q) P_m(s_q) w_q`` with
+    ``moments[m, q] = P_m(s_q) w_q``.  ``u_rows`` and ``uhat_rows`` are
+    the rows of the facets' own u and uhat DOFs in the full layout, mode
+    m in column m: on facet f the normal trace of u DOF m is
+    ``(2m + 1) / h P_m`` and uhat DOF m is ``P_m t``.  :attr:`traction_map`
+    is formed on first use.
     """
 
     facets: np.ndarray        # (k,) global facet indices, ascending
@@ -463,30 +466,30 @@ class BoundaryFacets:
     tangent: np.ndarray       # (k, 2)
     length: np.ndarray        # (k,)
     points: np.ndarray        # (k, nq, 2)
-    edge_points: np.ndarray   # (k, nqe, 2)
-    u_dofs: np.ndarray        # (k, n_loc)
-    u_trace: np.ndarray       # (k, n_loc, nqe, 2)
-    ds: np.ndarray            # (k, nqe) edge-rule weights times facet length / 2
-
-    @cached_property
-    def edge_normals(self):
-        """``normal`` at each of ``edge_points``, ``(k, nqe, 2)``."""
-        return np.repeat(self.normal[:, None, :], self.edge_points.shape[1], axis=1)
+    u_rows: np.ndarray        # (k, n_modes)
+    uhat_rows: np.ndarray     # (k, n_modes)
+    moments: np.ndarray       # (n_modes, nq), shared by every tag
 
     @cached_property
     def traction_map(self):
-        """The u rows of the surface load of a traction, as a sparse matrix
-        on its values at ``edge_points``, ``(k, nqe, 2)`` raveled.
+        """The u and uhat rows of the surface load of a traction g, as a
+        sparse matrix on its values at ``points``, ``(k, nq, 2)`` raveled.
 
-        Entry ``(u_dofs[f, i], (f, q, c))`` is ``u_trace[f, i, q, c] ds[f, q]``.
-        The rows run over the u dofs up to the largest of ``u_dofs``.
+        g.n tests the normal trace of u and g.t tests uhat, so u DOF m of
+        facet f gets ``(2m + 1) / 2`` and uhat DOF m ``h / 2`` times the
+        moment of g.n and g.t: the moments of essential data with the two
+        scales swapped.  The rows run up to the largest of ``uhat_rows``.
         """
-        coef = self.u_trace * self.ds[:, None, :, None]
-        k, _, nqe, _ = coef.shape
-        rows = np.broadcast_to(self.u_dofs[:, :, None, None], coef.shape)
-        cols = np.broadcast_to(np.arange(k * nqe * 2).reshape(k, 1, nqe, 2), coef.shape)
+        k, nq, _ = self.points.shape
+        modes = self.moments[None, :, :, None]
+        u = legendre_scale(len(self.moments))[:, None, None] * modes * self.normal[:, None, None, :]
+        uhat = (self.length / 2.0)[:, None, None, None] * modes * self.tangent[:, None, None, :]
+        coef = np.concatenate([u, uhat], axis=1)
+        rows = np.concatenate([self.u_rows, self.uhat_rows], axis=1)
+        rows = np.broadcast_to(rows[:, :, None, None], coef.shape)
+        cols = np.broadcast_to(np.arange(k * nq * 2).reshape(k, 1, nq, 2), coef.shape)
         return sps.csr_matrix((coef.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=(self.u_dofs.max() + 1, k * nqe * 2))
+                              shape=(self.uhat_rows.max() + 1, k * nq * 2))
 
 
 class DofLayout:
@@ -653,40 +656,30 @@ class SpaceSet:
         # Legendre values at the edge rule, for facet-space bases
         max_modes = max(self.n_uhat, self.n_phat)
         self.leg_edge = legvander(edge.points, max_modes - 1).T
-        # rule and Legendre values for the facet moments of essential data
+        # rule and Legendre values for the facet moments of boundary data
         self.bc_rule = segment_quadrature(2 * self.ell + 6)
         self.bc_leg = legvander(self.bc_rule.points, max_modes - 1).T
         self._build_boundary()
 
     def _build_boundary(self):
-        """Per-tag geometry of the boundary facets, see :class:`BoundaryFacets`.
+        """Per-tag geometry and facet rows of the boundary facets, see
+        :class:`BoundaryFacets`.
 
         Tags are read from the mesh here, once.
         """
         mesh = self.mesh
         bf = mesh.boundary_facets
-        elem = mesh.facet_elements[bf, 0]
-        local = mesh.facet_local[bf, 0]
-
-        # signed, Piola-mapped BDM traces of each adjacent element, mapped
-        # on those elements only, one local edge at a time; concatenating
-        # keeps the memory order of the mapped values, which orders the
-        # sums over them (assemble_traction_rhs)
-        by_edge = [(j, np.flatnonzero(local == j)) for j in np.unique(local)]
-        traces = [self.on_edge("u", self.bdm_edge_vals, j, elem[k]) for j, k in by_edge]
-        trace = np.concatenate(traces)[np.argsort(np.concatenate([k for _, k in by_edge]))]
-
         arrays = {
             "facets": bf,
             "normal": mesh.facet_normal[bf],
             "tangent": mesh.facet_tangent[bf],
             "length": mesh.facet_length[bf],
             "points": _facet_points(mesh, bf, self.bc_rule.points),
-            "edge_points": _facet_points(mesh, bf, self.edge_rule.points),
-            "u_dofs": self.u_dofmap[elem],
-            "u_trace": trace,
-            "ds": self.edge_rule.weights[None, :] * (mesh.facet_length[bf] / 2.0)[:, None],
+            "u_rows": np.add.outer(bf * self.n_u_edge, np.arange(self.n_u_edge)),
+            "uhat_rows": self.size_u + self.uhat_dofs(bf),
         }
+        moments = self.bc_leg[: self.n_uhat] * self.bc_rule.weights
+        moments.setflags(write=False)
         groups = {}
         for k, f in enumerate(bf):
             groups.setdefault(mesh.boundary_tags.get(int(f)), []).append(k)
@@ -695,7 +688,7 @@ class SpaceSet:
             parts = {name: a[sel] for name, a in arrays.items()}
             for a in parts.values():
                 a.setflags(write=False)
-            self.boundary[tag] = BoundaryFacets(**parts)
+            self.boundary[tag] = BoundaryFacets(**parts, moments=moments)
 
     # -- interpolation -------------------------------------------------
 

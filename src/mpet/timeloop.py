@@ -178,8 +178,8 @@ class TimeStepper:
     * at construction, the previous state ``[u; p_1..p_n]`` to the
       recurrence rows of the step's right-hand side, and to the probe
       values;
-    * on the first load of a traction tag, its point values to the u rows
-      of the load (:attr:`~mpet.spaces.BoundaryFacets.traction_map`);
+    * on the first load of a traction tag, its point values to the u and
+      uhat rows of the load (:attr:`~mpet.spaces.BoundaryFacets.traction_map`);
     * on the first update of the constrained values, the Dirichlet point
       values to those values (:class:`~mpet.assembly.EssentialMap`),
       bitwise those of a fresh :func:`~mpet.assembly.constraint_data`.

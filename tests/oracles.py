@@ -450,16 +450,26 @@ def pointwise_volume_rhs(mesh, spaces, f=None, g=(), degree=None):
 
 
 def pointwise_traction_rhs(mesh, spaces, bcs, t=0.0):
+    """The traction load facet by facet, from the adjacent element's
+    mapped basis: at each point of ``spaces.bc_rule``, ``(phi.n)(g.n)``
+    on the u rows and ``P_m (g.t)`` on the uhat rows."""
     layout = DofLayout(spaces)
     F = np.zeros(layout.total)
+    rule = spaces.bc_rule
     for tag, bd in spaces.boundary.items():
         kind, fn = bcs.displacement[tag]
         if kind != "traction":
             continue
-        for k in range(len(bd.facets)):
-            for q, x in enumerate(bd.edge_points[k]):
-                gv = np.asarray(fn(x, t, bd.normal[k]), dtype=float)
-                F[bd.u_dofs[k]] += bd.u_trace[k, :, q, :] @ gv * bd.ds[k, q]
+        for f in bd.facets:
+            elem, n = mesh.facet_elements[f, 0], mesh.facet_normal[f]
+            pts = facet_points(mesh, f, rule.points)
+            uv, _, _ = u_eval(mesh, spaces, elem, build_affine_map(mesh, elem).to_reference(pts))
+            uh = uhat_eval(mesh, spaces, f, rule.points)
+            for q, x in enumerate(pts):
+                gv = np.asarray(fn(x, t, n), dtype=float)
+                ds = rule.weights[q] * mesh.facet_length[f] / 2.0
+                F[layout.sl("u")] += (uv[:, q] @ n) * (gv @ n) * ds
+                F[layout.sl("uhat")] += (uh[:, q] @ gv) * ds
     return F
 
 
@@ -798,18 +808,25 @@ def unrecorded_constraint_data(layout, spaces, bcs, t):
 
 
 def unrecorded_traction_rhs(spaces, bcs, t):
-    """The traction load contracted per tag with ``einsum`` and summed by ``bincount``."""
-    from mpet.spaces import evaluate
+    """The traction load as the facet moments of g.n and g.t, contracted
+    per tag with ``einsum``."""
+    from mpet.spaces import legendre_scale
 
-    F = np.zeros(DofLayout(spaces).total)
+    layout = DofLayout(spaces)
+    F = np.zeros(layout.total)
+    n_modes = spaces.n_uhat
+    leg_w = spaces.bc_leg[:n_modes] * spaces.bc_rule.weights
+    modes = np.arange(n_modes)
     for tag, bd in spaces.boundary.items():
         kind, fn = bcs.displacement[tag]
         if kind != "traction":
             continue
-        normals = np.broadcast_to(bd.normal[:, None, :], bd.edge_points.shape)
-        gv = evaluate(lambda x, n: fn(x, t, n), bd.edge_points, normals, vector=True)
-        loads = np.einsum("fqc,fuqc,fq->fu", gv, bd.u_trace, bd.ds)
-        F[: spaces.size_u] += np.bincount(bd.u_dofs.ravel(), loads.ravel(), minlength=spaces.size_u)
+        normals = np.broadcast_to(bd.normal[:, None, :], bd.points.shape)
+        gv = evaluate(lambda x, n: fn(x, t, n), bd.points, normals, vector=True)
+        F[layout.offsets["u"] + bd.facets[:, None] * spaces.n_u_edge + modes] += (
+            legendre_scale(n_modes) * np.einsum("fqc,fc,mq->fm", gv, bd.normal, leg_w))
+        F[layout.offsets["uhat"] + bd.facets[:, None] * n_modes + modes] += (
+            bd.length[:, None] / 2.0 * np.einsum("fqc,fc,mq->fm", gv, bd.tangent, leg_w))
     return F
 
 

@@ -407,11 +407,16 @@ def test_traction_rhs_matches_facet_quadrature_oracle():
     F = assemble_traction_rhs(spaces, bcs)
     layout = DofLayout(spaces)
 
+    from numpy.polynomial.legendre import legvander
+
     from oracles import facet_points, u_eval
     from mpet.mesh import build_affine_map
 
+    # g.n against the normal trace of u, g.t against uhat's P_m t
     expected = np.zeros(spaces.size_u)
+    expected_uhat = np.zeros(spaces.size_uhat)
     rule = segment_quadrature(12)
+    leg = legvander(rule.points, spaces.n_uhat - 1).T
     for f in mesh.boundary_facets:
         if mesh.boundary_tags[int(f)] != "ventricle":
             continue
@@ -419,11 +424,14 @@ def test_traction_rhs_matches_facet_quadrature_oracle():
         amap = build_affine_map(mesh, t_elem)
         pts = facet_points(mesh, f, rule.points)
         uv, _, _ = u_eval(mesh, spaces, t_elem, amap.to_reference(pts))
+        n, tangent = mesh.facet_normal[f], mesh.facet_tangent[f]
         for q in range(len(rule.points)):
             w = rule.weights[q] * mesh.facet_length[f] / 2.0
-            expected += w * (uv[:, q] @ g_const)
+            expected += w * (uv[:, q] @ n) * (g_const @ n)
+            expected_uhat[spaces.uhat_dofs(f)] += w * leg[:, q] * (g_const @ tangent)
     assert np.allclose(F[layout.sl("u")], expected, atol=1e-12)
-    assert np.abs(F[layout.sl("uhat")]).max() == 0.0
+    assert np.allclose(F[layout.sl("uhat")], expected_uhat, atol=1e-12)
+    assert np.abs(expected_uhat).max() > 0.1
 
 
 def test_time_profile_essential_value():

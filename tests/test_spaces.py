@@ -272,19 +272,6 @@ def test_global_normal_continuity():
             assert np.allclose(traces[0], traces[1], atol=1e-11)
 
 
-@pytest.mark.parametrize("mesh_kind, ell", [("square", 1), ("square", 2), ("square", 3), ("annulus", 1)])
-def test_boundary_traces_match_traces_of_every_element(mesh_kind, ell):
-    """Each tag's BDM traces, mapped on the boundary elements alone, equal
-    those mapped on every element and then selected, bit for bit and in the
-    same memory order, which orders the sums of the traction load."""
-    mesh = generate_unit_square(3) if mesh_kind == "square" else generate_annulus(30.0, 70.0, 4, 32)
-    spaces = SpaceSet(mesh, ell, 1)
-    every = np.stack([spaces.on_edge("u", spaces.bdm_edge_vals, j) for j in range(3)])
-    for bd in spaces.boundary.values():
-        want = every[mesh.facet_local[bd.facets, 0], mesh.facet_elements[bd.facets, 0]]
-        assert bd.u_trace.tobytes() == want.tobytes() and bd.u_trace.strides == want.strides
-
-
 def test_interior_bdm_functions_have_zero_normal_trace():
     basis = HdivReferenceBasis("bdm", 3)
     seg = segment_quadrature(10)

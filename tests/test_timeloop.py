@@ -313,6 +313,21 @@ def test_brain_analog_short_run_bounded_iterations():
     assert max(iters) <= 2 * max(iters[0], 1)
 
 
+def test_brain_analog_iterations_do_not_grow_under_refinement():
+    """The brain time loop is h- and order-robust: over 10 steps, 8x64 at
+    ell 1 and 4x32 at ell 2 take at every step as many MinRes iterations
+    as 4x32 at ell 1 (4 a step on each; the three runs take about 0.5 s)."""
+    def iterations(n_radial, n_angular, ell):
+        sc = brain_analog_scenario(n_radial, n_angular, tau=0.0125, t_end=0.125, ell=ell)
+        _, series = TimeStepper(sc).run()
+        return [row[1] for row in series.log]
+
+    coarse = iterations(4, 32, 1)
+    assert len(coarse) == 10
+    assert iterations(8, 64, 1) == coarse
+    assert iterations(4, 32, 2) == coarse
+
+
 def test_precomputed_boundary_data_and_probes_match_per_facet_references():
     """Boundary data and probes from geometry built once, against direct loops."""
     from numpy.polynomial.legendre import legvander
@@ -378,20 +393,25 @@ def test_precomputed_boundary_data_and_probes_match_per_facet_references():
         want = np.array([expected[k] for k in con.constrained])
         assert np.abs(con.values - want).max() <= 1e-12 * np.abs(want).max()
 
+        # g.n against the normal trace of u, g.t against uhat's P_m t
         F = assemble_traction_rhs(spaces, bcs, t=t)
-        loads = np.zeros(spaces.size_u)
+        loads = np.zeros(spaces.size_u + spaces.size_uhat)
         for f in mesh.boundary_facets:
             if mesh.boundary_tags[int(f)] != "ventricle":
                 continue
             elem = mesh.facet_elements[f, 0]
+            n, tangent = mesh.facet_normal[f], mesh.facet_tangent[f]
             pts = facet_points(mesh, f, rule.points)
             uv, _, _ = u_eval(mesh, spaces, elem, build_affine_map(mesh, elem).to_reference(pts))
             _, fn = bcs.displacement["ventricle"]
             for q, x in enumerate(pts):
                 w = rule.weights[q] * mesh.facet_length[f] / 2.0
-                loads += w * (uv[:, q] @ fn(x, t, mesh.facet_normal[f]))
-        assert np.abs(F[layout.sl("u")] - loads).max() <= 1e-12 * np.abs(loads).max()
-        assert not np.any(np.delete(F, np.arange(spaces.size_u)))
+                g = fn(x, t, n)
+                loads[: spaces.size_u] += w * (uv[:, q] @ n) * (g @ n)
+                loads[spaces.size_u + spaces.uhat_dofs(f)] += w * leg[:, q] * (g @ tangent)
+        for rows in (layout.sl("u"), layout.sl("uhat")):
+            assert np.abs(F[rows] - loads[rows]).max() <= 1e-12 * np.abs(loads[rows]).max()
+        assert not np.any(F[spaces.size_u + spaces.size_uhat :])
 
     rng = np.random.default_rng(5)
     state = stepper.initial_state()
@@ -439,7 +459,7 @@ def test_resume_off_the_step_grid_raises():
     assert final.t == pytest.approx(0.3)
 
 
-def _polynomial_setting(profile):
+def _polynomial_setting(profile, shear=False):
     """The exactness setting of the implicit-Euler tests, with time profile ``c(t)``.
 
     Physical units on the unit square at ell = 2, two networks with
@@ -447,8 +467,10 @@ def _polynomial_setting(profile):
     with U quadratic, and p_i = a_i(x) + c(t) b_i(x) with a_i, b_i linear,
     so the spaces reproduce every state.  The loads come from sympy, as an
     oracle only.  The right side carries a traction; u has no shear
-    stress there, so the traction is normal.  ``profile`` maps the sympy
-    time symbol to ``c(t)``.  Returns ``(scenario, u_fn, p_fn, fluxes)``:
+    stress there, so the traction is normal, unless ``shear`` gives U_y
+    the term -11/10 x in place of -8/5 x, for a shear stress of
+    0.75 (1 + c(t)) on x = 1.  ``profile`` maps the sympy time symbol to
+    ``c(t)``.  Returns ``(scenario, u_fn, p_fn, fluxes)``:
     ``scenario(tau, n_steps)`` runs ``n_steps`` steps of ``tau`` from t = 0.
     """
     import sympy as sp
@@ -462,14 +484,18 @@ def _polynomial_setting(profile):
     xi = np.array([[0.0, 0.7], [0.7, 0.0]])
     half = sp.Rational(1, 2)
     u = (1 + c) * sp.Matrix([x**2 + half * y**2 + x * y,
-                             -x * y + sp.Rational(3, 10) * x**2 - sp.Rational(8, 5) * x + y**2 / 5])
+                             -x * y + sp.Rational(3, 10) * x**2
+                             - sp.Rational(11 if shear else 16, 10) * x + y**2 / 5])
     p = [1 + half * x - sp.Rational(3, 10) * y + c * (sp.Rational(2, 5) - x / 5 + sp.Rational(7, 10) * y),
          -half + x / 5 + sp.Rational(9, 10) * y + c * (sp.Rational(11, 10) + sp.Rational(3, 10) * x - 2 * y / 5)]
     X = (x, y)
     div_u = sp.diff(u[0], x) + sp.diff(u[1], y)
     eps = sp.Matrix(2, 2, lambda a, b: (sp.diff(u[a], X[b]) + sp.diff(u[b], X[a])) / 2)
     sigma = 2 * mu * eps + (lam * div_u - alpha[0] * p[0] - alpha[1] * p[1]) * sp.eye(2)
-    assert sp.simplify(sigma[0, 1].subs(x, 1)) == 0
+    if shear:
+        assert sp.simplify(sigma[0, 1].subs(x, 1) - sp.Rational(3, 4) * (1 + c)) == 0
+    else:
+        assert sp.simplify(sigma[0, 1].subs(x, 1)) == 0
     body = -sp.Matrix([sum(sp.diff(sigma[a, b], X[b]) for b in range(2)) for a in range(2)])
     sources = [s[i] * sp.diff(p[i], t) + alpha[i] * sp.diff(div_u, t)
                - K[i] * (sp.diff(p[i], x, 2) + sp.diff(p[i], y, 2))
@@ -526,6 +552,25 @@ def test_implicit_euler_is_exact_for_a_solution_linear_in_t():
     to about the solver tolerance, which guards the s_i / alpha_i,
     tau / alpha_i and 1 / (2 mu) factors of the step."""
     scenario, u_fn, p_fn, fluxes = _polynomial_setting(lambda t: t)
+    stepper = TimeStepper(scenario(0.25, 4))
+    spaces = stepper.spaces
+    state = _interpolated_state(spaces, u_fn, p_fn, 0.0)
+    for _ in range(4):
+        state, _, x_k = stepper.step(state)
+        _, w = stepper.unscale_solution(x_k, state.t)
+        assert _rel(state.u, spaces.interpolate_u(_at(u_fn, state.t))) <= 1e-8
+        for i in range(2):
+            assert _rel(state.p[i], spaces.interpolate_p(_at(p_fn[i], state.t))) <= 1e-8
+            assert _rel(w[i], spaces.interpolate_w(_at(fluxes[i], state.t))) <= 1e-8
+
+
+def test_implicit_euler_is_exact_under_a_tangential_traction():
+    """The setting of :func:`test_implicit_euler_is_exact_for_a_solution_linear_in_t`
+    with a shear stress of 0.75 (1 + t) on the traction side: the
+    tangential part of the traction loads uhat, so every step still
+    matches the interpolant.  Loaded on the u rows instead, it missed by
+    1.4e-4 (u), 6.0e-4 (p) and 1.7e-3 (fluxes)."""
+    scenario, u_fn, p_fn, fluxes = _polynomial_setting(lambda t: t, shear=True)
     stepper = TimeStepper(scenario(0.25, 4))
     spaces = stepper.spaces
     state = _interpolated_state(spaces, u_fn, p_fn, 0.0)

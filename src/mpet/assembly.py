@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sps
 
-from .sparsity import Structure
+from .sparsity import Stack, Structure
 from .spaces import DofLayout, evaluate, legendre_scale, triangle_quadrature
 
 __all__ = [
@@ -118,7 +118,13 @@ class FormKernels:
 
 
 def assemble_kernels(spaces, eta=DEFAULT_ETA):
-    """Every parameter-free form matrix, from batched element and facet integrals."""
+    """Every parameter-free form matrix, from batched element and facet integrals.
+
+    Each mapped basis (the pressure values, the BDM and RT divergences,
+    the RT values, the symmetric BDM gradients and each facet pass's
+    traces) is freed once its Grams exist, so no two of them are alive
+    together, nor any of them during a scatter.
+    """
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
     s = spaces
@@ -126,40 +132,28 @@ def assemble_kernels(spaces, eta=DEFAULT_ETA):
     elements = np.arange(mesh.n_elements)
     udofs, wdofs, pdofs = s.u_dofmap, s.w_dofs(elements), s.p_dofs(elements)
     wq = s.vol_rule.weights * mesh.element_maps.det[:, None]
-    eps = _sym(s.on_elements("u_grad", s.bdm_grads))
-    udivs = s.on_elements("u_div", s.bdm_divs)
-    wvals = s.on_elements("w", s.rt_vals)
-    wdivs = s.on_elements("w_div", s.rt_divs)
     pvals = s.on_elements("p", s.p_vals)
-    p_mass = _gram(pvals, pvals, wq)
-
-    a_terms = [(udofs, udofs, _gram(eps, eps, wq))]
+    p_mass = _gram(pvals, None, wq)
+    div_u = _gram(pvals, s.on_elements("u_div", s.bdm_divs), wq)
+    div_w = _gram(pvals, s.on_elements("w_div", s.rt_divs), wq)
+    del pvals
+    w_mass = _gram(s.on_elements("w", s.rt_vals), None, wq)
+    a_terms = [(udofs, udofs, _gram(_sym(s.on_elements("u_grad", s.bdm_grads)), None, wq))]
     ew_terms = []
     for j in range(3):
-        f, h, ds, n_out = _facet_frame(s, j, elements)
-        rows, jump = _u_jump(s, j, elements)
-        # consistency term (eps(v) n, jump), zero on the uhat rows
-        tr_eps = _sym(s.on_edge("u_grad", s.bdm_edge_grads, j))
-        eps_n = np.einsum("eiqab,eb->eiqa", tr_eps, n_out)
-        eps_n = np.concatenate([eps_n, np.zeros_like(jump[:, eps_n.shape[1] :])], axis=1)
-        cross = _gram(eps_n, jump, ds)
-        penalty = (eta * s.ell**2 / h)[:, None, None] * _gram(jump, jump, ds)
-        a_terms.append((rows, rows, cross + np.swapaxes(cross, 1, 2) + penalty))
-        # b-form facet part: (psi_w . n, phi_phat) over dT
-        wn = np.einsum("eiqa,ea->eiq", s.on_edge("w", s.rt_edge_vals, j), n_out)
-        phat = s.on_elements("p", s.leg_edge[: s.n_phat])
-        ew_terms.append((s.phat_dofs(f), wdofs, _gram(phat, wn, ds)))
+        a_term, ew_term = _facet_terms(s, j, elements, wdofs, eta)
+        a_terms.append(a_term)
+        ew_terms.append(ew_term)
 
     size_uu = s.size_u + s.size_uhat
-    w_mass = _gram(wvals, wvals, wq)
     M_w_inv = _scatter((s.size_w, s.size_w), (wdofs, wdofs, np.linalg.inv(w_mass)))
-    Dw = _scatter((s.size_p, s.size_w), (pdofs, wdofs, _gram(pvals, wdivs, wq)))
+    Dw = _scatter((s.size_p, s.size_w), (pdofs, wdofs, div_w))
     Ew = _scatter((s.size_phat, s.size_w), *ew_terms)
     B = sps.vstack([-Dw, Ew], format="csr")
     matrices = dict(
         a_hdg=_scatter((size_uu, size_uu), *a_terms),
         divdiv=divdiv_factors(s).matrix(),
-        D=_scatter((s.size_p, s.size_u), (pdofs, udofs, _gram(pvals, udivs, wq))),
+        D=_scatter((s.size_p, s.size_u), (pdofs, udofs, div_u)),
         Dw=Dw,
         Ew=Ew,
         M_w=_scatter((s.size_w, s.size_w), (wdofs, wdofs, w_mass)),
@@ -173,6 +167,26 @@ def assemble_kernels(spaces, eta=DEFAULT_ETA):
         volume=float(mesh.element_area.sum()),
         p_mass_inv=np.linalg.inv(p_mass),
     )
+
+
+def _facet_terms(spaces, j, elements, wdofs, eta):
+    """The ``a_hdg`` and ``Ew`` terms of local edge ``j``: the element
+    blocks of the consistency and penalty terms on the (u, uhat) rows,
+    and those of ``(psi_w . n, phi_phat)``."""
+    s = spaces
+    f, h, ds, n_out = _facet_frame(s, j, elements)
+    rows, jump = _u_jump(s, j, elements)
+    # consistency term (eps(v) n, jump), zero on the uhat rows
+    eps_n = np.einsum("eiqab,eb->eiqa", _sym(s.on_edge("u_grad", s.bdm_edge_grads, j)), n_out)
+    eps_n = np.concatenate([eps_n, np.zeros_like(jump[:, eps_n.shape[1] :])], axis=1)
+    cross = _gram(eps_n, jump, ds)
+    del eps_n
+    penalty = (eta * s.ell**2 / h)[:, None, None] * _gram(jump, None, ds)
+    del jump
+    wn = np.einsum("eiqa,ea->eiq", s.on_edge("w", s.rt_edge_vals, j), n_out)
+    phat = s.on_elements("p", s.leg_edge[: s.n_phat])
+    a_term = (rows, rows, cross + np.swapaxes(cross, 1, 2) + penalty)
+    return a_term, (s.phat_dofs(f), wdofs, _gram(phat, wn, ds))
 
 
 def _zero_free(mat):
@@ -244,14 +258,15 @@ def _sym(grads):
 
 
 def _gram(a, b, w):
-    """Element blocks ``sum_q w[e, q] a[e, i, q, ...] . b[e, j, q, ...]``.
+    """Element blocks ``sum_q w[e, q] a[e, i, q, ...] . b[e, j, q, ...]``,
+    ``b`` None for ``a``'s Gram with itself.
 
     One batched matmul over the flattened (quadrature point x tensor)
     axis.  Each side carries sqrt(w), so a basis's Gram with itself is the
     single product B B^T and comes out exactly symmetric.
     """
     aw = _weighted(a, w)
-    bw = aw if b is a else _weighted(b, w)
+    bw = aw if b is None else _weighted(b, w)
     return aw @ np.swapaxes(bw, 1, 2)
 
 
@@ -404,18 +419,38 @@ def divdiv_factors(spaces):
 
 @dataclass
 class BlockSystem:
-    """The assembled operator ``K`` (see the module docstring) plus right-hand side.
+    """The operator ``K`` (see the module docstring) plus right-hand side.
 
-    ``structure`` is the recorded pattern of ``K``, on which the
-    constrained and condensed systems record theirs.
+    ``operands`` is the :class:`~mpet.sparsity.Stack` of ``K``'s weighted
+    kernel blocks, and every matrix a solve reads from ``K`` is composed
+    straight from them by :meth:`restrict`, so no solve forms ``K``
+    itself: ``K`` is composed on its first read.  ``structure`` holds
+    the patterns recorded for ``K`` and :attr:`balance_rows`, and the
+    constrained and condensed systems record theirs on it.
     """
 
     layout: DofLayout
-    K: sps.csr_matrix
     F: np.ndarray
     kernels: FormKernels
     scaled: object
+    operands: Stack = field(repr=False)
     structure: Structure = field(repr=False)
+
+    def grid(self, rows=None, cols=None):
+        """The composition of ``K[ix_(rows, cols)]`` from the list of the
+        operands' matrices (see :func:`_operator_grid`)."""
+        spaces, coupled = self.kernels.spaces, np.nonzero(self.scaled.zeta)
+        return lambda blocks: _operator_grid(spaces, coupled, rows, cols, *blocks)
+
+    def restrict(self, structure, key, rows=None, cols=None):
+        """``K[ix_(rows, cols)]`` for ascending global indices (None for
+        all), composed on ``structure`` under ``key``."""
+        return structure.compose(key, self.grid(rows, cols), self.operands)
+
+    @cached_property
+    def K(self):
+        """The whole operator, composed on its first read."""
+        return self.restrict(self.structure, "K")
 
     @property
     def p_block(self):
@@ -425,25 +460,20 @@ class BlockSystem:
 
     @cached_property
     def balance_rows(self):
-        """The rows of ``K`` tested by the volume pressures: the element mass
-        balances, on views of ``K``'s data and indices."""
-        K, rows = self.K, self.p_block
-        start, stop = K.indptr[rows.start], K.indptr[rows.stop]
-        balance = sps.csr_matrix((rows.stop - rows.start, K.shape[1]))
-        # assigned, not passed: scipy's constructor copies a view of a larger array
-        balance.data, balance.indices = K.data[start:stop], K.indices[start:stop]
-        balance.indptr = K.indptr[rows.start : rows.stop + 1] - start
-        return balance
+        """The rows of ``K`` tested by the volume pressures: the element mass balances."""
+        rows = self.p_block
+        return self.restrict(self.structure, "balance rows", np.arange(rows.start, rows.stop))
 
 
 def build_block_system(kernels, scaled):
-    """Compose the parameter-weighted operator from the kernels in one block grid.
+    """The parameter-weighted operator's blocks, from the kernels.
 
     ``K``'s entries are the kernels' data weighted as scipy's
     ``a_hdg + lam divdiv``, ``M_w / R_i``, ``-D``, ``-Dw``, ``Ew`` and
-    ``-zeta_ij M_p`` compute them, composed by :func:`_operator_grid`.  Its
-    pattern is recorded by the second composition with the same nonzero
-    weights: the transfer couplings (nonzero ``zeta``) and ``lam != 0``.
+    ``-zeta_ij M_p`` compute them, the operands of the block grid of
+    :func:`_operator_grid`.  The system's structure, on which the grid's
+    restrictions record their patterns, is kept per nonzero weights: the
+    transfer couplings (nonzero ``zeta``) and ``lam != 0``.
     """
     spaces = kernels.spaces
     n = scaled.n
@@ -461,38 +491,40 @@ def build_block_system(kernels, scaled):
         elastic = k.structure.compose(
             "elastic", padded, (k.a_hdg, k.a_hdg.data), (k.divdiv, k.divdiv.data * scaled.lam)
         )
-    coupled = np.nonzero(scaled.zeta)
-    structure = k.structure.derive(("K", has_lam, np.flatnonzero(scaled.zeta).tobytes()), Structure)
-    K = structure.compose(
-        "K",
-        lambda *blocks: _operator_grid(spaces, coupled, *blocks),
+    operands = Stack(
         (elastic, elastic.data),
         *((k.M_w, k.M_w.data * (1 / R)) for R in scaled.R),
         (k.D, -k.D.data),
         (k.Dw, -k.Dw.data),
         (k.Ew, k.Ew.data),
-        *((k.M_p, k.M_p.data * -scaled.zeta[i, j]) for i, j in zip(*coupled)),
+        *((k.M_p, k.M_p.data * -scaled.zeta[i, j]) for i, j in zip(*np.nonzero(scaled.zeta))),
     )
     layout = spaces.layout
     return BlockSystem(
         layout=layout,
-        K=K,
         F=np.zeros(layout.total),
         kernels=kernels,
         scaled=scaled,
-        structure=structure,
+        operands=operands,
+        structure=k.structure.derive(("K", has_lam, np.flatnonzero(scaled.zeta).tobytes()), Structure),
     )
 
 
-def _operator_grid(spaces, coupled, elastic, *blocks):
-    """``K`` as one ``sps.bmat`` of its weighted blocks: the elasticity
-    block, each network's flux mass, ``-D``, ``-Dw``, ``Ew`` and one
-    ``-zeta_ij M_p`` per transfer coupling ``(i, j)`` in ``coupled``.  The
-    blocks above the diagonal are the transposes of ``-D``, ``-Dw`` and
-    ``Ew``."""
+def _operator_grid(spaces, coupled, rows, cols, elastic, *blocks):
+    """``K[ix_(rows, cols)]`` from its weighted blocks on the field grid:
+    the elasticity block, each network's flux mass, ``-D``, ``-Dw``,
+    ``Ew`` and one ``-zeta_ij M_p`` per transfer coupling ``(i, j)`` in
+    ``coupled``; the blocks above the diagonal are the transposes of
+    ``-D``, ``-Dw`` and ``Ew``.  ``rows`` and ``cols`` are ascending
+    global indices, or None for all.  Each block is restricted first, by
+    scipy's fancy indexing, and the restricted blocks are stacked along
+    each grid row and then down the grid, so the result has the entries,
+    order and index dtype of fancy indexing of ``K``."""
     n = spaces.n_networks
     masses, (D, Dw, Ew), transfer = blocks[:n], blocks[n : n + 3], blocks[n + 3 :]
-    div_u = sps.hstack([D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))], format="csr")
+    # -D on the u+uhat columns: its own arrays, the uhat columns empty
+    size_uu = spaces.size_u + spaces.size_uhat
+    div_u = sps.csr_matrix((D.data, D.indices, D.indptr), shape=(spaces.size_p, size_uu))
     # grid rows and columns: u+uhat, w_0..w_{n-1}, p_0..p_{n-1}, phat_0..phat_{n-1}
     grid = [[None] * (1 + 3 * n) for _ in range(1 + 3 * n)]
     grid[0][0] = elastic
@@ -504,7 +536,50 @@ def _operator_grid(spaces, coupled, elastic, *blocks):
         grid[phat][w], grid[w][phat] = Ew, Ew.T
     for M_p, i, j in zip(transfer, *coupled):
         grid[1 + n + i][1 + n + j] = M_p
-    return sps.bmat(grid, format="csr")
+    layout = spaces.layout
+    starts = [0] + [layout.offsets[f] for f in layout.names[2:]] + [layout.total]
+    row_groups, col_groups = _grid_groups(rows, starts), _grid_groups(cols, starts)
+    col_starts = np.cumsum([0] + [count for count, _ in col_groups])
+    n_cols = int(col_starts[-1])
+    strips = []
+    for line, (n_rows, r) in zip(grid, row_groups):
+        if not n_rows:
+            continue
+        pieces, filled = [], 0   # the restricted blocks, and empty ones in the gaps
+        for block, (count, c), start in zip(line, col_groups, col_starts):
+            if block is None or not count:
+                continue
+            if start > filled:
+                pieces.append(sps.csr_matrix((n_rows, start - filled)))
+            pieces.append(_restricted(block, r, c))
+            filled = start + count
+        if n_cols > filled:
+            pieces.append(sps.csr_matrix((n_rows, n_cols - filled)))
+        strips.append(sps.hstack(pieces, format="csr"))
+    return sps.vstack(strips, format="csr")
+
+
+def _grid_groups(index, starts):
+    """Ascending global ``index`` split over the grid groups that begin at
+    ``starts``: per group, its count and its local indices, None when the
+    group is listed whole, as it is for ``index`` None."""
+    sizes = np.diff(starts)
+    if index is None:
+        return [(size, None) for size in sizes]
+    cuts = np.searchsorted(index, starts)
+    return [(b - a, None if b - a == size else index[a:b] - start)
+            for a, b, start, size in zip(cuts[:-1], cuts[1:], starts, sizes)]
+
+
+def _restricted(block, rows, cols):
+    """``block[ix_(rows, cols)]`` as a CSR matrix, None for all rows or
+    columns; the columns are taken first, so a few columns of many rows
+    (``K_fc``'s) copy only their own entries."""
+    if cols is not None:
+        block = block[:, cols]
+    if rows is not None:
+        block = block[rows, :]
+    return block.tocsr()
 
 
 # ----------------------------------------------------------------------
@@ -691,8 +766,8 @@ class ConstrainedSystem:
 
     ``K_ff``, the operator on the free DOFs, is composed on its first
     read: ``full_block`` runs MinRes on it, while ``schur_reduced``
-    restricts ``base.K`` straight to the blocks it needs and never forms
-    it.
+    composes the blocks it needs straight from the operator's weighted
+    blocks (:meth:`BlockSystem.restrict`) and never forms it.
     """
 
     base: BlockSystem
@@ -710,8 +785,7 @@ class ConstrainedSystem:
     @cached_property
     def K_ff(self):
         """``K[ix_(free, free)]``, composed on the pattern recorded for the free DOFs."""
-        free, K = self.free, self.base.K
-        return self.structure.compose("K_ff", lambda K: K[np.ix_(free, free)], (K, K.data))
+        return self.base.restrict(self.structure, "K_ff", self.free, self.free)
 
     def rhs(self):
         """``base.F`` on the free DOFs, with the constrained values lifted out."""
@@ -858,8 +932,10 @@ def apply_boundary_conditions(system, bcs, t=0.0, constraints=None):
     for ``bcs`` at ``t`` passes them as ``constraints``; they are
     evaluated here otherwise.  ``K_fc`` is ``K[ix_(free, constrained)]``,
     composed here, and ``K_ff`` is ``K[ix_(free, free)]``, composed when
-    first read; both use patterns recorded per constrained DOF set.  The
-    shared ``free`` and ``free_pos`` arrays are read-only.
+    first read; both are restrictions of the operator's weighted blocks
+    (:meth:`BlockSystem.restrict`), so neither forms ``K``, and both use
+    patterns recorded per constrained DOF set.  The shared ``free`` and
+    ``free_pos`` arrays are read-only.
     """
     if constraints is None:
         constraints = constraint_data(system.layout, system.kernels.spaces, bcs, t)
@@ -867,13 +943,12 @@ def apply_boundary_conditions(system, bcs, t=0.0, constraints=None):
     structure = system.structure.derive(
         constrained.tobytes(), lambda: _constrained_structure(system, constrained)
     )
-    K, free = (system.K, system.K.data), structure.free
     return ConstrainedSystem(
         base=system,
-        free=free,
+        free=structure.free,
         constrained=constrained,
         values=values,
-        K_fc=structure.compose("K_fc", lambda K: K[np.ix_(free, constrained)], K),
+        K_fc=system.restrict(structure, "K_fc", structure.free, constrained),
         free_pos=structure.free_pos,
         structure=structure,
     )

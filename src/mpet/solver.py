@@ -23,9 +23,10 @@ per-entry arithmetic (see :mod:`mpet.sparsity`).  The weighted copies
 (``R_i S_w``, ``R_i N``, ``R_i M_w^{-1}`` and ``Lambda (x) M_p``) are
 placed by index, and the pressure block is the sum of its two operands,
 each restricted to the free DOFs first.  The condensed operator, its flux
-coupling and the first block restrict the operator ``K`` itself at the
-global indices of their DOFs, so a ``schur_reduced`` solve never forms
-``K_ff``, which only ``full_block`` reads.  The factor of the first block
+coupling and the first block are each one composition of the operator's
+weighted blocks restricted to the global indices of their DOFs
+(:meth:`~mpet.assembly.BlockSystem.restrict`), so no solve forms ``K``,
+and only ``full_block`` forms ``K_ff``.  The factor of the first block
 is kept per structure for the last ``FIRST_FACTORS`` parameter values it
 depends on (lambda for ``schur_reduced``), so cells that differ only in
 R, alpha_p or xi share it, and the block is composed only when its
@@ -215,6 +216,12 @@ class _SPDFactor:
       columns permuted alike, the pivots ``U.diagonal()`` have the inertia
       of the matrix (Sylvester's law), so a block without a kernel is SPD
       exactly when every pivot is positive.
+
+    Reading the pivots through ``lu.U`` makes scipy build CSC copies of
+    both ``L`` and ``U``, which the ``SuperLU`` object caches for the life
+    of the factor: as much again as the factor itself, 12.88 MiB for the
+    (16,3) ``X_u`` and 4.53 MiB for its ``X_p``.  No scipy API reads the
+    pivots without them.
 
     Both are exact inverses of the same matrix.  The band's triangular
     solves cost about 0.7 ns per stored entry against SuperLU's 3.5 ns, so
@@ -438,9 +445,9 @@ def condense_velocity(constrained):
     ``blockdiag(0, R_i S_w)``, composed as the sum with ``-R_i S_w``, the
     same per-entry arithmetic as scipy's difference (every R_i is
     nonzero, so the pattern depends on the structure alone).  It and
-    ``C`` restrict ``base.K`` at the global indices of their free DOFs,
-    which moves the same entries as restricting ``K_ff``, so ``K_ff`` is
-    never formed.
+    ``C`` are composed from the operator's weighted blocks, each restricted
+    to the global indices of their free DOFs, which moves the same entries
+    as restricting ``K_ff``, so neither ``K`` nor ``K_ff`` is formed.
     """
     con = constrained
     kernels = con.base.kernels
@@ -449,12 +456,13 @@ def condense_velocity(constrained):
     iu, iw, iq, free = structure.iu, structure.iw, structure.iq, con.free
     within = np.ix_(con.structure.q_within, con.structure.q_within)
 
-    def reduced(K, S):
-        keep = free[structure.keep]
-        eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), S[within]], format="csr")
-        return K[np.ix_(keep, keep)], eliminated
+    keep = free[structure.keep]
+    kept = con.base.grid(keep, keep)
 
-    K = (con.base.K, con.base.K.data)
+    def reduced(blocks, S):
+        eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), S[within]], format="csr")
+        return kept(blocks), eliminated
+
     S_w = (_per_network(kernels.S_w, kernels.spaces), np.multiply.outer(-R, kernels.S_w.data).ravel())
     size = kernels.M_w_inv.shape[0]
     on_diagonal = lambda k, row, col: (k * size + row, k * size + col)
@@ -462,11 +470,11 @@ def condense_velocity(constrained):
               np.multiply.outer(R, kernels.M_w_inv.data).ravel())
     return CondensedSystem(
         constrained=con,
-        K_red=structure.compose("K_red", reduced, K, S_w),
+        K_red=structure.compose("K_red", reduced, con.base.operands, S_w),
         iu=iu,
         iw=iw,
         iq=iq,
-        C=structure.compose("C", lambda K: K[np.ix_(free[iw], free[iq])], K),
+        C=con.base.restrict(structure, "C", free[iw], free[iq]),
         Mw_inv=structure.compose("Mw_inv", lambda M: M, Mw_inv),
     )
 
@@ -527,9 +535,9 @@ def _preconditioner_structure(target):
 
 
 def _first_block(con, structure):
-    """The (u, uhat) or (u, uhat, w) block of ``K_ff``, restricted from ``base.K``."""
-    K, first = con.base.K, con.free[structure.first]
-    return structure.compose("first", lambda K: K[np.ix_(first, first)], (K, K.data))
+    """The (u, uhat) or (u, uhat, w) block of ``K_ff``, composed from ``K``'s operands."""
+    first = con.free[structure.first]
+    return con.base.restrict(structure, "first", first, first)
 
 
 def _pressure_block(con, structure):
@@ -600,6 +608,7 @@ def build_preconditioner(target):
     if f1 is None:
         x1 = _first_block(con, structure)
         f1 = _SPDFactor(x1, plan=structure.derive("first band", lambda: _BandPlan(x1)))
+        del x1   # freed before the pressure block is composed and factored
     factors[key] = f1
     if len(factors) > FIRST_FACTORS:
         factors.popitem(last=False)

@@ -20,7 +20,9 @@ so the result's data say where each of its entries comes from, and its
 pattern and entry order are scipy's.  From then on the composition is
 one gather from the operands' data.  Weighted copies of a
 matrix (a Kronecker product, a per-network embedding) are operands on
-:class:`Copies`, placed by index.  A final sum is recorded by
+:class:`Copies`, placed by index.  A :class:`Stack` takes several
+operands as one, whose data it concatenates once for all the
+compositions that replay from it.  A final sum is recorded by
 :class:`Union`; a sum that is restricted afterwards is composed as the
 sum of its restricted operands, and a difference as the sum with the
 negated operand, which is the same floating-point operation.
@@ -40,10 +42,12 @@ every matrix composed on them: each composition gets fresh ``data``
 only, and scipy cannot sort a shared pattern in place.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sps
 
-__all__ = ["Copies", "Gather", "Structure", "Union"]
+__all__ = ["Copies", "Gather", "Stack", "Structure", "Union"]
 
 
 class Copies:
@@ -66,6 +70,35 @@ class Copies:
         return sps.csr_matrix((data, (rows.ravel(), cols.ravel())), shape=self.shape)
 
 
+class Stack:
+    """Operands ``(pattern, data)`` taken as one operand of a composition.
+
+    The composition gets their matrices as one list, and its recording
+    numbers their entries in list order.  A replay gathers from
+    :attr:`data`, their data concatenated on the first replay and kept,
+    so every composition replayed from one stack shares one copy.
+    """
+
+    def __init__(self, *operands):
+        self.operands = operands
+
+    @cached_property
+    def data(self):
+        return np.concatenate([data for _, data in self.operands])
+
+
+def _matrices(operand, on):
+    """``on(pattern, data)`` of an operand, or the list of those of a :class:`Stack`."""
+    if isinstance(operand, Stack):
+        return [on(*pair) for pair in operand.operands]
+    return on(*operand)
+
+
+def _source(operand):
+    """The data a replay gathers an operand's entries from."""
+    return operand.data if isinstance(operand, Stack) else operand[1]
+
+
 def _on(pattern, data):
     """``data`` on ``pattern``: :class:`Copies` or a CSR matrix, whose
     entries ``data`` lists in order (the matrix itself if ``data`` is its
@@ -79,13 +112,17 @@ def _on(pattern, data):
     return sps.csr_matrix((data, *shared), shape=pattern.shape)
 
 
-def _numbered(patterns):
-    """Id matrices on ``patterns``, their entries numbered consecutively from 1."""
-    out, start = [], 0
-    for pattern in patterns:
-        out.append(_on(pattern, np.arange(start + 1, start + pattern.nnz + 1, dtype=np.int32)))
-        start += pattern.nnz
-    return out
+def _numbered(operands):
+    """Id matrices on the patterns of ``operands``, their entries numbered
+    consecutively from 1."""
+    stop = 0
+
+    def ids(pattern, _):
+        nonlocal stop
+        stop += pattern.nnz
+        return _on(pattern, np.arange(stop - pattern.nnz + 1, stop + 1, dtype=np.int32))
+
+    return [_matrices(operand, ids) for operand in operands]
 
 
 class _Pattern:
@@ -180,23 +217,24 @@ class Structure:
     def compose(self, key, fn, *operands):
         """``fn`` on the ``operands``, as a CSR matrix.
 
-        Each operand is a pair ``(pattern, data)``: a CSR matrix whose
-        entries ``data`` lists in order, or :class:`Copies`.  ``fn`` takes
-        the operands as matrices and returns the composed matrix, or the
-        pair ``(P, Q)`` whose sum it is, ``P`` composed from the first of
-        two operands and ``Q`` from the second.  Its first use under
-        ``key`` runs on the real operands; the second records it and the
-        later ones replay the recording, each one gather from the
-        operands' data.
+        Each operand is a pair ``(pattern, data)``, a CSR matrix whose
+        entries ``data`` lists in order or :class:`Copies`, or a
+        :class:`Stack` of such pairs.  ``fn`` takes the operands as
+        matrices (a stack as a list of them) and returns the composed
+        matrix, or the pair ``(P, Q)`` whose sum it is, ``P`` composed
+        from the first of two operands and ``Q`` from the second.  Its
+        first use under ``key`` runs on the real operands; the second
+        records it and the later ones replay the recording, each one
+        gather from the operands' data.
         """
         found = self.derived.get(key)
         if found is None:
             self.derived[key] = _SEEN
-            result = fn(*(_on(pattern, data) for pattern, data in operands))
+            result = fn(*(_matrices(operand, _on) for operand in operands))
             return result[0] + result[1] if isinstance(result, tuple) else result
-        sources = [data for _, data in operands]
+        sources = [_source(operand) for operand in operands]
         if found is _SEEN:
-            ids = fn(*_numbered(pattern for pattern, _ in operands))
+            ids = fn(*_numbered(operands))
             found = Union(*ids, len(sources[0])) if isinstance(ids, tuple) else Gather(ids)
             self.derived[key] = found
         if isinstance(found, Union):

@@ -209,6 +209,28 @@ def test_scatter_memory_per_entry(monkeypatch):
     assert peak / entries <= 40.0, peak / entries
 
 
+def test_kernel_build_memory():
+    """The ``tracemalloc`` peak of ``assemble_kernels`` at (16,3), per byte
+    of the kernels it returns (13.1 MiB): 3.8 when each mapped basis is
+    freed once its Grams exist, against 5.9 when every basis lived until
+    the scatters."""
+    import tracemalloc
+
+    spaces = SpaceSet(generate_unit_square(16), 3, 2)
+    assemble_kernels(spaces)   # the space set's own cached reference data
+    tracemalloc.start()
+    try:
+        kernels = assemble_kernels(spaces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrices = [getattr(kernels, name) for name in
+                ("a_hdg", "divdiv", "D", "Dw", "Ew", "M_w", "M_w_inv", "S_w", "M_p")]
+    size = kernels.p_mass_inv.nbytes + sum(
+        a.nbytes for m in matrices for a in (m.data, m.indices, m.indptr))
+    assert peak / size <= 4.5, peak / size
+
+
 # ----------------------------------------------------------------------
 # structural properties
 # ----------------------------------------------------------------------

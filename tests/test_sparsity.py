@@ -296,32 +296,65 @@ def test_a_pattern_is_recorded_on_its_second_use():
 
 
 def test_schur_reduced_solves_never_compose_K_ff():
-    """A cold ``schur_reduced`` solve, a reused one and a time stepper's
-    construction and first step restrict ``base.K`` straight to the blocks
-    they read; ``K_ff`` is composed on its first read, bitwise the scipy
-    restriction, and ``full_block`` solves with it."""
+    """A cold ``schur_reduced`` solve, a reused one, a ``full_block`` solve
+    and a time stepper's construction and first step compose what they
+    read straight from the operator's weighted blocks: none forms ``K``,
+    and only ``full_block`` composes ``K_ff``.  Read afterwards, ``K`` and
+    ``K_ff`` are bitwise the scipy compositions."""
     composed = lambda con: "K_ff" in con.structure.derived or "K_ff" in vars(con)
+    formed = lambda system: "K" in system.structure.derived or "K" in vars(system)
     kernels = _kernels(2, 2)
     scaled = _sweep_parameters(2, 1e4, False)
     bcs = homogeneous_bcs(2, pressure="dirichlet")
     con = apply_boundary_conditions(build_block_system(kernels, scaled), bcs)
     con.base.F = np.random.default_rng(3).standard_normal(con.layout.total)
     x, report, reuse = solve(con)
-    assert report.converged and not composed(con)
+    assert report.converged and not composed(con) and not formed(con.base)
     x_reused, _, _ = solve(con, reuse=reuse)
-    assert np.array_equal(x_reused, x) and not composed(con)
+    assert np.array_equal(x_reused, x) and not composed(con) and not formed(con.base)
     stepper = TimeStepper(brain_analog_scenario(t_end=0.0125))
     stepper.step(stepper.initial_state())
-    assert stepper.scenario.variant == "schur_reduced" and not composed(stepper.constrained)
+    assert stepper.scenario.variant == "schur_reduced"
+    assert not composed(stepper.constrained) and not formed(stepper.system)
 
     for con in (con, stepper.constrained):
-        K_ff, _ = reference_constrained(con.base.K, con.constrained)
-        assert_same(con.K_ff, K_ff, "K_ff")
-        assert composed(con) and con.K_ff is con.K_ff
         x_reduced, _, _ = solve(con, tol=1e-11)
         x_full, report, _ = solve(con, "full_block", tol=1e-11)
-        assert report.converged
+        assert report.converged and composed(con) and not formed(con.base)
         assert np.abs(x_full - x_reduced).max() <= 1e-6 * np.abs(x_reduced).max()
+        system = con.base
+        assert_same(system.K, reference_operator(system.kernels, system.scaled), "K")
+        assert formed(system) and system.K is system.K
+        K_ff, _ = reference_constrained(system.K, con.constrained)
+        assert_same(con.K_ff, K_ff, "K_ff")
+        assert con.K_ff is con.K_ff
+
+
+def test_replayed_restrictions_gather_from_one_copy_of_the_operands(monkeypatch):
+    """On recorded patterns every matrix restricted from the operator is one
+    gather or sum from its weighted blocks' data, concatenated once per
+    system, and bitwise the matrix of the cell that composed it directly."""
+    kernels = _kernels(2, 2)
+    bcs = homogeneous_bcs(2, pressure="dirichlet")
+    sources = []
+    for cls in (Gather, Union):
+        replay = cls.matrix
+        monkeypatch.setattr(cls, "matrix", lambda self, source, *rest, _replay=replay:
+                            sources.append(source) or _replay(self, source, *rest))
+
+    def cell():
+        sources.clear()
+        system = build_block_system(kernels, _sweep_parameters(2, 1e4, False))
+        con = apply_boundary_conditions(system, bcs)
+        condensed = condense_velocity(con)
+        return system, [con.K_fc, condensed.K_red, condensed.C, system.balance_rows, con.K_ff,
+                        system.K]
+
+    _, direct = [cell() for _ in range(3)][0]
+    system, replayed = cell()
+    assert sum(source is system.operands.data for source in sources) == 6
+    for k, (a, b) in enumerate(zip(replayed, direct)):
+        assert_same(a, b, k)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])

@@ -425,8 +425,8 @@ class BlockSystem:
     kernel blocks, and every matrix a solve reads from ``K`` is composed
     straight from them by :meth:`restrict`, so no solve forms ``K``
     itself: ``K`` is composed on its first read.  ``structure`` holds
-    the patterns recorded for ``K`` and :attr:`balance_rows`, and the
-    constrained and condensed systems record theirs on it.
+    the pattern recorded for ``K``, and the constrained and condensed
+    systems record theirs on it.
     """
 
     layout: DofLayout
@@ -457,12 +457,6 @@ class BlockSystem:
         """Slice of every network's volume pressures, contiguous in the layout."""
         start = self.layout.offsets["p0"]
         return slice(start, start + self.layout.n_networks * self.kernels.spaces.size_p)
-
-    @cached_property
-    def balance_rows(self):
-        """The rows of ``K`` tested by the volume pressures: the element mass balances."""
-        rows = self.p_block
-        return self.restrict(self.structure, "balance rows", np.arange(rows.start, rows.stop))
 
 
 def build_block_system(kernels, scaled):

@@ -138,8 +138,10 @@ def conservation_residual(x_full, system):
     residual function is measured in L2 on each element, that is in the
     dual norm ``r_t . M_t^{-1} r_t`` with the element's pressure mass block
     (``kernels.p_mass_inv``), and normalized by the global magnitude of
-    the balance terms.  Only the balance rows of ``K`` are multiplied.
-    The balance is taken against the system's right-hand side ``F``.
+    the balance terms.  The residual ``F - K x`` on the volume-pressure
+    rows is the sum of the same terms, ``F_i + D u + Dw w_i +
+    sum_j zeta_ij M_p p_j``, formed from the kernels rather than from
+    ``K``, so a wrong weight in the solved operator shows in it.
     Returns ``(max_relative, residual)`` with ``residual[i, t]`` that of
     network ``i`` on element ``t``.
     """
@@ -161,18 +163,16 @@ def conservation_residual(x_full, system):
     P = x_full[p_block].reshape(n, spaces.size_p)
     W = x_full[w_block].reshape(n, spaces.size_w)
 
-    # global scale from the constituent terms of the balance rows
-    terms = np.concatenate(
-        [
-            (kernels.D @ x_full[layout.sl("u")])[None, :],
-            (kernels.Dw @ W.T).T,
-            np.reshape(F[p_block], (n, spaces.size_p)),
-            system.scaled.zeta @ (kernels.M_p @ P.T).T,
-        ]
-    )
+    div_u = kernels.D @ x_full[layout.sl("u")]
+    div_w = (kernels.Dw @ W.T).T
+    loads = np.reshape(F[p_block], (n, spaces.size_p))
+    transfer = system.scaled.zeta @ (kernels.M_p @ P.T).T
+    # global scale from the constituent terms of the balance
+    terms = np.concatenate([div_u[None, :], div_w, loads, transfer])
     scale = float(max(np.sqrt(dual_norm2(terms).sum()), 1e-300))
 
-    r = F[p_block] - system.balance_rows @ x_full
+    # network i's rows of K are -D, -Dw (on w_i) and -zeta_ij M_p: r = F - K x
+    r = loads + div_u + div_w + transfer
     residual = np.sqrt(np.maximum(dual_norm2(r), 0.0)) / scale
     return float(residual.max()), residual
 

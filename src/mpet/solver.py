@@ -59,7 +59,6 @@ recurrence whose convergence is measured in the preconditioned residual
 norm.
 """
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,7 +107,6 @@ class SolveReport:
     iterations: int
     residuals: list
     converged: bool
-    wall_time: float = 0.0
     conservation: float = None
     variant: str = ""
 
@@ -132,7 +130,6 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
     n = rhs.shape[0]
     matvec = operator.dot if hasattr(operator, "dot") else operator
     x = np.zeros(n)
-    t0 = time.perf_counter()
 
     v_prev = np.zeros(n)
     v = rhs.copy()   # the residual of the zero start, bitwise rhs - matvec(0)
@@ -143,7 +140,7 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
     gamma = float(np.sqrt(gamma2))
     history = [gamma]
     if gamma == 0.0:
-        return x, SolveReport(0, history, True, time.perf_counter() - t0)
+        return x, SolveReport(0, history, True)
 
     gamma_prev = 1.0
     eta = gamma
@@ -189,7 +186,7 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
         gamma_prev, gamma = gamma, gamma_next
         z = z_next / gamma_next
 
-    return x, SolveReport(it, history, converged, time.perf_counter() - t0)
+    return x, SolveReport(it, history, converged)
 
 
 # ----------------------------------------------------------------------

@@ -225,7 +225,9 @@ class Structure:
         from the first of two operands and ``Q`` from the second.  Its
         first use under ``key`` runs on the real operands; the second
         records it and the later ones replay the recording, each one
-        gather from the operands' data.
+        gather from the operands' data.  A composition takes one operand,
+        recorded as a :class:`Gather`, or two whose sum it returns,
+        recorded as a :class:`Union`.
         """
         found = self.derived.get(key)
         if found is None:
@@ -237,9 +239,7 @@ class Structure:
             ids = fn(*_numbered(operands))
             found = Union(*ids, len(sources[0])) if isinstance(ids, tuple) else Gather(ids)
             self.derived[key] = found
-        if isinstance(found, Union):
-            return found.matrix(*sources)
-        return found.matrix(sources[0] if len(sources) == 1 else np.concatenate(sources))
+        return found.matrix(*sources)
 
     def clear(self):
         """Forget everything derived and recorded on top of this structure."""

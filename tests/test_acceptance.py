@@ -43,6 +43,8 @@ from oracles import oracle_blocks, symmetry_defect
 
 # frozen regression bounds, calibrated once and committed
 SWEEP_MAX_ITERATIONS = 60          # measured max 35 on the 128-element grid
+# measured max 1.96e-7 (ell 2, i 4, lambda 1e8); above 1e-8 in five lambda 1e8 cells
+SWEEP_MAX_CONSERVATION = 4e-7
 XP_EQUIVALENCE_INTERVAL = (0.15, 0.60)   # measured [0.1667, 0.5052] over 3 levels
 
 
@@ -106,12 +108,16 @@ def test_criterion_3_parameter_robustness_sweep():
     Schur-reduced preconditioner: everything converges under the frozen
     iteration cap, raising lambda never increases the counts by more
     than 50% (robustness in lambda), and the 30 counts are the ones the
-    benchmark's ``sweep`` workload records for the same cells."""
+    benchmark's ``sweep`` workload records for the same cells.  Every
+    cell's element balance stays under a bound calibrated on the grid:
+    at lambda = 1e8 MinRes at tol 1e-8 leaves balance residuals up to
+    about 2e-7, so the 1e-8 of criterion 2 holds only for its cells."""
     reference = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
     )
     iterations = []
     max_iters = 0
+    max_cons = 0.0
     for ell in (1, 2):
         for i in (0, 2, 4, 6, 8):
             counts = {}
@@ -121,6 +127,8 @@ def test_criterion_3_parameter_robustness_sweep():
                     8, ell, scaled, 1e-8, 500, "schur_reduced"
                 )
                 assert report.converged, (ell, i, lam)
+                assert report.conservation <= SWEEP_MAX_CONSERVATION, (ell, i, lam)
+                max_cons = max(max_cons, report.conservation)
                 counts[lam] = report.iterations
                 iterations.append(report.iterations)
                 max_iters = max(max_iters, report.iterations)
@@ -128,7 +136,8 @@ def test_criterion_3_parameter_robustness_sweep():
     assert max_iters <= SWEEP_MAX_ITERATIONS
     assert iterations == reference["sweep_seed0_iterations"]
     announce(3, "parameter-robustness sweep",
-             f"all 30 cells converged, max iterations {max_iters} <= {SWEEP_MAX_ITERATIONS}")
+             f"all 30 cells converged, max iterations {max_iters} <= {SWEEP_MAX_ITERATIONS}, "
+             f"max balance residual {max_cons:.2e} <= {SWEEP_MAX_CONSERVATION:.0e}")
 
 
 def test_criterion_4_preconditioner_comparison():

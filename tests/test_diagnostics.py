@@ -263,12 +263,6 @@ def test_conservation_residual_matches_per_element_reference(name):
     assert abs(max_rel - want.max()) <= 1e-12 * want.max()
 
 
-def test_balance_rows_are_the_pressure_rows_of_the_operator():
-    mesh, spaces, scaled, system, bcs, con = make_problem(2, 2, 2, alpha_p=0.5, xi=0.3)
-    x = np.random.default_rng(3).normal(size=system.layout.total)
-    assert np.array_equal(system.balance_rows @ x, (system.K @ x)[system.p_block])
-
-
 def test_conservation_csv(tmp_path):
     rows = [(0, 0, 1.5e-12), (1, 0, 2.5e-13)]
     path = write_csv(tmp_path / "cons.csv", "# demo", "element,network,residual", rows)

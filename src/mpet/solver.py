@@ -40,20 +40,28 @@ the parameters from ``base.scaled``, the right-hand side from
 ``rhs()`` and the pressure kernel from the constrained structure.
 
 Both inner blocks are inverted exactly by a factorization that also
-certifies the block SPD, at every size (:class:`_SPDFactor`).  A block
-whose reverse Cuthill-McKee band fits in ``_BAND_BYTES`` (4 MiB) is
-factored by LAPACK's banded Cholesky, which succeeds exactly when every
-leading minor is positive; any other block by a symmetric-mode sparse
-LU whose pivot signs give its inertia.  A pressure block left singular
-by all-flux networks is factored with their kernel vectors, which the
+certifies the block SPD, at every size (:class:`_SPDFactor`).  The HDG
+unknowns leave each block with local rows that couple only in small
+blocks: in ``X_u`` the ``uhat`` of each facet (and for ``full_block``
+the fluxes of each element and network), which trail ``u``, and in
+``X_p`` the volume pressures of each element over all networks, which
+lead the multipliers.  The factor condenses them statically: it inverts
+the local blocks in one batched step, and if the reverse Cuthill-McKee
+band of the Schur complement ``S`` on the other rows fits in
+``_BAND_BYTES`` (4 MiB) it factors ``S`` by LAPACK's banded Cholesky.
+The local blocks' Cholesky and ``pbtrf`` succeed exactly when the block
+is SPD.  Any other block is factored by a symmetric-mode sparse LU whose
+pivot signs give its inertia.  A pressure block left singular by
+all-flux networks is factored with their kernel vectors, which the
 factor takes and borders the block by itself, so the blocks that
 :func:`preconditioner_matrices` returns are always the plain ones.  The
-band takes the brain annulus and 8x8 sweep blocks, whose band solves cost
-about half of SuperLU's; the larger unit-square blocks stay on SuperLU.
-A block's RCM ordering and band layout depend on its pattern alone, so
-each preconditioner structure keeps them (:class:`_BandPlan`) and a
-block on a recorded pattern is written into its band by one indexed
-assignment; ``pbtrf`` still runs on every block, as its certificate.
+condensed band takes the brain annulus and 8x8 sweep blocks and the
+(16,2) pressure block; the larger unit-square blocks stay on SuperLU.
+The local blocks, the pattern of ``S`` and its band layout depend on the
+block's pattern alone, so each preconditioner structure keeps them
+(:class:`_BandPlan`), and a block on a recorded pattern runs only the
+batched inverse, the Schur update and ``pbtrf``, which is the
+certificate's second half.
 The iteration itself is a standard three-term preconditioned MinRes
 recurrence whose convergence is measured in the preconditioned residual
 norm.
@@ -67,7 +75,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .assembly import constant_pressure_mode, mean_correct
 from .sparsity import Copies, Structure
@@ -197,22 +205,35 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
 class _SPDFactor:
     """Factorization of an SPD block; raises if the block is not SPD.
 
-    One of two exact factorizations is chosen from the block's structure:
+    One of three exact factorizations is chosen from the block's pattern,
+    and :attr:`path` names it:
 
-    * **Banded Cholesky.**  A block without a kernel is reordered by
-      reverse Cuthill-McKee.  If its upper band, ``n (w + 1)`` entries for
-      bandwidth ``w``, fits in ``_BAND_BYTES``, it is factored by LAPACK
-      ``pbtrf`` and solved by ``pbtrs``.  The band is written straight
-      from the block's upper entries through the inverse permutation and
-      factored in place.  ``plan``, the :class:`_BandPlan` of the block's
-      CSR pattern, gives the ordering and the band positions; a block
-      without one is planned here.  Cholesky succeeds exactly when every
-      leading minor is positive (Sylvester's criterion), so ``pbtrf`` is
-      the certificate.
-    * **Symmetric-mode ``splu``** for every other block.  With rows and
-      columns permuted alike, the pivots ``U.diagonal()`` have the inertia
-      of the matrix (Sylvester's law), so a block without a kernel is SPD
-      exactly when every pivot is positive.
+    * ``"condensed"``, **static condensation, then banded Cholesky.**
+      ``plan``, the :class:`_BandPlan` of the block's CSR pattern, names
+      its local rows: those that couple among themselves only in small
+      blocks.  In the preconditioner these are the ``uhat`` (and for
+      ``full_block`` the ``w``) that trail ``u`` in ``X_u``, one block per
+      facet (per element and network), and the volume pressures that
+      lead ``X_p``, one block per element over the networks.  The local
+      blocks are inverted in one batched step, the Schur complement
+      ``S = X_kk - X_kl X_ll^-1 X_lk`` on the other rows is written
+      straight into its reverse Cuthill-McKee band, and if that band,
+      ``n (w + 1)`` entries for bandwidth ``w``, fits in ``_BAND_BYTES``,
+      ``S`` is factored by LAPACK ``pbtrf`` and solved by ``pbtrs``.  By
+      Haynsworth's inertia additivity the block is SPD exactly when the
+      local blocks and ``S`` are, and Cholesky succeeds exactly when every
+      leading minor is positive (Sylvester's criterion), so the batched
+      Cholesky of the local blocks and ``pbtrf`` together are the
+      certificate.  An apply is two slices, one sparse product with the
+      transpose of ``[X_ll^-1, X_ll^-1 X_lk]``, the band solve and one
+      product with ``X_ll^-1 X_lk``.
+    * ``"band"``, the same without local rows, ``S`` the block itself.  A
+      block given without a plan, as in the spectrum diagnostics, is
+      planned here so.
+    * ``"splu"``, **symmetric-mode** ``splu``, for every other block.  With
+      rows and columns permuted alike, the pivots ``U.diagonal()`` have
+      the inertia of the matrix (Sylvester's law), so a block without a
+      kernel is SPD exactly when every pivot is positive.
 
     Reading the pivots through ``lu.U`` makes scipy build CSC copies of
     both ``L`` and ``U``, which the ``SuperLU`` object caches for the life
@@ -220,24 +241,35 @@ class _SPDFactor:
     (16,3) ``X_u`` and 4.53 MiB for its ``X_p``.  No scipy API reads the
     pivots without them.
 
-    Both are exact inverses of the same matrix.  The band's triangular
+    All are exact inverses of the same matrix.  The band's triangular
     solves cost about 0.7 ns per stored entry against SuperLU's 3.5 ns, so
     the band wins while it stays within a few times SuperLU's fill; the
-    budget also bounds its memory and its ``n w^2`` factorization.  Median
-    solve times, one BLAS thread, with ``(n, ell)`` the ``n x n`` unit
-    square at order ``ell``:
+    budget also bounds its memory and its ``n w^2`` factorization.
+    Condensation shrinks the band twice over: ``S`` has fewer rows, and
+    the local rows no longer widen its RCM levels.  Best-of-7 solve times,
+    one BLAS thread, of the ``schur_reduced`` blocks, with ``(n, ell)`` the
+    ``n x n`` unit square at order ``ell`` under the ``manufactured``
+    benchmark's parameters; "before" is the plain band, or SuperLU where
+    its band does not fit:
 
-    ================  ======  =========  ===============  ==========  ==========
-    block             rows    splu fill  band entries     splu solve  band solve
-    ================  ======  =========  ===============  ==========  ==========
-    brain X_u         1,536   72,144     119,808 (w 77)   254-275 us  82-118 us
-    brain X_p         2,528   105,348    262,912 (w 103)  351-359 us  194 us
-    sweep (8,2) X_u   1,440   87,534     168,480          207 us      101 us
-    sweep (8,2) X_p   1,472   28,146     79,488           214 us      104 us
-    (16,2) X_p        6,016   154,210    662k, over       0.91 ms     0.65 ms
-    (32,1) X_u        12,032  1,176,118  6.0M, over       2.1 ms      5.8 ms
-    (16,3) X_u        9,984   1,117,984  3.8M, over       1.6 ms      10.5 ms
-    ================  ======  =========  ===============  ==========  ==========
+    ==========  ======  ======  =====================  ===========  ============
+    block       rows    S rows  band entries, S's      path         solve before
+                                                                    / after (us)
+    ==========  ======  ======  =====================  ===========  ============
+    brain X_u   1,536   768     119,808 to 55,296      condensed    64 / 56
+    brain X_p   2,528   1,504   262,912 to 114,304     condensed    136 / 101
+    (8,1) X_u   704     352     81,664 to 17,600       condensed    35 / 27
+    (8,1) X_p   608     352     13,984 to 10,208       condensed    14 / 22
+    (8,2) X_u   1,440   912     168,480 to 109,440     condensed    71 / 80
+    (8,2) X_p   1,472   704     79,488 to 40,832       condensed    44 / 43
+    (16,2) X_p  6,016   2,944   662k to 359,168        condensed    434 / 284
+    (32,1) X_p  10,112  6,016   961k to 752k, over     splu         363
+    (32,1) X_u  12,032  6,016   6.0M to 1.17M, over    splu         1,236
+    (16,3) X_u  9,984   7,040   3.8M to 3.2M, over     splu         975
+    ==========  ======  ======  =====================  ===========  ============
+
+    On the smallest blocks the two sparse products cost about what the
+    narrower band saves.
 
     With ``kernel`` vectors ``k_1 .. k_m`` the factor borders the block
     itself: ``X`` stands for ``[[X, K], [K^T, corner I/s]]``, with the unit
@@ -257,14 +289,19 @@ class _SPDFactor:
 
     def __init__(self, mat, kernel=(), corner=-1.0, plan=None):
         self._m = m = len(kernel)
-        self._cholesky = None
-        found = None if m else _rcm_band(mat, plan)
-        if found is not None:
-            band, self._perm, self._inv = found
-            self._cholesky, info = _pbtrf(band, overwrite_ab=1)
-            if info > 0:
-                raise PreconditionerError(_NOT_SPD)
-            return
+        self._plan = None
+        if not m:
+            if plan is None:
+                mat = sps.csr_matrix(mat)
+                mat.sum_duplicates()
+                plan = _BandPlan(mat)
+            if plan.fits:
+                band, self._condensing, self._coupling = plan.condense(mat.data)
+                self._cholesky, info = _pbtrf(band, overwrite_ab=1)
+                if info > 0:
+                    raise PreconditionerError(_NOT_SPD)
+                self._plan = plan
+                return
         mat = sps.csc_matrix(mat)
         head = mat
         if m:
@@ -300,14 +337,27 @@ class _SPDFactor:
         self._lu = lu
 
     @property
-    def banded(self):
-        """Whether the block was factored as an RCM band."""
-        return self._cholesky is not None
+    def path(self):
+        """How the block was factored: ``"condensed"``, ``"band"`` or ``"splu"``."""
+        if self._plan is None:
+            return "splu"
+        return "band" if self._condensing is None else "condensed"
 
     def solve(self, r):
-        if self._cholesky is not None:
-            x, _ = _pbtrs(self._cholesky, r[self._perm], overwrite_b=1)
-            return x[self._inv]
+        plan = self._plan
+        if plan is not None:
+            r_s = r[plan.keep]
+            if self._condensing is not None:
+                # X_ll^-1 r_l over X_kl X_ll^-1 r_l: [X_ll^-1, X_ll^-1 X_lk]^T r_l
+                z = self._condensing @ r[plan.local]
+                n_l = len(z) - len(r_s)
+                y, r_s = z[:n_l], r_s - z[n_l:]
+            x_s, _ = _pbtrs(self._cholesky, r_s[plan.perm], overwrite_b=1)
+            x = np.empty_like(r)
+            x[plan.keep] = x_s = x_s[plan.inv]
+            if self._condensing is not None:
+                x[plan.local] = y - self._coupling @ x_s
+            return x
         if not self._m:
             return self._lu.solve(r)
         h, a = self._head, self._anchors
@@ -319,61 +369,186 @@ class _SPDFactor:
         return x
 
 
-def _rcm_band(mat, plan=None):
-    """``(band, perm, inv)`` of the RCM-ordered block, or None if its band
-    exceeds ``_BAND_BYTES`` or a row is empty.
-
-    ``perm`` lists the block's rows in RCM order and ``inv`` is its
-    inverse; ``band`` holds the upper triangle of the reordered block in
-    LAPACK's upper band storage, ``band[w + i - j, j] = X[i, j]`` for
-    ``i <= j``.  The lower triangle is not read.  ``plan`` is the
-    :class:`_BandPlan` of ``mat``'s CSR pattern, formed here when not given.
-    """
-    if plan is None:
-        mat = sps.csr_matrix(mat)
-        mat.sum_duplicates()
-        plan = _BandPlan(mat)
-    if plan.pos is None or plan.n * (plan.w + 1) > _BAND_BYTES // 8:
-        return None
-    return plan.fill(mat.data), plan.perm, plan.inv
-
-
 class _BandPlan:
-    """The RCM band layout of a canonical CSR pattern, shared by the blocks on it.
+    """The condensation and band layout of a canonical CSR pattern, shared
+    by the blocks on it.
 
-    ``perm`` lists the rows in RCM order, ``inv`` is its inverse and ``w``
-    the bandwidth.  When the band fits ``_BAND_BYTES``, ``upper`` marks
-    the entries on or above the diagonal after reordering and ``pos``
-    gives their flat positions in the band, stored column-major; ``pos``
-    is None otherwise, and for a pattern with an empty row (such a block
-    is singular, and splu rejects it).
+    ``local``, a leading or trailing slice of the rows (empty by default),
+    is condensed, and the other rows, ``keep``, carry the Schur complement
+    ``S``.  The local rows split into the connected components of their
+    own graph, the local blocks, and ``S``'s pattern is that of the kept
+    rows plus, for each local block, every pair of the kept rows it
+    couples to.  ``perm`` lists ``S``'s rows in RCM order, ``inv`` is its
+    inverse and ``w`` its bandwidth.  ``fits`` says whether the band,
+    ``size`` entries, fits ``_BAND_BYTES``; a pattern with an empty row
+    never fits (such a block is singular, and splu rejects it).  Only a
+    fitting pattern is laid out further (:meth:`_lay_out`).
     """
 
-    def __init__(self, mat):
-        self.n = n = mat.shape[0]
-        self.pos = None
-        counts = np.diff(mat.indptr)
-        if counts.min() == 0:
+    def __init__(self, mat, local=slice(0, 0)):
+        n = mat.shape[0]
+        lo, hi, _ = local.indices(n)
+        self.local, self.keep = slice(lo, hi), slice(hi, n) if lo == 0 else slice(0, lo)
+        self.fits = False
+        if np.diff(mat.indptr).min() == 0:
             return
+        label = reach = None
+        if hi > lo:
+            label = connected_components(mat[self.local, self.local], directed=False)[1]
+            across = mat[self.keep, self.local]
+            # the local blocks that each kept row couples to
+            reach = sps.csr_matrix((np.ones(across.nnz), label[across.indices], across.indptr),
+                                   shape=(across.shape[0], label.max() + 1))
+            reach.sum_duplicates()
+            kept = mat[self.keep, self.keep]
+            self._order(sps.csr_matrix((np.ones(kept.nnz), kept.indices, kept.indptr), shape=kept.shape)
+                        + reach @ reach.T)
+            del across, kept   # before the layout's own temporaries
+        else:
+            self._order(mat)
+        if self.size <= _BAND_BYTES // 8:
+            self.fits = True
+            self._lay_out(mat, label, None if reach is None else reach.T.tocsr())
+
+    def _order(self, pattern):
+        """Set ``perm``, ``inv``, ``w`` and ``size`` from the pattern of ``S``."""
+        n_s = pattern.shape[0]
         # intp: numpy casts an int32 index array on every gather
-        self.perm = reverse_cuthill_mckee(mat, symmetric_mode=True).astype(np.intp)
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
         self.inv = inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(n)
-        cols = inv[mat.indices]
-        first = mat.indptr[:-1]
+        inv[self.perm] = np.arange(n_s)
+        cols, first = inv[pattern.indices], pattern.indptr[:-1]
         self.w = w = int(max((np.maximum.reduceat(cols, first) - inv).max(),
                              (inv - np.minimum.reduceat(cols, first)).max()))
-        if n * (w + 1) <= _BAND_BYTES // 8:
-            rows = np.repeat(inv, counts)
-            self.upper = rows <= cols
-            cols = cols[self.upper]
-            self.pos = (w + rows[self.upper] - cols + (w + 1) * cols).astype(np.intp)
+        self.size = n_s * (w + 1)
 
-    def fill(self, data):
-        """The band of the block with entries ``data`` on this pattern."""
-        band = np.zeros((self.w + 1) * self.n)
-        band[self.pos] = data[self.upper]
-        return band.reshape((self.w + 1, self.n), order="F")
+    def _lay_out(self, mat, label, reach):
+        """Lay out a fitting pattern from ``label``, the local block of
+        each local row, and ``reach``, the rows of ``S`` that each block
+        couples to as a CSR matrix (both None without local rows).
+
+        The local blocks are batched by their size ``s``, and a batch's
+        couplings are padded to ``t`` columns, the most rows of ``S`` one
+        of its blocks reaches.  Each of ``groups`` is one batch of ``n``
+        blocks, ``(n, s, t, at, src)``: the block's entries
+        ``data[src[0]]`` fill the flat positions ``at[0]`` of the batch's
+        ``(n, s, s)`` blocks and ``data[src[1]]`` the positions ``at[1]``
+        of its ``(n, s, t)`` couplings ``X_lk``.  ``pos`` gives the flat
+        column-major band position of each of the block's entries and then
+        of each entry of the batches' ``(n, t, t)`` Schur updates, or
+        ``size`` for those below the diagonal, off ``S`` or on the padding.
+        ``stacked`` is the CSR pattern ``(indices, indptr)`` of
+        ``[X_ll^-1, X_ll^-1 X_lk]`` and ``coupling`` that of
+        ``X_ll^-1 X_lk``, both on the local rows in their order; ``take``
+        gathers the first one's data from the batches' ``(n, s, s + t)``
+        stacks of the two, and ``take_coupling`` the second one's from the
+        first one's.
+        """
+        n, lo, hi = mat.shape[0], self.local.start, self.local.stop
+        n_s, w, size = len(self.perm), self.w, self.size
+        # int32 halves the largest array a plan keeps, and bincount casts it in
+        # one pass; the padding's row n_s stays off the band
+        inv = np.append(self.inv, n_s).astype(np.int32)
+        rows, cols = np.repeat(np.arange(n), np.diff(mat.indptr)), mat.indices
+        on_local = np.zeros(n, dtype=bool)
+        on_local[lo:hi] = True
+        kept = ~on_local[rows] & ~on_local[cols]
+        to_s = np.arange(n) - self.keep.start   # the row of S of a kept row
+
+        def place(i, j):   # the band positions of the entries (i, j) of S
+            i, j = inv[i], inv[j]
+            return np.where((i <= j) & (j < n_s), w + i - j + (w + 1) * j, size)
+
+        pos, self.groups = [np.full(len(rows), size, dtype=np.int32)], []
+        pos[0][kept] = place(to_s[rows[kept]], to_s[cols[kept]])
+        if label is not None:
+            n_l = hi - lo
+            s, t, first = np.bincount(label), np.diff(reach.indptr), reach.indptr[:-1]
+            within = np.flatnonzero(on_local[rows] & on_local[cols])
+            across = np.flatnonzero(on_local[rows] & ~on_local[cols])
+            w_row, w_col, a_row = rows[within] - lo, cols[within] - lo, rows[across] - lo
+            a_block = label[a_row]
+            keys = np.repeat(np.arange(len(s)) * n_s, t) + reach.indices
+            a_col = np.searchsorted(keys, a_block * n_s + to_s[cols[across]]) - first[a_block]
+            # the blocks by size, the local rows block after block, and k, a
+            # local row's row within its block
+            order = np.argsort(s, kind="stable")
+            slot = np.empty_like(order)
+            slot[order] = np.arange(len(order))
+            start = np.cumsum(s[order]) - s[order]
+            members = np.argsort(slot[label], kind="stable")
+            k = np.empty(n_l, dtype=np.intp)
+            k[members] = np.arange(n_l) - start[slot[label[members]]]
+            bounds = np.flatnonzero(np.diff(s[order], prepend=0, append=0))
+            batch = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[slot]
+            rank = slot - bounds[batch]
+            stretch, columns = np.empty(n_l, dtype=np.intp), []   # of each local row in the stacks
+            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                blocks = order[a:b]
+                m, width = s[blocks[0]], t[blocks].max()
+                on_w, on_a = batch[label[w_row]] == g, batch[a_block] == g
+                at_w = (rank[label[w_row[on_w]]] * m + k[w_row[on_w]]) * m + k[w_col[on_w]]
+                at_a = (rank[a_block[on_a]] * m + k[a_row[on_a]]) * width + a_col[on_a]
+                self.groups.append((b - a, m, width, (at_w, at_a), (within[on_w], across[on_a])))
+                j = np.arange(width)
+                reached = reach.indices[np.minimum(first[blocks, None] + j, len(reach.indices) - 1)]
+                reached[j >= t[blocks, None]] = n_s
+                pos.append(place(reached[:, :, None], reached[:, None, :]).ravel())
+                block_rows = members[start[a:b, None] + np.arange(m)]
+                done = sum(c.size for c in columns)
+                stretch[block_rows.ravel()] = done + (m + width) * np.arange(block_rows.size)
+                columns.append(np.concatenate([np.broadcast_to(block_rows[:, None, :], (b - a, m, m)),
+                                               np.broadcast_to(n_l + reached[:, None, :], (b - a, m, width))],
+                                              axis=2))
+            # each local row's real entries lead its stretch
+            length, width = (s + t)[label], t[label]
+            indptr, coupling_ptr = np.zeros(n_l + 1, dtype=np.int32), np.zeros(n_l + 1, dtype=np.int32)
+            np.cumsum(length, out=indptr[1:])
+            np.cumsum(width, out=coupling_ptr[1:])
+            self.take = np.repeat(stretch - indptr[:-1], length) + np.arange(indptr[-1])
+            indices = np.concatenate([c.ravel() for c in columns])[self.take].astype(np.int32)
+            self.take_coupling = (np.repeat(indptr[:-1] + s[label] - coupling_ptr[:-1], width)
+                                  + np.arange(coupling_ptr[-1]))
+            self.stacked = indices, indptr
+            self.coupling = indices[self.take_coupling] - np.int32(n_l), coupling_ptr
+        self.pos = np.concatenate(pos)
+
+    def condense(self, data):
+        """The band of ``S`` for the block with entries ``data`` on this
+        pattern, and with local rows ``[X_ll^-1, X_ll^-1 X_lk]`` as the CSC
+        matrix of its transpose and ``X_ll^-1 X_lk`` as a CSR matrix (both
+        None without local rows); raises :class:`PreconditionerError` if a
+        local block is not SPD."""
+        batches = [_condense_batch(data, *group) for group in self.groups]
+        weights = np.concatenate([data, *(update for update, _ in batches)])
+        stacks = [stack for _, stack in batches]
+        del batches   # the updates are in ``weights`` now
+        band = np.bincount(self.pos, weights, minlength=self.size + 1)
+        band = band[: self.size].reshape((self.w + 1, len(self.perm)), order="F")
+        if not self.groups:
+            return band, None, None
+        n_l, n_s = self.local.stop - self.local.start, len(self.perm)
+        stacked = np.concatenate(stacks)[self.take]
+        return (band, sps.csc_matrix((stacked, *self.stacked), shape=(n_l + n_s, n_l)),
+                sps.csr_matrix((stacked[self.take_coupling], *self.coupling), shape=(n_l, n_s)))
+
+
+def _condense_batch(data, n, s, t, at, src):
+    """The negated Schur updates ``-X_kl X_ll^-1 X_lk`` of one batch of
+    local blocks of the block with entries ``data``, and its stacks
+    ``[X_ll^-1, X_ll^-1 X_lk]``, both flat; raises if a local block is not SPD."""
+    blocks, coupling = np.zeros(n * s * s), np.zeros(n * s * t)
+    blocks[at[0]] = data[src[0]]
+    coupling[at[1]] = data[src[1]]
+    blocks, coupling = blocks.reshape(n, s, s), coupling.reshape(n, s, t)
+    try:
+        np.linalg.cholesky(blocks)   # the local half of the certificate
+    except np.linalg.LinAlgError:
+        raise PreconditionerError(_NOT_SPD) from None
+    inverse = np.linalg.inv(blocks)
+    solved = inverse @ coupling
+    update = coupling.transpose(0, 2, 1) @ solved
+    return np.negative(update, out=update).ravel(), np.concatenate([inverse, solved], axis=2).ravel()
 
 
 class BlockDiagPreconditioner:
@@ -518,7 +693,8 @@ def preconditioner_matrices(target):
 def _preconditioner_structure(target):
     """The constrained system of ``target`` and the structure of its
     preconditioner: the variant, the positions of the first block in the
-    free vector and the nonzero pattern of ``Lambda``."""
+    free vector, the nonzero pattern of ``Lambda`` and the local rows of
+    both blocks, which their factors condense (:class:`_SPDFactor`)."""
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
     coupled = con.base.scaled.Lambda != 0
@@ -526,7 +702,11 @@ def _preconditioner_structure(target):
     def build():
         first = con.free_pos[con.free_in(["u", "uhat"] if reduced else con.layout.v_fields)]
         first.flags.writeable = False
-        return Structure(reduced=reduced, first=first, coupled=coupled)
+        # the local rows: all that trails u in the first block, the volume pressures in X_p
+        n_u = len(con.free_in(["u"]))
+        n_p = np.searchsorted(con.structure.q_within, con.layout.offsets["phat0"] - con.layout.size_v)
+        return Structure(reduced=reduced, first=first, coupled=coupled,
+                         local=(slice(n_u, len(first)), slice(0, n_p)))
 
     return con, con.structure.derive((reduced, np.flatnonzero(coupled).tobytes()), build)
 
@@ -593,9 +773,10 @@ def build_preconditioner(target):
     ``full_block``); its factor is kept per structure for the last
     ``FIRST_FACTORS`` such values and shared by the preconditioners built
     with them, and the block is composed only when its factor is not
-    kept.  The band plan of each block (:class:`_BandPlan`) is kept on
-    the preconditioner's structure, so a block composed on a recorded
-    pattern is written into its band by one indexed assignment.
+    kept.  The condensation plan of each block (:class:`_BandPlan`) is
+    kept on the preconditioner's structure, so a block composed on a
+    recorded pattern runs only the batched inverse of its local blocks,
+    the Schur update and ``pbtrf``.
     """
     con, structure = _preconditioner_structure(target)
     scaled = con.base.scaled
@@ -604,13 +785,13 @@ def build_preconditioner(target):
     f1 = factors.pop(key, None)
     if f1 is None:
         x1 = _first_block(con, structure)
-        f1 = _SPDFactor(x1, plan=structure.derive("first band", lambda: _BandPlan(x1)))
+        f1 = _SPDFactor(x1, plan=structure.derive("first band", lambda: _BandPlan(x1, structure.local[0])))
         del x1   # freed before the pressure block is composed and factored
     factors[key] = f1
     if len(factors) > FIRST_FACTORS:
         factors.popitem(last=False)
     x_p, kernel = _pressure_block(con, structure), con.structure.kernel
-    plan = None if kernel else structure.derive("pressure band", lambda: _BandPlan(x_p))
+    plan = None if kernel else structure.derive("pressure band", lambda: _BandPlan(x_p, structure.local[1]))
     return BlockDiagPreconditioner(f1, _SPDFactor(x_p, kernel, plan=plan), len(structure.first))
 
 

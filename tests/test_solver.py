@@ -15,6 +15,7 @@ from mpet.assembly import (
     pressure_hdg_matrix,
     pressure_nullspace,
 )
+from mpet.cli import _sweep_parameters
 from mpet.manufactured import default_manufactured
 from mpet.mesh import generate_unit_square
 from mpet.params import scaled_from_direct
@@ -236,7 +237,7 @@ def _both_factorizations(monkeypatch):
 def test_spd_factor_rejects_small_non_spd_blocks(mat, monkeypatch):
     mat = sps.csc_matrix(np.array(mat))
     for banded in _both_factorizations(monkeypatch):
-        assert (mpet.solver._rcm_band(mat) is not None) == banded
+        assert mpet.solver._BandPlan(sps.csr_matrix(mat)).fits == banded
         with pytest.raises(PreconditionerError, match="not SPD"):
             mpet.solver._SPDFactor(mat)
 
@@ -246,53 +247,137 @@ def test_spd_factor_certifies_large_blocks():
     indefinite and rejected, whatever its size.  At 80 x 80 its RCM band,
     6400 x 81 entries, fits the band budget; at 110 x 110 (12100 x 111) it
     does not, and ``splu`` certifies it."""
-    for side, banded in ((80, True), (110, False)):
+    for side, path in ((80, "band"), (110, "splu")):
         t = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(side, side))
         lap = sps.kronsum(t, t, format="csc")
         b = np.ones(lap.shape[0])
         factor = mpet.solver._SPDFactor(lap)
-        assert factor.banded == banded
+        assert factor.path == path
         x = factor.solve(b)
         assert np.linalg.norm(lap @ x - b) <= 1e-10 * np.linalg.norm(b)
         with pytest.raises(PreconditionerError, match="not SPD"):
             mpet.solver._SPDFactor(lap - 0.5 * sps.eye(lap.shape[0], format="csc"))
 
 
+def _blocks_and_local_rows(target):
+    """The two preconditioner blocks of ``target`` with the slices of
+    their rows that the preconditioner condenses."""
+    _, structure = mpet.solver._preconditioner_structure(target)
+    return list(zip(preconditioner_matrices(target), structure.local))
+
+
 @pytest.fixture(scope="module")
 def brain_blocks():
-    """The ``schur_reduced`` blocks of the 4-network brain annulus."""
+    """The ``schur_reduced`` blocks of the 4-network brain annulus, with
+    their local rows."""
     stepper = TimeStepper(brain_analog_scenario())
     assert not pressure_nullspace(stepper.constrained)
-    return preconditioner_matrices(condense_velocity(stepper.constrained))
+    return _blocks_and_local_rows(condense_velocity(stepper.constrained))
+
+
+def _manufactured_problem(n_side, ell):
+    """The constrained system of the ``manufactured`` benchmark's
+    parameters (full Lambda) on the n x n unit square."""
+    return make_problem(n_side=n_side, ell=ell, alpha_p=1.0, xi=1.0, rhs=False)[-1]
 
 
 def test_brain_blocks_take_the_band_and_large_blocks_splu(brain_blocks):
-    assert all(mpet.solver._SPDFactor(x).banded for x in brain_blocks)
-    *_, scaled, _, _, con = make_problem(n_side=16, ell=3, rhs=False)
-    for x in preconditioner_matrices(condense_velocity(con)):
-        assert not mpet.solver._SPDFactor(x).banded
+    """Both brain blocks are condensed; at (16,2) only ``X_p`` is, its
+    Schur complement's band (359,168 entries) within the budget, and at
+    (16,3) both blocks take SuperLU.  Without local rows the brain blocks
+    take the plain band."""
+    for x, _ in brain_blocks:
+        assert mpet.solver._SPDFactor(x).path == "band"
+    stepper = TimeStepper(brain_analog_scenario())
+    prec = build_preconditioner(condense_velocity(stepper.constrained))
+    assert (prec.f1.path, prec.f2.path) == ("condensed", "condensed")
+    for (n_side, ell), paths in (((16, 2), ("splu", "condensed")), ((16, 3), ("splu", "splu"))):
+        prec = build_preconditioner(condense_velocity(_manufactured_problem(n_side, ell)))
+        assert (prec.f1.path, prec.f2.path) == paths
 
 
 def test_band_permutations_are_intp(brain_blocks):
     """A banded block gathers the residual through ``perm`` and ``inv`` on
     every apply; as ``intp`` arrays they need no cast first."""
-    for x in brain_blocks:
-        factor = mpet.solver._SPDFactor(x)
-        assert factor._perm.dtype == factor._inv.dtype == np.intp
+    for x, local in brain_blocks:
+        for plan in (mpet.solver._BandPlan(x), mpet.solver._BandPlan(x, local)):
+            assert plan.perm.dtype == plan.inv.dtype == np.intp
 
 
-# Relative 2-norm distance to the dense solve.  X_u is conditioned at about
-# 5e5, which keeps any two exact solves about 1e-11 apart (3.6e-12 for the
-# band, 9.2e-12 for splu at seed 0); X_p's are 6e-16.
+def _three_factorizations(mat, local, monkeypatch):
+    """Yield the condensed, the plain band and the ``splu`` factor of ``mat``."""
+    yield mpet.solver._SPDFactor(mat, plan=mpet.solver._BandPlan(mat, local))
+    yield mpet.solver._SPDFactor(mat)
+    monkeypatch.setattr(mpet.solver, "_BAND_BYTES", 0)
+    yield mpet.solver._SPDFactor(mat)
+
+
+# Relative 2-norm distance to the dense solve.  The brain's X_u is
+# conditioned at about 5e5, which keeps any two exact solves about 1e-11
+# apart (at seed 0: 1.6e-11 condensed, 3.6e-12 band, 9.2e-12 splu); X_p's
+# are within 6e-16.
 @pytest.mark.parametrize("block, rtol", [(0, 1e-10), (1, 1e-12)], ids=["X_u", "X_p"])
 def test_both_factorizations_match_a_dense_solve(brain_blocks, block, rtol, monkeypatch):
-    mat = brain_blocks[block]
+    mat, local = brain_blocks[block]
     r = np.random.default_rng(0).standard_normal(mat.shape[0])
     dense = np.linalg.solve(mat.toarray(), r)
-    for banded in _both_factorizations(monkeypatch):
-        factor = mpet.solver._SPDFactor(mat)
-        assert factor.banded == banded
+    factors = _three_factorizations(mat, local, monkeypatch)
+    for factor, path in zip(factors, ("condensed", "band", "splu")):
+        assert factor.path == path
         assert np.linalg.norm(factor.solve(r) - dense) <= rtol * np.linalg.norm(dense)
+
+
+# The same on the unit-square blocks whose Schur complement is banded, at
+# ell 1-3 in both variants.  Largest distance at seed 0: 1.3e-13 (X_u) and
+# 1.5e-14 (X_p).
+@pytest.mark.parametrize("n_side, ell", [(8, 1), (8, 2), (4, 3)])
+@pytest.mark.parametrize("variant", ["schur_reduced", "full_block"])
+def test_condensed_factors_of_the_unit_square_match_a_dense_solve(n_side, ell, variant, monkeypatch):
+    con = _manufactured_problem(n_side, ell)
+    target = condense_velocity(con) if variant == "schur_reduced" else con
+    for (mat, local), rtol in zip(_blocks_and_local_rows(target), (1e-11, 1e-12)):
+        r = np.random.default_rng(0).standard_normal(mat.shape[0])
+        dense = np.linalg.solve(mat.toarray(), r)
+        factor = mpet.solver._SPDFactor(mat, plan=mpet.solver._BandPlan(mat, local))
+        assert factor.path == "condensed"
+        assert np.linalg.norm(factor.solve(r) - dense) <= rtol * np.linalg.norm(dense)
+
+
+def _condensed_factor(rows):
+    """The factor of the dense matrix ``rows`` with its rows 1.. local."""
+    mat = sps.csr_matrix(np.array(rows))
+    return mpet.solver._SPDFactor(mat, plan=mpet.solver._BandPlan(mat, slice(1, mat.shape[0])))
+
+
+def test_condensed_factor_certifies_both_halves():
+    """The condensed factor accepts an SPD block and solves it; it rejects
+    a block whose local block is indefinite, and one whose local blocks
+    are SPD but whose Schur complement is not."""
+    spd = [[4.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 3.0]]
+    factor = _condensed_factor(spd)
+    assert factor.path == "condensed"
+    b = np.array([1.0, -2.0, 0.5])
+    assert np.allclose(np.array(spd) @ factor.solve(b), b, rtol=0, atol=1e-14)
+    indefinite_local = [[4.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+    indefinite_schur = [[0.5, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for rows in (indefinite_local, indefinite_schur):
+        with pytest.raises(PreconditionerError, match="not SPD"):
+            _condensed_factor(rows)
+
+
+def test_condensation_is_planned_once_per_pattern(monkeypatch):
+    """Two sweep cells with other lambda on one structure factor both
+    blocks each, but order each block's Schur complement once."""
+    calls = []
+    rcm = mpet.solver.reverse_cuthill_mckee
+    monkeypatch.setattr(mpet.solver, "reverse_cuthill_mckee", lambda *a, **k: calls.append(1) or rcm(*a, **k))
+    kernels = assemble_kernels(SpaceSet(generate_unit_square(4), 2, 2))
+    bcs = homogeneous_bcs(2, pressure="dirichlet")
+    for lam in (1.0, 1e4):
+        system = build_block_system(kernels, _sweep_parameters(2, lam, False))
+        prec = build_preconditioner(condense_velocity(apply_boundary_conditions(system, bcs)))
+        assert (prec.f1.path, prec.f2.path) == ("condensed", "condensed")
+    assert len(calls) == 2
 
 
 def _neumann_laplacian(shift=0.0, n=50):

@@ -391,23 +391,26 @@ def test_recorded_maps_are_plain_indices_into_the_source(dtype):
 
 
 def test_a_replayed_band_equals_a_fresh_one():
-    """The band plan kept on a preconditioner's structure fills the band of
-    a block composed on the recorded pattern bitwise as a fresh RCM band;
-    ``pbtrf`` still certifies every factorization on it."""
+    """The condensation plan kept on a preconditioner's structure fills the
+    band of a block composed on the recorded pattern bitwise as a fresh
+    plan does, and condenses it alike; the local blocks' Cholesky and
+    ``pbtrf`` still certify every factorization on it."""
     kernels = _kernels(2, 2)
     bcs = homogeneous_bcs(2, pressure="dirichlet")
     for lam in (1.0, 1e4, 1e8):   # a new lambda composes the first block too
         scaled = _sweep_parameters(2, lam, False)
         condensed = condense_velocity(apply_boundary_conditions(build_block_system(kernels, scaled), bcs))
         prec = build_preconditioner(condensed)
-    assert prec.f1.banded and prec.f2.banded
+    assert prec.f1.path == prec.f2.path == "condensed"
     _, structure = mpet.solver._preconditioner_structure(condensed)
     assert isinstance(structure.derived["first"], Gather)   # composed on recorded patterns
     assert isinstance(structure.derived["x_p"], Union)
-    for block, plan in zip(preconditioner_matrices(condensed),
-                           (structure.derived["first band"], structure.derived["pressure band"])):
-        fresh = mpet.solver._rcm_band(block.copy())
-        for a, b in zip(mpet.solver._rcm_band(block, plan), fresh):
+    for block, plan, local in zip(preconditioner_matrices(condensed),
+                                  (structure.derived["first band"], structure.derived["pressure band"]),
+                                  structure.local):
+        fresh = mpet.solver._BandPlan(block.copy(), local).condense(block.data)
+        for a, b in zip(plan.condense(block.data), fresh):
+            a, b = (a, b) if isinstance(a, np.ndarray) else (a.data, b.data)
             assert np.array_equal(a, b)
         negated = sps.csr_matrix((-block.data, block.indices, block.indptr), shape=block.shape)
         with pytest.raises(PreconditionerError, match="not SPD"):

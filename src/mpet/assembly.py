@@ -29,8 +29,11 @@ element chunks of a fixed size in bytes (:class:`NormFactors`); the
 squared norm of a vector maps its field instead of every basis function.
 
 A :class:`ConstrainedSystem` holds all that a solve reads: ``base.F``,
-``base.scaled`` and, computed once per constrained DOF set, the free
-(p, phat) and the pressure kernel (:func:`pressure_nullspace`).
+``base.scaled`` and its constrained structure, built once per pattern of
+boundary condition kinds, the one record of the constrained DOFs, the
+map to their values (:class:`EssentialMap`), each field's range of free
+DOFs, the free (p, phat) and the pressure kernel
+(:func:`pressure_nullspace`).
 """
 
 from dataclasses import dataclass, field
@@ -758,10 +761,12 @@ def homogeneous_bcs(n_networks, tags=("boundary",), pressure="flux"):
 class ConstrainedSystem:
     """Block system restricted to free DOFs, with lift data for resolves.
 
-    ``K_ff``, the operator on the free DOFs, is composed on its first
-    read: ``full_block`` runs MinRes on it, while ``schur_reduced``
-    composes the blocks it needs straight from the operator's weighted
-    blocks (:meth:`BlockSystem.restrict`) and never forms it.
+    ``free`` and ``constrained`` are the constrained structure's, and
+    ``values`` come from the :class:`EssentialMap` kept on it.  ``K_ff``,
+    the operator on the free DOFs, is composed on its first read:
+    ``full_block`` runs MinRes on it, while ``schur_reduced`` composes the
+    blocks it needs straight from the operator's weighted blocks
+    (:meth:`BlockSystem.restrict`) and never forms it.
     """
 
     base: BlockSystem
@@ -769,8 +774,7 @@ class ConstrainedSystem:
     constrained: np.ndarray
     values: np.ndarray
     K_fc: sps.csr_matrix
-    free_pos: np.ndarray      # total-length map: global dof -> position in free list (-1)
-    structure: Structure = field(repr=False)   # K_ff, K_fc, q_free and the pressure kernel
+    structure: Structure = field(repr=False)   # the kept map, field starts, K_ff, K_fc and the kernel
 
     @property
     def layout(self):
@@ -791,29 +795,15 @@ class ConstrainedSystem:
         x[self.constrained] = self.values
         return x
 
-    def free_in(self, fields):
-        """Global indices of the free DOFs of ``fields``, in layout order."""
-        idx = np.concatenate([self.layout.indices(f) for f in fields])
-        return idx[self.free_pos[idx] >= 0]
-
     def update_values(self, bcs, t):
-        """Constrained values of ``bcs`` at ``t``, for time-dependent profiles.
-
-        The values come from the :class:`EssentialMap` of the condition
-        kinds of ``bcs``, built on the first update of this constrained
-        structure with those kinds and kept on it.
-        """
+        """Constrained values of ``bcs`` at ``t``, for time-dependent profiles,
+        from the :class:`EssentialMap` kept on the constrained structure;
+        ``bcs`` must have the condition kinds the structure was built for."""
         spaces = self.base.kernels.spaces
         bcs.validate(spaces.mesh)
-
-        def build():
-            essential = EssentialMap(self.layout, spaces, bcs)
-            if not np.array_equal(essential.constrained, self.constrained):
-                raise ValueError("the boundary conditions constrain other DOFs than the system")
-            return essential
-
-        essential = self.structure.derive(("essential map", _condition_kinds(spaces, bcs)), build)
-        self.values = essential.values(spaces, bcs, t)
+        if _condition_kinds(spaces, bcs) != self.structure.kinds:
+            raise ValueError("the boundary conditions constrain other DOFs than the system")
+        self.values = self.structure.essential.values(spaces, bcs, t)
 
 
 def _condition_kinds(spaces, bcs):
@@ -821,14 +811,6 @@ def _condition_kinds(spaces, bcs):
     fix its constrained DOFs and its :class:`EssentialMap`."""
     return tuple((bcs.displacement[tag][0], *(p[tag][0] for p in bcs.pressure))
                  for tag in spaces.boundary)
-
-
-def constraint_data(layout, spaces, bcs, t):
-    """Constrained DOF indices, ascending, and their values for essential
-    boundary data, by the :class:`EssentialMap` of ``bcs``."""
-    bcs.validate(spaces.mesh)
-    essential = EssentialMap(layout, spaces, bcs)
-    return essential.constrained, essential.values(spaces, bcs, t)
 
 
 class EssentialMap:
@@ -893,6 +875,7 @@ class EssentialMap:
         kept = np.flatnonzero(dofs.ravel() >= 0)
         self.take = kept[np.argsort(dofs.ravel()[kept])]
         self.constrained = dofs.ravel()[self.take]
+        self.constrained.flags.writeable = False   # shared by every system constrained by the map
 
     def values(self, spaces, bcs, t):
         """The values of ``bcs`` at ``t`` on :attr:`constrained`."""
@@ -916,55 +899,66 @@ def _sample(bd, fn, vector, t):
     return evaluate(lambda x: fn(x, t), bd.points, vector=vector)
 
 
-def apply_boundary_conditions(system, bcs, t=0.0, constraints=None):
+def apply_boundary_conditions(system, bcs, t=0.0):
     """Constrain essential DOFs; traction loads go through the RHS.
 
     Returns a :class:`ConstrainedSystem` wrapping the reduced operator.
+    Its constrained structure is kept per pattern of condition kinds of
+    ``bcs`` (:func:`_constrained_structure`), and the values of ``bcs``
+    at ``t`` come from the :class:`EssentialMap` kept on it.
     Inhomogeneous essential values are lifted into the right-hand side
-    through the stored free-to-constrained coupling columns.  A caller
-    that keeps the ``(constrained, values)`` of :func:`constraint_data`
-    for ``bcs`` at ``t`` passes them as ``constraints``; they are
-    evaluated here otherwise.  ``K_fc`` is ``K[ix_(free, constrained)]``,
-    composed here, and ``K_ff`` is ``K[ix_(free, free)]``, composed when
-    first read; both are restrictions of the operator's weighted blocks
+    through the stored free-to-constrained coupling columns.  ``K_fc`` is
+    ``K[ix_(free, constrained)]``, composed here, and ``K_ff`` is
+    ``K[ix_(free, free)]``, composed when first read; both are
+    restrictions of the operator's weighted blocks
     (:meth:`BlockSystem.restrict`), so neither forms ``K``, and both use
-    patterns recorded per constrained DOF set.  The shared ``free`` and
-    ``free_pos`` arrays are read-only.
+    patterns recorded per constrained structure.
     """
-    if constraints is None:
-        constraints = constraint_data(system.layout, system.kernels.spaces, bcs, t)
-    constrained, values = constraints
+    spaces = system.kernels.spaces
+    bcs.validate(spaces.mesh)
+    kinds = _condition_kinds(spaces, bcs)
     structure = system.structure.derive(
-        constrained.tobytes(), lambda: _constrained_structure(system, constrained)
+        kinds, lambda: _constrained_structure(system, kinds, EssentialMap(system.layout, spaces, bcs))
     )
+    essential = structure.essential
     return ConstrainedSystem(
         base=system,
         free=structure.free,
-        constrained=constrained,
-        values=values,
-        K_fc=system.restrict(structure, "K_fc", structure.free, constrained),
-        free_pos=structure.free_pos,
+        constrained=essential.constrained,
+        values=essential.values(spaces, bcs, t),
+        K_fc=system.restrict(structure, "K_fc", structure.free, essential.constrained),
         structure=structure,
     )
 
 
-def _constrained_structure(system, constrained):
-    """Free DOFs, their positions, the free (p, phat) (``q_free``, and
-    ``q_within`` as positions within the (p, phat) block), and the
-    all-flux networks with their constant modes on those.  The (p, phat)
-    close the layout: ``q_free`` is the tail of ``free``."""
+def _constrained_structure(system, kinds, essential):
+    """The one record of which DOFs boundary conditions of ``kinds``
+    constrain and where each field's free DOFs sit.
+
+    It keeps ``kinds`` and the :class:`EssentialMap` ``essential`` that
+    gives their constrained DOFs and values; the read-only ascending
+    ``free`` DOFs; ``starts``, the position in ``free`` of each field's
+    first free DOF, so that field ``f``'s free DOFs are one range of the
+    free vector (the layout is field-ordered); the free (p, phat)
+    (``q_free``, and ``q_within`` as positions within the (p, phat)
+    block), which close the layout; and the all-flux networks with their
+    constant modes on those.
+    """
     layout = system.layout
+    constrained = essential.constrained
     free = np.setdiff1d(np.arange(layout.total), constrained, assume_unique=True)
-    free_pos = np.full(layout.total, -1, dtype=int)
-    free_pos[free] = np.arange(len(free))
-    free.flags.writeable = free_pos.flags.writeable = False
-    q_free = free[np.searchsorted(free, layout.size_v) :]   # a read-only view
+    free.flags.writeable = False
+    starts = np.searchsorted(free, [layout.offsets[name] for name in layout.names])
+    starts = dict(zip(layout.names, starts.tolist()))
+    q_free = free[starts["p0"] :]   # a read-only view
     q_within = q_free - layout.size_v
     q_within.flags.writeable = False
     null_networks = _null_networks(system, constrained)
     return Structure(
+        kinds=kinds,
+        essential=essential,
         free=free,
-        free_pos=free_pos,
+        starts=starts,
         q_free=q_free,
         q_within=q_within,
         null_networks=null_networks,

@@ -33,7 +33,6 @@ from .assembly import (
     assemble_kernels,
     assemble_volume_rhs,
     build_block_system,
-    constraint_data,
     homogeneous_bcs,
 )
 from .diagnostics import (
@@ -247,8 +246,9 @@ def unit_square_kernels(n_side, ell, n_networks, eta):
 
     They do not depend on the MPET parameters, so consecutive calls with
     equal arguments share one mesh, space set and kernels, and the
-    sparsity patterns, elasticity factors and manufactured load and
-    Dirichlet values recorded on them; callers must not modify them.  Building new
+    sparsity patterns, constrained structures, elasticity factors and
+    manufactured load recorded on them; callers must not modify them.
+    The Dirichlet values are evaluated per solve.  Building new
     kernels first drops what was recorded on the previous ones, which a
     caller may still hold.
     """
@@ -264,16 +264,11 @@ def _load_values(spaces, manu):
     return quad, manu.load_at(quad.phys)
 
 
-def _dirichlet_data(spaces, manu, exact_of):
+def _dirichlet_data(manu, exact_of):
     """Dirichlet data all round: zero displacement and the exact pressure
-    traces of ``exact_of``, with their read-only constrained indices and
-    values."""
+    traces of ``exact_of``."""
     pres = [{"boundary": ("dirichlet", manu.pressure_trace_bc(j))} for j in exact_of]
-    bcs = BoundaryConditionSet({"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres)
-    constraints = constraint_data(spaces.layout, spaces, bcs, 0.0)
-    for array in constraints:
-        array.flags.writeable = False
-    return bcs, constraints
+    return BoundaryConditionSet({"boundary": ("dirichlet", lambda x, t: np.zeros(2))}, pres)
 
 
 def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
@@ -292,10 +287,7 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
     g = load.mass_sources(scaled)
     system.F = assemble_volume_rhs(spaces, f=load.body_force(scaled), g=[g[j] for j in exact_of],
                                    quadrature=quad)
-    bcs, constraints = kernels.structure.derive(
-        "manufactured constraints", lambda: _dirichlet_data(spaces, manu, exact_of)
-    )
-    con = apply_boundary_conditions(system, bcs, constraints=constraints)
+    con = apply_boundary_conditions(system, _dirichlet_data(manu, exact_of))
     x, report, _ = solve(con, variant, tol=tol, maxit=maxit)
     errors = None
     if with_errors:
@@ -429,8 +421,7 @@ def cmd_orderrobust(cfg, out_dir):
 def cmd_brain(cfg, out_dir):
     with config_errors():
         run = cfg["run"] if cfg.has_section("run") else {}
-        long_run = _flag(run, "long")
-        tau = float(run.get("tau", "0.125" if long_run else "0.0125"))
+        tau = float(run.get("tau", "0.0125"))
         phys = None
         if cfg.has_section("parameters"):
             mode, phys = parse_parameters(cfg)
@@ -443,7 +434,7 @@ def cmd_brain(cfg, out_dir):
             n_radial=int(run.get("n_radial", "4")),
             n_angular=int(run.get("n_angular", "32")),
             tau=tau,
-            t_end=float(run.get("t_end", "2500.0" if long_run else "3.0")),
+            t_end=float(run.get("t_end", "3.0")),
             phys=phys,
             sample_every=int(run.get("sample_every", "1")),
             **_solver_options(cfg),

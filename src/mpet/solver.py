@@ -116,7 +116,6 @@ class SolveReport:
     residuals: list
     converged: bool
     conservation: float = None
-    variant: str = ""
 
     @property
     def final_residual(self):
@@ -131,12 +130,13 @@ class SolveReport:
 def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
     """Preconditioned MinRes for a symmetric operator and SPD preconditioner.
 
-    Stops when the preconditioned residual norm falls below ``tol`` times
-    its initial value.  Returns ``(x, SolveReport)``; hitting ``maxit``
-    yields a non-converged report, not an exception.
+    ``operator`` is applied through its ``dot`` (a sparse matrix or a
+    numpy array).  Stops when the preconditioned residual norm falls below
+    ``tol`` times its initial value.  Returns ``(x, SolveReport)``; hitting
+    ``maxit`` yields a non-converged report, not an exception.
     """
     n = rhs.shape[0]
-    matvec = operator.dot if hasattr(operator, "dot") else operator
+    matvec = operator.dot
     x = np.zeros(n)
 
     v_prev = np.zeros(n)
@@ -578,9 +578,9 @@ class CondensedSystem:
 
     constrained: object            # the originating ConstrainedSystem
     K_red: sps.csr_matrix
-    iu: np.ndarray                 # positions of (u, uhat) inside the free vector
-    iw: np.ndarray                 # positions of every network's fluxes
-    iq: np.ndarray                 # positions of (p, phat)
+    iu: slice                      # the range of (u, uhat) in the free vector
+    iw: slice                      # the range of every network's fluxes
+    iq: slice                      # the range of (p, phat), the free vector's tail
     C: sps.csr_matrix              # rows w, cols q of the free operator
     Mw_inv: sps.csr_matrix         # exact inverse of the flux block, kron(diag(R), M_w^-1)
 
@@ -596,10 +596,9 @@ class CondensedSystem:
     def expand(self, x_red, r):
         """Recover fluxes element-wise, with ``r`` as in :meth:`rhs`, and
         return the full free vector."""
-        nu = len(self.iu)
         x_free = np.zeros(len(self.constrained.free))
-        x_free[self.iu] = x_red[:nu]
-        q = x_red[nu:]
+        x_free[self.iu] = x_red[: self.iu.stop]
+        q = x_red[self.iu.stop :]
         x_free[self.iq] = q
         x_free[self.iw] = self.Mw_inv @ (r[self.iw] - self.C @ q)
         return x_free
@@ -625,14 +624,13 @@ def condense_velocity(constrained):
     kernels = con.base.kernels
     R = con.base.scaled.R
     structure = con.structure.derive("condense", lambda: _condensed_structure(con))
-    iu, iw, iq, free = structure.iu, structure.iw, structure.iq, con.free
+    starts, free = con.structure.starts, con.free
+    iu, iw, iq = slice(0, starts["w0"]), slice(starts["w0"], starts["p0"]), slice(starts["p0"], len(free))
     within = np.ix_(con.structure.q_within, con.structure.q_within)
-
-    keep = free[structure.keep]
-    kept = con.base.grid(keep, keep)
+    kept = con.base.grid(structure.keep, structure.keep)
 
     def reduced(blocks, S):
-        eliminated = sps.block_diag([sps.csr_matrix((len(iu), len(iu))), S[within]], format="csr")
+        eliminated = sps.block_diag([sps.csr_matrix((iu.stop, iu.stop)), S[within]], format="csr")
         return kept(blocks), eliminated
 
     S_w = (_per_network(kernels.S_w, kernels.spaces), np.multiply.outer(-R, kernels.S_w.data).ravel())
@@ -652,17 +650,11 @@ def condense_velocity(constrained):
 
 
 def _condensed_structure(con):
-    """Positions of (u, uhat), the fluxes and (p, phat) in the free vector,
-    and ``keep`` = (u, uhat, p, phat)."""
-    layout = con.layout
-    pos = con.free_pos
-    iu = pos[con.free_in(["u", "uhat"])]
-    iw = pos[con.free_in(layout.v_fields[2:])]
-    iq = pos[con.structure.q_free]
-    keep = np.concatenate([iu, iq])
-    for index in (iu, iw, iq, keep):
-        index.flags.writeable = False
-    return Structure(iu=iu, iw=iw, iq=iq, keep=keep)
+    """``keep``, the free (u, uhat, p, phat) DOFs, read-only."""
+    w0 = con.structure.starts["w0"]
+    keep = np.concatenate([con.free[:w0], con.structure.q_free])
+    keep.flags.writeable = False
+    return Structure(keep=keep)
 
 
 # ----------------------------------------------------------------------
@@ -692,21 +684,19 @@ def preconditioner_matrices(target):
 
 def _preconditioner_structure(target):
     """The constrained system of ``target`` and the structure of its
-    preconditioner: the variant, the positions of the first block in the
-    free vector, the nonzero pattern of ``Lambda`` and the local rows of
-    both blocks, which their factors condense (:class:`_SPDFactor`)."""
+    preconditioner: the variant, the range of the first block in the free
+    vector, the nonzero pattern of ``Lambda`` and the local rows of both
+    blocks, which their factors condense (:class:`_SPDFactor`)."""
     reduced = isinstance(target, CondensedSystem)
     con = target.constrained if reduced else target
     coupled = con.base.scaled.Lambda != 0
 
     def build():
-        first = con.free_pos[con.free_in(["u", "uhat"] if reduced else con.layout.v_fields)]
-        first.flags.writeable = False
+        starts = con.structure.starts
+        first = slice(0, starts["w0"] if reduced else starts["p0"])
         # the local rows: all that trails u in the first block, the volume pressures in X_p
-        n_u = len(con.free_in(["u"]))
-        n_p = np.searchsorted(con.structure.q_within, con.layout.offsets["phat0"] - con.layout.size_v)
-        return Structure(reduced=reduced, first=first, coupled=coupled,
-                         local=(slice(n_u, len(first)), slice(0, n_p)))
+        local = (slice(starts["uhat"], first.stop), slice(0, starts["phat0"] - starts["p0"]))
+        return Structure(reduced=reduced, first=first, coupled=coupled, local=local)
 
     return con, con.structure.derive((reduced, np.flatnonzero(coupled).tobytes()), build)
 
@@ -792,7 +782,7 @@ def build_preconditioner(target):
         factors.popitem(last=False)
     x_p, kernel = _pressure_block(con, structure), con.structure.kernel
     plan = None if kernel else structure.derive("pressure band", lambda: _BandPlan(x_p, structure.local[1]))
-    return BlockDiagPreconditioner(f1, _SPDFactor(x_p, kernel, plan=plan), len(structure.first))
+    return BlockDiagPreconditioner(f1, _SPDFactor(x_p, kernel, plan=plan), structure.first.stop)
 
 
 def mean_zero_functionals(condensed):
@@ -806,7 +796,7 @@ def mean_zero_functionals(condensed):
         m = np.zeros(layout.total)
         p = layout.sl(f"p{i}")
         m[p] = kernels.M_p @ constant_pressure_mode(kernels.spaces, i)[p]
-        out.append(np.concatenate([np.zeros(len(condensed.iu)), m[con.structure.q_free]]))
+        out.append(np.concatenate([np.zeros(condensed.iu.stop), m[con.structure.q_free]]))
     return out
 
 
@@ -843,7 +833,6 @@ def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None)
         tail -= (k @ tail) / (k @ k) * k
 
     x_red, report = minres(target.K_red if reduced else target.K_ff, prec, rhs, tol=tol, maxit=maxit)
-    report.variant = variant
 
     x_full = constrained.expand(target.expand(x_red, r) if reduced else x_red)
     x_full = mean_correct(x_full, constrained.base, constrained.structure.null_networks)

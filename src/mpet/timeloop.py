@@ -180,9 +180,10 @@ class TimeStepper:
       values;
     * on the first load of a traction tag, its point values to the u and
       uhat rows of the load (:attr:`~mpet.spaces.BoundaryFacets.traction_map`);
-    * on the first update of the constrained values, the Dirichlet point
-      values to those values (:class:`~mpet.assembly.EssentialMap`),
-      bitwise those of a fresh :func:`~mpet.assembly.constraint_data`.
+    * with the constrained structure, the Dirichlet point values to the
+      constrained values (:class:`~mpet.assembly.EssentialMap`), kept on
+      it and read by every update of the values, bitwise those of a fresh
+      map.
 
     The reduced right-hand side, the flux recovery and the conservation
     residual are those of a cold solve.  The maps other than the Dirichlet

@@ -372,15 +372,19 @@ def spectrum_intervals(eigs, tol=1e-12):
     )
 
 
+def free_positions(con, fields):
+    """Positions in ``con.free`` of the free DOFs of ``fields`` (given in
+    layout order), found by membership alone."""
+    idx = np.concatenate([con.layout.indices(f) for f in fields])
+    return np.flatnonzero(np.isin(con.free, idx))
+
+
 def pressure_schur_complement(constrained):
     """Dense pressure Schur complement S_p = -B A^{-1} B^T - C on free DOFs."""
     con = constrained
     layout = con.layout
-    pos = con.free_pos
-    iv = pos[np.concatenate([layout.indices(f) for f in layout.v_fields])]
-    iv = iv[iv >= 0]
-    iq = pos[np.concatenate([layout.indices(f) for f in layout.q_fields])]
-    iq = iq[iq >= 0]
+    iv = free_positions(con, layout.v_fields)
+    iq = free_positions(con, layout.q_fields)
     K = con.K_ff.toarray()
     A = K[np.ix_(iv, iv)]
     B = K[np.ix_(iq, iv)]
@@ -644,11 +648,10 @@ def reference_condensed(con):
     layout = con.layout
     kernels = con.base.kernels
     R = con.base.scaled.R
-    pos = con.free_pos
-    iu = pos[con.free_in(["u", "uhat"])]
-    iw = pos[con.free_in(layout.v_fields[2:])]
-    q_free = con.free_in(layout.q_fields)
-    iq = pos[q_free]
+    iu = free_positions(con, ["u", "uhat"])
+    iw = free_positions(con, layout.v_fields[2:])
+    iq = free_positions(con, layout.q_fields)
+    q_free = con.free[iq]
     keep = np.concatenate([iu, iq])
     within = q_free - layout.size_v
     schur = _embed(kernels.S_w, kernels.spaces, R)[np.ix_(within, within)]
@@ -665,9 +668,9 @@ def reference_preconditioner(con, scaled, reduced):
     layout = con.layout
     kernels = con.base.kernels
     spaces = kernels.spaces
-    first = con.free_pos[con.free_in(["u", "uhat"] if reduced else layout.v_fields)]
+    first = free_positions(con, ["u", "uhat"] if reduced else layout.v_fields)
     N = kernels.S_w if reduced else pressure_hdg_matrix(spaces, include_h2=False)
-    q_free = con.free_in(layout.q_fields)
+    q_free = con.free[free_positions(con, layout.q_fields)]
     iq = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
     x_p = (_embed(N, spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda))[iq]
     return con.K_ff[np.ix_(first, first)], x_p

@@ -6,12 +6,12 @@ import sympy as sp
 from mpet.assembly import (
     BoundaryConditionSet,
     DofLayout,
+    EssentialMap,
     apply_boundary_conditions,
     assemble_kernels,
     assemble_traction_rhs,
     assemble_volume_rhs,
     build_block_system,
-    constraint_data,
     homogeneous_bcs,
     pressure_nullspace,
     _scatter,
@@ -415,6 +415,50 @@ def test_missing_condition_rejected():
         apply_boundary_conditions(system, bcs)
 
 
+def _pressure_dirichlet(value):
+    """Zero displacement and the pressure ``value + t`` all round."""
+    return BoundaryConditionSet(
+        {"boundary": ("dirichlet", lambda x, t: np.zeros(2))},
+        [{"boundary": ("dirichlet", lambda x, t: value + t)}],
+    )
+
+
+def test_equal_condition_kinds_share_one_structure_and_one_map(monkeypatch):
+    """The constrained structure is kept per pattern of condition kinds and
+    builds the one :class:`EssentialMap` that every system on it and every
+    ``update_values`` read."""
+    import mpet.assembly
+
+    built = []
+
+    class Counted(EssentialMap):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mpet.assembly, "EssentialMap", Counted)
+    spaces = SpaceSet(generate_unit_square(2), 2, 1)
+    system = build_block_system(assemble_kernels(spaces), default_scaled(n=1))
+    first = apply_boundary_conditions(system, _pressure_dirichlet(1.0))
+    second = apply_boundary_conditions(system, _pressure_dirichlet(2.0), t=0.5)
+    assert first.structure is second.structure and len(built) == 1
+    assert first.constrained is second.constrained is built[0].constrained
+    assert not first.constrained.flags.writeable
+    first.update_values(_pressure_dirichlet(2.0), 0.5)
+    assert len(built) == 1
+    assert np.array_equal(first.values, second.values)
+    fresh = EssentialMap(system.layout, spaces, _pressure_dirichlet(2.0))
+    assert np.array_equal(fresh.values(spaces, _pressure_dirichlet(2.0), 0.5), second.values)
+
+
+def test_update_values_rejects_conditions_of_other_kinds():
+    spaces = SpaceSet(generate_unit_square(2), 1, 1)
+    system = build_block_system(assemble_kernels(spaces), default_scaled(n=1))
+    con = apply_boundary_conditions(system, homogeneous_bcs(1))
+    with pytest.raises(ValueError, match="constrain other DOFs than the system"):
+        con.update_values(homogeneous_bcs(1, pressure="dirichlet"), 0.0)
+
+
 def test_traction_rhs_matches_facet_quadrature_oracle():
     mesh = generate_annulus(1.0, 2.0, 1, 8)
     spaces = SpaceSet(mesh, 1, 1)
@@ -465,7 +509,8 @@ def test_time_profile_essential_value():
         {"boundary": ("dirichlet", lambda x, t: np.zeros(2))},
         [{"boundary": ("dirichlet", profile)}],
     )
-    idx, val = constraint_data(layout, spaces, bcs, t=0.25)
+    essential = EssentialMap(layout, spaces, bcs)
+    idx, val = essential.constrained, essential.values(spaces, bcs, 0.25)
     phat_vals = val[idx >= layout.offsets["phat0"]]
     mean_modes = phat_vals.reshape(-1, spaces.n_phat)[:, 0]
     assert np.allclose(mean_modes, 7.0, atol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpet import cli
-from mpet.assembly import constraint_data, homogeneous_bcs
+from mpet.assembly import EssentialMap, homogeneous_bcs
 from mpet.cli import _flag, main, parse_parameters, read_config, write_csv
 from mpet.params import scaled_from_direct
 
@@ -180,12 +180,10 @@ def test_dirichlet_pressure_constrains_the_manufactured_dofs(ell):
     scaled = scaled_from_direct(1.0, [1.0], [0.0])
     con = cli.manufactured_solve(2, ell, scaled, 1e-8, 500, "schur_reduced")[2][2]
     spaces = con.base.kernels.spaces
-    constrained, _ = constraint_data(
-        con.layout, spaces, homogeneous_bcs(1, pressure="dirichlet"), 0.0
-    )
+    constrained = EssentialMap(con.layout, spaces, homogeneous_bcs(1, pressure="dirichlet")).constrained
     assert np.array_equal(constrained, con.constrained)
     # and the pressure trace is among them
-    flux = constraint_data(con.layout, spaces, homogeneous_bcs(1), 0.0)[0]
+    flux = EssentialMap(con.layout, spaces, homogeneous_bcs(1)).constrained
     assert len(flux) < len(constrained)
 
 
@@ -354,9 +352,8 @@ def test_bad_solver_value_exits_1_before_any_solve(tmp_path, capsys, monkeypatch
     [
         ("sweep", "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nmixed = maybe\n"),
         ("sweep", "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nzero_coupling = on\n"),
-        ("brain", "[run]\nn_radial = 1\nn_angular = 8\nlong = maybe\n"),
     ],
-    ids=["mixed", "zero_coupling", "long"],
+    ids=["mixed", "zero_coupling"],
 )
 def test_bad_boolean_exits_1(tmp_path, capsys, command, text):
     cfg = write_cfg(tmp_path / "bad.cfg", text)

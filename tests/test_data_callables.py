@@ -11,9 +11,9 @@ import oracles
 from mpet.assembly import (
     BoundaryConditionSet,
     DofLayout,
+    EssentialMap,
     assemble_traction_rhs,
     assemble_volume_rhs,
-    constraint_data,
 )
 from mpet.mesh import generate_annulus, generate_unit_square
 from mpet.spaces import SpaceSet, evaluate
@@ -115,7 +115,8 @@ def test_boundary_data_match_pointwise(make, ell):
     spaces = make(ell)
     layout = DofLayout(spaces)
     bcs = bcs_for(spaces)
-    idx, val = constraint_data(layout, spaces, bcs, T)
+    essential = EssentialMap(layout, spaces, bcs)
+    idx, val = essential.constrained, essential.values(spaces, bcs, T)
     ref = oracles.pointwise_constraint_data(layout, spaces, bcs, T)
     assert list(idx) == sorted(ref)
     assert_close(val, np.array([ref[k] for k in idx]))
@@ -149,7 +150,7 @@ def test_each_callable_called_once_per_field_and_tag():
         [{"skull": ("dirichlet", p0), "ventricle": ("dirichlet", p0)},
          {"skull": ("dirichlet", p1), "ventricle": ("flux", None)}],
     )
-    constraint_data(DofLayout(spaces), spaces, bcs, T)
+    EssentialMap(DofLayout(spaces), spaces, bcs).values(spaces, bcs, T)
     assert len(d.shapes) == 1           # one displacement tag
     assert len(p0.shapes) == 2          # two tags of network 0
     assert len(p1.shapes) == 1
@@ -178,7 +179,8 @@ def test_constant_data_are_broadcast():
          {"skull": ("dirichlet", pulse), "ventricle": ("flux", None)}],
     )
     layout = DofLayout(spaces)
-    idx, val = constraint_data(layout, spaces, bcs, T)
+    essential = EssentialMap(layout, spaces, bcs)
+    idx, val = essential.constrained, essential.values(spaces, bcs, T)
     ref = oracles.pointwise_constraint_data(layout, spaces, bcs, T)
     assert np.array_equal(val, [ref[k] for k in idx])
     assert_close(assemble_traction_rhs(spaces, bcs, t=T),

@@ -36,6 +36,7 @@ from mpet.params import scaled_from_direct
 import mpet.solver
 from mpet.solver import condense_velocity, preconditioner_matrices
 from mpet.spaces import SpaceSet
+from oracles import free_positions
 
 N_NETWORKS = 2
 
@@ -90,8 +91,8 @@ SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=N
 def test_reduced_operator_is_the_dense_schur_elimination(ell, lam, R, alpha_p, xi, pressure):
     con, condensed = condensed_problem(ell, lam, R, alpha_p, xi, pressure)
     K = con.K_ff.toarray()
-    keep = np.concatenate([condensed.iu, condensed.iq])
-    iw = condensed.iw
+    keep = free_positions(con, ["u", "uhat", *con.layout.q_fields])
+    iw = free_positions(con, con.layout.v_fields[2:])
     expected = K[np.ix_(keep, keep)] - K[np.ix_(keep, iw)] @ np.linalg.solve(
         K[np.ix_(iw, iw)], K[np.ix_(iw, keep)]
     )
@@ -103,9 +104,9 @@ def test_reduced_operator_is_the_dense_schur_elimination(ell, lam, R, alpha_p, x
 @given(**draws)
 def test_recovered_fluxes_satisfy_the_flux_rows(ell, lam, R, alpha_p, xi, pressure):
     con, condensed = condensed_problem(ell, lam, R, alpha_p, xi, pressure)
-    x_red = np.random.default_rng(0).standard_normal(len(condensed.iu) + len(condensed.iq))
+    iw = free_positions(con, con.layout.v_fields[2:])
+    x_red = np.random.default_rng(0).standard_normal(len(con.free) - len(iw))
     x_free = condensed.expand(x_red, con.rhs())
-    iw = condensed.iw
     r_w = con.rhs()[iw]
     flux_rows = con.K_ff[iw]
     terms = np.abs(flux_rows) @ np.abs(x_free) + np.abs(r_w)

@@ -30,7 +30,7 @@ from mpet.solver import (
 )
 from mpet.spaces import SpaceSet
 from mpet.timeloop import TimeStepper, brain_analog_scenario
-from oracles import dense_kernel_augmentation
+from oracles import dense_kernel_augmentation, free_positions
 
 
 def identity_prec(r):
@@ -138,13 +138,13 @@ def test_condense_matches_dense_schur_oracle():
     # dense algebra oracle, separate index bookkeeping
     K = con.K_ff.toarray()
     layout = con.layout
-    pos = con.free_pos
-    iu = [pos[d] for d in np.concatenate([layout.indices("u"), layout.indices("uhat")]) if pos[d] >= 0]
-    iw = [pos[d] for d in layout.indices("w0") if pos[d] >= 0]
+    pos = {d: k for k, d in enumerate(con.free)}
+    iu = [pos[d] for d in np.concatenate([layout.indices("u"), layout.indices("uhat")]) if d in pos]
+    iw = [pos[d] for d in layout.indices("w0") if d in pos]
     iq = [
         pos[d]
         for d in np.concatenate([layout.indices("p0"), layout.indices("phat0")])
-        if pos[d] >= 0
+        if d in pos
     ]
     Auu = K[np.ix_(iu, iu)]
     G = K[np.ix_(iq, iu)]
@@ -186,7 +186,8 @@ def test_condensed_network_blocks_identical_for_equal_R():
     _, spaces, scaled, system, bcs, con = make_problem(n_side=1, ell=1, n_networks=2, R=0.7)
     condensed = condense_velocity(con)
     # the q block of K_red; alpha_p = xi = 0, so its p blocks are the flux Schur complements
-    s = condensed.K_red.toarray()[len(condensed.iu) :, len(condensed.iu) :]
+    n_u = len(free_positions(con, ["u", "uhat"]))
+    s = condensed.K_red.toarray()[n_u:, n_u:]
     np_free = spaces.size_p  # all volume pressures are free
     b0 = s[:np_free, :np_free]
     b1 = s[np_free : 2 * np_free, np_free : 2 * np_free]
@@ -436,7 +437,7 @@ def test_bordered_preconditioner_matches_dense_augmentation(n_side, ell, variant
     target = condense_velocity(con) if variant == "schur_reduced" else con
     prec = build_preconditioner(target)
     x1, xp = preconditioner_matrices(target)
-    q_free = con.free_in(con.layout.q_fields)
+    q_free = con.free[free_positions(con, con.layout.q_fields)]
     augmented = dense_kernel_augmentation(xp, [k[q_free] for k in kernel_vectors])
     cut = x1.shape[0]
     r = np.random.default_rng(1).standard_normal(cut + xp.shape[0])
@@ -503,8 +504,8 @@ def test_preconditioner_variant_follows_target_type():
     condensed = condense_velocity(con)
     x_red, _ = preconditioner_matrices(condensed)
     x_full, _ = preconditioner_matrices(con)
-    assert x_red.shape[0] == len(condensed.iu)
-    assert x_full.shape[0] == len(condensed.iu) + len(condensed.iw)
+    assert x_red.shape[0] == len(free_positions(con, ["u", "uhat"]))
+    assert x_full.shape[0] == len(free_positions(con, con.layout.v_fields))
 
 
 def test_solve_reuse_is_identical():

@@ -205,7 +205,7 @@ def minres(operator, apply_prec, rhs, tol=1e-8, maxit=500):
 class _SPDFactor:
     """Factorization of an SPD block; raises if the block is not SPD.
 
-    One of three exact factorizations is chosen from the block's pattern,
+    One of two exact factorizations is chosen from the block's pattern,
     and :attr:`path` names it:
 
     * ``"condensed"``, **static condensation, then banded Cholesky.**
@@ -227,13 +227,12 @@ class _SPDFactor:
       certificate.  An apply is two slices, one sparse product with the
       transpose of ``[X_ll^-1, X_ll^-1 X_lk]``, the band solve and one
       product with ``X_ll^-1 X_lk``.
-    * ``"band"``, the same without local rows, ``S`` the block itself.  A
-      block given without a plan, as in the spectrum diagnostics, is
-      planned here so.
-    * ``"splu"``, **symmetric-mode** ``splu``, for every other block.  With
-      rows and columns permuted alike, the pivots ``U.diagonal()`` have
-      the inertia of the matrix (Sylvester's law), so a block without a
-      kernel is SPD exactly when every pivot is positive.
+    * ``"splu"``, **symmetric-mode** ``splu``, for every other block: one
+      given without a plan, as in the spectrum diagnostics, one whose plan
+      does not fit, and a bordered one.  With rows and columns permuted
+      alike, the pivots ``U.diagonal()`` have the inertia of the matrix
+      (Sylvester's law), so a block without a kernel is SPD exactly when
+      every pivot is positive.
 
     Reading the pivots through ``lu.U`` makes scipy build CSC copies of
     both ``L`` and ``U``, which the ``SuperLU`` object caches for the life
@@ -241,35 +240,32 @@ class _SPDFactor:
     (16,3) ``X_u`` and 4.53 MiB for its ``X_p``.  No scipy API reads the
     pivots without them.
 
-    All are exact inverses of the same matrix.  The band's triangular
+    Both are exact inverses of the same matrix.  The band's triangular
     solves cost about 0.7 ns per stored entry against SuperLU's 3.5 ns, so
     the band wins while it stays within a few times SuperLU's fill; the
     budget also bounds its memory and its ``n w^2`` factorization.
-    Condensation shrinks the band twice over: ``S`` has fewer rows, and
-    the local rows no longer widen its RCM levels.  Best-of-7 solve times,
-    one BLAS thread, of the ``schur_reduced`` blocks, with ``(n, ell)`` the
-    ``n x n`` unit square at order ``ell`` under the ``manufactured``
-    benchmark's parameters; "before" is the plain band, or SuperLU where
-    its band does not fit:
+    Condensation shrinks the band twice over: ``S`` has fewer rows than
+    the block, and the local rows no longer widen its RCM levels (the
+    band entries below go from the block's own RCM band to ``S``'s).
+    Best-of-7 solve times, one BLAS thread, of the ``schur_reduced``
+    blocks, with ``(n, ell)`` the ``n x n`` unit square at order ``ell``
+    under the ``manufactured`` benchmark's parameters:
 
-    ==========  ======  ======  =====================  ===========  ============
-    block       rows    S rows  band entries, S's      path         solve before
-                                                                    / after (us)
-    ==========  ======  ======  =====================  ===========  ============
-    brain X_u   1,536   768     119,808 to 55,296      condensed    64 / 56
-    brain X_p   2,528   1,504   262,912 to 114,304     condensed    136 / 101
-    (8,1) X_u   704     352     81,664 to 17,600       condensed    35 / 27
-    (8,1) X_p   608     352     13,984 to 10,208       condensed    14 / 22
-    (8,2) X_u   1,440   912     168,480 to 109,440     condensed    71 / 80
-    (8,2) X_p   1,472   704     79,488 to 40,832       condensed    44 / 43
-    (16,2) X_p  6,016   2,944   662k to 359,168        condensed    434 / 284
+    ==========  ======  ======  =====================  ===========  ======
+    block       rows    S rows  band entries, S's      path         solve
+                                                                    (us)
+    ==========  ======  ======  =====================  ===========  ======
+    brain X_u   1,536   768     119,808 to 55,296      condensed    56
+    brain X_p   2,528   1,504   262,912 to 114,304     condensed    101
+    (8,1) X_u   704     352     81,664 to 17,600       condensed    27
+    (8,1) X_p   608     352     13,984 to 10,208       condensed    22
+    (8,2) X_u   1,440   912     168,480 to 109,440     condensed    80
+    (8,2) X_p   1,472   704     79,488 to 40,832       condensed    43
+    (16,2) X_p  6,016   2,944   662k to 359,168        condensed    284
     (32,1) X_p  10,112  6,016   961k to 752k, over     splu         363
     (32,1) X_u  12,032  6,016   6.0M to 1.17M, over    splu         1,236
     (16,3) X_u  9,984   7,040   3.8M to 3.2M, over     splu         975
-    ==========  ======  ======  =====================  ===========  ============
-
-    On the smallest blocks the two sparse products cost about what the
-    narrower band saves.
+    ==========  ======  ======  =====================  ===========  ======
 
     With ``kernel`` vectors ``k_1 .. k_m`` the factor borders the block
     itself: ``X`` stands for ``[[X, K], [K^T, corner I/s]]``, with the unit
@@ -290,18 +286,13 @@ class _SPDFactor:
     def __init__(self, mat, kernel=(), corner=-1.0, plan=None):
         self._m = m = len(kernel)
         self._plan = None
-        if not m:
-            if plan is None:
-                mat = sps.csr_matrix(mat)
-                mat.sum_duplicates()
-                plan = _BandPlan(mat)
-            if plan.fits:
-                band, self._condensing, self._coupling = plan.condense(mat.data)
-                self._cholesky, info = _pbtrf(band, overwrite_ab=1)
-                if info > 0:
-                    raise PreconditionerError(_NOT_SPD)
-                self._plan = plan
-                return
+        if not m and plan is not None and plan.fits:
+            band, self._condensing, self._coupling = plan.condense(mat.data)
+            self._cholesky, info = _pbtrf(band, overwrite_ab=1)
+            if info > 0:
+                raise PreconditionerError(_NOT_SPD)
+            self._plan = plan
+            return
         mat = sps.csc_matrix(mat)
         head = mat
         if m:
@@ -338,25 +329,20 @@ class _SPDFactor:
 
     @property
     def path(self):
-        """How the block was factored: ``"condensed"``, ``"band"`` or ``"splu"``."""
-        if self._plan is None:
-            return "splu"
-        return "band" if self._condensing is None else "condensed"
+        """How the block was factored: ``"condensed"`` or ``"splu"``."""
+        return "splu" if self._plan is None else "condensed"
 
     def solve(self, r):
         plan = self._plan
         if plan is not None:
             r_s = r[plan.keep]
-            if self._condensing is not None:
-                # X_ll^-1 r_l over X_kl X_ll^-1 r_l: [X_ll^-1, X_ll^-1 X_lk]^T r_l
-                z = self._condensing @ r[plan.local]
-                n_l = len(z) - len(r_s)
-                y, r_s = z[:n_l], r_s - z[n_l:]
-            x_s, _ = _pbtrs(self._cholesky, r_s[plan.perm], overwrite_b=1)
+            # X_ll^-1 r_l over X_kl X_ll^-1 r_l: [X_ll^-1, X_ll^-1 X_lk]^T r_l
+            z = self._condensing @ r[plan.local]
+            n_l = len(z) - len(r_s)
+            x_s, _ = _pbtrs(self._cholesky, (r_s - z[n_l:])[plan.perm], overwrite_b=1)
             x = np.empty_like(r)
             x[plan.keep] = x_s = x_s[plan.inv]
-            if self._condensing is not None:
-                x[plan.local] = y - self._coupling @ x_s
+            x[plan.local] = z[:n_l] - self._coupling @ x_s
             return x
         if not self._m:
             return self._lu.solve(r)
@@ -373,42 +359,39 @@ class _BandPlan:
     """The condensation and band layout of a canonical CSR pattern, shared
     by the blocks on it.
 
-    ``local``, a leading or trailing slice of the rows (empty by default),
-    is condensed, and the other rows, ``keep``, carry the Schur complement
-    ``S``.  The local rows split into the connected components of their
-    own graph, the local blocks, and ``S``'s pattern is that of the kept
-    rows plus, for each local block, every pair of the kept rows it
-    couples to.  ``perm`` lists ``S``'s rows in RCM order, ``inv`` is its
-    inverse and ``w`` its bandwidth.  ``fits`` says whether the band,
-    ``size`` entries, fits ``_BAND_BYTES``; a pattern with an empty row
-    never fits (such a block is singular, and splu rejects it).  Only a
-    fitting pattern is laid out further (:meth:`_lay_out`).
+    ``local``, a leading or trailing slice of the rows, is condensed, and
+    the other rows, ``keep``, carry the Schur complement ``S``.  The local
+    rows split into the connected components of their own graph, the local
+    blocks, and ``S``'s pattern is that of the kept rows plus, for each
+    local block, every pair of the kept rows it couples to.  ``perm`` lists
+    ``S``'s rows in RCM order, ``inv`` is its inverse and ``w`` its
+    bandwidth.  ``fits`` says whether the band, ``size`` entries, fits
+    ``_BAND_BYTES``.  A pattern whose local or kept rows are empty never
+    fits, and neither does one with an empty row (such a block is singular,
+    and splu rejects it).  Only a fitting pattern is laid out further
+    (:meth:`_lay_out`).
     """
 
-    def __init__(self, mat, local=slice(0, 0)):
+    def __init__(self, mat, local):
         n = mat.shape[0]
         lo, hi, _ = local.indices(n)
         self.local, self.keep = slice(lo, hi), slice(hi, n) if lo == 0 else slice(0, lo)
         self.fits = False
-        if np.diff(mat.indptr).min() == 0:
+        if hi == lo or hi - lo == n or np.diff(mat.indptr).min() == 0:
             return
-        label = reach = None
-        if hi > lo:
-            label = connected_components(mat[self.local, self.local], directed=False)[1]
-            across = mat[self.keep, self.local]
-            # the local blocks that each kept row couples to
-            reach = sps.csr_matrix((np.ones(across.nnz), label[across.indices], across.indptr),
-                                   shape=(across.shape[0], label.max() + 1))
-            reach.sum_duplicates()
-            kept = mat[self.keep, self.keep]
-            self._order(sps.csr_matrix((np.ones(kept.nnz), kept.indices, kept.indptr), shape=kept.shape)
-                        + reach @ reach.T)
-            del across, kept   # before the layout's own temporaries
-        else:
-            self._order(mat)
+        label = connected_components(mat[self.local, self.local], directed=False)[1]
+        across = mat[self.keep, self.local]
+        # the local blocks that each kept row couples to
+        reach = sps.csr_matrix((np.ones(across.nnz), label[across.indices], across.indptr),
+                               shape=(across.shape[0], label.max() + 1))
+        reach.sum_duplicates()
+        kept = mat[self.keep, self.keep]
+        self._order(sps.csr_matrix((np.ones(kept.nnz), kept.indices, kept.indptr), shape=kept.shape)
+                    + reach @ reach.T)
+        del across, kept   # before the layout's own temporaries
         if self.size <= _BAND_BYTES // 8:
             self.fits = True
-            self._lay_out(mat, label, None if reach is None else reach.T.tocsr())
+            self._lay_out(mat, label, reach.T.tocsr())
 
     def _order(self, pattern):
         """Set ``perm``, ``inv``, ``w`` and ``size`` from the pattern of ``S``."""
@@ -425,7 +408,7 @@ class _BandPlan:
     def _lay_out(self, mat, label, reach):
         """Lay out a fitting pattern from ``label``, the local block of
         each local row, and ``reach``, the rows of ``S`` that each block
-        couples to as a CSR matrix (both None without local rows).
+        couples to as a CSR matrix.
 
         The local blocks are batched by their size ``s``, and a batch's
         couplings are padded to ``t`` columns, the most rows of ``S`` one
@@ -442,10 +425,11 @@ class _BandPlan:
         ``X_ll^-1 X_lk``, both on the local rows in their order; ``take``
         gathers the first one's data from the batches' ``(n, s, s + t)``
         stacks of the two, and ``take_coupling`` the second one's from the
-        first one's.
+        first one's.  Both patterns are recorded as :mod:`mpet.sparsity`
+        records one: the stacks' entries are numbered and scipy orders them.
         """
         n, lo, hi = mat.shape[0], self.local.start, self.local.stop
-        n_s, w, size = len(self.perm), self.w, self.size
+        n_l, n_s, w, size = hi - lo, len(self.perm), self.w, self.size
         # int32 halves the largest array a plan keeps, and bincount casts it in
         # one pass; the padding's row n_s stays off the band
         inv = np.append(self.inv, n_s).astype(np.int32)
@@ -461,72 +445,66 @@ class _BandPlan:
 
         pos, self.groups = [np.full(len(rows), size, dtype=np.int32)], []
         pos[0][kept] = place(to_s[rows[kept]], to_s[cols[kept]])
-        if label is not None:
-            n_l = hi - lo
-            s, t, first = np.bincount(label), np.diff(reach.indptr), reach.indptr[:-1]
-            within = np.flatnonzero(on_local[rows] & on_local[cols])
-            across = np.flatnonzero(on_local[rows] & ~on_local[cols])
-            w_row, w_col, a_row = rows[within] - lo, cols[within] - lo, rows[across] - lo
-            a_block = label[a_row]
-            keys = np.repeat(np.arange(len(s)) * n_s, t) + reach.indices
-            a_col = np.searchsorted(keys, a_block * n_s + to_s[cols[across]]) - first[a_block]
-            # the blocks by size, the local rows block after block, and k, a
-            # local row's row within its block
-            order = np.argsort(s, kind="stable")
-            slot = np.empty_like(order)
-            slot[order] = np.arange(len(order))
-            start = np.cumsum(s[order]) - s[order]
-            members = np.argsort(slot[label], kind="stable")
-            k = np.empty(n_l, dtype=np.intp)
-            k[members] = np.arange(n_l) - start[slot[label[members]]]
-            bounds = np.flatnonzero(np.diff(s[order], prepend=0, append=0))
-            batch = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[slot]
-            rank = slot - bounds[batch]
-            stretch, columns = np.empty(n_l, dtype=np.intp), []   # of each local row in the stacks
-            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                blocks = order[a:b]
-                m, width = s[blocks[0]], t[blocks].max()
-                on_w, on_a = batch[label[w_row]] == g, batch[a_block] == g
-                at_w = (rank[label[w_row[on_w]]] * m + k[w_row[on_w]]) * m + k[w_col[on_w]]
-                at_a = (rank[a_block[on_a]] * m + k[a_row[on_a]]) * width + a_col[on_a]
-                self.groups.append((b - a, m, width, (at_w, at_a), (within[on_w], across[on_a])))
-                j = np.arange(width)
-                reached = reach.indices[np.minimum(first[blocks, None] + j, len(reach.indices) - 1)]
-                reached[j >= t[blocks, None]] = n_s
-                pos.append(place(reached[:, :, None], reached[:, None, :]).ravel())
-                block_rows = members[start[a:b, None] + np.arange(m)]
-                done = sum(c.size for c in columns)
-                stretch[block_rows.ravel()] = done + (m + width) * np.arange(block_rows.size)
-                columns.append(np.concatenate([np.broadcast_to(block_rows[:, None, :], (b - a, m, m)),
-                                               np.broadcast_to(n_l + reached[:, None, :], (b - a, m, width))],
-                                              axis=2))
-            # each local row's real entries lead its stretch
-            length, width = (s + t)[label], t[label]
-            indptr, coupling_ptr = np.zeros(n_l + 1, dtype=np.int32), np.zeros(n_l + 1, dtype=np.int32)
-            np.cumsum(length, out=indptr[1:])
-            np.cumsum(width, out=coupling_ptr[1:])
-            self.take = np.repeat(stretch - indptr[:-1], length) + np.arange(indptr[-1])
-            indices = np.concatenate([c.ravel() for c in columns])[self.take].astype(np.int32)
-            self.take_coupling = (np.repeat(indptr[:-1] + s[label] - coupling_ptr[:-1], width)
-                                  + np.arange(coupling_ptr[-1]))
-            self.stacked = indices, indptr
-            self.coupling = indices[self.take_coupling] - np.int32(n_l), coupling_ptr
+        s, t, first = np.bincount(label), np.diff(reach.indptr), reach.indptr[:-1]
+        within = np.flatnonzero(on_local[rows] & on_local[cols])
+        across = np.flatnonzero(on_local[rows] & ~on_local[cols])
+        w_row, w_col, a_row = rows[within] - lo, cols[within] - lo, rows[across] - lo
+        a_block = label[a_row]
+        keys = np.repeat(np.arange(len(s)) * n_s, t) + reach.indices
+        a_col = np.searchsorted(keys, a_block * n_s + to_s[cols[across]]) - first[a_block]
+        # the blocks by size, the local rows block after block, and k, a
+        # local row's row within its block
+        order = np.argsort(s, kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))
+        start = np.cumsum(s[order]) - s[order]
+        members = np.argsort(slot[label], kind="stable")
+        k = np.empty(n_l, dtype=np.intp)
+        k[members] = np.arange(n_l) - start[slot[label[members]]]
+        bounds = np.flatnonzero(np.diff(s[order], prepend=0, append=0))
+        batch = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[slot]
+        rank = slot - bounds[batch]
+        # the stacks' entries off the padding: their local row and column, and
+        # their position in the stacks
+        entries, done = [], 0
+        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            blocks = order[a:b]
+            m, width = s[blocks[0]], t[blocks].max()
+            on_w, on_a = batch[label[w_row]] == g, batch[a_block] == g
+            at_w = (rank[label[w_row[on_w]]] * m + k[w_row[on_w]]) * m + k[w_col[on_w]]
+            at_a = (rank[a_block[on_a]] * m + k[a_row[on_a]]) * width + a_col[on_a]
+            self.groups.append((b - a, m, width, (at_w, at_a), (within[on_w], across[on_a])))
+            j = np.arange(width)
+            reached = reach.indices[np.minimum(first[blocks, None] + j, len(reach.indices) - 1)]
+            reached[j >= t[blocks, None]] = n_s
+            pos.append(place(reached[:, :, None], reached[:, None, :]).ravel())
+            block_rows = members[start[a:b, None] + np.arange(m)]
+            stack_rows, stack_cols = np.broadcast_arrays(
+                block_rows[:, :, None], np.concatenate([block_rows, n_l + reached], axis=1)[:, None, :])
+            real = stack_cols < n_l + n_s
+            entries.append((stack_rows[real], stack_cols[real], done + np.flatnonzero(real)))
+            done += real.size
+        stack_rows, stack_cols, real = map(np.concatenate, zip(*entries))
+        del entries
+        ids = sps.csr_matrix((real + 1, (stack_rows, stack_cols)), shape=(n_l, n_l + n_s))
+        del stack_rows, stack_cols, real   # before the two patterns' own copies
+        self.take, self.stacked = ids.data - 1, (ids.indices, ids.indptr)
+        ids.data = np.arange(1, ids.nnz + 1)   # now numbering the entries of ``stacked``
+        coupling = ids[:, n_l:]
+        self.take_coupling, self.coupling = coupling.data - 1, (coupling.indices, coupling.indptr)
         self.pos = np.concatenate(pos)
 
     def condense(self, data):
         """The band of ``S`` for the block with entries ``data`` on this
-        pattern, and with local rows ``[X_ll^-1, X_ll^-1 X_lk]`` as the CSC
-        matrix of its transpose and ``X_ll^-1 X_lk`` as a CSR matrix (both
-        None without local rows); raises :class:`PreconditionerError` if a
-        local block is not SPD."""
+        pattern, ``[X_ll^-1, X_ll^-1 X_lk]`` as the CSC matrix of its
+        transpose and ``X_ll^-1 X_lk`` as a CSR matrix; raises
+        :class:`PreconditionerError` if a local block is not SPD."""
         batches = [_condense_batch(data, *group) for group in self.groups]
         weights = np.concatenate([data, *(update for update, _ in batches)])
         stacks = [stack for _, stack in batches]
         del batches   # the updates are in ``weights`` now
         band = np.bincount(self.pos, weights, minlength=self.size + 1)
         band = band[: self.size].reshape((self.w + 1, len(self.perm)), order="F")
-        if not self.groups:
-            return band, None, None
         n_l, n_s = self.local.stop - self.local.start, len(self.perm)
         stacked = np.concatenate(stacks)[self.take]
         return (band, sps.csc_matrix((stacked, *self.stacked), shape=(n_l + n_s, n_l)),

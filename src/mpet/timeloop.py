@@ -325,11 +325,11 @@ class TimeStepper:
         F[self.system.p_block] += self._recurrence @ np.concatenate([state.u, *state.p])
         return F
 
-    def step(self, state, t_k=None):
+    def step(self, state):
         """Advance one implicit-Euler step; returns ``(new_state, report, x)``
         with ``x`` the scaled solution vector of the step."""
         sc = self.scenario
-        t_k = state.t + sc.tau if t_k is None else t_k
+        t_k = state.t + sc.tau
         self.system.F = self.step_rhs(state, t_k)
         self.constrained.update_values(self.bcs_scaled, t_k)
         x, report, self._reuse = solve(

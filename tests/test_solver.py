@@ -17,7 +17,7 @@ from mpet.assembly import (
 )
 from mpet.cli import _sweep_parameters
 from mpet.manufactured import default_manufactured
-from mpet.mesh import generate_unit_square
+from mpet.mesh import Mesh, generate_unit_square
 from mpet.params import scaled_from_direct
 from mpet.solver import (
     CondensedSystem,
@@ -222,42 +222,37 @@ def test_small_penalty_rejected(n_side, ell):
         build_preconditioner(condensed)
 
 
-def _both_factorizations(monkeypatch):
-    """Yield True, then False: ``_SPDFactor`` takes the band within its
-    budget, then ``splu`` with the band budget set to zero."""
-    for budget in (mpet.solver._BAND_BYTES, 0):
-        monkeypatch.setattr(mpet.solver, "_BAND_BYTES", budget)
-        yield budget > 0
-
-
 @pytest.mark.parametrize(
     "mat",
     [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
     ids=["indefinite", "singular-psd", "zero-diagonal"],
 )
-def test_spd_factor_rejects_small_non_spd_blocks(mat, monkeypatch):
-    mat = sps.csc_matrix(np.array(mat))
-    for banded in _both_factorizations(monkeypatch):
-        assert mpet.solver._BandPlan(sps.csr_matrix(mat)).fits == banded
+def test_spd_factor_rejects_small_non_spd_blocks(mat):
+    """The block is rejected by the condensed factor, whose plan fits with
+    either row local, and by ``splu``."""
+    mat = sps.csr_matrix(np.array(mat))
+    for local in (slice(0, 1), slice(1, 2)):
+        plan = mpet.solver._BandPlan(mat, local)
+        assert plan.fits
         with pytest.raises(PreconditionerError, match="not SPD"):
-            mpet.solver._SPDFactor(mat)
+            mpet.solver._SPDFactor(mat, plan=plan)
+    with pytest.raises(PreconditionerError, match="not SPD"):
+        mpet.solver._SPDFactor(mat)
 
 
 def test_spd_factor_certifies_large_blocks():
-    """A 2D Laplacian is accepted and solved; shifted by -0.5 I it is
-    indefinite and rejected, whatever its size.  At 80 x 80 its RCM band,
-    6400 x 81 entries, fits the band budget; at 110 x 110 (12100 x 111) it
-    does not, and ``splu`` certifies it."""
-    for side, path in ((80, "band"), (110, "splu")):
-        t = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(side, side))
-        lap = sps.kronsum(t, t, format="csc")
-        b = np.ones(lap.shape[0])
-        factor = mpet.solver._SPDFactor(lap)
-        assert factor.path == path
-        x = factor.solve(b)
-        assert np.linalg.norm(lap @ x - b) <= 1e-10 * np.linalg.norm(b)
-        with pytest.raises(PreconditionerError, match="not SPD"):
-            mpet.solver._SPDFactor(lap - 0.5 * sps.eye(lap.shape[0], format="csc"))
+    """A 110 x 110 2D Laplacian, given without a plan, is certified by
+    ``splu``: it is accepted and solved, and shifted by -0.5 I it is
+    indefinite and rejected."""
+    t = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(110, 110))
+    lap = sps.kronsum(t, t, format="csc")
+    b = np.ones(lap.shape[0])
+    factor = mpet.solver._SPDFactor(lap)
+    assert factor.path == "splu"
+    x = factor.solve(b)
+    assert np.linalg.norm(lap @ x - b) <= 1e-10 * np.linalg.norm(b)
+    with pytest.raises(PreconditionerError, match="not SPD"):
+        mpet.solver._SPDFactor(lap - 0.5 * sps.eye(lap.shape[0], format="csc"))
 
 
 def _blocks_and_local_rows(target):
@@ -282,13 +277,10 @@ def _manufactured_problem(n_side, ell):
     return make_problem(n_side=n_side, ell=ell, alpha_p=1.0, xi=1.0, rhs=False)[-1]
 
 
-def test_brain_blocks_take_the_band_and_large_blocks_splu(brain_blocks):
+def test_brain_blocks_take_the_band_and_large_blocks_splu():
     """Both brain blocks are condensed; at (16,2) only ``X_p`` is, its
     Schur complement's band (359,168 entries) within the budget, and at
-    (16,3) both blocks take SuperLU.  Without local rows the brain blocks
-    take the plain band."""
-    for x, _ in brain_blocks:
-        assert mpet.solver._SPDFactor(x).path == "band"
+    (16,3) both blocks take SuperLU."""
     stepper = TimeStepper(brain_analog_scenario())
     prec = build_preconditioner(condense_velocity(stepper.constrained))
     assert (prec.f1.path, prec.f2.path) == ("condensed", "condensed")
@@ -301,29 +293,21 @@ def test_band_permutations_are_intp(brain_blocks):
     """A banded block gathers the residual through ``perm`` and ``inv`` on
     every apply; as ``intp`` arrays they need no cast first."""
     for x, local in brain_blocks:
-        for plan in (mpet.solver._BandPlan(x), mpet.solver._BandPlan(x, local)):
-            assert plan.perm.dtype == plan.inv.dtype == np.intp
-
-
-def _three_factorizations(mat, local, monkeypatch):
-    """Yield the condensed, the plain band and the ``splu`` factor of ``mat``."""
-    yield mpet.solver._SPDFactor(mat, plan=mpet.solver._BandPlan(mat, local))
-    yield mpet.solver._SPDFactor(mat)
-    monkeypatch.setattr(mpet.solver, "_BAND_BYTES", 0)
-    yield mpet.solver._SPDFactor(mat)
+        plan = mpet.solver._BandPlan(x, local)
+        assert plan.perm.dtype == plan.inv.dtype == np.intp
 
 
 # Relative 2-norm distance to the dense solve.  The brain's X_u is
 # conditioned at about 5e5, which keeps any two exact solves about 1e-11
-# apart (at seed 0: 1.6e-11 condensed, 3.6e-12 band, 9.2e-12 splu); X_p's
-# are within 6e-16.
+# apart (at seed 0: 1.6e-11 condensed, 9.2e-12 splu); X_p's are within
+# 6e-16.
 @pytest.mark.parametrize("block, rtol", [(0, 1e-10), (1, 1e-12)], ids=["X_u", "X_p"])
-def test_both_factorizations_match_a_dense_solve(brain_blocks, block, rtol, monkeypatch):
+def test_both_factorizations_match_a_dense_solve(brain_blocks, block, rtol):
     mat, local = brain_blocks[block]
     r = np.random.default_rng(0).standard_normal(mat.shape[0])
     dense = np.linalg.solve(mat.toarray(), r)
-    factors = _three_factorizations(mat, local, monkeypatch)
-    for factor, path in zip(factors, ("condensed", "band", "splu")):
+    factors = mpet.solver._SPDFactor(mat, plan=mpet.solver._BandPlan(mat, local)), mpet.solver._SPDFactor(mat)
+    for factor, path in zip(factors, ("condensed", "splu")):
         assert factor.path == path
         assert np.linalg.norm(factor.solve(r) - dense) <= rtol * np.linalg.norm(dense)
 
@@ -342,6 +326,27 @@ def test_condensed_factors_of_the_unit_square_match_a_dense_solve(n_side, ell, v
         factor = mpet.solver._SPDFactor(mat, plan=mpet.solver._BandPlan(mat, local))
         assert factor.path == "condensed"
         assert np.linalg.norm(factor.solve(r) - dense) <= rtol * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_blocks_without_local_or_kept_rows_take_splu(ell):
+    """On one triangle, all three facets on the boundary, ``schur_reduced``'s
+    ``X_u`` has no local rows (no free ``uhat``), and with Dirichlet
+    pressures ``X_p`` has local rows only (no free ``phat``).  Such a block
+    takes SuperLU, and every solve converges."""
+    mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh.tag_boundary(lambda x: True, "boundary")
+    kernels = assemble_kernels(SpaceSet(mesh, ell, 2))
+    scaled = scaled_from_direct(1.0, [1.0, 1.0], [1.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    paths = {("dirichlet", "schur_reduced"): ("splu", "splu"), ("dirichlet", "full_block"): ("condensed", "splu"),
+             ("flux", "schur_reduced"): ("splu", "condensed"), ("flux", "full_block"): ("condensed", "condensed")}
+    for (pressure, variant), expected in paths.items():
+        system = build_block_system(kernels, scaled)
+        system.F = np.random.default_rng(0).standard_normal(system.F.shape)
+        con = apply_boundary_conditions(system, homogeneous_bcs(2, pressure=pressure))
+        _, report, (_, prec) = solve(con, variant)
+        assert report.converged
+        assert (prec.f1.path, prec.f2.path) == expected
 
 
 def _condensed_factor(rows):

@@ -537,7 +537,9 @@ def _operator_grid(spaces, coupled, rows, cols, elastic, *blocks):
     starts = [0] + [layout.offsets[f] for f in layout.names[2:]] + [layout.total]
     row_groups, col_groups = _grid_groups(rows, starts), _grid_groups(cols, starts)
     col_starts = np.cumsum([0] + [count for count, _ in col_groups])
-    n_cols = int(col_starts[-1])
+    n_cols, n_rows = int(col_starts[-1]), sum(count for count, _ in row_groups)
+    if not (n_rows and n_cols):   # nothing to stack, as with no free displacement DOF
+        return sps.csr_matrix((n_rows, n_cols))
     strips = []
     for line, (n_rows, r) in zip(grid, row_groups):
         if not n_rows:

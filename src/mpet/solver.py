@@ -48,20 +48,22 @@ the fluxes of each element and network), which trail ``u``, and in
 lead the multipliers.  The factor condenses them statically: it inverts
 the local blocks in one batched step, and if the reverse Cuthill-McKee
 band of the Schur complement ``S`` on the other rows fits in
-``_BAND_BYTES`` (4 MiB) it factors ``S`` by LAPACK's banded Cholesky.
+``_BAND_BYTES`` (10 MiB, set from measured blocks) it factors ``S`` by
+LAPACK's banded Cholesky.
 The local blocks' Cholesky and ``pbtrf`` succeed exactly when the block
 is SPD.  Any other block is factored by a symmetric-mode sparse LU whose
 pivot signs give its inertia.  A pressure block left singular by
 all-flux networks is factored with their kernel vectors, which the
 factor takes and borders the block by itself, so the blocks that
 :func:`preconditioner_matrices` returns are always the plain ones.  The
-condensed band takes the brain annulus and 8x8 sweep blocks and the
-(16,2) pressure block; the larger unit-square blocks stay on SuperLU.
-The local blocks, the pattern of ``S`` and its band layout depend on the
-block's pattern alone, so each preconditioner structure keeps them
-(:class:`_BandPlan`), and a block on a recorded pattern runs only the
-batched inverse, the Schur update and ``pbtrf``, which is the
-certificate's second half.
+condensed band takes the brain annulus blocks, the 8x8 sweep blocks,
+both (16,2) and (32,1) blocks and the (16,3) pressure block; the (16,3)
+elasticity block stays on SuperLU.  The local blocks, the pattern of
+``S`` and its band layout depend on the block's pattern alone
+(:class:`_BandPlan`): the constrained structure keeps the first block's
+per variant and each preconditioner structure the pressure block's, and
+a block on a recorded pattern runs only the batched inverse, the Schur
+update and ``pbtrf``, which is the certificate's second half.
 The iteration itself is a standard three-term preconditioned MinRes
 recurrence whose convergence is measured in the preconditioned residual
 norm.
@@ -104,8 +106,12 @@ class PreconditionerError(RuntimeError):
 _NOT_SPD = "preconditioner not SPD (penalty too small, or R, alpha_p and xi all vanish)"
 
 # largest RCM band, ``n (w + 1)`` float64 entries, that :class:`_SPDFactor`
-# factors by banded Cholesky; wider blocks take ``splu``
-_BAND_BYTES = 4 * 2**20
+# factors by banded Cholesky; wider blocks take ``splu``.  Measured over the
+# blocks of the benchmark workloads and presets (CHANGES.md): every band up to
+# 8.9 MiB, the (32,1) elasticity block's, factors faster than SuperLU; the
+# next, 12.3 MiB at (16,3), costs a cold solve as much as SuperLU (its solves
+# are 40% slower), and the 24 MiB (16,3) elasticity band loses outright
+_BAND_BYTES = 10 * 2**20
 
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
@@ -226,7 +232,7 @@ class _SPDFactor:
       Cholesky of the local blocks and ``pbtrf`` together are the
       certificate.  An apply is two slices, one sparse product with the
       transpose of ``[X_ll^-1, X_ll^-1 X_lk]``, the band solve and one
-      product with ``X_ll^-1 X_lk``.
+      product with ``X_ll^-1 X_lk``, a view of that transpose's rows.
     * ``"splu"``, **symmetric-mode** ``splu``, for every other block: one
       given without a plan, as in the spectrum diagnostics, one whose plan
       does not fit, and a bordered one.  With rows and columns permuted
@@ -247,24 +253,27 @@ class _SPDFactor:
     Condensation shrinks the band twice over: ``S`` has fewer rows than
     the block, and the local rows no longer widen its RCM levels (the
     band entries below go from the block's own RCM band to ``S``'s).
-    Best-of-7 solve times, one BLAS thread, of the ``schur_reduced``
-    blocks, with ``(n, ell)`` the ``n x n`` unit square at order ``ell``
-    under the ``manufactured`` benchmark's parameters:
+    Best-of-7 solve times on the path taken, one BLAS thread, of the
+    ``schur_reduced`` blocks, with ``(n, ell)`` the ``n x n`` unit square
+    at order ``ell`` under the ``manufactured`` benchmark's parameters
+    (CHANGES.md has both paths' factor and solve times for every block):
 
     ==========  ======  ======  =====================  ===========  ======
     block       rows    S rows  band entries, S's      path         solve
                                                                     (us)
     ==========  ======  ======  =====================  ===========  ======
-    brain X_u   1,536   768     119,808 to 55,296      condensed    56
-    brain X_p   2,528   1,504   262,912 to 114,304     condensed    101
-    (8,1) X_u   704     352     81,664 to 17,600       condensed    27
-    (8,1) X_p   608     352     13,984 to 10,208       condensed    22
-    (8,2) X_u   1,440   912     168,480 to 109,440     condensed    80
-    (8,2) X_p   1,472   704     79,488 to 40,832       condensed    43
-    (16,2) X_p  6,016   2,944   662k to 359,168        condensed    284
-    (32,1) X_p  10,112  6,016   961k to 752k, over     splu         363
-    (32,1) X_u  12,032  6,016   6.0M to 1.17M, over    splu         1,236
-    (16,3) X_u  9,984   7,040   3.8M to 3.2M, over     splu         975
+    brain X_u   1,536   768     119,808 to 55,296      condensed    49
+    brain X_p   2,528   1,504   262,912 to 114,304     condensed    93
+    (8,1) X_u   704     352     81,664 to 17,600       condensed    45
+    (8,1) X_p   608     352     13,984 to 10,208       condensed    41
+    (8,2) X_u   1,440   912     168,480 to 109,440     condensed    71
+    (8,2) X_p   1,472   704     79,488 to 40,832       condensed    47
+    (16,2) X_p  6,016   2,944   662k to 359,168        condensed    274
+    (16,2) X_u  5,952   3,744   1.41M to 899k          condensed    653
+    (32,1) X_p  10,112  6,016   961k to 752k           condensed    549
+    (32,1) X_u  12,032  6,016   6.0M to 1.17M          condensed    1,009
+    (16,3) X_p  10,560  4,416   2.0M to 808k           condensed    639
+    (16,3) X_u  9,984   7,040   3.8M to 3.2M, over     splu         1,061
     ==========  ======  ======  =====================  ===========  ======
 
     With ``kernel`` vectors ``k_1 .. k_m`` the factor borders the block
@@ -363,13 +372,20 @@ class _BandPlan:
     the other rows, ``keep``, carry the Schur complement ``S``.  The local
     rows split into the connected components of their own graph, the local
     blocks, and ``S``'s pattern is that of the kept rows plus, for each
-    local block, every pair of the kept rows it couples to.  ``perm`` lists
-    ``S``'s rows in RCM order, ``inv`` is its inverse and ``w`` its
+    local block, every pair of the kept rows it couples to.  ``perm``
+    lists ``S``'s rows in RCM order, ``inv`` is its inverse and ``w`` its
     bandwidth.  ``fits`` says whether the band, ``size`` entries, fits
     ``_BAND_BYTES``.  A pattern whose local or kept rows are empty never
     fits, and neither does one with an empty row (such a block is singular,
     and splu rejects it).  Only a fitting pattern is laid out further
     (:meth:`_lay_out`).
+
+    The local rows and the kept rows are each one run of the CSR, and the
+    local columns one range at the start or the end of every row, so the
+    plan finds the positions of the entries it needs from the rows' bounds
+    alone.  The pattern is taken to be structurally symmetric, as every
+    preconditioner block's is: the local blocks' couplings are read off
+    the local rows.
     """
 
     def __init__(self, mat, local):
@@ -379,36 +395,52 @@ class _BandPlan:
         self.fits = False
         if hi == lo or hi - lo == n or np.diff(mat.indptr).min() == 0:
             return
-        label = connected_components(mat[self.local, self.local], directed=False)[1]
-        across = mat[self.keep, self.local]
-        # the local blocks that each kept row couples to
-        reach = sps.csr_matrix((np.ones(across.nnz), label[across.indices], across.indptr),
-                               shape=(across.shape[0], label.max() + 1))
-        reach.sum_duplicates()
-        kept = mat[self.keep, self.keep]
-        self._order(sps.csr_matrix((np.ones(kept.nnz), kept.indices, kept.indptr), shape=kept.shape)
-                    + reach @ reach.T)
-        del across, kept   # before the layout's own temporaries
-        if self.size <= _BAND_BYTES // 8:
-            self.fits = True
-            self._lay_out(mat, label, reach.T.tocsr())
-
-    def _order(self, pattern):
-        """Set ``perm``, ``inv``, ``w`` and ``size`` from the pattern of ``S``."""
-        n_s = pattern.shape[0]
+        n_l, n_s = hi - lo, n - (hi - lo)
+        within, across, kept = mat[self.local, self.local], mat[self.local, self.keep], mat[self.keep, self.keep]
+        label = connected_components(within, directed=False)[1]
+        # the rows of S each local block reaches: the blocks' indicator times
+        # X_lk's pattern (all ones, so no sum cancels)
+        blocks = sps.csr_matrix((np.ones(n_l), label, np.arange(n_l + 1)), shape=(n_l, label.max() + 1))
+        reach = blocks.T.tocsr() @ sps.csr_matrix((np.ones(across.nnz), across.indices, across.indptr), shape=across.shape)
+        reach.sort_indices()
+        pattern = sps.csr_matrix((np.ones(kept.nnz), kept.indices, kept.indptr), shape=kept.shape)
+        pattern = pattern + reach.T.tocsr() @ reach
         # intp: numpy casts an int32 index array on every gather
         self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
         self.inv = inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(n_s)
-        cols, first = inv[pattern.indices], pattern.indptr[:-1]
-        self.w = w = int(max((np.maximum.reduceat(cols, first) - inv).max(),
-                             (inv - np.minimum.reduceat(cols, first)).max()))
-        self.size = n_s * (w + 1)
+        del pattern
+        # the bandwidth: the widest entry of X_kk or the widest spread of the
+        # rows of S one local block reaches (``take``: fancy indexing casts an
+        # int32 index array first)
+        k_i, k_j = inv[np.repeat(np.arange(n_s), np.diff(kept.indptr))], inv.take(kept.indices)
+        spread, first = inv.take(reach.indices), reach.indptr[:-1][np.diff(reach.indptr) > 0]
+        self.w = max(int(np.abs(k_i - k_j).max(initial=0)),
+                     int((np.maximum.reduceat(spread, first) - np.minimum.reduceat(spread, first)).max(initial=0)))
+        self.size = n_s * (self.w + 1)
+        if self.size <= _BAND_BYTES // 8:
+            self.fits = True
+            # a canonical row holds its local columns first (lo == 0) or last
+            w_at, a_at = _positions(mat, self.local, within, lo == 0), _positions(mat, self.local, across, lo > 0)
+            within = (w_at, np.repeat(np.arange(n_l), np.diff(within.indptr)), within.indices)
+            # a coupling's place among the rows of S its block reaches (scipy
+            # answers empty index arrays with a sparse matrix)
+            a_row = np.repeat(np.arange(n_l), np.diff(across.indptr))
+            place = sps.csr_matrix((np.arange(reach.nnz) - np.repeat(reach.indptr[:-1], np.diff(reach.indptr)),
+                                    reach.indices, reach.indptr), shape=reach.shape)
+            a_col = np.asarray(place[label[a_row], across.indices]).ravel() if across.nnz else a_row
+            across = (a_at, a_row, a_col)
+            self._lay_out(mat.nnz, label, reach, within, across, (_positions(mat, self.keep, kept, lo > 0), k_i, k_j))
 
-    def _lay_out(self, mat, label, reach):
-        """Lay out a fitting pattern from ``label``, the local block of
-        each local row, and ``reach``, the rows of ``S`` that each block
-        couples to as a CSR matrix.
+    def _lay_out(self, nnz, label, reach, within, across, kept):
+        """Lay out a fitting pattern of ``nnz`` entries from ``label``, the
+        local block of each local row, ``reach``, the rows of ``S`` that
+        each block couples to as a CSR matrix, and the block's entries as
+        ``(positions, row, column)``: ``within`` the local blocks (rows and
+        columns counted from the first local row), ``across`` their
+        couplings ``X_lk`` (the column is the place among the rows of
+        ``S`` the block reaches) and ``kept`` the entries of ``X_kk`` (rows
+        and columns of ``S`` in RCM order).
 
         The local blocks are batched by their size ``s``, and a batch's
         couplings are padded to ``t`` columns, the most rows of ``S`` one
@@ -421,37 +453,25 @@ class _BandPlan:
         of each entry of the batches' ``(n, t, t)`` Schur updates, or
         ``size`` for those below the diagonal, off ``S`` or on the padding.
         ``stacked`` is the CSR pattern ``(indices, indptr)`` of
-        ``[X_ll^-1, X_ll^-1 X_lk]`` and ``coupling`` that of
-        ``X_ll^-1 X_lk``, both on the local rows in their order; ``take``
-        gathers the first one's data from the batches' ``(n, s, s + t)``
-        stacks of the two, and ``take_coupling`` the second one's from the
-        first one's.  Both patterns are recorded as :mod:`mpet.sparsity`
-        records one: the stacks' entries are numbered and scipy orders them.
+        ``[X_ll^-1, X_ll^-1 X_lk]^T``, whose rows from ``n_l`` on hold
+        ``X_ll^-1 X_lk`` as a CSC view of them; a product with either sums
+        the same terms in the same order as one with the untransposed CSR
+        layout.  ``take`` gathers its data from the batches'
+        ``(n, s, s + t)`` stacks of the two, laid end to end.
         """
-        n, lo, hi = mat.shape[0], self.local.start, self.local.stop
-        n_l, n_s, w, size = hi - lo, len(self.perm), self.w, self.size
+        n_l, n_s, w, size = len(label), len(self.perm), self.w, self.size
         # int32 halves the largest array a plan keeps, and bincount casts it in
         # one pass; the padding's row n_s stays off the band
         inv = np.append(self.inv, n_s).astype(np.int32)
-        rows, cols = np.repeat(np.arange(n), np.diff(mat.indptr)), mat.indices
-        on_local = np.zeros(n, dtype=bool)
-        on_local[lo:hi] = True
-        kept = ~on_local[rows] & ~on_local[cols]
-        to_s = np.arange(n) - self.keep.start   # the row of S of a kept row
 
-        def place(i, j):   # the band positions of the entries (i, j) of S
-            i, j = inv[i], inv[j]
-            return np.where((i <= j) & (j < n_s), w + i - j + (w + 1) * j, size)
+        def place(i, j):   # the band positions of (i, j) in RCM order, j = -1 on padding
+            at = w + i + w * j
+            off = size - at   # size below the diagonal, by a select without branches
+            np.multiply(off, i > j, out=off)
+            at += off
+            return at
 
-        pos, self.groups = [np.full(len(rows), size, dtype=np.int32)], []
-        pos[0][kept] = place(to_s[rows[kept]], to_s[cols[kept]])
         s, t, first = np.bincount(label), np.diff(reach.indptr), reach.indptr[:-1]
-        within = np.flatnonzero(on_local[rows] & on_local[cols])
-        across = np.flatnonzero(on_local[rows] & ~on_local[cols])
-        w_row, w_col, a_row = rows[within] - lo, cols[within] - lo, rows[across] - lo
-        a_block = label[a_row]
-        keys = np.repeat(np.arange(len(s)) * n_s, t) + reach.indices
-        a_col = np.searchsorted(keys, a_block * n_s + to_s[cols[across]]) - first[a_block]
         # the blocks by size, the local rows block after block, and k, a
         # local row's row within its block
         order = np.argsort(s, kind="stable")
@@ -463,58 +483,90 @@ class _BandPlan:
         k[members] = np.arange(n_l) - start[slot[label[members]]]
         bounds = np.flatnonzero(np.diff(s[order], prepend=0, append=0))
         batch = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[slot]
-        rank = slot - bounds[batch]
-        # the stacks' entries off the padding: their local row and column, and
-        # their position in the stacks
-        entries, done = [], 0
-        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            blocks = order[a:b]
-            m, width = s[blocks[0]], t[blocks].max()
-            on_w, on_a = batch[label[w_row]] == g, batch[a_block] == g
-            at_w = (rank[label[w_row[on_w]]] * m + k[w_row[on_w]]) * m + k[w_col[on_w]]
-            at_a = (rank[a_block[on_a]] * m + k[a_row[on_a]]) * width + a_col[on_a]
-            self.groups.append((b - a, m, width, (at_w, at_a), (within[on_w], across[on_a])))
-            j = np.arange(width)
-            reached = reach.indices[np.minimum(first[blocks, None] + j, len(reach.indices) - 1)]
-            reached[j >= t[blocks, None]] = n_s
-            pos.append(place(reached[:, :, None], reached[:, None, :]).ravel())
-            block_rows = members[start[a:b, None] + np.arange(m)]
-            stack_rows, stack_cols = np.broadcast_arrays(
-                block_rows[:, :, None], np.concatenate([block_rows, n_l + reached], axis=1)[:, None, :])
-            real = stack_cols < n_l + n_s
-            entries.append((stack_rows[real], stack_cols[real], done + np.flatnonzero(real)))
-            done += real.size
-        stack_rows, stack_cols, real = map(np.concatenate, zip(*entries))
-        del entries
-        ids = sps.csr_matrix((real + 1, (stack_rows, stack_cols)), shape=(n_l, n_l + n_s))
-        del stack_rows, stack_cols, real   # before the two patterns' own copies
-        self.take, self.stacked = ids.data - 1, (ids.indices, ids.indptr)
-        ids.data = np.arange(1, ids.nnz + 1)   # now numbering the entries of ``stacked``
-        coupling = ids[:, n_l:]
-        self.take_coupling, self.coupling = coupling.data - 1, (coupling.indices, coupling.indptr)
-        self.pos = np.concatenate(pos)
+        sizes = [(b - a, s[order[a]], t[order[a:b]].max()) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.pos = pos = np.empty(nnz + sum(n * width * width for n, _, width in sizes), dtype=np.int32)
+        pos[:nnz] = size
+        pos[kept[0]] = place(*kept[1:])
+        # a local row's row in its batch's stacks, and where that row starts
+        row = (slot - bounds[batch])[label] * s[label] + k
+        rows_at = np.empty(n_l, dtype=np.intp)
+        self.groups, done, done_pos = [], 0, nnz
+        for g, (a, (n, m, width)) in enumerate(zip(bounds, sizes)):
+            blocks = order[a : a + n]
+            (w_at, w_row, w_col), (a_at, a_row, a_col) = within, across
+            if len(sizes) > 1:   # the batch's entries only
+                on_w, on_a = batch[label[w_row]] == g, batch[label[a_row]] == g
+                w_at, w_row, w_col = w_at[on_w], w_row[on_w], w_col[on_w]
+                a_at, a_row, a_col = a_at[on_a], a_row[on_a], a_col[on_a]
+            self.groups.append((n, m, width, (row[w_row] * m + k[w_col], row[a_row] * width + a_col), (w_at, a_at)))
+            rows = members[start[a : a + n, None] + np.arange(m)].ravel()
+            rows_at[rows] = done + (m + width) * np.arange(len(rows))
+            done += n * m * (m + width)
+            # the batch's updates with the blocks on the last axis, which keeps
+            # numpy's inner loops long, then moved to (n, t, t)
+            j = np.arange(width)[:, None]
+            reached = inv.take(reach.indices[np.minimum(first[blocks] + j, len(reach.indices) - 1)])
+            reached[j >= t[blocks]] = n_s
+            update = place(reached[:, None, :], np.where(reached < n_s, reached, -1)[None, :, :])
+            pos[done_pos : done_pos + n * width * width].reshape(n, width, width)[...] = update.transpose(2, 0, 1)
+            done_pos += n * width * width
+        # row by row, [X_ll^-1, X_ll^-1 X_lk] holds the first s + t entries of
+        # the row's row of the stacks: its block's rows, then n_l plus the
+        # rows of S the block reaches
+        count = s[label] + t[label]
+        indptr = np.zeros(n_l + 1, dtype=np.int32)
+        np.cumsum(count, out=indptr[1:])
+        step = np.arange(indptr[-1]) - np.repeat(indptr[:-1], count)
+        lists = np.cumsum(s + t) - (s + t)   # each block's row, blocks end to end
+        columns = np.empty(n_l + len(reach.indices), dtype=np.int32)
+        columns[lists[label] + k] = np.arange(n_l)
+        columns[np.repeat(lists + s - first, t) + np.arange(len(reach.indices))] = n_l + reach.indices
+        ids = sps.csr_matrix(((np.repeat(rows_at, count) + step).astype(np.int32),
+                              columns[np.repeat(lists[label], count) + step], indptr), shape=(n_l, n_l + n_s))
+        ids = ids.T.tocsr()
+        self.take, self.stacked = ids.data, (ids.indices, ids.indptr)
 
     def condense(self, data):
         """The band of ``S`` for the block with entries ``data`` on this
-        pattern, ``[X_ll^-1, X_ll^-1 X_lk]`` as the CSC matrix of its
-        transpose and ``X_ll^-1 X_lk`` as a CSR matrix; raises
-        :class:`PreconditionerError` if a local block is not SPD."""
-        batches = [_condense_batch(data, *group) for group in self.groups]
-        weights = np.concatenate([data, *(update for update, _ in batches)])
-        stacks = [stack for _, stack in batches]
-        del batches   # the updates are in ``weights`` now
+        pattern, ``[X_ll^-1, X_ll^-1 X_lk]^T`` as a CSR matrix and
+        ``X_ll^-1 X_lk``, the transpose of its rows from ``n_l`` on, as a
+        CSC view of them; raises :class:`PreconditionerError` if a local
+        block is not SPD."""
+        weights = np.empty(len(self.pos))   # the entries, then the batches' Schur updates
+        weights[: len(data)] = data
+        stacks = np.empty(sum(n * s * (s + t) for n, s, t, _, _ in self.groups))
+        done_w, done_s = len(data), 0
+        for n, s, t, at, src in self.groups:
+            _condense_batch(data, n, s, t, at, src, weights[done_w : done_w + n * t * t],
+                            stacks[done_s : done_s + n * s * (s + t)])
+            done_w, done_s = done_w + n * t * t, done_s + n * s * (s + t)
         band = np.bincount(self.pos, weights, minlength=self.size + 1)
+        del weights
         band = band[: self.size].reshape((self.w + 1, len(self.perm)), order="F")
         n_l, n_s = self.local.stop - self.local.start, len(self.perm)
-        stacked = np.concatenate(stacks)[self.take]
-        return (band, sps.csc_matrix((stacked, *self.stacked), shape=(n_l + n_s, n_l)),
-                sps.csr_matrix((stacked[self.take_coupling], *self.coupling), shape=(n_l, n_s)))
+        stacked = stacks.take(self.take)
+        del stacks
+        stacked = sps.csr_matrix((stacked, *self.stacked), shape=(n_l + n_s, n_l))
+        cut = stacked.indptr[n_l]
+        coupling = sps.csc_matrix((stacked.data[cut:], stacked.indices[cut:], stacked.indptr[n_l:] - cut),
+                                  shape=(n_l, n_s))
+        return band, stacked, coupling
 
 
-def _condense_batch(data, n, s, t, at, src):
-    """The negated Schur updates ``-X_kl X_ll^-1 X_lk`` of one batch of
-    local blocks of the block with entries ``data``, and its stacks
-    ``[X_ll^-1, X_ll^-1 X_lk]``, both flat; raises if a local block is not SPD."""
+def _positions(mat, rows, part, lead):
+    """The positions in the canonical CSR ``mat`` of the entries of
+    ``part``, the submatrix of the run of rows ``rows`` on a range of
+    columns that leads (``lead``) or trails each row."""
+    counts = np.diff(part.indptr)
+    start = mat.indptr[rows.start : rows.stop] if lead else mat.indptr[rows.start + 1 : rows.stop + 1] - counts
+    return np.repeat(start - part.indptr[:-1], counts) + np.arange(part.nnz)
+
+
+def _condense_batch(data, n, s, t, at, src, update, stack):
+    """Write the negated Schur updates ``-X_kl X_ll^-1 X_lk`` of one batch
+    of local blocks of the block with entries ``data`` into ``update`` and
+    its stacks ``[X_ll^-1, X_ll^-1 X_lk]`` into ``stack``, both flat;
+    raises if a local block is not SPD."""
     blocks, coupling = np.zeros(n * s * s), np.zeros(n * s * t)
     blocks[at[0]] = data[src[0]]
     coupling[at[1]] = data[src[1]]
@@ -525,8 +577,10 @@ def _condense_batch(data, n, s, t, at, src):
         raise PreconditionerError(_NOT_SPD) from None
     inverse = np.linalg.inv(blocks)
     solved = inverse @ coupling
-    update = coupling.transpose(0, 2, 1) @ solved
-    return np.negative(update, out=update).ravel(), np.concatenate([inverse, solved], axis=2).ravel()
+    update = update.reshape(n, t, t)
+    np.matmul(coupling.transpose(0, 2, 1), solved, out=update)
+    np.negative(update, out=update)
+    np.concatenate([inverse, solved], axis=2, out=stack.reshape(n, s, s + t))
 
 
 class BlockDiagPreconditioner:
@@ -753,7 +807,9 @@ def build_preconditioner(target):
     f1 = factors.pop(key, None)
     if f1 is None:
         x1 = _first_block(con, structure)
-        f1 = _SPDFactor(x1, plan=structure.derive("first band", lambda: _BandPlan(x1, structure.local[0])))
+        # the first block does not depend on Lambda: its plan is kept per variant
+        plan = con.structure.derive(("first band", structure.reduced), lambda: _BandPlan(x1, structure.local[0]))
+        f1 = _SPDFactor(x1, plan=plan)
         del x1   # freed before the pressure block is composed and factored
     factors[key] = f1
     if len(factors) > FIRST_FACTORS:

@@ -31,16 +31,25 @@ blocks, the flux condensation and the preconditioner blocks with the
 scipy expressions (``bmat``, ``np.ix_`` indexing, sparse sums) that
 :mod:`mpet.sparsity` records once and replays as gathers.
 
+:func:`reference_band_plan` lays out a block's condensation plan with
+full passes over the block's COO entries and records its two CSR
+patterns through scipy's COO conversion, where ``_BandPlan`` reads the
+local and the kept rows as runs of the CSR and writes the patterns
+directly.
+
 The ``unrecorded_*`` references compute the boundary values, loads,
 recurrence and probe values of a time step tag by tag and network by
 network, where the time stepper applies recorded sparse products or one
 batched reduction.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sps
 from numpy.polynomial.legendre import legvander
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from mpet.assembly import DofLayout
 from mpet.mesh import build_affine_map
@@ -674,6 +683,91 @@ def reference_preconditioner(con, scaled, reduced):
     iq = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
     x_p = (_embed(N, spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda))[iq]
     return con.K_ff[np.ix_(first, first)], x_p
+
+
+def reference_band_plan(mat, local):
+    """The condensation plan of the CSR block ``mat`` with the rows
+    ``local`` condensed, laid out whatever its band's size: ``perm``,
+    ``inv``, ``w``, ``size``, ``pos``, ``groups``, ``take``, ``stacked``
+    and ``coupling`` as :class:`mpet.solver._BandPlan` defines them, with
+    ``coupling`` the CSR pattern ``(indices, indptr)`` of ``X_ll^-1 X_lk``
+    and ``take_coupling`` the positions of its entries in ``stacked``."""
+    n = mat.shape[0]
+    lo, hi, _ = local.indices(n)
+    local, keep = slice(lo, hi), slice(hi, n) if lo == 0 else slice(0, lo)
+    label = connected_components(mat[local, local], directed=False)[1]
+    across = mat[keep, local]
+    reach = sps.csr_matrix((np.ones(across.nnz), label[across.indices], across.indptr),
+                           shape=(across.shape[0], label.max() + 1))
+    reach.sum_duplicates()
+    kept = mat[keep, keep]
+    pattern = sps.csr_matrix((np.ones(kept.nnz), kept.indices, kept.indptr), shape=kept.shape) + reach @ reach.T
+    n_s = pattern.shape[0]
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n_s)
+    cols, first = inv[pattern.indices], pattern.indptr[:-1]
+    w = int(max((np.maximum.reduceat(cols, first) - inv).max(), (inv - np.minimum.reduceat(cols, first)).max()))
+    size = n_s * (w + 1)
+    plan = SimpleNamespace(perm=perm, inv=inv, w=w, size=size)
+    reach = reach.T.tocsr()
+    n_l = hi - lo
+    inv = np.append(inv, n_s).astype(np.int32)
+    rows, cols = np.repeat(np.arange(n), np.diff(mat.indptr)), mat.indices
+    on_local = np.zeros(n, dtype=bool)
+    on_local[lo:hi] = True
+    kept = ~on_local[rows] & ~on_local[cols]
+    to_s = np.arange(n) - keep.start
+
+    def place(i, j):   # the band positions of the entries (i, j) of S
+        i, j = inv[i], inv[j]
+        return np.where((i <= j) & (j < n_s), w + i - j + (w + 1) * j, size)
+
+    pos, plan.groups = [np.full(len(rows), size, dtype=np.int32)], []
+    pos[0][kept] = place(to_s[rows[kept]], to_s[cols[kept]])
+    s, t, first = np.bincount(label), np.diff(reach.indptr), reach.indptr[:-1]
+    within = np.flatnonzero(on_local[rows] & on_local[cols])
+    across = np.flatnonzero(on_local[rows] & ~on_local[cols])
+    w_row, w_col, a_row = rows[within] - lo, cols[within] - lo, rows[across] - lo
+    a_block = label[a_row]
+    keys = np.repeat(np.arange(len(s)) * n_s, t) + reach.indices
+    a_col = np.searchsorted(keys, a_block * n_s + to_s[cols[across]]) - first[a_block]
+    order = np.argsort(s, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    start = np.cumsum(s[order]) - s[order]
+    members = np.argsort(slot[label], kind="stable")
+    k = np.empty(n_l, dtype=np.intp)
+    k[members] = np.arange(n_l) - start[slot[label[members]]]
+    bounds = np.flatnonzero(np.diff(s[order], prepend=0, append=0))
+    batch = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[slot]
+    rank = slot - bounds[batch]
+    entries, done = [], 0
+    for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        blocks = order[a:b]
+        m, width = s[blocks[0]], t[blocks].max()
+        on_w, on_a = batch[label[w_row]] == g, batch[a_block] == g
+        at_w = (rank[label[w_row[on_w]]] * m + k[w_row[on_w]]) * m + k[w_col[on_w]]
+        at_a = (rank[a_block[on_a]] * m + k[a_row[on_a]]) * width + a_col[on_a]
+        plan.groups.append((b - a, m, width, (at_w, at_a), (within[on_w], across[on_a])))
+        j = np.arange(width)
+        reached = reach.indices[np.minimum(first[blocks, None] + j, len(reach.indices) - 1)]
+        reached[j >= t[blocks, None]] = n_s
+        pos.append(place(reached[:, :, None], reached[:, None, :]).ravel())
+        block_rows = members[start[a:b, None] + np.arange(m)]
+        stack_rows, stack_cols = np.broadcast_arrays(
+            block_rows[:, :, None], np.concatenate([block_rows, n_l + reached], axis=1)[:, None, :])
+        real = stack_cols < n_l + n_s
+        entries.append((stack_rows[real], stack_cols[real], done + np.flatnonzero(real)))
+        done += real.size
+    stack_rows, stack_cols, real = map(np.concatenate, zip(*entries))
+    ids = sps.csr_matrix((real + 1, (stack_rows, stack_cols)), shape=(n_l, n_l + n_s))
+    plan.take, plan.stacked = ids.data - 1, (ids.indices, ids.indptr)
+    ids.data = np.arange(1, ids.nnz + 1)
+    coupling = ids[:, n_l:]
+    plan.take_coupling, plan.coupling = coupling.data - 1, (coupling.indices, coupling.indptr)
+    plan.pos = np.concatenate(pos)
+    return plan
 
 
 # ----------------------------------------------------------------------

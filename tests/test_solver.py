@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -30,7 +32,7 @@ from mpet.solver import (
 )
 from mpet.spaces import SpaceSet
 from mpet.timeloop import TimeStepper, brain_analog_scenario
-from oracles import dense_kernel_augmentation, free_positions
+from oracles import dense_kernel_augmentation, free_positions, reference_band_plan
 
 
 def identity_prec(r):
@@ -278,13 +280,15 @@ def _manufactured_problem(n_side, ell):
 
 
 def test_brain_blocks_take_the_band_and_large_blocks_splu():
-    """Both brain blocks are condensed; at (16,2) only ``X_p`` is, its
-    Schur complement's band (359,168 entries) within the budget, and at
-    (16,3) both blocks take SuperLU."""
+    """Both brain blocks are condensed, and so are both blocks at (16,2)
+    and (32,1), whose Schur complements' bands (at most 8.9 MiB) fit the
+    budget; at (16,3) ``X_p`` is condensed and ``X_u`` (a 24 MiB band)
+    takes SuperLU."""
     stepper = TimeStepper(brain_analog_scenario())
     prec = build_preconditioner(condense_velocity(stepper.constrained))
     assert (prec.f1.path, prec.f2.path) == ("condensed", "condensed")
-    for (n_side, ell), paths in (((16, 2), ("splu", "condensed")), ((16, 3), ("splu", "splu"))):
+    for (n_side, ell), paths in (((16, 2), ("condensed", "condensed")), ((32, 1), ("condensed", "condensed")),
+                                 ((16, 3), ("splu", "condensed"))):
         prec = build_preconditioner(condense_velocity(_manufactured_problem(n_side, ell)))
         assert (prec.f1.path, prec.f2.path) == paths
 
@@ -295,6 +299,48 @@ def test_band_permutations_are_intp(brain_blocks):
     for x, local in brain_blocks:
         plan = mpet.solver._BandPlan(x, local)
         assert plan.perm.dtype == plan.inv.dtype == np.intp
+
+
+def _planned_blocks():
+    """The brain's ``schur_reduced`` blocks, the 8x8 unit square's at ell
+    1-3 in both variants and the (16,2) ``schur_reduced`` blocks, each with
+    its local rows."""
+    yield from _blocks_and_local_rows(condense_velocity(TimeStepper(brain_analog_scenario()).constrained))
+    for ell, variant in itertools.product((1, 2, 3), ("schur_reduced", "full_block")):
+        con = _manufactured_problem(8, ell)
+        yield from _blocks_and_local_rows(condense_velocity(con) if variant == "schur_reduced" else con)
+    yield from _blocks_and_local_rows(condense_velocity(_manufactured_problem(16, 2)))
+
+
+def test_band_plan_equals_its_reference():
+    """A fitting plan equals the reference plan, which makes full passes
+    over the block's entries and records its CSR patterns through scipy:
+    ``perm``, ``inv``, ``w``, ``size``, ``pos`` and ``groups`` in value and
+    dtype, and ``stacked`` and ``take`` as the transpose of the reference's
+    ``[X_ll^-1, X_ll^-1 X_lk]``, ``take`` in int32; the transpose of
+    ``stacked``'s rows from ``n_l`` on is the reference's ``X_ll^-1 X_lk``."""
+    planned = 0
+    for mat, local in _planned_blocks():
+        plan, ref = mpet.solver._BandPlan(mat, local), reference_band_plan(mat, local)
+        assert plan.fits
+        for a, b in ((plan.perm, ref.perm), (plan.inv, ref.inv), (plan.pos, ref.pos)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (plan.w, plan.size) == (ref.w, ref.size)
+        assert len(plan.groups) == len(ref.groups)
+        for group, expected in zip(plan.groups, ref.groups):
+            assert group[:3] == expected[:3]
+            for a, b in zip(group[3] + group[4], expected[3] + expected[4]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        n_l, n_s = local.stop - local.start, len(plan.perm)
+        stacked = sps.csr_matrix((ref.take, *ref.stacked), shape=(n_l, n_l + n_s)).T.tocsr()
+        assert plan.take.dtype == np.int32
+        for a, b in zip((plan.take, *plan.stacked), (stacked.data, stacked.indices, stacked.indptr)):
+            assert np.array_equal(a, b)
+        coupling = sps.csr_matrix((plan.take, *plan.stacked), shape=(n_l + n_s, n_l))[n_l:].T.tocsr()
+        assert np.array_equal(coupling.indices, ref.coupling[0]) and np.array_equal(coupling.indptr, ref.coupling[1])
+        assert np.array_equal(coupling.data, ref.take[ref.take_coupling])
+        planned += 1
+    assert planned == 16
 
 
 # Relative 2-norm distance to the dense solve.  The brain's X_u is
@@ -328,18 +374,21 @@ def test_condensed_factors_of_the_unit_square_match_a_dense_solve(n_side, ell, v
         assert np.linalg.norm(factor.solve(r) - dense) <= rtol * np.linalg.norm(dense)
 
 
-@pytest.mark.parametrize("ell", [2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3])
 def test_blocks_without_local_or_kept_rows_take_splu(ell):
     """On one triangle, all three facets on the boundary, ``schur_reduced``'s
     ``X_u`` has no local rows (no free ``uhat``), and with Dirichlet
-    pressures ``X_p`` has local rows only (no free ``phat``).  Such a block
-    takes SuperLU, and every solve converges."""
+    pressures ``X_p`` has local rows only (no free ``phat``).  At ell 1 no
+    displacement DOF is free at all: ``schur_reduced``'s ``X_u`` is empty
+    and ``full_block``'s holds the fluxes alone.  Such a block takes
+    SuperLU, and every solve converges."""
     mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     mesh.tag_boundary(lambda x: True, "boundary")
     kernels = assemble_kernels(SpaceSet(mesh, ell, 2))
     scaled = scaled_from_direct(1.0, [1.0, 1.0], [1.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]))
-    paths = {("dirichlet", "schur_reduced"): ("splu", "splu"), ("dirichlet", "full_block"): ("condensed", "splu"),
-             ("flux", "schur_reduced"): ("splu", "condensed"), ("flux", "full_block"): ("condensed", "condensed")}
+    full = "condensed" if ell > 1 else "splu"
+    paths = {("dirichlet", "schur_reduced"): ("splu", "splu"), ("dirichlet", "full_block"): (full, "splu"),
+             ("flux", "schur_reduced"): ("splu", "condensed"), ("flux", "full_block"): (full, "condensed")}
     for (pressure, variant), expected in paths.items():
         system = build_block_system(kernels, scaled)
         system.F = np.random.default_rng(0).standard_normal(system.F.shape)
@@ -372,18 +421,20 @@ def test_condensed_factor_certifies_both_halves():
 
 
 def test_condensation_is_planned_once_per_pattern(monkeypatch):
-    """Two sweep cells with other lambda on one structure factor both
-    blocks each, but order each block's Schur complement once."""
+    """Four sweep cells on one constrained structure factor both blocks
+    each, but order each pattern's Schur complement once: one ``X_u`` for
+    all four, since it does not depend on Lambda, and one ``X_p`` per
+    pattern of Lambda, diagonal at (i 0, lambda 1) and full elsewhere."""
     calls = []
     rcm = mpet.solver.reverse_cuthill_mckee
     monkeypatch.setattr(mpet.solver, "reverse_cuthill_mckee", lambda *a, **k: calls.append(1) or rcm(*a, **k))
     kernels = assemble_kernels(SpaceSet(generate_unit_square(4), 2, 2))
     bcs = homogeneous_bcs(2, pressure="dirichlet")
-    for lam in (1.0, 1e4):
-        system = build_block_system(kernels, _sweep_parameters(2, lam, False))
+    for i, lam in ((2, 1.0), (2, 1e4), (0, 1.0), (0, 1e4)):
+        system = build_block_system(kernels, _sweep_parameters(i, lam, False))
         prec = build_preconditioner(condense_velocity(apply_boundary_conditions(system, bcs)))
         assert (prec.f1.path, prec.f2.path) == ("condensed", "condensed")
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def _neumann_laplacian(shift=0.0, n=50):

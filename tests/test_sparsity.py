@@ -391,8 +391,9 @@ def test_recorded_maps_are_plain_indices_into_the_source(dtype):
 
 
 def test_a_replayed_band_equals_a_fresh_one():
-    """The condensation plan kept on a preconditioner's structure fills the
-    band of a block composed on the recorded pattern bitwise as a fresh
+    """The condensation plans kept on the constrained structure (the first
+    block's) and on a preconditioner's structure (the pressure block's) fill
+    the band of a block composed on the recorded pattern bitwise as a fresh
     plan does, and condenses it alike; the local blocks' Cholesky and
     ``pbtrf`` still certify every factorization on it."""
     kernels = _kernels(2, 2)
@@ -406,7 +407,8 @@ def test_a_replayed_band_equals_a_fresh_one():
     assert isinstance(structure.derived["first"], Gather)   # composed on recorded patterns
     assert isinstance(structure.derived["x_p"], Union)
     for block, plan, local in zip(preconditioner_matrices(condensed),
-                                  (structure.derived["first band"], structure.derived["pressure band"]),
+                                  (condensed.constrained.structure.derived[("first band", True)],
+                                   structure.derived["pressure band"]),
                                   structure.local):
         fresh = mpet.solver._BandPlan(block.copy(), local).condense(block.data)
         for a, b in zip(plan.condense(block.data), fresh):

@@ -12,12 +12,11 @@ from .mesh import Mesh, MeshError, build_affine_map, generate_annulus, generate_
 from .params import (
     PhysicalParameters,
     ScaledParameters,
-    lambda_matrices,
     lame_from_young_poisson,
     scale_parameters,
     scaled_from_direct,
 )
-from .spaces import SpaceSet, dof_counts, eval_basis, piola_map
+from .spaces import SpaceSet, eval_basis, piola_map
 from .assembly import (
     BlockSystem,
     BoundaryConditionSet,
@@ -41,6 +40,6 @@ from .diagnostics import (
     spectrum_ends,
 )
 from .timeloop import Scenario, State, TimeStepper, brain_analog_scenario, windowed_mean
-from .manufactured import ManufacturedFields, ManufacturedSolution, default_manufactured
+from .manufactured import ManufacturedFields, default_manufactured
 
 __version__ = "0.1.0"

@@ -32,8 +32,7 @@ A :class:`ConstrainedSystem` holds all that a solve reads: ``base.F``,
 ``base.scaled`` and its constrained structure, built once per pattern of
 boundary condition kinds, the one record of the constrained DOFs, the
 map to their values (:class:`EssentialMap`), each field's range of free
-DOFs, the free (p, phat) and the pressure kernel
-(:func:`pressure_nullspace`).
+DOFs, the free (p, phat) and the pressure kernel (``structure.kernel``).
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +57,6 @@ __all__ = [
     "VolumeQuadrature",
     "assemble_traction_rhs",
     "apply_boundary_conditions",
-    "pressure_nullspace",
     "constant_pressure_mode",
     "displacement_hdg_matrix",
     "displacement_hdg_factors",
@@ -990,14 +988,6 @@ def _null_networks(system, constrained):
         i for i in range(layout.n_networks)
         if not fixed[layout.sl(f"phat{i}")].any() and not np.any(system.scaled.zeta[i] != 0.0)
     )
-
-
-def pressure_nullspace(constrained):
-    """Constant-pressure kernel vectors of a constrained system, full-layout:
-    the constant mode of each all-flux network without transfer, detected
-    once per constrained structure."""
-    spaces = constrained.base.kernels.spaces
-    return [constant_pressure_mode(spaces, i) for i in constrained.structure.null_networks]
 
 
 def constant_pressure_mode(spaces, i):

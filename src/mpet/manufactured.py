@@ -21,9 +21,8 @@ values by the same rule, point for point, with bitwise the same result
 points, with the kernels of its mesh).
 
 The benchmark fields of :func:`default_manufactured` are closed forms in
-numpy.  :class:`ManufacturedSolution` derives the pieces of any fields
-given as sympy expressions; it imports sympy on first use and is the
-oracle of the closed forms.
+numpy.  Their oracle is ``ManufacturedSolution`` in ``tests/oracles.py``,
+which derives the pieces of fields given as symbolic expressions.
 """
 
 from functools import lru_cache
@@ -32,7 +31,7 @@ import numpy as np
 
 from .spaces import evaluate
 
-__all__ = ["ManufacturedFields", "ManufacturedLoad", "ManufacturedSolution", "default_manufactured"]
+__all__ = ["ManufacturedFields", "ManufacturedLoad", "default_manufactured"]
 
 
 # the evaluators take coordinate-first points: x[0], x[1] are the
@@ -144,59 +143,16 @@ class ManufacturedLoad:
         ]
 
 
-class ManufacturedSolution(ManufacturedFields):
-    """Fields given as sympy expressions, with the load pieces derived symbolically.
-
-    ``u_expr`` is a pair and ``p_exprs`` a list of expressions in the
-    symbols ``x`` and ``y``; sympy is imported here, on first use.
-    """
-
-    def __init__(self, u_expr, p_exprs):
-        import sympy as sp
-
-        x, y = sp.symbols("x y")
-        xy = (x, y)
-
-        def vec(exprs):
-            fns = [sp.lambdify(xy, e, "numpy") for e in exprs]
-            return lambda x: np.stack([np.broadcast_to(f(x[0], x[1]), np.shape(x[0])) for f in fns])
-
-        def scalar(expr):
-            f = sp.lambdify(xy, expr, "numpy")
-            return lambda x: np.broadcast_to(f(x[0], x[1]), np.shape(x[0]))
-
-        eps = [
-            [sp.diff(u_expr[0], x), (sp.diff(u_expr[0], y) + sp.diff(u_expr[1], x)) / 2],
-            [(sp.diff(u_expr[0], y) + sp.diff(u_expr[1], x)) / 2, sp.diff(u_expr[1], y)],
-        ]
-        div_u = sp.diff(u_expr[0], x) + sp.diff(u_expr[1], y)
-        f_eps = [
-            -(sp.diff(eps[0][0], x) + sp.diff(eps[0][1], y)),
-            -(sp.diff(eps[1][0], x) + sp.diff(eps[1][1], y)),
-        ]
-        f_lam = [-sp.diff(div_u, x), -sp.diff(div_u, y)]
-        grad_p = [[sp.diff(p, x), sp.diff(p, y)] for p in p_exprs]
-        lap_p = [sp.diff(p, x, 2) + sp.diff(p, y, 2) for p in p_exprs]
-        super().__init__(
-            u=vec(u_expr),
-            p=[scalar(p) for p in p_exprs],
-            grad_p=[vec(g) for g in grad_p],
-            f_eps=vec(f_eps),
-            f_lam=vec(f_lam),
-            div_u=scalar(div_u),
-            lap_p=[scalar(l) for l in lap_p],
-        )
-
-
 @lru_cache(maxsize=None)
 def default_manufactured(n_networks=2):
     """The unit-square benchmark fields, in closed form, built once per network count.
 
     u = (phi, phi) with phi = sin(pi x) sin(pi y), and mean-zero pressures
     p_1 = x^2 (1-x)^2 y^2 (1-y)^2 - 1/900, p_2 = sin^2(pi x) sin^2(pi y) - 1/4.
-    The derivatives are written out term for term as sympy prints them,
-    so they take the same floating-point steps as a
-    :class:`ManufacturedSolution` of these expressions, without sympy.
+    The derivatives are written out term for term as the oracle
+    ``ManufacturedSolution`` (``tests/oracles.py``) derives them from
+    these expressions, so they take the same floating-point steps as its
+    lambdified pieces.
     """
     if n_networks not in (1, 2):
         raise ValueError("benchmark defines one or two networks")

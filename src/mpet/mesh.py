@@ -19,8 +19,6 @@ __all__ = [
     "generate_unit_square",
     "generate_annulus",
     "build_affine_map",
-    "dump_mesh",
-    "load_mesh",
 ]
 
 # local edge j is opposite local vertex j, ordered (a, b)
@@ -78,8 +76,6 @@ class Mesh:
     All arrays are frozen after construction; instances are safe for
     shared concurrent reads.
     """
-
-    dim = 2
 
     def __init__(self, vertices, elements, boundary_tags=None):
         self.vertices = np.array(vertices, dtype=float)
@@ -203,10 +199,6 @@ class Mesh:
     # ------------------------------------------------------------------
 
     @property
-    def n_vertices(self):
-        return len(self.vertices)
-
-    @property
     def n_elements(self):
         return len(self.elements)
 
@@ -318,54 +310,5 @@ def generate_annulus(r_inner, r_outer, n_radial, n_angular):
             mesh.boundary_tags[int(f)] = "ventricle"
         elif va >= n_outer_start and vb >= n_outer_start:
             mesh.boundary_tags[int(f)] = "skull"
-    mesh.validate()
-    return mesh
-
-
-# ----------------------------------------------------------------------
-# plain-text dump / load
-# ----------------------------------------------------------------------
-
-
-def dump_mesh(mesh, path):
-    """Write a mesh as plain text: header ``dim nv ne nf``, then one record per line."""
-    lines = [f"{mesh.dim} {mesh.n_vertices} {mesh.n_elements} {mesh.n_facets}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for a, b, c in mesh.elements:
-        lines.append(f"{a} {b} {c}")
-    for f in range(mesh.n_facets):
-        va, vb = mesh.facet_vertices[f]
-        tl, tr = mesh.facet_elements[f]
-        jl = mesh.facet_local[f, 0]
-        o = mesh.facet_direction[tl, jl]
-        tag = mesh.boundary_tags.get(int(f), "-")
-        lines.append(f"{va} {vb} {tl} {tr} {jl} {o} {tag}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path):
-    """Read a mesh written by :func:`dump_mesh`."""
-    with open(path) as fh:
-        tokens = [line.split() for line in fh if line.strip()]
-    dim, nv, ne, nf = (int(t) for t in tokens[0])
-    if dim != 2:
-        raise MeshError(f"unsupported dimension {dim}")
-    verts = [(float(t[0]), float(t[1])) for t in tokens[1 : 1 + nv]]
-    elems = [tuple(int(x) for x in t) for t in tokens[1 + nv : 1 + nv + ne]]
-    tags = {}
-    mesh = Mesh(verts, elems)
-    if mesh.n_facets != nf:
-        raise MeshError("facet count mismatch in mesh file")
-    # facet numbering is reproducible from the element table, so only the
-    # tags need to be recovered; cross-check the stored vertex pairs
-    for f, t in enumerate(tokens[1 + nv + ne : 1 + nv + ne + nf]):
-        va, vb = int(t[0]), int(t[1])
-        if (va, vb) != tuple(mesh.facet_vertices[f]):
-            raise MeshError(f"facet record {f} does not match rebuilt topology")
-        if t[6] != "-":
-            tags[f] = t[6]
-    mesh.boundary_tags.update(tags)
     mesh.validate()
     return mesh

@@ -25,7 +25,6 @@ __all__ = [
     "lame_from_young_poisson",
     "scale_parameters",
     "scaled_from_direct",
-    "lambda_matrices",
 ]
 
 
@@ -104,8 +103,12 @@ class ScaledParameters:
         n = self.n
         if not (len(self.alpha_p) == n and self.zeta.shape == (n, n)):
             raise ValueError("scaled parameter arrays have inconsistent network counts")
+        if self.lam < 0.0:
+            raise ValueError("lambda must be nonnegative")
         if np.any(self.R <= 0.0):
             raise ValueError("R must be positive")
+        if np.any(self.alpha_p < 0.0):
+            raise ValueError("alpha_p must be nonnegative")
         if not np.allclose(self.zeta, self.zeta.T, atol=1e-14 * (1 + abs(self.zeta).max())):
             raise ValueError("zeta matrix must be symmetric")
 
@@ -116,10 +119,6 @@ class ScaledParameters:
     @property
     def lam0(self):
         return max(1.0, self.lam)
-
-    @property
-    def R_min(self):
-        return float(self.R.min())
 
     @property
     def Lambda(self):
@@ -166,8 +165,3 @@ def scaled_from_direct(lam, R, alpha_p, xi=None):
     zeta = -xi.copy()
     np.fill_diagonal(zeta, alpha_p + xi.sum(axis=1))
     return ScaledParameters(lam=float(lam), R=R, alpha_p=alpha_p, zeta=zeta)
-
-
-def lambda_matrices(scaled):
-    """Return (Lambda_zeta, Lambda); Lambda adds the all-ones matrix over lambda0."""
-    return scaled.zeta.copy(), scaled.Lambda

@@ -788,8 +788,8 @@ def build_preconditioner(target):
     Schur complement plus Lambda mass.  Singular constant-pressure modes
     (all-flux networks without transfer) are handled by the pressure
     block's factor, which takes the system's kernel on the free (p, phat)
-    (:func:`~mpet.assembly.pressure_nullspace`), borders the block by it
-    and applies the inverse of ``X_p + s K K^T``.
+    (``structure.kernel``), borders the block by it and applies the
+    inverse of ``X_p + s K K^T``.
 
     The first block is fixed by the structure and by lambda (and R for
     ``full_block``); its factor is kept per structure for the last
@@ -849,9 +849,9 @@ def solve(constrained, variant="schur_reduced", tol=1e-8, maxit=500, reuse=None)
     is the solution in the full layout (constrained values inserted) and
     ``reuse`` holds the target and its preconditioner for solves with a
     new ``base.F`` or new constrained values.  On the pressure kernel
-    (:func:`~mpet.assembly.pressure_nullspace`), in the last rows of the
-    solve vector from ``prec.cut`` on in both variants, the right-hand
-    side is compatibility-corrected and the pressure means are zeroed.
+    (``structure.kernel``), in the last rows of the solve vector from
+    ``prec.cut`` on in both variants, the right-hand side is
+    compatibility-corrected and the pressure means are zeroed.
     """
     if variant not in ("schur_reduced", "full_block"):
         raise ValueError(f"unknown preconditioner variant {variant!r}")

@@ -39,7 +39,6 @@ __all__ = [
     "SpaceSet",
     "DofLayout",
     "BoundaryFacets",
-    "dof_counts",
 ]
 
 SUPPORTED_ORDERS = (1, 2, 3)
@@ -794,26 +793,3 @@ def _pullback(maps, f, ref_points):
     """
     fv = evaluate(f, maps.to_physical(ref_points), vector=True)
     return maps.det[:, None, None] * (fv @ maps.inv_transpose)
-
-
-def dof_counts(mesh, ell, n_networks):
-    """Global DOF counts with the analysis boundary conditions applied.
-
-    Displacement normal and tangential facet DOFs on the boundary are
-    constrained (homogeneous Dirichlet for u), flux spaces are broken so
-    all their DOFs remain, facet pressures stay free (zero-flux data).
-    """
-    if ell not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported order {ell}")
-    bdm = _reference_basis("bdm", ell)
-    rt = _reference_basis("rt", ell)
-    p = _reference_basis("p", ell - 1)
-    n_int_facets = len(mesh.interior_facets)
-    ne, nf = mesh.n_elements, mesh.n_facets
-    return {
-        "u": n_int_facets * (ell + 1) + ne * bdm.n_interior,
-        "uhat": n_int_facets * (ell + 1),
-        "w": n_networks * ne * rt.n_dofs,
-        "p": n_networks * ne * p.n_dofs,
-        "phat": n_networks * nf * ell,
-    }

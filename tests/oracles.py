@@ -12,8 +12,10 @@ every data callable at one point ``x`` of shape ``(2,)`` at a time.
 :func:`einsum_pullback` is the Piola pullback of the interpolation as
 the einsum contraction that the batched matmul replaced.
 
-:func:`sympy_benchmark` derives the benchmark's load by symbolic
-differentiation, against which its closed forms are checked.
+:class:`ManufacturedSolution` derives the load pieces of fields given
+as sympy expressions by symbolic differentiation, and
+:func:`sympy_benchmark` builds one of the benchmark's fields, against
+which their closed forms are checked.
 
 The dense spectral references compute every eigenvalue of the pencils
 that the diagnostics reach by sparse Lanczos runs.
@@ -52,6 +54,7 @@ from scipy.linalg import eigh
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from mpet.assembly import DofLayout
+from mpet.manufactured import ManufacturedFields
 from mpet.mesh import build_affine_map
 from mpet.spaces import (
     _REF_EDGE_LENGTHS,
@@ -323,8 +326,52 @@ def dense_kernel_augmentation(mat, kernel_vectors):
 
 
 # ----------------------------------------------------------------------
-# dense spectral references
+# symbolic manufactured solutions
 # ----------------------------------------------------------------------
+
+
+class ManufacturedSolution(ManufacturedFields):
+    """Fields given as sympy expressions, with the load pieces derived symbolically.
+
+    ``u_expr`` is a pair and ``p_exprs`` a list of expressions in the
+    symbols ``x`` and ``y``.
+    """
+
+    def __init__(self, u_expr, p_exprs):
+        import sympy as sp
+
+        x, y = sp.symbols("x y")
+        xy = (x, y)
+
+        def vec(exprs):
+            fns = [sp.lambdify(xy, e, "numpy") for e in exprs]
+            return lambda x: np.stack([np.broadcast_to(f(x[0], x[1]), np.shape(x[0])) for f in fns])
+
+        def scalar(expr):
+            f = sp.lambdify(xy, expr, "numpy")
+            return lambda x: np.broadcast_to(f(x[0], x[1]), np.shape(x[0]))
+
+        eps = [
+            [sp.diff(u_expr[0], x), (sp.diff(u_expr[0], y) + sp.diff(u_expr[1], x)) / 2],
+            [(sp.diff(u_expr[0], y) + sp.diff(u_expr[1], x)) / 2, sp.diff(u_expr[1], y)],
+        ]
+        div_u = sp.diff(u_expr[0], x) + sp.diff(u_expr[1], y)
+        f_eps = [
+            -(sp.diff(eps[0][0], x) + sp.diff(eps[0][1], y)),
+            -(sp.diff(eps[1][0], x) + sp.diff(eps[1][1], y)),
+        ]
+        f_lam = [-sp.diff(div_u, x), -sp.diff(div_u, y)]
+        grad_p = [[sp.diff(p, x), sp.diff(p, y)] for p in p_exprs]
+        lap_p = [sp.diff(p, x, 2) + sp.diff(p, y, 2) for p in p_exprs]
+        super().__init__(
+            u=vec(u_expr),
+            p=[scalar(p) for p in p_exprs],
+            grad_p=[vec(g) for g in grad_p],
+            f_eps=vec(f_eps),
+            f_lam=vec(f_lam),
+            div_u=scalar(div_u),
+            lap_p=[scalar(l) for l in lap_p],
+        )
 
 
 def sympy_benchmark(n_networks):
@@ -332,13 +379,16 @@ def sympy_benchmark(n_networks):
     as sympy expressions, with every load piece differentiated symbolically."""
     import sympy as sp
 
-    from mpet.manufactured import ManufacturedSolution
-
     x, y = sp.symbols("x y")
     phi = sp.sin(sp.pi * x) * sp.sin(sp.pi * y)
     p1 = x**2 * (1 - x) ** 2 * y**2 * (1 - y) ** 2 - sp.Rational(1, 900)
     p2 = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2 - sp.Rational(1, 4)
     return ManufacturedSolution((phi, phi), [p1, p2][:n_networks])
+
+
+# ----------------------------------------------------------------------
+# dense spectral references
+# ----------------------------------------------------------------------
 
 
 def preconditioned_spectrum(system_matrix, preconditioner_matrix, exclude=None):

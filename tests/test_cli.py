@@ -220,13 +220,20 @@ def test_sweep_config_with_solver_workers_runs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["[run]\norders = 1\nn_list = 2\n\n[solver]\ntol = abc\n", "orders = 1\n"],
-    ids=["bad-value", "no-section-header"],
+    "command, text",
+    [
+        ("orderrobust", "[run]\norders = 1\nn_list = 2\n\n[solver]\ntol = abc\n"),
+        ("orderrobust", "orders = 1\n"),
+        ("convergence", "[run]\norders = 1\nlevels = 2\n\n"
+                        "[parameters]\nmode = scaled\nlambda = -1.0\nR = 1.0\nalpha_p = 1.0\n"),
+        ("convergence", "[run]\norders = 1\nlevels = 2\n\n"
+                        "[parameters]\nmode = scaled\nlambda = 1.0\nR = 1.0, 1.0\nalpha_p = -1.0, 1.0\n"),
+    ],
+    ids=["bad-value", "no-section-header", "scaled-negative-lambda", "scaled-negative-alpha_p"],
 )
-def test_unparsable_config_exits_1(tmp_path, capsys, text):
+def test_unparsable_config_exits_1(tmp_path, capsys, command, text):
     cfg = write_cfg(tmp_path / "bad.cfg", text)
-    assert main(["orderrobust", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
 
 
@@ -252,9 +259,10 @@ def test_large_infsup_level_exits_0(tmp_path):
         assert all(float(row.split(",")[1]) > 0 for row in rows)
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    """The benchmark fields are closed forms: neither building them nor a
-    manufactured solve with its errors loads sympy."""
+def test_every_command_runs_without_sympy(tmp_path):
+    """sympy is a test dependency only: with ``sys.modules["sympy"] = None``
+    any import of it raises, and each of the five commands still runs on a
+    tiny config and writes its CSVs."""
     import os
     import subprocess
     import sys
@@ -262,16 +270,30 @@ def test_cli_import_leaves_sympy_unloaded():
 
     import mpet
 
-    src = str(Path(mpet.__file__).resolve().parents[1])
+    configs = {
+        "convergence": "[run]\norders = 1\nlevels = 2\n\n"
+                       "[parameters]\nmode = scaled\nlambda = 1.0\nR = 1.0\nalpha_p = 1.0\n",
+        "sweep": "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nn_per_side = 2\n",
+        "orderrobust": "[run]\norders = 1\nn_list = 2\n",
+        "brain": "[run]\nn_radial = 1\nn_angular = 8\ntau = 0.0125\nt_end = 0.025\n",
+        "eigs": "[run]\nn_per_side = 1\norder = 1\ni_list = 0\nequivalence_levels = 1\n"
+                "infsup_levels = 2\n",
+    }
+    for command, text in configs.items():
+        write_cfg(tmp_path / f"{command}.cfg", text)
     code = (
-        "import sys, mpet.cli; assert 'sympy' not in sys.modules; "
-        "from mpet.params import scaled_from_direct; "
-        "mpet.cli.default_manufactured(1); "
-        "mpet.cli.manufactured_solve(2, 1, scaled_from_direct(1.0, [1.0], [1.0]), 1e-8, 500, "
-        "'schur_reduced', with_errors=True); "
-        "assert 'sympy' not in sys.modules"
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import mpet.cli\n"
+        "root, commands = sys.argv[1], sys.argv[2:]\n"
+        "rcs = [mpet.cli.main([c, '--config', f'{root}/{c}.cfg', '--out', f'{root}/{c}']) for c in commands]\n"
+        "sys.exit(max(rcs))\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    src = str(Path(mpet.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code, str(tmp_path), *configs], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    for command in configs:
+        assert list((tmp_path / command).glob("*.csv")), command
 
 
 def test_write_csv(tmp_path):

@@ -203,11 +203,10 @@ def test_evaluate_shapes():
 def test_manufactured_zero_displacement_broadcasts():
     import sympy as sp
 
-    from mpet.manufactured import ManufacturedSolution
     from mpet.params import scaled_from_direct
 
     x, y = sp.symbols("x y")
-    manu = ManufacturedSolution((sp.Integer(0), sp.Integer(0)), [x * y**2, sp.Integer(3)])
+    manu = oracles.ManufacturedSolution((sp.Integer(0), sp.Integer(0)), [x * y**2, sp.Integer(3)])
     spaces = square(2)
     pts = np.random.default_rng(1).random((2, 7))
     assert manu.u(pts).shape == (2, 7) and not manu.u(pts).any()

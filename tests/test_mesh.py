@@ -5,10 +5,8 @@ from mpet.mesh import (
     Mesh,
     MeshError,
     build_affine_map,
-    dump_mesh,
     generate_annulus,
     generate_unit_square,
-    load_mesh,
     LOCAL_EDGE_VERTICES,
 )
 
@@ -207,20 +205,6 @@ def test_locate_point_on_shared_edges_and_vertices_takes_lowest_element():
         t, ref = mesh.locate_point(point)
         assert len(containing) >= 2 and t == containing[0]
         assert np.allclose(build_affine_map(mesh, t).to_physical(ref), point)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    mesh = generate_annulus(30.0, 70.0, 2, 8)
-    path = tmp_path / "annulus.txt"
-    dump_mesh(mesh, path)
-    other = load_mesh(path)
-    assert np.array_equal(mesh.vertices, other.vertices)
-    assert np.array_equal(mesh.elements, other.elements)
-    assert mesh.boundary_tags == other.boundary_tags
-    # dumping again is bit-identical
-    path2 = tmp_path / "again.txt"
-    dump_mesh(other, path2)
-    assert path.read_text() == path2.read_text()
 
 
 def loop_facets(vertices, elements):

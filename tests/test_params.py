@@ -4,7 +4,6 @@ import pytest
 from mpet.params import (
     PhysicalParameters,
     ScaledParameters,
-    lambda_matrices,
     lame_from_young_poisson,
     scale_parameters,
     scaled_from_direct,
@@ -51,14 +50,14 @@ def test_table_reference_elasticity_values():
 
 def test_lambda_matrices_single_network():
     scaled = ScaledParameters(lam=1.0, R=[1.0], alpha_p=[0.0], zeta=[[0.0]])
-    zeta, lam_mat = lambda_matrices(scaled)
+    lam_mat = scaled.Lambda
     assert lam_mat.shape == (1, 1)
     assert np.isclose(lam_mat[0, 0], 1.0)
 
 
 def test_lambda_matrices_rank_one():
     scaled = ScaledParameters(lam=1e4, R=[1.0, 1.0], alpha_p=[0.0, 0.0], zeta=np.zeros((2, 2)))
-    _, lam_mat = lambda_matrices(scaled)
+    lam_mat = scaled.Lambda
     assert np.allclose(lam_mat, 1e-4 * np.ones((2, 2)))
     # singular alone, but Lambda + R I is SPD for any positive R
     assert abs(np.linalg.det(lam_mat)) < 1e-20
@@ -79,9 +78,8 @@ def test_four_network_table_lambda_spd():
         xi=xi, tau=0.0125,
     )
     scaled = scale_parameters(phys)
-    _, lam_mat = lambda_matrices(scaled)
     # Cholesky oracle on the assembled 4x4 matrix
-    np.linalg.cholesky(lam_mat + scaled.R_min * np.eye(4))
+    np.linalg.cholesky(scaled.Lambda + scaled.R.min() * np.eye(4))
     assert np.allclose(scaled.zeta, scaled.zeta.T)
     assert np.all(np.diag(scaled.zeta) >= 0.0)
     off = scaled.zeta - np.diag(np.diag(scaled.zeta))

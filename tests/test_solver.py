@@ -15,7 +15,6 @@ from mpet.assembly import (
     constant_pressure_mode,
     homogeneous_bcs,
     pressure_hdg_matrix,
-    pressure_nullspace,
 )
 from mpet.cli import _sweep_parameters
 from mpet.manufactured import default_manufactured
@@ -269,7 +268,7 @@ def brain_blocks():
     """The ``schur_reduced`` blocks of the 4-network brain annulus, with
     their local rows."""
     stepper = TimeStepper(brain_analog_scenario())
-    assert not pressure_nullspace(stepper.constrained)
+    assert not stepper.constrained.structure.kernel
     return _blocks_and_local_rows(condense_velocity(stepper.constrained))
 
 
@@ -488,13 +487,12 @@ def test_bordered_preconditioner_matches_dense_augmentation(n_side, ell, variant
     """With two all-flux networks, prec(r) is the inverse of
     blockdiag(X_1, X_p + s K K^T) with the augmentation formed densely."""
     scaled, system, bcs, con = _all_flux_problem(n_side, ell, 2)
-    kernel_vectors = pressure_nullspace(con)
+    kernel_vectors = con.structure.kernel
     assert len(kernel_vectors) == 2
     target = condense_velocity(con) if variant == "schur_reduced" else con
     prec = build_preconditioner(target)
     x1, xp = preconditioner_matrices(target)
-    q_free = con.free[free_positions(con, con.layout.q_fields)]
-    augmented = dense_kernel_augmentation(xp, [k[q_free] for k in kernel_vectors])
+    augmented = dense_kernel_augmentation(xp, kernel_vectors)
     cut = x1.shape[0]
     r = np.random.default_rng(1).standard_normal(cut + xp.shape[0])
     expected = np.concatenate(

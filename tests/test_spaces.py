@@ -11,7 +11,6 @@ from mpet.spaces import (
     _REF_EDGE_NORMALS,
     _edge_points,
     _reference_basis,
-    dof_counts,
     eval_basis,
     orient_trace,
     piola_div,
@@ -279,27 +278,6 @@ def test_interior_bdm_functions_have_zero_normal_trace():
         vn = basis.eval(_edge_points(j, seg.points)) @ _REF_EDGE_NORMALS[j]
         for d in range(3 * basis.n_edge_modes, basis.n_dofs):
             assert np.allclose(vn[d], 0.0, atol=1e-11)
-
-
-def test_dof_counts_unit_square_n1():
-    mesh = generate_unit_square(1)
-    counts = dof_counts(mesh, 1, 1)
-    assert counts["uhat"] == 2
-    assert counts["w"] == 6
-    assert counts["p"] == 2
-    assert counts["u"] == 2
-    assert counts["phat"] == 5
-
-
-def test_dof_counts_network_scaling():
-    mesh = generate_unit_square(1)
-    c1 = dof_counts(mesh, 1, 1)
-    c2 = dof_counts(mesh, 1, 2)
-    assert c2["w"] == 2 * c1["w"]
-    assert c2["p"] == 2 * c1["p"]
-    assert c2["phat"] == 2 * c1["phat"]
-    assert c2["u"] == c1["u"]
-    assert c2["uhat"] == c1["uhat"]
 
 
 def test_unsupported_order_rejected():

@@ -259,6 +259,28 @@ def test_large_infsup_level_exits_0(tmp_path):
         assert all(float(row.split(",")[1]) > 0 for row in rows)
 
 
+def test_cli_import_leaves_sympy_unloaded():
+    """The benchmark fields are closed forms: neither building them nor a
+    manufactured solve with its errors loads sympy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mpet
+
+    src = str(Path(mpet.__file__).resolve().parents[1])
+    code = (
+        "import sys, mpet.cli; assert 'sympy' not in sys.modules; "
+        "from mpet.params import scaled_from_direct; "
+        "mpet.cli.default_manufactured(1); "
+        "mpet.cli.manufactured_solve(2, 1, scaled_from_direct(1.0, [1.0], [1.0]), 1e-8, 500, "
+        "'schur_reduced', with_errors=True); "
+        "assert 'sympy' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_every_command_runs_without_sympy(tmp_path):
     """sympy is a test dependency only: with ``sys.modules["sympy"] = None``
     any import of it raises, and each of the five commands still runs on a

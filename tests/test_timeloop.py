@@ -429,6 +429,23 @@ def test_precomputed_boundary_data_and_probes_match_per_facet_references():
         assert abs(values["u_mag"][j] - want) <= 1e-14 * np.abs(state.u).max() * np.abs(uv).max()
 
 
+def test_time_loop_import_leaves_sympy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mpet
+
+    src = str(Path(mpet.__file__).resolve().parents[1])
+    code = (
+        "import sys, mpet.timeloop; assert 'sympy' not in sys.modules; "
+        "import mpet; mpet.default_manufactured(2); "
+        "assert 'sympy' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_resume_off_the_step_grid_raises():
     """A start state must lie a whole number of steps before ``t_end``:
     from t = 0.15 with tau = 0.1, 1.5 steps remain to t_end = 0.3."""

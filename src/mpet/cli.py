@@ -8,10 +8,12 @@ given (keys left at their defaults are not listed), and identical
 configs produce bit-identical files when BLAS runs on one thread
 (``OPENBLAS_NUM_THREADS=1``) with one OpenBLAS kernel.  Boolean keys
 take ``true``/``false``, ``yes``/``no`` or ``1``/``0`` in any case.
-Exit codes: 0 on success, 1 when the config cannot be read or parsed or
-a value is bad (an unknown variant, ``sample_every < 1``,
-``[solver] eta <= 0``, a ``tol`` outside (0, 1) and ``maxit < 1``
-included), 2 when the run fails (an unconverged solve, or an error such
+Exit codes: 0 on success, 1 when the config cannot be read or parsed,
+names a section or key the command does not read (:data:`KNOWN_KEYS`),
+or a value is bad (an unknown variant, ``sample_every < 1``,
+``[solver] eta <= 0``, a ``tol`` outside (0, 1), ``maxit < 1`` and a
+NaN or infinite parameter included), all checked before any solve; 2
+when the run fails (an unconverged solve, or an error such
 as ``MeshError`` raised while running, reported with its type).
 """
 
@@ -63,6 +65,24 @@ MAXIT_SENTINEL_NOTE = "unconverged cells are recorded with converged=0"
 FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 ERRORS = ("energy", "p_l2", "w_l2")
 
+# the sections and keys each command reads; configparser lowercases keys
+SOLVER_KEYS = {"variant", "tol", "maxit", "eta"}
+SCALED_KEYS = {"mode", "lambda", "r", "alpha_p", "xi"}
+KNOWN_KEYS = {
+    "convergence": {"run": {"orders", "levels"}, "parameters": SCALED_KEYS, "solver": SOLVER_KEYS},
+    # [solver] workers is read by nothing; the sweep benchmark's config still sets it
+    "sweep": {"run": {"n_per_side", "variants", "orders", "i_list", "lambda_list", "mixed",
+                      "zero_coupling"},
+              "parameters": SCALED_KEYS, "solver": SOLVER_KEYS | {"workers"}},
+    "orderrobust": {"run": {"orders", "n_list"}, "solver": SOLVER_KEYS},
+    "brain": {"run": {"n_radial", "n_angular", "tau", "t_end", "sample_every"},
+              "parameters": {"mode", "e", "nu", "mu", "lambda", "alpha", "s", "k", "xi", "tau"},
+              "solver": SOLVER_KEYS},
+    "eigs": {"run": {"n_per_side", "order", "i_list", "lambda", "equivalence_levels",
+                     "infsup_levels"},
+             "solver": SOLVER_KEYS},
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -79,7 +99,8 @@ class SolverFailure(RuntimeError):
 
 @contextmanager
 def config_errors():
-    """Report a missing key, a bad value or a malformed file as a ConfigError.
+    """Report a missing key, a bad value or a malformed file as a ConfigError;
+    an ``OverflowError`` is an infinity where an integer is needed.
 
     A ``MeshError`` (a ``ValueError``) stays a run error: a mesh that
     cannot be built fails the run, not the reading of the config.
@@ -88,7 +109,7 @@ def config_errors():
         yield
     except (ConfigError, MeshError):
         raise
-    except (KeyError, ValueError, configparser.Error) as exc:
+    except (KeyError, ValueError, OverflowError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -99,6 +120,19 @@ def read_config(path):
     if not found:
         raise ConfigError(f"config file {path} not found")
     return cfg
+
+
+def check_keys(command, cfg):
+    """Reject a section or key of ``cfg`` that ``command`` does not read."""
+    known = KNOWN_KEYS[command]
+    for section in cfg.sections():
+        if section not in known:
+            raise ConfigError(f"{command} reads no section [{section}]; "
+                              f"its sections: {', '.join(sorted(known))}")
+        unknown = sorted(set(cfg[section]) - known[section])
+        if unknown:
+            raise ConfigError(f"unknown key {', '.join(unknown)} in [{section}] of {command}; "
+                              f"its keys: {', '.join(sorted(known[section]))}")
 
 
 def _floats(text):
@@ -149,10 +183,6 @@ def parse_parameters(cfg):
     sec = cfg["parameters"]
     mode = sec.get("mode", "").strip()
     if mode == "scaled":
-        # configparser lowercases option names
-        forbidden = {"e", "nu", "mu", "s", "k", "tau"} & set(sec.keys())
-        if forbidden:
-            raise ConfigError(f"scaled mode must not set physical keys {sorted(forbidden)}")
         R = _floats(sec["R"])
         alpha_p = _floats(sec["alpha_p"])
         n = len(R)
@@ -275,8 +305,9 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
                        with_errors=False):
     """Solve the manufactured benchmark, Dirichlet data all round, on the unit square.
 
-    Returns ``(report, errors, (x, system, con))``; ``errors`` (energy, p
-    and w L2) is None unless ``with_errors``.
+    Returns ``(report, errors, (x, system, con))``; ``errors`` is the
+    :meth:`~mpet.diagnostics.NormAssembler.report` of the distance from the
+    interpolated exact fields, None unless ``with_errors``.
     """
     kernels = unit_square_kernels(n_side, ell, scaled.n, eta)
     spaces = kernels.spaces
@@ -298,15 +329,7 @@ def manufactured_solve(n_side, ell, scaled, tol, maxit, variant, eta=10.0,
         for i, j in enumerate(exact_of):
             exact[layout.sl(f"w{i}")] = spaces.interpolate_w(manu.flux(scaled, j))
             exact[layout.sl(f"p{i}")] = spaces.interpolate_p(manu.p[j])
-            exact[layout.sl(f"phat{i}")] = spaces.interpolate_phat(manu.p[j])
-        diff = x - exact
-        rep = NormAssembler(kernels).report(diff, scaled)
-
-        def l2(field, mass):
-            blocks = (diff[layout.sl(f"{field}{i}")] for i in range(scaled.n))
-            return float(np.sqrt(sum(float(d @ (mass @ d)) for d in blocks)))
-
-        errors = {"energy": rep.u_bar, "p_l2": l2("p", kernels.M_p), "w_l2": l2("w", kernels.M_w)}
+        errors = NormAssembler(kernels).report(x - exact, scaled)
     return report, errors, (x, system, con)
 
 
@@ -371,20 +394,19 @@ def cmd_sweep(cfg, out_dir):
         run = cfg["run"]
         n_side = int(run.get("n_per_side", "8"))
         opts = _solver_options(cfg)
-        cells = list(itertools.product(
-            _list(run, "variants", "schur_reduced", _variant),
-            _list(run, "orders", "1, 2", _order),
-            _list(run, "i_list", "0, 2, 4, 6, 8"),
-            _list(run, "lambda_list", "1e0, 1e4, 1e8", float),
-        ))
         mixed, zero_coupling = _flag(run, "mixed"), _flag(run, "zero_coupling")
         if mixed and zero_coupling:
             raise ConfigError("mixed and zero_coupling are mutually exclusive")
+        cells = [(variant, ell, i, lam, _sweep_parameters(i, lam, mixed, zero_coupling))
+                 for variant, ell, i, lam in itertools.product(
+                     _list(run, "variants", "schur_reduced", _variant),
+                     _list(run, "orders", "1, 2", _order),
+                     _list(run, "i_list", "0, 2, 4, 6, 8"),
+                     _list(run, "lambda_list", "1e0, 1e4, 1e8", float))]
         comment = resolved_config_comment("sweep", cfg, {"note": MAXIT_SENTINEL_NOTE})
 
     rows = []
-    for variant, ell, i, lam in cells:
-        scaled = _sweep_parameters(i, lam, mixed, zero_coupling)
+    for variant, ell, i, lam, scaled in cells:
         report = manufactured_solve(n_side, ell, scaled, **dict(opts, variant=variant))[0]
         rows.append((variant, ell, i, lam, report.iterations, report.converged))
     header = "variant,ell,i,lambda,iterations,converged"
@@ -482,8 +504,9 @@ def cmd_eigs(cfg, out_dir):
         run = cfg["run"] if cfg.has_section("run") else {}
         n_side = int(run.get("n_per_side", "2"))
         ell = _order(run.get("order", "1"))
-        i_list = _list(run, "i_list", "0, 2, 4, 6, 8")
         lam = float(run.get("lambda", "1.0"))
+        cells = [scaled_from_direct(lam, [10.0 ** (-i)] * 2, [0.0, 0.0])
+                 for i in _list(run, "i_list", "0, 2, 4, 6, 8")]
         equiv_levels = _list(run, "equivalence_levels", "1, 2, 4")
         infsup_levels = _list(run, "infsup_levels", "2, 4, 8")
         opts = _solver_options(cfg)
@@ -494,14 +517,12 @@ def cmd_eigs(cfg, out_dir):
     # spectrum of the reduced operator against the Schur preconditioner,
     # restricted to the mean-zero subspace (all-flux analysis setting)
     rows = []
-    for i in i_list:
-        R = 10.0 ** (-i)
-        scaled = scaled_from_direct(lam, [R, R], [0.0, 0.0])
+    for scaled in cells:
         system = build_block_system(unit_square_kernels(n_side, ell, scaled.n, eta), scaled)
         condensed = condense_velocity(apply_boundary_conditions(system, homogeneous_bcs(2)))
         prec_mat = sps.block_diag(preconditioner_matrices(condensed), format="csr")
         neg, pos = spectrum_ends(condensed.K_red, prec_mat, exclude=mean_zero_functionals(condensed))
-        rows.append((R, *neg, *pos))
+        rows.append((scaled.R[0], *neg, *pos))
     paths.append(write_csv(out_dir / "eigs.csv", comment, "R,neg_min,neg_max,pos_min,pos_max", rows))
 
     # spectral equivalence of the two pressure preconditioner blocks
@@ -548,6 +569,7 @@ def main(argv=None):
 
     try:
         cfg = read_config(args.config)
+        check_keys(args.command, cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = COMMANDS[args.command](cfg, out_dir)

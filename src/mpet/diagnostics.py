@@ -1,4 +1,4 @@
-"""Parameter-dependent norms, conservation checks, inf-sup and spectra.
+"""Reported errors, conservation checks, inf-sup and spectra.
 
 Everything here is a pure function of assembled matrices and coefficient
 vectors.  The eigenvalue-based estimators run implicitly restarted
@@ -6,8 +6,6 @@ Lanczos (ARPACK) through the solver's sparse factors, so they hold at
 every mesh size and their memory grows with the factors' fill, not with
 the square of the problem size.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
@@ -19,110 +17,50 @@ from .assembly import (
     displacement_hdg_factors,
     displacement_hdg_matrix,
     divdiv_factors,
-    pressure_hdg_factors,
     pressure_hdg_matrix,
 )
 from .solver import PreconditionerError, _SPDFactor
 
 __all__ = [
-    "NormReport",
     "NormAssembler",
     "conservation_residual",
     "estimate_inf_sup",
     "spectrum_ends",
 ]
 
-@dataclass
-class NormReport:
-    """Values of the parameter-dependent norms for one coefficient vector."""
-
-    u_hdg: float
-    u_bar: float
-    w: float
-    p_hdg: list
-    p_bar: float
-    product: float
-
 
 class NormAssembler:
-    """The parameter-dependent norms on the mesh and space set of ``kernels``.
+    """The three errors of the convergence table on the mesh and space set of ``kernels``.
 
-    The second-derivative terms of the displacement and pressure HDG
-    norms are included here (they are omitted from the preconditioner
-    blocks, which use the stabilized bilinear forms instead).  Norms are
-    sums of squares of the field's quadrature values scaled by sqrt(w)
-    (:class:`~mpet.assembly.NormFactors`), so a rigid motion has a
-    displacement norm of rounding size, not the square root of it.
-
-    ``u_hdg``, ``divdiv`` and ``p_hdg`` are the descriptions of those
-    norms' terms: their ``norm2``, which :meth:`report` calls, maps the
-    field, each element's map applied once per quadrature point to the
-    coefficients contracted with the reference data, and their ``matrix``
-    maps the basis.  :meth:`report` reduces each norm over element chunks
-    of a fixed byte budget, so its memory does not grow with the mesh,
-    and the pressure norms of all networks share one pass.
+    :meth:`report` returns the displacement energy norm, the HDG norm
+    with its second-derivative term plus ``lambda`` times the div-div
+    term, and the L2 norms of the pressures and of the fluxes summed over
+    the networks.  The energy is a sum of squares of the field's
+    quadrature values scaled by sqrt(w) (:class:`~mpet.assembly.NormFactors`),
+    so a rigid motion has an energy of rounding size, not the square root
+    of it, and it is reduced over element chunks of a fixed byte budget,
+    so its memory does not grow with the mesh.  The L2 norms are the
+    quadratic forms of the kernels' mass matrices ``M_p`` and ``M_w``.
     """
 
     def __init__(self, kernels):
         self.kernels = kernels
-        self.spaces = spaces = kernels.spaces
-        self.layout = spaces.layout
-        self.u_hdg = displacement_hdg_factors(spaces, include_h2=True)
-        self.divdiv = divdiv_factors(spaces)
-        self.p_hdg = pressure_hdg_factors(spaces, include_h2=True)
+        self.layout = kernels.spaces.layout
+        self.u_hdg = displacement_hdg_factors(kernels.spaces, include_h2=True)
+        self.divdiv = divdiv_factors(kernels.spaces)
 
     def report(self, x, scaled):
+        """``{"energy", "p_l2", "w_l2"}`` of the coefficient vector ``x``."""
         layout = self.layout
-        n = scaled.n
         u_hdg2 = self.u_hdg.norm2(x[: layout.offsets["w0"]])  # u, then uhat
         u_bar2 = u_hdg2 + scaled.lam * self.divdiv.norm2(x[layout.sl("u")])
 
-        w2 = 0.0
-        for i in range(n):
-            wi = x[layout.sl(f"w{i}")]
-            w2 += float(wi @ (self.kernels.M_w @ wi)) / scaled.R[i]
+        def l2(field, mass):
+            blocks = (x[layout.sl(f"{field}{i}")] for i in range(scaled.n))
+            return float(np.sqrt(sum(float(d @ (mass @ d)) for d in blocks)))
 
-        # one (p_i, phat_i) column per network, reduced in one pass
-        p_hdg = [float(v) for v in np.sqrt(self.p_hdg.norm2(_PressurePairs(x, layout)))]
-        # sum_ij Lambda_ij p_i^T M_p p_j, on the contiguous p_i, without
-        # forming Lambda (x) M_p, whose size would grow the peak with the mesh
-        P = x[layout.offsets["p0"] : layout.offsets["phat0"]].reshape(n, -1)
-        p_bar2 = sum(scaled.R[i] * p_hdg[i] ** 2 for i in range(n)) + float(
-            np.sum(scaled.Lambda * (P @ (self.kernels.M_p @ P.T)))
-        )
-
-        prod2 = u_bar2 + w2 + p_bar2
-        sqrt = lambda v: float(np.sqrt(max(v, 0.0)))
-        return NormReport(
-            u_hdg=sqrt(u_hdg2),
-            u_bar=sqrt(u_bar2),
-            w=sqrt(w2),
-            p_hdg=p_hdg,
-            p_bar=sqrt(p_bar2),
-            product=sqrt(prod2),
-        )
-
-
-class _PressurePairs:
-    """Every network's ``(p_i, phat_i)`` as column ``i`` of a block of
-    ``size_p + size_phat`` rows, read by row index from views of ``x``,
-    so that the block is never copied whole."""
-
-    ndim = 2
-
-    def __init__(self, x, layout):
-        n, p0, phat0 = layout.n_networks, layout.offsets["p0"], layout.offsets["phat0"]
-        self.p = x[p0:phat0].reshape(n, -1).T
-        self.phat = x[phat0 : phat0 + n * layout.sizes["phat0"]].reshape(n, -1).T
-        self.shape = (len(self.p) + len(self.phat), n)
-
-    def __getitem__(self, rows):
-        cut = len(self.p)
-        vol = rows < cut
-        out = np.empty(rows.shape + (self.shape[1],))
-        out[vol] = self.p[rows[vol]]
-        out[~vol] = self.phat[rows[~vol] - cut]
-        return out
+        return {"energy": float(np.sqrt(max(u_bar2, 0.0))),
+                "p_l2": l2("p", self.kernels.M_p), "w_l2": l2("w", self.kernels.M_w)}
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ the time-discrete equations.  Scaling divides the momentum balance by
 
 with the network coupling matrices Lambda_zeta = (zeta_ij) and
 Lambda = Lambda_zeta + (1/lambda0) * ones, lambda0 = max(1, lambda).
+Every range check is a comparison that NaN fails, and no range holds
+an infinity.
 """
 
 from dataclasses import dataclass
@@ -32,8 +34,8 @@ def lame_from_young_poisson(E, nu):
     """Lame parameters (mu, lambda) from Young's modulus and Poisson ratio."""
     if not 0.0 <= nu < 0.5:
         raise ValueError(f"Poisson ratio must lie in [0, 1/2), got {nu}")
-    if E <= 0.0:
-        raise ValueError("Young's modulus must be positive")
+    if not 0.0 < E < np.inf:
+        raise ValueError(f"Young's modulus must be positive and finite, got {E}")
     mu = E / (2.0 * (1.0 + nu))
     lam = nu * E / ((1.0 + nu) * (1.0 - 2.0 * nu))
     return mu, lam
@@ -63,22 +65,22 @@ class PhysicalParameters:
         n = self.n
         if not (len(self.s) == len(self.K) == n and self.xi.shape == (n, n)):
             raise ValueError("parameter arrays have inconsistent network counts")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if np.any(self.alpha <= 0.0) or np.any(self.alpha > 1.0):
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
+        if not np.all((self.alpha > 0.0) & (self.alpha <= 1.0)):
             raise ValueError("invalid Biot-Willis constant; alpha_i must lie in (0, 1]")
-        if np.any(self.s < 0.0):
-            raise ValueError("storage coefficients must be nonnegative")
-        if np.any(self.K <= 0.0):
-            raise ValueError("R must be positive; conductivities K_i must be positive")
+        if not np.all((self.s >= 0.0) & (self.s < np.inf)):
+            raise ValueError("storage coefficients must be nonnegative and finite")
+        if not np.all((self.K > 0.0) & (self.K < np.inf)):
+            raise ValueError("R must be positive; conductivities K_i must be positive and finite")
         if not np.allclose(self.xi, self.xi.T):
             raise ValueError("xi must be symmetric")
-        if np.any(self.xi < 0.0):
-            raise ValueError("xi entries must be nonnegative")
+        if not np.all((self.xi >= 0.0) & (self.xi < np.inf)):
+            raise ValueError("xi entries must be nonnegative and finite")
         if np.any(np.diag(self.xi) != 0.0):
             raise ValueError("xi diagonal must be unset (zero)")
 
@@ -103,12 +105,14 @@ class ScaledParameters:
         n = self.n
         if not (len(self.alpha_p) == n and self.zeta.shape == (n, n)):
             raise ValueError("scaled parameter arrays have inconsistent network counts")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
-        if np.any(self.R <= 0.0):
-            raise ValueError("R must be positive")
-        if np.any(self.alpha_p < 0.0):
-            raise ValueError("alpha_p must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
+        if not np.all((self.R > 0.0) & (self.R < np.inf)):
+            raise ValueError("R must be positive and finite")
+        if not np.all((self.alpha_p >= 0.0) & (self.alpha_p < np.inf)):
+            raise ValueError("alpha_p must be nonnegative and finite")
+        if not np.all(np.isfinite(self.zeta)):
+            raise ValueError("zeta entries must be finite")
         if not np.allclose(self.zeta, self.zeta.T, atol=1e-14 * (1 + abs(self.zeta).max())):
             raise ValueError("zeta matrix must be symmetric")
 

@@ -834,18 +834,6 @@ def symmetry_defect(K):
     return max(abs(d.max()), abs(d.min())) / denom
 
 
-def product_norm_matrix(norms, scaled):
-    """Full-layout sparse matrix of the squared product norm of a ``NormAssembler``."""
-    spaces = norms.spaces
-    kernels = norms.kernels
-    divdiv = sps.block_diag(
-        [scaled.lam * kernels.divdiv, sps.csr_matrix((spaces.size_uhat, spaces.size_uhat))]
-    )
-    masses = [kernels.M_w / R for R in scaled.R]
-    p_bar = _embed(norms.p_hdg.matrix(), spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda)
-    return sps.block_diag([norms.u_hdg.matrix() + divdiv, *masses, p_bar], format="csr")
-
-
 # ----------------------------------------------------------------------
 # norm factors of the whole mesh in one array
 # ----------------------------------------------------------------------

@@ -21,12 +21,14 @@ def test_missing_config_is_config_error(tmp_path, capsys):
 
 
 def test_parameters_mode_exclusive(tmp_path):
+    # the scaled-mode commands read no physical key
     cfg_path = write_cfg(
         tmp_path / "bad.cfg",
         "[parameters]\nmode = scaled\nlambda = 1\nR = 1\nalpha_p = 0\nE = 5\n",
     )
-    with pytest.raises(Exception, match="physical keys"):
-        parse_parameters(read_config(cfg_path))
+    for command in ("convergence", "sweep"):
+        with pytest.raises(cli.ConfigError, match="unknown key e in \\[parameters\\]"):
+            cli.check_keys(command, read_config(cfg_path))
 
 
 def test_parameters_physical_parse(tmp_path):
@@ -228,13 +230,63 @@ def test_sweep_config_with_solver_workers_runs(tmp_path):
                         "[parameters]\nmode = scaled\nlambda = -1.0\nR = 1.0\nalpha_p = 1.0\n"),
         ("convergence", "[run]\norders = 1\nlevels = 2\n\n"
                         "[parameters]\nmode = scaled\nlambda = 1.0\nR = 1.0, 1.0\nalpha_p = -1.0, 1.0\n"),
+        ("sweep", "[run]\ni_list = 0\nlambda_list = nan\norders = 1\nn_per_side = 2\n"),
+        ("sweep", "[run]\ni_list = 0\nlambda_list = inf\norders = 1\nn_per_side = 2\n"),
+        ("convergence", "[run]\norders = 1\nlevels = 2\n\n"
+                        "[parameters]\nmode = scaled\nlambda = nan\nR = 1.0\nalpha_p = 1.0\n"),
+        ("brain", "[run]\nn_radial = 1\nn_angular = 8\n\n[parameters]\nmode = physical\n"
+                  "E = nan\nnu = 0.4999\nalpha = 0.49, 0.25, 0.01, 0.25\n"
+                  "s = 390.0, 290.0, 15.0, 290.0\nK = 15.7, 3.75e4, 3.75e4, 3.75e4\n"
+                  "tau = 0.0125\n"),
+        ("eigs", "[run]\nn_per_side = 1\norder = 1\ni_list = 0\nlambda = nan\n"),
+        ("brain", "[run]\nn_radial = 1\nn_angular = 8\nt_end = inf\n"),
+        ("brain", "[run]\nn_radial = 1\nn_angular = 8\nt_ned = 0.025\n"),
+        ("brain", "[run]\nn_radial = 1\nn_angular = 8\n\n[solvr]\ntol = 1e-8\n"),
     ],
-    ids=["bad-value", "no-section-header", "scaled-negative-lambda", "scaled-negative-alpha_p"],
+    ids=["bad-value", "no-section-header", "scaled-negative-lambda", "scaled-negative-alpha_p",
+         "sweep-nan-lambda", "sweep-inf-lambda", "convergence-nan-lambda", "brain-nan-E",
+         "eigs-nan-lambda", "brain-inf-t_end", "misspelt-key", "misspelt-section"],
 )
-def test_unparsable_config_exits_1(tmp_path, capsys, command, text):
+def test_unparsable_config_exits_1(tmp_path, capsys, monkeypatch, command, text):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a system was built before the config was checked")
+
+    for name in ("unit_square_kernels", "manufactured_solve", "TimeStepper"):
+        monkeypatch.setattr(cli, name, no_solve)
     cfg = write_cfg(tmp_path / "bad.cfg", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[run]\nt_ned = 0.025\n",
+         "unknown key t_ned in [run] of brain; its keys: n_angular, n_radial, sample_every, "
+         "t_end, tau"),
+        ("[solvr]\ntol = 1e-8\n", "brain reads no section [solvr]; its sections: parameters, "
+         "run, solver"),
+    ],
+    ids=["key", "section"],
+)
+def test_unknown_key_message_names_it_and_the_known_ones(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path / "bad.cfg", text)
+    assert main(["brain", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_every_preset_passes_the_key_check():
+    """Each preset, its command read from its name, names only sections and
+    keys its command reads; no preset is solved."""
+    from pathlib import Path
+
+    presets = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.cfg"))
+    commands = set()
+    for path in presets:
+        command = next(c for c in cli.COMMANDS if path.stem.startswith(c))
+        cli.check_keys(command, read_config(path))
+        commands.add(command)
+    assert commands == set(cli.COMMANDS) and len(presets) >= 10
 
 
 def test_mesh_error_during_run_exits_2(tmp_path, capsys):

@@ -145,3 +145,44 @@ def test_scaled_from_direct_mode():
     assert np.isclose(scaled.zeta[0, 1], -1e-4)
     assert np.isclose(scaled.zeta[0, 0], 1e-4 + 1e-4)
     assert scaled.lam0 == 1e4
+
+
+PHYSICAL = dict(mu=1.0, lam=1.0, alpha=[0.5, 0.5], s=[0.1, 0.1], K=[1.0, 1.0],
+                xi=[[0.0, 0.2], [0.2, 0.0]], tau=0.5)
+SCALED = dict(lam=1.0, R=[1.0, 1.0], alpha_p=[0.1, 0.1], zeta=[[0.3, -0.2], [-0.2, 0.3]])
+
+
+def _with(base, key, value):
+    """``base`` with ``value`` in ``key``: the scalar, the first entry or the
+    off-diagonal pair, so a matrix stays symmetric."""
+    arr = np.array(base[key], dtype=float)
+    if arr.ndim == 2:
+        arr[0, 1] = arr[1, 0] = value
+    else:
+        arr.flat[0] = value
+    return dict(base, **{key: arr if arr.ndim else float(arr)})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["mu", "lam", "tau", "alpha", "s", "K", "xi"])
+def test_non_finite_physical_parameter_rejected(key, value):
+    with pytest.raises(ValueError):
+        PhysicalParameters(**_with(PHYSICAL, key, value))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["lam", "R", "alpha_p", "zeta"])
+def test_non_finite_scaled_parameter_rejected(key, value):
+    with pytest.raises(ValueError):
+        ScaledParameters(**_with(SCALED, key, value))
+
+
+@pytest.mark.parametrize("E, nu", [(np.nan, 0.3), (np.inf, 0.3), (1.0, np.nan), (1.0, np.inf)])
+def test_non_finite_young_poisson_rejected(E, nu):
+    with pytest.raises(ValueError):
+        lame_from_young_poisson(E, nu)
+
+
+def test_finite_parameter_sets_still_accepted():
+    PhysicalParameters(**PHYSICAL)
+    ScaledParameters(**SCALED)

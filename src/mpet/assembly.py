@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .sparsity import Stack, Structure
-from .spaces import DofLayout, evaluate, legendre_scale, triangle_quadrature
+from .spaces import DofLayout, evaluate, triangle_quadrature
 
 __all__ = [
     "DofLayout",
@@ -58,11 +58,9 @@ __all__ = [
     "assemble_traction_rhs",
     "apply_boundary_conditions",
     "constant_pressure_mode",
-    "displacement_hdg_matrix",
     "displacement_hdg_factors",
     "divdiv_factors",
     "NormFactors",
-    "pressure_hdg_matrix",
     "pressure_hdg_factors",
 ]
 
@@ -115,7 +113,7 @@ class FormKernels:
     @cached_property
     def p_hdg(self):
         """Pressure HDG norm matrix on one network's (p, phat), formed on first use."""
-        return _zero_free(pressure_hdg_matrix(self.spaces, include_h2=False))
+        return _zero_free(pressure_hdg_factors(self.spaces).matrix())
 
 
 def assemble_kernels(spaces, eta=DEFAULT_ETA):
@@ -584,38 +582,27 @@ def _restricted(block, rows, cols):
 # ----------------------------------------------------------------------
 
 
-def displacement_hdg_matrix(spaces, include_h2=True):
-    """Matrix of the displacement HDG norm on (u, uhat).
-
-    Strain mass plus h^-1 tangential jump terms; the h^2 second-derivative
-    seminorm is diagnostics-only and can be switched off (the block
-    preconditioner uses the stabilized bilinear form instead).
-    """
-    return displacement_hdg_factors(spaces, include_h2).matrix()
-
-
-def displacement_hdg_factors(spaces, include_h2=True):
-    """:class:`NormFactors` of :func:`displacement_hdg_matrix`."""
+def displacement_hdg_factors(spaces):
+    """:class:`NormFactors` of the displacement HDG norm on (u, uhat):
+    strain mass, h^-1 tangential jump terms and the h^2 second-derivative
+    seminorm (the block preconditioner uses the stabilized bilinear form
+    instead)."""
     s = spaces
-    ref_hess = s.bdm.eval_hess(s.vol_rule.points) if include_h2 else None
+    ref_hess = s.bdm.eval_hess(s.vol_rule.points)
     return _hdg_norm(
         s,
         lambda e: s.u_dofmap[e],
         lambda e, c: _sym(s.on_elements("u_grad", s.bdm_grads, e, c)),
-        None if ref_hess is None else lambda e, c: s.on_elements("u_hess", ref_hess, e, c),
+        lambda e, c: s.on_elements("u_hess", ref_hess, e, c),
         _u_jump,
         s.size_u + s.size_uhat,
-        s.bdm_grads if ref_hess is None else ref_hess,
+        ref_hess,
     )
 
 
-def pressure_hdg_matrix(spaces, include_h2=False):
-    """Matrix of the pressure HDG norm on (p, phat) for a single network."""
-    return pressure_hdg_factors(spaces, include_h2).matrix()
-
-
 def pressure_hdg_factors(spaces, include_h2=False):
-    """:class:`NormFactors` of :func:`pressure_hdg_matrix`."""
+    """:class:`NormFactors` of the pressure HDG norm on (p, phat) for a
+    single network, with the h^2 second-derivative seminorm if ``include_h2``."""
     s = spaces
     ref_hess = s.p.eval_hess(s.vol_rule.points) if include_h2 else None
     return _hdg_norm(
@@ -818,85 +805,43 @@ class EssentialMap:
     the map from its Dirichlet callables to their values.
 
     Each Dirichlet callable is called once, at the ``spaces.bc_rule``
-    points of its tag (``spaces.boundary``), and its values go into one
-    stack of facet samples: the normal components of every displacement
-    callable, then their tangential components, then every pressure
-    callable.  One pass takes the stack's Legendre moments
-    ``sum_q g(x_q) P_m(s_q) w_q``.  The raw moments of the normal
-    component times half the facet length are the u values, the moments
-    of the tangential component and of the pressure times ``(2m + 1) / 2``
-    (Legendre coefficients) the uhat and phat values, and one gather puts
-    them in the ascending order of ``constrained`` (u and uhat at the
-    rows of ``spaces.boundary``).  A facet's values come
-    from the same operations whatever the other facets in the stack, so a
-    map kept across calls gives bitwise the values of a fresh one.
+    points of its tag, and its samples go to the tag's values by one
+    sparse product with the tag's
+    :attr:`~mpet.spaces.BoundaryFacets.dirichlet_map` (a displacement) or
+    :attr:`~mpet.spaces.BoundaryFacets.pressure_map` (a pressure), formed
+    on first use and kept on ``spaces.boundary``.  One gather puts the
+    values in the ascending order of ``constrained``.  A facet's values
+    come from the same operations whatever the other facets, so a map
+    kept across calls gives bitwise the values of a fresh one.
     """
 
     def __init__(self, layout, spaces, bcs):
         boundary = spaces.boundary
-        disp = [tag for tag in boundary if bcs.displacement[tag][0] == "dirichlet"]
-        pres = [(tag, i) for tag in boundary
-                for i, p in enumerate(bcs.pressure) if p[tag][0] == "dirichlet"]
-        # the stack rows of each callable: the displacement callables' normal
-        # components fill rows 0..k_u, their tangential ones k_u..2 k_u
-        sizes = [len(boundary[tag].facets) for tag in disp + [tag for tag, _ in pres]]
-        starts = np.cumsum([0] + sizes)
-        self.k_u = k_u = int(starts[len(disp)])
-        rows = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-        self.disp = list(zip(disp, rows))
-        self.pres = [(tag, i, slice(k_u + r.start, k_u + r.stop))
-                     for (tag, i), r in zip(pres, rows[len(disp):])]
-
-        def joined(name, tags, empty=()):
-            return np.concatenate([getattr(boundary[tag], name) for tag in tags]
-                                  or [np.zeros((0, *empty), dtype=int)])
-
-        self.normal, self.tangent = joined("normal", disp, (2,)), joined("tangent", disp, (2,))
-        p_facets = joined("facets", [tag for tag, _ in pres])
-        p_offset = np.repeat([layout.offsets[f"phat{i}"] for _, i in pres], sizes[len(disp):])
-        # per stack row and mode: the global DOF (-1 for a mode the field
-        # lacks), and the factors of (moments * scale) * half, which are
-        # (moments * length) / 2 for u and (2m + 1) / 2 * moments for uhat, phat
-        n = self.n_modes = max(spaces.n_u_edge, spaces.n_uhat, spaces.n_phat)
-        dofs = np.full((2 * k_u + len(p_facets), n), -1)
-        self.scale = np.zeros(dofs.shape)
-        self.half = np.ones(dofs.shape)
-        for stack, idx, scale in (
-            (slice(0, k_u), joined("u_rows", disp, (spaces.n_u_edge,)),
-             joined("length", disp)[:, None]),
-            (slice(k_u, 2 * k_u), joined("uhat_rows", disp, (spaces.n_uhat,)),
-             legendre_scale(spaces.n_uhat)),
-            (slice(2 * k_u, None), p_offset[:, None] + spaces.phat_dofs(p_facets),
-             legendre_scale(spaces.n_phat)),
-        ):
-            dofs[stack, : idx.shape[1]] = idx
-            self.scale[stack, : idx.shape[1]] = scale
-        self.half[:k_u] = 0.5
-        kept = np.flatnonzero(dofs.ravel() >= 0)
-        self.take = kept[np.argsort(dofs.ravel()[kept])]
-        self.constrained = dofs.ravel()[self.take]
+        self.disp = [tag for tag in boundary if bcs.displacement[tag][0] == "dirichlet"]
+        self.pres = [(tag, i) for tag in boundary
+                     for i, p in enumerate(bcs.pressure) if p[tag][0] == "dirichlet"]
+        rows = [np.zeros(0, dtype=int)]
+        rows += [np.r_[boundary[tag].u_rows.ravel(), boundary[tag].uhat_rows.ravel()] for tag in self.disp]
+        rows += [layout.offsets[f"phat{i}"] + boundary[tag].phat_rows.ravel() for tag, i in self.pres]
+        rows = np.concatenate(rows)
+        self.take = np.argsort(rows)
+        self.constrained = rows[self.take]
         self.constrained.flags.writeable = False   # shared by every system constrained by the map
 
     def values(self, spaces, bcs, t):
         """The values of ``bcs`` at ``t`` on :attr:`constrained`."""
-        nq = len(spaces.bc_rule.weights)
-        stack = np.empty((len(self.scale), nq))
-        if self.k_u:
-            g = np.empty((self.k_u, nq, 2))
-            for tag, rows in self.disp:
-                g[rows] = _sample(spaces.boundary[tag], bcs.displacement[tag][1], True, t)
-            np.einsum("fqc,fc->fq", g, self.normal, out=stack[: self.k_u])
-            np.einsum("fqc,fc->fq", g, self.tangent, out=stack[self.k_u : 2 * self.k_u])
-        for tag, i, rows in self.pres:
-            stack[rows] = _sample(spaces.boundary[tag], bcs.pressure[i][tag][1], False, t)
-        leg, weights = spaces.bc_leg[: self.n_modes], spaces.bc_rule.weights
-        moments = ((stack[:, None, :] * leg) * weights).sum(axis=-1)
-        return ((moments * self.scale) * self.half).ravel()[self.take]
+        boundary = spaces.boundary
+        values = [np.zeros(0)]
+        values += [boundary[tag].dirichlet_map @ _sample(boundary[tag], bcs.displacement[tag][1], True, t)
+                   for tag in self.disp]
+        values += [boundary[tag].pressure_map @ _sample(boundary[tag], bcs.pressure[i][tag][1], False, t)
+                   for tag, i in self.pres]
+        return np.concatenate(values)[self.take]
 
 
 def _sample(bd, fn, vector, t):
-    """The values of the Dirichlet callable ``fn`` at ``t`` and the points of ``bd``."""
-    return evaluate(lambda x: fn(x, t), bd.points, vector=vector)
+    """The values of the Dirichlet callable ``fn`` at ``t`` and the points of ``bd``, raveled."""
+    return evaluate(lambda x: fn(x, t), bd.points, vector=vector).ravel()
 
 
 def apply_boundary_conditions(system, bcs, t=0.0):
@@ -980,9 +925,7 @@ def _null_networks(system, constrained):
     layout = system.layout
     fixed = np.zeros(layout.total, dtype=bool)
     fixed[constrained] = True
-    n_edge = spaces.n_u_edge
-    u_boundary = spaces.mesh.boundary_facets[:, None] * n_edge + np.arange(n_edge)
-    if not fixed[layout.offsets["u"] + u_boundary].all():
+    if not all(fixed[bd.u_rows].all() for bd in spaces.boundary.values()):
         return ()
     return tuple(
         i for i in range(layout.n_networks)

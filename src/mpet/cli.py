@@ -70,7 +70,9 @@ SOLVER_KEYS = {"variant", "tol", "maxit", "eta"}
 SCALED_KEYS = {"mode", "lambda", "r", "alpha_p", "xi"}
 KNOWN_KEYS = {
     "convergence": {"run": {"orders", "levels"}, "parameters": SCALED_KEYS, "solver": SOLVER_KEYS},
-    # [solver] workers is read by nothing; the sweep benchmark's config still sets it
+    # [solver] workers is read by nothing, and [parameters] is parsed and checked but its
+    # values are not used (the cells' parameters come from [run]); the sweep benchmark's
+    # config still sets both
     "sweep": {"run": {"n_per_side", "variants", "orders", "i_list", "lambda_list", "mixed",
                       "zero_coupling"},
               "parameters": SCALED_KEYS, "solver": SOLVER_KEYS | {"workers"}},

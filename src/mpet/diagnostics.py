@@ -15,9 +15,8 @@ from .assembly import (
     _scatter,
     constant_pressure_mode,
     displacement_hdg_factors,
-    displacement_hdg_matrix,
     divdiv_factors,
-    pressure_hdg_matrix,
+    pressure_hdg_factors,
 )
 from .solver import PreconditionerError, _SPDFactor
 
@@ -46,7 +45,7 @@ class NormAssembler:
     def __init__(self, kernels):
         self.kernels = kernels
         self.layout = kernels.spaces.layout
-        self.u_hdg = displacement_hdg_factors(kernels.spaces, include_h2=True)
+        self.u_hdg = displacement_hdg_factors(kernels.spaces)
         self.divdiv = divdiv_factors(kernels.spaces)
 
     def report(self, x, scaled):
@@ -122,10 +121,9 @@ def conservation_residual(x_full, system):
 
 def _analysis_free_uu(spaces):
     """Free (u, uhat) indices for homogeneous displacement Dirichlet data."""
-    bf = spaces.mesh.boundary_facets
     mask = np.ones(spaces.size_u + spaces.size_uhat, dtype=bool)
-    mask[bf[:, None] * spaces.n_u_edge + np.arange(spaces.n_u_edge)] = False
-    mask[spaces.size_u + spaces.uhat_dofs(bf)] = False
+    for bd in spaces.boundary.values():
+        mask[bd.u_rows] = mask[bd.uhat_rows] = False
     return np.nonzero(mask)[0]
 
 
@@ -142,7 +140,7 @@ def estimate_inf_sup(kernels, which):
     spaces = kernels.spaces
     if which == "stokes-like":
         free = _analysis_free_uu(spaces)
-        A = _SPDFactor(displacement_hdg_matrix(spaces, include_h2=True)[np.ix_(free, free)])
+        A = _SPDFactor(displacement_hdg_factors(spaces).matrix()[np.ix_(free, free)])
         # columns: the free (u, uhat) DOFs (uhat columns do not couple)
         G = sps.hstack([kernels.D, sps.csr_matrix((spaces.size_p, spaces.size_uhat))])
         G = G.tocsc()[:, free]
@@ -152,7 +150,7 @@ def estimate_inf_sup(kernels, which):
         Minv = _scatter(kernels.M_p.shape, (pdofs, pdofs, kernels.p_mass_inv))
         return float(np.sqrt(_lanczos(S, kernels.M_p, "SA", k=2, Minv=Minv)[1]))
     if which == "darcy-like":
-        N = pressure_hdg_matrix(spaces, include_h2=True)
+        N = pressure_hdg_factors(spaces, include_h2=True).matrix()
         # S_w and N share the constant (q, qhat) pair as their kernel
         layout = spaces.layout
         k = constant_pressure_mode(spaces, 0)[np.r_[layout.sl("p0"), layout.sl("phat0")]]

@@ -447,17 +447,19 @@ def orient_trace(values, direction):
 
 @dataclass(frozen=True)
 class BoundaryFacets:
-    """Quadrature geometry and facet rows of the boundary facets that carry one tag.
+    """Quadrature geometry, facet rows and data maps of the boundary facets that carry one tag.
 
     Boundary data, essential and traction alike, is evaluated at
     ``points`` (the rule ``SpaceSet.bc_rule``), facet-major with the
     facet's parameter s running along its global direction, and reduced
     to the facet Legendre moments ``sum_q g(x_q) P_m(s_q) w_q`` with
     ``moments[m, q] = P_m(s_q) w_q``.  ``u_rows`` and ``uhat_rows`` are
-    the rows of the facets' own u and uhat DOFs in the full layout, mode
-    m in column m: on facet f the normal trace of u DOF m is
-    ``(2m + 1) / h P_m`` and uhat DOF m is ``P_m t``.  :attr:`traction_map`
-    is formed on first use.
+    the rows of the facets' own u and uhat DOFs in the full layout, and
+    ``phat_rows`` those of their phat DOFs in one network's phat block,
+    mode m in column m: on facet f the normal trace of u DOF m is
+    ``(2m + 1) / h P_m``, uhat DOF m is ``P_m t`` and phat DOF m ``P_m``.
+    The three maps, sparse matrices on the samples raveled and formed on
+    first use, scale a moment by ``h / 2`` or ``(2m + 1) / 2``.
     """
 
     facets: np.ndarray        # (k,) global facet indices, ascending
@@ -467,28 +469,48 @@ class BoundaryFacets:
     points: np.ndarray        # (k, nq, 2)
     u_rows: np.ndarray        # (k, n_modes)
     uhat_rows: np.ndarray     # (k, n_modes)
+    phat_rows: np.ndarray     # (k, n_modes - 1)
     moments: np.ndarray       # (n_modes, nq), shared by every tag
 
     @cached_property
     def traction_map(self):
-        """The u and uhat rows of the surface load of a traction g, as a
-        sparse matrix on its values at ``points``, ``(k, nq, 2)`` raveled.
+        """The u and uhat rows of the surface load of a traction g, up to the
+        largest of ``uhat_rows``: g.n tests the normal trace of u and g.t
+        tests uhat, so u DOF m takes ``(2m + 1) / 2`` times the moment of g.n
+        and uhat DOF m ``h / 2`` times that of g.t."""
+        return self._moment_map((self.u_rows, self.normal, False), (self.uhat_rows, self.tangent, True))
 
-        g.n tests the normal trace of u and g.t tests uhat, so u DOF m of
-        facet f gets ``(2m + 1) / 2`` and uhat DOF m ``h / 2`` times the
-        moment of g.n and g.t: the moments of essential data with the two
-        scales swapped.  The rows run up to the largest of ``uhat_rows``.
-        """
+    @cached_property
+    def dirichlet_map(self):
+        """The u values of a displacement g, then its uhat values, in the
+        order of the raveled rows: the moments of ``traction_map`` with the
+        two scales swapped."""
+        local = np.arange(2 * self.u_rows.size).reshape(2, *self.u_rows.shape)
+        return self._moment_map((local[0], self.normal, True), (local[1], self.tangent, False))
+
+    @cached_property
+    def pressure_map(self):
+        """The phat values of a pressure g, in the order of the raveled
+        ``phat_rows``: ``(2m + 1) / 2`` times its moments."""
+        local = np.arange(self.phat_rows.size).reshape(self.phat_rows.shape)
+        return self._moment_map((local, np.ones((len(self.facets), 1)), False))
+
+    def _moment_map(self, *blocks):
+        """The map from samples ``(k, nq, c)`` raveled that puts at
+        ``rows[f, m]`` of each block ``(rows, frame, by_length)`` the moment
+        m of facet f's samples along ``frame[f]``, times ``h / 2`` if
+        ``by_length`` and ``(2m + 1) / 2`` if not."""
         k, nq, _ = self.points.shape
-        modes = self.moments[None, :, :, None]
-        u = legendre_scale(len(self.moments))[:, None, None] * modes * self.normal[:, None, None, :]
-        uhat = (self.length / 2.0)[:, None, None, None] * modes * self.tangent[:, None, None, :]
-        coef = np.concatenate([u, uhat], axis=1)
-        rows = np.concatenate([self.u_rows, self.uhat_rows], axis=1)
-        rows = np.broadcast_to(rows[:, :, None, None], coef.shape)
-        cols = np.broadcast_to(np.arange(k * nq * 2).reshape(k, 1, nq, 2), coef.shape)
-        return sps.csr_matrix((coef.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=(self.uhat_rows.max() + 1, k * nq * 2))
+        coef = []
+        for rows, frame, by_length in blocks:
+            n = rows.shape[1]
+            scale = (self.length / 2.0)[:, None, None, None] if by_length else legendre_scale(n)[:, None, None]
+            coef.append(scale * self.moments[None, :n, :, None] * frame[:, None, None, :])
+        coef = np.concatenate(coef, axis=1)
+        rows = np.broadcast_to(np.concatenate([b[0] for b in blocks], axis=1)[:, :, None, None], coef.shape)
+        n_cols = coef[:, 0].size
+        cols = np.broadcast_to(np.arange(n_cols).reshape(k, 1, nq, -1), coef.shape)
+        return sps.csr_matrix((coef.ravel(), (rows.ravel(), cols.ravel())), shape=(rows.max() + 1, n_cols))
 
 
 class DofLayout:
@@ -676,6 +698,7 @@ class SpaceSet:
             "points": _facet_points(mesh, bf, self.bc_rule.points),
             "u_rows": np.add.outer(bf * self.n_u_edge, np.arange(self.n_u_edge)),
             "uhat_rows": self.size_u + self.uhat_dofs(bf),
+            "phat_rows": self.phat_dofs(bf),
         }
         moments = self.bc_leg[: self.n_uhat] * self.bc_rule.weights
         moments.setflags(write=False)

@@ -171,19 +171,19 @@ class TimeStepper:
     """Owns the assembled operator, factorizations and scaled BC wrappers.
 
     A step applies linear maps around MinRes, each recorded once and then
-    applied as one sparse product (the Dirichlet values as one batched
-    reduction), so that only the boundary and source callables are
-    evaluated anew:
+    applied as one sparse product, so that only the boundary and source
+    callables are evaluated anew:
 
     * at construction, the previous state ``[u; p_1..p_n]`` to the
       recurrence rows of the step's right-hand side, and to the probe
       values;
     * on the first load of a traction tag, its point values to the u and
       uhat rows of the load (:attr:`~mpet.spaces.BoundaryFacets.traction_map`);
-    * with the constrained structure, the Dirichlet point values to the
-      constrained values (:class:`~mpet.assembly.EssentialMap`), kept on
-      it and read by every update of the values, bitwise those of a fresh
-      map.
+    * with the constrained structure, each Dirichlet tag's point values to
+      its u and uhat values or its phat values
+      (:attr:`~mpet.spaces.BoundaryFacets.dirichlet_map`, ``.pressure_map``),
+      which the :class:`~mpet.assembly.EssentialMap` kept on the structure
+      gathers into the constrained values, bitwise those of a fresh map.
 
     The reduced right-hand side, the flux recovery and the conservation
     residual are those of a cold solve.  The maps other than the Dirichlet

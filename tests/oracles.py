@@ -455,13 +455,13 @@ def estimate_inf_sup(kernels, which):
     """Discrete inf-sup constant by a dense Schur eigenvalue problem on the
     production-assembled matrices: the square root of the smallest nonzero
     generalized eigenvalue."""
-    from mpet.assembly import displacement_hdg_matrix, pressure_hdg_matrix
+    from mpet.assembly import displacement_hdg_factors, pressure_hdg_factors
     from mpet.diagnostics import _analysis_free_uu
 
     spaces = kernels.spaces
     if which == "stokes-like":
         free = _analysis_free_uu(spaces)
-        A = displacement_hdg_matrix(spaces, include_h2=True)[np.ix_(free, free)].toarray()
+        A = displacement_hdg_factors(spaces).matrix()[np.ix_(free, free)].toarray()
         # columns: all free u DOFs first (uhat columns do not couple)
         Dfull = np.zeros((spaces.size_p, len(free)))
         u_free = free[free < spaces.size_u]
@@ -469,7 +469,7 @@ def estimate_inf_sup(kernels, which):
         S = Dfull @ np.linalg.solve(A, Dfull.T)
         eigs = eigh(0.5 * (S + S.T), kernels.M_p.toarray(), eigvals_only=True)
     else:
-        N = pressure_hdg_matrix(spaces, include_h2=True).toarray()
+        N = pressure_hdg_factors(spaces, include_h2=True).matrix().toarray()
         B = np.vstack([kernels.Dw.toarray(), -kernels.Ew.toarray()])
         S = B @ np.linalg.solve(kernels.M_w.toarray(), B.T)
         # both S and N share the constant (q, qhat) pair as kernel; reduce
@@ -722,13 +722,13 @@ def reference_condensed(con):
 
 def reference_preconditioner(con, scaled, reduced):
     """``(x_first, x_p)`` with the pressure block summed and restricted by scipy."""
-    from mpet.assembly import pressure_hdg_matrix
+    from mpet.assembly import pressure_hdg_factors
 
     layout = con.layout
     kernels = con.base.kernels
     spaces = kernels.spaces
     first = free_positions(con, ["u", "uhat"] if reduced else layout.v_fields)
-    N = kernels.S_w if reduced else pressure_hdg_matrix(spaces, include_h2=False)
+    N = kernels.S_w if reduced else pressure_hdg_factors(spaces).matrix()
     q_free = con.free[free_positions(con, layout.q_fields)]
     iq = np.ix_(q_free - layout.size_v, q_free - layout.size_v)
     x_p = (_embed(N, spaces, scaled.R) + _lambda_mass(kernels, scaled.Lambda))[iq]

@@ -209,9 +209,9 @@ def test_sweep_parameter_grids():
 
 def test_sweep_config_with_solver_workers_runs(tmp_path):
     """A sweep config that still sets ``[solver] workers`` runs.  The key
-    does nothing now, but the sweep benchmark's config in
-    ``perfbench/worker.py`` sets ``workers = 1``, so the CLI cannot reject
-    unknown config keys until that file drops it."""
+    does nothing now, and every other unknown key is rejected, but the
+    sweep benchmark's config in ``perfbench/worker.py`` sets
+    ``workers = 1``, so ``KNOWN_KEYS`` accepts it until that file drops it."""
     cfg = write_cfg(
         tmp_path / "sweep.cfg",
         "[run]\ni_list = 0\nlambda_list = 1.0\norders = 1\nn_per_side = 2\n\n"

@@ -182,7 +182,7 @@ def test_constant_data_are_broadcast():
     essential = EssentialMap(layout, spaces, bcs)
     idx, val = essential.constrained, essential.values(spaces, bcs, T)
     ref = oracles.pointwise_constraint_data(layout, spaces, bcs, T)
-    assert np.array_equal(val, [ref[k] for k in idx])
+    assert_close(val, np.array([ref[k] for k in idx]))
     assert_close(assemble_traction_rhs(spaces, bcs, t=T),
                  oracles.pointwise_traction_rhs(spaces.mesh, spaces, bcs, t=T), TRACTION_RTOL)
     F = assemble_volume_rhs(spaces, f=lambda x: np.zeros(2), g=[lambda x: 1.0])

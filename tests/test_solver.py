@@ -14,7 +14,6 @@ from mpet.assembly import (
     build_block_system,
     constant_pressure_mode,
     homogeneous_bcs,
-    pressure_hdg_matrix,
 )
 from mpet.cli import _sweep_parameters
 from mpet.manufactured import default_manufactured

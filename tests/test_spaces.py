@@ -348,3 +348,24 @@ def test_hdiv_interpolants_match_the_einsum_pullback(monkeypatch, mesh_kind, ell
             assert a.tobytes() == b.tobytes()
         else:
             assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+
+def test_dirichlet_map_is_the_traction_map_with_the_scales_swapped():
+    """On the annulus's tags, whose facet lengths h are not 1, the Dirichlet
+    map has the pattern of the traction map's u and uhat rows, and its
+    coefficients are theirs times h/2 over (2m + 1)/2 on the u rows and
+    times (2m + 1)/2 over h/2 on the uhat rows."""
+    spaces = SpaceSet(generate_annulus(1.0, 2.0, 2, 7), 2, 1)
+    for bd in spaces.boundary.values():
+        assert np.all(np.abs(bd.length - 1.0) > 0.1)
+        traction = bd.traction_map[np.r_[bd.u_rows.ravel(), bd.uhat_rows.ravel()]]
+        dirichlet = bd.dirichlet_map.copy()
+        traction.sort_indices()
+        dirichlet.sort_indices()
+        assert traction.shape == dirichlet.shape
+        assert np.array_equal(traction.indptr, dirichlet.indptr)
+        assert np.array_equal(traction.indices, dirichlet.indices)
+        m = np.arange(bd.u_rows.shape[1])
+        ratio = np.outer(bd.length / 2.0, 2.0 / (2 * m + 1)).ravel()
+        row_ratio = np.r_[ratio, 1.0 / ratio][np.repeat(np.arange(traction.shape[0]), np.diff(traction.indptr))]
+        assert np.allclose(dirichlet.data, traction.data * row_ratio, rtol=1e-14, atol=0.0)

@@ -55,7 +55,8 @@ def test_recorded_step_maps_match_unrecorded_formulas(name, variant):
     for t in (0.1, 0.2625, 0.3):
         state = _random_state(stepper, rng, t - stepper.scenario.tau)
 
-        # Dirichlet values: one batched reduction, bitwise the per-tag one
+        # Dirichlet values: one product per callable, bitwise the per-tag
+        # reduction here, where every Dirichlet callable is constant along a facet
         con.update_values(bcs, t)
         idx, values = oracles.unrecorded_constraint_data(stepper.layout, spaces, bcs, t)
         assert np.array_equal(idx, con.constrained)

@@ -20,13 +20,15 @@ solver weights by R_i.  A composition used again with the same kernels
 and structure writes the weighted kernel data into a sparsity pattern
 recorded on its second use (see :mod:`mpet.sparsity`).  Functions take the space set alone and read the
 geometry from ``spaces.mesh``.  Every element and facet integral (the
-kernels, the volume load) is computed for all elements at once: bases
-mapped by ``SpaceSet.on_elements`` carry a leading element axis, the
-facet terms take one pass per local edge, ``_gram`` contracts each
-quadrature sum as one batched matmul, and ``_scatter`` sums the element
-blocks into a sparse matrix.  The HDG norm matrices do the same over
-element chunks of a fixed size in bytes (:class:`NormFactors`); the
-squared norm of a vector maps its field instead of every basis function.
+kernels, the volume load) is computed for all elements at once.  The
+kernels and the body-force load map no basis: each element block is a
+contraction of per-element coefficients of the affine map with
+reference-element tensors formed once per order (see
+:func:`assemble_kernels`), and ``_scatter`` sums the element blocks into
+a sparse matrix.  The HDG norm matrices map their bases with
+``SpaceSet.on_elements``, over element chunks of a fixed size in bytes
+(:class:`NormFactors`); the squared norm of a vector maps its field
+instead of every basis function.
 
 A :class:`ConstrainedSystem` holds all that a solve reads: ``base.F``,
 ``base.scaled`` and its constrained structure, built once per pattern of
@@ -83,7 +85,8 @@ class FormKernels:
     The broken flux mass ``M_w`` is element-block-diagonal too, and
     ``M_w_inv`` is its exact inverse, scattered from the inverted element
     Grams.  ``S_w = B M_w^{-1} B^T`` with ``B = [-Dw; Ew]`` is the flux
-    elimination of one network on its (p, phat): network i's flux mass is
+    elimination of one network on its (p, phat), scattered from the
+    element blocks ``B_e M_e^{-1} B_e^T``: network i's flux mass is
     ``M_w / R_i``, so its flux Schur complement is ``R_i S_w``.
 
     Every matrix here, and :attr:`p_hdg`, stores no zero entries, so a
@@ -92,7 +95,8 @@ class FormKernels:
     compositions on these kernels (:func:`build_block_system` and the
     steps after it), keyed by the constrained DOFs and which weights are
     nonzero, and other parameter-free data kept per kernels, such as the
-    manufactured load values and Dirichlet data of
+    manufactured load's :class:`VolumeQuadrature` (points, weights and
+    reference values, no mapped basis), load values and Dirichlet data of
     :func:`mpet.cli.manufactured_solve`; new kernels start with none.
     """
 
@@ -117,75 +121,226 @@ class FormKernels:
 
 
 def assemble_kernels(spaces, eta=DEFAULT_ETA):
-    """Every parameter-free form matrix, from batched element and facet integrals.
+    """Every parameter-free form matrix, each kind of element block one GEMM.
 
-    Each mapped basis (the pressure values, the BDM and RT divergences,
-    the RT values, the symmetric BDM gradients and each facet pass's
-    traces) is freed once its Grams exist, so no two of them are alive
-    together, nor any of them during a scatter.
+    On an affine triangle a Piola-mapped Gram is a fixed reference-element
+    tensor contracted with a few coefficients of the element's Jacobian
+    (the tensor representation of Kirby and Logg, ACM TOMS 32(3), 2006):
+    each element block is ``sum_k c[e, k] T[k]``, one product of the
+    per-element coefficients ``c`` against the tensors ``T`` of
+    :class:`_ReferenceTensors`, formed once per order, so no basis is
+    mapped to the elements.  The volume Grams take their coefficients
+    from ``J``, ``J^-1`` and ``det J`` (:func:`_flux_metric`,
+    :func:`_strain_metric`), the facet terms also from the outward normal,
+    the facet tangent and length of each local edge and its direction
+    (:func:`_facet_coefficients`, :func:`_legendre_parity`).  ``a_hdg``
+    comes as one block per element on its u and the uhat of its three
+    facets, ``Ew`` as one on the phat of its facets and its w.  Each
+    symmetric Gram is exactly symmetric: ``(G + G^T) / 2`` where the
+    contraction sums the two triangles in different orders.
     """
     if eta <= 0.0:
         raise ValueError("penalty parameter eta must be positive")
     s = spaces
     mesh = s.mesh
-    elements = np.arange(mesh.n_elements)
+    maps = mesh.element_maps
+    ref = _reference_tensors(s)
+    ne, n_u = mesh.n_elements, s.bdm.n_dofs
+    elements, facets = np.arange(ne), mesh.element_facets
     udofs, wdofs, pdofs = s.u_dofmap, s.w_dofs(elements), s.p_dofs(elements)
-    wq = s.vol_rule.weights * mesh.element_maps.det[:, None]
-    pvals = s.on_elements("p", s.p_vals)
-    p_mass = _gram(pvals, None, wq)
-    div_u = _gram(pvals, s.on_elements("u_div", s.bdm_divs), wq)
-    div_w = _gram(pvals, s.on_elements("w_div", s.rt_divs), wq)
-    del pvals
-    w_mass = _gram(s.on_elements("w", s.rt_vals), None, wq)
-    a_terms = [(udofs, udofs, _gram(_sym(s.on_elements("u_grad", s.bdm_grads)), None, wq))]
-    ew_terms = []
-    for j in range(3):
-        a_term, ew_term = _facet_terms(s, j, elements, wdofs, eta)
-        a_terms.append(a_term)
-        ew_terms.append(ew_term)
+    det = maps.det[:, None, None]
+    penalty = 0.5 * eta * s.ell**2
+    hdg_coef, ew_coef = _facet_coefficients(mesh, penalty)
+    parity = _legendre_parity(mesh.facet_direction, s.n_uhat)
 
-    size_uu = s.size_u + s.size_uhat
-    M_w_inv = _scatter((s.size_w, s.size_w), (wdofs, wdofs, np.linalg.inv(w_mass)))
-    Dw = _scatter((s.size_p, s.size_w), (pdofs, wdofs, div_w))
-    Ew = _scatter((s.size_phat, s.size_w), *ew_terms)
-    B = sps.vstack([-Dw, Ew], format="csr")
+    # a_hdg on the element's u, then the uhat of its facets 0-2
+    coef = np.concatenate([_strain_metric(maps).reshape(ne, -1), hdg_coef.reshape(ne, -1)], axis=1)
+    sign = np.concatenate([s.u_signs, parity.reshape(ne, -1)], axis=1)
+    a_hdg = _contract(coef, ref.hdg) * sign[:, :, None] * sign[:, None, :]
+    for j in range(3):
+        uhat = slice(n_u + j * s.n_uhat, n_u + (j + 1) * s.n_uhat)
+        a_hdg[:, uhat, uhat] += penalty * ref.uhat_mass
+    hdg_rows = np.concatenate([udofs, s.size_u + s.uhat_dofs(facets).reshape(ne, -1)], axis=1)
+    # Ew on the phat of the element's facets 0-2
+    ew = _contract(ew_coef.reshape(ne, -1), ref.flux_trace) * parity[:, :, : s.n_phat].reshape(ne, -1, 1)
+    phat_rows = s.phat_dofs(facets).reshape(ne, -1)
+
+    sign_uu = s.u_signs[:, :, None] * s.u_signs[:, None, :]
+    p_mass = det * ref.p_mass
+    w_mass = _symmetric(_contract(_flux_metric(maps), ref.w_mass))
+    w_mass_inv = np.linalg.inv(w_mass)
+    div_w = np.broadcast_to(ref.div_w, (ne,) + ref.div_w.shape)
+    size_uu, size_q = s.size_u + s.size_uhat, s.size_p + s.size_phat
+    # S_w from the element blocks B_e M_e^-1 B_e^T, B_e = [-Dw; Ew] on the
+    # element's pressures and the phat of its facets
+    B = np.concatenate([-div_w, ew], axis=1)
+    q_rows = np.concatenate([pdofs, s.size_p + phat_rows], axis=1)
     matrices = dict(
-        a_hdg=_scatter((size_uu, size_uu), *a_terms),
-        divdiv=divdiv_factors(s).matrix(),
-        D=_scatter((s.size_p, s.size_u), (pdofs, udofs, div_u)),
-        Dw=Dw,
-        Ew=Ew,
+        a_hdg=_scatter((size_uu, size_uu), (hdg_rows, hdg_rows, _symmetric(a_hdg))),
+        divdiv=_scatter((s.size_u, s.size_u), (udofs, udofs, ref.divdiv / det * sign_uu)),
+        D=_scatter((s.size_p, s.size_u), (pdofs, udofs, ref.div_u * s.u_signs[:, None, :])),
+        Dw=_scatter((s.size_p, s.size_w), (pdofs, wdofs, div_w)),
+        Ew=_scatter((s.size_phat, s.size_w), (phat_rows, wdofs, ew)),
         M_w=_scatter((s.size_w, s.size_w), (wdofs, wdofs, w_mass)),
-        M_w_inv=M_w_inv,
-        S_w=(B @ (M_w_inv @ B.T)).tocsr(),
+        M_w_inv=_scatter((s.size_w, s.size_w), (wdofs, wdofs, w_mass_inv)),
+        S_w=_scatter((size_q, size_q), (q_rows, q_rows, _symmetric(B @ w_mass_inv @ np.swapaxes(B, 1, 2)))),
         M_p=_scatter((s.size_p, s.size_p), (pdofs, pdofs, p_mass)),
     )
     return FormKernels(
         spaces=spaces,
         **{name: _zero_free(m) for name, m in matrices.items()},
         volume=float(mesh.element_area.sum()),
-        p_mass_inv=np.linalg.inv(p_mass),
+        p_mass_inv=np.linalg.inv(ref.p_mass) / det,
     )
 
 
-def _facet_terms(spaces, j, elements, wdofs, eta):
-    """The ``a_hdg`` and ``Ew`` terms of local edge ``j``: the element
-    blocks of the consistency and penalty terms on the (u, uhat) rows,
-    and those of ``(psi_w . n, phi_phat)``."""
-    s = spaces
-    f, h, ds, n_out = _facet_frame(s, j, elements)
-    rows, jump = _u_jump(s, j, elements)
-    # consistency term (eps(v) n, jump), zero on the uhat rows
-    eps_n = np.einsum("eiqab,eb->eiqa", _sym(s.on_edge("u_grad", s.bdm_edge_grads, j)), n_out)
-    eps_n = np.concatenate([eps_n, np.zeros_like(jump[:, eps_n.shape[1] :])], axis=1)
-    cross = _gram(eps_n, jump, ds)
-    del eps_n
-    penalty = (eta * s.ell**2 / h)[:, None, None] * _gram(jump, None, ds)
-    del jump
-    wn = np.einsum("eiqa,ea->eiq", s.on_edge("w", s.rt_edge_vals, j), n_out)
-    phat = s.on_elements("p", s.leg_edge[: s.n_phat])
-    a_term = (rows, rows, cross + np.swapaxes(cross, 1, 2) + penalty)
-    return a_term, (s.phat_dofs(f), wdofs, _gram(phat, wn, ds))
+def _flux_metric(maps):
+    """``J^T J / det J`` per element, the coefficients of the RT mass: a
+    Piola-mapped flux is ``J b / det J`` for its reference value ``b``."""
+    J = maps.jacobian
+    return np.swapaxes(J, 1, 2) @ J / maps.det[:, None, None]
+
+
+def _strain_metric(maps):
+    """The coefficients ``C[e, rc, r'c']`` of the symmetric-gradient Gram.
+
+    A Piola-mapped gradient is ``J G K / det J`` for the reference
+    gradient ``G`` and ``K = J^-1``, so ``det J eps(v) : eps(v')`` is
+    ``(tr(G^T A G' B) + tr(G G')) / (2 det J)`` with ``A = J^T J`` and
+    ``B = K K^T``: ``C = (A (x) B + P) / (2 det J)``, ``P`` the swap of
+    the two indices of a gradient.
+    """
+    J, K = maps.jacobian, np.swapaxes(maps.inv_transpose, 1, 2)
+    A, B = np.swapaxes(J, 1, 2) @ J, K @ np.swapaxes(K, 1, 2)
+    kron = np.einsum("eab,ecd->eacbd", A, B).reshape(-1, 4, 4)
+    return 0.5 * (kron + _SWAP) / maps.det[:, None, None]
+
+
+# the swap (r, c) -> (c, r) of a flattened 2 x 2 gradient index
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _facet_coefficients(mesh, penalty):
+    """Per element and local edge, the 18 coefficients of its (u, uhat)
+    terms, in the order of :attr:`_ReferenceTensors.hdg`, and the 2 of
+    its ``Ew`` term.
+
+    With ``n`` the outward normal, ``t`` the facet tangent, ``h`` its
+    length and ``K = J^-1``: a Piola-mapped displacement has
+    ``v . t = a . c_t`` for its reference trace ``a``, with
+    ``c_t = J^T t / det J``, and ``t . eps(v) n = G : c_g`` for its
+    reference gradient ``G``, with ``c_g = (c_t (K n)^T + c_n (K t)^T) / 2``
+    and ``c_n = J^T n / det J``.  The jump ``(vhat - v)_t`` is
+    ``(vhat - v) . t`` times ``t``.  The coefficients are those of the
+    consistency term, ``-h/2 c_g c_t^T`` and ``h/2 c_g``, and of the
+    penalty, ``penalty c_t c_t^T`` and ``-penalty c_t`` (penalty
+    ``eta ell^2 / 2``), on the (u, u) and (u, uhat) blocks, and
+    ``h/2 c_n`` for ``Ew``.
+    """
+    maps = mesh.element_maps
+    f = mesh.element_facets
+    h = 0.5 * mesh.facet_length[f][:, :, None]
+    n = mesh.facet_sign[:, :, None] * mesh.facet_normal[f]
+    t = mesh.facet_tangent[f]
+    J, K = maps.jacobian / maps.det[:, None, None], np.swapaxes(maps.inv_transpose, 1, 2)
+    c_t, c_n = (np.einsum("eac,eja->ejc", J, v) for v in (t, n))
+    K_t, K_n = (np.einsum("eca,eja->ejc", K, v) for v in (t, n))
+    c_g = 0.5 * (_outer(c_t, K_n) + _outer(c_n, K_t))
+    hdg = [-h * _outer(c_g, c_t), penalty * _outer(c_t, c_t), h * c_g, -penalty * c_t]
+    return np.concatenate(hdg, axis=2), h * c_n
+
+
+def _outer(a, b):
+    """``a[..., k] b[..., l]`` with ``k, l`` flattened."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
+
+
+def _legendre_parity(direction, n_modes):
+    """``o^m`` for the facet directions ``o`` and the modes m < ``n_modes``:
+    a facet Legendre polynomial runs along the facet, a reference trace
+    along the local edge, and ``P_m(-s) = (-1)^m P_m(s)`` on the
+    symmetric edge rule."""
+    return direction[..., None] ** np.arange(n_modes)
+
+
+class _ReferenceTensors:
+    """The reference-element tensors of the kernel Grams at one order.
+
+    Each is ``T[k, l, i, j] = sum_q w_q a[i, q, k] b[j, q, l]`` of two of
+    the reference bases that ``SpaceSet`` caches (:func:`_moments`), the
+    coefficient axes ``k, l`` flattened in front.  ``hdg`` stacks those of
+    an element's ``a_hdg`` block on its u and the uhat of its facets 0-2:
+    16 of the symmetric-gradient Gram, then per local edge the 18 of
+    :func:`_facet_coefficients`, the consistency term's (u, u) block with
+    its transpose added, the penalty's, and the (u, uhat) blocks of both
+    with their transposes.  ``flux_trace`` stacks the 2 per local edge of
+    ``Ew`` on the phat of the element's facets.  The arrays are read-only.
+    """
+
+    def __init__(self, spaces):
+        s = spaces
+        vol, edge = s.vol_rule.weights, s.edge_rule.weights
+        self.p_mass, self.div_u, self.div_w = (_moments(s.p_vals, vol, b)[0]
+                                               for b in (None, s.bdm_divs, s.rt_divs))
+        self.divdiv = _moments(s.bdm_divs, vol)[0]
+        self.w_mass = _moments(s.rt_vals, vol)
+        legendre = s.leg_edge[: s.n_uhat]
+        self.uhat_mass = _moments(legendre, edge)[0]
+        n_u, n_uhat, n_phat = s.bdm.n_dofs, s.n_uhat, s.n_phat
+        self.hdg = np.zeros((16 + 3 * 18, n_u + 3 * n_uhat, n_u + 3 * n_uhat))
+        self.hdg[:16, :n_u, :n_u] = _moments(s.bdm_grads, vol)
+        self.flux_trace = np.zeros((3 * 2, 3 * n_phat, s.n_w))
+        for j, (vals, grads, rt) in enumerate(zip(s.bdm_edge_vals, s.bdm_edge_grads, s.rt_edge_vals)):
+            k, u, uhat = 16 + 18 * j, slice(n_u), slice(n_u + j * n_uhat, n_u + (j + 1) * n_uhat)
+            cross = _moments(grads, edge, vals)
+            self.hdg[k : k + 8, u, u] = cross + np.swapaxes(cross, 1, 2)
+            self.hdg[k + 8 : k + 12, u, u] = _moments(vals, edge)
+            self.hdg[k + 12 : k + 18, u, uhat] = np.concatenate(
+                [_moments(grads, edge, legendre), _moments(vals, edge, legendre)])
+            self.hdg[k + 12 : k + 18, uhat, u] = np.swapaxes(self.hdg[k + 12 : k + 18, u, uhat], 1, 2)
+            self.flux_trace[2 * j : 2 * j + 2, j * n_phat : (j + 1) * n_phat] = _moments(
+                legendre[:n_phat], edge, rt)
+        for tensor in vars(self).values():
+            tensor.setflags(write=False)   # shared by every kernel build at this order
+
+
+_REFERENCE = {}   # (ell, quad_degree) -> _ReferenceTensors
+
+
+def _reference_tensors(spaces):
+    """The :class:`_ReferenceTensors` of the order and quadrature of
+    ``spaces``, formed from its caches on the first use of the pair."""
+    key = (spaces.ell, spaces.quad_degree)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = _ReferenceTensors(spaces)
+    return _REFERENCE[key]
+
+
+def _moments(a, w, b=None):
+    """``sum_q w[q] a[i, q, k] b[j, q, l]`` as ``(k l, i, j)``, each of ``k`` and
+    ``l`` the trailing axes of its side flattened (one when there are none).
+
+    One batched matmul, each side weighted by sqrt(w).  ``b`` None takes
+    ``a`` with itself, and the result is made exactly symmetric,
+    ``T[k, l, i, j] == T[l, k, j, i]``.
+    """
+    root = np.sqrt(w)[:, None]
+    a, b = (None if x is None else x.reshape(x.shape[0], x.shape[1], -1) * root for x in (a, b))
+    t = np.moveaxis(a, 2, 0)[:, None] @ np.moveaxis(a if b is None else b, (2, 1), (0, 1))[None]
+    if b is None:
+        t = 0.5 * (t + t.transpose(1, 0, 3, 2))
+    return t.reshape((-1,) + t.shape[2:])
+
+
+def _contract(coef, tensors):
+    """Element blocks ``sum_k coef[e, k] tensors[k]``, one GEMM."""
+    coef = coef.reshape(len(coef), -1)
+    return (coef @ tensors.reshape(coef.shape[1], -1)).reshape((len(coef),) + tensors.shape[1:])
+
+
+def _symmetric(blocks):
+    """``(G + G^T) / 2`` of element blocks ``(e, i, i)``: exactly symmetric."""
+    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
 
 
 def _zero_free(mat):
@@ -254,19 +409,6 @@ def _join(a, b, x):
 
 def _sym(grads):
     return 0.5 * (grads + np.swapaxes(grads, -1, -2))
-
-
-def _gram(a, b, w):
-    """Element blocks ``sum_q w[e, q] a[e, i, q, ...] . b[e, j, q, ...]``,
-    ``b`` None for ``a``'s Gram with itself.
-
-    One batched matmul over the flattened (quadrature point x tensor)
-    axis.  Each side carries sqrt(w), so a basis's Gram with itself is the
-    single product B B^T and comes out exactly symmetric.
-    """
-    aw = _weighted(a, w)
-    bw = aw if b is None else _weighted(b, w)
-    return aw @ np.swapaxes(bw, 1, 2)
 
 
 def _weighted(a, w):
@@ -626,8 +768,11 @@ class VolumeQuadrature:
 
     ``phys`` holds the physical quadrature points of all elements,
     ``(n_elements, q, 2)``, and ``wq`` their weights times the Jacobian
-    determinants.  The mapped displacement test functions ``u_vals`` are
-    formed on first use, so a load of sources alone never maps them.
+    determinants.  No test function is mapped: a Piola-mapped
+    displacement ``v = J a / det J`` has ``det J f . v = (J^T f) . a``, so
+    the body-force load is ``J^T f`` against the rule-weighted reference
+    BDM values ``u_ref``, times the dof signs, and a source's is its
+    values against the reference pressure values ``p_vals``.
     """
 
     def __init__(self, spaces):
@@ -637,10 +782,7 @@ class VolumeQuadrature:
         self.wq = self.rule.weights * maps.det[:, None]
         self.phys = maps.to_physical(self.rule.points)
         self.p_vals = spaces.p.eval(self.rule.points)
-
-    @cached_property
-    def u_vals(self):
-        return self.spaces.on_elements("u", self.spaces.bdm.eval(self.rule.points))
+        self.u_ref = spaces.bdm.eval(self.rule.points) * self.rule.weights[:, None]
 
     def load(self, f=None, g=()):
         """Full-layout load vector from the values of a body force ``f``,
@@ -650,7 +792,8 @@ class VolumeQuadrature:
         layout = s.layout
         F = np.zeros(layout.total)
         if f is not None:
-            loads = np.einsum("eqc,euqc,eq->eu", f, self.u_vals, self.wq)
+            jtf = (f @ s.mesh.element_maps.jacobian).reshape(len(f), -1)
+            loads = (jtf @ self.u_ref.reshape(len(self.u_ref), -1).T) * s.u_signs
             F[layout.sl("u")] += np.bincount(s.u_dofmap.ravel(), loads.ravel(), minlength=s.size_u)
         for i, gv in enumerate(g):
             if gv is not None:

@@ -420,8 +420,6 @@ _ELEMENT_TRANSFORMS = {
     "u_div": piola_div,
     "u_grad": piola_grad,
     "u_hess": piola_hess,
-    "w": piola_map,
-    "w_div": piola_div,
     "p_grad": scalar_grad,
     "p_hess": scalar_hess,
 }

@@ -141,31 +141,28 @@ def test_norm_memory_does_not_grow_with_the_mesh():
 
 
 def test_single_element_norm_matches_dense_oracle():
-    """Strain part of the HDG norm against the raw oracle blocks."""
+    """On one element at order 1, a linear displacement with its
+    tangential traces as uhat has no jump and no second derivatives, so
+    the dense oracle norm without its h^2 term is its strain energy, as
+    ``_strain_only`` assembles it, and the energy of ``NormAssembler.report``
+    squared is that plus lambda times its div-div oracle term."""
     mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     mesh.tag_boundary(lambda x: True, "boundary")
     spaces = SpaceSet(mesh, 1, 1)
-    scaled = scaled_from_direct(1.0, [1.0], [0.0])
-    kernels = assemble_kernels(spaces)
-    norms = NormAssembler(kernels)
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=norms.layout.total)
-    rep = norms.report(x, scaled)
+    scaled = scaled_from_direct(3.0, [1.0], [0.0])
+    norms = NormAssembler(assemble_kernels(spaces))
+    field = lambda x: np.array([1.0 + 2.0 * x[0] - x[1], 0.5 * x[0] + 3.0 * x[1]])
+    u = spaces.interpolate_u(field)
+    uu = np.concatenate([u, spaces.interpolate_uhat(field)])
+    strain = float(uu @ (_strain_only(mesh, spaces) @ uu))
+    oracle = oracles.oracle_displacement_hdg_norm(mesh, spaces, include_h2=False)
+    assert np.isclose(float(uu @ (oracle @ uu)), strain, rtol=1e-12, atol=0.0)
 
-    blocks = oracle_blocks(mesh, spaces)
-    uu = np.concatenate([x[norms.layout.sl("u")], x[norms.layout.sl("uhat")]])
-    # oracle: eps mass + h^-1 jumps = (a_hdg - cross terms)...: instead use
-    # the norm matrix definition directly with the h2 seminorm dropped
-    mat = oracles.oracle_displacement_hdg_norm(mesh, spaces, include_h2=False)
-    val_eps = float(uu @ (blocks["a_hdg"] @ uu))  # includes cross + penalty
-    # strain mass from oracle equals the norm matrix minus its jump part
-    # (the jump part itself is the penalty of a_hdg at eta ell^2 = 1)
-    jump = mat - _strain_only(mesh, spaces).toarray()
-    assert np.isclose(
-        float(uu @ (mat @ uu)),
-        float(uu @ (_strain_only(mesh, spaces) @ uu)) + float(uu @ (jump @ uu)),
-        rtol=1e-12,
-    )
+    x = np.zeros(norms.layout.total)
+    x[: len(uu)] = uu   # u, then uhat
+    divdiv = float(u @ (oracle_blocks(mesh, spaces)["divdiv"] @ u))
+    energy = norms.report(x, scaled)["energy"]
+    assert np.isclose(energy**2, strain + scaled.lam * divdiv, rtol=1e-12, atol=0.0)
 
 
 def _strain_only(mesh, spaces):

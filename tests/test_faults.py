@@ -10,14 +10,19 @@ seeing its fault fails here.
 | the Dirichlet map built with the traction map's scales (u moments times (2m+1)/2, uhat moments times h/2) | ``test_boundary_data_match_pointwise`` |
 | the pressure map with 1/2 in place of (2m+1)/2 for modes m >= 1 | ``test_boundary_data_match_pointwise`` (the pointwise constraint oracle) |
 | the operand ``-zeta_11 M_p`` scaled by 1 + 1e-3 in the composed operator only | criterion 2's conservation gate, 1e-8 (reads 9.78e-6) |
+| the flux-mass coefficients ``J J^T / det J`` in place of ``J^T J / det J`` | ``test_kernels_match_oracle_on_general_meshes`` (``M_w``, sheared mesh) |
+| the Legendre parity ``(-1)^m`` of reversed facets dropped | ``test_kernels_match_oracle_on_general_meshes`` (``a_hdg``, sheared mesh) |
+| ``1 / det J`` dropped from the symmetric-gradient coefficients | ``test_kernels_match_oracle_on_general_meshes`` (``a_hdg``, sheared mesh) |
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+import mpet.assembly
 import mpet.cli
 import test_acceptance
+import test_assembly
 import test_data_callables
 from mpet.sparsity import Stack
 from mpet.spaces import BoundaryFacets
@@ -25,6 +30,8 @@ from mpet.spaces import BoundaryFacets
 # the checks, reached through their modules so that they are not collected here again
 boundary_data_check = test_data_callables.test_boundary_data_match_pointwise
 square = test_data_callables.square
+kernel_oracle_check = test_assembly.test_kernels_match_oracle_on_general_meshes
+KERNEL_ORACLE = "assert rel_err(getattr(kernels, name), expected[name]) <= 1e-12, name"
 
 
 def fails_at(check, statement, *args):
@@ -73,3 +80,25 @@ def test_one_transfer_operand_scaled_in_the_operator(monkeypatch):
 
     monkeypatch.setattr(mpet.cli, "build_block_system", scaled_transfer)
     fails_at(test_acceptance.test_criterion_2_symmetry_and_conservation, "assert rel <= 1e-8")
+
+
+def test_flux_mass_with_j_jt(monkeypatch):
+    def j_jt(maps):
+        J = maps.jacobian
+        return J @ np.swapaxes(J, 1, 2) / maps.det[:, None, None]
+
+    monkeypatch.setattr(mpet.assembly, "_flux_metric", j_jt)
+    fails_at(kernel_oracle_check, KERNEL_ORACLE, "sheared", 1)
+
+
+def test_reversed_facets_without_parity(monkeypatch):
+    monkeypatch.setattr(mpet.assembly, "_legendre_parity",
+                        lambda direction, n_modes: np.ones(direction.shape + (n_modes,)))
+    fails_at(kernel_oracle_check, KERNEL_ORACLE, "sheared", 1)
+
+
+def test_strain_coefficients_without_the_determinant(monkeypatch):
+    strain_metric = mpet.assembly._strain_metric
+    monkeypatch.setattr(mpet.assembly, "_strain_metric",
+                        lambda maps: strain_metric(maps) * maps.det[:, None, None])
+    fails_at(kernel_oracle_check, KERNEL_ORACLE, "sheared", 1)
